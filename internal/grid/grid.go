@@ -304,9 +304,9 @@ func (c *countingHandler) Handle(req nwsnet.Request) nwsnet.Response {
 // countSink is the harness's push subscriber: it only counts deliveries.
 type countSink struct{ pushes atomic.Uint64 }
 
-func (s *countSink) Push(id uint64, resp nwsnet.Response) error {
-	s.pushes.Add(1)
-	return nil
+func (s *countSink) PushBatch(items []nwsnet.PushItem) (int, error) {
+	s.pushes.Add(uint64(len(items)))
+	return len(items), nil
 }
 
 // --- the runner ---

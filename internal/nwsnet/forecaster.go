@@ -37,7 +37,7 @@ type ForecasterService struct {
 	engines map[string]*engineState
 
 	// Subscription hub (docs/PROTOCOL.md §8): which push sinks watch which
-	// series. Guarded by hubMu, which is never held across a Push — the
+	// series. Guarded by hubMu, which is never held across a PushBatch — the
 	// serve loop holds a sink's write lock while registering, so pushing
 	// under hubMu would invert that order and deadlock.
 	hubMu  sync.Mutex
@@ -499,7 +499,7 @@ func (f *ForecasterService) refreshTick() {
 	}
 	type update struct {
 		series string
-		res    ForecastResult
+		res    *ForecastResult
 	}
 	var changed []update
 	total := 0
@@ -515,38 +515,56 @@ func (f *ForecasterService) refreshTick() {
 			continue
 		}
 		if r, ok := f.forecastLocked(st); ok {
-			changed = append(changed, update{series: keys[i], res: *r})
+			changed = append(changed, update{series: keys[i], res: r})
 		}
 	}
 	f.mu.Unlock()
 	mFcPointsPulled.Add(uint64(total))
+
+	// One hub snapshot per tick: each changed forecast is encoded once and
+	// the body shared by all its subscribers (only the frame's ID differs).
+	// All of a tick's bodies share one backing buffer.
+	batches := make(map[PushSink][]PushItem)
+	var bodies []byte
+	f.hubMu.Lock()
 	for _, u := range changed {
-		f.pushSeries(u.series, u.res)
+		if len(f.subs[u.series]) == 0 {
+			continue
+		}
+		start := len(bodies)
+		b, err := encodeResponseBody(bodies, Response{OK: true, Forecast: u.res}, 0)
+		if err != nil {
+			continue
+		}
+		bodies = b
+		f.queueLocked(batches, u.series, bodies[start:len(bodies):len(bodies)])
+	}
+	f.hubMu.Unlock()
+	f.deliver(batches)
+}
+
+// queueLocked appends one frame carrying body to the batch of every sink
+// subscribed to series. Callers hold hubMu.
+func (f *ForecasterService) queueLocked(batches map[PushSink][]PushItem, series string, body []byte) {
+	for sink, id := range f.subs[series] {
+		batches[sink] = append(batches[sink], PushItem{ID: id, Body: body})
 	}
 }
 
-// pushSeries delivers one updated forecast to every subscriber of series.
-func (f *ForecasterService) pushSeries(series string, res ForecastResult) {
-	type target struct {
-		sink PushSink
-		id   uint64
-	}
-	f.hubMu.Lock()
-	targets := make([]target, 0, len(f.subs[series]))
-	for sink, id := range f.subs[series] {
-		targets = append(targets, target{sink, id})
-	}
-	f.hubMu.Unlock()
-	for _, t := range targets {
-		r := res
-		if t.sink.Push(t.id, Response{Forecast: &r}) != nil {
+// deliver hands each sink its batch, outside every lock, and settles the
+// counters: every frame attempted lands in exactly one of
+// nws_forecast_pushes_total and nws_forecast_pushes_dropped_total.
+func (f *ForecasterService) deliver(batches map[PushSink][]PushItem) {
+	for sink, items := range batches {
+		n, err := sink.PushBatch(items)
+		mFcPushes.Add(uint64(n))
+		mFcPushesDropped.Add(uint64(len(items) - n))
+		if err != nil {
 			// The connection is on its way down and its serve loop will
-			// DropSink; dropping here too keeps this tick from hammering
-			// a dead sink once per series it watched.
-			f.DropSink(t.sink)
-			continue
+			// DropSink; dropping here too keeps the next tick from building
+			// a batch for a dead sink.
+			f.DropSink(sink)
 		}
-		mFcPushes.Inc()
 	}
 }
 
@@ -572,12 +590,7 @@ func (f *ForecasterService) AdoptView(v *cluster.View) {
 		return
 	}
 	rf := v.Config.Normalize().Replication
-	type target struct {
-		sink   PushSink
-		id     uint64
-		series string
-	}
-	var lost []target
+	batches := make(map[PushSink][]PushItem)
 	f.hubMu.Lock()
 	for series, sinks := range f.subs {
 		owners := ring.Owners(series, rf)
@@ -594,18 +607,17 @@ func (f *ForecasterService) AdoptView(v *cluster.View) {
 		if owned {
 			continue
 		}
-		for sink, id := range sinks {
-			lost = append(lost, target{sink, id, series})
+		body, err := encodeResponseBody(nil, movedResp(v, "forecast %q: not an owner under epoch %d", series, v.Epoch), 0)
+		if err != nil {
+			continue
+		}
+		f.queueLocked(batches, series, body)
+		for sink := range sinks {
+			f.removeSubLocked(series, sink)
 		}
 	}
-	for _, t := range lost {
-		f.removeSubLocked(t.series, t.sink)
-	}
 	f.hubMu.Unlock()
-	for _, t := range lost {
-		t.sink.Push(t.id, movedResp(v, "forecast %q: not an owner under epoch %d", t.series, v.Epoch))
-		mFcPushes.Inc()
-	}
+	f.deliver(batches)
 }
 
 var (

@@ -2,7 +2,9 @@ package nwsnet
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -428,57 +430,75 @@ func (k *binSink) send(id uint64, resp Response, flush bool) error {
 	return err
 }
 
-// pushWriteBudget bounds how long one push may occupy a socket whose
+// pushWriteBudget bounds how long one push batch may occupy a socket whose
 // server has no configured WriteTimeout. The response path may block
 // indefinitely there — the client is waiting for its answer — but a push
 // blocking means the subscriber stopped draining, and the refresher behind
 // the push serves every other subscriber too.
 const pushWriteBudget = time.Second
 
-// Push implements PushSink: a server-initiated frame reusing the
-// subscription's request ID, flushed immediately (push latency is the point
-// of the read plane; there is no pipelined burst to coalesce with).
+// PushBatch implements PushSink: one refresh tick's frames for this
+// connection go out under one lock, one write deadline and one flush,
+// streamed through the connection's own buffered writer. Each frame is byte
+// for byte what encodeResponsePayload + writeFrame produce for its item.
 //
-// Slow-subscriber protection: a push never waits on a stalled connection.
-// If the sink's write lock is held — the previous write is still draining
-// into a peer that stopped reading — the frame is dropped and counted in
-// nws_forecast_pushes_dropped_total instead of queueing behind it; the
-// subscription stays live and the next refresh tick supersedes the dropped
-// forecast. When the lock is free, the flush runs under a write deadline
-// even on servers with no WriteTimeout, so the first write into a dead
-// socket poisons the sink (tearing the connection down via DropSink)
-// rather than wedging the caller.
-func (k *binSink) Push(id uint64, resp Response) error {
-	resp.OK = resp.Error == ""
+// Slow-subscriber protection, at batch granularity: if the sink's write lock
+// is held — the previous write is still draining into a peer that stopped
+// reading — the whole batch is dropped instead of queueing behind it; the
+// subscriptions stay live and the next tick supersedes the dropped
+// forecasts. Otherwise the batch runs under a write deadline (WriteTimeout,
+// else pushWriteBudget), so a dead socket poisons the sink rather than
+// wedging the refresher; the deadline is cleared afterwards so it cannot
+// time out a later response.
+func (k *binSink) PushBatch(items []PushItem) (int, error) {
 	if !k.mu.TryLock() {
-		mFcPushesDropped.Inc()
-		return nil
+		return 0, nil
 	}
 	defer k.mu.Unlock()
-	buf := getEncBuf()
-	payload, err := encodeResponsePayload(*buf, id, resp)
+	if k.err != nil {
+		return 0, k.err
+	}
+	budget := k.limits.WriteTimeout
+	if budget <= 0 {
+		budget = pushWriteBudget
+	}
+	k.conn.SetWriteDeadline(time.Now().Add(budget))
+	var hdr [4 + binary.MaxVarintLen64]byte
+	var err error
+	sent := 0
+	for _, it := range items {
+		n := binary.PutUvarint(hdr[4:], it.ID)
+		size := n + len(it.Body)
+		if size > maxFrameBytes {
+			err = fmt.Errorf("nwsnet: frame payload %d bytes exceeds %d", size, maxFrameBytes)
+			break
+		}
+		binary.BigEndian.PutUint32(hdr[:4], uint32(size))
+		if _, err = k.w.Write(hdr[:4+n]); err != nil {
+			break
+		}
+		if _, err = k.w.Write(it.Body); err != nil {
+			break
+		}
+		sent += size
+	}
+	if err == nil {
+		err = k.w.Flush()
+	}
 	if err != nil {
-		putEncBuf(buf)
-		return err
+		// Same teardown as writeLocked: poison the sink and expire the read
+		// deadline so the serve loop exits promptly.
+		if isTimeout(err) {
+			mServerShed.With(shedWrite).Inc()
+		}
+		k.err = err
+		k.conn.SetReadDeadline(time.Now().Add(-time.Second))
+		return 0, err
 	}
-	armed := false
-	if k.limits.WriteTimeout <= 0 && k.err == nil {
-		k.conn.SetWriteDeadline(time.Now().Add(pushWriteBudget))
-		armed = true
-	}
-	err = k.writeLocked(payload, true)
-	if err == nil && armed {
-		// A write deadline persists on the connection; clear it so later
-		// responses on this deadline-free server are not spuriously timed
-		// out by this push's budget.
-		k.conn.SetWriteDeadline(time.Time{})
-	}
-	*buf = payload
-	putEncBuf(buf)
-	if err != nil {
-		mFcPushesDropped.Inc()
-	}
-	return err
+	k.conn.SetWriteDeadline(time.Time{})
+	mWireFramesOut.Add(uint64(len(items)))
+	mWireBytesOut.Add(uint64(sent))
+	return len(items), nil
 }
 
 // subscribe runs the registration and writes its acknowledgement under the

@@ -11,17 +11,28 @@ import (
 // token bucket behind ServerLimits.TenantRate. The wire semantics are
 // docs/PROTOCOL.md §8; the forecaster's implementation is forecaster.go.
 
+// PushItem is one frame of a push batch: the subscription's original request
+// ID and the encoded response body that follows it on the wire. Bodies are
+// shared between a series' subscribers; a sink must not modify them.
+type PushItem struct {
+	ID   uint64
+	Body []byte
+}
+
 // PushSink is the write half of one subscribing connection, handed to a
-// SubscriptionHandler at subscribe time. Push writes a server-initiated
-// response frame tagged with the subscription's original request ID; the
-// serve loop serializes pushes against ordinary responses, and a subscribe
-// acknowledgement is always written before the first push for its ID.
+// SubscriptionHandler at subscribe time. PushBatch writes one
+// server-initiated response frame per item, in order; the serve loop
+// serializes the batch against ordinary responses, and a subscribe
+// acknowledgement is always written before the first push for its ID. It
+// delivers all of the batch or none of it: a sink that cannot take it right
+// now drops it whole (0, nil — the subscriptions stay live), and an error
+// means the connection is dead and the caller should DropSink.
 //
-// Push must not be called while holding any lock a Subscribe or Unsubscribe
-// call can take: the serve loop holds the sink's write lock across
-// registration and its acknowledgement.
+// PushBatch must not be called while holding any lock a Subscribe or
+// Unsubscribe call can take: the serve loop holds the sink's write lock
+// across registration and its acknowledgement.
 type PushSink interface {
-	Push(id uint64, resp Response) error
+	PushBatch(items []PushItem) (delivered int, err error)
 }
 
 // SubscriptionHandler is implemented by handlers that serve the v2
