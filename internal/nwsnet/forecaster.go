@@ -3,6 +3,7 @@ package nwsnet
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,12 +146,18 @@ func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	fetches := make([]BatchFetch, len(keys))
-	states := make([]*engineState, len(keys))
+	fetches := make([]BatchFetch, 0, len(keys))
+	states := make([]*engineState, 0, len(keys))
+	seen := make(map[*engineState]bool, len(keys))
 	f.mu.Lock()
-	for i, k := range keys {
-		states[i] = f.engine(k)
-		fetches[i] = BatchFetch{Series: k, From: nextAfter(states[i].lastT)}
+	for _, k := range keys {
+		st := f.engine(k)
+		if seen[st] {
+			continue // a repeated key would put one engine on two goroutines
+		}
+		seen[st] = true
+		states = append(states, st)
+		fetches = append(fetches, BatchFetch{Series: k, From: nextAfter(st.lastT)})
 	}
 	f.mu.Unlock()
 
@@ -167,20 +174,57 @@ func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error
 	if len(results) != len(fetches) {
 		return 0, fmt.Errorf("nwsnet: warm batch returned %d results for %d fetches", len(results), len(fetches))
 	}
-	total := 0
+	// A series whose priming failed keeps its frontier untouched, so it is
+	// not marked warm in any sense — no cached forecast exists for it until
+	// a later Warm or Forecast succeeds.
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, res := range results {
-		if res.Err != nil {
-			// Priming this series failed; its frontier is untouched, so it
-			// is not marked warm in any sense — no cached forecast exists
-			// for it until a later Warm or Forecast succeeds.
-			continue
-		}
-		total += f.applyLocked(states[i], res.Points)
-	}
+	total, _ := f.applyBatch(states, results)
+	f.mu.Unlock()
 	mFcPointsPulled.Add(uint64(total))
 	return total, nil
+}
+
+// applyBatch feeds results[i].Points into states[i] and re-forecasts (and
+// re-caches) every engine that consumed a point. The batch is split into
+// min(GOMAXPROCS, len) contiguous slices, each applied on its own goroutine —
+// engines and their states are disjoint and the counters atomic — and runs
+// inline when that is one slice. Callers hold f.mu throughout, so no poll or
+// subscribe sees a half-applied tick. It returns the points consumed and the
+// indexes of the changed forecasts in batch order, whatever the scheduling.
+func (f *ForecasterService) applyBatch(states []*engineState, results []FetchResult) (total int, changed []int) {
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(states)))
+	totals := make([]int, workers)
+	parts := make([][]int, workers)
+	apply := func(w int) {
+		for i := w * len(states) / workers; i < (w+1)*len(states)/workers; i++ {
+			if results[i].Err != nil {
+				continue
+			}
+			n := f.applyLocked(states[i], results[i].Points)
+			totals[w] += n
+			if n == 0 {
+				continue
+			}
+			if _, ok := f.forecastLocked(states[i]); ok {
+				parts[w] = append(parts[w], i)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			apply(w)
+		}(w)
+	}
+	apply(0)
+	wg.Wait()
+	for w := range parts {
+		total += totals[w]
+		changed = append(changed, parts[w]...)
+	}
+	return total, changed
 }
 
 // applyLocked feeds every point newer than the frontier into st, dropping
@@ -497,26 +541,13 @@ func (f *ForecasterService) refreshTick() {
 	if err != nil || len(results) != len(fetches) {
 		return // transient; the next tick retries from the same frontiers
 	}
-	type update struct {
-		series string
-		res    *ForecastResult
-	}
-	var changed []update
-	total := 0
 	f.mu.Lock()
-	for i, res := range results {
-		if res.Err != nil || len(res.Points) == 0 {
-			continue
-		}
-		st := states[i]
-		n := f.applyLocked(st, res.Points)
-		total += n
-		if n == 0 {
-			continue
-		}
-		if r, ok := f.forecastLocked(st); ok {
-			changed = append(changed, update{series: keys[i], res: r})
-		}
+	total, changed := f.applyBatch(states, results)
+	// A cached forecast is replaced, never modified, so the pointers stay
+	// valid to encode from after f.mu is released.
+	forecasts := make([]*ForecastResult, len(changed))
+	for j, i := range changed {
+		forecasts[j] = states[i].cached
 	}
 	f.mu.Unlock()
 	mFcPointsPulled.Add(uint64(total))
@@ -527,17 +558,17 @@ func (f *ForecasterService) refreshTick() {
 	batches := make(map[PushSink][]PushItem)
 	var bodies []byte
 	f.hubMu.Lock()
-	for _, u := range changed {
-		if len(f.subs[u.series]) == 0 {
+	for j, i := range changed {
+		if len(f.subs[keys[i]]) == 0 {
 			continue
 		}
 		start := len(bodies)
-		b, err := encodeResponseBody(bodies, Response{OK: true, Forecast: u.res}, 0)
+		b, err := encodeResponseBody(bodies, Response{OK: true, Forecast: forecasts[j]}, 0)
 		if err != nil {
 			continue
 		}
 		bodies = b
-		f.queueLocked(batches, u.series, bodies[start:len(bodies):len(bodies)])
+		f.queueLocked(batches, keys[i], bodies[start:len(bodies):len(bodies)])
 	}
 	f.hubMu.Unlock()
 	f.deliver(batches)
