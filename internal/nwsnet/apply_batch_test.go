@@ -131,7 +131,6 @@ func TestParallelApplyMatchesOffline(t *testing.T) {
 				}()
 			}
 			for g := 0; g < 2; g++ {
-				g := g
 				racer(func(k int) {
 					i := (k*7 + g) % series
 					resp := f.Handle(Request{Op: OpForecast, Series: keys[i]})

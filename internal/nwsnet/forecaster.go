@@ -213,10 +213,10 @@ func (f *ForecasterService) applyBatch(states []*engineState, results []FetchRes
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			apply(w)
-		}(w)
+		}()
 	}
 	apply(0)
 	wg.Wait()
@@ -298,6 +298,7 @@ func (f *ForecasterService) handleForecast(key string) Response {
 		mFcCacheHits.Inc()
 		return Response{Forecast: &res}
 	}
+	from := nextAfter(st.lastT) // read under f.mu: a concurrent miss on the same series moves it
 	f.mu.Unlock()
 	f.cacheMisses.Add(1)
 	mFcCacheMisses.Inc()
@@ -306,7 +307,7 @@ func (f *ForecasterService) handleForecast(key string) Response {
 	// fails over across replicas; the deadline bounds the whole read.
 	ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
 	defer cancel()
-	points, err := f.group.Fetch(ctx, key, nextAfter(st.lastT), 0, 0)
+	points, err := f.group.Fetch(ctx, key, from, 0, 0)
 	if err != nil {
 		return errResp("forecast: memory fetch: %v", err)
 	}
