@@ -6,9 +6,9 @@ GOFMT ?= gofmt
 #   make fuzz-smoke FUZZTIME=2m
 FUZZTIME ?= 5s
 
-.PHONY: all build test test-race chaos chaos-cluster chaos-repair vet docs-check fuzz-smoke grid grid-smoke bench bench-forecast bench-forecast-smoke bench-memory bench-memory-smoke bench-wire-smoke bench-subscribe-smoke bench-paper experiments report clean
+.PHONY: all build test test-race chaos chaos-cluster chaos-repair vet docs-check fuzz-smoke grid grid-smoke benchmark-smoke bench bench-forecast bench-forecast-smoke bench-memory bench-memory-smoke bench-wire-smoke bench-subscribe-smoke bench-paper experiments report clean
 
-all: build vet docs-check test chaos-cluster chaos-repair fuzz-smoke grid-smoke bench-forecast-smoke bench-memory-smoke bench-wire-smoke bench-subscribe-smoke
+all: build vet docs-check test chaos-cluster chaos-repair fuzz-smoke grid-smoke benchmark-smoke bench-forecast-smoke bench-memory-smoke bench-wire-smoke bench-subscribe-smoke
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,12 @@ grid-smoke:
 	$(GO) run ./cmd/nwsgrid -smoke -hosts 21 -duration 120 -out /tmp/nwsgrid.smoke.a >/dev/null
 	$(GO) run ./cmd/nwsgrid -smoke -hosts 21 -duration 120 -out /tmp/nwsgrid.smoke.b >/dev/null
 	cmp /tmp/nwsgrid.smoke.a /tmp/nwsgrid.smoke.b
+
+# The repository benchmark (benchmark/, BENCHMARK.json) is a Go module of its
+# own, outside `go test ./...`: vet it and run its unit tests, a 2% scale
+# pass of all five workloads with their verification, traced and untraced.
+benchmark-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Forecaster hot-path baseline: the Go benchmark suite with allocation
 # accounting, then the nwsperf harness regenerating BENCH_forecast.json

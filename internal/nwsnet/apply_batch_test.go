@@ -37,14 +37,13 @@ func (s *checkSink) PushBatch(items []PushItem) (int, error) {
 	return len(items), nil
 }
 
-// TestParallelApplyMatchesOffline drives RefreshNow over 512 series with the
-// engine apply split across 1, 2 and 4 goroutines while forecast polls,
-// subscribe/unsubscribe churn and a DropSink race it. Parallel apply must be
-// invisible: every forecast served or pushed is bit-identical to an offline
-// forecast.Engine fed the same points, and Warm still reports the points it
-// consumed. Run under -race it is also the check that engines and their
-// states really are disjoint.
-func TestParallelApplyMatchesOffline(t *testing.T) {
+// TestRefreshMatchesOffline drives RefreshNow over 512 series under
+// GOMAXPROCS 1, 2 and 4 while forecast polls, subscribe/unsubscribe churn
+// and a DropSink race it. The apply step must be atomic to all of them:
+// every forecast served or pushed is bit-identical to an offline
+// forecast.Engine fed the same points, pushes arrive in tick order, and Warm
+// reports exactly the points it consumed. Run under -race.
+func TestRefreshMatchesOffline(t *testing.T) {
 	const (
 		series  = 512
 		history = 24
@@ -97,8 +96,7 @@ func TestParallelApplyMatchesOffline(t *testing.T) {
 			}
 			f := NewForecasterServiceBackend(NewLocalBackend(mem), 0)
 			f.SetCacheServing(true)
-			// Repeated keys must neither be counted twice nor put one
-			// engine on two goroutines.
+			// Repeated keys must not be counted twice.
 			n, err := f.Warm(context.Background(), append(append([]string{}, keys...), keys[:16]...))
 			if err != nil || n != series*history {
 				t.Fatalf("Warm = %d, %v; want %d points", n, err, series*history)

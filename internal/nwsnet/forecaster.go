@@ -3,7 +3,6 @@ package nwsnet
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,18 +145,12 @@ func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	fetches := make([]BatchFetch, 0, len(keys))
-	states := make([]*engineState, 0, len(keys))
-	seen := make(map[*engineState]bool, len(keys))
+	fetches := make([]BatchFetch, len(keys))
+	states := make([]*engineState, len(keys))
 	f.mu.Lock()
-	for _, k := range keys {
-		st := f.engine(k)
-		if seen[st] {
-			continue // a repeated key would put one engine on two goroutines
-		}
-		seen[st] = true
-		states = append(states, st)
-		fetches = append(fetches, BatchFetch{Series: k, From: nextAfter(st.lastT)})
+	for i, k := range keys {
+		states[i] = f.engine(k)
+		fetches[i] = BatchFetch{Series: k, From: nextAfter(states[i].lastT)}
 	}
 	f.mu.Unlock()
 
@@ -185,44 +178,23 @@ func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error
 }
 
 // applyBatch feeds results[i].Points into states[i] and re-forecasts (and
-// re-caches) every engine that consumed a point. The batch is split into
-// min(GOMAXPROCS, len) contiguous slices, each applied on its own goroutine —
-// engines and their states are disjoint and the counters atomic — and runs
-// inline when that is one slice. Callers hold f.mu throughout, so no poll or
-// subscribe sees a half-applied tick. It returns the points consumed and the
-// indexes of the changed forecasts in batch order, whatever the scheduling.
+// re-caches) every engine that consumed a point, the one apply step Warm and
+// refreshTick share. Callers hold f.mu throughout, so no poll or subscribe
+// sees a half-applied tick. It returns the points consumed and the indexes
+// of the changed forecasts in batch order.
 func (f *ForecasterService) applyBatch(states []*engineState, results []FetchResult) (total int, changed []int) {
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(states)))
-	totals := make([]int, workers)
-	parts := make([][]int, workers)
-	apply := func(w int) {
-		for i := w * len(states) / workers; i < (w+1)*len(states)/workers; i++ {
-			if results[i].Err != nil {
-				continue
-			}
-			n := f.applyLocked(states[i], results[i].Points)
-			totals[w] += n
-			if n == 0 {
-				continue
-			}
-			if _, ok := f.forecastLocked(states[i]); ok {
-				parts[w] = append(parts[w], i)
-			}
+	for i, res := range results {
+		if res.Err != nil {
+			continue
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			apply(w)
-		}()
-	}
-	apply(0)
-	wg.Wait()
-	for w := range parts {
-		total += totals[w]
-		changed = append(changed, parts[w]...)
+		n := f.applyLocked(states[i], res.Points)
+		total += n
+		if n == 0 {
+			continue
+		}
+		if _, ok := f.forecastLocked(states[i]); ok {
+			changed = append(changed, i)
+		}
 	}
 	return total, changed
 }
@@ -555,21 +527,19 @@ func (f *ForecasterService) refreshTick() {
 
 	// One hub snapshot per tick: each changed forecast is encoded once and
 	// the body shared by all its subscribers (only the frame's ID differs).
-	// All of a tick's bodies share one backing buffer.
 	batches := make(map[PushSink][]PushItem)
-	var bodies []byte
 	f.hubMu.Lock()
 	for j, i := range changed {
 		if len(f.subs[keys[i]]) == 0 {
 			continue
 		}
-		start := len(bodies)
-		b, err := encodeResponseBody(bodies, Response{OK: true, Forecast: forecasts[j]}, 0)
+		// 64 bytes hold a forecast body in one allocation unless the method
+		// name is unusually long.
+		body, err := encodeResponseBody(make([]byte, 0, 64), Response{OK: true, Forecast: forecasts[j]}, 0)
 		if err != nil {
 			continue
 		}
-		bodies = b
-		f.queueLocked(batches, keys[i], bodies[start:len(bodies):len(bodies)])
+		f.queueLocked(batches, keys[i], body)
 	}
 	f.hubMu.Unlock()
 	f.deliver(batches)
@@ -640,10 +610,9 @@ func (f *ForecasterService) AdoptView(v *cluster.View) {
 			continue
 		}
 		body, err := encodeResponseBody(nil, movedResp(v, "forecast %q: not an owner under epoch %d", series, v.Epoch), 0)
-		if err != nil {
-			continue
+		if err == nil {
+			f.queueLocked(batches, series, body)
 		}
-		f.queueLocked(batches, series, body)
 		for sink := range sinks {
 			f.removeSubLocked(series, sink)
 		}

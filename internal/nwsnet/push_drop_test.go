@@ -110,6 +110,26 @@ func TestPushBatchByteIdentity(t *testing.T) {
 	}
 }
 
+// TestPushBatchOversizeItemWritesNothing: an item no frame can carry fails
+// its batch whole — before the deadline is armed or a byte written — and
+// leaves the connection usable for the next batch.
+func TestPushBatchOversizeItemWritesNothing(t *testing.T) {
+	conn := &recordConn{}
+	sink := &binSink{conn: conn, w: bufio.NewWriter(conn)}
+	items := pushBatchOf(t, 1, 3, pushResult())
+	items[2].Body = make([]byte, maxFrameBytes)
+	if n, err := sink.PushBatch(items); n != 0 || err == nil {
+		t.Fatalf("oversize batch = %d, %v; want 0 and an error", n, err)
+	}
+	if conn.writes != 0 || len(conn.deadlines) != 0 || sink.w.Buffered() != 0 {
+		t.Fatalf("oversize batch touched the connection: %d writes, %d deadlines, %d buffered",
+			conn.writes, len(conn.deadlines), sink.w.Buffered())
+	}
+	if n, err := sink.PushBatch(items[:2]); n != 2 || err != nil {
+		t.Fatalf("batch after the oversize one = %d, %v; want 2, nil", n, err)
+	}
+}
+
 // TestRefreshTickOneWritePerConnection is the cost contract of the push
 // plane: one tick fanning 1024 changed forecasts out to 1024 subscriptions
 // on one connection costs one deadline arm, one clear and as many writes as

@@ -458,21 +458,24 @@ func (k *binSink) PushBatch(items []PushItem) (int, error) {
 	if k.err != nil {
 		return 0, k.err
 	}
+	// An item no frame can carry fails the batch before a byte of it is
+	// written: the connection stays usable, as after any encode error.
+	var hdr [4 + binary.MaxVarintLen64]byte
+	for _, it := range items {
+		if size := binary.PutUvarint(hdr[4:], it.ID) + len(it.Body); size > maxFrameBytes {
+			return 0, fmt.Errorf("nwsnet: frame payload %d bytes exceeds %d", size, maxFrameBytes)
+		}
+	}
 	budget := k.limits.WriteTimeout
 	if budget <= 0 {
 		budget = pushWriteBudget
 	}
 	k.conn.SetWriteDeadline(time.Now().Add(budget))
-	var hdr [4 + binary.MaxVarintLen64]byte
 	var err error
 	sent := 0
 	for _, it := range items {
 		n := binary.PutUvarint(hdr[4:], it.ID)
 		size := n + len(it.Body)
-		if size > maxFrameBytes {
-			err = fmt.Errorf("nwsnet: frame payload %d bytes exceeds %d", size, maxFrameBytes)
-			break
-		}
 		binary.BigEndian.PutUint32(hdr[:4], uint32(size))
 		if _, err = k.w.Write(hdr[:4+n]); err != nil {
 			break
