@@ -6,9 +6,9 @@ GOFMT ?= gofmt
 #   make fuzz-smoke FUZZTIME=2m
 FUZZTIME ?= 5s
 
-.PHONY: all build test test-race chaos chaos-cluster chaos-repair vet docs-check fuzz-smoke grid grid-smoke benchmark-smoke bench bench-forecast bench-forecast-smoke bench-memory bench-memory-smoke bench-wire-smoke bench-subscribe-smoke bench-paper experiments report clean
+.PHONY: all build test test-race chaos chaos-cluster chaos-repair chaos-persist vet docs-check fuzz-smoke grid grid-smoke benchmark-smoke bench bench-forecast bench-forecast-smoke bench-memory bench-memory-smoke bench-wire-smoke bench-subscribe-smoke bench-paper experiments report clean
 
-all: build vet docs-check test chaos-cluster chaos-repair fuzz-smoke grid-smoke benchmark-smoke bench-forecast-smoke bench-memory-smoke bench-wire-smoke bench-subscribe-smoke
+all: build vet docs-check test chaos-cluster chaos-repair chaos-persist fuzz-smoke grid-smoke benchmark-smoke bench-forecast-smoke bench-memory-smoke bench-wire-smoke bench-subscribe-smoke
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,15 @@ chaos-repair:
 	$(GO) run -race ./cmd/nwsgrid -faults -seed 1 -out /tmp/nwsgrid.fault.b >/dev/null
 	cmp /tmp/nwsgrid.fault.a /tmp/nwsgrid.fault.b
 
+# Durable-memory crash campaign under the race detector: the Persist suites
+# (round trips, legacy import, checkpoints, backfill durability, concurrent
+# log order) plus the seeded campaign — the newest log generation cut at 240
+# byte offsets and bit-flipped in its last frame, a crash in every window of
+# a checkpoint, corruption in the middle of a log — each reopened and
+# compared against a ledger of what had been acknowledged.
+chaos-persist:
+	$(GO) test -race -run 'Persist' -count=1 ./internal/nwsnet
+
 # Doc drift gate: docs/PROTOCOL.md (the normative wire spec) is compared
 # against the codec — the opcode tables both ways, and the worked hex/JSON
 # examples byte for byte.
@@ -66,13 +75,16 @@ docs-check:
 # server-side request decode/execute path and the client-side response
 # decode and shed/busy error classification, for the v1 JSON line codec
 # (which also cross-checks v2 round-trips of whatever JSON decodes) and the
-# v2 binary frame codec. Go fuzzers must run one at a time, so each gets
-# its own invocation of $(FUZZTIME).
+# v2 binary frame codec; then the durable memory's on-disk decoders (log
+# frames and records, snapshot images). Go fuzzers must run one at a time, so
+# each gets its own invocation of $(FUZZTIME).
 fuzz-smoke:
 	$(GO) test -run - -fuzz 'FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzDecodeBinaryRequest$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzDecodeBinaryResponse$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
+	$(GO) test -run - -fuzz 'FuzzWALFrame$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
+	$(GO) test -run - -fuzz 'FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 
 # Grid-scale capacity baseline: the full 1000-host scenario harness
 # regenerating BENCH_grid.json (schema nws/grid-report/v1). Deterministic:

@@ -109,7 +109,7 @@ func main() {
 	simProfile := flag.String("sim", "", "simulate a paper host profile instead of reading /proc")
 	capacity := flag.Int("capacity", 0, "memory: max points per series (0 = default)")
 	replicas := flag.Int("replicas", 1, "memory: run this many replica servers on consecutive ports")
-	stateDir := flag.String("statedir", "", "memory: directory for durable series logs (empty = in-memory only)")
+	stateDir := flag.String("statedir", "", "memory: directory for the durable memory's write-ahead log and snapshots (empty = in-memory only)")
 	reflector := flag.String("reflector", "", "sensor: also probe network latency/bandwidth against this reflector")
 	ttl := flag.Duration("ttl", 0, "nameserver: registration expiry (0 = never; sensors re-register each period)")
 	clusterAddr := flag.String("cluster", "", "partitioned cluster: registry (nameserver) address; memory/forecaster roles join as shard members, client roles route by key")

@@ -119,8 +119,20 @@ func run() error {
 			p.Name, fc.Value*100, fc.Method, fc.MAE*100, fc.N)
 	}
 
-	files, _ := filepath.Glob(filepath.Join(stateDir, "*.log"))
-	fmt.Printf("\ndurable memory wrote %d series logs under %s\n", len(files), stateDir)
-	fmt.Println("(a restarted memory server would replay them; see nwsnet.PersistentMemory)")
+	files, err := os.ReadDir(stateDir)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\ndurable memory keeps %d series in %d file(s) under %s:\n", len(keys), len(files), stateDir)
+	for _, f := range files {
+		kind := "write-ahead log generation"
+		if filepath.Ext(f.Name()) == ".snap" {
+			kind = "snapshot"
+		}
+		if info, err := f.Info(); err == nil {
+			fmt.Printf("  %-16s %8d bytes  (%s)\n", f.Name(), info.Size(), kind)
+		}
+	}
+	fmt.Println("(a restarted memory server loads the newest snapshot and redoes the log after it; see nwsnet.PersistentMemory)")
 	return nil
 }

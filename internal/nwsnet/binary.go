@@ -321,7 +321,12 @@ func (r *binReader) points() ([][2]float64, error) {
 	if n > uint64(r.rem())/2 {
 		return nil, errBinMalformed
 	}
-	out := make([][2]float64, 0, min(n, 4096))
+	return r.appendPoints(make([][2]float64, 0, min(n, 4096)), n)
+}
+
+// appendPoints decodes the n XOR-chained points after a count onto dst; the
+// caller has checked n against the remaining payload.
+func (r *binReader) appendPoints(dst [][2]float64, n uint64) ([][2]float64, error) {
 	var pt, pv uint64
 	for i := uint64(0); i < n; i++ {
 		dt, err := r.uvarint()
@@ -334,9 +339,9 @@ func (r *binReader) points() ([][2]float64, error) {
 		}
 		pt ^= bits.ReverseBytes64(dt)
 		pv ^= bits.ReverseBytes64(dv)
-		out = append(out, [2]float64{math.Float64frombits(pt), math.Float64frombits(pv)})
+		dst = append(dst, [2]float64{math.Float64frombits(pt), math.Float64frombits(pv)})
 	}
-	return out, nil
+	return dst, nil
 }
 
 func (r *binReader) registration() (Registration, error) {

@@ -44,6 +44,10 @@ type Memory struct {
 	capacity int
 	nSeries  atomic.Int64
 	shards   [memShardCount]memShard
+
+	// journal is the write-ahead log of a durable memory (persist_wal.go);
+	// nil keeps everything in RAM only. Set once, before the memory serves.
+	journal *journal
 }
 
 type memShard struct {
@@ -84,6 +88,13 @@ func (m *Memory) Handle(req Request) Response {
 	mMemoryRequestsByOp.get(req.Op).Inc()
 	defer mMemoryLatencyByOp.get(req.Op).ObserveSince(t0)
 	resp := m.handle(req)
+	if m.journal != nil && (req.Op == OpStore || req.Op == OpBatch || req.Op == OpBackfill) {
+		// Every record the request appended — a batch's subs included — goes
+		// out in one frame before the answer does.
+		if err := m.journal.commit(); err != nil && resp.Error == "" {
+			resp = errResp("%s: persistence: %v", req.Op, err)
+		}
+	}
 	if resp.Error != "" {
 		mMemoryErrorsByOp.get(req.Op).Inc()
 	}
@@ -128,18 +139,31 @@ func (m *Memory) handleStore(req Request) Response {
 		created = true
 	}
 	var appended, deduped, evicted uint64
-	for _, tv := range req.Points {
+	// accepted is what the journal records: the request's points until one
+	// is skipped, a filtered copy from then on.
+	accepted, filtered := req.Points, false
+	for i, tv := range req.Points {
 		// Idempotent under redelivery: a point at or before the stored
 		// frontier was already applied (or is stale) — skip it rather than
 		// duplicating the tail or rejecting the whole batch.
 		if last, ok := r.Last(); ok && tv[0] <= last.T {
 			deduped++
+			if !filtered && m.journal != nil {
+				accepted, filtered = append([][2]float64(nil), req.Points[:i]...), true
+			}
 			continue
 		}
 		if r.Push(series.Point{T: tv[0], V: tv[1]}) {
 			evicted++
 		}
 		appended++
+		if filtered {
+			accepted = append(accepted, tv)
+		}
+	}
+	if m.journal != nil && appended > 0 {
+		// Under the shard lock, so the series' log order is its apply order.
+		m.journal.record(recStore, req.Series, accepted)
 	}
 	sh.mu.Unlock()
 	if created {
@@ -380,7 +404,7 @@ func (m *Memory) handleBackfill(req Request) Response {
 	if len(req.Points) == 0 {
 		return errResp("backfill requires points")
 	}
-	m.Backfill(req.Series, req.Points)
+	m.backfill(req.Series, req.Points)
 	return Response{}
 }
 
@@ -391,7 +415,21 @@ func (m *Memory) handleBackfill(req Request) Response {
 // (points whose timestamps are already present are still skipped). The
 // merged series keeps its newest capacity points. Returns how many points
 // were actually inserted.
+//
+// On a durable memory the insertions are committed to the log before the
+// call returns. A failed commit cannot be reported through the count; it is
+// sticky, so the next mutation through Handle answers with it.
 func (m *Memory) Backfill(key string, pts [][2]float64) int {
+	added := m.backfill(key, pts)
+	if m.journal != nil {
+		_ = m.journal.commit()
+	}
+	return added
+}
+
+// backfill is Backfill without the commit, for callers that commit once for
+// a whole request.
+func (m *Memory) backfill(key string, pts [][2]float64) int {
 	if key == "" || len(pts) == 0 {
 		return 0
 	}
@@ -411,6 +449,7 @@ func (m *Memory) Backfill(key string, pts [][2]float64) int {
 		existing[i] = r.At(i)
 	}
 	merged := make([]series.Point, 0, len(existing)+len(incoming))
+	var inserted [][2]float64 // for the journal, in time order
 	added := 0
 	i, j := 0, 0
 	for i < len(existing) || j < len(incoming) {
@@ -424,6 +463,9 @@ func (m *Memory) Backfill(key string, pts [][2]float64) int {
 			if len(merged) == 0 || merged[len(merged)-1].T < p.T {
 				merged = append(merged, p)
 				added++
+				if m.journal != nil {
+					inserted = append(inserted, incoming[j])
+				}
 			}
 			j++
 		case incoming[j][0] == existing[i].T:
@@ -443,16 +485,34 @@ func (m *Memory) Backfill(key string, pts [][2]float64) int {
 		cut := merged[0].T
 		kept := len(existing) - sort.Search(len(existing), func(i int) bool { return existing[i].T >= cut })
 		added = len(merged) - kept
+		inserted = inserted[sort.Search(len(inserted), func(i int) bool { return inserted[i][0] >= cut }):]
 	}
 	r.Reset()
 	for _, p := range merged {
 		r.Push(p)
+	}
+	if len(inserted) > 0 {
+		m.journal.record(recBackfill, key, inserted)
 	}
 	sh.mu.Unlock()
 	if created {
 		mMemorySeries.Set(float64(m.nSeries.Add(1)))
 	}
 	return added
+}
+
+// appendSeries appends a copy of a series' points, oldest first, to dst.
+func (m *Memory) appendSeries(dst [][2]float64, key string) [][2]float64 {
+	sh := m.shard(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if r := sh.store[key]; r != nil {
+		for i, n := 0, r.Len(); i < n; i++ {
+			p := r.At(i)
+			dst = append(dst, [2]float64{p.T, p.V})
+		}
+	}
+	return dst
 }
 
 // Len reports the number of stored points for a series key (0 if absent).

@@ -151,10 +151,10 @@ var (
 		"Series currently stored.")
 	mMemoryCompactions = metrics.NewCounter(
 		"nws_memory_log_compactions_total",
-		"Durable per-series logs rewritten to drop points beyond the circular capacity.")
+		"Durable-memory checkpoints: a snapshot of every series written and the log generations before it dropped.")
 	mMemoryLogTruncations = metrics.NewCounter(
 		"nws_memory_log_truncations_total",
-		"Durable logs truncated at startup to drop a corrupt or torn trailing line (crash mid-append recovery).")
+		"Durable-memory logs cut back at startup to the last good frame (a write torn by a crash), plus legacy text logs imported up to a damaged tail.")
 
 	// Name server.
 	mNSRegistrations = metrics.NewCounter(

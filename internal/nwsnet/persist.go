@@ -9,96 +9,108 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// PersistentMemory is a Memory whose series survive restarts: every stored
-// point is appended to a per-series log file under a directory, and the logs
-// are replayed on startup — the role of the circular state files in the real
-// NWS memory process.
+// PersistentMemory is a Memory whose series survive restarts — the role of
+// the circular state files in the real NWS memory process. Every accepted
+// store and backfill is appended to one binary write-ahead log under a
+// directory before it is acknowledged, the log is bounded by snapshot
+// checkpoints, and opening the directory again loads the newest snapshot and
+// redoes the log after it (persist_wal.go; docs/ARCHITECTURE.md "The durable
+// memory").
 type PersistentMemory struct {
 	*Memory
-	dir string
-
-	mu     sync.Mutex
-	files  map[string]*bufio.Writer
-	fds    map[string]*os.File
-	counts map[string]int // log lines per series, to trigger compaction
 }
 
 // NewPersistentMemory opens (creating if needed) a memory rooted at dir with
-// the given per-series capacity, replaying any existing logs.
+// the given per-series capacity, recovering whatever the directory holds. A
+// directory of the earlier per-series "t,v" text logs is imported once and
+// the text logs removed.
 func NewPersistentMemory(capacity int, dir string) (*PersistentMemory, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("nwsnet: memory dir: %w", err)
 	}
-	pm := &PersistentMemory{
-		Memory: NewMemory(capacity),
-		dir:    dir,
-		files:  make(map[string]*bufio.Writer),
-		fds:    make(map[string]*os.File),
-		counts: make(map[string]int),
+	m := NewMemory(capacity)
+	j, err := openJournal(m, dir)
+	if err != nil {
+		return nil, err
 	}
-	if err := pm.replay(); err != nil {
+	m.journal = j
+	pm := &PersistentMemory{Memory: m}
+	if err := pm.importLegacy(dir); err != nil {
+		pm.Close()
 		return nil, err
 	}
 	return pm, nil
 }
 
-// logPath maps a series key (which contains slashes) to its log file.
-func (pm *PersistentMemory) logPath(key string) string {
-	return filepath.Join(pm.dir, url.PathEscape(key)+".log")
+// Checkpoint writes a snapshot of every series now and drops the log
+// generations it supersedes. The memory does this by itself whenever the log
+// outgrows the last snapshot; an operator wants it before copying the
+// directory.
+func (pm *PersistentMemory) Checkpoint() error {
+	pm.journal.ckMu.Lock()
+	defer pm.journal.ckMu.Unlock()
+	return pm.journal.checkpoint(true)
 }
 
-func (pm *PersistentMemory) replay() error {
-	entries, err := os.ReadDir(pm.dir)
-	if err != nil {
-		return fmt.Errorf("nwsnet: reading memory dir: %w", err)
+// Close hands anything still buffered to the OS and closes the log. Stores
+// and backfills after Close answer with an error; reads keep working.
+func (pm *PersistentMemory) Close() error { return pm.journal.close() }
+
+// legacyExt names the per-series text logs of the format before the
+// write-ahead log: one url.PathEscape(key)+".log" file of "t,v" lines each.
+const legacyExt = ".log"
+
+// importLegacy stores every legacy text log in dir through the journal,
+// checkpoints, and only then removes the text logs: a crash anywhere in
+// between repeats the import, which the store path's dedup makes harmless.
+func (pm *PersistentMemory) importLegacy(dir string) error {
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+legacyExt))
+	if err != nil || len(paths) == 0 {
+		return err
 	}
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		key, err := url.PathUnescape(strings.TrimSuffix(name, ".log"))
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), legacyExt)
+		key, err := url.PathUnescape(name)
 		if err != nil {
-			return fmt.Errorf("nwsnet: undecodable log name %q: %w", name, err)
+			return fmt.Errorf("nwsnet: undecodable log name %q: %w", filepath.Base(path), err)
 		}
-		path := filepath.Join(pm.dir, name)
 		pts, trunc, err := readLog(path)
 		if err != nil {
 			return err
 		}
 		if trunc >= 0 {
 			// The log ends in a corrupt or torn line — a crash mid-append.
-			// Everything before it replayed cleanly, so cut the tail and
-			// keep serving rather than refuse to start.
-			if err := os.Truncate(path, trunc); err != nil {
-				return fmt.Errorf("nwsnet: truncating torn log %s: %w", path, err)
-			}
+			// Everything before it imports cleanly.
 			mMemoryLogTruncations.Inc()
 		}
 		if len(pts) == 0 {
 			continue
 		}
-		resp := pm.Memory.Handle(Request{Op: OpStore, Series: key, Points: pts})
-		if resp.Error != "" {
-			return fmt.Errorf("nwsnet: replaying %q: %s", key, resp.Error)
+		if resp := pm.Handle(Request{Op: OpStore, Series: key, Points: pts}); resp.Error != "" {
+			return fmt.Errorf("nwsnet: importing %q: %s", key, resp.Error)
 		}
-		pm.counts[key] = len(pts)
 	}
-	return nil
+	if err := pm.Checkpoint(); err != nil {
+		return fmt.Errorf("nwsnet: checkpoint after import: %w", err)
+	}
+	for _, path := range paths {
+		if err := os.Remove(path); err != nil {
+			return err
+		}
+	}
+	return syncDir(dir)
 }
 
-// readLog parses a per-series append log. It tolerates a damaged tail — the
-// signature of a crash mid-append: a line that does not parse, or a final
-// line without its terminating newline (the writer always appends whole
+// readLog parses a legacy per-series text log. It tolerates a damaged tail —
+// the signature of a crash mid-append: a line that does not parse, or a final
+// line without its terminating newline (the writer always appended whole
 // "t,v\n" records, so an unterminated line is torn even if its prefix
 // happens to parse). On damage it returns the points read so far plus the
-// byte offset the caller should truncate the file to; truncateAt is -1 when
-// the log is clean. Damage is only forgiven at the tail: a malformed line
-// with valid lines after it means the rest of the log is unreachable, and
-// the truncation silently discards those later points.
+// byte offset of the damage; truncateAt is -1 when the log is clean. Damage is only forgiven at the tail: a malformed line
+// with valid lines after it means the rest of the log is unreachable, as it
+// was for the replay this import replaces.
 func readLog(path string) (pts [][2]float64, truncateAt int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -148,143 +160,6 @@ func parseLogLine(s string) (t, v float64, err error) {
 		return 0, 0, fmt.Errorf("nwsnet: bad log value: %w", err)
 	}
 	return t, v, nil
-}
-
-// Handle implements Handler: stores are applied to the in-memory series
-// first (validating them) and then appended to the log. Batch envelopes are
-// unwrapped so every accepted sub-store is logged too; points the memory
-// deduped are still logged (replay dedups them again), which only costs log
-// bytes until the next compaction.
-func (pm *PersistentMemory) Handle(req Request) Response {
-	resp := pm.Memory.Handle(req)
-	switch req.Op {
-	case OpStore:
-		if resp.Error != "" {
-			return resp
-		}
-		if err := pm.append(req.Series, req.Points); err != nil {
-			return errResp("store: persistence: %v", err)
-		}
-	case OpBatch:
-		for i, sub := range req.Batch {
-			if sub.Op != OpStore || i >= len(resp.Batch) || resp.Batch[i].Error != "" {
-				continue
-			}
-			if err := pm.append(sub.Series, sub.Points); err != nil {
-				resp.Batch[i] = errResp("store: persistence: %v", err)
-			}
-		}
-	}
-	return resp
-}
-
-func (pm *PersistentMemory) append(key string, pts [][2]float64) error {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	w := pm.files[key]
-	if w == nil {
-		f, err := os.OpenFile(pm.logPath(key), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		pm.fds[key] = f
-		w = bufio.NewWriter(f)
-		pm.files[key] = w
-	}
-	for _, tv := range pts {
-		if _, err := fmt.Fprintf(w, "%s,%s\n",
-			strconv.FormatFloat(tv[0], 'g', -1, 64),
-			strconv.FormatFloat(tv[1], 'g', -1, 64)); err != nil {
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	// Compaction: the in-memory series is capped at capacity points, but
-	// the append log would otherwise grow forever. Once a log holds more
-	// than twice the retained points, rewrite it to just the live window.
-	pm.counts[key] += len(pts)
-	if pm.counts[key] > 2*pm.capacity {
-		return pm.compactLocked(key)
-	}
-	return nil
-}
-
-// Close flushes and closes all log files.
-func (pm *PersistentMemory) Close() error {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	var first error
-	for key, w := range pm.files {
-		if err := w.Flush(); err != nil && first == nil {
-			first = err
-		}
-		if err := pm.fds[key].Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	pm.files = make(map[string]*bufio.Writer)
-	pm.fds = make(map[string]*os.File)
-	return first
-}
-
-// Compact rewrites a series' log to contain only the currently retained
-// points (the in-memory circular bound discards old ones; the log otherwise
-// grows without limit). Appends trigger it automatically once a log exceeds
-// twice the series capacity; calling it directly is also safe.
-func (pm *PersistentMemory) Compact(key string) error {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return pm.compactLocked(key)
-}
-
-func (pm *PersistentMemory) compactLocked(key string) error {
-	resp := pm.Memory.Handle(Request{Op: OpFetch, Series: key})
-	if resp.Error != "" {
-		return fmt.Errorf("nwsnet: compact: %s", resp.Error)
-	}
-	if w := pm.files[key]; w != nil {
-		w.Flush()
-		pm.fds[key].Close()
-		delete(pm.files, key)
-		delete(pm.fds, key)
-	}
-	tmp := pm.logPath(key) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	for _, tv := range resp.Points {
-		fmt.Fprintf(w, "%s,%s\n",
-			strconv.FormatFloat(tv[0], 'g', -1, 64),
-			strconv.FormatFloat(tv[1], 'g', -1, 64))
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	// Sync the temp file before the rename and the directory after it:
-	// without the first, a crash right after the rename can leave the new
-	// name pointing at unwritten data (losing the retained window); without
-	// the second, the rename itself may not survive the crash.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, pm.logPath(key)); err != nil {
-		return err
-	}
-	if err := syncDir(pm.dir); err != nil {
-		return err
-	}
-	pm.counts[key] = len(resp.Points)
-	mMemoryCompactions.Inc()
-	return nil
 }
 
 // syncDir fsyncs a directory, making renames inside it durable.

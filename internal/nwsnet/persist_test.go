@@ -7,12 +7,41 @@ import (
 	"time"
 )
 
-func TestPersistentMemoryRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	pm, err := NewPersistentMemory(0, dir)
+// openPersistent opens a durable memory in dir and closes it with the test.
+func openPersistent(t *testing.T, capacity int, dir string) *PersistentMemory {
+	t.Helper()
+	pm, err := NewPersistentMemory(capacity, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { pm.Close() })
+	return pm
+}
+
+// mustStore stores pts through Handle and fails the test on an error answer.
+func mustStore(t *testing.T, h Handler, key string, pts ...[2]float64) {
+	t.Helper()
+	if resp := h.Handle(Request{Op: OpStore, Series: key, Points: pts}); resp.Error != "" {
+		t.Fatal(resp.Error)
+	}
+}
+
+// dirFiles returns the names in dir with the given extension, sorted.
+func dirFiles(t *testing.T, dir, ext string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range paths {
+		paths[i] = filepath.Base(paths[i])
+	}
+	return paths
+}
+
+func TestPersistentMemoryRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	pm := openPersistent(t, 0, dir)
 	addr := startServer(t, pm)
 	c := NewClient(time.Second)
 	pts := [][2]float64{{10, 0.9}, {20, 0.85}, {30, 0.8}}
@@ -24,11 +53,7 @@ func TestPersistentMemoryRoundTrip(t *testing.T) {
 	}
 
 	// Restart: the series must come back from the log.
-	pm2, err := NewPersistentMemory(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pm2.Close()
+	pm2 := openPersistent(t, 0, dir)
 	addr2 := startServer(t, pm2)
 	got, err := c.Fetch(addr2, "thing1/cpu/nws_hybrid", 0, 0, 0)
 	if err != nil {
@@ -48,167 +73,179 @@ func TestPersistentMemoryRoundTrip(t *testing.T) {
 }
 
 func TestPersistentMemoryValidationStillApplies(t *testing.T) {
-	pm, err := NewPersistentMemory(0, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	pm := openPersistent(t, 0, dir)
+	mustStore(t, pm, "k", [2]float64{5, 1})
+	// A stale store dedups instead of erroring, and a partly stale one logs
+	// only what was accepted.
+	mustStore(t, pm, "k", [2]float64{1, 1})
+	mustStore(t, pm, "k", [2]float64{4, 1}, [2]float64{6, 1}, [2]float64{2, 1}, [2]float64{7, 1})
+	want, _ := pm.Digest("k")
+	if want.Count != 3 {
+		t.Fatalf("live series holds %d points, want 3", want.Count)
 	}
-	defer pm.Close()
-	resp := pm.Handle(Request{Op: OpStore, Series: "k", Points: [][2]float64{{5, 1}}})
-	if resp.Error != "" {
-		t.Fatal(resp.Error)
-	}
-	resp = pm.Handle(Request{Op: OpStore, Series: "k", Points: [][2]float64{{1, 1}}})
-	if resp.Error != "" {
-		t.Fatalf("stale store errored instead of deduping: %v", resp.Error)
-	}
-	// The deduped point may land in the log (replay dedups it again), but it
-	// must not survive into the replayed series.
 	pm.Close()
-	pm2, err := NewPersistentMemory(0, pm.dir)
-	if err != nil {
+	if resp := pm.Handle(Request{Op: OpStore, Series: "k", Points: [][2]float64{{9, 1}}}); resp.Error == "" {
+		t.Fatal("store after Close was acknowledged")
+	}
+	if err := pm.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	pm2 := openPersistent(t, 0, dir)
+	if got, _ := pm2.Digest("k"); got != want {
+		t.Fatalf("digest after reopen = %+v, want %+v", got, want)
+	}
+}
+
+// legacyLog writes a per-series text log of the format before the
+// write-ahead log.
+func legacyLog(t *testing.T, dir, name, content string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer pm2.Close()
-	if pm2.Len("k") != 1 {
-		t.Fatalf("log contains %d points, want 1", pm2.Len("k"))
+}
+
+// checkImported asserts a legacy directory was converted: the text logs are
+// gone and a snapshot holds their points across another restart.
+func checkImported(t *testing.T, dir, key string, want int) {
+	t.Helper()
+	if left := dirFiles(t, dir, legacyExt); len(left) != 0 {
+		t.Fatalf("text logs left after import: %v", left)
 	}
+	if snaps := dirFiles(t, dir, snapExt); len(snaps) != 1 {
+		t.Fatalf("snapshots after import = %v, want one", snaps)
+	}
+	pm := openPersistent(t, 0, dir)
+	if got := pm.Len(key); got != want {
+		t.Fatalf("restart after import: %d points, want %d", got, want)
+	}
+	pm.Close()
 }
 
 func TestPersistentMemoryCorruptTrailingLineRecovers(t *testing.T) {
 	// A corrupt trailing line (whatever the flavor of corruption) must not
-	// keep the memory from starting: replay truncates back to the last valid
-	// line, counts the truncation, and keeps serving.
+	// keep a legacy directory from importing: everything before it comes in,
+	// the damage is counted, and the memory keeps serving.
 	for _, tail := range []string{"garbage\n", "x,1\n", "1,x\n"} {
 		dir := t.TempDir()
-		content := "10,0.9\n20,0.8\n" + tail
-		if err := os.WriteFile(filepath.Join(dir, "k.log"), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		legacyLog(t, dir, "k.log", "10,0.9\n20,0.8\n"+tail)
 		trunc0 := mMemoryLogTruncations.Value()
 		pm, err := NewPersistentMemory(0, dir)
 		if err != nil {
-			t.Fatalf("tail %q: replay failed: %v", tail, err)
+			t.Fatalf("tail %q: import failed: %v", tail, err)
 		}
 		if got := pm.Len("k"); got != 2 {
-			t.Fatalf("tail %q: replayed %d points, want 2", tail, got)
+			t.Fatalf("tail %q: imported %d points, want 2", tail, got)
 		}
 		if got := mMemoryLogTruncations.Value() - trunc0; got != 1 {
 			t.Fatalf("tail %q: truncations delta = %d, want 1", tail, got)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, "k.log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != "10,0.9\n20,0.8\n" {
-			t.Fatalf("tail %q: log after recovery = %q, want the valid prefix", tail, data)
-		}
 		pm.Close()
+		checkImported(t, dir, "k", 2)
 	}
 }
 
 func TestPersistentMemoryTornTrailingLineRecovers(t *testing.T) {
-	// Crash mid-append: the final line is missing its newline. Even when the
-	// torn prefix happens to parse (the writer always terminates records, so
-	// an unterminated line cannot be trusted), replay must cut it and restart
-	// cleanly — and the restarted memory must keep accepting appends.
+	// Crash mid-append in the legacy format: the final line is missing its
+	// newline. Even when the torn prefix happens to parse (the writer always
+	// terminated records, so an unterminated line cannot be trusted), the
+	// import must drop it — and the imported memory must keep accepting
+	// appends.
 	dir := t.TempDir()
-	pm, err := NewPersistentMemory(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := pm.Handle(Request{Op: OpStore, Series: "k", Points: [][2]float64{{10, 0.9}, {20, 0.8}}})
-	if resp.Error != "" {
-		t.Fatal(resp.Error)
-	}
-	if err := pm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(pm.logPath("k"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("30,0.7"); err != nil { // half-line: no newline
-		t.Fatal(err)
-	}
-	f.Close()
-
+	legacyLog(t, dir, "host%2Fcpu%2Fvmstat.log", "10,0.9\n20,0.8\n30,0.7") // half-line: no newline
+	const key = "host/cpu/vmstat"
 	trunc0 := mMemoryLogTruncations.Value()
-	pm2, err := NewPersistentMemory(0, dir)
-	if err != nil {
-		t.Fatalf("replay after torn append failed: %v", err)
-	}
-	defer pm2.Close()
-	if got := pm2.Len("k"); got != 2 {
-		t.Fatalf("replayed %d points, want 2 (torn line dropped)", got)
+	pm := openPersistent(t, 0, dir)
+	if got := pm.Len(key); got != 2 {
+		t.Fatalf("imported %d points, want 2 (torn line dropped)", got)
 	}
 	if got := mMemoryLogTruncations.Value() - trunc0; got != 1 {
 		t.Fatalf("truncations delta = %d, want 1", got)
 	}
-	resp = pm2.Handle(Request{Op: OpStore, Series: "k", Points: [][2]float64{{30, 0.7}}})
-	if resp.Error != "" {
-		t.Fatal(resp.Error)
-	}
-	pm2.Close()
-	pm3, err := NewPersistentMemory(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pm3.Close()
-	if got := pm3.Len("k"); got != 3 {
-		t.Fatalf("after re-append and restart: %d points, want 3", got)
-	}
+	mustStore(t, pm, key, [2]float64{30, 0.7})
+	pm.Close()
+	checkImported(t, dir, key, 3)
 }
 
 func TestPersistentMemoryCleanLogNotTruncated(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "k.log"), []byte("10,0.9\n20,0.8\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	legacyLog(t, dir, "k.log", "10,0.9\n20,0.8\n")
 	trunc0 := mMemoryLogTruncations.Value()
-	pm, err := NewPersistentMemory(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pm.Close()
+	pm := openPersistent(t, 0, dir)
 	if got := mMemoryLogTruncations.Value() - trunc0; got != 0 {
 		t.Fatalf("clean log counted %d truncations", got)
+	}
+	pm.Close()
+	checkImported(t, dir, "k", 2)
+}
+
+// TestPersistentMemoryImportRepeats: a crash between the import's checkpoint
+// and the removal of the text logs leaves both; importing again over the
+// snapshot must change nothing.
+func TestPersistentMemoryImportRepeats(t *testing.T) {
+	dir := t.TempDir()
+	legacyLog(t, dir, "k.log", "10,0.9\n20,0.8\n")
+	pm := openPersistent(t, 0, dir)
+	mustStore(t, pm, "k", [2]float64{30, 0.7})
+	want, _ := pm.Digest("k")
+	pm.Close()
+	legacyLog(t, dir, "k.log", "10,0.9\n20,0.8\n")
+	pm2 := openPersistent(t, 0, dir)
+	if got, _ := pm2.Digest("k"); got != want {
+		t.Fatalf("digest after repeated import = %+v, want %+v", got, want)
 	}
 }
 
 func TestPersistentMemoryCompact(t *testing.T) {
 	dir := t.TempDir()
-	pm, err := NewPersistentMemory(3, dir) // keep only 3 points
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pm.Close()
+	pm := openPersistent(t, 3, dir) // keep only 3 points
 	for i := 0; i < 10; i++ {
-		resp := pm.Handle(Request{Op: OpStore, Series: "k",
-			Points: [][2]float64{{float64(i), float64(i)}}})
-		if resp.Error != "" {
-			t.Fatal(resp.Error)
-		}
+		mustStore(t, pm, "k", [2]float64{float64(i), float64(i)})
 	}
-	if err := pm.Compact("k"); err != nil {
+	comp0 := mMemoryCompactions.Value()
+	if err := pm.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	pts, trunc, err := readLog(pm.logPath("k"))
+	if got := mMemoryCompactions.Value() - comp0; got != 1 {
+		t.Errorf("checkpoints counted = %d, want 1", got)
+	}
+	// One snapshot holding just the retained window, one empty generation
+	// after it, nothing else.
+	snaps, wals := dirFiles(t, dir, snapExt), dirFiles(t, dir, walExt)
+	if len(snaps) != 1 || len(wals) != 1 || len(dirFiles(t, dir, "")) != 2 {
+		t.Fatalf("after checkpoint: snapshots %v, logs %v, all %v", snaps, wals, dirFiles(t, dir, ""))
+	}
+	if st, err := os.Stat(filepath.Join(dir, wals[0])); err != nil || st.Size() != 0 {
+		t.Fatalf("log after checkpoint: %v, %v; want empty", st, err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snaps[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trunc >= 0 {
-		t.Fatalf("compacted log reported damage at offset %d", trunc)
+	body, err := snapshotBody(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(pts) != 3 || pts[0][0] != 7 {
-		t.Fatalf("compacted log = %v, want the last 3 points", pts)
+	var scratch, got [][2]float64
+	err = decodeSnapshotEntries(body, &scratch, func(id uint32, key string, pts [][2]float64) error {
+		if id != 0 || key != "k" {
+			t.Errorf("snapshot entry %d %q, want 0 \"k\"", id, key)
+		}
+		got = append(got, pts...)
+		return nil
+	})
+	if err != nil || len(got) != 3 || got[0][0] != 7 {
+		t.Fatalf("snapshot holds %v (%v), want the last 3 points", got, err)
 	}
-	if err := pm.Compact("missing"); err == nil {
-		t.Fatal("compact of unknown series accepted")
-	}
-	// The memory must still serve and append after compaction.
-	resp := pm.Handle(Request{Op: OpStore, Series: "k", Points: [][2]float64{{10, 10}}})
-	if resp.Error != "" {
-		t.Fatal(resp.Error)
+	// The memory must still serve and append after a checkpoint, and both
+	// halves must come back.
+	mustStore(t, pm, "k", [2]float64{10, 10})
+	want, _ := pm.Digest("k")
+	pm.Close()
+	pm2 := openPersistent(t, 3, dir)
+	if d, _ := pm2.Digest("k"); d != want {
+		t.Fatalf("digest after reopen = %+v, want %+v", d, want)
 	}
 }
 
@@ -216,41 +253,37 @@ func TestPersistentMemoryAutoCompaction(t *testing.T) {
 	comp0 := mMemoryCompactions.Value()
 	dir := t.TempDir()
 	const capacity = 10
-	pm, err := NewPersistentMemory(capacity, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pm := openPersistent(t, capacity, dir)
 
-	// 25 single-point appends: the log would hold 25 lines, which exceeds
-	// 2 x capacity = 20, so compaction must have fired along the way.
-	for i := 0; i < 25; i++ {
-		resp := pm.Handle(Request{Op: OpStore, Series: "k",
-			Points: [][2]float64{{float64(i), float64(i) / 25}}})
-		if resp.Error != "" {
-			t.Fatal(resp.Error)
+	// Single-point appends until the log has outgrown the floor: a
+	// checkpoint must have fired along the way, leaving a log far smaller
+	// than what was written and a snapshot of just the retained window.
+	written := 0
+	for i := 0; mMemoryCompactions.Value() == comp0; i++ {
+		if written > 2*walCheckpointFloor {
+			t.Fatalf("no checkpoint after %d log bytes", written)
 		}
+		mustStore(t, pm, "k", [2]float64{float64(i), float64(i%7) / 7})
+		written = int(pm.journal.off)
 	}
-	if got := mMemoryCompactions.Value() - comp0; got != 1 {
-		t.Errorf("compactions delta = %d, want 1", got)
+	if written > 64 {
+		t.Fatalf("log holds %d bytes right after the checkpoint, want about one frame", written)
 	}
-	logPts, _, err := readLog(pm.logPath("k"))
-	if err != nil {
-		t.Fatal(err)
+	snaps := dirFiles(t, dir, snapExt)
+	if len(snaps) != 1 || len(dirFiles(t, dir, "")) != 2 {
+		t.Fatalf("after checkpoint: files %v", dirFiles(t, dir, ""))
 	}
-	if len(logPts) > 2*capacity {
-		t.Fatalf("log holds %d points after auto-compaction, want <= %d", len(logPts), 2*capacity)
+	if st, err := os.Stat(filepath.Join(dir, snaps[0])); err != nil || st.Size() > 40*capacity {
+		t.Fatalf("snapshot: %v, %v; want at most the retained window", st, err)
 	}
 
-	// A restart after compaction must replay exactly the retained window.
+	// A restart after the checkpoint must bring back exactly the retained
+	// window.
 	want := pm.Handle(Request{Op: OpFetch, Series: "k"}).Points
 	if err := pm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pm2, err := NewPersistentMemory(capacity, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pm2.Close()
+	pm2 := openPersistent(t, capacity, dir)
 	got := pm2.Handle(Request{Op: OpFetch, Series: "k"}).Points
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d points, want %d", len(got), len(want))
@@ -260,33 +293,36 @@ func TestPersistentMemoryAutoCompaction(t *testing.T) {
 			t.Fatalf("replayed point %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	// And appending on the restarted memory keeps working and counting
-	// toward the next compaction.
-	resp := pm2.Handle(Request{Op: OpStore, Series: "k", Points: [][2]float64{{100, 1}}})
-	if resp.Error != "" {
-		t.Fatal(resp.Error)
-	}
+	// And appending on the restarted memory keeps working.
+	mustStore(t, pm2, "k", [2]float64{1e9, 1})
 }
 
+// TestPersistentMemoryKeyEscaping: keys live inside records now, not in file
+// names, so nothing about a key's bytes may matter.
 func TestPersistentMemoryKeyEscaping(t *testing.T) {
 	dir := t.TempDir()
-	pm, err := NewPersistentMemory(0, dir)
-	if err != nil {
+	pm := openPersistent(t, 0, dir)
+	keys := []string{"host.with/weird:chars/cpu/vmstat", "nul\x00inside", "../../escape", "trailing/", "\xff\xfe not utf-8", "%2F", "k.log", "0000000001.wal"}
+	for i, key := range keys {
+		mustStore(t, pm, key, [2]float64{1, float64(i)})
+	}
+	if err := pm.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	key := "host.with/weird:chars/cpu/vmstat"
-	resp := pm.Handle(Request{Op: OpStore, Series: key, Points: [][2]float64{{1, 0.5}}})
-	if resp.Error != "" {
-		t.Fatal(resp.Error)
+	for i, key := range keys {
+		mustStore(t, pm, key, [2]float64{2, float64(i)})
 	}
+	want := pm.Digests("")
 	pm.Close()
-	pm2, err := NewPersistentMemory(0, dir)
-	if err != nil {
-		t.Fatal(err)
+	pm2 := openPersistent(t, 0, dir)
+	got := pm2.Digests("")
+	if len(got) != len(keys) {
+		t.Fatalf("%d series after reopen, want %d", len(got), len(keys))
 	}
-	defer pm2.Close()
-	if pm2.Len(key) != 1 {
-		t.Fatalf("escaped key not replayed: %d points", pm2.Len(key))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("series %q after reopen = %+v, want %+v", want[i].Series, got[i], want[i])
+		}
 	}
 }
 
