@@ -48,11 +48,7 @@ func NewPersistentMemory(capacity int, dir string) (*PersistentMemory, error) {
 // generations it supersedes. The memory does this by itself whenever the log
 // outgrows the last snapshot; an operator wants it before copying the
 // directory.
-func (pm *PersistentMemory) Checkpoint() error {
-	pm.journal.ckMu.Lock()
-	defer pm.journal.ckMu.Unlock()
-	return pm.journal.checkpoint(true)
-}
+func (pm *PersistentMemory) Checkpoint() error { return pm.journal.checkpointNow() }
 
 // Close hands anything still buffered to the OS and closes the log. Stores
 // and backfills after Close answer with an error; reads keep working.
@@ -108,9 +104,10 @@ func (pm *PersistentMemory) importLegacy(dir string) error {
 // line without its terminating newline (the writer always appended whole
 // "t,v\n" records, so an unterminated line is torn even if its prefix
 // happens to parse). On damage it returns the points read so far plus the
-// byte offset of the damage; truncateAt is -1 when the log is clean. Damage is only forgiven at the tail: a malformed line
-// with valid lines after it means the rest of the log is unreachable, as it
-// was for the replay this import replaces.
+// byte offset of the damage; truncateAt is -1 when the log is clean. Damage
+// is only forgiven at the tail: a malformed line with valid lines after it
+// means the rest of the log is unreachable, as it was for the replay this
+// import replaces.
 func readLog(path string) (pts [][2]float64, truncateAt int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -155,29 +155,35 @@ func (l *crashLedger) checkpoint() {
 }
 
 // stateAt returns the digests after the last request acked in a frame wholly
-// below cut.
-func (l *crashLedger) stateAt(cut int64) []SeriesDigest {
-	var digests []SeriesDigest
+// below cut, and where that frame ends.
+func (l *crashLedger) stateAt(cut int64) (digests []SeriesDigest, boundary int64) {
 	for _, e := range l.entries {
 		if e.off > cut {
 			break
 		}
-		digests = e.digests
+		digests, boundary = e.digests, e.off
 	}
-	return digests
+	return digests, boundary
 }
 
+// copyFile copies src/name to dst/name.
+func copyFile(t *testing.T, dst, src, name string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(src, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyDir copies every file of src into a fresh temporary directory.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	for _, name := range dirFiles(t, src, "") {
-		data, err := os.ReadFile(filepath.Join(src, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		copyFile(t, dst, src, name)
 	}
 	return dst
 }
@@ -257,16 +263,10 @@ func TestPersistCrashTornTail(t *testing.T) {
 		if err := os.Truncate(log, cut); err != nil {
 			t.Fatal(err)
 		}
-		want := l.stateAt(cut)
+		want, boundary := l.stateAt(cut)
 		trunc0 := mMemoryLogTruncations.Value()
 		if got := reopenDigests(t, crashCapacity, crashed); !sameDigests(got, want) {
 			t.Fatalf("cut at %d of %d: reopened to\n%+v\nwant the store as acked below the cut\n%+v", cut, size, got, want)
-		}
-		var boundary int64
-		for _, e := range l.entries {
-			if e.off <= cut {
-				boundary = e.off
-			}
 		}
 		if st, err := os.Stat(log); err != nil || st.Size() != boundary {
 			t.Fatalf("cut at %d: log is %v bytes after recovery (%v), want the frame boundary %d", cut, st.Size(), err, boundary)
@@ -329,39 +329,29 @@ func TestPersistCrashCheckpointWindows(t *testing.T) {
 	pm.Close()
 	after := copyDir(t, dir) // snapshot N+1 (fuzzy), generation N+1
 
-	place := func(dst, src, name string) {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join(src, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	newSnap, newLog := filepath.Base(genPath("", gen, snapExt)), filepath.Base(genPath("", gen, walExt))
 	windows := map[string]func(dir string){
-		"rotated, snapshot not started": func(dir string) { place(dir, after, newLog) },
+		"rotated, snapshot not started": func(dir string) { copyFile(t, dir, after, newLog) },
 		"stray temp snapshot": func(dir string) {
-			place(dir, after, newLog)
+			copyFile(t, dir, after, newLog)
 			data, _ := os.ReadFile(filepath.Join(after, newSnap))
 			os.WriteFile(filepath.Join(dir, newSnap+tmpExt), data[:len(data)/2], 0o644)
 		},
 		"new snapshot, old files not yet deleted": func(dir string) {
-			place(dir, after, newLog)
-			place(dir, after, newSnap)
+			copyFile(t, dir, after, newLog)
+			copyFile(t, dir, after, newSnap)
 		},
 		"old generation deleted, old snapshot not yet": func(dir string) {
-			place(dir, after, newLog)
-			place(dir, after, newSnap)
+			copyFile(t, dir, after, newLog)
+			copyFile(t, dir, after, newSnap)
 			os.Remove(filepath.Join(dir, filepath.Base(genPath("", gen-1, walExt))))
 		},
 		"checkpoint complete": func(dir string) {
 			for _, name := range dirFiles(t, dir, "") {
 				os.Remove(filepath.Join(dir, name))
 			}
-			place(dir, after, newLog)
-			place(dir, after, newSnap)
+			copyFile(t, dir, after, newLog)
+			copyFile(t, dir, after, newSnap)
 		},
 	}
 	for name, crash := range windows {
@@ -380,8 +370,8 @@ func TestPersistCrashCheckpointWindows(t *testing.T) {
 	// A newest snapshot that fails its checksum is passed over while the
 	// older one and its generations are all still there ...
 	crashed := copyDir(t, before)
-	place(crashed, after, newLog)
-	place(crashed, after, newSnap)
+	copyFile(t, crashed, after, newLog)
+	copyFile(t, crashed, after, newSnap)
 	flipBit(t, filepath.Join(crashed, newSnap), 8*100)
 	if got := reopenDigests(t, crashCapacity, crashed); !sameDigests(got, want) {
 		t.Errorf("bad newest snapshot beside the older one: reopened to\n%+v\nwant\n%+v", got, want)
@@ -395,7 +385,7 @@ func TestPersistCrashCheckpointWindows(t *testing.T) {
 	// A generation missing between the snapshot and the newest one is a hole
 	// in the history, not something to skip.
 	crashed = copyDir(t, before)
-	place(crashed, after, newLog)
+	copyFile(t, crashed, after, newLog)
 	os.Remove(filepath.Join(crashed, filepath.Base(genPath("", gen-1, walExt))))
 	if _, err := NewPersistentMemory(crashCapacity, crashed); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("missing generation: open returned %v, want an error", err)

@@ -2,6 +2,7 @@ package nwsnet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -210,7 +211,7 @@ func appendSnapshotEntry(b []byte, id uint32, key string, pts [][2]float64) []by
 // the entries between them.
 func snapshotBody(data []byte) ([]byte, error) {
 	end := len(data) - 4
-	if end < len(snapMagic) || string(data[:len(snapMagic)]) != string(snapMagic) {
+	if end < len(snapMagic) || !bytes.HasPrefix(data, snapMagic) {
 		return nil, errors.New("not a snapshot")
 	}
 	if binary.LittleEndian.Uint32(data[end:]) != crc32.Checksum(data[:end], crc32c) {
@@ -366,6 +367,14 @@ func (j *journal) checkpoint(force bool) error {
 	return nil
 }
 
+// checkpointNow runs a checkpoint whether or not one is due, after any that
+// is already running.
+func (j *journal) checkpointNow() error {
+	j.ckMu.Lock()
+	defer j.ckMu.Unlock()
+	return j.checkpoint(true)
+}
+
 // rotateLocked closes the current generation and starts the next one.
 func (j *journal) rotateLocked() error {
 	if err := j.f.Close(); err != nil {
@@ -441,7 +450,7 @@ func (j *journal) close() error {
 	defer j.ckMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err == errJournalClose {
+	if errors.Is(j.err, errJournalClose) {
 		return nil
 	}
 	err := j.flushLocked()
