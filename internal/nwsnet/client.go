@@ -503,6 +503,73 @@ type FetchResult struct {
 	Err    error
 }
 
+// storeEnvelope and fetchEnvelope pack sub-requests into the one OpBatch
+// request every delivery plane sends — the pooled Client, LocalTransport and
+// LocalBackend differ only in how the request reaches a Handler.
+func storeEnvelope(stores []BatchStore) Request {
+	subs := make([]Request, len(stores))
+	for i, s := range stores {
+		subs[i] = Request{Op: OpStore, Series: s.Series, Points: s.Points}
+	}
+	return Request{Op: OpBatch, Batch: subs}
+}
+
+func fetchEnvelope(fetches []BatchFetch) Request {
+	subs := make([]Request, len(fetches))
+	for i, f := range fetches {
+		subs[i] = Request{Op: OpFetch, Series: f.Series, From: f.From, To: f.To, Max: f.Max}
+	}
+	return Request{Op: OpBatch, Batch: subs}
+}
+
+// openEnvelope validates an answered batch envelope against the n
+// sub-requests sent and returns its sub-responses. An envelope-level error
+// fails the call only when no sub-responses came with it; a sub-response
+// count that does not match is always a failure, because results align with
+// requests by position alone.
+func openEnvelope(addr string, resp Response, n int) ([]Response, error) {
+	if err := respError(addr, resp); err != nil && len(resp.Batch) == 0 {
+		return nil, err
+	}
+	if len(resp.Batch) != n {
+		return nil, fmt.Errorf("nwsnet: %s: batch returned %d sub-responses, want %d", addr, len(resp.Batch), n)
+	}
+	return resp.Batch, nil
+}
+
+// storeResults unpacks a store envelope's answer: one entry per sub-store,
+// classified like top-level responses so per-sub busy sheds stay retryable
+// and per-sub ownership redirects stay typed.
+func storeResults(addr string, resp Response, n int) ([]error, error) {
+	subs, err := openEnvelope(addr, resp, n)
+	if err != nil {
+		return nil, err
+	}
+	errs := make([]error, n)
+	for i, r := range subs {
+		errs[i] = respError(addr, r)
+	}
+	return errs, nil
+}
+
+// fetchResults unpacks a fetch envelope's answer: the points, or the
+// rejection, of each sub-fetch.
+func fetchResults(addr string, resp Response, n int) ([]FetchResult, error) {
+	subs, err := openEnvelope(addr, resp, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]FetchResult, n)
+	for i, r := range subs {
+		if err := respError(addr, r); err != nil {
+			out[i].Err = err
+			continue
+		}
+		out[i].Points = r.Points
+	}
+	return out, nil
+}
+
 // StoreBatch stores several series in one round trip via the batch
 // envelope. The returned slice has one entry per input — nil on success,
 // the server's rejection otherwise; the second return value reports
@@ -517,24 +584,11 @@ func (c *Client) StoreBatchCtx(ctx context.Context, memAddr string, stores []Bat
 	if len(stores) == 0 {
 		return nil, nil
 	}
-	subs := make([]Request, len(stores))
-	for i, s := range stores {
-		subs[i] = Request{Op: OpStore, Series: s.Series, Points: s.Points}
-	}
-	resp, err := c.do(ctx, memAddr, Request{Op: OpBatch, Batch: subs})
+	resp, err := c.do(ctx, memAddr, storeEnvelope(stores))
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Batch) != len(subs) {
-		return nil, fmt.Errorf("nwsnet: batch store returned %d sub-responses, want %d", len(resp.Batch), len(subs))
-	}
-	errs := make([]error, len(subs))
-	for i, r := range resp.Batch {
-		// Classify sub-responses like top-level ones, so per-sub busy sheds
-		// stay retryable and per-sub ownership redirects stay typed.
-		errs[i] = respError(memAddr, r)
-	}
-	return errs, nil
+	return storeResults(memAddr, resp, len(stores))
 }
 
 // FetchBatch reads several series ranges in one round trip via the batch
@@ -550,26 +604,11 @@ func (c *Client) FetchBatchCtx(ctx context.Context, memAddr string, fetches []Ba
 	if len(fetches) == 0 {
 		return nil, nil
 	}
-	subs := make([]Request, len(fetches))
-	for i, f := range fetches {
-		subs[i] = Request{Op: OpFetch, Series: f.Series, From: f.From, To: f.To, Max: f.Max}
-	}
-	resp, err := c.do(ctx, memAddr, Request{Op: OpBatch, Batch: subs})
+	resp, err := c.do(ctx, memAddr, fetchEnvelope(fetches))
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Batch) != len(subs) {
-		return nil, fmt.Errorf("nwsnet: batch fetch returned %d sub-responses, want %d", len(resp.Batch), len(subs))
-	}
-	out := make([]FetchResult, len(subs))
-	for i, r := range resp.Batch {
-		if err := respError(memAddr, r); err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Points = r.Points
-	}
-	return out, nil
+	return fetchResults(memAddr, resp, len(fetches))
 }
 
 // Fetch reads back points of a series with t in [from, to) (to == 0 means

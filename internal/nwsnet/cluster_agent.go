@@ -11,34 +11,36 @@ import (
 	"nwscpu/internal/resilience"
 )
 
-// handoffChunk bounds how many series one handoff batch round trip carries.
-const handoffChunk = 64
-
 // ClusterAgent runs a shard server's membership lifecycle against the
 // cluster registry:
 //
 //  1. Join in the joining state — takes a lease without entering the ring.
-//  2. Sync — pull the history of every series this node will own from the
-//     current owners (batched fetches, merged in behind the write frontier
-//     by Memory.Backfill), while writes keep flowing to the old owners.
+//  2. Repair — an ownership-filtered anti-entropy round (see repair) pulls
+//     the history of every series this node will own from the members that
+//     hold it, while writes keep flowing to the old owners.
 //  3. Activate — re-join in the active state, which bumps the view epoch
 //     and atomically moves the node's key ranges to it.
-//  4. Sync again — catch the writes that landed on the old owners between
-//     the first sync and the activation redirect reaching clients.
+//  4. Repair again — catch the writes that landed on the old owners between
+//     the first round and the activation.
 //
-// After that a renewal loop heartbeats the lease. A renewal answer carrying
-// a view means the epoch moved (some member activated or a lease expired):
-// the agent adopts it and re-syncs, which is exactly the death-takeover
-// path — when an owner dies, its ranges fall to the ring successors, and
-// the successors' re-sync pulls the history from the surviving replicas. A
-// terminal "unknown member" renewal means the lease already lapsed (or the
+// After that a renewal loop heartbeats the lease and runs one more repair
+// round per renewal. A renewal answer carrying a view means the epoch moved
+// (a member activated or a lease expired): the agent adopts it first — the
+// death-takeover path, where a dead owner's ranges fall to the ring
+// successors and their next round pulls the history from the survivors.
+// Rounds on an unchanged epoch close the stale-owner window: previous owners
+// keep acknowledging writes under the old view until their own next
+// renewal, and nothing else would ever copy those points to the new owner.
+// A terminal "unknown member" renewal means the lease lapsed (or the
 // registry restarted); the agent re-runs the join lifecycle from scratch.
 type ClusterAgent struct {
-	client *Client
-	nsAddr string
-	node   *ClusterNode
-	self   cluster.Member
-	logger *log.Logger
+	tr       Transport
+	client   *Client // closed by Close; nil when the transport is the caller's
+	nsAddr   string
+	node     *ClusterNode
+	repairer *Repairer // nil for members that hold no partitioned store
+	self     cluster.Member
+	logger   *log.Logger
 
 	mu        sync.Mutex
 	epoch     uint64
@@ -49,14 +51,20 @@ type ClusterAgent struct {
 
 // NewClusterAgent builds the lifecycle agent for the node guarding member
 // self (self.State is overwritten by the lifecycle), registering with the
-// registry at nsAddr through client (nil selects a default client). node
-// may be nil for members that hold no partitioned store (forecaster
-// shards): they run the same lease lifecycle but skip the handoff sync.
-func NewClusterAgent(client *Client, nsAddr string, self cluster.Member, node *ClusterNode) *ClusterAgent {
-	if client == nil {
-		client = NewClient(0)
+// registry at nsAddr over tr (nil selects a default client, which Close
+// releases). node may be nil for members that hold no partitioned store
+// (forecaster shards): they run the same lease lifecycle but skip the
+// repair rounds.
+func NewClusterAgent(tr Transport, nsAddr string, self cluster.Member, node *ClusterNode) *ClusterAgent {
+	a := &ClusterAgent{tr: tr, nsAddr: nsAddr, node: node, self: self}
+	if tr == nil {
+		a.client = NewClient(0)
+		a.tr = a.client
 	}
-	return &ClusterAgent{client: client, nsAddr: nsAddr, node: node, self: self}
+	if node != nil && self.Kind == string(KindMemory) {
+		a.repairer = NewRepairer(a.tr, node.Memory(), nil)
+	}
+	return a
 }
 
 // SetLogger directs the agent's lifecycle diagnostics to l (nil silences
@@ -110,132 +118,91 @@ func (a *ClusterAgent) adopt(v *cluster.View) {
 	}
 }
 
-// Join runs the two-phase join: lease in the joining state, sync the
-// history this node will own, activate (epoch bump), and sync once more to
-// drain the activation window.
+// Join runs the two-phase join: lease in the joining state, repair the
+// history this node will own, activate (epoch bump), and repair once more
+// to drain the activation window.
 func (a *ClusterAgent) Join(ctx context.Context) error {
 	m := a.self
 	m.State = cluster.StateJoining
-	v, err := a.client.JoinClusterCtx(ctx, a.nsAddr, m)
+	v, err := a.tr.JoinClusterCtx(ctx, a.nsAddr, m)
 	if err != nil {
 		return fmt.Errorf("nwsnet: cluster join %s: %w", a.self.ID, err)
 	}
 	a.adopt(&v)
-	a.logf("joined (epoch %d, %d members); syncing owned history", v.Epoch, len(v.Members))
-	if err := a.sync(ctx, v); err != nil {
-		a.logf("pre-activation sync incomplete: %v", err)
-	}
+	a.logf("joined (epoch %d, %d members); pulling owned history", v.Epoch, len(v.Members))
+	a.repair(ctx, &v, true)
 	m.State = cluster.StateActive
-	av, err := a.client.JoinClusterCtx(ctx, a.nsAddr, m)
+	av, err := a.tr.JoinClusterCtx(ctx, a.nsAddr, m)
 	if err != nil {
 		return fmt.Errorf("nwsnet: cluster activate %s: %w", a.self.ID, err)
 	}
 	a.adopt(&av)
 	a.logf("active (epoch %d); draining activation window", av.Epoch)
-	if err := a.sync(ctx, av); err != nil {
-		a.logf("post-activation sync incomplete: %v", err)
-	}
+	a.repair(ctx, &av, true)
 	return nil
 }
 
-// Renew heartbeats the lease once. It reports whether the member must
-// re-join (the registry no longer knows it) and any transport error; on an
-// epoch change it adopts the new view and re-syncs.
+// Renew heartbeats the lease once, adopts the new view when the epoch
+// moved, and runs a repair round either way. It reports whether the member
+// must re-join (the registry no longer knows it) and any transport error.
 func (a *ClusterAgent) Renew(ctx context.Context) (rejoin bool, err error) {
-	v, err := a.client.RenewLeaseCtx(ctx, a.nsAddr, a.self.ID, a.Epoch())
+	v, err := a.tr.RenewLeaseCtx(ctx, a.nsAddr, a.self.ID, a.Epoch())
 	if err != nil {
-		if resilience.IsTerminal(err) && !IsBusy(err) {
-			// The registry answered and does not know us: the lease lapsed
-			// or the registry restarted. Only a fresh join can recover.
-			return true, err
-		}
-		return false, err
+		// A terminal answer that is not a shed means the registry does not
+		// know us: the lease lapsed or the registry restarted. Only a fresh
+		// join can recover.
+		return resilience.IsTerminal(err) && !IsBusy(err), err
 	}
-	if v == nil {
-		return false, nil // epoch unchanged, lease refreshed
-	}
-	a.adopt(v)
-	a.logf("epoch moved to %d; re-syncing owned ranges", v.Epoch)
-	if err := a.sync(ctx, *v); err != nil {
-		a.logf("takeover sync incomplete: %v", err)
+	if v != nil {
+		a.adopt(v)
+		a.logf("epoch moved to %d; repairing owned ranges", v.Epoch)
+		a.repair(ctx, v, true)
+	} else if a.node != nil {
+		a.repair(ctx, a.node.View(), false)
 	}
 	return false, nil
 }
 
-// sync pulls the history of every series this node owns (or will own once
-// active) from the other members that hold it, backfilling the local memory
-// behind the live write frontier. Peers that are down are skipped — with
-// replicated ownership the surviving replica of each range serves the
-// history, which is what makes the death-takeover path converge.
-func (a *ClusterAgent) sync(ctx context.Context, v cluster.View) error {
-	if a.node == nil || a.self.Kind != string(KindMemory) {
-		return nil
+// repair runs one anti-entropy round under view v — the same digest-compare,
+// tail-pull, refetch-on-mismatch round a fixed replica's Repairer runs, with
+// the ownership function applied: the peers are the view's other memory
+// members, the series those this node owns once v counts it active. After a
+// view change this is the rebalancing handoff, and the points it inserts
+// are counted as such; peers that are down are skipped — with replicated
+// ownership the surviving owner of each range serves the history.
+func (a *ClusterAgent) repair(ctx context.Context, v *cluster.View, viewChanged bool) {
+	if a.repairer == nil || v == nil {
+		return
 	}
-	target := a.projectActive(v)
+	target := a.projectActive(*v)
 	ring := target.Ring(string(KindMemory))
-	if ring == nil {
-		return nil
-	}
 	rf := target.Config.Normalize().Replication
-	var firstErr error
-	points, bytes := 0, 0
-	for _, peer := range v.Members {
-		if peer.ID == a.self.ID || peer.Kind != string(KindMemory) || len(peer.Endpoints()) == 0 {
-			continue
-		}
-		addr := peer.Endpoints()[0]
-		names, err := a.client.SeriesCtx(ctx, addr)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("nwsnet: sync from %s: %w", peer.ID, err)
-			}
-			continue
-		}
-		var owned []string
-		for _, key := range names {
-			for _, id := range ring.Owners(key, rf) {
-				if id == a.self.ID {
-					owned = append(owned, key)
-					break
-				}
-			}
-		}
-		for lo := 0; lo < len(owned); lo += handoffChunk {
-			hi := lo + handoffChunk
-			if hi > len(owned) {
-				hi = len(owned)
-			}
-			fetches := make([]BatchFetch, hi-lo)
-			for j, key := range owned[lo:hi] {
-				fetches[j] = BatchFetch{Series: key}
-			}
-			results, err := a.client.FetchBatchCtx(ctx, addr, fetches)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("nwsnet: sync from %s: %w", peer.ID, err)
-				}
-				break
-			}
-			for j, res := range results {
-				if res.Err != nil || len(res.Points) == 0 {
-					continue
-				}
-				added := a.node.Memory().Backfill(owned[lo+j], res.Points)
-				points += added
-				bytes += added * 16 // one wire point is two packed float64s
-			}
+	var peers []string
+	for _, m := range v.Members {
+		if m.ID != a.self.ID && m.Kind == string(KindMemory) && len(m.Endpoints()) > 0 {
+			peers = append(peers, m.Endpoints()[0])
 		}
 	}
-	if points > 0 {
-		mClusterHandoffPoints.Add(uint64(points))
-		mClusterHandoffBytes.Add(uint64(bytes))
-		a.logf("handoff backfilled %d points", points)
+	n, err := a.repairer.RepairFrom(ctx, peers, func(series string) bool {
+		for _, id := range ring.Owners(series, rf) {
+			if id == a.self.ID {
+				return true
+			}
+		}
+		return false
+	})
+	if err != nil {
+		a.logf("repair round incomplete: %v", err)
 	}
-	return firstErr
+	if viewChanged && n > 0 {
+		mClusterHandoffPoints.Add(uint64(n))
+		mClusterHandoffBytes.Add(uint64(n) * 16) // one wire point is two packed float64s
+		a.logf("handoff backfilled %d points", n)
+	}
 }
 
 // projectActive returns v with this agent's member forced active, so the
-// pre-activation sync computes the ownership the activation is about to
+// pre-activation repair computes the ownership the activation is about to
 // create.
 func (a *ClusterAgent) projectActive(v cluster.View) cluster.View {
 	out := v.Clone()
@@ -318,5 +285,11 @@ func (a *ClusterAgent) Stop() {
 	<-done
 }
 
-// Close releases the agent's pooled connections.
-func (a *ClusterAgent) Close() error { return a.client.Close() }
+// Close releases the pooled connections of a client the agent owns; a no-op
+// over a caller's Transport.
+func (a *ClusterAgent) Close() error {
+	if a.client == nil {
+		return nil
+	}
+	return a.client.Close()
+}

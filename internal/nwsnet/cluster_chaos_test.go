@@ -82,8 +82,7 @@ func TestChaosClusterShardFailover(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	cc := NewClusterClient(nil, nsAddr)
-	defer cc.Close()
+	cc := NewReplicaGroupCluster(testClient(t), nsAddr)
 
 	keys := make([]string, nKeys)
 	for i := range keys {

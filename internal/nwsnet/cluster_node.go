@@ -28,13 +28,41 @@ import (
 // cluster-enabled node. A node with no adopted view (single-node
 // deployment, or an agent that has not joined yet) guards nothing.
 type ClusterNode struct {
-	id    string
 	inner Handler
 	mem   *Memory
+	table viewTable
 
+	mu sync.RWMutex
+	id string
+}
+
+// viewTable holds the newest adopted membership view with its memory ring
+// built once — what the node's ownership guard and the router's view
+// placement both resolve owners against.
+type viewTable struct {
 	mu   sync.RWMutex
 	view *cluster.View
-	ring *cluster.Ring // memory-kind ring of view, cached
+	ring *cluster.Ring // nil while no memory member is active
+}
+
+// adopt installs v unless a view of the same or a newer epoch is held,
+// reporting whether it did; racing adopters converge on the newest epoch.
+func (t *viewTable) adopt(v cluster.View) bool {
+	cp := v.Clone()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.view != nil && cp.Epoch <= t.view.Epoch {
+		return false
+	}
+	t.view, t.ring = &cp, cp.Ring(string(KindMemory))
+	return true
+}
+
+// get returns the held view (nil before the first adopt) and its ring.
+func (t *viewTable) get() (*cluster.View, *cluster.Ring) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.view, t.ring
 }
 
 // NewClusterNode wraps mem as the shard owned by member id. The guard is
@@ -71,24 +99,13 @@ func (n *ClusterNode) SetID(id string) {
 }
 
 // AdoptView installs a membership view, replacing any older one. Stale
-// views (an epoch at or below the one held) are ignored except as the first
-// view, so racing adopters converge on the newest epoch.
-func (n *ClusterNode) AdoptView(v cluster.View) {
-	cp := v.Clone()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.view != nil && cp.Epoch <= n.view.Epoch {
-		return
-	}
-	n.view = &cp
-	n.ring = cp.Ring(string(KindMemory))
-}
+// views (an epoch at or below the one held) are ignored.
+func (n *ClusterNode) AdoptView(v cluster.View) { n.table.adopt(v) }
 
 // View returns the node's current view (nil before the first AdoptView).
 func (n *ClusterNode) View() *cluster.View {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.view
+	v, _ := n.table.get()
+	return v
 }
 
 // owns reports whether this node is among the owners of key under the
@@ -96,9 +113,8 @@ func (n *ClusterNode) View() *cluster.View {
 // view or no ring (no active members yet) everything is owned: the guard
 // must never make a bootstrapping cluster reject its first writes.
 func (n *ClusterNode) owns(key string) (bool, *cluster.View) {
-	n.mu.RLock()
-	self, view, ring := n.id, n.view, n.ring
-	n.mu.RUnlock()
+	self := n.ID()
+	view, ring := n.table.get()
 	if view == nil || ring == nil {
 		return true, nil
 	}

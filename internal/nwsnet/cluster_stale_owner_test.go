@@ -34,89 +34,132 @@ func keyFirstOwnedBy(t *testing.T, cfg cluster.Config, ids []string, want string
 // never sees. Every step is driven by hand in a fixed order — no renewal
 // loops, no sleeps — so the loss is deterministic: after everyone has
 // renewed, the joiner (first in ring order for the key) must hold every
-// acknowledged point.
+// acknowledged point. The same scenario runs over loopback sockets and over
+// a LocalTransport, where a replication-3 cluster also misses one write on a
+// downed owner first, so a parked hint is replayed to a ring owner.
 func TestClusterStaleOwnerWindowConverges(t *testing.T) {
-	ctx := context.Background()
-	cfg := cluster.Config{Replication: 2, VNodes: 32}
-	ns := NewNameServerCluster(time.Hour, cfg)
-	nsSrv := NewServer(ns, nil)
-	nsAddr, err := nsSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nsSrv.Close()
-
-	type member struct {
-		node  *ClusterNode
-		agent *ClusterAgent
-	}
-	start := func(id string) member {
-		node := NewClusterNode(id, NewMemory(0))
-		srv := NewServer(node, nil)
-		addr, err := srv.Listen("127.0.0.1:0")
+	t.Run("tcp", func(t *testing.T) {
+		cfg := cluster.Config{Replication: 2, VNodes: 32}
+		nsSrv := NewServer(NewNameServerCluster(time.Hour, cfg), nil)
+		nsAddr, err := nsSrv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { srv.Close() })
-		agent := NewClusterAgent(nil, nsAddr, cluster.Member{ID: id, Kind: string(KindMemory), Addr: addr}, node)
-		t.Cleanup(func() { agent.Close() })
-		return member{node, agent}
-	}
-	renew := func(m member) {
-		t.Helper()
-		if rejoin, err := m.agent.Renew(ctx); err != nil || rejoin {
-			t.Fatalf("renew %s: rejoin=%v err=%v", m.node.ID(), rejoin, err)
+		t.Cleanup(func() { nsSrv.Close() })
+		listen := func(id string, h Handler) string {
+			srv := NewServer(h, nil)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			return addr
 		}
-	}
+		staleOwnerWindow(t, cfg, testClient(t), nsAddr, listen, nil)
+	})
+	t.Run("local", func(t *testing.T) {
+		cfg := cluster.Config{Replication: 3, VNodes: 32}
+		lt := NewLocalTransport()
+		lt.Register("registry", NewNameServerCluster(time.Hour, cfg))
+		listen := func(id string, h Handler) string {
+			lt.Register("mem-"+id, h)
+			return "mem-" + id
+		}
+		staleOwnerWindow(t, cfg, lt, "registry", listen, lt.SetDown)
+	})
+}
 
-	a, b := start("node-a"), start("node-b")
-	for _, m := range []member{a, b} {
+// staleOwnerWindow runs the scenario on a cluster of cfg.Replication members
+// plus one joiner, every call going through tr. setDown, when non-nil, makes
+// the second member miss one quorum-met write before the join.
+func staleOwnerWindow(t *testing.T, cfg cluster.Config, tr Transport, nsAddr string,
+	listen func(id string, h Handler) string, setDown func(addr string, down bool)) {
+	ctx := context.Background()
+	type member struct {
+		addr  string
+		node  *ClusterNode
+		agent *ClusterAgent
+	}
+	byID := map[string]member{}
+	var ids []string
+	start := func(id string) member {
+		t.Helper()
+		node := NewClusterNode(id, NewMemory(0))
+		addr := listen(id, node)
+		m := member{addr, node, NewClusterAgent(tr, nsAddr, cluster.Member{ID: id, Kind: string(KindMemory), Addr: addr}, node)}
 		if err := m.agent.Join(ctx); err != nil {
 			t.Fatal(err)
 		}
+		byID[id] = m
+		ids = append(ids, id)
+		return m
 	}
-	renew(a) // a joined before b activated; both now hold the two-member view
-	key := keyFirstOwnedBy(t, cfg, []string{"node-a", "node-b", "node-c"}, "node-c")
+	renewAll := func() {
+		t.Helper()
+		for _, id := range ids {
+			if rejoin, err := byID[id].agent.Renew(ctx); err != nil || rejoin {
+				t.Fatalf("renew %s: rejoin=%v err=%v", id, rejoin, err)
+			}
+		}
+	}
+	for i := 0; i < cfg.Replication; i++ {
+		start(fmt.Sprintf("node-%c", 'a'+i))
+	}
+	renewAll() // the early joiners adopt the view the last activation made
+	joiner := fmt.Sprintf("node-%c", 'a'+cfg.Replication)
+	key := keyFirstOwnedBy(t, cfg, append(append([]string(nil), ids...), joiner), joiner)
 
 	reference := NewMemory(0)
-	writer := NewClusterClient(nil, nsAddr)
-	defer writer.Close()
-	store := func(seq int) {
+	writer := NewReplicaGroupCluster(tr, nsAddr)
+	seq := 0
+	store := func() {
 		t.Helper()
+		seq++
 		pts := [][2]float64{{float64(seq), 0.25 + float64(seq)/100}}
 		if err := writer.Store(ctx, key, pts); err != nil {
 			t.Fatalf("store seq %d: %v", seq, err)
 		}
 		reference.Handle(Request{Op: OpStore, Series: key, Points: pts})
 	}
-	for seq := 1; seq <= 5; seq++ {
-		store(seq)
+	for seq < 4 {
+		store()
 	}
-	staleEpoch := writer.View().Epoch
+	if setDown != nil {
+		// One owner misses a write the other two acknowledge: the router
+		// parks a hint for it and replays it on that owner's next clean ack.
+		missed := byID[ids[1]]
+		setDown(missed.addr, true)
+		store()
+		setDown(missed.addr, false)
+		if hs := writer.HintStats(); hs.Queued != 1 || hs.Replayed != 0 {
+			t.Fatalf("after the missed write: hints %+v, want 1 queued", hs)
+		}
+		store()
+		if hs := writer.HintStats(); hs.Replayed != 1 || hs.Dropped != 0 {
+			t.Fatalf("after the owner returned: hints %+v, want 1 replayed", hs)
+		}
+		if got := missed.node.Memory().Len(key); got != seq {
+			t.Fatalf("hinted owner holds %d points, want %d", got, seq)
+		}
+	}
+	staleEpoch := routerEpoch(writer)
 
-	// c runs its full two-phase join: it backfills the key's history from a
-	// and b and becomes the key's first owner.
-	c := start("node-c")
-	if err := c.agent.Join(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.node.Memory().Len(key); got != 5 {
-		t.Fatalf("joiner backfilled %d points of %s, want 5", got, key)
+	// The joiner runs its full two-phase join: it backfills the key's
+	// history from the owners and becomes the key's first owner.
+	j := start(joiner)
+	if got := j.node.Memory().Len(key); got != seq {
+		t.Fatalf("joiner backfilled %d points of %s, want %d", got, key, seq)
 	}
 
-	// The window: the writer still routes by the old view, and neither old
-	// owner has renewed, so both acknowledge a point c is never sent.
-	store(6)
-	if got := writer.View().Epoch; got != staleEpoch {
+	// The window: the writer still routes by the old view, and no old owner
+	// has renewed, so they all acknowledge a point the joiner is never sent.
+	store()
+	if got := routerEpoch(writer); got != staleEpoch {
 		t.Fatalf("writer's view moved to epoch %d during the window; the scenario needs it stale", got)
 	}
+	renewAll()
 
-	renew(a)
-	renew(b)
-	renew(c)
-
-	reader := NewClusterClient(nil, nsAddr)
-	defer reader.Close()
+	reader := NewReplicaGroupCluster(tr, nsAddr)
 	got, err := reader.Fetch(ctx, key, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -132,13 +175,21 @@ func TestClusterStaleOwnerWindowConverges(t *testing.T) {
 	}
 
 	// Every current owner holds the same bits.
-	view := reader.View()
-	byID := map[string]member{"node-a": a, "node-b": b, "node-c": c}
+	view, _ := reader.table.get()
 	wantDigest, _ := reference.Digest(key)
-	for _, m := range view.Owners(string(KindMemory), key) {
-		d, _ := byID[m.ID].node.Memory().Digest(key)
-		if d != wantDigest {
+	owners := view.Owners(string(KindMemory), key)
+	if len(owners) != cfg.Replication || owners[0].ID != joiner {
+		t.Fatalf("owners of %s = %+v, want %d led by %s", key, owners, cfg.Replication, joiner)
+	}
+	for _, m := range owners {
+		if d, _ := byID[m.ID].node.Memory().Digest(key); d != wantDigest {
 			t.Fatalf("owner %s digest %+v, want %+v", m.ID, d, wantDigest)
 		}
 	}
+}
+
+// routerEpoch returns the epoch of the view a router routes by.
+func routerEpoch(g *ReplicaGroup) uint64 {
+	v, _ := g.table.get()
+	return v.Epoch
 }

@@ -30,6 +30,14 @@ func startCluster(t *testing.T, n int, cfg cluster.Config, ttl time.Duration) (n
 	return nsAddr, nodes, addrs
 }
 
+// testClient returns a default client whose pooled connections are released
+// when the test ends.
+func testClient(t *testing.T) *Client {
+	c := NewClient(0)
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // startClusterNode starts one guarded memory shard and joins it to the
 // cluster behind nsAddr, returning its node and address.
 func startClusterNode(t *testing.T, nsAddr, id string) (*ClusterNode, string) {
@@ -241,8 +249,7 @@ func TestClusterClientRouting(t *testing.T) {
 	nsAddr, nodes, addrs := startCluster(t, 2, cluster.Config{Replication: 1, VNodes: 32}, time.Minute)
 	ctx := context.Background()
 
-	cc := NewClusterClient(nil, nsAddr)
-	defer cc.Close()
+	cc := NewReplicaGroupCluster(testClient(t), nsAddr)
 
 	keys := make([]string, 16)
 	for i := range keys {
@@ -251,7 +258,7 @@ func TestClusterClientRouting(t *testing.T) {
 			t.Fatalf("store %s: %v", keys[i], err)
 		}
 	}
-	v := cc.View()
+	v, _ := cc.table.get()
 	if v == nil {
 		t.Fatal("router never bootstrapped a view")
 	}
@@ -302,13 +309,12 @@ func TestClusterClientRouting(t *testing.T) {
 
 	// A router poisoned with a wrong view — both keys' owner swapped — must
 	// recover from the CodeMoved redirect without consulting the registry.
-	stale := NewClusterClient(nil, "127.0.0.1:1") // unreachable registry
-	defer stale.Close()
+	stale := NewReplicaGroupCluster(testClient(t), "127.0.0.1:1") // unreachable registry
 	wrong := v.Clone()
 	wrong.Members[0].Addr, wrong.Members[1].Addr = wrong.Members[1].Endpoints()[0], wrong.Members[0].Endpoints()[0]
 	wrong.Members[0].Addrs, wrong.Members[1].Addrs = nil, nil
 	wrong.Epoch = v.Epoch - 1 // genuinely stale, so the redirect's view supersedes it
-	stale.AdoptView(&wrong)
+	stale.adoptView(&wrong)
 	before := mClusterRefreshRedirect.Value()
 	if err := stale.Store(ctx, keys[0], [][2]float64{{3, 0.5}}); err != nil {
 		t.Fatalf("store through stale view: %v", err)
@@ -317,7 +323,7 @@ func TestClusterClientRouting(t *testing.T) {
 		t.Fatal("stale store recovered without a redirect refresh")
 	}
 
-	// Health reports every active member through the breaker state.
+	// Health reports every active member.
 	h := cc.Health()
 	if len(h) != 2 || !h[0].Healthy || !h[1].Healthy {
 		t.Fatalf("health = %+v", h)
@@ -331,8 +337,7 @@ func TestClusterClientRouting(t *testing.T) {
 func TestClusterHandoffOnJoin(t *testing.T) {
 	nsAddr, nodes, _ := startCluster(t, 1, cluster.Config{Replication: 1, VNodes: 32}, time.Minute)
 	ctx := context.Background()
-	cc := NewClusterClient(nil, nsAddr)
-	defer cc.Close()
+	cc := NewReplicaGroupCluster(testClient(t), nsAddr)
 
 	keys := make([]string, 24)
 	for i := range keys {

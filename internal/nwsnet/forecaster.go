@@ -18,9 +18,9 @@ import (
 // group, fetches fail over to the next healthy replica, so one dead memory
 // server costs a query at most one extra attempt.
 // FetchBackend is the read-plane contract a ForecasterService pulls
-// history through: satisfied by both a ReplicaGroup (fixed replica set with
-// health-ordered failover) and a ClusterClient (ring-routed reads across a
-// partitioned cluster), so the incremental-engine logic is identical across
+// history through: satisfied by a ReplicaGroup on either placement (fixed
+// replicas or ring-routed cluster owners) and by the in-process
+// LocalBackend, so the incremental-engine logic is identical across
 // deployments.
 type FetchBackend interface {
 	Fetch(ctx context.Context, key string, from, to float64, max int) ([][2]float64, error)
@@ -87,10 +87,12 @@ func NewForecasterServiceReplicas(memAddrs []string, timeout time.Duration) *For
 // explicit wire codec for the forecaster's memory fetches — the escape
 // hatch for pulling from a pre-v2 memory server that only speaks JSON lines.
 func NewForecasterServiceReplicasCodec(memAddrs []string, timeout time.Duration, codec Codec) *ForecasterService {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	client := NewClientOptions(ClientOptions{
+	return NewForecasterServiceBackend(NewReplicaGroup(forecasterClient(timeout, codec), memAddrs, 0), timeout)
+}
+
+// forecasterClient is the protocol client a forecaster pulls history with.
+func forecasterClient(timeout time.Duration, codec Codec) *Client {
+	return NewClientOptions(ClientOptions{
 		Timeout: timeout,
 		Codec:   codec,
 		// One in-call retry per replica; replica failover is the main
@@ -102,13 +104,6 @@ func NewForecasterServiceReplicasCodec(memAddrs []string, timeout time.Duration,
 		// replicas last.
 		Breaker: &resilience.BreakerConfig{OpenFor: -1},
 	})
-	return &ForecasterService{
-		group:   NewReplicaGroup(client, memAddrs, 0),
-		timeout: timeout,
-		engines: make(map[string]*engineState),
-		subs:    make(map[string]map[PushSink]uint64),
-		bySink:  make(map[PushSink]map[string]struct{}),
-	}
 }
 
 // NewForecasterServiceCluster returns a forecaster pulling from a
@@ -118,10 +113,7 @@ func NewForecasterServiceReplicasCodec(memAddrs []string, timeout time.Duration,
 // ownership redirects. timeout bounds each memory call attempt (0 selects
 // 5 s).
 func NewForecasterServiceCluster(nsAddr string, timeout time.Duration) *ForecasterService {
-	f := NewForecasterServiceReplicasCodec(nil, timeout, CodecBinary)
-	rg, _ := f.group.(*ReplicaGroup)
-	f.group = NewClusterClient(rg.Client(), nsAddr)
-	return f
+	return NewForecasterServiceBackend(NewReplicaGroupCluster(forecasterClient(timeout, CodecBinary), nsAddr), timeout)
 }
 
 // Replicas reports the health of the forecaster's memory replica group.

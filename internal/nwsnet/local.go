@@ -2,7 +2,6 @@ package nwsnet
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"nwscpu/internal/sensors"
@@ -32,22 +31,7 @@ func (l *LocalBackend) StoreBatch(_ context.Context, stores []BatchStore) ([]err
 	if len(stores) == 0 {
 		return nil, nil
 	}
-	subs := make([]Request, len(stores))
-	for i, s := range stores {
-		subs[i] = Request{Op: OpStore, Series: s.Series, Points: s.Points}
-	}
-	resp := l.h.Handle(Request{Op: OpBatch, Batch: subs})
-	if err := respError(localAddr, resp); err != nil && len(resp.Batch) == 0 {
-		return nil, err
-	}
-	if len(resp.Batch) != len(subs) {
-		return nil, errEnvelope(len(resp.Batch), len(subs))
-	}
-	errs := make([]error, len(subs))
-	for i, r := range resp.Batch {
-		errs[i] = respError(localAddr, r)
-	}
-	return errs, nil
+	return storeResults(localAddr, l.h.Handle(storeEnvelope(stores)), len(stores))
 }
 
 // Fetch implements FetchBackend with the wire range semantics: [from, to)
@@ -66,26 +50,7 @@ func (l *LocalBackend) FetchBatch(_ context.Context, fetches []BatchFetch) ([]Fe
 	if len(fetches) == 0 {
 		return nil, nil
 	}
-	subs := make([]Request, len(fetches))
-	for i, f := range fetches {
-		subs[i] = Request{Op: OpFetch, Series: f.Series, From: f.From, To: f.To, Max: f.Max}
-	}
-	resp := l.h.Handle(Request{Op: OpBatch, Batch: subs})
-	if err := respError(localAddr, resp); err != nil && len(resp.Batch) == 0 {
-		return nil, err
-	}
-	if len(resp.Batch) != len(subs) {
-		return nil, errEnvelope(len(resp.Batch), len(subs))
-	}
-	out := make([]FetchResult, len(subs))
-	for i, r := range resp.Batch {
-		if err := respError(localAddr, r); err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Points = r.Points
-	}
-	return out, nil
+	return fetchResults(localAddr, l.h.Handle(fetchEnvelope(fetches)), len(fetches))
 }
 
 // Series implements FetchBackend.
@@ -101,10 +66,6 @@ func (l *LocalBackend) Series(_ context.Context) ([]string, error) {
 // reachable by construction.
 func (l *LocalBackend) Health() []ReplicaHealth {
 	return []ReplicaHealth{{Addr: localAddr, Healthy: true}}
-}
-
-func errEnvelope(got, want int) error {
-	return fmt.Errorf("nwsnet: local batch returned %d sub-responses, want %d", got, want)
 }
 
 // NewSensorDaemonBackend builds a daemon for the named host delivering

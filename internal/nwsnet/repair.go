@@ -48,7 +48,9 @@ type RepairStats struct {
 const repairFetchChunk = 64
 
 // NewRepairer builds a repairer that heals mem against the replica peers
-// (the local replica's own address must not be listed).
+// (the local replica's own address must not be listed): the peer set of
+// RepairRound and the background loop. A repairer whose peers change — a
+// cluster member's — passes them to RepairFrom each round instead.
 func NewRepairer(tr Transport, mem *Memory, peers []string) *Repairer {
 	return &Repairer{
 		tr:     tr,
@@ -66,15 +68,23 @@ func (rp *Repairer) Stats() RepairStats {
 	return rp.stats
 }
 
-// RepairRound runs one full anti-entropy round: digests from every peer in
-// configuration order, then the pulls they imply. It returns how many
-// points were recovered and the first peer error (a peer being down fails
-// that peer's leg, not the round — the others still repair).
+// RepairRound runs one full anti-entropy round against the configured
+// peers, over every series they hold.
 func (rp *Repairer) RepairRound(ctx context.Context) (int, error) {
+	return rp.RepairFrom(ctx, rp.peers, nil)
+}
+
+// RepairFrom runs one anti-entropy round: digests from every peer in the
+// order given, then the pulls they imply, restricted to the series owned
+// accepts (nil accepts all — a fixed replica holds everything; a cluster
+// member passes "I am an owner under my view"). It returns how many points
+// were recovered and the first peer error (a peer being down fails that
+// peer's leg, not the round — the others still repair).
+func (rp *Repairer) RepairFrom(ctx context.Context, peers []string, owned func(series string) bool) (int, error) {
 	recovered := 0
 	var firstErr error
-	for _, peer := range rp.peers {
-		n, err := rp.repairFromPeer(ctx, peer)
+	for _, peer := range peers {
+		n, err := rp.repairFromPeer(ctx, peer, owned)
 		recovered += n
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -100,7 +110,7 @@ func (rp *Repairer) inSyncWith(d SeriesDigest) bool {
 // repairFromPeer diffs one peer's digests against the local store and pulls
 // what is missing: first the tails of series that are merely behind, then a
 // full refetch of any series whose body still mismatches.
-func (rp *Repairer) repairFromPeer(ctx context.Context, peer string) (int, error) {
+func (rp *Repairer) repairFromPeer(ctx context.Context, peer string, owned func(series string) bool) (int, error) {
 	digs, err := rp.tr.DigestsCtx(ctx, peer, "")
 	if err != nil {
 		return 0, err
@@ -108,7 +118,7 @@ func (rp *Repairer) repairFromPeer(ctx context.Context, peer string) (int, error
 	var tails, fulls []BatchFetch
 	var tailDigests []SeriesDigest
 	for _, d := range digs {
-		if rp.inSyncWith(d) {
+		if (owned != nil && !owned(d.Series)) || rp.inSyncWith(d) {
 			continue
 		}
 		local, ok := rp.mem.Digest(d.Series)

@@ -204,8 +204,12 @@ func TestHintedHandoffPartitionedReplicaIdempotent(t *testing.T) {
 }
 
 func TestHintCapDropsOldestAndRepairCloses(t *testing.T) {
+	eachPlacement(t, testHintCapDropsOldestAndRepairCloses)
+}
+
+func testHintCapDropsOldestAndRepairCloses(t *testing.T, group groupMaker) {
 	lt, mems, addrs := localReplicaSet(3)
-	g := NewReplicaGroupTransport(lt, addrs, 2)
+	g := group(lt, addrs, "k")
 	g.SetHintCap(2)
 	ctx := context.Background()
 

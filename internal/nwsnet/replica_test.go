@@ -2,16 +2,26 @@ package nwsnet
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nwscpu/internal/nwsnet/cluster"
 	"nwscpu/internal/resilience"
 	"nwscpu/internal/sensors"
 	"nwscpu/internal/simos"
 )
+
+// testFastClient is fastClient released when the test ends.
+func testFastClient(t *testing.T) *Client {
+	c := fastClient()
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
 // fastClient returns a client with snappy retries for failure-path tests.
 func fastClient() *Client {
@@ -40,6 +50,55 @@ func startReplicaSet(t *testing.T, n int) ([]*Memory, []*Server, []string) {
 		t.Cleanup(func() { s.Close() })
 	}
 	return mems, srvs, addrs
+}
+
+// groupMaker builds a majority-quorum router over addrs whose preference
+// order for key is the order of addrs.
+type groupMaker func(tr Transport, addrs []string, key string) *ReplicaGroup
+
+// eachPlacement runs fn under both placements of the one router: a fixed
+// group in configuration order, and a view placement whose adopted view
+// makes every endpoint an owner of every key (replication = the group
+// size), with member IDs handed out so the ring prefers addrs in order for
+// the key under test. The view's registry is unreachable, so whatever
+// passes did so on the adopted view alone.
+func eachPlacement(t *testing.T, fn func(t *testing.T, group groupMaker)) {
+	t.Run("fixed", func(t *testing.T) {
+		fn(t, func(tr Transport, addrs []string, _ string) *ReplicaGroup {
+			return NewReplicaGroupTransport(tr, addrs, 0)
+		})
+	})
+	t.Run("view", func(t *testing.T) {
+		fn(t, func(tr Transport, addrs []string, key string) *ReplicaGroup {
+			cfg := cluster.Config{Replication: len(addrs), VNodes: 8}
+			ids := make([]string, len(addrs))
+			for i := range ids {
+				ids[i] = fmt.Sprintf("m%d", i)
+			}
+			v := cluster.View{Epoch: 1, Config: cfg}
+			for i, id := range cluster.NewRing(ids, cfg.VNodes, cfg.Seed).Owners(key, len(ids)) {
+				v.Members = append(v.Members, cluster.Member{ID: id, Kind: string(KindMemory), Addr: addrs[i], State: cluster.StateActive})
+			}
+			g := NewReplicaGroupCluster(tr, "127.0.0.1:1")
+			g.adoptView(&v)
+			if got, err := g.owners(context.Background(), key); err != nil || !slices.Equal(got, addrs) {
+				t.Fatalf("view owners of %q = %v, %v; want %v", key, got, err, addrs)
+			}
+			return g
+		})
+	})
+}
+
+// healthy reports the group's last observation of addr.
+func healthy(t *testing.T, g *ReplicaGroup, addr string) bool {
+	t.Helper()
+	for _, h := range g.Health() {
+		if h.Addr == addr {
+			return h.Healthy
+		}
+	}
+	t.Fatalf("%s is not in the group's health report", addr)
+	return false
 }
 
 func TestReplicaGroupQuorumDefaults(t *testing.T) {
@@ -150,12 +209,20 @@ func TestReplicaGroupReadFailover(t *testing.T) {
 }
 
 func TestReplicaGroupProtocolErrorStaysHealthy(t *testing.T) {
+	eachPlacement(t, testProtocolErrorStaysHealthy)
+}
+
+func testProtocolErrorStaysHealthy(t *testing.T, group groupMaker) {
 	_, _, addrs := startReplicaSet(t, 2)
-	g := NewReplicaGroup(fastClient(), addrs, 0)
+	g := group(testFastClient(t), addrs, "missing")
 	ctx := context.Background()
 
 	if _, err := g.Fetch(ctx, "missing", 0, 0, 0); err == nil {
 		t.Fatal("fetch of unknown series succeeded")
+	}
+	res, err := g.FetchBatch(ctx, []BatchFetch{{Series: "missing"}})
+	if err != nil || len(res) != 1 || res[0].Err == nil {
+		t.Fatalf("batch fetch of unknown series = %+v, %v; want a per-sub rejection", res, err)
 	}
 	for _, h := range g.Health() {
 		if !h.Healthy {
@@ -165,10 +232,14 @@ func TestReplicaGroupProtocolErrorStaysHealthy(t *testing.T) {
 }
 
 func TestReplicaGroupDivergedReplicaFallsThrough(t *testing.T) {
+	eachPlacement(t, testDivergedReplicaFallsThrough)
+}
+
+func testDivergedReplicaFallsThrough(t *testing.T, group groupMaker) {
 	// A replica that missed a write answers "unknown series"; the read must
 	// fall through to one that has it.
 	mems, _, addrs := startReplicaSet(t, 2)
-	g := NewReplicaGroup(fastClient(), addrs, 0)
+	g := group(testFastClient(t), addrs, "d")
 	ctx := context.Background()
 
 	// Write directly to replica 1 only, simulating divergence.
@@ -179,15 +250,23 @@ func TestReplicaGroupDivergedReplicaFallsThrough(t *testing.T) {
 	if err != nil || len(pts) != 1 {
 		t.Fatalf("diverged fetch = %v, %v", pts, err)
 	}
+	res, err := g.FetchBatch(ctx, []BatchFetch{{Series: "d"}})
+	if err != nil || len(res) != 1 || res[0].Err != nil || len(res[0].Points) != 1 {
+		t.Fatalf("diverged batch fetch = %+v, %v", res, err)
+	}
 }
 
 func TestReplicaGroupRedeliveryConverges(t *testing.T) {
+	eachPlacement(t, testRedeliveryConverges)
+}
+
+func testRedeliveryConverges(t *testing.T, group groupMaker) {
 	// Redelivering a backlog batch must converge on a replica that already
 	// holds a prefix of it (it acked during a failed quorum round): the
 	// memory server dedups points at or before its frontier instead of
 	// wedging every future store on "out-of-order append".
 	mems, _, addrs := startReplicaSet(t, 2)
-	g := NewReplicaGroup(fastClient(), addrs, 2) // both replicas must ack
+	g := group(testFastClient(t), addrs, "k") // a majority of two: both must ack
 	ctx := context.Background()
 
 	// Replica 0 is ahead: it accepted [1, 2] during a round that missed
@@ -320,6 +399,10 @@ func TestReplicaGroupCheckHealthRecovers(t *testing.T) {
 }
 
 func TestReplicaOrderingConsultsBreakerBeforeHealth(t *testing.T) {
+	eachPlacement(t, testOrderingConsultsBreakerBeforeHealth)
+}
+
+func testOrderingConsultsBreakerBeforeHealth(t *testing.T, group groupMaker) {
 	// Replica A is preferred by configuration and still marked healthy, but
 	// its circuit breaker is open: failover must order it last and serve
 	// reads from B without spending an attempt on A — and a breaker denial
@@ -351,7 +434,8 @@ func TestReplicaOrderingConsultsBreakerBeforeHealth(t *testing.T) {
 		Retry:   resilience.Policy{MaxAttempts: 1},
 		Breaker: &resilience.BreakerConfig{Window: 2, MinSamples: 2, OpenFor: time.Hour},
 	})
-	g := NewReplicaGroup(c, []string{deadAddr, liveAddr}, 1)
+	t.Cleanup(func() { c.Close() })
+	g := group(c, []string{deadAddr, liveAddr}, "k")
 
 	// Trip A's breaker directly (two observed failures) while its health
 	// mark still says healthy from initialization.
@@ -361,13 +445,13 @@ func TestReplicaOrderingConsultsBreakerBeforeHealth(t *testing.T) {
 	if got := c.BreakerState(deadAddr); got != resilience.BreakerOpen {
 		t.Fatalf("breaker state = %v, want open", got)
 	}
-	if !g.Health()[0].Healthy {
+	if !healthy(t, g, deadAddr) {
 		t.Fatal("test setup: A should still be marked healthy")
 	}
 
-	ord := g.ordered()
-	if ord[0].addr != liveAddr {
-		t.Fatalf("read order starts with %s, want the live replica %s (open breaker must sort last)", ord[0].addr, liveAddr)
+	ord := g.ordered([]string{deadAddr, liveAddr})
+	if ord[0] != liveAddr {
+		t.Fatalf("read order starts with %s, want the live replica %s (open breaker must sort last)", ord[0], liveAddr)
 	}
 
 	before := atomic.LoadInt64(&dials)
@@ -381,7 +465,75 @@ func TestReplicaOrderingConsultsBreakerBeforeHealth(t *testing.T) {
 	if got := atomic.LoadInt64(&dials); got != before {
 		t.Fatalf("fetches dialed the open-breaker replica %d times", got-before)
 	}
-	if !g.Health()[0].Healthy {
+	if !healthy(t, g, deadAddr) {
 		t.Fatal("breaker denial flipped A's health mark")
+	}
+}
+
+func TestViewPlacementDropsHintsOfDepartedEndpoint(t *testing.T) {
+	lt, mems, addrs := localReplicaSet(3)
+	v := cluster.View{Epoch: 1, Config: cluster.Config{Replication: 3, VNodes: 8}}
+	for i, a := range addrs {
+		v.Members = append(v.Members, cluster.Member{ID: fmt.Sprintf("m%d", i), Kind: string(KindMemory), Addr: a, State: cluster.StateActive})
+	}
+	g := NewReplicaGroupCluster(lt, "registry") // never registered: any registry call fails
+	g.adoptView(&v)
+	ctx := context.Background()
+
+	lt.SetDown(addrs[2], true)
+	if err := g.Store(ctx, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
+		t.Fatalf("store with 2/3 owners up: %v", err)
+	}
+	if hs := g.HintStats(); hs.Queued != 2 || hs.Dropped != 0 {
+		t.Fatalf("hints after the miss = %+v, want 2 queued", hs)
+	}
+
+	// The downed member's lease lapses: it leaves the view with hints parked.
+	v2 := v.Clone()
+	v2.Epoch, v2.Members = 2, v2.Members[:2]
+	g.adoptView(&v2)
+	if hs := g.HintStats(); hs.Dropped != 2 {
+		t.Fatalf("hints after the endpoint left the view = %+v, want 2 dropped", hs)
+	}
+	lt.SetDown(addrs[2], false)
+	if h := g.CheckHealth(ctx); len(h) != 2 {
+		t.Fatalf("health after the view change = %+v, want the 2 remaining members", h)
+	}
+	if hs := g.HintStats(); hs.Replayed != 0 || mems[2].Len("k") != 0 {
+		t.Fatalf("departed endpoint was written: hints %+v, %d points", hs, mems[2].Len("k"))
+	}
+}
+
+// TestReplicaGroupAllocs pins the fixed placement's allocations per call at
+// the numbers measured on ReplicaGroup before it also became the cluster
+// router (17 and 4, LocalTransport's and Memory's own included): routing
+// through an ownership function must not cost the fixed group anything.
+func TestReplicaGroupAllocs(t *testing.T) {
+	lt, _, addrs := localReplicaSet(2)
+	g := NewReplicaGroupTransport(lt, addrs, 2)
+	ctx := context.Background()
+	stores := []BatchStore{
+		{Series: "a", Points: make([][2]float64, 1)},
+		{Series: "b", Points: make([][2]float64, 1)},
+		{Series: "c", Points: make([][2]float64, 1)},
+	}
+	seq := 0.0
+	store := testing.AllocsPerRun(200, func() {
+		seq++
+		for i := range stores {
+			stores[i].Points[0] = [2]float64{seq, 0.5}
+		}
+		if _, err := g.StoreBatch(ctx, stores); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fetch := testing.AllocsPerRun(200, func() {
+		if _, err := g.Fetch(ctx, "a", 0, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per call: StoreBatch(3 subs) %.0f, Fetch %.0f", store, fetch)
+	if store > 17 || fetch > 4 {
+		t.Fatalf("allocs per call: StoreBatch(3 subs) %.0f (parent 17), Fetch %.0f (parent 4)", store, fetch)
 	}
 }

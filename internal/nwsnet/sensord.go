@@ -23,10 +23,10 @@ func SeriesKey(host, method string) string {
 // For simulated hosts the caller advances virtual time and calls Step; for
 // live hosts Start runs a wall-clock loop.
 // StoreBackend is the delivery-plane contract a SensorDaemon pushes
-// through: a ReplicaGroup (fixed replica set, full fan-out) and a
-// ClusterClient (partitioned cluster, ring-routed with redirect-driven
-// rebalancing) both satisfy it, so the daemon's store-and-forward logic is
-// identical across deployments.
+// through: a ReplicaGroup on either placement (fixed replicas, or ring
+// owners with redirect-driven rebalancing) and the in-process LocalBackend
+// satisfy it, so the daemon's store-and-forward logic is identical across
+// deployments.
 type StoreBackend interface {
 	StoreBatch(ctx context.Context, stores []BatchStore) ([]error, error)
 	Health() []ReplicaHealth
@@ -122,7 +122,7 @@ func NewSensorDaemonReplicasCodec(hostName string, h sensors.Host, memAddrs []st
 // path.
 func NewSensorDaemonCluster(hostName string, h sensors.Host, nsAddr string, hybrid sensors.HybridConfig) *SensorDaemon {
 	d := NewSensorDaemonReplicasCodec(hostName, h, nil, 0, hybrid, CodecBinary)
-	d.group = NewClusterClient(d.client, nsAddr)
+	d.group = NewReplicaGroupCluster(d.client, nsAddr)
 	return d
 }
 

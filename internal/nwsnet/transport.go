@@ -2,9 +2,11 @@ package nwsnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
+	"nwscpu/internal/nwsnet/cluster"
 	"nwscpu/internal/resilience"
 )
 
@@ -23,6 +25,11 @@ type Transport interface {
 	SeriesCtx(ctx context.Context, addr string) ([]string, error)
 	DigestsCtx(ctx context.Context, addr, key string) ([]SeriesDigest, error)
 	BackfillCtx(ctx context.Context, addr, key string, points [][2]float64) error
+	// The registry leg: the view placement's fallback when redirects cannot
+	// settle a route, and the membership lifecycle a ClusterAgent runs.
+	FetchViewCtx(ctx context.Context, nsAddr string, epoch uint64) (*cluster.View, error)
+	JoinClusterCtx(ctx context.Context, nsAddr string, m cluster.Member) (cluster.View, error)
+	RenewLeaseCtx(ctx context.Context, nsAddr, memberID string, epoch uint64) (*cluster.View, error)
 	// BreakerState reports the client-side circuit breaker position for an
 	// endpoint; transports without breakers answer BreakerClosed.
 	BreakerState(addr string) resilience.BreakerState
@@ -124,25 +131,11 @@ func (t *LocalTransport) StoreBatchCtx(_ context.Context, addr string, stores []
 	if len(stores) == 0 {
 		return nil, nil
 	}
-	subs := make([]Request, len(stores))
-	for i, s := range stores {
-		subs[i] = Request{Op: OpStore, Series: s.Series, Points: s.Points}
-	}
-	resp, err := t.exchange(addr, Request{Op: OpBatch, Batch: subs})
+	resp, err := t.exchange(addr, storeEnvelope(stores))
 	if err != nil {
 		return nil, err
 	}
-	if err := respError(addr, resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Batch) != len(subs) {
-		return nil, fmt.Errorf("nwsnet: batch store returned %d sub-responses, want %d", len(resp.Batch), len(subs))
-	}
-	errs := make([]error, len(subs))
-	for i, r := range resp.Batch {
-		errs[i] = respError(addr, r)
-	}
-	return errs, nil
+	return storeResults(addr, resp, len(stores))
 }
 
 // FetchCtx implements Transport.
@@ -162,29 +155,11 @@ func (t *LocalTransport) FetchBatchCtx(_ context.Context, addr string, fetches [
 	if len(fetches) == 0 {
 		return nil, nil
 	}
-	subs := make([]Request, len(fetches))
-	for i, f := range fetches {
-		subs[i] = Request{Op: OpFetch, Series: f.Series, From: f.From, To: f.To, Max: f.Max}
-	}
-	resp, err := t.exchange(addr, Request{Op: OpBatch, Batch: subs})
+	resp, err := t.exchange(addr, fetchEnvelope(fetches))
 	if err != nil {
 		return nil, err
 	}
-	if err := respError(addr, resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Batch) != len(subs) {
-		return nil, fmt.Errorf("nwsnet: batch fetch returned %d sub-responses, want %d", len(resp.Batch), len(subs))
-	}
-	out := make([]FetchResult, len(subs))
-	for i, r := range resp.Batch {
-		if err := respError(addr, r); err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Points = r.Points
-	}
-	return out, nil
+	return fetchResults(addr, resp, len(fetches))
 }
 
 // SeriesCtx implements Transport.
@@ -218,6 +193,37 @@ func (t *LocalTransport) BackfillCtx(_ context.Context, addr, key string, points
 		return err
 	}
 	return respError(addr, resp)
+}
+
+// FetchViewCtx implements Transport.
+func (t *LocalTransport) FetchViewCtx(_ context.Context, nsAddr string, epoch uint64) (*cluster.View, error) {
+	return t.view(nsAddr, Request{Op: OpView, Epoch: epoch})
+}
+
+// JoinClusterCtx implements Transport.
+func (t *LocalTransport) JoinClusterCtx(_ context.Context, nsAddr string, m cluster.Member) (cluster.View, error) {
+	v, err := t.view(nsAddr, Request{Op: OpJoin, Member: &m})
+	if err != nil {
+		return cluster.View{}, err
+	}
+	if v == nil {
+		return cluster.View{}, errors.New("nwsnet: join returned no view")
+	}
+	return *v, nil
+}
+
+// RenewLeaseCtx implements Transport.
+func (t *LocalTransport) RenewLeaseCtx(_ context.Context, nsAddr, memberID string, epoch uint64) (*cluster.View, error) {
+	return t.view(nsAddr, Request{Op: OpLease, Member: &cluster.Member{ID: memberID}, Epoch: epoch})
+}
+
+// view runs one registry request and returns the view it answers with.
+func (t *LocalTransport) view(nsAddr string, req Request) (*cluster.View, error) {
+	resp, err := t.exchange(nsAddr, req)
+	if err != nil {
+		return nil, err
+	}
+	return resp.View, respError(nsAddr, resp)
 }
 
 // BreakerState implements Transport; the local transport has no breakers.
