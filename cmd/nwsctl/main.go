@@ -13,17 +13,21 @@
 //	nwsctl -memory localhost:8091,localhost:8092 repair thing1/cpu/nws_hybrid
 //
 // health pings every memory replica — the comma-separated -memory list, or
-// every endpoint of every memory registration found via -nameserver — and
-// reports each as healthy or down, then compares per-series digest
+// what -nameserver knows: every active memory member of the partitioned
+// cluster when it publishes one, else every endpoint of every memory
+// registration — and reports each as healthy or down, then compares per-series digest
 // frontiers across the replicas that answered and prints each one's worst
 // frontier lag (how far its newest point trails the group's best) with its
 // behind/missing series counts. Replicas that predate the digest op are
-// reported as such, not failed. It exits non-zero when fewer than a
-// majority answer, i.e. when the group has lost its write quorum.
+// reported as such, not failed. (On a partitioned cluster every shard holds
+// only the series it owns, so "missing" there counts unowned series too.)
+// It exits non-zero when fewer than a majority answer, i.e. when the group
+// has lost its write quorum.
 //
 // repair <series> runs one client-driven repair pass: it collects the
-// series' digest from every replica, picks the most complete copy, and
-// backfills the laggards from it. It exits non-zero unless at least a
+// series' digest from every replica (on a partitioned cluster: from the
+// series' ring owners), picks the most complete copy, and backfills the
+// laggards from it. It exits non-zero unless at least a
 // majority of replicas end the pass bit-identical to the best copy.
 //
 // members prints the partitioned cluster's membership view (epoch, ring
@@ -86,7 +90,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return nil
 	case "health":
-		addrs, err := memoryAddrs(c, *memory, *nameserver)
+		addrs, err := memoryAddrs(c, *memory, *nameserver, "")
 		if err != nil {
 			return err
 		}
@@ -113,7 +117,7 @@ func run(args []string, out io.Writer) error {
 		if len(cmd) < 2 {
 			return fmt.Errorf("repair needs a series key and -memory or -nameserver")
 		}
-		addrs, err := memoryAddrs(c, *memory, *nameserver)
+		addrs, err := memoryAddrs(c, *memory, *nameserver, cmd[1])
 		if err != nil {
 			return err
 		}
@@ -199,9 +203,11 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// memoryAddrs resolves the replica set: the comma-separated -memory list,
-// or every endpoint of every memory registration found via -nameserver.
-func memoryAddrs(c *nwsnet.Client, memory, nameserver string) ([]string, error) {
+// memoryAddrs resolves the replica set: the comma-separated -memory list;
+// else, when the -nameserver registry publishes a cluster view with active
+// memory members, those members — key's ring owners, or all of them when key
+// is "" —; else every endpoint of every legacy memory registration.
+func memoryAddrs(c *nwsnet.Client, memory, nameserver, key string) ([]string, error) {
 	var addrs []string
 	switch {
 	case memory != "":
@@ -211,6 +217,18 @@ func memoryAddrs(c *nwsnet.Client, memory, nameserver string) ([]string, error) 
 			}
 		}
 	case nameserver != "":
+		if v, err := c.FetchView(nameserver, 0); err == nil && v != nil {
+			members := v.Active(string(nwsnet.KindMemory))
+			if key != "" && len(members) > 0 {
+				members = v.Owners(string(nwsnet.KindMemory), key)
+			}
+			for _, m := range members {
+				addrs = append(addrs, m.Endpoints()...)
+			}
+		}
+		if len(addrs) > 0 {
+			break
+		}
 		regs, err := c.List(nameserver, nwsnet.KindMemory)
 		if err != nil {
 			return nil, err

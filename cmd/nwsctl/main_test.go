@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -302,5 +303,89 @@ func TestMembersAndRingCommands(t *testing.T) {
 	plainNS := startComponent(t, nwsnet.NewNameServer())
 	if err := run([]string{"-nameserver", plainNS, "members"}, &buf); err == nil {
 		t.Fatal("members against a non-cluster registry accepted")
+	}
+}
+
+// startShard joins one guarded memory shard to the cluster behind nsAddr.
+func startShard(t *testing.T, nsAddr, id string) (addr string) {
+	t.Helper()
+	node := nwsnet.NewClusterNode(id, nwsnet.NewMemory(0))
+	addr = startComponent(t, node)
+	agent := nwsnet.NewClusterAgent(nil, nsAddr, cluster.Member{ID: id, Kind: string(nwsnet.KindMemory), Addr: addr}, node)
+	t.Cleanup(func() { agent.Close() })
+	if err := agent.Join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return addr
+}
+
+// clusterFixture is a 3-shard replication-2 cluster holding one series whose
+// second owner misses the newest point.
+func clusterFixture(t *testing.T) (nsAddr string, shards map[string]string, key string, owners []cluster.Member) {
+	t.Helper()
+	nsAddr = startComponent(t, nwsnet.NewNameServerCluster(time.Minute, cluster.Config{Replication: 2, VNodes: 16}))
+	shards = map[string]string{}
+	for _, id := range []string{"shard-a", "shard-b", "shard-c"} {
+		shards[id] = startShard(t, nsAddr, id)
+	}
+	c := nwsnet.NewClient(0)
+	t.Cleanup(func() { c.Close() })
+	key = "h/cpu/nws_hybrid"
+	g := nwsnet.NewReplicaGroupCluster(c, nsAddr)
+	if err := g.Store(context.Background(), key, [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := c.FetchView(nsAddr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners = v.Owners(string(nwsnet.KindMemory), key)
+	if len(owners) != 2 {
+		t.Fatalf("owners of %s = %+v, want 2", key, owners)
+	}
+	if err := c.Store(owners[0].Addr, key, [][2]float64{{3, 0.3}}); err != nil {
+		t.Fatal(err)
+	}
+	return nsAddr, shards, key, owners
+}
+
+func TestRepairCommandOnCluster(t *testing.T) {
+	nsAddr, shards, key, owners := clusterFixture(t)
+	var buf bytes.Buffer
+	if err := run([]string{"-nameserver", nsAddr, "repair", key}, &buf); err != nil {
+		t.Fatalf("repair: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	for _, want := range []string{owners[0].Addr, owners[1].Addr, "best copy (3 points", "repaired (+1 points)", "2/2 replicas in sync"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("repair output missing %q:\n%s", want, out)
+		}
+	}
+	// Only the series' ring owners are consulted, not the third shard.
+	for id, addr := range shards {
+		if id != owners[0].ID && id != owners[1].ID && strings.Contains(out, addr) {
+			t.Fatalf("repair touched non-owner %s (%s):\n%s", id, addr, out)
+		}
+	}
+}
+
+func TestHealthCommandOnCluster(t *testing.T) {
+	nsAddr, shards, _, owners := clusterFixture(t)
+	var buf bytes.Buffer
+	if err := run([]string{"-nameserver", nsAddr, "health"}, &buf); err != nil {
+		t.Fatalf("health: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	for _, addr := range shards {
+		if !strings.Contains(out, addr) {
+			t.Fatalf("health output misses member %s:\n%s", addr, out)
+		}
+	}
+	if !strings.Contains(out, "3/3 replicas healthy") || !strings.Contains(out, "frontier lag") {
+		t.Fatalf("health output:\n%s", out)
+	}
+	// The owner that missed the newest point shows up as behind.
+	if !strings.Contains(out, owners[1].Addr) || !strings.Contains(out, "series behind") {
+		t.Fatalf("health output lacks the lag table:\n%s", out)
 	}
 }

@@ -310,6 +310,7 @@ func runMemory(o daemonOpts, logger *log.Logger) error {
 			c.Close()
 		}
 	}()
+	var mems []*nwsnet.Memory
 	var nodes []*nwsnet.ClusterNode
 	var agents []*nwsnet.ClusterAgent
 	defer func() {
@@ -337,6 +338,7 @@ func runMemory(o daemonOpts, logger *log.Logger) error {
 			m := nwsnet.NewMemory(o.capacity)
 			h, mem = m, m
 		}
+		mems = append(mems, mem)
 		if o.clusterAddr != "" {
 			// The member ID is fixed after the bind below (the bound address
 			// is the default identity); the guard is inert until the agent
@@ -381,6 +383,24 @@ func runMemory(o daemonOpts, logger *log.Logger) error {
 		agents = append(agents, agent)
 		logger.Printf("joined cluster %s as member %s (epoch %d)", o.clusterAddr, id, agent.Epoch())
 	}
+	period := o.period
+	if period <= 0 {
+		period = 10 * time.Second
+	}
+	if len(nodes) == 0 && n > 1 {
+		// The anti-entropy half of the repair plane: one repairer beside each
+		// in-process replica, healing it against its siblings every -period.
+		// (Cluster members get theirs from the agent, which knows their peers.)
+		rc := nwsnet.NewClient(0)
+		defer rc.Close()
+		for i, mem := range mems {
+			peers := append(append([]string(nil), addrs[:i]...), addrs[i+1:]...)
+			rp := nwsnet.NewRepairer(rc, mem, peers)
+			rp.Start(period)
+			defer rp.Stop()
+		}
+		logger.Printf("repairing %d replicas against each other every %s", n, period)
+	}
 	o.note("memory", addrs[0])
 	for i, addr := range addrs[1:] {
 		o.note(fmt.Sprintf("memory%d", i+1), addr)
@@ -397,10 +417,6 @@ func runMemory(o daemonOpts, logger *log.Logger) error {
 		logger.Printf("registered %d-replica memory group with %s", n, o.nameserver)
 		// Keep the registration alive against a TTL name server by
 		// re-registering every -period, like the sensor heartbeat.
-		period := o.period
-		if period <= 0 {
-			period = 10 * time.Second
-		}
 		heartbeatDone := make(chan struct{})
 		defer close(heartbeatDone)
 		go func() {

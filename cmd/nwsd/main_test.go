@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"nwscpu/internal/metrics"
 	"nwscpu/internal/netsensor"
 	"nwscpu/internal/nwsnet"
 )
@@ -177,5 +178,80 @@ func TestPushNetProbesDeadReflector(t *testing.T) {
 	defer conn.Close()
 	if err := pushNetProbes(conn, "box", 0, lat, bw); err == nil {
 		t.Fatal("dead reflector accepted")
+	}
+}
+
+// counterValue reads one unlabelled counter from the process registry.
+func counterValue(t *testing.T, name string) float64 {
+	t.Helper()
+	for _, fam := range metrics.Default.Snapshot() {
+		if fam.Name == name && len(fam.Metrics) == 1 {
+			return fam.Metrics[0].Value
+		}
+	}
+	t.Fatalf("metric %s not registered", name)
+	return 0
+}
+
+// TestMemoryReplicasRepairEachOther proves the anti-entropy half of the
+// repair plane is deployed, not just documented: with -replicas 3 and no
+// writer left to replay a hint, a point one replica never received is pulled
+// from its siblings within a few -period ticks.
+func TestMemoryReplicasRepairEachOther(t *testing.T) {
+	stop := make(chan struct{})
+	bound := make(chan string, 4)
+	o := daemonOpts{
+		role: "memory", listen: "127.0.0.1:0", replicas: 3, period: 20 * time.Millisecond,
+		stop:   stop,
+		notify: func(component, addr string) { bound <- addr },
+	}
+	done := make(chan error, 1)
+	go func() { done <- run(o, quietLogger()) }()
+	addrs := make([]string, 3)
+	for i := range addrs {
+		select {
+		case addrs[i] = <-bound:
+		case <-time.After(5 * time.Second):
+			t.Fatal("replica did not report a bound address")
+		}
+	}
+	c := nwsnet.NewClient(time.Second)
+	defer c.Close()
+
+	// Everyone takes the first two points; the hole: replica 2 never sees the
+	// third, and no hint exists anywhere for it.
+	recovered0 := counterValue(t, "nws_repair_points_recovered_total")
+	for _, addr := range addrs {
+		if err := c.Store(addr, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, addr := range addrs[:2] {
+		if err := c.Store(addr, "k", [][2]float64{{3, 0.3}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for counterValue(t, "nws_repair_points_recovered_total") == recovered0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no repairer recovered the missing point")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	want, err := c.Digests(addrs[0], "k")
+	if err != nil || len(want) != 1 || want[0].Count != 3 {
+		t.Fatalf("reference digest = %+v, %v", want, err)
+	}
+	for _, addr := range addrs[1:] {
+		got, err := c.Digests(addr, "k")
+		if err != nil || len(got) != 1 || got[0] != want[0] {
+			t.Fatalf("replica %s digest = %+v, %v; want %+v", addr, got, err, want[0])
+		}
+	}
+
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -433,3 +433,36 @@ func TestRepairerStartStop(t *testing.T) {
 		t.Fatal("Start after Stop relaunched the loop")
 	}
 }
+
+// BenchmarkRepairRoundInSync prices the steady-state anti-entropy round a
+// cluster member now runs on every lease renewal, on the 1000-host grid
+// shape (3000 series × 90 points, every series owned and already in sync):
+// one OpDigest answered by the peer — O(stored points) hashing there — and
+// one prefix digest per series computed locally. docs/PERFORMANCE.md records
+// the number.
+func BenchmarkRepairRoundInSync(b *testing.B) {
+	lt := NewLocalTransport()
+	local, peer := NewMemory(0), NewMemory(0)
+	lt.Register("peer", peer)
+	pts := make([][2]float64, 90)
+	for h := 0; h < 1000; h++ {
+		for _, method := range []string{"loadavg", "vmstat", "nws_hybrid"} {
+			for i := range pts {
+				pts[i] = [2]float64{float64(10 * i), 0.5 + 0.4*math.Sin(float64(h*7+i))}
+			}
+			key := SeriesKey("host"+string(rune('a'+h%26))+string(rune('0'+h/26%10))+string(rune('0'+h/260)), method)
+			local.Backfill(key, pts)
+			peer.Backfill(key, pts)
+		}
+	}
+	rp := NewRepairer(lt, local, nil)
+	owned := func(string) bool { return true }
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := rp.RepairFrom(ctx, []string{"peer"}, owned); err != nil || n != 0 {
+			b.Fatalf("in-sync round recovered %d points, err %v", n, err)
+		}
+	}
+}

@@ -117,10 +117,17 @@ func TestServerIdleDeadlineFreesGoroutine(t *testing.T) {
 		conns[i] = c
 	}
 
-	waitForGoroutines(t, baseline+1)
+	// Wait on the event itself — every idle connection shed — not on the
+	// process-wide goroutine count, which can dip to the target while the
+	// last serving goroutine is still between its deadline and its counter.
+	deadline := time.Now().Add(5 * time.Second)
+	for mServerShed.With(shedIdle).Value()-shed0 < n && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if got := mServerShed.With(shedIdle).Value() - shed0; got != n {
 		t.Errorf("shed(idle) delta = %d, want %d", got, n)
 	}
+	waitForGoroutines(t, baseline+1)
 	// The server itself must still be live for well-behaved clients.
 	if err := NewClient(time.Second).Ping(addr); err != nil {
 		t.Fatalf("server dead after shedding idle connections: %v", err)
