@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"time"
 
@@ -156,23 +157,27 @@ func (a *ClusterAgent) Renew(ctx context.Context) (rejoin bool, err error) {
 	if v != nil {
 		a.adopt(v)
 		a.logf("epoch moved to %d; repairing owned ranges", v.Epoch)
-		a.repair(ctx, v, true)
-	} else if a.node != nil {
-		a.repair(ctx, a.node.View(), false)
 	}
+	a.repair(ctx, v, v != nil)
 	return false, nil
 }
 
-// repair runs one anti-entropy round under view v — the same digest-compare,
-// tail-pull, refetch-on-mismatch round a fixed replica's Repairer runs, with
-// the ownership function applied: the peers are the view's other memory
-// members, the series those this node owns once v counts it active. After a
-// view change this is the rebalancing handoff, and the points it inserts
-// are counted as such; peers that are down are skipped — with replicated
-// ownership the surviving owner of each range serves the history.
+// repair runs one anti-entropy round under view v (nil: the view the node
+// holds) — the same digest-compare, tail-pull, refetch-on-mismatch round a
+// fixed replica's Repairer runs, with the ownership function applied: the
+// peers are the view's other memory members, the series those this node
+// owns once v counts it active. After a view change this is the rebalancing
+// handoff, and the points it inserts are counted as such; peers that are
+// down are skipped — with replicated ownership the surviving owner of each
+// range serves the history.
 func (a *ClusterAgent) repair(ctx context.Context, v *cluster.View, viewChanged bool) {
-	if a.repairer == nil || v == nil {
+	if a.repairer == nil {
 		return
+	}
+	if v == nil {
+		if v = a.node.View(); v == nil {
+			return
+		}
 	}
 	target := a.projectActive(*v)
 	ring := target.Ring(string(KindMemory))
@@ -184,12 +189,7 @@ func (a *ClusterAgent) repair(ctx context.Context, v *cluster.View, viewChanged 
 		}
 	}
 	n, err := a.repairer.RepairFrom(ctx, peers, func(series string) bool {
-		for _, id := range ring.Owners(series, rf) {
-			if id == a.self.ID {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(ring.Owners(series, rf), a.self.ID)
 	})
 	if err != nil {
 		a.logf("repair round incomplete: %v", err)

@@ -82,7 +82,7 @@ func TestChaosClusterShardFailover(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	cc := NewReplicaGroupCluster(testClient(t), nsAddr)
+	cc := NewReplicaGroupCluster(released(t, NewClient(0)), nsAddr)
 
 	keys := make([]string, nKeys)
 	for i := range keys {

@@ -1,6 +1,7 @@
 package nwsnet
 
 import (
+	"slices"
 	"sync"
 
 	"nwscpu/internal/nwsnet/cluster"
@@ -118,10 +119,8 @@ func (n *ClusterNode) owns(key string) (bool, *cluster.View) {
 	if view == nil || ring == nil {
 		return true, nil
 	}
-	for _, id := range ring.Owners(key, view.Config.Normalize().Replication) {
-		if id == self {
-			return true, nil
-		}
+	if slices.Contains(ring.Owners(key, view.Config.Normalize().Replication), self) {
+		return true, nil
 	}
 	return false, view
 }

@@ -55,7 +55,7 @@ func TestClusterStaleOwnerWindowConverges(t *testing.T) {
 			t.Cleanup(func() { srv.Close() })
 			return addr
 		}
-		staleOwnerWindow(t, cfg, testClient(t), nsAddr, listen, nil)
+		staleOwnerWindow(t, cfg, released(t, NewClient(0)), nsAddr, listen, nil)
 	})
 	t.Run("local", func(t *testing.T) {
 		cfg := cluster.Config{Replication: 3, VNodes: 32}

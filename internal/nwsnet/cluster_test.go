@@ -30,10 +30,8 @@ func startCluster(t *testing.T, n int, cfg cluster.Config, ttl time.Duration) (n
 	return nsAddr, nodes, addrs
 }
 
-// testClient returns a default client whose pooled connections are released
-// when the test ends.
-func testClient(t *testing.T) *Client {
-	c := NewClient(0)
+// released closes c's pooled connections when the test ends.
+func released(t *testing.T, c *Client) *Client {
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -249,7 +247,7 @@ func TestClusterClientRouting(t *testing.T) {
 	nsAddr, nodes, addrs := startCluster(t, 2, cluster.Config{Replication: 1, VNodes: 32}, time.Minute)
 	ctx := context.Background()
 
-	cc := NewReplicaGroupCluster(testClient(t), nsAddr)
+	cc := NewReplicaGroupCluster(released(t, NewClient(0)), nsAddr)
 
 	keys := make([]string, 16)
 	for i := range keys {
@@ -309,7 +307,7 @@ func TestClusterClientRouting(t *testing.T) {
 
 	// A router poisoned with a wrong view — both keys' owner swapped — must
 	// recover from the CodeMoved redirect without consulting the registry.
-	stale := NewReplicaGroupCluster(testClient(t), "127.0.0.1:1") // unreachable registry
+	stale := NewReplicaGroupCluster(released(t, NewClient(0)), "127.0.0.1:1") // unreachable registry
 	wrong := v.Clone()
 	wrong.Members[0].Addr, wrong.Members[1].Addr = wrong.Members[1].Endpoints()[0], wrong.Members[0].Endpoints()[0]
 	wrong.Members[0].Addrs, wrong.Members[1].Addrs = nil, nil
@@ -337,7 +335,7 @@ func TestClusterClientRouting(t *testing.T) {
 func TestClusterHandoffOnJoin(t *testing.T) {
 	nsAddr, nodes, _ := startCluster(t, 1, cluster.Config{Replication: 1, VNodes: 32}, time.Minute)
 	ctx := context.Background()
-	cc := NewReplicaGroupCluster(testClient(t), nsAddr)
+	cc := NewReplicaGroupCluster(released(t, NewClient(0)), nsAddr)
 
 	keys := make([]string, 24)
 	for i := range keys {

@@ -422,7 +422,7 @@ func (g *ReplicaGroup) StoreBatch(ctx context.Context, stores []BatchStore) ([]e
 	idx, sub := make([]int, 0, n), make([]BatchStore, 0, n) // one envelope's subs, reused
 	pending := n
 	var firstErr error
-	for attempt := 0; ; attempt++ {
+	for round, last := 0, false; ; round++ {
 		addrs := make([]string, 0, 8) // on the stack for any usual owner count
 		for i := range stores {
 			if done[i] {
@@ -496,13 +496,13 @@ func (g *ReplicaGroup) StoreBatch(ctx context.Context, stores []BatchStore) ([]e
 				pending--
 			}
 		}
-		if pending == 0 || g.nsAddr == "" || attempt >= clusterRouteAttempts-1 {
+		if pending == 0 || g.nsAddr == "" || last {
 			break
 		}
-		if !redirected || attempt == clusterRouteAttempts-2 {
+		if !redirected || round == clusterRouteAttempts-2 {
 			// Out of stale-view evidence, or of rounds to chase it: the next
 			// round is the last, under the registry's answer.
-			attempt = clusterRouteAttempts - 2
+			last = true
 			g.refresh(ctx) //nolint:errcheck // best effort; the held view still routes
 		}
 	}

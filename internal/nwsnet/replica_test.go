@@ -16,13 +16,6 @@ import (
 	"nwscpu/internal/simos"
 )
 
-// testFastClient is fastClient released when the test ends.
-func testFastClient(t *testing.T) *Client {
-	c := fastClient()
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 // fastClient returns a client with snappy retries for failure-path tests.
 func fastClient() *Client {
 	return NewClientOptions(ClientOptions{
@@ -214,7 +207,7 @@ func TestReplicaGroupProtocolErrorStaysHealthy(t *testing.T) {
 
 func testProtocolErrorStaysHealthy(t *testing.T, group groupMaker) {
 	_, _, addrs := startReplicaSet(t, 2)
-	g := group(testFastClient(t), addrs, "missing")
+	g := group(released(t, fastClient()), addrs, "missing")
 	ctx := context.Background()
 
 	if _, err := g.Fetch(ctx, "missing", 0, 0, 0); err == nil {
@@ -239,7 +232,7 @@ func testDivergedReplicaFallsThrough(t *testing.T, group groupMaker) {
 	// A replica that missed a write answers "unknown series"; the read must
 	// fall through to one that has it.
 	mems, _, addrs := startReplicaSet(t, 2)
-	g := group(testFastClient(t), addrs, "d")
+	g := group(released(t, fastClient()), addrs, "d")
 	ctx := context.Background()
 
 	// Write directly to replica 1 only, simulating divergence.
@@ -266,7 +259,7 @@ func testRedeliveryConverges(t *testing.T, group groupMaker) {
 	// memory server dedups points at or before its frontier instead of
 	// wedging every future store on "out-of-order append".
 	mems, _, addrs := startReplicaSet(t, 2)
-	g := group(testFastClient(t), addrs, "k") // a majority of two: both must ack
+	g := group(released(t, fastClient()), addrs, "k") // a majority of two: both must ack
 	ctx := context.Background()
 
 	// Replica 0 is ahead: it accepted [1, 2] during a round that missed
