@@ -429,3 +429,75 @@ func TestAdoptViewHandsOffSubscriptions(t *testing.T) {
 		t.Fatalf("hub still holds %d subscriptions after handoff", n)
 	}
 }
+
+// subscribedSink returns the server-side write half of the one connection
+// subscribed to series.
+func subscribedSink(t *testing.T, f *ForecasterService, series string) *binSink {
+	t.Helper()
+	f.hubMu.Lock()
+	defer f.hubMu.Unlock()
+	for sink := range f.subs[series] {
+		return sink.(*binSink)
+	}
+	t.Fatalf("no connection subscribed to %q", series)
+	return nil
+}
+
+// awayView assigns every forecast series to a member that is not this
+// forecaster.
+func awayView(epoch uint64) *cluster.View {
+	return &cluster.View{
+		Epoch:  epoch,
+		Config: cluster.Config{Replication: 1, VNodes: 16},
+		Members: []cluster.Member{
+			{ID: "fc-other", Kind: string(KindForecaster), Addr: "127.0.0.1:9", State: cluster.StateActive},
+		},
+	}
+}
+
+// TestAdoptViewTerminalPushOnBusySink: a handoff removes the subscription
+// server-side, so its terminal push may not be shed the way a refresh tick's
+// superseded forecasts are. With the connection's write lock held while
+// AdoptView runs — what a response still draining looks like to PushBatch —
+// the subscriber must still get exactly one terminal call (the moved push,
+// or the transport error of a connection cut on its behalf), and the frame
+// that was not written is counted as dropped.
+func TestAdoptViewTerminalPushOnBusySink(t *testing.T) {
+	_, f, fcAddr := startForecastPlane(t, time.Hour)
+	f.SetClusterSelf("fc-self")
+	mux, err := DialMux(fcAddr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+	terminal := make(chan error, 4)
+	if _, err := mux.Subscribe("a", func(_ Response, err error) {
+		if err != nil {
+			terminal <- err
+		}
+	}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	sink := subscribedSink(t, f, "a")
+	dropped0 := mFcPushesDropped.Value()
+
+	sink.mu.Lock()
+	f.AdoptView(awayView(4))
+	sink.mu.Unlock()
+
+	if n := f.Subscriptions(); n != 0 {
+		t.Fatalf("hub still holds %d subscriptions after handoff", n)
+	}
+	select {
+	case <-terminal:
+	case <-time.After(2 * time.Second):
+		t.Fatal("subscription removed server-side without a terminal call: the subscriber listens forever")
+	}
+	mux.Close() // reader gone: no further call can arrive
+	if n := len(terminal); n != 0 {
+		t.Fatalf("%d terminal calls after the first, want exactly one", n)
+	}
+	if got := mFcPushesDropped.Value() - dropped0; got != 1 {
+		t.Fatalf("pushes dropped delta = %d, want 1 (the unwritten moved frame)", got)
+	}
+}
