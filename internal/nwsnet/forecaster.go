@@ -534,7 +534,7 @@ func (f *ForecasterService) refreshTick() {
 		f.queueLocked(batches, keys[i], body)
 	}
 	f.hubMu.Unlock()
-	f.deliver(batches)
+	f.deliver(batches, false)
 }
 
 // queueLocked appends one frame carrying body to the batch of every sink
@@ -547,8 +547,11 @@ func (f *ForecasterService) queueLocked(batches map[PushSink][]PushItem, series 
 
 // deliver hands each sink its batch, outside every lock, and settles the
 // counters: every frame attempted lands in exactly one of
-// nws_forecast_pushes_total and nws_forecast_pushes_dropped_total.
-func (f *ForecasterService) deliver(batches map[PushSink][]PushItem) {
+// nws_forecast_pushes_total and nws_forecast_pushes_dropped_total. A batch a
+// busy sink drops is superseded by the next tick's, unless it is terminal —
+// its subscriptions are already gone and nothing will follow — in which case
+// the subscriber is disconnected instead of left listening.
+func (f *ForecasterService) deliver(batches map[PushSink][]PushItem, terminal bool) {
 	for sink, items := range batches {
 		n, err := sink.PushBatch(items)
 		mFcPushes.Add(uint64(n))
@@ -558,6 +561,8 @@ func (f *ForecasterService) deliver(batches map[PushSink][]PushItem) {
 			// DropSink; dropping here too keeps the next tick from building
 			// a batch for a dead sink.
 			f.DropSink(sink)
+		} else if c, ok := sink.(sinkCutter); ok && terminal && n < len(items) {
+			c.cut()
 		}
 	}
 }
@@ -610,7 +615,7 @@ func (f *ForecasterService) AdoptView(v *cluster.View) {
 		}
 	}
 	f.hubMu.Unlock()
-	f.deliver(batches)
+	f.deliver(batches, true)
 }
 
 var (

@@ -356,6 +356,8 @@ type binSink struct {
 	conn   net.Conn
 	limits ServerLimits
 	subs   atomic.Int64 // active subscriptions on this connection
+	// severed is set by cut, which cannot wait for the write lock.
+	severed atomic.Bool
 
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -364,10 +366,12 @@ type binSink struct {
 
 func (k *binSink) addSubs(delta int64) { k.subs.Add(delta) }
 
-// poisoned reports whether a write failure (or teardown) has killed the
-// sink; the frame reader checks it before excusing a read timeout on a
-// subscribed connection.
+// poisoned reports whether a write failure, a cut or teardown has killed the
+// sink; the frame reader checks it before reading a timeout as idleness.
 func (k *binSink) poisoned() bool {
+	if k.severed.Load() {
+		return true
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.err != nil
@@ -381,6 +385,15 @@ func (k *binSink) close() {
 		k.err = net.ErrClosed
 	}
 	k.mu.Unlock()
+}
+
+// cut implements sinkCutter: it disconnects the subscriber without touching
+// the write lock — the holder may be a write stalled on this very peer — by
+// expiring the read deadline, as a failed write does, so the serve loop exits
+// and the client's subscriptions end with a transport error.
+func (k *binSink) cut() {
+	k.severed.Store(true)
+	k.conn.SetReadDeadline(time.Now().Add(-time.Second))
 }
 
 // writeLocked frames payload and optionally flushes; callers hold k.mu. A
@@ -554,7 +567,10 @@ func (s *Server) serveBinary(conn net.Conn, reader *bufio.Reader, writer *bufio.
 					return
 				}
 				if isTimeout(err) {
-					if n == 0 && sink.subs.Load() > 0 && !sink.poisoned() {
+					if sink.poisoned() {
+						return // the deadline was expired on purpose, not by silence
+					}
+					if n == 0 && sink.subs.Load() > 0 {
 						// The deadline was armed before the executor
 						// registered a subscription; clear it and keep
 						// listening.

@@ -60,6 +60,13 @@ type SubscriptionHandler interface {
 // disconnecting a connection that is quiet only because it is subscribed.
 type subCounter interface{ addSubs(delta int64) }
 
+// sinkCutter is implemented by sinks that can disconnect their subscriber
+// without waiting for the write lock. A batch that ends subscriptions cannot
+// be superseded by a later one, so when such a batch is dropped the
+// connection is cut instead: the subscriber's terminal call becomes a
+// transport error and it re-subscribes through the current view.
+type sinkCutter interface{ cut() }
+
 // tokenBucket is one tenant's request budget: tokens refill continuously at
 // rate per second up to burst, and each admitted request spends one.
 type tokenBucket struct {

@@ -405,15 +405,15 @@ func TestAdoptViewHandsOffSubscriptions(t *testing.T) {
 		t.Fatalf("owned subscription dropped by a view that kept it (%d left)", n)
 	}
 
-	// A view that moves every series to another member: one moved push.
-	away := &cluster.View{
-		Epoch:  4,
-		Config: cluster.Config{Replication: 1, VNodes: 16},
-		Members: []cluster.Member{
-			{ID: "fc-other", Kind: string(KindForecaster), Addr: "127.0.0.1:9", State: cluster.StateActive},
-		},
-	}
-	f.AdoptView(away)
+	// A view that moves every series to another member: one moved push. The
+	// client sees the subscribe ack a moment before the serve loop lets go of
+	// the connection's write lock; wait that moment out, so the handoff finds
+	// an idle connection (TestAdoptViewTerminalPushOnBusySink is the other
+	// case).
+	sink := subscribedSink(t, f, "a")
+	sink.mu.Lock()
+	sink.mu.Unlock()
+	f.AdoptView(awayView(4))
 	select {
 	case got := <-moved:
 		if _, ok := IsMoved(got.err); !ok {
