@@ -6,9 +6,9 @@ GOFMT ?= gofmt
 #   make fuzz-smoke FUZZTIME=2m
 FUZZTIME ?= 5s
 
-.PHONY: all build test test-race chaos chaos-cluster chaos-repair chaos-persist vet docs-check fuzz-smoke grid grid-smoke benchmark-smoke bench bench-forecast bench-forecast-smoke bench-memory bench-memory-smoke bench-wire-smoke bench-subscribe-smoke bench-paper experiments report clean
+.PHONY: all build test test-race chaos chaos-cluster chaos-repair chaos-persist vet docs-check fuzz-smoke grid grid-smoke benchmark-smoke bench bench-forecast bench-paper experiments report clean
 
-all: build vet docs-check test chaos-cluster chaos-repair chaos-persist fuzz-smoke grid-smoke benchmark-smoke bench-forecast-smoke bench-memory-smoke bench-wire-smoke bench-subscribe-smoke
+all: build vet docs-check test chaos-cluster chaos-repair chaos-persist fuzz-smoke grid-smoke benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -58,19 +58,22 @@ chaos-repair:
 	cmp /tmp/nwsgrid.fault.a /tmp/nwsgrid.fault.b
 
 # Durable-memory crash campaign under the race detector: the Persist suites
-# (round trips, legacy import, checkpoints, backfill durability, concurrent
-# log order) plus the seeded campaign — the newest log generation cut at 240
-# byte offsets and bit-flipped in its last frame, a crash in every window of
-# a checkpoint, corruption in the middle of a log — each reopened and
-# compared against a ledger of what had been acknowledged.
+# (round trips, checkpoints, backfill durability, concurrent log order) plus
+# the seeded campaign — the newest log generation cut at 240 byte offsets and
+# bit-flipped in its last frame, a crash in every window of a checkpoint,
+# corruption in the middle of a log — each reopened and compared against a
+# ledger of what had been acknowledged.
 chaos-persist:
 	$(GO) test -race -run 'Persist' -count=1 ./internal/nwsnet
 
 # Doc drift gate: docs/PROTOCOL.md (the normative wire spec) is compared
 # against the codec — the opcode tables both ways, and the worked hex/JSON
-# examples byte for byte.
+# examples byte for byte; then README, DESIGN, docs/ and the verify skill are
+# held to the tree — every make target, cmd/ directory and nwsd/nwsctl flag
+# they show must exist.
 docs-check:
 	$(GO) test -run 'TestProtocolDoc' -count=1 ./internal/nwsnet
+	$(GO) test -run 'TestDocsNameWhatExists' -count=1 .
 
 # Bounded fuzzing of both halves of the wire protocol in both codecs: the
 # server-side request decode/execute path and the client-side response
@@ -108,45 +111,10 @@ grid-smoke:
 benchmark-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# Forecaster hot-path baseline: the Go benchmark suite with allocation
-# accounting, then the nwsperf harness regenerating BENCH_forecast.json
-# (measured numbers next to the committed seed baseline).
+# Forecaster hot-path microbenchmarks with allocation accounting (the
+# end-to-end numbers come from benchmark/; docs/PERFORMANCE.md).
 bench-forecast:
 	$(GO) test -run - -bench 'BenchmarkEngine|BenchmarkBank' -benchmem ./internal/forecast
-	$(GO) run ./cmd/nwsperf -out BENCH_forecast.json
-
-# CI smoke for the same path: one iteration of each benchmark under the race
-# detector (catches data races and broken benchmark setup, not perf), plus a
-# down-scaled nwsperf run writing to a scratch file.
-bench-forecast-smoke:
-	$(GO) test -race -run - -bench 'BenchmarkEngine|BenchmarkBank' -benchtime 1x -benchmem ./internal/forecast
-	$(GO) run ./cmd/nwsperf -scale 0.01 -out /tmp/BENCH_forecast.smoke.json
-
-# Memory serving-path baseline: the nwsload closed-loop generator at the
-# acceptance workload (64 writers over 256 series at steady-state eviction),
-# regenerating BENCH_memory.json — the sharded serving path measured next to
-# the embedded seed single-mutex implementation, both fresh.
-bench-memory:
-	$(GO) run ./cmd/nwsload -out BENCH_memory.json
-
-# CI smoke for the same path: a ~1 s down-scaled closed loop under the race
-# detector, writing to a scratch file (guards the generator and the serving
-# path's concurrency, not perf).
-bench-memory-smoke:
-	$(GO) run -race ./cmd/nwsload -smoke -out /tmp/BENCH_memory.smoke.json
-
-# Wire-path CI smoke: the json/binary/binary-pipelined closed loops only, a
-# ~1 s down-scaled run under the race detector writing to a scratch file
-# (guards both codecs' serving and client paths under concurrency, not perf).
-bench-wire-smoke:
-	$(GO) run -race ./cmd/nwsload -smoke -wire-only -out /tmp/BENCH_wire.smoke.json
-
-# Read-plane CI smoke: the subscribe_push and tenant_quota rows only — a
-# bounded, down-scaled run under the race detector writing to a scratch
-# file (guards the subscription hub, forecast cache, and tenant quota
-# paths under concurrency, not perf).
-bench-subscribe-smoke:
-	$(GO) run -race ./cmd/nwsload -smoke -subscribe-only -out /tmp/BENCH_subscribe.smoke.json
 
 # One iteration of every table/figure/ablation benchmark at 6-hour scale.
 bench:

@@ -27,13 +27,6 @@
 //
 //	nwsd -role memory -listen :8091 -metrics :9100
 //
-// Client-side roles (forecaster, sensor) accept -codec {binary,json} to pick
-// the wire codec they speak to the memory servers: binary (wire protocol v2,
-// the default) pipelines length-prefixed frames, json (v1) is the lockstep
-// line protocol kept for pre-v2 servers — see docs/PROTOCOL.md:
-//
-//	nwsd -role sensor -host mybox -memory oldbox:8091 -codec json
-//
 // Server roles accept overload-protection flags — -max-conns, -max-inflight,
 // -queue-wait, -idle-timeout, -write-timeout — that bound what the daemon
 // takes on before shedding excess load with a retryable busy error instead
@@ -76,6 +69,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -117,7 +111,6 @@ func main() {
 	replication := flag.Int("replication", 0, "nameserver: owners per series key in cluster views (0 = default 2)")
 	vnodes := flag.Int("vnodes", 0, "nameserver: virtual nodes per member on the cluster ring (0 = default 64)")
 	metricsAddr := flag.String("metrics", "", "HTTP address for /metrics, /metrics.json, /debug/vars, /debug/pprof (empty = disabled)")
-	codec := flag.String("codec", "", "client roles: wire codec to the memory servers, binary (v2, default) or json (v1, for pre-v2 servers)")
 	maxConns := flag.Int("max-conns", 0, "server roles: max concurrent connections; excess shed with a retryable busy error (0 = unlimited)")
 	maxInFlight := flag.Int("max-inflight", 0, "server roles: max requests executing at once; excess queued up to -queue-wait then shed (0 = unlimited)")
 	queueWait := flag.Duration("queue-wait", 100*time.Millisecond, "server roles: how long a request may wait for an in-flight slot before being shed (with -max-inflight)")
@@ -133,7 +126,7 @@ func main() {
 		role: *role, listen: *listen, memory: *memory, nameserver: *nameserver,
 		hostName: *hostName, period: *period, simProfile: *simProfile,
 		capacity: *capacity, stateDir: *stateDir, ttl: *ttl, reflector: *reflector,
-		metricsAddr: *metricsAddr, replicas: *replicas, codec: nwsnet.Codec(*codec),
+		metricsAddr: *metricsAddr, replicas: *replicas,
 		clusterAddr: *clusterAddr, nodeID: *nodeID,
 		replication: *replication, vnodes: *vnodes,
 		pushRefresh: *pushRefresh,
@@ -168,9 +161,6 @@ type daemonOpts struct {
 	nodeID      string
 	replication int
 	vnodes      int
-	// codec is the wire codec client roles speak to the memory servers; the
-	// zero value selects the binary (v2) default.
-	codec nwsnet.Codec
 	// pushRefresh is the forecaster's subscription refresher interval: how
 	// often it polls memory for new points and pushes changed forecasts to
 	// subscribers. 0 disables pushing (subscriptions still acknowledge).
@@ -194,11 +184,6 @@ func (o daemonOpts) note(component, addr string) {
 }
 
 func run(o daemonOpts, logger *log.Logger) error {
-	switch o.codec {
-	case "", nwsnet.CodecBinary, nwsnet.CodecJSON:
-	default:
-		return fmt.Errorf("unknown -codec %q (want %q or %q)", o.codec, nwsnet.CodecBinary, nwsnet.CodecJSON)
-	}
 	if o.metricsAddr != "" {
 		ds, err := metrics.ServeDebug(o.metricsAddr, metrics.Default)
 		if err != nil {
@@ -222,7 +207,7 @@ func run(o daemonOpts, logger *log.Logger) error {
 		if o.memory == "" {
 			return fmt.Errorf("forecaster needs -memory")
 		}
-		fs := nwsnet.NewForecasterServiceReplicasCodec(memoryAddrs(o), 0, o.codec)
+		fs := nwsnet.NewForecasterServiceReplicas(memoryAddrs(o), 0)
 		// Catch up on existing history in one batched round trip before
 		// serving, so the first query per series is not the expensive one.
 		// Best effort: an empty or unreachable memory just starts cold.
@@ -541,7 +526,6 @@ func runSensor(o daemonOpts, logger *log.Logger) error {
 		host = ph
 	}
 
-	memAddrs := memoryAddrs(o)
 	var daemon *nwsnet.SensorDaemon
 	if o.clusterAddr != "" {
 		daemon = nwsnet.NewSensorDaemonCluster(hostName, host, o.clusterAddr, sensors.HybridConfig{})
@@ -549,25 +533,20 @@ func runSensor(o daemonOpts, logger *log.Logger) error {
 			memory = "cluster " + o.clusterAddr
 		}
 	} else {
-		daemon = nwsnet.NewSensorDaemonReplicasCodec(hostName, host, memAddrs, 0, sensors.HybridConfig{}, o.codec)
+		daemon = nwsnet.NewSensorDaemonReplicas(hostName, host, memoryAddrs(o), 0, sensors.HybridConfig{})
 	}
 	daemon.SetLogger(logger)
 	defer daemon.Close()
 
-	// Optional network probes against a reflector.
+	// Optional network probes against a reflector; their series are delivered
+	// through the daemon's own group, like the CPU series.
 	var lat *netsensor.LatencySensor
 	var bw *netsensor.BandwidthSensor
-	var netConn *nwsnet.Conn
 	if o.reflector != "" {
-		if len(memAddrs) == 0 {
-			return fmt.Errorf("-reflector needs an explicit -memory address for the probe series")
-		}
 		lat = netsensor.NewLatencySensor(o.reflector, 4, 0)
 		defer lat.Close()
 		bw = netsensor.NewBandwidthSensor(o.reflector, 0, 0)
 		defer bw.Close()
-		netConn = nwsnet.NewConnCodec(memAddrs[0], 0, o.codec)
-		defer netConn.Close()
 		logger.Printf("probing network against %s", o.reflector)
 	}
 
@@ -598,7 +577,7 @@ func runSensor(o daemonOpts, logger *log.Logger) error {
 				logger.Printf("measurement push failed: %v", err)
 			}
 			if lat != nil {
-				if err := pushNetProbes(netConn, hostName, host.Now(), lat, bw); err != nil {
+				if err := pushNetProbes(daemon.Group(), hostName, host.Now(), lat, bw); err != nil {
 					logger.Printf("network probe failed: %v", err)
 				}
 			}
@@ -613,21 +592,27 @@ func runSensor(o daemonOpts, logger *log.Logger) error {
 }
 
 // pushNetProbes takes one latency and one bandwidth sample and stores them.
-func pushNetProbes(conn *nwsnet.Conn, hostName string, now float64,
+func pushNetProbes(group nwsnet.StoreBackend, hostName string, now float64,
 	lat *netsensor.LatencySensor, bw *netsensor.BandwidthSensor) error {
 
+	store := func(series string, v float64) error {
+		subErrs, err := group.StoreBatch(context.Background(), []nwsnet.BatchStore{
+			{Series: hostName + series, Points: [][2]float64{{now, v}}},
+		})
+		return errors.Join(append(subErrs, err)...)
+	}
 	rtt, err := lat.Measure()
 	if err != nil {
 		return err
 	}
-	if err := conn.Store(hostName+"/net/latency", [][2]float64{{now, rtt}}); err != nil {
+	if err := store("/net/latency", rtt); err != nil {
 		return err
 	}
 	throughput, err := bw.Measure()
 	if err != nil {
 		return err
 	}
-	return conn.Store(hostName+"/net/bandwidth", [][2]float64{{now, throughput}})
+	return store("/net/bandwidth", throughput)
 }
 
 // waitForStop blocks until shutdown is requested: the test stop channel

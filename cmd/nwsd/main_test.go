@@ -148,11 +148,11 @@ func TestPushNetProbes(t *testing.T) {
 	defer lat.Close()
 	bw := netsensor.NewBandwidthSensor(reflAddr, 0, 2*time.Second)
 	defer bw.Close()
-	conn := nwsnet.NewConn(memAddr, time.Second)
-	defer conn.Close()
+	group := nwsnet.NewReplicaGroup(nwsnet.NewClient(time.Second), []string{memAddr}, 0)
+	defer group.Close()
 
 	for i := 0; i < 3; i++ {
-		if err := pushNetProbes(conn, "box", float64(i*10), lat, bw); err != nil {
+		if err := pushNetProbes(group, "box", float64(i*10), lat, bw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,9 +174,9 @@ func TestPushNetProbesDeadReflector(t *testing.T) {
 	defer lat.Close()
 	bw := netsensor.NewBandwidthSensor("127.0.0.1:1", 0, 200*time.Millisecond)
 	defer bw.Close()
-	conn := nwsnet.NewConn(memAddr, time.Second)
-	defer conn.Close()
-	if err := pushNetProbes(conn, "box", 0, lat, bw); err == nil {
+	group := nwsnet.NewReplicaGroup(nwsnet.NewClient(time.Second), []string{memAddr}, 0)
+	defer group.Close()
+	if err := pushNetProbes(group, "box", 0, lat, bw); err == nil {
 		t.Fatal("dead reflector accepted")
 	}
 }

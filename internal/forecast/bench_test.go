@@ -5,13 +5,10 @@ import (
 	"testing"
 )
 
-// Microbenchmarks backing BENCH_forecast.json (make bench-forecast): the
+// Microbenchmarks of the forecaster hot path (make bench-forecast): the
 // whole-engine Update kernel in both selection modes, the empirical
 // prediction interval, and every DefaultBank member in steady state
 // (window full, measuring one Update+Forecast round per iteration).
-//
-// cmd/nwsperf drives the same workloads through testing.Benchmark to emit
-// the machine-readable trajectory file; keep the two in sync.
 
 // benchValues returns a deterministic availability-like series in [0,1).
 func benchValues(n int) []float64 {

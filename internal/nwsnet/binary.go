@@ -33,32 +33,6 @@ import (
 //     incrementally, and a malformed frame closes the connection instead of
 //     desynchronizing it.
 
-// Codec selects the wire encoding a client speaks; servers accept both on
-// one listener by sniffing the negotiation preamble.
-type Codec string
-
-// The wire codecs. The zero value of a Codec option selects CodecBinary.
-const (
-	// CodecJSON is wire protocol v1: one JSON object per line, strict
-	// request/response lockstep. Debuggable with netcat; kept for
-	// compatibility with v1-only clients.
-	CodecJSON Codec = "json"
-	// CodecBinary is wire protocol v2: length-prefixed binary frames with
-	// tagged request IDs, pipelined over one multiplexed connection.
-	CodecBinary Codec = "binary"
-)
-
-// normCodec maps the zero value to the default codec and rejects junk.
-func normCodec(c Codec) (Codec, error) {
-	switch c {
-	case "", CodecBinary:
-		return CodecBinary, nil
-	case CodecJSON:
-		return CodecJSON, nil
-	}
-	return "", fmt.Errorf("nwsnet: unknown codec %q (want %q or %q)", c, CodecJSON, CodecBinary)
-}
-
 // Wire protocol versions carried in the negotiation preamble and the
 // server's accept byte.
 const (

@@ -50,12 +50,6 @@ type ClientOptions struct {
 	// request is still alive. A breaker denial surfaces as a terminal error
 	// wrapping resilience.ErrBreakerOpen without touching the endpoint.
 	Breaker *resilience.BreakerConfig
-	// Codec selects the wire encoding (see docs/PROTOCOL.md): CodecBinary
-	// (the default) negotiates protocol v2 on each connection; CodecJSON
-	// forces the v1 JSON-line protocol, which every server version accepts.
-	// A server that declines v2 fails the call with a terminal error naming
-	// the accepted version, so misconfiguration surfaces instead of looping.
-	Codec Codec
 	// Tenant, when non-empty, names the tenant every connection announces
 	// with an OpHello before its first request, so servers enforcing
 	// per-tenant quotas (ServerLimits.TenantRate) attribute this client's
@@ -63,11 +57,13 @@ type ClientOptions struct {
 	Tenant string
 }
 
-// Client performs protocol calls against nwsnet servers. Connections are
-// pooled per address and reused across calls; transient failures (dial
+// Client performs protocol calls against nwsnet servers over wire protocol
+// v2 (docs/PROTOCOL.md), one request in flight per connection. Connections
+// are pooled per address and reused across calls; transient failures (dial
 // errors, connections dying mid-exchange) are retried under the client's
-// retry policy. The zero value is not usable; create clients with NewClient
-// or NewClientOptions.
+// retry policy. A server that declines v2 fails the call with a terminal
+// error naming the version it accepted. The zero value is not usable; create
+// clients with NewClient or NewClientOptions.
 type Client struct {
 	timeout     time.Duration
 	retry       resilience.Policy
@@ -75,7 +71,6 @@ type Client struct {
 	maxActive   int
 	idleTimeout time.Duration
 	breakerCfg  *resilience.BreakerConfig
-	codec       Codec
 	tenant      string
 
 	mu       sync.Mutex
@@ -99,10 +94,6 @@ func NewClientOptions(o ClientOptions) *Client {
 	} else if o.IdleTimeout < 0 {
 		o.IdleTimeout = 0
 	}
-	codec, err := normCodec(o.Codec)
-	if err != nil {
-		panic(err) // a codec not in the enum is a programming error
-	}
 	return &Client{
 		timeout:     o.Timeout,
 		retry:       o.Retry,
@@ -110,7 +101,6 @@ func NewClientOptions(o ClientOptions) *Client {
 		maxActive:   o.MaxActivePerAddr,
 		idleTimeout: o.IdleTimeout,
 		breakerCfg:  o.Breaker,
-		codec:       codec,
 		tenant:      o.Tenant,
 		pools:       make(map[string]*resilience.Pool),
 		breakers:    make(map[string]*resilience.Breaker),
@@ -123,9 +113,9 @@ type poolConn struct {
 	r *bufio.Reader
 	w *bufio.Writer
 
-	// Binary-codec state: whether the server's accept byte has been read
-	// (the preamble is written at dial, but its answer rides in front of the
-	// first response), the next request ID, and the reusable decode buffer.
+	// Whether the server's accept byte has been read (the preamble is written
+	// at dial, but its answer rides in front of the first response), the next
+	// request ID, and the reusable decode buffer.
 	negotiated bool
 	nextID     uint64
 	rbuf       []byte
@@ -149,20 +139,17 @@ func (c *Client) pool(addr string) *resilience.Pool {
 				if err != nil {
 					return nil, fmt.Errorf("nwsnet: dial %s: %w", addr, err)
 				}
-				pc := &poolConn{c: nc, r: bufio.NewReaderSize(nc, 64<<10), w: bufio.NewWriter(nc)}
-				if c.codec == CodecBinary {
-					// Send the negotiation preamble eagerly so the server can
-					// classify the connection the moment it peeks; the accept
-					// byte is read before the first response, costing zero
-					// extra round trips.
-					nc.SetWriteDeadline(time.Now().Add(c.timeout))
-					if _, err := nc.Write(wirePreamble[:]); err != nil {
-						nc.Close()
-						return nil, fmt.Errorf("nwsnet: negotiate with %s: %w", addr, err)
-					}
-					nc.SetWriteDeadline(time.Time{})
+				// Send the negotiation preamble eagerly so the server can
+				// classify the connection the moment it peeks; the accept
+				// byte is read before the first response, costing zero
+				// extra round trips.
+				nc.SetWriteDeadline(time.Now().Add(c.timeout))
+				if _, err := nc.Write(wirePreamble[:]); err != nil {
+					nc.Close()
+					return nil, fmt.Errorf("nwsnet: negotiate with %s: %w", addr, err)
 				}
-				return pc, nil
+				nc.SetWriteDeadline(time.Time{})
+				return &poolConn{c: nc, r: bufio.NewReaderSize(nc, 64<<10), w: bufio.NewWriter(nc)}, nil
 			},
 			MaxIdle:     c.maxIdle,
 			MaxActive:   c.maxActive,
@@ -252,28 +239,15 @@ func (c *Client) exchange(ctx context.Context, addr string, req Request) (Respon
 		}
 		pc.helloDone = true
 	}
-	if c.codec == CodecBinary {
-		resp, err := exchangeBinary(pc, addr, req)
-		if err == errShedConn {
-			// The busy response is a valid answer (do() classifies it as
-			// retryable); only the connection is dead.
-			pl.Put(pc, false)
-			return resp, nil
-		}
-		pl.Put(pc, err == nil)
-		return resp, err
-	}
-	if err := writeMsg(pc.w, req); err != nil {
+	resp, err := exchangeBinary(pc, addr, req)
+	if err == errShedConn {
+		// The busy response is a valid answer (do() classifies it as
+		// retryable); only the connection is dead.
 		pl.Put(pc, false)
-		return Response{}, fmt.Errorf("nwsnet: send to %s: %w", addr, err)
+		return resp, nil
 	}
-	var resp Response
-	if err := readMsg(pc.r, &resp); err != nil {
-		pl.Put(pc, false)
-		return Response{}, fmt.Errorf("nwsnet: receive from %s: %w", addr, err)
-	}
-	pl.Put(pc, true)
-	return resp, nil
+	pl.Put(pc, err == nil)
+	return resp, err
 }
 
 // exchangeBinary performs one lockstep request/response attempt on the v2
@@ -307,7 +281,7 @@ func exchangeBinary(pc *poolConn, addr string, req Request) (Response, error) {
 		}
 		if accept != wireVersionBinary {
 			return Response{}, resilience.Permanent(fmt.Errorf(
-				"nwsnet: %s accepted wire version %d, not binary (%d); configure CodecJSON", addr, accept, wireVersionBinary))
+				"nwsnet: %s accepted wire version %d, not binary (%d)", addr, accept, wireVersionBinary))
 		}
 		pc.negotiated = true
 	}
@@ -335,17 +309,9 @@ func exchangeBinary(pc *poolConn, addr string, req Request) (Response, error) {
 // response itself is valid, but the connection must not be reused.
 var errShedConn = errors.New("nwsnet: connection shed by server")
 
-// hello announces the client's tenant as a connection's first request, on
-// whichever codec the connection speaks.
+// hello announces the client's tenant as a connection's first request.
 func (c *Client) hello(pc *poolConn, addr string) error {
-	req := Request{Op: OpHello, Tenant: c.tenant}
-	var resp Response
-	var err error
-	if c.codec == CodecBinary {
-		resp, err = exchangeBinary(pc, addr, req)
-	} else if err = writeMsg(pc.w, req); err == nil {
-		err = readMsg(pc.r, &resp)
-	}
+	resp, err := exchangeBinary(pc, addr, Request{Op: OpHello, Tenant: c.tenant})
 	if err == nil {
 		err = respError(addr, resp)
 	}

@@ -137,8 +137,7 @@ func (r *Ring) Owners(key string, n int) []string {
 }
 
 // Shares counts how many of the given keys each node primarily owns —
-// the balance diagnostic behind `nwsctl ring` and the nwsload per-shard
-// split.
+// the balance diagnostic behind `nwsctl ring`.
 func (r *Ring) Shares(keys []string) map[string]int {
 	out := make(map[string]int, len(r.nodes))
 	for _, id := range r.nodes {

@@ -60,8 +60,8 @@ func startClusterNode(t *testing.T, nsAddr, id string) (*ClusterNode, string) {
 // on activation, renewals carry a view only when the caller is stale, and
 // the view fetch supports not-modified.
 func TestClusterRegistryLifecycle(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		t.Run(string(codec), func(t *testing.T) {
+	for _, codec := range []string{codecBinary, codecJSON} {
+		t.Run(codec, func(t *testing.T) {
 			ns := NewNameServerCluster(time.Minute, cluster.Config{Replication: 2, VNodes: 16})
 			srv := NewServer(ns, nil)
 			addr, err := srv.Listen("127.0.0.1:0")
@@ -69,43 +69,55 @@ func TestClusterRegistryLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			c := NewClientOptions(ClientOptions{Codec: codec})
+			// do returns the classified answer: its view, or why there is none.
+			c := NewClient(0)
 			defer c.Close()
+			do := func(req Request) (*cluster.View, error) {
+				resp, err := c.do(context.Background(), addr, req)
+				return resp.View, err
+			}
+			if codec == codecJSON {
+				ask := dialV1(t, addr)
+				do = func(req Request) (*cluster.View, error) {
+					resp := ask(req)
+					return resp.View, respError(addr, resp)
+				}
+			}
+			join := func(state cluster.State) *cluster.View {
+				t.Helper()
+				v, err := do(Request{Op: OpJoin, Member: &cluster.Member{ID: "m0", Kind: string(KindMemory), Addr: "a:1", State: state}})
+				if err != nil || v == nil {
+					t.Fatalf("join as %q: view %+v, err %v", state, v, err)
+				}
+				return v
+			}
+			renew := func(id string, epoch uint64) (*cluster.View, error) {
+				return do(Request{Op: OpLease, Member: &cluster.Member{ID: id}, Epoch: epoch})
+			}
 
 			// Joining state: lease taken, no epoch movement.
-			v, err := c.JoinCluster(addr, cluster.Member{ID: "m0", Kind: string(KindMemory), Addr: "a:1", State: cluster.StateJoining})
-			if err != nil {
-				t.Fatal(err)
-			}
+			v := join(cluster.StateJoining)
 			if v.Epoch != 0 || len(v.Members) != 1 || v.Members[0].State != cluster.StateJoining {
 				t.Fatalf("joining view = %+v, want epoch 0 with one joining member", v)
 			}
 			// Activation bumps the epoch exactly once; re-activating the same
 			// member does not.
-			v, err = c.JoinCluster(addr, cluster.Member{ID: "m0", Kind: string(KindMemory), Addr: "a:1", State: cluster.StateActive})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.Epoch != 1 {
+			if v = join(cluster.StateActive); v.Epoch != 1 {
 				t.Fatalf("activation epoch = %d, want 1", v.Epoch)
 			}
-			v, err = c.JoinCluster(addr, cluster.Member{ID: "m0", Kind: string(KindMemory), Addr: "a:1", State: cluster.StateActive})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.Epoch != 1 {
+			if v = join(cluster.StateActive); v.Epoch != 1 {
 				t.Fatalf("idempotent re-join epoch = %d, want 1", v.Epoch)
 			}
 
 			// A current renewal carries no view; a stale one does.
-			nv, err := c.RenewLease(addr, "m0", 1)
+			nv, err := renew("m0", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if nv != nil {
 				t.Fatalf("current-epoch renewal returned a view: %+v", nv)
 			}
-			nv, err = c.RenewLease(addr, "m0", 0)
+			nv, err = renew("m0", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,19 +125,19 @@ func TestClusterRegistryLifecycle(t *testing.T) {
 				t.Fatalf("stale renewal view = %+v, want epoch 1", nv)
 			}
 			// An unknown member's renewal is terminal: only a re-join recovers.
-			if _, err := c.RenewLease(addr, "ghost", 1); err == nil {
+			if _, err := renew("ghost", 1); err == nil {
 				t.Fatal("renewal of unknown member succeeded")
 			}
 
 			// View fetch: epoch 0 always fetches, current epoch is not-modified.
-			fv, err := c.FetchView(addr, 0)
+			fv, err := do(Request{Op: OpView})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fv == nil || fv.Epoch != 1 {
 				t.Fatalf("fetched view = %+v, want epoch 1", fv)
 			}
-			fv, err = c.FetchView(addr, 1)
+			fv, err = do(Request{Op: OpView, Epoch: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,41 +148,37 @@ func TestClusterRegistryLifecycle(t *testing.T) {
 	}
 }
 
-// TestClusterV1ClientCompat proves a pre-cluster v1 JSON client still works
+// TestClusterV1ClientCompat proves a pre-cluster v1 JSON peer still works
 // against a cluster-enabled deployment: plain store/fetch/series round trips
 // through a guarded node it happens to own series on, and the registry still
 // answers the v1 directory ops.
 func TestClusterV1ClientCompat(t *testing.T) {
 	nsAddr, nodes, addrs := startCluster(t, 1, cluster.Config{Replication: 1, VNodes: 16}, time.Minute)
-	c := NewClientOptions(ClientOptions{Codec: CodecJSON})
-	defer c.Close()
+	ok := func(ask func(Request) Response, req Request) Response {
+		t.Helper()
+		resp := ask(req)
+		if !resp.OK {
+			t.Fatalf("v1 %s: %+v", req.Op, resp)
+		}
+		return resp
+	}
 
 	// v1 directory ops against the cluster registry.
-	if err := c.Register(nsAddr, Registration{Name: "h/cpu", Kind: KindSensor, Addr: "a:1"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Lookup(nsAddr, "h/cpu"); err != nil {
-		t.Fatal(err)
+	registry := dialV1(t, nsAddr)
+	ok(registry, Request{Op: OpRegister, Reg: Registration{Name: "h/cpu", Kind: KindSensor, Addr: "a:1"}})
+	if resp := ok(registry, Request{Op: OpLookup, Reg: Registration{Name: "h/cpu"}}); len(resp.Entries) != 1 {
+		t.Fatalf("lookup entries = %+v, want one", resp.Entries)
 	}
 
 	// With a single active member every key is owned: the guard must be
-	// invisible to the v1 client.
-	if err := c.Store(addrs[0], "h/cpu/nws_hybrid", [][2]float64{{1, 0.5}, {2, 0.6}}); err != nil {
-		t.Fatal(err)
+	// invisible to the v1 peer.
+	node := dialV1(t, addrs[0])
+	ok(node, Request{Op: OpStore, Series: "h/cpu/nws_hybrid", Points: [][2]float64{{1, 0.5}, {2, 0.6}}})
+	if resp := ok(node, Request{Op: OpFetch, Series: "h/cpu/nws_hybrid"}); len(resp.Points) != 2 {
+		t.Fatalf("fetched %d points, want 2", len(resp.Points))
 	}
-	pts, err := c.Fetch(addrs[0], "h/cpu/nws_hybrid", 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("fetched %d points, want 2", len(pts))
-	}
-	names, err := c.Series(addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 {
-		t.Fatalf("series = %v, want one", names)
+	if resp := ok(node, Request{Op: OpSeries}); len(resp.Names) != 1 {
+		t.Fatalf("series = %v, want one", resp.Names)
 	}
 	if v := nodes[0].View(); v == nil || v.Epoch == 0 {
 		t.Fatalf("node never adopted a view: %+v", v)

@@ -77,24 +77,15 @@ func NewForecasterService(memoryAddr string, timeout time.Duration) *ForecasterS
 
 // NewForecasterServiceReplicas returns a forecaster pulling from a
 // replicated memory group, reads failing over in replica-health order.
-// timeout bounds each memory call attempt (0 selects 5 s). It speaks the
-// default binary codec; NewForecasterServiceReplicasCodec selects.
+// timeout bounds each memory call attempt (0 selects 5 s).
 func NewForecasterServiceReplicas(memAddrs []string, timeout time.Duration) *ForecasterService {
-	return NewForecasterServiceReplicasCodec(memAddrs, timeout, CodecBinary)
-}
-
-// NewForecasterServiceReplicasCodec is NewForecasterServiceReplicas with an
-// explicit wire codec for the forecaster's memory fetches — the escape
-// hatch for pulling from a pre-v2 memory server that only speaks JSON lines.
-func NewForecasterServiceReplicasCodec(memAddrs []string, timeout time.Duration, codec Codec) *ForecasterService {
-	return NewForecasterServiceBackend(NewReplicaGroup(forecasterClient(timeout, codec), memAddrs, 0), timeout)
+	return NewForecasterServiceBackend(NewReplicaGroup(forecasterClient(timeout), memAddrs, 0), timeout)
 }
 
 // forecasterClient is the protocol client a forecaster pulls history with.
-func forecasterClient(timeout time.Duration, codec Codec) *Client {
+func forecasterClient(timeout time.Duration) *Client {
 	return NewClientOptions(ClientOptions{
 		Timeout: timeout,
-		Codec:   codec,
 		// One in-call retry per replica; replica failover is the main
 		// recovery path for reads.
 		Retry: resilience.Policy{MaxAttempts: 2, BaseDelay: 25 * time.Millisecond},
@@ -113,7 +104,7 @@ func forecasterClient(timeout time.Duration, codec Codec) *Client {
 // ownership redirects. timeout bounds each memory call attempt (0 selects
 // 5 s).
 func NewForecasterServiceCluster(nsAddr string, timeout time.Duration) *ForecasterService {
-	return NewForecasterServiceBackend(NewReplicaGroupCluster(forecasterClient(timeout, CodecBinary), nsAddr), timeout)
+	return NewForecasterServiceBackend(NewReplicaGroupCluster(forecasterClient(timeout), nsAddr), timeout)
 }
 
 // Replicas reports the health of the forecaster's memory replica group.
@@ -307,7 +298,7 @@ func (f *ForecasterService) forecastLocked(st *engineState) (*ForecastResult, bo
 
 // CacheStats reports the forecast cache's hit/miss/invalidation counts —
 // the same values the nws_forecast_cache_* metrics export, readable
-// per-instance by in-process harnesses (nwsload's acceptance run).
+// per-instance by in-process harnesses and tests.
 func (f *ForecasterService) CacheStats() (hits, misses, invalidations uint64) {
 	return f.cacheHits.Load(), f.cacheMisses.Load(), f.cacheInvals.Load()
 }

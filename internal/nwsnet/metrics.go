@@ -56,7 +56,7 @@ var (
 		"Requests already decoded and waiting behind the one being dispatched on a binary connection — how deep clients actually pipeline.",
 		[]float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256})
 
-	// Protocol clients (Client and Conn outbound calls).
+	// Protocol clients (Client and MuxConn outbound calls).
 	mClientCalls = metrics.NewCounterVec(
 		"nws_client_calls_total",
 		"Outbound protocol calls, by operation.", "op")

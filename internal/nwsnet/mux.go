@@ -14,8 +14,8 @@ import (
 var ErrMuxClosed = errors.New("nwsnet: mux connection closed")
 
 // MuxConn is one binary-codec connection carrying many requests in flight
-// at once — the pipelining client of wire protocol v2. Where Conn and
-// Client run in lockstep (one request, wait, one response), a MuxConn tags
+// at once — the pipelining client of wire protocol v2. Where Client runs in
+// lockstep (one request, wait, one response), a MuxConn tags
 // every request with an ID, keeps sending, and routes responses back as
 // they arrive, so wire throughput is bounded by bandwidth and server
 // capacity instead of round-trip latency.

@@ -112,10 +112,10 @@ func TestMuxBusyClassification(t *testing.T) {
 	// Occupy the single handler slot from a separate connection: a binary
 	// connection executes its own requests serially, so the blocker must
 	// come from elsewhere for the mux's request to reach the shed path.
-	blocker := NewConn(addr, 5*time.Second)
+	blocker := NewClient(5 * time.Second)
 	defer blocker.Close()
 	blockerDone := make(chan error, 1)
-	go func() { blockerDone <- blocker.Store("a", [][2]float64{{1, 1}}) }()
+	go func() { blockerDone <- blocker.Store(addr, "a", [][2]float64{{1, 1}}) }()
 	// Wait until the blocker's handler is actually holding the slot.
 	deadline := time.Now().Add(2 * time.Second)
 	for mServerInFlight.Value() < 1 {

@@ -298,8 +298,8 @@ func TestServerRejectsGarbage(t *testing.T) {
 	// A malformed request closes the connection without a response; the
 	// next fresh connection must still work.
 	c := NewClient(time.Second)
-	if _, err := call(addr, time.Second, Request{Op: "nonsense"}); err != nil {
-		t.Fatalf("transport-level failure: %v", err)
+	if resp := dialV1(t, addr)(Request{Op: "nonsense"}); resp.OK {
+		t.Fatalf("nonsense op accepted: %+v", resp)
 	}
 	if err := c.Ping(addr); err != nil {
 		t.Fatal(err)

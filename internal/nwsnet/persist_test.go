@@ -3,6 +3,7 @@ package nwsnet
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -97,103 +98,28 @@ func TestPersistentMemoryValidationStillApplies(t *testing.T) {
 	}
 }
 
-// legacyLog writes a per-series text log of the format before the
-// write-ahead log.
-func legacyLog(t *testing.T, dir, name, content string) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+// TestPersistentMemoryRefusesTextLogs: a directory still holding per-series
+// text logs of the format before the write-ahead log does not open — not
+// even beside a valid snapshot — and the error names the first of them.
+func TestPersistentMemoryRefusesTextLogs(t *testing.T) {
+	dir := t.TempDir()
+	pm := openPersistent(t, 0, dir)
+	mustStore(t, pm, "k", [2]float64{10, 0.9})
+	if err := pm.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// checkImported asserts a legacy directory was converted: the text logs are
-// gone and a snapshot holds their points across another restart.
-func checkImported(t *testing.T, dir, key string, want int) {
-	t.Helper()
-	if left := dirFiles(t, dir, legacyExt); len(left) != 0 {
-		t.Fatalf("text logs left after import: %v", left)
-	}
-	if snaps := dirFiles(t, dir, snapExt); len(snaps) != 1 {
-		t.Fatalf("snapshots after import = %v, want one", snaps)
-	}
-	pm := openPersistent(t, 0, dir)
-	if got := pm.Len(key); got != want {
-		t.Fatalf("restart after import: %d points, want %d", got, want)
-	}
 	pm.Close()
-}
-
-func TestPersistentMemoryCorruptTrailingLineRecovers(t *testing.T) {
-	// A corrupt trailing line (whatever the flavor of corruption) must not
-	// keep a legacy directory from importing: everything before it comes in,
-	// the damage is counted, and the memory keeps serving.
-	for _, tail := range []string{"garbage\n", "x,1\n", "1,x\n"} {
-		dir := t.TempDir()
-		legacyLog(t, dir, "k.log", "10,0.9\n20,0.8\n"+tail)
-		trunc0 := mMemoryLogTruncations.Value()
-		pm, err := NewPersistentMemory(0, dir)
-		if err != nil {
-			t.Fatalf("tail %q: import failed: %v", tail, err)
+	for _, name := range []string{"k.log", "host%2Fcpu%2Fvmstat.log"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("10,0.9\n20,0.8\n"), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if got := pm.Len("k"); got != 2 {
-			t.Fatalf("tail %q: imported %d points, want 2", tail, got)
-		}
-		if got := mMemoryLogTruncations.Value() - trunc0; got != 1 {
-			t.Fatalf("tail %q: truncations delta = %d, want 1", tail, got)
-		}
-		pm.Close()
-		checkImported(t, dir, "k", 2)
 	}
-}
-
-func TestPersistentMemoryTornTrailingLineRecovers(t *testing.T) {
-	// Crash mid-append in the legacy format: the final line is missing its
-	// newline. Even when the torn prefix happens to parse (the writer always
-	// terminated records, so an unterminated line cannot be trusted), the
-	// import must drop it — and the imported memory must keep accepting
-	// appends.
-	dir := t.TempDir()
-	legacyLog(t, dir, "host%2Fcpu%2Fvmstat.log", "10,0.9\n20,0.8\n30,0.7") // half-line: no newline
-	const key = "host/cpu/vmstat"
-	trunc0 := mMemoryLogTruncations.Value()
-	pm := openPersistent(t, 0, dir)
-	if got := pm.Len(key); got != 2 {
-		t.Fatalf("imported %d points, want 2 (torn line dropped)", got)
+	_, err := NewPersistentMemory(0, dir)
+	if err == nil || !strings.Contains(err.Error(), "host%2Fcpu%2Fvmstat.log") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("open over text logs = %v, want a one-line refusal naming host%%2Fcpu%%2Fvmstat.log", err)
 	}
-	if got := mMemoryLogTruncations.Value() - trunc0; got != 1 {
-		t.Fatalf("truncations delta = %d, want 1", got)
-	}
-	mustStore(t, pm, key, [2]float64{30, 0.7})
-	pm.Close()
-	checkImported(t, dir, key, 3)
-}
-
-func TestPersistentMemoryCleanLogNotTruncated(t *testing.T) {
-	dir := t.TempDir()
-	legacyLog(t, dir, "k.log", "10,0.9\n20,0.8\n")
-	trunc0 := mMemoryLogTruncations.Value()
-	pm := openPersistent(t, 0, dir)
-	if got := mMemoryLogTruncations.Value() - trunc0; got != 0 {
-		t.Fatalf("clean log counted %d truncations", got)
-	}
-	pm.Close()
-	checkImported(t, dir, "k", 2)
-}
-
-// TestPersistentMemoryImportRepeats: a crash between the import's checkpoint
-// and the removal of the text logs leaves both; importing again over the
-// snapshot must change nothing.
-func TestPersistentMemoryImportRepeats(t *testing.T) {
-	dir := t.TempDir()
-	legacyLog(t, dir, "k.log", "10,0.9\n20,0.8\n")
-	pm := openPersistent(t, 0, dir)
-	mustStore(t, pm, "k", [2]float64{30, 0.7})
-	want, _ := pm.Digest("k")
-	pm.Close()
-	legacyLog(t, dir, "k.log", "10,0.9\n20,0.8\n")
-	pm2 := openPersistent(t, 0, dir)
-	if got, _ := pm2.Digest("k"); got != want {
-		t.Fatalf("digest after repeated import = %+v, want %+v", got, want)
+	if left := dirFiles(t, dir, textExt); len(left) != 2 {
+		t.Fatalf("refusal touched the text logs: %v left", left)
 	}
 }
 

@@ -32,6 +32,7 @@ const (
 	walExt  = ".wal"  // a log generation: frames
 	snapExt = ".snap" // a snapshot of every series as of the start of the same-numbered generation
 	tmpExt  = ".tmp"  // a snapshot being written; a stray one is a crashed checkpoint
+	textExt = ".log"  // a per-series "t,v" text log of the format before this one; refused
 
 	frameHeader = 8 // uint32 payload length + uint32 CRC32C, little-endian
 
@@ -464,7 +465,9 @@ func (j *journal) close() error {
 // --- recovery ---
 
 // listGenerations returns the snapshot and log generation numbers in dir,
-// ascending, and removes stray temp files.
+// ascending, and removes stray temp files. A directory still holding text
+// logs is refused: nothing here reads them, and opening around them would
+// serve a memory that has silently lost its history.
 func listGenerations(dir string) (snaps, gens []uint64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -481,6 +484,9 @@ func listGenerations(dir string) (snaps, gens []uint64, err error) {
 				return nil, nil, err
 			}
 			continue
+		}
+		if ext == textExt {
+			return nil, nil, fmt.Errorf("nwsnet: memory dir %s holds the text log %s, a format this version cannot read; open the directory once with commit 4ff1130, the last that imports text logs", dir, name)
 		}
 		n, perr := strconv.ParseUint(strings.TrimSuffix(name, ext), 10, 64)
 		if perr != nil {

@@ -11,7 +11,8 @@
 // request IDs, letting clients pipeline many requests over one multiplexed
 // connection (see MuxConn) instead of running in lockstep. Both are
 // implemented entirely with the standard library; servers sniff the v2
-// preamble on connect, so v1 and v2 clients coexist transparently.
+// preamble on connect and answer either, while the clients in this package
+// (Client, MuxConn) speak v2 only.
 //
 // Every component is instrumented through internal/metrics: the protocol
 // server counts connections and per-op requests, the memory server tracks
@@ -28,8 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
-	"time"
 
 	"nwscpu/internal/nwsnet/cluster"
 )
@@ -301,26 +300,4 @@ func readMsg(r *bufio.Reader, v any) error {
 		}
 	}
 	return json.Unmarshal(line, v)
-}
-
-// call performs one request/response round trip on a fresh connection.
-func call(addr string, timeout time.Duration, req Request) (Response, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return Response{}, fmt.Errorf("nwsnet: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return Response{}, err
-	}
-	bw := bufio.NewWriter(conn)
-	if err := writeMsg(bw, req); err != nil {
-		return Response{}, fmt.Errorf("nwsnet: send to %s: %w", addr, err)
-	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	var resp Response
-	if err := readMsg(br, &resp); err != nil {
-		return Response{}, fmt.Errorf("nwsnet: receive from %s: %w", addr, err)
-	}
-	return resp, nil
 }

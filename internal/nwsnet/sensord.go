@@ -71,16 +71,8 @@ func NewSensorDaemon(hostName string, h sensors.Host, memAddr string, hybrid sen
 // NewSensorDaemonReplicas builds a daemon pushing to a replicated memory
 // group: every measurement fans out to all of memAddrs and is delivered
 // once quorum replicas acknowledge (quorum <= 0 selects a majority). With a
-// single address it behaves exactly like NewSensorDaemon. It speaks the
-// default binary codec; NewSensorDaemonReplicasCodec selects.
+// single address it behaves exactly like NewSensorDaemon.
 func NewSensorDaemonReplicas(hostName string, h sensors.Host, memAddrs []string, quorum int, hybrid sensors.HybridConfig) *SensorDaemon {
-	return NewSensorDaemonReplicasCodec(hostName, h, memAddrs, quorum, hybrid, CodecBinary)
-}
-
-// NewSensorDaemonReplicasCodec is NewSensorDaemonReplicas with an explicit
-// wire codec for the daemon's memory deliveries — the escape hatch for
-// pushing to a pre-v2 memory server that only speaks JSON lines.
-func NewSensorDaemonReplicasCodec(hostName string, h sensors.Host, memAddrs []string, quorum int, hybrid sensors.HybridConfig, codec Codec) *SensorDaemon {
 	if hybrid.ProbeEvery == 0 {
 		hybrid = sensors.DefaultHybridConfig()
 	}
@@ -95,7 +87,6 @@ func NewSensorDaemonReplicasCodec(hostName string, h sensors.Host, memAddrs []st
 		// first tick after the replica returns), while any concurrent
 		// callers sharing this client stop piling onto a sick replica.
 		Breaker: &resilience.BreakerConfig{OpenFor: -1},
-		Codec:   codec,
 	})
 	return &SensorDaemon{
 		hostName:   hostName,
@@ -121,7 +112,7 @@ func NewSensorDaemonReplicasCodec(hostName string, h sensors.Host, memAddrs []st
 // undeliverable rides the same store-and-forward backlog as the replicated
 // path.
 func NewSensorDaemonCluster(hostName string, h sensors.Host, nsAddr string, hybrid sensors.HybridConfig) *SensorDaemon {
-	d := NewSensorDaemonReplicasCodec(hostName, h, nil, 0, hybrid, CodecBinary)
+	d := NewSensorDaemonReplicas(hostName, h, nil, 0, hybrid)
 	d.group = NewReplicaGroupCluster(d.client, nsAddr)
 	return d
 }

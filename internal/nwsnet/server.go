@@ -27,6 +27,12 @@ const (
 	shedTenant = "tenant"      // request over its tenant's token-bucket quota
 )
 
+// Negotiation outcomes, the label values of nws_wire_connections_total.
+const (
+	codecJSON   = "json"   // wire protocol v1: no preamble, or one asking for a version below 2
+	codecBinary = "binary" // wire protocol v2
+)
+
 // ServerLimits bounds what a Server will take on before it starts shedding
 // load. The zero value imposes no limits — exactly the pre-limits behavior.
 // Shedding is always explicit on the wire: a shed request or connection is
@@ -243,11 +249,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		if !s.negotiateBinary(conn, reader, writer) {
 			return
 		}
-		mWireConns.With(string(CodecBinary)).Inc()
+		mWireConns.With(codecBinary).Inc()
 		s.serveBinary(conn, reader, writer)
 		return
 	}
-	mWireConns.With(string(CodecJSON)).Inc()
+	mWireConns.With(codecJSON).Inc()
 	s.serveJSON(conn, reader, writer)
 }
 
@@ -276,7 +282,7 @@ func (s *Server) negotiateBinary(conn net.Conn, reader *bufio.Reader, writer *bu
 		if writer.Flush() != nil {
 			return false
 		}
-		mWireConns.With(string(CodecJSON)).Inc()
+		mWireConns.With(codecJSON).Inc()
 		s.serveJSON(conn, reader, writer)
 		return false
 	}

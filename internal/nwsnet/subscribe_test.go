@@ -78,13 +78,11 @@ func TestSubscribeAckAndPush(t *testing.T) {
 	}
 }
 
-// TestSubscribeUnsupportedOnJSON pins the v1 story: a JSON-lines client
+// TestSubscribeUnsupportedOnJSON pins the v1 story: a JSON-lines peer
 // asking to subscribe gets a terminal error, not a hang and not a busy.
 func TestSubscribeUnsupportedOnJSON(t *testing.T) {
 	_, f, fcAddr := startForecastPlane(t, 50*time.Millisecond)
-	c := NewClientOptions(ClientOptions{Timeout: time.Second, Codec: CodecJSON})
-	defer c.Close()
-	_, err := c.do(context.Background(), fcAddr, Request{Op: OpSubscribe, Series: "s"})
+	err := respError(fcAddr, dialV1(t, fcAddr)(Request{Op: OpSubscribe, Series: "s"}))
 	if err == nil || !resilience.IsTerminal(err) {
 		t.Fatalf("v1 subscribe: %v, want terminal", err)
 	}
@@ -93,91 +91,171 @@ func TestSubscribeUnsupportedOnJSON(t *testing.T) {
 	}
 }
 
-// TestManySubscribersOneTick races 32 subscribers against one store: every
-// subscriber must see the resulting push exactly once — the hub may not
-// drop a sink mid-registration, and a tick that consumed no new points may
-// not push. Run under -race, it is also the lock-order check for the
-// sink-write/hub/engine lock triangle.
-func TestManySubscribersOneTick(t *testing.T) {
-	mem, f, fcAddr := startForecastPlane(t, 25*time.Millisecond)
+// quiesceSinks waits until no subscribed connection is mid-write: a client
+// sees an acknowledgement a moment before the serve loop lets go of the
+// connection's write lock, and a push that finds the lock held is dropped by
+// design. Tests that count pushes exactly wait that moment out.
+func quiesceSinks(f *ForecasterService) {
+	f.hubMu.Lock()
+	sinks := make([]*binSink, 0, len(f.bySink))
+	for sink := range f.bySink {
+		sinks = append(sinks, sink.(*binSink))
+	}
+	f.hubMu.Unlock()
+	for _, sink := range sinks {
+		sink.mu.Lock()
+		sink.mu.Unlock() // nothing to do inside: waiting for the holder is the point
+	}
+}
 
-	const subscribers = 32
-	var counts [subscribers]atomic.Int64
-	conns := make([]*MuxConn, subscribers)
-	var wg sync.WaitGroup
-	errs := make(chan error, subscribers)
-	for i := 0; i < subscribers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mux, err := DialMux(fcAddr, 5*time.Second)
-			if err != nil {
-				errs <- err
-				return
-			}
-			conns[i] = mux
-			if _, err := mux.Subscribe("s", func(resp Response, err error) {
-				if err == nil {
-					counts[i].Add(1)
+// TestManySubscribersOneTick drives the read plane pass by pass (RefreshNow,
+// no ticker) and counts: connections race to subscribe, every series changes
+// in exactly one pass, and each subscriber must see each change exactly once
+// — the hub may not drop a sink mid-registration, a pass that consumed no new
+// points may not push, and pushes_total + pushes_dropped_total must equal the
+// frames attempted. The large row is the 10 000-subscription serving run:
+// four pollers hammer OpForecast beside the passes and the forecast cache
+// must answer at least nine in ten of their polls. Run under
+// -race, it is also the lock-order check for the sink-write/hub/engine lock
+// triangle.
+func TestManySubscribersOneTick(t *testing.T) {
+	const pollers = 4
+	rows := []struct {
+		name          string
+		conns, series int // every connection subscribes to every series
+		prefill       int // points per series before anyone subscribes
+		passes        int // pass p changes the series whose index is p modulo passes
+		polls         int // OpForecast calls per poller, concurrent with the passes
+		minHitRate    float64
+	}{
+		{"32 connections race for one series", 32, 1, 0, 1, 0, 0},
+		{"10k subscriptions over 8 connections", 8, 1250, 16, 4, 2500, 0.9},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			mem := NewMemory(0)
+			_, memAddr := startServerLimits(t, mem, ServerLimits{})
+			f := NewForecasterService(memAddr, 10*time.Second)
+			f.SetCacheServing(true)
+			fcSrv, fcAddr := startServerLimits(t, f, ServerLimits{})
+			keys := make([]string, row.series)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("host%04d/cpu/nws_hybrid", i)
+				for p := 1; p <= row.prefill; p++ {
+					mustStore(t, mem, keys[i], [2]float64{float64(p), 0.5})
 				}
-			}).Wait(); err != nil {
-				errs <- fmt.Errorf("subscriber %d: %w", i, err)
 			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, mux := range conns {
-			if mux != nil {
+
+			seen := make([]atomic.Int64, row.conns)
+			conns := make([]*MuxConn, row.conns)
+			var wg sync.WaitGroup
+			errs := make(chan error, row.conns+pollers)
+			for i := range conns {
+				mux, err := DialMux(fcAddr, 10*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mux.Close()
+				conns[i] = mux
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					acks := make([]*MuxCall, len(keys))
+					for k, key := range keys {
+						acks[k] = mux.Subscribe(key, func(_ Response, err error) {
+							if err == nil {
+								seen[i].Add(1)
+							}
+						})
+					}
+					for _, ack := range acks {
+						if _, err := ack.Wait(); err != nil {
+							errs <- fmt.Errorf("subscriber %d: %w", i, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if n := f.Subscriptions(); n != row.conns*row.series {
+				t.Fatalf("hub holds %d subscriptions, want %d", n, row.conns*row.series)
+			}
+
+			// Registration is over (racing first subscribers of a series each
+			// miss); from here on the cache is serving.
+			hits0, misses0, _ := f.CacheStats()
+			for q := 0; q < pollers; q++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					mux, err := DialMux(fcAddr, 10*time.Second)
+					if err != nil {
+						errs <- err
+						return
+					}
+					defer mux.Close()
+					for i := 0; i < row.polls; i++ {
+						if _, err := mux.Do(Request{Op: OpForecast, Series: keys[(q+pollers*i)%len(keys)]}); err != nil {
+							errs <- fmt.Errorf("poller %d: %w", q, err)
+							return
+						}
+					}
+				}()
+			}
+
+			// pass runs one refresh with no connection mid-write, then a ping
+			// on every connection: responses follow pushes on the wire, so
+			// once the pings are back every push of the pass has been seen.
+			pushes0, dropped0 := mFcPushes.Value(), mFcPushesDropped.Value()
+			pass := func(wantEach int64) {
+				t.Helper()
+				quiesceSinks(f)
+				f.RefreshNow()
+				for i, mux := range conns {
+					if _, err := mux.Do(Request{Op: OpPing}); err != nil {
+						t.Fatal(err)
+					}
+					if got := seen[i].Load(); got != wantEach {
+						t.Fatalf("connection %d saw %d pushes, want exactly %d", i, got, wantEach)
+					}
+				}
+			}
+			var changed int64
+			for p := 0; p < row.passes; p++ {
+				for i := p; i < len(keys); i += row.passes {
+					mustStore(t, mem, keys[i], [2]float64{float64(row.prefill + 1), 0.25})
+					changed++
+				}
+				pass(changed)
+			}
+			pass(changed) // nothing new: nothing pushed
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+
+			attempted := uint64(changed) * uint64(row.conns)
+			pushed, dropped := mFcPushes.Value()-pushes0, mFcPushesDropped.Value()-dropped0
+			if pushed != attempted || dropped != 0 {
+				t.Errorf("pushes_total moved by %d and pushes_dropped_total by %d, want all %d frames attempted pushed", pushed, dropped, attempted)
+			}
+			hits, misses, _ := f.CacheStats()
+			hits, misses = hits-hits0, misses-misses0
+			if float64(hits) < row.minHitRate*float64(hits+misses) {
+				t.Errorf("forecast cache answered %d of %d polls, want at least %.0f%%", hits, hits+misses, 100*row.minHitRate)
+			}
+
+			// Teardown drops every subscription server-side: Close returns once
+			// every serve loop has.
+			for _, mux := range conns {
 				mux.Close()
 			}
-		}
-	}()
-	if n := f.Subscriptions(); n != subscribers {
-		t.Fatalf("hub holds %d subscriptions, want %d", n, subscribers)
-	}
-
-	// One store; the next tick recomputes once and fans out once.
-	mem.Handle(Request{Op: OpStore, Series: "s", Points: [][2]float64{{1, 0.25}, {2, 0.25}}})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		all := true
-		for i := range counts {
-			if counts[i].Load() < 1 {
-				all = false
-				break
+			fcSrv.Close()
+			if n := f.Subscriptions(); n != 0 {
+				t.Fatalf("hub still holds %d subscriptions after every connection closed", n)
 			}
-		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("not every subscriber saw the push")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Several more ticks with no new points: counts must not move.
-	time.Sleep(200 * time.Millisecond)
-	for i := range counts {
-		if got := counts[i].Load(); got != 1 {
-			t.Fatalf("subscriber %d saw %d pushes for one store, want exactly 1", i, got)
-		}
-	}
-
-	// Teardown drops every subscription server-side.
-	for _, mux := range conns {
-		mux.Close()
-	}
-	deadline = time.Now().Add(2 * time.Second)
-	for f.Subscriptions() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("hub still holds %d subscriptions after every connection closed", f.Subscriptions())
-		}
-		time.Sleep(5 * time.Millisecond)
+		})
 	}
 }
 
@@ -410,9 +488,7 @@ func TestAdoptViewHandsOffSubscriptions(t *testing.T) {
 	// the connection's write lock; wait that moment out, so the handoff finds
 	// an idle connection (TestAdoptViewTerminalPushOnBusySink is the other
 	// case).
-	sink := subscribedSink(t, f, "a")
-	sink.mu.Lock()
-	sink.mu.Unlock()
+	quiesceSinks(f)
 	f.AdoptView(awayView(4))
 	select {
 	case got := <-moved:

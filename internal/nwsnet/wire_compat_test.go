@@ -13,17 +13,39 @@ import (
 	"nwscpu/internal/resilience/chaos"
 )
 
-// codecClient builds a fast test client pinned to one codec.
-func codecClient(codec Codec) *Client {
-	return NewClientOptions(ClientOptions{
-		Timeout: 2 * time.Second,
-		Retry:   resilience.Policy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond},
-		Codec:   codec,
-	})
+// v1 is a wire protocol v1 peer in full: one JSON line out, one back, in
+// lockstep — so a fresh reader per exchange can never swallow a later answer.
+// The tree's clients speak v2 only; this is what holds the server's v1 edge
+// to its contract.
+func v1(nc net.Conn, req Request) (resp Response, err error) {
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if err = writeMsg(bufio.NewWriter(nc), req); err == nil {
+		err = readMsg(bufio.NewReader(nc), &resp)
+	}
+	return resp, err
+}
+
+// dialV1 opens a v1 connection that lives as long as the test and returns
+// the function that asks over it, failing the test on a transport error.
+func dialV1(t *testing.T, addr string) func(Request) Response {
+	t.Helper()
+	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	return func(req Request) Response {
+		t.Helper()
+		resp, err := v1(nc, req)
+		if err != nil {
+			t.Fatalf("v1 %s: %v", req.Op, err)
+		}
+		return resp
+	}
 }
 
 // TestV1ClientAgainstV2DefaultServer is the downgrade regression: a JSON
-// (v1) client — and below it, a raw netcat-style connection — against
+// (v1) peer — and below it, a raw netcat-style connection — against
 // today's binary-default server must work exactly as before the v2 codec
 // existed. The server may never assume the preamble.
 func TestV1ClientAgainstV2DefaultServer(t *testing.T) {
@@ -31,21 +53,16 @@ func TestV1ClientAgainstV2DefaultServer(t *testing.T) {
 	srv, addr := startServerLimits(t, mem, ServerLimits{})
 	defer srv.Close()
 
-	c := codecClient(CodecJSON)
-	defer c.Close()
-	if err := c.Ping(addr); err != nil {
-		t.Fatalf("v1 ping: %v", err)
+	ask := dialV1(t, addr)
+	if resp := ask(Request{Op: OpPing}); !resp.OK {
+		t.Fatalf("v1 ping: %+v", resp)
 	}
 	pts := [][2]float64{{1, 0.5}, {2, 0.6}}
-	if err := c.Store(addr, "k", pts); err != nil {
-		t.Fatalf("v1 store: %v", err)
+	if resp := ask(Request{Op: OpStore, Series: "k", Points: pts}); !resp.OK {
+		t.Fatalf("v1 store: %+v", resp)
 	}
-	got, err := c.Fetch(addr, "k", 0, 0, 0)
-	if err != nil {
-		t.Fatalf("v1 fetch: %v", err)
-	}
-	if !reflect.DeepEqual(got, pts) {
-		t.Fatalf("v1 fetch returned %v, want %v", got, pts)
+	if resp := ask(Request{Op: OpFetch, Series: "k"}); !reflect.DeepEqual(resp.Points, pts) {
+		t.Fatalf("v1 fetch returned %+v, want %v", resp, pts)
 	}
 
 	// Rawest possible v1 peer: a hand-written JSON line, no client library.
@@ -88,19 +105,14 @@ func TestCodecsAnswerIdentically(t *testing.T) {
 		}},
 		{Op: OpBatch, Batch: []Request{{Op: OpBatch, Batch: []Request{{Op: OpPing}}}}},
 	}
-	answers := func(codec Codec) []Response {
+	// exchange returns answers unclassified, so rejections compare too.
+	answers := func(codec string, exchange func(addr string, req Request) (Response, error)) []Response {
 		mem := NewMemory(100)
 		srv, addr := startServerLimits(t, mem, ServerLimits{})
 		defer srv.Close()
-		conn := NewConnCodec(addr, 2*time.Second, codec)
-		defer conn.Close()
 		out := make([]Response, len(reqs))
 		for i, req := range reqs {
-			// Conn.Do converts rejections to errors; go through the raw
-			// exchange instead so error responses compare too.
-			conn.mu.Lock()
-			resp, err := conn.doLocked(req)
-			conn.mu.Unlock()
+			resp, err := exchange(addr, req)
 			if err != nil {
 				t.Fatalf("%s op %s: %v", codec, req.Op, err)
 			}
@@ -108,8 +120,18 @@ func TestCodecsAnswerIdentically(t *testing.T) {
 		}
 		return out
 	}
-	j := answers(CodecJSON)
-	b := answers(CodecBinary)
+	var ask func(Request) Response
+	j := answers(codecJSON, func(addr string, req Request) (Response, error) {
+		if ask == nil {
+			ask = dialV1(t, addr)
+		}
+		return ask(req), nil
+	})
+	c := NewClient(2 * time.Second)
+	defer c.Close()
+	b := answers(codecBinary, func(addr string, req Request) (Response, error) {
+		return c.exchange(context.Background(), addr, req)
+	})
 	for i := range reqs {
 		// JSON decodes absent points as nil, binary too; both must agree
 		// structurally on every field.
@@ -120,12 +142,12 @@ func TestCodecsAnswerIdentically(t *testing.T) {
 }
 
 // TestMixedCodecReplicaQuorumConvergesUnderChaos is the mixed-version
-// deployment scenario: one writer still on v1 (JSON) and one on v2 (binary)
-// both write to the same 2-replica group at quorum 2, with one replica
-// behind a chaos proxy that truncates each writer's first connection
-// mid-exchange (applied but unacknowledged). Retries plus server-side
-// idempotent dedup must converge both replicas to exactly one copy of every
-// point, regardless of codec.
+// deployment scenario: one writer still on v1 (JSON lines, retrying by hand)
+// and one on v2 (the replica group) both write to the same 2 replicas at
+// quorum 2, with one replica behind a chaos proxy that truncates each
+// writer's first connection mid-exchange (applied but unacknowledged).
+// Retries plus server-side idempotent dedup must converge both replicas to
+// exactly one copy of every point, regardless of codec.
 func TestMixedCodecReplicaQuorumConvergesUnderChaos(t *testing.T) {
 	chaosMem, _, chaosAddr := chaosFront(t, chaos.NewScript(
 		chaos.Action{Fault: chaos.Truncate}, // json writer's first connection
@@ -134,35 +156,57 @@ func TestMixedCodecReplicaQuorumConvergesUnderChaos(t *testing.T) {
 	mems, _, addrs := startReplicaSet(t, 1)
 	group := []string{chaosAddr, addrs[0]}
 
-	newWriter := func(codec Codec) *ReplicaGroup {
-		c := NewClientOptions(ClientOptions{
-			Timeout: time.Second,
-			Retry:   resilience.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond},
-			// Faults are drawn per connection: a fresh connection per
-			// attempt keeps the schedule aligned (truncate once, then pass).
-			MaxIdlePerAddr: -1,
-			Codec:          codec,
-		})
-		return NewReplicaGroup(c, group, 2)
-	}
-	jw := newWriter(CodecJSON)
-	defer jw.Close()
-	bw := newWriter(CodecBinary)
+	// Faults are drawn per connection: a fresh connection per attempt keeps
+	// the schedule aligned (truncate once, then pass).
+	const attempts = 3
+	bw := NewReplicaGroup(NewClientOptions(ClientOptions{
+		Timeout:        time.Second,
+		Retry:          resilience.Policy{MaxAttempts: attempts, BaseDelay: 5 * time.Millisecond},
+		MaxIdlePerAddr: -1,
+	}), group, 2)
 	defer bw.Close()
+	// The v1 writer: every replica must acknowledge the batch within the
+	// same number of attempts.
+	jw := func(stores []BatchStore) error {
+		for _, addr := range group {
+			var err error
+			for try := 0; try < attempts; try++ {
+				var nc net.Conn
+				if nc, err = net.DialTimeout("tcp", addr, time.Second); err != nil {
+					continue
+				}
+				var resp Response
+				resp, err = v1(nc, storeEnvelope(stores))
+				nc.Close()
+				if err == nil {
+					_, err = storeResults(addr, resp, len(stores))
+				}
+				if err == nil {
+					break
+				}
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
 	// Interleave quorum writes from both writers on both series.
 	const rounds = 6
 	for i := 0; i < rounds; i++ {
-		w := jw
-		if i%2 == 1 {
-			w = bw
-		}
 		stores := []BatchStore{
 			{Series: "mixed/a", Points: [][2]float64{{float64(i), 0.5}}},
 			{Series: "mixed/b", Points: [][2]float64{{float64(i), 0.9}}},
 		}
-		if _, err := w.StoreBatch(context.Background(), stores); err != nil {
-			t.Fatalf("round %d (%T): %v", i, w, err)
+		var err error
+		if i%2 == 0 {
+			err = jw(stores)
+		} else {
+			_, err = bw.StoreBatch(context.Background(), stores)
+		}
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
 		}
 	}
 
@@ -182,27 +226,25 @@ func TestMixedCodecReplicaQuorumConvergesUnderChaos(t *testing.T) {
 // TestServerCountsNegotiatedCodecs pins the nws_wire_connections_total
 // accounting: one JSON and one binary connection, one count each.
 func TestServerCountsNegotiatedCodecs(t *testing.T) {
-	j0 := mWireConns.With(string(CodecJSON)).Value()
-	b0 := mWireConns.With(string(CodecBinary)).Value()
+	j0 := mWireConns.With(codecJSON).Value()
+	b0 := mWireConns.With(codecBinary).Value()
 	mem := NewMemory(10)
 	srv, addr := startServerLimits(t, mem, ServerLimits{})
 	defer srv.Close()
 
-	jc := NewConnCodec(addr, time.Second, CodecJSON)
-	if err := jc.Ping(); err != nil {
+	if resp := dialV1(t, addr)(Request{Op: OpPing}); !resp.OK {
+		t.Fatalf("v1 ping: %+v", resp)
+	}
+	bc := NewClient(time.Second)
+	defer bc.Close()
+	if err := bc.Ping(addr); err != nil {
 		t.Fatal(err)
 	}
-	jc.Close()
-	bc := NewConnCodec(addr, time.Second, CodecBinary)
-	if err := bc.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	bc.Close()
 
-	if got := mWireConns.With(string(CodecJSON)).Value() - j0; got != 1 {
+	if got := mWireConns.With(codecJSON).Value() - j0; got != 1 {
 		t.Errorf("json connections counted %d, want 1", got)
 	}
-	if got := mWireConns.With(string(CodecBinary)).Value() - b0; got != 1 {
+	if got := mWireConns.With(codecBinary).Value() - b0; got != 1 {
 		t.Errorf("binary connections counted %d, want 1", got)
 	}
 }
