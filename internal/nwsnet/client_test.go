@@ -7,83 +7,78 @@ import (
 )
 
 // TestClientConnectionLifecycle pins what a pooled connection survives and
-// what it does not: each row runs against a fresh memory server and reports
-// how many connections the server should have accepted by the end.
+// what it does not: each row runs against a fresh memory server and says how
+// many connections the server should have accepted, and how many points it
+// should hold, by the end.
 func TestClientConnectionLifecycle(t *testing.T) {
-	point := func(i int) [][2]float64 { return [][2]float64{{float64(i), 0.5}} }
+	type fixture struct {
+		c    *Client
+		srv  *Server
+		m    *Memory
+		addr string
+	}
+	store := func(t *testing.T, f *fixture, i int) {
+		t.Helper()
+		if err := f.c.Store(f.addr, "k", [][2]float64{{float64(i), 0.5}}); err != nil {
+			t.Fatalf("store %d: %v", i, err)
+		}
+	}
 	rows := []struct {
 		name      string
-		run       func(t *testing.T, c *Client, srv *Server, m *Memory, addr string) *Server
+		run       func(t *testing.T, f *fixture)
 		wantConns uint64
 		wantLen   int
 	}{
-		{"sequential calls share one connection", func(t *testing.T, c *Client, srv *Server, m *Memory, addr string) *Server {
+		{"sequential calls share one connection", func(t *testing.T, f *fixture) {
 			for i := 0; i < 50; i++ {
-				if err := c.Store(addr, "k", point(i)); err != nil {
-					t.Fatal(err)
-				}
+				store(t, f, i)
 			}
-			return srv
 		}, 1, 50},
-		{"a rejection keeps the connection", func(t *testing.T, c *Client, srv *Server, m *Memory, addr string) *Server {
-			if err := c.Store(addr, "", nil); err == nil {
+		{"a rejection keeps the connection", func(t *testing.T, f *fixture) {
+			if err := f.c.Store(f.addr, "", nil); err == nil {
 				t.Fatal("invalid store accepted")
 			}
-			if err := c.Store(addr, "k", point(1)); err != nil {
-				t.Fatalf("connection poisoned by a protocol error: %v", err)
-			}
-			return srv
+			store(t, f, 1)
 		}, 1, 1},
-		{"redials after a server restart", func(t *testing.T, c *Client, srv *Server, m *Memory, addr string) *Server {
-			if err := c.Store(addr, "k", point(1)); err != nil {
+		{"redials after a server restart", func(t *testing.T, f *fixture) {
+			store(t, f, 1)
+			if err := f.srv.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			srv2 := NewServer(m, nil)
-			if _, err := srv2.Listen(addr); err != nil {
-				t.Skipf("could not rebind %s: %v", addr, err)
+			f.srv = NewServer(f.m, nil)
+			if _, err := f.srv.Listen(f.addr); err != nil {
+				t.Skipf("could not rebind %s: %v", f.addr, err)
 			}
 			// The parked connection is dead; the call must notice, discard it
 			// and succeed on a fresh one within its retry budget.
-			if err := c.Store(addr, "k", point(2)); err != nil {
-				t.Fatalf("redial failed: %v", err)
-			}
-			return srv2
+			store(t, f, 2)
 		}, 2, 2},
-		{"Close is not terminal", func(t *testing.T, c *Client, srv *Server, m *Memory, addr string) *Server {
-			if err := c.Store(addr, "k", point(1)); err != nil {
-				t.Fatal(err)
-			}
-			c.Close()
-			if err := c.Store(addr, "k", point(2)); err != nil {
-				t.Fatalf("reuse after Close failed: %v", err)
-			}
-			c.Close()
-			if err := c.Close(); err != nil {
+		{"Close is not terminal", func(t *testing.T, f *fixture) {
+			store(t, f, 1)
+			f.c.Close()
+			store(t, f, 2)
+			f.c.Close()
+			if err := f.c.Close(); err != nil {
 				t.Fatalf("double Close: %v", err)
 			}
-			return srv
 		}, 2, 2},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			m := NewMemory(0)
-			srv := NewServer(m, nil)
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
+			f := &fixture{c: NewClient(time.Second), m: NewMemory(0)}
+			defer f.c.Close()
+			f.srv = NewServer(f.m, nil)
+			var err error
+			if f.addr, err = f.srv.Listen("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}
-			c := NewClient(time.Second)
-			defer c.Close()
+			defer func() { f.srv.Close() }()
 			conns0 := mServerConnsTotal.Value()
-			srv = row.run(t, c, srv, m, addr)
-			defer srv.Close()
+			row.run(t, f)
 			if got := mServerConnsTotal.Value() - conns0; got != row.wantConns {
 				t.Errorf("server accepted %d connections, want %d", got, row.wantConns)
 			}
-			if got := m.Len("k"); got != row.wantLen {
+			if got := f.m.Len("k"); got != row.wantLen {
 				t.Errorf("stored %d points, want %d", got, row.wantLen)
 			}
 		})

@@ -552,8 +552,10 @@ func (f *ForecasterService) deliver(batches map[PushSink][]PushItem, terminal bo
 			// DropSink; dropping here too keeps the next tick from building
 			// a batch for a dead sink.
 			f.DropSink(sink)
-		} else if c, ok := sink.(sinkCutter); ok && terminal && n < len(items) {
-			c.cut()
+		} else if terminal && n < len(items) {
+			if c, ok := sink.(sinkCutter); ok {
+				c.cut()
+			}
 		}
 	}
 }

@@ -567,6 +567,12 @@ func (s *Server) serveBinary(conn net.Conn, reader *bufio.Reader, writer *bufio.
 			if s.limits.IdleTimeout > 0 && reader.Buffered() == 0 && sink.subs.Load() == 0 {
 				conn.SetReadDeadline(time.Now().Add(s.limits.IdleTimeout))
 			}
+			// Checked after the last place this loop moves the deadline: a cut
+			// that came first is seen here, one that comes later expires the
+			// deadline the read below waits under.
+			if sink.severed.Load() {
+				return
+			}
 			payload, n, err := readFrame(reader, &buf)
 			if err != nil {
 				if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || s.isClosed() {
