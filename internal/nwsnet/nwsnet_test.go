@@ -262,12 +262,16 @@ func TestSensorDaemonSimulated(t *testing.T) {
 }
 
 func TestSensorDaemonLiveLoop(t *testing.T) {
-	memAddr := startServer(t, NewMemory(0))
+	mem := NewMemory(0)
+	memAddr := startServer(t, mem)
 	h := simos.New(simos.DefaultConfig())
 	h.RunUntil(1) // fixed virtual clock; loop pushes same-timestamp points
 	d := NewSensorDaemon("live", sensors.SimHost{H: h}, memAddr, sensors.HybridConfig{})
 	errs := d.Start(5 * time.Millisecond)
-	time.Sleep(40 * time.Millisecond)
+	// Wait for the first delivery, not for a guess at how long one takes.
+	for deadline := time.Now().Add(5 * time.Second); mem.Len(SeriesKey("live", "load_average")) == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	d.Stop()
 	d.Stop() // idempotent
 	select {
