@@ -176,7 +176,6 @@ func TestMuxConnectionShedFailsAllPending(t *testing.T) {
 // ErrMuxClosed and later calls fail immediately.
 func TestMuxCloseFailsPending(t *testing.T) {
 	block := make(chan struct{})
-	defer close(block)
 	h := handlerFunc(func(req Request) Response {
 		if req.Op == OpStore {
 			<-block
@@ -185,6 +184,9 @@ func TestMuxCloseFailsPending(t *testing.T) {
 	})
 	srv, addr := startServerLimits(t, h, ServerLimits{})
 	defer srv.Close()
+	// Deferred after the server's Close so it runs before it: Close waits for
+	// the handler, which the store may have reached before the mux closed.
+	defer close(block)
 
 	mux, err := DialMux(addr, 5*time.Second)
 	if err != nil {
