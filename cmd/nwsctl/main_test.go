@@ -388,4 +388,20 @@ func TestHealthCommandOnCluster(t *testing.T) {
 	if !strings.Contains(out, owners[1].Addr) || !strings.Contains(out, "series behind") {
 		t.Fatalf("health output lacks the lag table:\n%s", out)
 	}
+	// The third shard does not own the series: its lack of a copy is not a
+	// missing series.
+	for id, addr := range shards {
+		if id == owners[0].ID || id == owners[1].ID {
+			continue
+		}
+		line := ""
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, addr) && strings.Contains(l, "max lag") {
+				line = l
+			}
+		}
+		if !strings.Contains(line, " 0 missing") {
+			t.Fatalf("non-owner %s lag line %q, want 0 missing:\n%s", id, line, out)
+		}
+	}
 }
