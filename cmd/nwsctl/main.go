@@ -19,9 +19,9 @@
 // frontiers across the replicas that answered and prints each one's worst
 // frontier lag (how far its newest point trails the group's best) with its
 // behind/missing series counts. Replicas that predate the digest op are
-// reported as such, not failed. (On a partitioned cluster every shard holds
-// only the series it owns, so "missing" there counts unowned series too.)
-// It exits non-zero when fewer than a majority answer, i.e. when the group
+// reported as such, not failed. On a partitioned cluster each series is
+// compared only across its ring owners, so a shard is never "missing" a
+// series it does not own. It exits non-zero when fewer than a majority answer, i.e. when the group
 // has lost its write quorum.
 //
 // repair <series> runs one client-driven repair pass: it collects the
@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -90,7 +91,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return nil
 	case "health":
-		addrs, err := memoryAddrs(c, *memory, *nameserver, "")
+		addrs, view, err := memoryAddrs(c, *memory, *nameserver, "")
 		if err != nil {
 			return err
 		}
@@ -106,7 +107,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%-24s healthy\n", addr)
 		}
 		if len(up) > 1 {
-			frontierLag(c, up, out)
+			frontierLag(c, up, view, out)
 		}
 		fmt.Fprintf(out, "%d/%d replicas healthy\n", healthy, len(addrs))
 		if healthy < len(addrs)/2+1 {
@@ -117,7 +118,7 @@ func run(args []string, out io.Writer) error {
 		if len(cmd) < 2 {
 			return fmt.Errorf("repair needs a series key and -memory or -nameserver")
 		}
-		addrs, err := memoryAddrs(c, *memory, *nameserver, cmd[1])
+		addrs, _, err := memoryAddrs(c, *memory, *nameserver, cmd[1])
 		if err != nil {
 			return err
 		}
@@ -206,8 +207,9 @@ func run(args []string, out io.Writer) error {
 // memoryAddrs resolves the replica set: the comma-separated -memory list;
 // else, when the -nameserver registry publishes a cluster view with active
 // memory members, those members — key's ring owners, or all of them when key
-// is "" —; else every endpoint of every legacy memory registration.
-func memoryAddrs(c *nwsnet.Client, memory, nameserver, key string) ([]string, error) {
+// is "" — and the view itself; else every endpoint of every legacy memory
+// registration. The view is nil unless the addresses came from it.
+func memoryAddrs(c *nwsnet.Client, memory, nameserver, key string) ([]string, *cluster.View, error) {
 	var addrs []string
 	switch {
 	case memory != "":
@@ -225,30 +227,47 @@ func memoryAddrs(c *nwsnet.Client, memory, nameserver, key string) ([]string, er
 			for _, m := range members {
 				addrs = append(addrs, m.Endpoints()...)
 			}
-		}
-		if len(addrs) > 0 {
-			break
+			if len(addrs) > 0 {
+				return addrs, v, nil
+			}
 		}
 		regs, err := c.List(nameserver, nwsnet.KindMemory)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, r := range regs {
 			addrs = append(addrs, r.Endpoints()...)
 		}
 	default:
-		return nil, fmt.Errorf("need -memory or -nameserver")
+		return nil, nil, fmt.Errorf("need -memory or -nameserver")
 	}
 	if len(addrs) == 0 {
-		return nil, fmt.Errorf("no memory replicas to check")
+		return nil, nil, fmt.Errorf("no memory replicas to check")
 	}
-	return addrs, nil
+	return addrs, nil, nil
 }
 
 // frontierLag compares per-series digest frontiers across the replicas that
-// answered and prints each replica's worst lag behind the group's best. A
-// replica whose server predates the digest op is reported, not failed.
-func frontierLag(c *nwsnet.Client, addrs []string, out io.Writer) {
+// answered and prints each replica's worst lag behind the group's best. With
+// a cluster view each series is compared only across its ring owners: a
+// non-owner's copy, or its lack of one, counts as neither behind nor
+// missing. A replica whose server predates the digest op is reported, not
+// failed.
+func frontierLag(c *nwsnet.Client, addrs []string, v *cluster.View, out io.Writer) {
+	owners := map[string][]string{} // series -> owner endpoints, resolved once
+	owns := func(addr, series string) bool {
+		if v == nil {
+			return true
+		}
+		eps, ok := owners[series]
+		if !ok {
+			for _, m := range v.Owners(string(nwsnet.KindMemory), series) {
+				eps = append(eps, m.Endpoints()...)
+			}
+			owners[series] = eps
+		}
+		return slices.Contains(eps, addr)
+	}
 	digests := make(map[string]map[string]nwsnet.SeriesDigest, len(addrs))
 	best := map[string]float64{}
 	var supported []string
@@ -262,7 +281,7 @@ func frontierLag(c *nwsnet.Client, addrs []string, out io.Writer) {
 		bySeries := make(map[string]nwsnet.SeriesDigest, len(ds))
 		for _, d := range ds {
 			bySeries[d.Series] = d
-			if d.Frontier > best[d.Series] {
+			if owns(addr, d.Series) && d.Frontier > best[d.Series] {
 				best[d.Series] = d.Frontier
 			}
 		}
@@ -274,8 +293,12 @@ func frontierLag(c *nwsnet.Client, addrs []string, out io.Writer) {
 	fmt.Fprintln(out, "frontier lag (worst series, vs the group's best frontier):")
 	for _, addr := range supported {
 		bySeries := digests[addr]
-		maxLag, behind, missing := 0.0, 0, 0
+		maxLag, owned, behind, missing := 0.0, 0, 0, 0
 		for series, bf := range best {
+			if !owns(addr, series) {
+				continue
+			}
+			owned++
 			d, ok := bySeries[series]
 			if !ok {
 				missing++
@@ -289,7 +312,7 @@ func frontierLag(c *nwsnet.Client, addrs []string, out io.Writer) {
 			}
 		}
 		fmt.Fprintf(out, "%-24s max lag %.1fs  (%d/%d series behind, %d missing)\n",
-			addr, maxLag, behind, len(best), missing)
+			addr, maxLag, behind, owned, missing)
 	}
 }
 
