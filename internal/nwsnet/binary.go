@@ -14,17 +14,17 @@ import (
 )
 
 // This file implements wire protocol v2: the length-prefixed binary codec
-// negotiated by a version preamble on connect. The normative specification —
+// opened by a version preamble on connect. The normative specification —
 // frame layout, negotiation, varint float packing, request-ID multiplexing
 // rules, and worked hex dumps — is docs/PROTOCOL.md; keep the two in sync
 // (TestProtocolDocOpTables and TestProtocolDocHexExamples enforce it).
 //
 // Design constraints, in order:
 //
-//   - Exactly the Request/Response semantics of the JSON codec: the same
-//     busy/error classification, the same idempotent-store behavior, the
-//     same batch envelope. A server negotiates per connection, so v1 and v2
-//     clients coexist against one listener.
+//   - Exactly the Request/Response semantics a Handler sees in process:
+//     the same busy/error classification, the same idempotent-store
+//     behavior, the same batch envelope (LocalTransport carries the same
+//     values without the codec).
 //   - Cheap on the hot path: no reflection, no per-field allocation, pooled
 //     encode buffers, and varint-packed point arrays (XOR-chained
 //     byte-reversed float bits, so repeated values cost one byte).
@@ -33,25 +33,23 @@ import (
 //     incrementally, and a malformed frame closes the connection instead of
 //     desynchronizing it.
 
-// Wire protocol versions carried in the negotiation preamble and the
-// server's accept byte.
-const (
-	wireVersionJSON   = 1 // v1: JSON lines (the implicit version when no preamble is sent)
-	wireVersionBinary = 2 // v2: binary frames
-)
+// wireVersionBinary is the wire protocol version carried in the negotiation
+// preamble and the server's accept byte: v2, binary frames.
+const wireVersionBinary = 2
 
-// wirePreamble is the 5-byte connect preamble a binary client sends first:
-// a NUL (which can never begin a JSON line, so v1 sniffing is unambiguous),
-// the ASCII magic "NWS", and the requested protocol version. The server
-// answers with a single accept byte: the version the connection will speak.
+// wirePreamble is the 5-byte connect preamble a client sends first: a NUL
+// (which begins no text line, so a server tells a v2 peer from any other by
+// one byte), the ASCII magic "NWS", and the requested protocol version. The
+// server answers with a single accept byte: the version the connection will
+// speak.
 var wirePreamble = [wirePreambleLen]byte{0x00, 'N', 'W', 'S', wireVersionBinary}
 
 // wirePreambleLen is the preamble's size on the wire.
 const wirePreambleLen = 5
 
-// maxFrameBytes bounds one binary frame's payload, matching maxLineBytes so
-// neither codec can make the peer buffer more than the other.
-const maxFrameBytes = maxLineBytes
+// maxFrameBytes bounds one binary frame's payload (8 MiB): a fetch of 100k
+// points fits comfortably.
+const maxFrameBytes = 8 << 20
 
 // wireReadAhead is how many decoded requests a binary server connection
 // buffers between its frame reader and its executor — the server half of
@@ -86,8 +84,8 @@ const (
 	binOpBackfill    byte = 0x11
 )
 
-// wireOps is the canonical Op ↔ opcode registry: the ops the wire speaks, in
-// both codecs. docs-check compares the PROTOCOL.md op tables against it.
+// wireOps is the canonical Op ↔ opcode registry: the ops the wire speaks.
+// docs-check compares the PROTOCOL.md op tables against it.
 var wireOps = map[Op]byte{
 	OpPing:        binOpPing,
 	OpRegister:    binOpRegister,
@@ -504,8 +502,8 @@ func encodeRequestBody(b []byte, req Request, depth int) ([]byte, error) {
 }
 
 // appendPoints2 is appendPoints permitting the empty array requests carry
-// (a store with no points is rejected by the handler, not the codec, to
-// match the JSON codec's behavior bit for bit).
+// (a store with no points is rejected by the handler, not the codec, so the
+// wire and in-process paths answer it identically).
 func appendPoints2(b []byte, pts [][2]float64) []byte {
 	if len(pts) == 0 {
 		return binary.AppendUvarint(b, 0)
@@ -635,7 +633,7 @@ func decodeRequestBody(r *binReader, depth int) (Request, error) {
 }
 
 // requestPoints decodes a request point array, where — unlike response
-// sections — an empty array is legal (the handler rejects it, as with JSON).
+// sections — an empty array is legal (the handler rejects it, as in process).
 func requestPoints(r *binReader) ([][2]float64, error) {
 	save := *r
 	n, err := r.uvarint()

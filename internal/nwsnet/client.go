@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"nwscpu/internal/nwsnet/cluster"
 	"nwscpu/internal/resilience"
 )
 
@@ -36,13 +35,8 @@ type ClientOptions struct {
 	Retry resilience.Policy
 	// MaxIdlePerAddr bounds pooled connections parked per server address
 	// (0 selects 2; negative disables reuse — every call dials afresh).
+	// Parked connections are reaped after poolIdleTimeout.
 	MaxIdlePerAddr int
-	// MaxActivePerAddr bounds in-flight connections per server address;
-	// calls beyond it wait (0 = unlimited).
-	MaxActivePerAddr int
-	// IdleTimeout reaps pooled connections parked longer than this
-	// (0 selects 90 s; negative disables reaping).
-	IdleTimeout time.Duration
 	// Breaker, when non-nil, enables a per-endpoint circuit breaker with
 	// this configuration (nil disables breaking entirely). Transport
 	// failures and server "busy" sheds count against an endpoint; any other
@@ -62,16 +56,17 @@ type ClientOptions struct {
 // are pooled per address and reused across calls; transient failures (dial
 // errors, connections dying mid-exchange) are retried under the client's
 // retry policy. A server that declines v2 fails the call with a terminal
-// error naming the version it accepted. The zero value is not usable; create
-// clients with NewClient or NewClientOptions.
+// error naming the version it accepted. The typed calls (Ping, Store,
+// FetchBatch, …) are the calls surface LocalTransport shares, run through the
+// client's retrying exchange. The zero value is not usable; create clients
+// with NewClient or NewClientOptions.
 type Client struct {
-	timeout     time.Duration
-	retry       resilience.Policy
-	maxIdle     int
-	maxActive   int
-	idleTimeout time.Duration
-	breakerCfg  *resilience.BreakerConfig
-	tenant      string
+	calls
+	timeout    time.Duration
+	retry      resilience.Policy
+	maxIdle    int
+	breakerCfg *resilience.BreakerConfig
+	tenant     string
 
 	mu       sync.Mutex
 	pools    map[string]*resilience.Pool
@@ -89,23 +84,21 @@ func NewClientOptions(o ClientOptions) *Client {
 	if o.Timeout <= 0 {
 		o.Timeout = 5 * time.Second
 	}
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = 90 * time.Second
-	} else if o.IdleTimeout < 0 {
-		o.IdleTimeout = 0
+	c := &Client{
+		timeout:    o.Timeout,
+		retry:      o.Retry,
+		maxIdle:    o.MaxIdlePerAddr,
+		breakerCfg: o.Breaker,
+		tenant:     o.Tenant,
+		pools:      make(map[string]*resilience.Pool),
+		breakers:   make(map[string]*resilience.Breaker),
 	}
-	return &Client{
-		timeout:     o.Timeout,
-		retry:       o.Retry,
-		maxIdle:     o.MaxIdlePerAddr,
-		maxActive:   o.MaxActivePerAddr,
-		idleTimeout: o.IdleTimeout,
-		breakerCfg:  o.Breaker,
-		tenant:      o.Tenant,
-		pools:       make(map[string]*resilience.Pool),
-		breakers:    make(map[string]*resilience.Breaker),
-	}
+	c.calls = calls{call: c.do}
+	return c
 }
+
+// poolIdleTimeout reaps pooled connections parked longer than this.
+const poolIdleTimeout = 90 * time.Second
 
 // poolConn is one pooled protocol connection.
 type poolConn struct {
@@ -152,8 +145,7 @@ func (c *Client) pool(addr string) *resilience.Pool {
 				return &poolConn{c: nc, r: bufio.NewReaderSize(nc, 64<<10), w: bufio.NewWriter(nc)}, nil
 			},
 			MaxIdle:     c.maxIdle,
-			MaxActive:   c.maxActive,
-			IdleTimeout: c.idleTimeout,
+			IdleTimeout: poolIdleTimeout,
 			OnChange: func(idle, active int) {
 				mPoolIdle.With(addr).Set(float64(idle))
 				mPoolActive.With(addr).Set(float64(active))
@@ -363,346 +355,4 @@ func (c *Client) do(ctx context.Context, addr string, req Request) (resp Respons
 		return Response{}, err
 	}
 	return resp, nil
-}
-
-// respError converts an answered response into its caller-facing error: nil
-// for success, a retryable busy-classified error for a load shed, and a
-// terminal error for an ordinary protocol rejection (the server understood
-// the request and said no — retrying it verbatim cannot help).
-func respError(addr string, r Response) error {
-	if r.Code == CodeBusy {
-		return fmt.Errorf("nwsnet: %s: %s: %w", addr, r.Error, errBusySentinel)
-	}
-	if r.Code == CodeMoved {
-		// An ownership redirect: terminal for this endpoint (it will keep
-		// redirecting), but typed so the routing layer can adopt the
-		// attached view and re-route instead of failing the call.
-		return resilience.Permanent(&MovedError{Addr: addr, View: r.View, Msg: r.Error})
-	}
-	if r.Error != "" {
-		return resilience.Permanent(errors.New(r.Error))
-	}
-	return nil
-}
-
-// Ping checks a component is alive.
-func (c *Client) Ping(addr string) error { return c.PingCtx(context.Background(), addr) }
-
-// PingCtx is Ping honoring a caller context for cancellation/deadline.
-func (c *Client) PingCtx(ctx context.Context, addr string) error {
-	_, err := c.do(ctx, addr, Request{Op: OpPing})
-	return err
-}
-
-// Register announces a component to the name server at nsAddr.
-func (c *Client) Register(nsAddr string, reg Registration) error {
-	return c.RegisterCtx(context.Background(), nsAddr, reg)
-}
-
-// RegisterCtx is Register honoring a caller context.
-func (c *Client) RegisterCtx(ctx context.Context, nsAddr string, reg Registration) error {
-	_, err := c.do(ctx, nsAddr, Request{Op: OpRegister, Reg: reg})
-	return err
-}
-
-// Lookup resolves a component name at the name server.
-func (c *Client) Lookup(nsAddr, name string) (Registration, error) {
-	return c.LookupCtx(context.Background(), nsAddr, name)
-}
-
-// LookupCtx is Lookup honoring a caller context.
-func (c *Client) LookupCtx(ctx context.Context, nsAddr, name string) (Registration, error) {
-	resp, err := c.do(ctx, nsAddr, Request{Op: OpLookup, Reg: Registration{Name: name}})
-	if err != nil {
-		return Registration{}, err
-	}
-	if len(resp.Entries) != 1 {
-		return Registration{}, fmt.Errorf("nwsnet: lookup %q returned %d entries", name, len(resp.Entries))
-	}
-	return resp.Entries[0], nil
-}
-
-// List enumerates components of the given kind ("" for all).
-func (c *Client) List(nsAddr string, kind Kind) ([]Registration, error) {
-	return c.ListCtx(context.Background(), nsAddr, kind)
-}
-
-// ListCtx is List honoring a caller context.
-func (c *Client) ListCtx(ctx context.Context, nsAddr string, kind Kind) ([]Registration, error) {
-	resp, err := c.do(ctx, nsAddr, Request{Op: OpList, Reg: Registration{Kind: kind}})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
-}
-
-// Store appends points ([t, v] pairs) to a series on the memory server.
-func (c *Client) Store(memAddr, key string, points [][2]float64) error {
-	return c.StoreCtx(context.Background(), memAddr, key, points)
-}
-
-// StoreCtx is Store honoring a caller context.
-func (c *Client) StoreCtx(ctx context.Context, memAddr, key string, points [][2]float64) error {
-	_, err := c.do(ctx, memAddr, Request{Op: OpStore, Series: key, Points: points})
-	return err
-}
-
-// BatchStore is one store sub-request of a batched memory call.
-type BatchStore struct {
-	Series string
-	Points [][2]float64 // [t, v] pairs
-}
-
-// BatchFetch is one fetch sub-request of a batched memory call. The range
-// semantics match Fetch: [From, To) with To == 0 meaning "through the
-// latest point", keeping only the most recent Max points when Max > 0.
-type BatchFetch struct {
-	Series   string
-	From, To float64
-	Max      int
-}
-
-// FetchResult is one sub-result of a batched fetch: the points, or the
-// protocol-level rejection for that sub-request alone.
-type FetchResult struct {
-	Points [][2]float64
-	Err    error
-}
-
-// storeEnvelope and fetchEnvelope pack sub-requests into the one OpBatch
-// request every delivery plane sends — the pooled Client, LocalTransport and
-// LocalBackend differ only in how the request reaches a Handler.
-func storeEnvelope(stores []BatchStore) Request {
-	subs := make([]Request, len(stores))
-	for i, s := range stores {
-		subs[i] = Request{Op: OpStore, Series: s.Series, Points: s.Points}
-	}
-	return Request{Op: OpBatch, Batch: subs}
-}
-
-func fetchEnvelope(fetches []BatchFetch) Request {
-	subs := make([]Request, len(fetches))
-	for i, f := range fetches {
-		subs[i] = Request{Op: OpFetch, Series: f.Series, From: f.From, To: f.To, Max: f.Max}
-	}
-	return Request{Op: OpBatch, Batch: subs}
-}
-
-// openEnvelope validates an answered batch envelope against the n
-// sub-requests sent and returns its sub-responses. An envelope-level error
-// fails the call only when no sub-responses came with it; a sub-response
-// count that does not match is always a failure, because results align with
-// requests by position alone.
-func openEnvelope(addr string, resp Response, n int) ([]Response, error) {
-	if err := respError(addr, resp); err != nil && len(resp.Batch) == 0 {
-		return nil, err
-	}
-	if len(resp.Batch) != n {
-		return nil, fmt.Errorf("nwsnet: %s: batch returned %d sub-responses, want %d", addr, len(resp.Batch), n)
-	}
-	return resp.Batch, nil
-}
-
-// storeResults unpacks a store envelope's answer: one entry per sub-store,
-// classified like top-level responses so per-sub busy sheds stay retryable
-// and per-sub ownership redirects stay typed.
-func storeResults(addr string, resp Response, n int) ([]error, error) {
-	subs, err := openEnvelope(addr, resp, n)
-	if err != nil {
-		return nil, err
-	}
-	errs := make([]error, n)
-	for i, r := range subs {
-		errs[i] = respError(addr, r)
-	}
-	return errs, nil
-}
-
-// fetchResults unpacks a fetch envelope's answer: the points, or the
-// rejection, of each sub-fetch.
-func fetchResults(addr string, resp Response, n int) ([]FetchResult, error) {
-	subs, err := openEnvelope(addr, resp, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FetchResult, n)
-	for i, r := range subs {
-		if err := respError(addr, r); err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Points = r.Points
-	}
-	return out, nil
-}
-
-// StoreBatch stores several series in one round trip via the batch
-// envelope. The returned slice has one entry per input — nil on success,
-// the server's rejection otherwise; the second return value reports
-// envelope-level failures (transport errors, a malformed batch), in which
-// case the per-sub slice is nil.
-func (c *Client) StoreBatch(memAddr string, stores []BatchStore) ([]error, error) {
-	return c.StoreBatchCtx(context.Background(), memAddr, stores)
-}
-
-// StoreBatchCtx is StoreBatch honoring a caller context.
-func (c *Client) StoreBatchCtx(ctx context.Context, memAddr string, stores []BatchStore) ([]error, error) {
-	if len(stores) == 0 {
-		return nil, nil
-	}
-	resp, err := c.do(ctx, memAddr, storeEnvelope(stores))
-	if err != nil {
-		return nil, err
-	}
-	return storeResults(memAddr, resp, len(stores))
-}
-
-// FetchBatch reads several series ranges in one round trip via the batch
-// envelope. The returned slice has one entry per input; per-sub rejections
-// (an unknown series, say) land in that entry's Err without failing the
-// others. The second return value reports envelope-level failures.
-func (c *Client) FetchBatch(memAddr string, fetches []BatchFetch) ([]FetchResult, error) {
-	return c.FetchBatchCtx(context.Background(), memAddr, fetches)
-}
-
-// FetchBatchCtx is FetchBatch honoring a caller context.
-func (c *Client) FetchBatchCtx(ctx context.Context, memAddr string, fetches []BatchFetch) ([]FetchResult, error) {
-	if len(fetches) == 0 {
-		return nil, nil
-	}
-	resp, err := c.do(ctx, memAddr, fetchEnvelope(fetches))
-	if err != nil {
-		return nil, err
-	}
-	return fetchResults(memAddr, resp, len(fetches))
-}
-
-// Fetch reads back points of a series with t in [from, to) (to == 0 means
-// "through the latest point"), limited to the most recent max points when
-// max > 0.
-func (c *Client) Fetch(memAddr, key string, from, to float64, max int) ([][2]float64, error) {
-	return c.FetchCtx(context.Background(), memAddr, key, from, to, max)
-}
-
-// FetchCtx is Fetch honoring a caller context.
-func (c *Client) FetchCtx(ctx context.Context, memAddr, key string, from, to float64, max int) ([][2]float64, error) {
-	resp, err := c.do(ctx, memAddr, Request{Op: OpFetch, Series: key, From: from, To: to, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Points, nil
-}
-
-// Digests asks a memory server for anti-entropy series digests: all series
-// when key is "", else just that series (see docs/PROTOCOL.md §9).
-func (c *Client) Digests(memAddr, key string) ([]SeriesDigest, error) {
-	return c.DigestsCtx(context.Background(), memAddr, key)
-}
-
-// DigestsCtx is Digests honoring a caller context.
-func (c *Client) DigestsCtx(ctx context.Context, memAddr, key string) ([]SeriesDigest, error) {
-	resp, err := c.do(ctx, memAddr, Request{Op: OpDigest, Series: key})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Digests, nil
-}
-
-// Backfill merge-inserts points behind a series' frontier on a memory
-// server — the delivery path for hinted handoff and repair pushes, where
-// the ordinary store path would dedup old timestamps away.
-func (c *Client) Backfill(memAddr, key string, points [][2]float64) error {
-	return c.BackfillCtx(context.Background(), memAddr, key, points)
-}
-
-// BackfillCtx is Backfill honoring a caller context.
-func (c *Client) BackfillCtx(ctx context.Context, memAddr, key string, points [][2]float64) error {
-	_, err := c.do(ctx, memAddr, Request{Op: OpBackfill, Series: key, Points: points})
-	return err
-}
-
-// Series lists the series keys a memory server holds.
-func (c *Client) Series(memAddr string) ([]string, error) {
-	return c.SeriesCtx(context.Background(), memAddr)
-}
-
-// SeriesCtx is Series honoring a caller context.
-func (c *Client) SeriesCtx(ctx context.Context, memAddr string) ([]string, error) {
-	resp, err := c.do(ctx, memAddr, Request{Op: OpSeries})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
-}
-
-// Forecast asks a forecaster service for the one-step-ahead prediction of a
-// series.
-func (c *Client) Forecast(fcAddr, key string) (ForecastResult, error) {
-	return c.ForecastCtx(context.Background(), fcAddr, key)
-}
-
-// ForecastCtx is Forecast honoring a caller context.
-func (c *Client) ForecastCtx(ctx context.Context, fcAddr, key string) (ForecastResult, error) {
-	resp, err := c.do(ctx, fcAddr, Request{Op: OpForecast, Series: key})
-	if err != nil {
-		return ForecastResult{}, err
-	}
-	if resp.Forecast == nil {
-		return ForecastResult{}, errors.New("nwsnet: forecaster returned no forecast")
-	}
-	return *resp.Forecast, nil
-}
-
-// JoinCluster announces a member to the cluster registry at nsAddr and
-// returns the resulting membership view. Joining with State left empty (or
-// StateJoining) takes a lease without entering the routing ring; re-joining
-// with StateActive activates the member, bumping the view epoch.
-func (c *Client) JoinCluster(nsAddr string, m cluster.Member) (cluster.View, error) {
-	return c.JoinClusterCtx(context.Background(), nsAddr, m)
-}
-
-// JoinClusterCtx is JoinCluster honoring a caller context.
-func (c *Client) JoinClusterCtx(ctx context.Context, nsAddr string, m cluster.Member) (cluster.View, error) {
-	resp, err := c.do(ctx, nsAddr, Request{Op: OpJoin, Member: &m})
-	if err != nil {
-		return cluster.View{}, err
-	}
-	if resp.View == nil {
-		return cluster.View{}, errors.New("nwsnet: join returned no view")
-	}
-	return *resp.View, nil
-}
-
-// RenewLease refreshes a member's registry lease. epoch is the view epoch
-// the member currently holds; when the registry has moved past it the
-// returned view is non-nil and should be adopted. A terminal "unknown
-// member" error means the lease already expired (or the registry
-// restarted) and the member must re-join.
-func (c *Client) RenewLease(nsAddr, memberID string, epoch uint64) (*cluster.View, error) {
-	return c.RenewLeaseCtx(context.Background(), nsAddr, memberID, epoch)
-}
-
-// RenewLeaseCtx is RenewLease honoring a caller context.
-func (c *Client) RenewLeaseCtx(ctx context.Context, nsAddr, memberID string, epoch uint64) (*cluster.View, error) {
-	resp, err := c.do(ctx, nsAddr, Request{Op: OpLease, Member: &cluster.Member{ID: memberID}, Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	return resp.View, nil
-}
-
-// FetchView fetches the registry's membership view. epoch is the view the
-// caller already holds: when it is still current the registry answers "not
-// modified" and FetchView returns (nil, nil). Pass 0 to always fetch.
-func (c *Client) FetchView(nsAddr string, epoch uint64) (*cluster.View, error) {
-	return c.FetchViewCtx(context.Background(), nsAddr, epoch)
-}
-
-// FetchViewCtx is FetchView honoring a caller context.
-func (c *Client) FetchViewCtx(ctx context.Context, nsAddr string, epoch uint64) (*cluster.View, error) {
-	resp, err := c.do(ctx, nsAddr, Request{Op: OpView, Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	return resp.View, nil
 }

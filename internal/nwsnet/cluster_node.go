@@ -25,7 +25,7 @@ import (
 //     only a fetch of a key the node neither owns nor holds redirects.
 //
 // Ops without a series key (ping, series listing) pass through untouched,
-// which is also what keeps pre-cluster v1 clients working against a
+// which is also what keeps cluster-unaware clients working against a
 // cluster-enabled node. A node with no adopted view (single-node
 // deployment, or an agent that has not joined yet) guards nothing.
 type ClusterNode struct {

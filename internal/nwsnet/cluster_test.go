@@ -56,133 +56,87 @@ func startClusterNode(t *testing.T, nsAddr, id string) (*ClusterNode, string) {
 }
 
 // TestClusterRegistryLifecycle drives join / lease / view against a real
-// registry server over both codecs: the two-phase join bumps the epoch only
-// on activation, renewals carry a view only when the caller is stale, and
-// the view fetch supports not-modified.
+// registry server over the wire: the two-phase join bumps the epoch only on
+// activation, renewals carry a view only when the caller is stale, and the
+// view fetch supports not-modified.
 func TestClusterRegistryLifecycle(t *testing.T) {
-	for _, codec := range []string{codecBinary, codecJSON} {
-		t.Run(codec, func(t *testing.T) {
-			ns := NewNameServerCluster(time.Minute, cluster.Config{Replication: 2, VNodes: 16})
-			srv := NewServer(ns, nil)
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			// do returns the classified answer: its view, or why there is none.
-			c := NewClient(0)
-			defer c.Close()
-			do := func(req Request) (*cluster.View, error) {
-				resp, err := c.do(context.Background(), addr, req)
-				return resp.View, err
-			}
-			if codec == codecJSON {
-				ask := dialV1(t, addr)
-				do = func(req Request) (*cluster.View, error) {
-					resp := ask(req)
-					return resp.View, respError(addr, resp)
-				}
-			}
-			join := func(state cluster.State) *cluster.View {
-				t.Helper()
-				v, err := do(Request{Op: OpJoin, Member: &cluster.Member{ID: "m0", Kind: string(KindMemory), Addr: "a:1", State: state}})
-				if err != nil || v == nil {
-					t.Fatalf("join as %q: view %+v, err %v", state, v, err)
-				}
-				return v
-			}
-			renew := func(id string, epoch uint64) (*cluster.View, error) {
-				return do(Request{Op: OpLease, Member: &cluster.Member{ID: id}, Epoch: epoch})
-			}
-
-			// Joining state: lease taken, no epoch movement.
-			v := join(cluster.StateJoining)
-			if v.Epoch != 0 || len(v.Members) != 1 || v.Members[0].State != cluster.StateJoining {
-				t.Fatalf("joining view = %+v, want epoch 0 with one joining member", v)
-			}
-			// Activation bumps the epoch exactly once; re-activating the same
-			// member does not.
-			if v = join(cluster.StateActive); v.Epoch != 1 {
-				t.Fatalf("activation epoch = %d, want 1", v.Epoch)
-			}
-			if v = join(cluster.StateActive); v.Epoch != 1 {
-				t.Fatalf("idempotent re-join epoch = %d, want 1", v.Epoch)
-			}
-
-			// A current renewal carries no view; a stale one does.
-			nv, err := renew("m0", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nv != nil {
-				t.Fatalf("current-epoch renewal returned a view: %+v", nv)
-			}
-			nv, err = renew("m0", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nv == nil || nv.Epoch != 1 {
-				t.Fatalf("stale renewal view = %+v, want epoch 1", nv)
-			}
-			// An unknown member's renewal is terminal: only a re-join recovers.
-			if _, err := renew("ghost", 1); err == nil {
-				t.Fatal("renewal of unknown member succeeded")
-			}
-
-			// View fetch: epoch 0 always fetches, current epoch is not-modified.
-			fv, err := do(Request{Op: OpView})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fv == nil || fv.Epoch != 1 {
-				t.Fatalf("fetched view = %+v, want epoch 1", fv)
-			}
-			fv, err = do(Request{Op: OpView, Epoch: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fv != nil {
-				t.Fatalf("not-modified fetch returned a view: %+v", fv)
-			}
-		})
-	}
-}
-
-// TestClusterV1ClientCompat proves a pre-cluster v1 JSON peer still works
-// against a cluster-enabled deployment: plain store/fetch/series round trips
-// through a guarded node it happens to own series on, and the registry still
-// answers the v1 directory ops.
-func TestClusterV1ClientCompat(t *testing.T) {
-	nsAddr, nodes, addrs := startCluster(t, 1, cluster.Config{Replication: 1, VNodes: 16}, time.Minute)
-	ok := func(ask func(Request) Response, req Request) Response {
-		t.Helper()
-		resp := ask(req)
-		if !resp.OK {
-			t.Fatalf("v1 %s: %+v", req.Op, resp)
+	t.Run(codecBinary, func(t *testing.T) {
+		ns := NewNameServerCluster(time.Minute, cluster.Config{Replication: 2, VNodes: 16})
+		srv := NewServer(ns, nil)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-		return resp
-	}
+		defer srv.Close()
+		// do returns the classified answer: its view, or why there is none.
+		c := NewClient(0)
+		defer c.Close()
+		do := func(req Request) (*cluster.View, error) {
+			resp, err := c.do(context.Background(), addr, req)
+			return resp.View, err
+		}
+		join := func(state cluster.State) *cluster.View {
+			t.Helper()
+			v, err := do(Request{Op: OpJoin, Member: &cluster.Member{ID: "m0", Kind: string(KindMemory), Addr: "a:1", State: state}})
+			if err != nil || v == nil {
+				t.Fatalf("join as %q: view %+v, err %v", state, v, err)
+			}
+			return v
+		}
+		renew := func(id string, epoch uint64) (*cluster.View, error) {
+			return do(Request{Op: OpLease, Member: &cluster.Member{ID: id}, Epoch: epoch})
+		}
 
-	// v1 directory ops against the cluster registry.
-	registry := dialV1(t, nsAddr)
-	ok(registry, Request{Op: OpRegister, Reg: Registration{Name: "h/cpu", Kind: KindSensor, Addr: "a:1"}})
-	if resp := ok(registry, Request{Op: OpLookup, Reg: Registration{Name: "h/cpu"}}); len(resp.Entries) != 1 {
-		t.Fatalf("lookup entries = %+v, want one", resp.Entries)
-	}
+		// Joining state: lease taken, no epoch movement.
+		v := join(cluster.StateJoining)
+		if v.Epoch != 0 || len(v.Members) != 1 || v.Members[0].State != cluster.StateJoining {
+			t.Fatalf("joining view = %+v, want epoch 0 with one joining member", v)
+		}
+		// Activation bumps the epoch exactly once; re-activating the same
+		// member does not.
+		if v = join(cluster.StateActive); v.Epoch != 1 {
+			t.Fatalf("activation epoch = %d, want 1", v.Epoch)
+		}
+		if v = join(cluster.StateActive); v.Epoch != 1 {
+			t.Fatalf("idempotent re-join epoch = %d, want 1", v.Epoch)
+		}
 
-	// With a single active member every key is owned: the guard must be
-	// invisible to the v1 peer.
-	node := dialV1(t, addrs[0])
-	ok(node, Request{Op: OpStore, Series: "h/cpu/nws_hybrid", Points: [][2]float64{{1, 0.5}, {2, 0.6}}})
-	if resp := ok(node, Request{Op: OpFetch, Series: "h/cpu/nws_hybrid"}); len(resp.Points) != 2 {
-		t.Fatalf("fetched %d points, want 2", len(resp.Points))
-	}
-	if resp := ok(node, Request{Op: OpSeries}); len(resp.Names) != 1 {
-		t.Fatalf("series = %v, want one", resp.Names)
-	}
-	if v := nodes[0].View(); v == nil || v.Epoch == 0 {
-		t.Fatalf("node never adopted a view: %+v", v)
-	}
+		// A current renewal carries no view; a stale one does.
+		nv, err := renew("m0", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nv != nil {
+			t.Fatalf("current-epoch renewal returned a view: %+v", nv)
+		}
+		nv, err = renew("m0", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nv == nil || nv.Epoch != 1 {
+			t.Fatalf("stale renewal view = %+v, want epoch 1", nv)
+		}
+		// An unknown member's renewal is terminal: only a re-join recovers.
+		if _, err := renew("ghost", 1); err == nil {
+			t.Fatal("renewal of unknown member succeeded")
+		}
+
+		// View fetch: epoch 0 always fetches, current epoch is not-modified.
+		fv, err := do(Request{Op: OpView})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fv == nil || fv.Epoch != 1 {
+			t.Fatalf("fetched view = %+v, want epoch 1", fv)
+		}
+		fv, err = do(Request{Op: OpView, Epoch: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fv != nil {
+			t.Fatalf("not-modified fetch returned a view: %+v", fv)
+		}
+	})
 }
 
 // TestClusterNodeGuard exercises the ownership guard's asymmetry: stores of

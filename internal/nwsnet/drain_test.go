@@ -1,7 +1,6 @@
 package nwsnet
 
 import (
-	"bufio"
 	"context"
 	"net"
 	"testing"
@@ -17,7 +16,12 @@ func (h slowHandler) Handle(req Request) Response {
 }
 
 func TestServerCloseDrainsInFlightRequests(t *testing.T) {
-	srv := NewServer(slowHandler{delay: 200 * time.Millisecond}, nil)
+	started := make(chan struct{}, 1)
+	srv := NewServer(handlerFunc(func(Request) Response {
+		started <- struct{}{}
+		time.Sleep(200 * time.Millisecond)
+		return Response{}
+	}), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -25,17 +29,8 @@ func TestServerCloseDrainsInFlightRequests(t *testing.T) {
 
 	// One raw connection with a request in flight: no client-side retry can
 	// mask an aborted exchange.
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReaderSize(conn, 64<<10)
-	if err := writeMsg(bw, Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
+	_, send, recv := rawV2(t, addr)
+	send(mustEncode(t, 1, Request{Op: OpPing}))
 
 	// A second, idle connection must not hold the drain open.
 	idle, err := net.DialTimeout("tcp", addr, time.Second)
@@ -44,18 +39,18 @@ func TestServerCloseDrainsInFlightRequests(t *testing.T) {
 	}
 	defer idle.Close()
 
-	time.Sleep(50 * time.Millisecond) // let the handler start
+	<-started
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- srv.Close() }()
 
 	// The in-flight request must complete with a real response, not an
 	// aborted connection.
-	var resp Response
-	if err := readMsg(br, &resp); err != nil {
+	id, resp, err := recv()
+	if err != nil {
 		t.Fatalf("in-flight request aborted by Close: %v", err)
 	}
-	if !resp.OK {
-		t.Fatalf("drained response = %+v", resp)
+	if id != 1 || !resp.OK {
+		t.Fatalf("drained response = ID %d %+v", id, resp)
 	}
 	select {
 	case err := <-closeDone:

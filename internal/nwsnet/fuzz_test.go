@@ -1,10 +1,8 @@
 package nwsnet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
 	"math"
 	"os"
@@ -14,170 +12,6 @@ import (
 	"nwscpu/internal/nwsnet/cluster"
 	"nwscpu/internal/resilience"
 )
-
-// FuzzDecodeRequest feeds arbitrary wire lines through the same decode path
-// the server uses and executes whatever decodes against a live Memory. The
-// handler must never panic, whatever the envelope contains — the seed code
-// failed this for a plain fetch with From > To (a remotely triggerable slice
-// bounds panic), which is exactly the class of bug this guards. The batch
-// envelope is in the corpus so sub-request execution (including nesting and
-// mixed invalid subs) is fuzzed too.
-func FuzzDecodeRequest(f *testing.F) {
-	seeds := []string{
-		`{"op":"ping"}`,
-		`{"op":"store","series":"k","points":[[1,0.5],[2,0.6]]}`,
-		`{"op":"fetch","series":"k"}`,
-		`{"op":"fetch","series":"k","from":5,"to":2}`, // inverted range: panicked in the seed code
-		`{"op":"fetch","series":"k","from":2,"to":5,"max":1}`,
-		`{"op":"series"}`,
-		`{"op":"batch","batch":[{"op":"store","series":"a","points":[[1,1]]},{"op":"fetch","series":"a"}]}`,
-		`{"op":"batch","batch":[{"op":"batch","batch":[{"op":"ping"}]}]}`,
-		`{"op":"batch","batch":[]}`,
-		`{"op":"batch","batch":[{"op":"store"},{"op":"fetch","series":"k","from":9,"to":-3,"max":-1}]}`,
-		`{"op":"nonsense"}`,
-		`{"op":"store","series":"k","points":[[2,1],[1,1],[2,2]]}`,
-		`not json at all`,
-		`{"op":"fetch","series":"k","from":1e308,"to":-1e308}`,
-		`{"op":"join","member":{"id":"m1","kind":"memory","addr":"a:1","state":"joining"}}`,
-		`{"op":"join","member":{"id":"m1","kind":"memory","addrs":["a:1","b:2"],"state":"active"},"epoch":7}`,
-		`{"op":"lease","member":{"id":"m1"},"epoch":12}`,
-		`{"op":"view"}`,
-		`{"op":"view","epoch":3}`,
-		`{"op":"subscribe","series":"k"}`,
-		`{"op":"unsubscribe","series":"k"}`,
-		`{"op":"hello","tenant":"team-a"}`,
-		`{"op":"digest"}`,
-		`{"op":"digest","series":"k"}`,
-		`{"op":"backfill","series":"k","points":[[1,0.5],[2,0.6]]}`,
-		`{"op":"backfill","series":"k","points":[[2,1],[1,1],[2,2]]}`,
-		`{"op":"backfill","series":"k"}`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s + "\n"))
-	}
-	m := NewMemory(16)
-	f.Fuzz(func(t *testing.T, line []byte) {
-		var req Request
-		if err := readMsg(bufio.NewReader(bytes.NewReader(line)), &req); err != nil {
-			return // undecodable input never reaches the handler
-		}
-		resp := m.Handle(req)
-		// Whatever came back must survive the encode half of the wire.
-		if _, err := json.Marshal(resp); err != nil {
-			t.Fatalf("unmarshalable response %+v: %v", resp, err)
-		}
-		// Cross-codec: anything the JSON codec accepts must round-trip
-		// losslessly through the binary codec (encode → decode → re-encode
-		// must reproduce the first encoding byte for byte). Requests only
-		// the JSON codec can express — unknown ops, absurd nesting — are
-		// legitimately unencodable and skipped.
-		b1, err := encodeRequestPayload(nil, 7, req)
-		if err != nil {
-			return
-		}
-		id, req2, err := decodeRequestPayload(b1)
-		if err != nil {
-			t.Fatalf("binary decode of own encoding failed: %v\npayload % x", err, b1)
-		}
-		if id != 7 {
-			t.Fatalf("request ID %d survived as %d", 7, id)
-		}
-		b2, err := encodeRequestPayload(nil, 7, req2)
-		if err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("binary round trip not stable:\n first % x\nsecond % x", b1, b2)
-		}
-	})
-}
-
-// FuzzDecodeResponse feeds arbitrary wire lines through the client-side
-// decode and error-classification path — the half of the protocol a
-// malicious or confused *server* controls. Whatever comes back, the client
-// must neither panic nor misclassify: a response carrying the busy code is
-// always a retryable, busy-recognizable error (never terminal, so retry
-// policies back off instead of giving up), an ordinary rejection is always
-// terminal, and a clean response classifies as no error at all.
-func FuzzDecodeResponse(f *testing.F) {
-	seeds := []string{
-		`{"ok":true}`,
-		`{"ok":false,"error":"no such series"}`,
-		`{"ok":false,"error":"server at connection capacity; retry","code":"busy"}`,
-		`{"ok":false,"error":"","code":"busy"}`,
-		`{"ok":true,"error":"","code":"nonsense"}`,
-		`{"ok":true,"points":[[1,0.5],[2,0.6]]}`,
-		`{"ok":true,"batch":[{"ok":false,"error":"x","code":"busy"},{"ok":true}]}`,
-		`{"ok":true,"forecast":{"value":0.5,"method":"sw_avg","mae":0.01,"n":64}}`,
-		`{"code":"busy"}`,
-		`not json at all`,
-		`{"ok":true,"points":[[1e308,-1e308]]}`,
-		`{"ok":false,"error":"store \"k\": not an owner under epoch 4","code":"moved","view":{"epoch":4,"config":{"replication":2,"vnodes":64},"members":[{"id":"m1","kind":"memory","addr":"a:1","state":"active"}]}}`,
-		`{"ok":false,"code":"moved"}`,
-		`{"ok":true,"view":{"epoch":9,"members":[{"id":"m1","kind":"memory","addr":"a:1","state":"active"},{"id":"f1","kind":"forecaster","addr":"c:3","state":"joining"}]}}`,
-		`{"ok":true,"digests":[{"series":"k","count":2,"frontier":2,"sum":123456789}]}`,
-		`{"ok":true,"digests":[{"series":"a","count":0,"frontier":0,"sum":0},{"series":"b","count":18446744073709551615,"frontier":-1e308,"sum":18446744073709551615}]}`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s + "\n"))
-	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		var resp Response
-		if err := readMsg(bufio.NewReader(bytes.NewReader(line)), &resp); err != nil {
-			return // undecodable responses surface as transport errors
-		}
-		err := respError("fuzz:0", resp)
-		switch {
-		case resp.Code == CodeBusy:
-			if err == nil || !IsBusy(err) {
-				t.Fatalf("busy response classified %v, want busy", err)
-			}
-			if resilience.IsTerminal(err) {
-				t.Fatalf("busy response classified terminal: %v", err)
-			}
-		case resp.Code == CodeMoved:
-			// An ownership redirect is terminal for the answering endpoint
-			// but must stay typed so routing layers can extract the view.
-			if err == nil || !resilience.IsTerminal(err) || IsBusy(err) {
-				t.Fatalf("moved response misclassified: %v", err)
-			}
-			if _, ok := IsMoved(err); !ok {
-				t.Fatalf("moved response lost its MovedError type: %v", err)
-			}
-		case resp.Error != "":
-			if err == nil || !resilience.IsTerminal(err) {
-				t.Fatalf("protocol rejection classified %v, want terminal", err)
-			}
-			if IsBusy(err) {
-				t.Fatalf("plain rejection classified busy: %v", err)
-			}
-		default:
-			if err != nil {
-				t.Fatalf("clean response classified as error: %v", err)
-			}
-		}
-		// Cross-codec: see FuzzDecodeRequest. Deeply nested batches are the
-		// only JSON responses the binary codec refuses; skip those.
-		b1, eerr := encodeResponsePayload(nil, 9, resp)
-		if eerr != nil {
-			return
-		}
-		id, resp2, derr := decodeResponsePayload(b1)
-		if derr != nil {
-			t.Fatalf("binary decode of own encoding failed: %v\npayload % x", derr, b1)
-		}
-		if id != 9 {
-			t.Fatalf("response ID %d survived as %d", 9, id)
-		}
-		b2, eerr := encodeResponsePayload(nil, 9, resp2)
-		if eerr != nil {
-			t.Fatalf("re-encode failed: %v", eerr)
-		}
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("binary round trip not stable:\n first % x\nsecond % x", b1, b2)
-		}
-	})
-}
 
 // binaryRequestSeeds returns encoded v2 request payloads covering every op,
 // for seeding the binary fuzzers with well-formed frames to mutate.
@@ -189,7 +23,9 @@ func binaryRequestSeeds() [][]byte {
 		{Op: OpList, Reg: Registration{Kind: KindMemory}},
 		{Op: OpStore, Series: "k", Points: [][2]float64{{1, 0.5}, {2, 0.5}}},
 		{Op: OpStore, Series: "k"},
-		{Op: OpFetch, Series: "k", From: 5, To: 2, Max: 1},
+		{Op: OpStore, Series: "k", Points: [][2]float64{{2, 1}, {1, 1}, {2, 2}}}, // out of order
+		{Op: OpFetch, Series: "k"},
+		{Op: OpFetch, Series: "k", From: 5, To: 2, Max: 1}, // inverted range: panicked in the seed code
 		{Op: OpFetch, Series: "k", From: 1e308, To: -1e308},
 		{Op: OpSeries},
 		{Op: OpForecast, Series: "k"},
@@ -198,6 +34,7 @@ func binaryRequestSeeds() [][]byte {
 			{Op: OpFetch, Series: "a"},
 		}},
 		{Op: OpBatch, Batch: []Request{{Op: OpBatch, Batch: []Request{{Op: OpPing}}}}},
+		{Op: OpBatch, Batch: []Request{{Op: OpStore}, {Op: OpFetch, Series: "k", From: 9, To: -3, Max: -1}}},
 		{Op: OpBatch},
 		{Op: OpJoin, Member: &cluster.Member{ID: "m1", Kind: "memory", Addr: "a:1", State: cluster.StateJoining}},
 		{Op: OpJoin, Member: &cluster.Member{ID: "m1", Kind: "memory", Addrs: []string{"a:1", "b:2"}, State: cluster.StateActive}, Epoch: 7},
@@ -211,6 +48,7 @@ func binaryRequestSeeds() [][]byte {
 		{Op: OpDigest},
 		{Op: OpDigest, Series: "k"},
 		{Op: OpBackfill, Series: "k", Points: [][2]float64{{1, 0.5}, {2, 0.6}}},
+		{Op: OpBackfill, Series: "k", Points: [][2]float64{{2, 1}, {1, 1}, {2, 2}}},
 		{Op: OpBackfill, Series: "k"},
 	}
 	var out [][]byte
@@ -253,10 +91,14 @@ func responseElems(resp Response) int {
 	return n
 }
 
-// FuzzDecodeBinaryRequest is FuzzDecodeRequest for the v2 codec: arbitrary
-// frame payloads — malformed frames, truncated varints, forged counts —
-// must never panic the decoder or make it allocate beyond the input's size,
-// and whatever decodes must execute safely and round-trip canonically.
+// FuzzDecodeBinaryRequest feeds arbitrary frame payloads — malformed
+// frames, truncated varints, forged counts — through the decode path the
+// server uses and executes whatever decodes against a live Memory. The
+// decoder must never panic or allocate beyond the input's size, and the
+// handler must never panic, whatever the request contains — the seed code
+// failed this for a plain fetch with From > To (a remotely triggerable slice
+// bounds panic), which is exactly the class of bug this guards. Whatever
+// decodes must round-trip canonically.
 func FuzzDecodeBinaryRequest(f *testing.F) {
 	for _, b := range binaryRequestSeeds() {
 		f.Add(b)
@@ -304,17 +146,23 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBinaryResponse is FuzzDecodeResponse for the v2 codec: the
-// decoder must never panic or over-allocate on server-controlled bytes, and
-// the busy/terminal classification invariants must hold for whatever
-// decodes, exactly as on the JSON codec.
+// FuzzDecodeBinaryResponse feeds arbitrary payloads through the client-side
+// decode and error-classification path — the half of the protocol a
+// malicious or confused server controls. The decoder must never panic or
+// over-allocate, and the client must never misclassify: a response carrying
+// the busy code is always a retryable, busy-recognizable error (never
+// terminal, so retry policies back off instead of giving up), a moved code
+// stays typed, an ordinary rejection is always terminal, and a clean
+// response classifies as no error at all.
 func FuzzDecodeBinaryResponse(f *testing.F) {
 	resps := []Response{
 		{OK: true},
 		{Error: "no such series"},
 		{Error: "server at connection capacity; retry", Code: CodeBusy},
+		{Code: CodeBusy},
 		{OK: true, Code: "nonsense"},
 		{OK: true, Points: [][2]float64{{1, 0.5}, {2, 0.6}}},
+		{OK: true, Points: [][2]float64{{1e308, -1e308}}},
 		{OK: true, Names: []string{"a", "b"}},
 		{OK: true, Entries: []Registration{{Name: "h", Kind: KindSensor, Addr: "a:1"}}},
 		{OK: true, Forecast: &ForecastResult{Value: 0.5, Method: "sw_avg", MAE: 0.01, N: 64}},
@@ -327,6 +175,7 @@ func FuzzDecodeBinaryResponse(f *testing.F) {
 		{Error: `store "k": not an owner under epoch 4`, Code: CodeMoved, View: &cluster.View{Epoch: 4, Members: []cluster.Member{
 			{ID: "m1", Kind: "memory", Addr: "a:1", State: cluster.StateActive},
 		}}},
+		{Code: CodeMoved},
 		{OK: true, Digests: []SeriesDigest{{Series: "k", Count: 2, Frontier: 2, Sum: 123456789}}},
 		{OK: true, Digests: []SeriesDigest{
 			{Series: "a"},

@@ -1,71 +1,29 @@
 package nwsnet
 
 import (
-	"context"
 	"time"
 
 	"nwscpu/internal/sensors"
 )
 
-// LocalBackend adapts an in-process Handler — a *Memory or a *ClusterNode —
-// to the StoreBackend and FetchBackend delivery contracts with no sockets,
-// codecs or retry machinery in between. It is the wiring the grid-scale
-// scenario harness (cmd/nwsgrid) runs the whole sensord → memory →
-// forecaster stack on: thousands of simulated hosts share one process, the
-// hot path is a method call, and determinism is limited only by the
-// handler itself. Requests carry the same batch envelopes as the wire
-// path, so the server-side semantics (idempotent frontier dedup, [from,to)
-// ranges, per-sub rejections) are exercised identically.
-type LocalBackend struct {
-	h Handler
-}
+// LocalBackend is the in-process delivery plane: a ReplicaGroup of one over
+// a LocalTransport holding a single Handler — a *Memory or a *ClusterNode —
+// with no sockets, codecs or retry machinery in between. It is the wiring
+// the grid-scale scenario harness (cmd/nwsgrid) runs the whole sensord →
+// memory → forecaster stack on: thousands of simulated hosts share one
+// process, the hot path is a method call, and determinism is limited only
+// by the handler itself. Requests carry the same batch envelopes and
+// answers classify through the same code as the wire path, so the
+// server-side semantics (idempotent frontier dedup, [from,to) ranges,
+// per-sub rejections) are exercised identically.
+type LocalBackend = ReplicaGroup
 
 // NewLocalBackend wraps h. The handler must be safe for concurrent use
 // (both *Memory and *ClusterNode are).
-func NewLocalBackend(h Handler) *LocalBackend { return &LocalBackend{h: h} }
-
-const localAddr = "local"
-
-// StoreBatch implements StoreBackend via one OpBatch envelope.
-func (l *LocalBackend) StoreBatch(_ context.Context, stores []BatchStore) ([]error, error) {
-	if len(stores) == 0 {
-		return nil, nil
-	}
-	return storeResults(localAddr, l.h.Handle(storeEnvelope(stores)), len(stores))
-}
-
-// Fetch implements FetchBackend with the wire range semantics: [from, to)
-// with to == 0 meaning "through the latest point", keeping the most recent
-// max points when max > 0.
-func (l *LocalBackend) Fetch(_ context.Context, key string, from, to float64, max int) ([][2]float64, error) {
-	resp := l.h.Handle(Request{Op: OpFetch, Series: key, From: from, To: to, Max: max})
-	if err := respError(localAddr, resp); err != nil {
-		return nil, err
-	}
-	return resp.Points, nil
-}
-
-// FetchBatch implements FetchBackend via one OpBatch envelope.
-func (l *LocalBackend) FetchBatch(_ context.Context, fetches []BatchFetch) ([]FetchResult, error) {
-	if len(fetches) == 0 {
-		return nil, nil
-	}
-	return fetchResults(localAddr, l.h.Handle(fetchEnvelope(fetches)), len(fetches))
-}
-
-// Series implements FetchBackend.
-func (l *LocalBackend) Series(_ context.Context) ([]string, error) {
-	resp := l.h.Handle(Request{Op: OpSeries})
-	if err := respError(localAddr, resp); err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
-}
-
-// Health implements both backend contracts: an in-process handler is
-// reachable by construction.
-func (l *LocalBackend) Health() []ReplicaHealth {
-	return []ReplicaHealth{{Addr: localAddr, Healthy: true}}
+func NewLocalBackend(h Handler) *LocalBackend {
+	t := NewLocalTransport()
+	t.Register("local", h)
+	return NewReplicaGroupTransport(t, []string{"local"}, 1)
 }
 
 // NewSensorDaemonBackend builds a daemon for the named host delivering

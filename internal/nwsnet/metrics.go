@@ -37,11 +37,10 @@ var (
 		"nws_server_queue_depth",
 		"Requests waiting for an in-flight slot within the queue-wait budget.")
 
-	// Wire codec (server side of the v1/v2 protocol split; frame/byte
-	// counters cover the binary codec only — JSON traffic predates framing).
+	// Wire codec (server side of wire protocol v2).
 	mWireConns = metrics.NewCounterVec(
 		"nws_wire_connections_total",
-		"Protocol connections by negotiated codec (the version-handshake outcome): json or binary.", "codec")
+		"Protocol connections by negotiated codec (the version-handshake outcome): always binary; peers refused at the handshake count as decode errors.", "codec")
 	mWireFrames = metrics.NewCounterVec(
 		"nws_wire_frames_total",
 		"Binary-codec frames moved by the server, by direction (in/out).", "dir")
@@ -50,7 +49,7 @@ var (
 		"Binary-codec payload bytes moved by the server, by direction (in/out); excludes the 4-byte frame headers.", "dir")
 	mWireDecodeErrors = metrics.NewCounter(
 		"nws_wire_decode_errors_total",
-		"Malformed binary frames or preambles received; each closes its connection (binary framing cannot resynchronize).")
+		"Malformed binary frames and refused handshakes (anything but the v2 preamble, v1 JSON lines included); each closes its connection (binary framing cannot resynchronize).")
 	mWirePipelineDepth = metrics.NewHistogram(
 		"nws_wire_pipeline_depth",
 		"Requests already decoded and waiting behind the one being dispatched on a binary connection — how deep clients actually pipeline.",

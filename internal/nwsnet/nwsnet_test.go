@@ -299,13 +299,19 @@ func TestSensorDaemonLiveLoop(t *testing.T) {
 
 func TestServerRejectsGarbage(t *testing.T) {
 	addr := startServer(t, NewNameServer())
-	// A malformed request closes the connection without a response; the
-	// next fresh connection must still work.
-	c := NewClient(time.Second)
-	if resp := dialV1(t, addr)(Request{Op: "nonsense"}); resp.OK {
-		t.Fatalf("nonsense op accepted: %+v", resp)
+	// A frame with an unknown opcode cannot be decoded, and binary framing
+	// cannot resynchronize: the server closes the connection without a
+	// response. The next fresh connection must still work.
+	dec0 := mWireDecodeErrors.Value()
+	_, send, recv := rawV2(t, addr)
+	send([]byte{0x01, 0xff}) // request ID 1, opcode 0xff
+	if id, resp, err := recv(); err == nil {
+		t.Fatalf("unknown opcode answered: ID %d %+v", id, resp)
 	}
-	if err := c.Ping(addr); err != nil {
+	if got := mWireDecodeErrors.Value() - dec0; got != 1 {
+		t.Fatalf("decode errors delta = %d, want 1", got)
+	}
+	if err := NewClient(time.Second).Ping(addr); err != nil {
 		t.Fatal(err)
 	}
 }

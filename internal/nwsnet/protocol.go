@@ -4,15 +4,15 @@
 // runs, and a forecaster service answers prediction queries by pulling
 // recent history from the memory and running the forecasting engine.
 //
-// The wire protocol has two codecs behind one negotiated listener (the
-// normative spec is docs/PROTOCOL.md): v1 is one JSON object per line over
-// TCP — deliberately simple and debuggable with netcat — and v2 is a
-// length-prefixed binary codec with varint-packed point arrays and tagged
-// request IDs, letting clients pipeline many requests over one multiplexed
-// connection (see MuxConn) instead of running in lockstep. Both are
-// implemented entirely with the standard library; servers sniff the v2
-// preamble on connect and answer either, while the clients in this package
-// (Client, MuxConn) speak v2 only.
+// The wire protocol (wire protocol v2; the normative spec is
+// docs/PROTOCOL.md) is a length-prefixed binary codec over TCP with
+// varint-packed point arrays and tagged request IDs, letting clients
+// pipeline many requests over one multiplexed connection (see MuxConn)
+// instead of running in lockstep. It is implemented entirely with the
+// standard library. A connection opens with a five-byte version preamble;
+// a server refuses any peer that does not send it, including the retired v1
+// JSON-lines codec. In process, LocalTransport carries the same requests to
+// a Handler without the codec.
 //
 // Every component is instrumented through internal/metrics: the protocol
 // server counts connections and per-op requests, the memory server tracks
@@ -25,8 +25,6 @@
 package nwsnet
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -61,8 +59,9 @@ const (
 	OpLease    Op = "lease"    // registry: renew a member's lease
 	OpView     Op = "view"     // registry: fetch the membership view
 
-	// Read-plane operations (wire protocol v2 only; a v1 JSON client asking
-	// for them gets a terminal "unsupported op" error from the handler).
+	// Read-plane operations: server pushes ride a v2 connection's request
+	// IDs, so a handler asked for them outside one answers a terminal
+	// "unsupported op" error.
 	OpSubscribe   Op = "subscribe"   // forecaster: watch a series for forecast pushes
 	OpUnsubscribe Op = "unsubscribe" // forecaster: stop watching a series
 	OpHello       Op = "hello"       // any server: negotiate connection metadata (tenant ID)
@@ -90,14 +89,14 @@ func opLabel(op Op) string {
 
 // Registration describes one component known to the name server.
 type Registration struct {
-	Name string `json:"name"`
-	Kind Kind   `json:"kind"`
-	Addr string `json:"addr"`
+	Name string
+	Kind Kind
+	Addr string
 	// Addrs, when non-empty, lists every replica behind this logical
 	// component (by convention Addr repeats the first entry so old clients
 	// keep working). Clients turn a replicated registration into a
 	// ReplicaGroup; see docs/ARCHITECTURE.md, "Resilience".
-	Addrs []string `json:"addrs,omitempty"`
+	Addrs []string
 }
 
 // Endpoints returns the addresses behind the registration: the replica set
@@ -114,22 +113,22 @@ func (r Registration) Endpoints() []string {
 
 // Request is the client-to-server message.
 type Request struct {
-	Op Op `json:"op"`
+	Op Op
 
 	// Register / Lookup fields.
-	Reg Registration `json:"reg,omitempty"`
+	Reg Registration
 
 	// Series operations.
-	Series string       `json:"series,omitempty"`
-	Points [][2]float64 `json:"points,omitempty"` // [t, v] pairs
-	From   float64      `json:"from,omitempty"`
-	To     float64      `json:"to,omitempty"`  // fetch: exclusive upper bound (0 = open-ended)
-	Max    int          `json:"max,omitempty"` // fetch: most recent N (0 = all in range)
+	Series string
+	Points [][2]float64 // [t, v] pairs
+	From   float64
+	To     float64 // fetch: exclusive upper bound (0 = open-ended)
+	Max    int     // fetch: most recent N (0 = all in range)
 
 	// Batch envelope: the sub-requests an OpBatch executes server-side in
 	// one round trip. Nesting is rejected. Responses come back in the same
 	// order in Response.Batch.
-	Batch []Request `json:"batch,omitempty"`
+	Batch []Request
 
 	// Cluster membership fields (see docs/PROTOCOL.md, "Cluster
 	// operations"). Member carries the joining/renewing node on OpJoin and
@@ -137,13 +136,13 @@ type Request struct {
 	// caller already holds: OpView answers "not modified" (no view) when it
 	// matches the current epoch, and OpLease uses it to decide whether the
 	// renewal response must carry a fresh view.
-	Member *cluster.Member `json:"member,omitempty"`
-	Epoch  uint64          `json:"epoch,omitempty"`
+	Member *cluster.Member
+	Epoch  uint64
 
 	// Tenant is the client's tenant ID, carried by OpHello: the server
 	// attributes every later request on the connection to it when per-tenant
 	// quotas are configured (see ServerLimits.TenantRate).
-	Tenant string `json:"tenant,omitempty"`
+	Tenant string
 }
 
 // SeriesDigest summarizes one stored series for anti-entropy comparison:
@@ -153,10 +152,10 @@ type Request struct {
 // any difference tells the repairer what to pull (see internal/nwsnet
 // Repairer and docs/PROTOCOL.md §9).
 type SeriesDigest struct {
-	Series   string  `json:"series"`
-	Count    uint64  `json:"count"`
-	Frontier float64 `json:"frontier"`
-	Sum      uint64  `json:"sum"`
+	Series   string
+	Count    uint64
+	Frontier float64
+	Sum      uint64
 }
 
 // ForecastResult carries a forecaster answer.
@@ -231,73 +230,36 @@ func busyResp(format string, args ...any) Response {
 
 // Response is the server-to-client message.
 type Response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	// Code distinguishes machine-readable error classes; today the only
-	// code is CodeBusy ("overloaded, retry after backoff"). Empty on
-	// success and on ordinary (terminal) protocol errors.
-	Code     string          `json:"code,omitempty"`
-	Entries  []Registration  `json:"entries,omitempty"`
-	Points   [][2]float64    `json:"points,omitempty"`
-	Names    []string        `json:"names,omitempty"`
-	Forecast *ForecastResult `json:"forecast,omitempty"`
+	OK    bool
+	Error string
+	// Code distinguishes machine-readable error classes: CodeBusy
+	// ("overloaded, retry after backoff") or CodeMoved (an ownership
+	// redirect). Empty on success and on ordinary (terminal) protocol
+	// errors.
+	Code     string
+	Entries  []Registration
+	Points   [][2]float64
+	Names    []string
+	Forecast *ForecastResult
 
 	// Batch holds one response per sub-request of an OpBatch envelope, in
 	// request order. The envelope's own Error is empty unless the envelope
 	// itself was malformed; per-sub failures live in Batch[i].Error.
-	Batch []Response `json:"batch,omitempty"`
+	Batch []Response
 
 	// View is the cluster membership snapshot: the answer to OpView and
 	// OpJoin, attached to OpLease renewals when the caller's epoch is
 	// stale, and attached to CodeMoved redirects so misrouted clients
 	// refresh without polling the registry.
-	View *cluster.View `json:"view,omitempty"`
+	View *cluster.View
 
 	// Digests answers OpDigest: one summary per non-empty stored series,
 	// sorted by series key (or just the requested series when the request
 	// named one).
-	Digests []SeriesDigest `json:"digests,omitempty"`
+	Digests []SeriesDigest
 }
 
 // errResp builds an error response.
 func errResp(format string, args ...any) Response {
 	return Response{Error: fmt.Sprintf(format, args...)}
-}
-
-// maxLineBytes bounds a single protocol line; a fetch of 100k points fits
-// comfortably.
-const maxLineBytes = 8 << 20
-
-// writeMsg writes one JSON value and a newline.
-func writeMsg(w *bufio.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return err
-	}
-	if err := w.WriteByte('\n'); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// readMsg reads one newline-terminated JSON value of at most maxLineBytes.
-func readMsg(r *bufio.Reader, v any) error {
-	var line []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		line = append(line, chunk...)
-		if err == nil {
-			break
-		}
-		if err != bufio.ErrBufferFull {
-			return err
-		}
-		if len(line) > maxLineBytes {
-			return fmt.Errorf("nwsnet: protocol line exceeds %d bytes", maxLineBytes)
-		}
-	}
-	return json.Unmarshal(line, v)
 }

@@ -3,7 +3,6 @@ package nwsnet
 import (
 	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"regexp"
@@ -106,7 +105,7 @@ func docHex(t *testing.T, block string) []byte {
 }
 
 // TestProtocolDocHexExamples re-encodes the worked examples of the spec from
-// the same values and compares byte-for-byte, v2 binary and v1 JSON both.
+// the same values and compares byte-for-byte.
 func TestProtocolDocHexExamples(t *testing.T) {
 	doc := protocolDoc(t)
 
@@ -129,29 +128,6 @@ func TestProtocolDocHexExamples(t *testing.T) {
 		}
 		if got := docHex(t, docBlock(t, doc, "wire-example", c.name)); !bytes.Equal(got, want) {
 			t.Errorf("%s: spec bytes differ from encoder\nspec    % x\nencoder % x", c.name, got, want)
-		}
-	}
-
-	jsonCases := []struct {
-		name string
-		v    any
-	}{
-		{"store-request-v1", goldenStoreReq},
-		{"fetch-request-v1", goldenFetchReq},
-		{"store-response-v1", goldenStoreResp},
-		{"fetch-response-v1", goldenFetchResp},
-		{"digest-request-v1", goldenDigestReq},
-		{"digest-response-v1", goldenDigestResp},
-		{"backfill-request-v1", goldenBackfillReq},
-	}
-	for _, c := range jsonCases {
-		want, err := json.Marshal(c.v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := strings.TrimSpace(docBlock(t, doc, "wire-json", c.name))
-		if got != string(want) {
-			t.Errorf("%s: spec line differs from encoder\nspec    %s\nencoder %s", c.name, got, want)
 		}
 	}
 

@@ -27,11 +27,14 @@ const (
 	shedTenant = "tenant"      // request over its tenant's token-bucket quota
 )
 
-// Negotiation outcomes, the label values of nws_wire_connections_total.
-const (
-	codecJSON   = "json"   // wire protocol v1: no preamble, or one asking for a version below 2
-	codecBinary = "binary" // wire protocol v2
-)
+// codecBinary labels nws_wire_connections_total: wire protocol v2, the one
+// codec a server speaks.
+const codecBinary = "binary"
+
+// refusal is the one line a server writes to a peer that does not open with
+// the v2 preamble — a v1 JSON line, another version, bad magic — before it
+// closes the connection.
+const refusal = "nwsnet: this server speaks only wire protocol v2 (docs/PROTOCOL.md); commit a7afa36 was the last to serve v1 JSON lines\n"
 
 // ServerLimits bounds what a Server will take on before it starts shedding
 // load. The zero value imposes no limits — exactly the pre-limits behavior.
@@ -77,8 +80,10 @@ type ServerLimits struct {
 	TenantBurst int
 }
 
-// Server accepts JSON-line connections and dispatches them to a Handler.
-// A connection may carry any number of request/response exchanges.
+// Server accepts wire protocol v2 connections (docs/PROTOCOL.md) and
+// dispatches their requests to a Handler. A connection may carry any number
+// of pipelined requests; a peer that does not open with the v2 preamble is
+// refused.
 type Server struct {
 	handler  Handler
 	logger   *log.Logger
@@ -169,47 +174,34 @@ func (s *Server) acceptLoop(l net.Listener) {
 }
 
 // shedConn answers a connection accepted past MaxConns with a retryable
-// busy response and closes it. The response is written before the close and
-// the inbound side is drained briefly so an in-flight request line does not
-// turn the close into a reset that loses the response.
-//
-// The shed must speak the codec the client expects, so it briefly sniffs for
-// the binary preamble (which v2 clients send eagerly at dial). A client that
-// has sent nothing within the sniff budget gets the JSON shed — the only
-// answer a codec-unknown peer might understand.
+// busy response and closes it: the accept byte, then a busy frame tagged
+// with request ID 0, which is reserved for exactly this — a
+// connection-level response to requests the server never read.
 func (s *Server) shedConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(time.Second))
-	r := bufio.NewReaderSize(conn, 16)
+	conn.SetWriteDeadline(time.Now().Add(time.Second))
 	w := bufio.NewWriter(conn)
-	resp := busyResp("server at connection capacity; retry")
-	conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-	first, err := r.Peek(1)
-	conn.SetReadDeadline(time.Now().Add(time.Second))
-	if err == nil && first[0] == wirePreamble[0] {
-		var pre [wirePreambleLen]byte
-		if _, err := io.ReadFull(r, pre[:]); err == nil && pre[1] == 'N' && pre[2] == 'W' && pre[3] == 'S' {
-			w.WriteByte(wireVersionBinary)
-			// Request ID 0 is reserved for exactly this: a connection-level
-			// response to requests the server never read.
-			buf := getEncBuf()
-			if payload, perr := encodeResponsePayload(*buf, 0, resp); perr == nil {
-				writeFrame(w, payload)
-			}
-			putEncBuf(buf)
-			w.Flush()
-			if tc, ok := conn.(*net.TCPConn); ok {
-				tc.CloseWrite()
-			}
-			io.Copy(io.Discard, conn)
-			return
-		}
+	w.WriteByte(wireVersionBinary)
+	buf := getEncBuf()
+	if payload, err := encodeResponsePayload(*buf, 0, busyResp("server at connection capacity; retry")); err == nil {
+		writeFrame(w, payload)
+		*buf = payload
 	}
-	writeMsg(w, resp)
+	putEncBuf(buf)
+	if w.Flush() == nil {
+		lingerClose(conn)
+	}
+}
+
+// lingerClose half-closes conn after its last answer and drains, for at
+// most a second, what the peer already sent, so unread input does not turn
+// the close into a reset that destroys the answer before the peer reads it.
+func lingerClose(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.CloseWrite()
 	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
 	io.Copy(io.Discard, conn)
 }
 
@@ -226,14 +218,23 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	reader := bufio.NewReaderSize(conn, 64<<10)
 	writer := bufio.NewWriter(conn)
+	if s.negotiate(conn, reader, writer) {
+		mWireConns.With(codecBinary).Inc()
+		s.serveBinary(conn, reader, writer)
+	}
+}
 
-	// Codec negotiation: a v2 client opens with a NUL-led preamble, which can
-	// never begin a JSON line, so peeking one byte classifies the connection
-	// without consuming anything a v1 client sent. The peek waits under the
-	// same idle deadline a request read would.
+// negotiate reads the v2 preamble, under the same idle deadline a request
+// read would wait under, and answers with the accept byte. It reports
+// whether the connection proceeds. Any other opening — a v1 JSON line, a
+// preamble asking for a version below 2, bad magic — is a decode error: the
+// peer gets the refusal line and the connection closes.
+func (s *Server) negotiate(conn net.Conn, reader *bufio.Reader, writer *bufio.Writer) bool {
 	if s.limits.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.limits.IdleTimeout))
 	}
+	// The preamble's leading NUL begins no text line, so one byte tells a
+	// v2 peer from any other without waiting for five.
 	first, err := reader.Peek(1)
 	if err != nil {
 		if err != io.EOF && !s.isClosed() {
@@ -243,107 +244,32 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.logger.Printf("nwsnet: read: %v", err)
 			}
 		}
-		return
+		return false
 	}
 	if first[0] == wirePreamble[0] {
-		if !s.negotiateBinary(conn, reader, writer) {
-			return
-		}
-		mWireConns.With(codecBinary).Inc()
-		s.serveBinary(conn, reader, writer)
-		return
-	}
-	mWireConns.With(codecJSON).Inc()
-	s.serveJSON(conn, reader, writer)
-}
-
-// negotiateBinary consumes a binary preamble and answers with the accept
-// byte. It reports whether the connection should proceed on the binary
-// codec; a malformed preamble closes the connection, and a version below
-// binary is answered with the JSON accept byte and downgraded in place
-// (the JSON loop takes over — nothing of the old protocol is lost).
-func (s *Server) negotiateBinary(conn net.Conn, reader *bufio.Reader, writer *bufio.Writer) bool {
-	var pre [wirePreambleLen]byte
-	if _, err := io.ReadFull(reader, pre[:]); err != nil {
-		mWireDecodeErrors.Inc()
-		return false
-	}
-	if pre[1] != 'N' || pre[2] != 'W' || pre[3] != 'S' {
-		mWireDecodeErrors.Inc()
-		if s.logger != nil {
-			s.logger.Printf("nwsnet: bad negotiation preamble % x", pre)
-		}
-		return false
-	}
-	if pre[4] < wireVersionBinary {
-		// The client asked for a version this server no longer frames
-		// natively; fall back to the JSON codec both sides speak.
-		writer.WriteByte(wireVersionJSON)
-		if writer.Flush() != nil {
+		var pre [wirePreambleLen]byte
+		if _, err := io.ReadFull(reader, pre[:]); err != nil {
+			mWireDecodeErrors.Inc()
 			return false
 		}
-		mWireConns.With(codecJSON).Inc()
-		s.serveJSON(conn, reader, writer)
-		return false
-	}
-	// The accept byte is buffered, not flushed: it rides in front of the
-	// first response, so negotiation costs a pipelining client zero round
-	// trips.
-	writer.WriteByte(wireVersionBinary)
-	return true
-}
-
-// serveJSON is the v1 serve loop: newline-framed JSON, strict
-// request/response lockstep.
-func (s *Server) serveJSON(conn net.Conn, reader *bufio.Reader, writer *bufio.Writer) {
-	var tenant string
-	for {
-		if s.limits.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.limits.IdleTimeout))
-		}
-		var req Request
-		if err := readMsg(reader, &req); err != nil {
-			if err != io.EOF && !s.isClosed() {
-				if isTimeout(err) {
-					// The idle deadline fired with no request in flight:
-					// disconnect the silent client instead of pinning this
-					// goroutine forever.
-					mServerShed.With(shedIdle).Inc()
-				} else if s.logger != nil {
-					s.logger.Printf("nwsnet: read: %v", err)
-				}
-			}
-			return
-		}
-		mServerRequestsByOp.get(req.Op).Inc()
-		var resp Response
-		switch {
-		case req.Op == OpHello:
-			// Connection-level: attribute the rest of the connection to
-			// the named tenant. Handled by the server, not the handler,
-			// so quotas work identically on every role.
-			tenant = req.Tenant
-		case !s.allowTenant(tenant):
-			resp = s.tenantBusy(tenant)
-		default:
-			resp = s.dispatch(req)
-		}
-		resp.OK = resp.Error == ""
-		if s.limits.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.limits.WriteTimeout))
-		}
-		if err := writeMsg(writer, resp); err != nil {
-			if isTimeout(err) {
-				// A stalled reader: the client stopped draining its socket
-				// while we were mid-response. Cut the connection rather
-				// than block the handler goroutine on its buffer.
-				mServerShed.With(shedWrite).Inc()
-			} else if s.logger != nil {
-				s.logger.Printf("nwsnet: write: %v", err)
-			}
-			return
+		if pre[1] == 'N' && pre[2] == 'W' && pre[3] == 'S' && pre[4] >= wireVersionBinary {
+			// The accept byte is buffered, not flushed: it rides in front of
+			// the first response, so negotiation costs a pipelining client
+			// zero round trips.
+			writer.WriteByte(wireVersionBinary)
+			return true
 		}
 	}
+	mWireDecodeErrors.Inc()
+	if s.logger != nil {
+		s.logger.Printf("nwsnet: refused a peer that did not open with the v2 preamble (% x)", first)
+	}
+	conn.SetWriteDeadline(time.Now().Add(time.Second))
+	writer.WriteString(refusal)
+	if writer.Flush() == nil {
+		lingerClose(conn)
+	}
+	return false
 }
 
 // wireInbound is one decoded binary request queued between the frame reader

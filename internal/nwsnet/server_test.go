@@ -1,7 +1,6 @@
 package nwsnet
 
 import (
-	"bufio"
 	"net"
 	"runtime"
 	"sync"
@@ -66,19 +65,15 @@ func TestServerShedsConnectionsOverCap(t *testing.T) {
 
 	shed0 := mServerShed.With(shedConns).Value()
 	// A third connection must be answered with a retryable busy response,
-	// not silently dropped and not left hanging.
-	c, err := net.Dial("tcp", addr)
+	// not silently dropped and not left hanging: a connection-level frame
+	// tagged with the reserved request ID 0.
+	_, _, recv := rawV2(t, addr)
+	id, resp, err := recv()
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var resp Response
-	if err := readMsg(bufio.NewReader(c), &resp); err != nil {
 		t.Fatalf("shed connection got no response: %v", err)
 	}
-	if resp.OK || resp.Code != CodeBusy {
-		t.Fatalf("shed response = %+v, want busy", resp)
+	if id != 0 || resp.OK || resp.Code != CodeBusy {
+		t.Fatalf("shed response = ID %d %+v, want ID 0 busy", id, resp)
 	}
 	if got := mServerShed.With(shedConns).Value() - shed0; got != 1 {
 		t.Fatalf("shed(connections) delta = %d, want 1", got)
@@ -136,10 +131,11 @@ func TestServerIdleDeadlineFreesGoroutine(t *testing.T) {
 }
 
 func TestServerWriteDeadlineFreesStalledReader(t *testing.T) {
-	// A handler whose response is far larger than the kernel socket buffers,
-	// so writing it blocks until the client reads — which this client never
-	// does. Without the write deadline the serving goroutine would be stuck
-	// in the write for as long as the client cares to stall.
+	// A handler whose responses (2.5 MB frames, pipelined eight deep) are far
+	// larger than the kernel socket buffers, so writing them blocks until the
+	// client reads — which this client never does. Without the write
+	// deadline the serving goroutine would be stuck in the write for as long
+	// as the client cares to stall.
 	big := make([][2]float64, 500_000)
 	for i := range big {
 		big[i] = [2]float64{float64(i), 0.5}
@@ -149,17 +145,14 @@ func TestServerWriteDeadlineFreesStalledReader(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	shed0 := mServerShed.With(shedWrite).Value()
 
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, send, _ := rawV2(t, addr)
 	// Shrink the receive window so the server's write jams quickly.
 	c.(*net.TCPConn).SetReadBuffer(4 << 10)
-	if err := writeMsg(bufio.NewWriter(c), Request{Op: OpFetch, Series: "x"}); err != nil {
-		t.Fatal(err)
+	for id := uint64(1); id <= 8; id++ {
+		send(mustEncode(t, id, Request{Op: OpFetch, Series: "x"}))
 	}
-	// Never read. The server must cut the connection at the write deadline.
+	// Never read. A response frame's write must block, and binSink's write
+	// deadline must shed it and cut the connection.
 	deadline := time.Now().Add(5 * time.Second)
 	for mServerShed.With(shedWrite).Value() == shed0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

@@ -37,9 +37,9 @@ type PushSink interface {
 
 // SubscriptionHandler is implemented by handlers that serve the v2
 // subscribe/push read plane. The binary serve loop routes OpSubscribe and
-// OpUnsubscribe here instead of Handle; on the v1 JSON codec the ops reach
-// Handle unrouted, whose default arm answers with a terminal "unsupported
-// op" error — push frames cannot be expressed in request/response lockstep.
+// OpUnsubscribe here instead of Handle; a caller with no connection to push
+// on (a LocalTransport, say) reaches Handle unrouted, whose default arm
+// answers with a terminal "unsupported op" error.
 type SubscriptionHandler interface {
 	Handler
 	// Subscribe registers sink for pushes on the series named by req,

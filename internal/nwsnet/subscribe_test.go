@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"nwscpu/internal/nwsnet/cluster"
-	"nwscpu/internal/resilience"
 )
 
 // startForecastPlane runs a memory server plus a forecaster over it with
@@ -75,19 +74,6 @@ func TestSubscribeAckAndPush(t *testing.T) {
 	case resp := <-pushes:
 		t.Fatalf("push %+v after unsubscribe", resp.Forecast)
 	case <-time.After(150 * time.Millisecond):
-	}
-}
-
-// TestSubscribeUnsupportedOnJSON pins the v1 story: a JSON-lines peer
-// asking to subscribe gets a terminal error, not a hang and not a busy.
-func TestSubscribeUnsupportedOnJSON(t *testing.T) {
-	_, f, fcAddr := startForecastPlane(t, 50*time.Millisecond)
-	err := respError(fcAddr, dialV1(t, fcAddr)(Request{Op: OpSubscribe, Series: "s"}))
-	if err == nil || !resilience.IsTerminal(err) {
-		t.Fatalf("v1 subscribe: %v, want terminal", err)
-	}
-	if n := f.Subscriptions(); n != 0 {
-		t.Fatalf("v1 subscribe registered %d subscriptions", n)
 	}
 }
 

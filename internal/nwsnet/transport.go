@@ -2,7 +2,6 @@ package nwsnet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -49,8 +48,11 @@ var _ Transport = (*Client)(nil)
 //     fault, exercising every "applied but unacknowledged" ambiguity.
 //
 // Calls execute synchronously on the caller's goroutine in call order, so a
-// single-threaded harness over a LocalTransport is fully deterministic.
+// single-threaded harness over a LocalTransport is fully deterministic. The
+// typed calls are the calls surface Client shares, so an answer classifies
+// as busy, moved or terminal exactly as it would over the wire.
 type LocalTransport struct {
+	calls
 	mu    sync.Mutex
 	nodes map[string]*localTransportNode
 }
@@ -63,7 +65,9 @@ type localTransportNode struct {
 
 // NewLocalTransport returns an empty transport; Register adds endpoints.
 func NewLocalTransport() *LocalTransport {
-	return &LocalTransport{nodes: make(map[string]*localTransportNode)}
+	t := &LocalTransport{nodes: make(map[string]*localTransportNode)}
+	t.calls = calls{call: t.call}
+	return t
 }
 
 // Register binds an address to a handler (replacing any previous binding).
@@ -92,8 +96,9 @@ func (t *LocalTransport) SetPartitioned(addr string, v bool) {
 	}
 }
 
-// exchange runs one request against an address, applying its fault mode.
-func (t *LocalTransport) exchange(addr string, req Request) (Response, error) {
+// call runs one request against an address, applying its fault mode, and
+// classifies the answer exactly as Client.do does.
+func (t *LocalTransport) call(_ context.Context, addr string, req Request) (Response, error) {
 	t.mu.Lock()
 	n := t.nodes[addr]
 	var down, partitioned bool
@@ -114,116 +119,11 @@ func (t *LocalTransport) exchange(addr string, req Request) (Response, error) {
 		// never learns it.
 		return Response{}, fmt.Errorf("nwsnet: local transport: %s partitioned: response lost", addr)
 	}
+	if err := respError(addr, resp); err != nil {
+		return Response{}, err
+	}
+	resp.OK = true // as the server sets it on every answer without an error
 	return resp, nil
-}
-
-// PingCtx implements Transport.
-func (t *LocalTransport) PingCtx(_ context.Context, addr string) error {
-	resp, err := t.exchange(addr, Request{Op: OpPing})
-	if err != nil {
-		return err
-	}
-	return respError(addr, resp)
-}
-
-// StoreBatchCtx implements Transport with Client.StoreBatchCtx semantics.
-func (t *LocalTransport) StoreBatchCtx(_ context.Context, addr string, stores []BatchStore) ([]error, error) {
-	if len(stores) == 0 {
-		return nil, nil
-	}
-	resp, err := t.exchange(addr, storeEnvelope(stores))
-	if err != nil {
-		return nil, err
-	}
-	return storeResults(addr, resp, len(stores))
-}
-
-// FetchCtx implements Transport.
-func (t *LocalTransport) FetchCtx(_ context.Context, addr, key string, from, to float64, max int) ([][2]float64, error) {
-	resp, err := t.exchange(addr, Request{Op: OpFetch, Series: key, From: from, To: to, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	if err := respError(addr, resp); err != nil {
-		return nil, err
-	}
-	return resp.Points, nil
-}
-
-// FetchBatchCtx implements Transport with Client.FetchBatchCtx semantics.
-func (t *LocalTransport) FetchBatchCtx(_ context.Context, addr string, fetches []BatchFetch) ([]FetchResult, error) {
-	if len(fetches) == 0 {
-		return nil, nil
-	}
-	resp, err := t.exchange(addr, fetchEnvelope(fetches))
-	if err != nil {
-		return nil, err
-	}
-	return fetchResults(addr, resp, len(fetches))
-}
-
-// SeriesCtx implements Transport.
-func (t *LocalTransport) SeriesCtx(_ context.Context, addr string) ([]string, error) {
-	resp, err := t.exchange(addr, Request{Op: OpSeries})
-	if err != nil {
-		return nil, err
-	}
-	if err := respError(addr, resp); err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
-}
-
-// DigestsCtx implements Transport.
-func (t *LocalTransport) DigestsCtx(_ context.Context, addr, key string) ([]SeriesDigest, error) {
-	resp, err := t.exchange(addr, Request{Op: OpDigest, Series: key})
-	if err != nil {
-		return nil, err
-	}
-	if err := respError(addr, resp); err != nil {
-		return nil, err
-	}
-	return resp.Digests, nil
-}
-
-// BackfillCtx implements Transport.
-func (t *LocalTransport) BackfillCtx(_ context.Context, addr, key string, points [][2]float64) error {
-	resp, err := t.exchange(addr, Request{Op: OpBackfill, Series: key, Points: points})
-	if err != nil {
-		return err
-	}
-	return respError(addr, resp)
-}
-
-// FetchViewCtx implements Transport.
-func (t *LocalTransport) FetchViewCtx(_ context.Context, nsAddr string, epoch uint64) (*cluster.View, error) {
-	return t.view(nsAddr, Request{Op: OpView, Epoch: epoch})
-}
-
-// JoinClusterCtx implements Transport.
-func (t *LocalTransport) JoinClusterCtx(_ context.Context, nsAddr string, m cluster.Member) (cluster.View, error) {
-	v, err := t.view(nsAddr, Request{Op: OpJoin, Member: &m})
-	if err != nil {
-		return cluster.View{}, err
-	}
-	if v == nil {
-		return cluster.View{}, errors.New("nwsnet: join returned no view")
-	}
-	return *v, nil
-}
-
-// RenewLeaseCtx implements Transport.
-func (t *LocalTransport) RenewLeaseCtx(_ context.Context, nsAddr, memberID string, epoch uint64) (*cluster.View, error) {
-	return t.view(nsAddr, Request{Op: OpLease, Member: &cluster.Member{ID: memberID}, Epoch: epoch})
-}
-
-// view runs one registry request and returns the view it answers with.
-func (t *LocalTransport) view(nsAddr string, req Request) (*cluster.View, error) {
-	resp, err := t.exchange(nsAddr, req)
-	if err != nil {
-		return nil, err
-	}
-	return resp.View, respError(nsAddr, resp)
 }
 
 // BreakerState implements Transport; the local transport has no breakers.

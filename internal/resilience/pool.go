@@ -15,15 +15,9 @@ var ErrPoolClosed = errors.New("resilience: pool closed")
 type PoolConfig struct {
 	// Dial creates a new connection. It must honor ctx.
 	Dial func(ctx context.Context) (io.Closer, error)
-	// HealthCheck, when non-nil, vets an idle connection at checkout;
-	// returning false closes and discards it.
-	HealthCheck func(c io.Closer) bool
 	// MaxIdle bounds the connections parked for reuse (0 selects 2;
 	// negative disables reuse entirely — every Put closes).
 	MaxIdle int
-	// MaxActive bounds checked-out connections; Get blocks (honoring ctx)
-	// while the pool is at the limit. 0 means unlimited.
-	MaxActive int
 	// IdleTimeout reaps connections parked longer than this (0 = never).
 	IdleTimeout time.Duration
 	// Now is the clock used for idle accounting; nil selects time.Now.
@@ -35,12 +29,11 @@ type PoolConfig struct {
 }
 
 // Pool keeps a bounded set of reusable connections to one endpoint: Get
-// hands out a parked healthy connection or dials a fresh one, Put parks it
+// hands out a parked connection or dials a fresh one, Put parks it
 // back (or closes it when unhealthy or surplus). Idle connections older
 // than IdleTimeout are reaped lazily on the next Get or Put.
 type Pool struct {
 	cfg PoolConfig
-	sem chan struct{} // nil when MaxActive == 0
 
 	mu     chan struct{} // 1-buffered mutex; lets lock acquisition stay simple
 	idle   []idleConn    // LIFO: most recently used last
@@ -66,11 +59,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	p := &Pool{cfg: cfg, mu: make(chan struct{}, 1)}
-	if cfg.MaxActive > 0 {
-		p.sem = make(chan struct{}, cfg.MaxActive)
-	}
-	return p
+	return &Pool{cfg: cfg, mu: make(chan struct{}, 1)}
 }
 
 func (p *Pool) lock()   { p.mu <- struct{}{} }
@@ -104,57 +93,27 @@ func (p *Pool) reapLocked() []io.Closer {
 	return dead
 }
 
-// Get returns a connection: a parked healthy one if available, otherwise a
-// freshly dialed one. With MaxActive set it first waits for an in-flight
-// slot, honoring ctx.
+// Get returns a connection: the most recently parked one if available,
+// otherwise a freshly dialed one.
 func (p *Pool) Get(ctx context.Context) (io.Closer, error) {
-	if p.sem != nil {
-		select {
-		case p.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	c, err := p.get(ctx)
-	if err != nil && p.sem != nil {
-		<-p.sem
-	}
-	return c, err
-}
-
-func (p *Pool) get(ctx context.Context) (io.Closer, error) {
-	for {
-		p.lock()
-		if p.closed {
-			p.unlock()
-			return nil, ErrPoolClosed
-		}
-		dead := p.reapLocked()
-		var cand io.Closer
-		if n := len(p.idle); n > 0 {
-			cand = p.idle[n-1].c
-			p.idle = p.idle[:n-1]
-		}
-		if cand != nil {
-			p.active++
-		}
-		idle, active := len(p.idle), p.active
+	p.lock()
+	if p.closed {
 		p.unlock()
-		for _, c := range dead {
-			c.Close()
-		}
-		if cand == nil {
-			break
-		}
-		if p.cfg.HealthCheck != nil && !p.cfg.HealthCheck(cand) {
-			cand.Close()
-			p.lock()
-			p.active--
-			idle, active = len(p.idle), p.active
-			p.unlock()
-			p.notify(idle, active)
-			continue // try the next parked connection
-		}
+		return nil, ErrPoolClosed
+	}
+	dead := p.reapLocked()
+	var cand io.Closer
+	if n := len(p.idle); n > 0 {
+		cand = p.idle[n-1].c
+		p.idle = p.idle[:n-1]
+		p.active++
+	}
+	idle, active := len(p.idle), p.active
+	p.unlock()
+	for _, c := range dead {
+		c.Close()
+	}
+	if cand != nil {
 		p.notify(idle, active)
 		return cand, nil
 	}
@@ -170,7 +129,7 @@ func (p *Pool) get(ctx context.Context) (io.Closer, error) {
 		return nil, ErrPoolClosed
 	}
 	p.active++
-	idle, active := len(p.idle), p.active
+	idle, active = len(p.idle), p.active
 	p.unlock()
 	p.notify(idle, active)
 	return c, nil
@@ -179,9 +138,6 @@ func (p *Pool) get(ctx context.Context) (io.Closer, error) {
 // Put returns a connection obtained from Get. Healthy connections are
 // parked for reuse (newest first); unhealthy or surplus ones are closed.
 func (p *Pool) Put(c io.Closer, healthy bool) {
-	if p.sem != nil {
-		defer func() { <-p.sem }()
-	}
 	p.lock()
 	p.active--
 	park := healthy && !p.closed && len(p.idle) < p.cfg.MaxIdle

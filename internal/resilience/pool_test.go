@@ -75,45 +75,6 @@ func TestPoolMaxIdle(t *testing.T) {
 	}
 }
 
-func TestPoolMaxActiveBlocks(t *testing.T) {
-	var dials atomic.Int64
-	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials), MaxActive: 1})
-	ctx := context.Background()
-	c1, err := p.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A second Get with an expired context must fail without dialing.
-	shortCtx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
-	defer cancel()
-	if _, err := p.Get(shortCtx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Get over the in-flight limit: %v", err)
-	}
-
-	// Releasing the slot unblocks a waiting Get.
-	got := make(chan io.Closer, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c, err := p.Get(ctx)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got <- c
-	}()
-	p.Put(c1, true)
-	wg.Wait()
-	select {
-	case c := <-got:
-		p.Put(c, true)
-	default:
-		t.Fatal("waiting Get never completed")
-	}
-}
-
 func TestPoolIdleReap(t *testing.T) {
 	var dials atomic.Int64
 	now := time.Unix(0, 0)
@@ -139,32 +100,6 @@ func TestPoolIdleReap(t *testing.T) {
 	}
 	if dials.Load() != 2 {
 		t.Fatalf("dials = %d, want 2", dials.Load())
-	}
-}
-
-func TestPoolHealthCheckEvicts(t *testing.T) {
-	var dials atomic.Int64
-	sick := make(map[io.Closer]bool)
-	p := NewPool(PoolConfig{
-		Dial:        newFakeDialer(&dials),
-		HealthCheck: func(c io.Closer) bool { return !sick[c] },
-		MaxIdle:     4,
-	})
-	ctx := context.Background()
-	c1, _ := p.Get(ctx)
-	c2, _ := p.Get(ctx)
-	p.Put(c1, true)
-	p.Put(c2, true)
-	sick[c2] = true // c2 is on top of the LIFO stack
-	got, err := p.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != c1 {
-		t.Fatalf("health check did not skip the sick connection")
-	}
-	if !c2.(*fakeConn).closed.Load() {
-		t.Fatal("sick connection not closed")
 	}
 }
 
@@ -208,7 +143,7 @@ func TestPoolCloseAndStats(t *testing.T) {
 
 func TestPoolConcurrentGets(t *testing.T) {
 	var dials atomic.Int64
-	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials), MaxIdle: 8, MaxActive: 8})
+	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials), MaxIdle: 8})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
