@@ -67,24 +67,22 @@ chaos-persist:
 	$(GO) test -race -run 'Persist' -count=1 ./internal/nwsnet
 
 # Doc drift gate: docs/PROTOCOL.md (the normative wire spec) is compared
-# against the codec — the opcode tables both ways, and the worked hex/JSON
+# against the codec — the opcode tables both ways, and the worked hex
 # examples byte for byte; then README, DESIGN, docs/ and the verify skill are
 # held to the tree — every make target, cmd/ directory and nwsd/nwsctl flag
-# they show must exist.
+# they show must exist — and docs/OBSERVABILITY.md to the metric
+# registrations, both ways.
 docs-check:
 	$(GO) test -run 'TestProtocolDoc' -count=1 ./internal/nwsnet
-	$(GO) test -run 'TestDocsNameWhatExists' -count=1 .
+	$(GO) test -run 'TestDocsNameWhatExists|TestDocsMetricsMatchCode' -count=1 .
 
-# Bounded fuzzing of both halves of the wire protocol in both codecs: the
-# server-side request decode/execute path and the client-side response
-# decode and shed/busy error classification, for the v1 JSON line codec
-# (which also cross-checks v2 round-trips of whatever JSON decodes) and the
-# v2 binary frame codec; then the durable memory's on-disk decoders (log
-# frames and records, snapshot images). Go fuzzers must run one at a time, so
-# each gets its own invocation of $(FUZZTIME).
+# Bounded fuzzing of both halves of the wire protocol: the server-side
+# request decode/execute path and the client-side response decode and
+# shed/busy error classification of the v2 binary frame codec; then the
+# durable memory's on-disk decoders (log frames and records, snapshot
+# images). Go fuzzers must run one at a time, so each gets its own
+# invocation of $(FUZZTIME).
 fuzz-smoke:
-	$(GO) test -run - -fuzz 'FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
-	$(GO) test -run - -fuzz 'FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzDecodeBinaryRequest$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzDecodeBinaryResponse$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzWALFrame$$' -fuzztime $(FUZZTIME) ./internal/nwsnet

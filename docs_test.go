@@ -1,6 +1,7 @@
 package nwscpu_test
 
 import (
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +17,8 @@ var (
 	flagArg       = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
 	usageFlag     = regexp.MustCompile(`(?m)^\s+-([a-z][a-z0-9-]*)`)
 	inlineCode    = regexp.MustCompile("`([^`]+)`")
+	metricFamily  = regexp.MustCompile(`metrics\.New\w+\(\s*"([a-z][a-z0-9_]*)"`)
+	metricRow     = regexp.MustCompile("(?m)^\\|\\s*`([a-z][a-z0-9_]*)`\\s*\\|")
 )
 
 // TestDocsNameWhatExists is the drift gate between the operator-facing
@@ -127,4 +130,53 @@ func codeLines(md string) []string {
 		pending = ""
 	}
 	return out
+}
+
+// TestDocsMetricsMatchCode holds docs/OBSERVABILITY.md to the metric
+// registrations (make docs-check): every family a non-test file registers —
+// the first argument of each metrics.New* call — has a row in the reference
+// tables, and every nws_* row names a registered family, so a family deleted
+// from the code cannot linger in the doc. Prose such as `nws_repair_*` is not
+// a row and is exempt.
+func TestDocsMetricsMatchCode(t *testing.T) {
+	doc, err := os.ReadFile("docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, m := range metricRow.FindAllStringSubmatch(string(doc), -1) {
+		rows[m[1]] = true
+	}
+	registered := map[string]string{} // family -> registering file
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range metricFamily.FindAllSubmatch(src, -1) {
+			registered[string(m[1])] = path
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(registered) == 0 {
+		t.Fatal("no metrics.New* registrations found — pattern drift?")
+	}
+	for name, path := range registered {
+		if !rows[name] {
+			t.Errorf("%s registers %s, which docs/OBSERVABILITY.md has no row for", path, name)
+		}
+	}
+	for name := range rows {
+		if strings.HasPrefix(name, "nws_") && registered[name] == "" {
+			t.Errorf("docs/OBSERVABILITY.md has a row for %s, which no non-test file registers", name)
+		}
+	}
 }
