@@ -66,7 +66,7 @@ type localTransportNode struct {
 // NewLocalTransport returns an empty transport; Register adds endpoints.
 func NewLocalTransport() *LocalTransport {
 	t := &LocalTransport{nodes: make(map[string]*localTransportNode)}
-	t.calls = calls{call: t.call}
+	t.calls = calls{call: t.exchange}
 	return t
 }
 
@@ -96,9 +96,9 @@ func (t *LocalTransport) SetPartitioned(addr string, v bool) {
 	}
 }
 
-// call runs one request against an address, applying its fault mode, and
-// classifies the answer exactly as Client.do does.
-func (t *LocalTransport) call(_ context.Context, addr string, req Request) (Response, error) {
+// exchange runs one request against an address, applying its fault mode,
+// and classifies the answer exactly as Client.do does.
+func (t *LocalTransport) exchange(_ context.Context, addr string, req Request) (Response, error) {
 	t.mu.Lock()
 	n := t.nodes[addr]
 	var down, partitioned bool
