@@ -256,6 +256,7 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 		for _, r := range res {
 			out = append(out, fmt.Sprint("batch fetch ", r.Points, " ", errClass(r.Err)))
 		}
+		out = append(out, fmt.Sprint("batch fetch envelope ", err))
 		names, err := m.series()
 		return append(out, fmt.Sprint("series ", names, " ", err))
 	}
