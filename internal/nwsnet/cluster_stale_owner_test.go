@@ -3,6 +3,7 @@ package nwsnet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -185,6 +186,94 @@ func staleOwnerWindow(t *testing.T, cfg cluster.Config, tr Transport, nsAddr str
 		if d, _ := byID[m.ID].node.Memory().Digest(key); d != wantDigest {
 			t.Fatalf("owner %s digest %+v, want %+v", m.ID, d, wantDigest)
 		}
+	}
+}
+
+// TestRouterWritesKeyOnlyToCurrentOwners pins the invariant that the router
+// writes a key only to its current owners. Member A misses a quorum-met
+// write of key lost, a joiner then takes lost from A while A stays active,
+// and A comes back. Nothing the router sends A afterwards — a clean store of
+// a key A still owns included — may carry lost: no repairer or delete ever
+// visits a series on a non-owner, so a point landing there is stranded.
+func TestRouterWritesKeyOnlyToCurrentOwners(t *testing.T) {
+	cfg := cluster.Config{Replication: 3, VNodes: 32}
+	lt := NewLocalTransport()
+	lt.Register("registry", NewNameServerCluster(time.Hour, cfg))
+	ctx := context.Background()
+	nodes := map[string]*ClusterNode{}
+	var agents []*ClusterAgent
+	join := func(id string) {
+		t.Helper()
+		node := NewClusterNode(id, NewMemory(0))
+		lt.Register("mem-"+id, node)
+		agent := NewClusterAgent(lt, "registry", cluster.Member{ID: id, Kind: string(KindMemory), Addr: "mem-" + id}, node)
+		if err := agent.Join(ctx); err != nil {
+			t.Fatal(err)
+		}
+		nodes[id] = node
+		agents = append(agents, agent)
+	}
+	renewAll := func() {
+		t.Helper()
+		for _, a := range agents {
+			if rejoin, err := a.Renew(ctx); err != nil || rejoin {
+				t.Fatalf("renew: rejoin=%v err=%v", rejoin, err)
+			}
+		}
+	}
+
+	// Under the four-member ring, lost is owned by the other three and kept
+	// by A among them.
+	const a = "node-a"
+	all := cluster.View{Config: cfg}
+	for _, id := range []string{a, "node-b", "node-c", "node-d"} {
+		all.Members = append(all.Members, cluster.Member{ID: id, Kind: string(KindMemory), State: cluster.StateActive})
+	}
+	lost, kept := "", ""
+	for i := 0; i < 1000 && (lost == "" || kept == ""); i++ {
+		key := fmt.Sprintf("host%03d/cpu/nws_hybrid", i)
+		owned := slices.ContainsFunc(all.Owners(string(KindMemory), key), func(m cluster.Member) bool { return m.ID == a })
+		switch {
+		case owned && kept == "":
+			kept = key
+		case !owned && lost == "":
+			lost = key
+		}
+	}
+
+	for _, id := range []string{a, "node-b", "node-c"} {
+		join(id)
+	}
+	renewAll()
+	writer := NewReplicaGroupCluster(lt, "registry")
+	for seq := 1; seq <= 4; seq++ {
+		if err := writer.Store(ctx, lost, [][2]float64{{float64(seq), 0.5}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := nodes[a].Memory().Len(lost)
+
+	// A misses a write the other two owners acknowledge.
+	lt.SetDown("mem-"+a, true)
+	if err := writer.Store(ctx, lost, [][2]float64{{5, 0.5}}); err != nil {
+		t.Fatalf("store with 2/3 owners up: %v", err)
+	}
+	// The joiner takes lost from A; everyone, the writer too, adopts the view.
+	join("node-d")
+	renewAll()
+	if err := writer.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	lt.SetDown("mem-"+a, false)
+	if err := writer.Store(ctx, kept, [][2]float64{{1, 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := nodes[a].Memory().Len(lost); got != held {
+		t.Fatalf("non-owner %s holds %d points of %s, held %d when it lost ownership", a, got, lost, held)
+	}
+	if got := nodes[a].Memory().Len(kept); got != 1 {
+		t.Fatalf("owner %s holds %d points of %s, want 1", a, got, kept)
 	}
 }
 
