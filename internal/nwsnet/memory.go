@@ -68,16 +68,19 @@ func NewMemory(capacity int) *Memory {
 	return m
 }
 
+// The 64-bit FNV-1a offset basis and prime: the shard hash and the series
+// digest checksum (docs/PROTOCOL.md §9) are both FNV-1a.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // shard returns the lock stripe owning key (FNV-1a over the key bytes).
 func (m *Memory) shard(key string) *memShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return &m.shards[h&(memShardCount-1)]
 }
@@ -281,73 +284,21 @@ func (m *Memory) handleBatch(req Request) Response {
 	return Response{Batch: out}
 }
 
-// digestOf summarizes a ring under its shard lock: point count, frontier
-// (newest timestamp), and an FNV-1a checksum over the 16-byte little-endian
-// (t, v) bit patterns in time order. The sum covers full content, so equal
-// digests mean bit-identical series — the anti-entropy comparison the
-// repair plane is built on (docs/PROTOCOL.md §9).
-func digestOf(key string, r *series.PointRing) SeriesDigest {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+// digestThrough summarizes a ring's prefix with t <= through under its
+// shard lock: point count, frontier (newest timestamp in the prefix), and an
+// FNV-1a checksum over the 16-byte little-endian (t, v) bit patterns in time
+// order. The sum covers full content, so equal digests mean bit-identical
+// series — the anti-entropy comparison the repair plane is built on
+// (docs/PROTOCOL.md §9). A through of +Inf digests the whole series.
+func digestThrough(key string, r *series.PointRing, through float64) SeriesDigest {
+	h := uint64(fnvOffset64)
 	mix := func(u uint64) {
 		for i := 0; i < 8; i++ {
 			h ^= (u >> (8 * i)) & 0xff
-			h *= prime64
+			h *= fnvPrime64
 		}
 	}
-	n := r.Len()
-	for i := 0; i < n; i++ {
-		p := r.At(i)
-		mix(math.Float64bits(p.T))
-		mix(math.Float64bits(p.V))
-	}
-	d := SeriesDigest{Series: key, Count: uint64(n), Sum: h}
-	if last, ok := r.Last(); ok {
-		d.Frontier = last.T
-	}
-	return d
-}
-
-// Digest returns the anti-entropy summary of one series; ok is false when
-// the series is absent or empty.
-func (m *Memory) Digest(key string) (SeriesDigest, bool) {
-	sh := m.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	r := sh.store[key]
-	if r == nil || r.Len() == 0 {
-		return SeriesDigest{}, false
-	}
-	return digestOf(key, r), true
-}
-
-// PrefixDigest summarizes the stored prefix of a series with t <= through.
-// The repairer compares it against a peer's digest snapshot: live writes
-// keep moving the local frontier past the snapshot, so only the prefix up
-// to the peer's frontier can be expected to match.
-func (m *Memory) PrefixDigest(key string, through float64) SeriesDigest {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	sh := m.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	d := SeriesDigest{Series: key}
-	r := sh.store[key]
-	if r == nil {
-		return d
-	}
-	h := uint64(offset64)
-	mix := func(u uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (u >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
 	n := r.Len()
 	for i := 0; i < n; i++ {
 		p := r.At(i)
@@ -361,6 +312,34 @@ func (m *Memory) PrefixDigest(key string, through float64) SeriesDigest {
 	}
 	d.Sum = h
 	return d
+}
+
+// Digest returns the anti-entropy summary of one series; ok is false when
+// the series is absent or empty.
+func (m *Memory) Digest(key string) (SeriesDigest, bool) {
+	sh := m.shard(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	r := sh.store[key]
+	if r == nil || r.Len() == 0 {
+		return SeriesDigest{}, false
+	}
+	return digestThrough(key, r, math.Inf(1)), true
+}
+
+// PrefixDigest summarizes the stored prefix of a series with t <= through.
+// The repairer compares it against a peer's digest snapshot: live writes
+// keep moving the local frontier past the snapshot, so only the prefix up
+// to the peer's frontier can be expected to match.
+func (m *Memory) PrefixDigest(key string, through float64) SeriesDigest {
+	sh := m.shard(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	r := sh.store[key]
+	if r == nil {
+		return SeriesDigest{Series: key}
+	}
+	return digestThrough(key, r, through)
 }
 
 // Digests returns summaries of stored series sorted by key: all non-empty
@@ -378,7 +357,7 @@ func (m *Memory) Digests(key string) []SeriesDigest {
 		sh.mu.RLock()
 		for k, r := range sh.store {
 			if r.Len() > 0 {
-				out = append(out, digestOf(k, r))
+				out = append(out, digestThrough(k, r, math.Inf(1)))
 			}
 		}
 		sh.mu.RUnlock()
@@ -395,8 +374,8 @@ func (m *Memory) handleDigest(req Request) Response {
 }
 
 // handleBackfill answers OpBackfill: a merge-insert behind the frontier
-// (hinted-handoff redelivery and repair pulls land here; the store path
-// would dedup anything at or before the frontier away).
+// (repair pulls and pushes land here; the store path would dedup anything
+// at or before the frontier away).
 func (m *Memory) handleBackfill(req Request) Response {
 	if req.Series == "" {
 		return errResp("backfill requires a series key")
