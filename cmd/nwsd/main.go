@@ -19,6 +19,12 @@
 //	nwsd -role memory -listen :8091 -replicas 3 -nameserver localhost:8090
 //	nwsd -role sensor -host mybox -memory localhost:8091,localhost:8092,localhost:8093
 //
+// Every memory replica repairs itself against its siblings each -period; a
+// replica set run as separate daemons gets the same by giving each memory
+// daemon the -memory list its writers use (its own address is skipped):
+//
+//	nwsd -role memory -listen localhost:8091 -memory localhost:8091,localhost:8092,localhost:8093
+//
 // Every role accepts -metrics addr to expose the daemon's observability
 // surface over HTTP: Prometheus text metrics on /metrics, a JSON snapshot
 // on /metrics.json, expvar on /debug/vars, and net/http/pprof profiling on
@@ -78,6 +84,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -96,7 +103,7 @@ import (
 func main() {
 	role := flag.String("role", "", "nameserver | memory | forecaster | reflector | sensor")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address for server roles")
-	memory := flag.String("memory", "", "memory server address (forecaster, sensor)")
+	memory := flag.String("memory", "", "memory server addresses, comma-separated (forecaster, sensor; memory: the replica set to repair against)")
 	nameserver := flag.String("nameserver", "", "name server address to register with (optional)")
 	hostName := flag.String("host", "localhost", "host name for the sensor's series keys")
 	period := flag.Duration("period", 10*time.Second, "sensor measurement period")
@@ -280,6 +287,9 @@ func replicaListen(base string, i int) (string, error) {
 // -statedir) and the whole set is registered with the name server under the
 // single logical name "memory" so clients resolve every endpoint at once.
 func runMemory(o daemonOpts, logger *log.Logger) error {
+	if o.memory != "" && o.clusterAddr != "" {
+		return fmt.Errorf("memory role: -memory and -cluster are exclusive (a cluster member repairs against its view's peers)")
+	}
 	n := o.replicas
 	if n < 1 {
 		n = 1
@@ -372,19 +382,21 @@ func runMemory(o daemonOpts, logger *log.Logger) error {
 	if period <= 0 {
 		period = 10 * time.Second
 	}
-	if len(nodes) == 0 && n > 1 {
-		// The anti-entropy half of the repair plane: one repairer beside each
-		// in-process replica, healing it against its siblings every -period.
-		// (Cluster members get theirs from the agent, which knows their peers.)
+	// The repair plane: one repairer beside each in-process replica, healing
+	// it every -period against its siblings and every -memory address that
+	// is not this process's own. (Cluster members get theirs from the agent,
+	// which knows their peers.)
+	others := slices.DeleteFunc(memoryAddrs(o), func(a string) bool { return slices.Contains(addrs, a) })
+	if len(nodes) == 0 && n-1+len(others) > 0 {
 		rc := nwsnet.NewClient(0)
 		defer rc.Close()
 		for i, mem := range mems {
-			peers := append(append([]string(nil), addrs[:i]...), addrs[i+1:]...)
+			peers := append(append(append([]string(nil), addrs[:i]...), addrs[i+1:]...), others...)
 			rp := nwsnet.NewRepairer(rc, mem, peers)
 			rp.Start(period)
 			defer rp.Stop()
 		}
-		logger.Printf("repairing %d replicas against each other every %s", n, period)
+		logger.Printf("repairing %d replicas against %d peers each every %s", n, n-1+len(others), period)
 	}
 	o.note("memory", addrs[0])
 	for i, addr := range addrs[1:] {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 	"log"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -193,33 +195,87 @@ func counterValue(t *testing.T, name string) float64 {
 	return 0
 }
 
-// TestMemoryReplicasRepairEachOther proves the anti-entropy half of the
-// repair plane is deployed, not just documented: with -replicas 3 and no
-// writer left to replay a hint, a point one replica never received is pulled
-// from its siblings within a few -period ticks.
+// TestMemoryReplicasRepairEachOther proves the repair plane is deployed, not
+// just documented, on both shapes of a fixed replica set — one process with
+// -replicas 3, and three single daemons each given the -memory list: a point
+// one replica never received is pulled from its siblings within a few -period
+// ticks. A cluster member repairs through its agent, so the memory role
+// refuses -memory beside -cluster.
 func TestMemoryReplicasRepairEachOther(t *testing.T) {
+	const period = 20 * time.Millisecond
+	t.Run("replicas", func(t *testing.T) {
+		addrs := startMemories(t, daemonOpts{role: "memory", listen: "127.0.0.1:0", replicas: 3, period: period})
+		repairsHole(t, addrs)
+	})
+	t.Run("separate", func(t *testing.T) {
+		// Reserve the ports up front: every daemon needs the whole list.
+		addrs := make([]string, 3)
+		for i := range addrs {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs[i] = l.Addr().String()
+			l.Close()
+		}
+		var opts []daemonOpts
+		for _, a := range addrs {
+			opts = append(opts, daemonOpts{role: "memory", listen: a, memory: strings.Join(addrs, ","), period: period})
+		}
+		startMemories(t, opts...)
+		repairsHole(t, addrs)
+	})
+	t.Run("cluster", func(t *testing.T) {
+		o := daemonOpts{role: "memory", listen: "127.0.0.1:0", memory: "127.0.0.1:1", clusterAddr: "127.0.0.1:2"}
+		if err := run(o, quietLogger()); err == nil {
+			t.Fatal("memory role accepted -memory beside -cluster")
+		}
+	})
+}
+
+// startMemories runs one memory daemon per opts until the test ends and
+// returns every replica address they bound.
+func startMemories(t *testing.T, opts ...daemonOpts) []string {
+	t.Helper()
 	stop := make(chan struct{})
-	bound := make(chan string, 4)
-	o := daemonOpts{
-		role: "memory", listen: "127.0.0.1:0", replicas: 3, period: 20 * time.Millisecond,
-		stop:   stop,
-		notify: func(component, addr string) { bound <- addr },
+	bound := make(chan string, 8)
+	done := make(chan error, len(opts))
+	want, running := 0, len(opts)
+	for _, o := range opts {
+		o.stop = stop
+		o.notify = func(_, addr string) { bound <- addr }
+		want += max(o.replicas, 1)
+		go func() { done <- run(o, quietLogger()) }()
 	}
-	done := make(chan error, 1)
-	go func() { done <- run(o, quietLogger()) }()
-	addrs := make([]string, 3)
-	for i := range addrs {
+	t.Cleanup(func() {
+		close(stop)
+		for ; running > 0; running-- {
+			if err := <-done; err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	var addrs []string
+	for len(addrs) < want {
 		select {
-		case addrs[i] = <-bound:
+		case a := <-bound:
+			addrs = append(addrs, a)
+		case err := <-done:
+			running--
+			t.Fatalf("memory daemon exited early: %v", err)
 		case <-time.After(5 * time.Second):
 			t.Fatal("replica did not report a bound address")
 		}
 	}
+	return addrs
+}
+
+// repairsHole leaves the third of three replicas without one point the
+// other two hold, and waits for a repairer to pull it in.
+func repairsHole(t *testing.T, addrs []string) {
+	t.Helper()
 	c := nwsnet.NewClient(time.Second)
 	defer c.Close()
-
-	// Everyone takes the first two points; the hole: replica 2 never sees the
-	// third, and no hint exists anywhere for it.
 	recovered0 := counterValue(t, "nws_repair_points_recovered_total")
 	for _, addr := range addrs {
 		if err := c.Store(addr, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
@@ -248,10 +304,5 @@ func TestMemoryReplicasRepairEachOther(t *testing.T) {
 		if err != nil || len(got) != 1 || got[0] != want[0] {
 			t.Fatalf("replica %s digest = %+v, %v; want %+v", addr, got, err, want[0])
 		}
-	}
-
-	close(stop)
-	if err := <-done; err != nil {
-		t.Fatal(err)
 	}
 }

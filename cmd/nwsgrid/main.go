@@ -17,7 +17,7 @@
 // an identical schedule of replica crashes, stalls, asymmetric partitions,
 // and sensor clock skews against the in-process replication stack, run once
 // with the anti-entropy repair plane and once without, and the robustness
-// report (schema nws/fault-report/v1) scores both arms against the
+// report (schema nws/fault-report/v2) scores both arms against the
 // campaign's invariants.
 //
 //	nwsgrid -faults -seed 42                 # robustness report to stdout
@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faultRounds   = fs.Int("fault-rounds", fdef.Rounds, "fault campaign length in measurement rounds")
 		faultReplicas = fs.Int("fault-replicas", fdef.Replicas, "memory replica count in the fault campaign")
 		faultBacklog  = fs.Int("fault-backlog", fdef.BacklogCap, "sensor backlog cap (the writer's self-healing window)")
-		faultHints    = fs.Int("fault-hints", fdef.HintCap, "hinted-handoff queue cap per replica per series")
 		faultRecovery = fs.Int("fault-recovery", fdef.RecoveryRounds, "rounds allowed for post-fault convergence")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -85,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fcfg.Rounds = *faultRounds
 		fcfg.Replicas = *faultReplicas
 		fcfg.BacklogCap = *faultBacklog
-		fcfg.HintCap = *faultHints
 		fcfg.RecoveryRounds = *faultRecovery
 		if set["hosts"] {
 			fcfg.Hosts = *hosts

@@ -12,13 +12,13 @@ import (
 )
 
 // The fault campaign drives the production replication stack — ReplicaGroup
-// (quorum writes, hinted handoff), Repairer (anti-entropy), Memory — over an
-// in-process LocalTransport while a seeded schedule injects faults:
+// (quorum writes), Repairer (anti-entropy), Memory — over an in-process
+// LocalTransport while a seeded schedule injects faults:
 //
 //	crash      a replica goes down for several times the writer's backlog
 //	           window, then restarts over its durable store — the outage
 //	           only the repair plane can heal
-//	stall      a short replica outage, inside the hint queue's capacity
+//	stall      a short replica outage, inside the writer's backlog window
 //	partition  an asymmetric split: writes to the replica apply but the
 //	           responses are lost (the chaos proxy's partition fault,
 //	           in-process), exercising applied-but-unacked redelivery
@@ -30,8 +30,9 @@ import (
 // the campaign invariants (zero measurement loss, replicas bit-identical
 // within a bounded number of rounds of the last fault clearing, zero read
 // unavailability, and, for the repair-off arm, that the divergence the
-// repair plane exists for actually shows up). Everything is a pure function
-// of the configuration: same seed, same report, byte for byte.
+// repair plane exists for shows up as exactly the writes the downed replicas
+// missed). Everything is a pure function of the configuration: same seed,
+// same report, byte for byte.
 
 // FaultKind names one injectable fault in a campaign schedule.
 type FaultKind string
@@ -69,10 +70,6 @@ type FaultConfig struct {
 	// the campaign keeps it small so a crash outage of CrashRounds
 	// demonstrably outlasts everything the writer can replay.
 	BacklogCap int
-	// HintCap bounds the hinted-handoff queue per replica per series; the
-	// campaign keeps it below CrashRounds so hints alone cannot heal a
-	// crash (they do heal stalls, which fit inside the cap).
-	HintCap int
 	// CrashRounds is the long-outage length in rounds; DefaultFaultConfig
 	// sets it to 3x BacklogCap per the campaign's acceptance invariant.
 	CrashRounds int
@@ -94,7 +91,6 @@ func DefaultFaultConfig() FaultConfig {
 		Replicas:       3,
 		Quorum:         2,
 		BacklogCap:     6,
-		HintCap:        4,
 		CrashRounds:    18, // 3x the backlog window
 		RecoveryRounds: 3,
 	}
@@ -118,9 +114,6 @@ func (cfg FaultConfig) normalize() FaultConfig {
 	}
 	if cfg.BacklogCap <= 0 {
 		cfg.BacklogCap = 6
-	}
-	if cfg.HintCap < 0 {
-		cfg.HintCap = 0
 	}
 	if cfg.CrashRounds <= 0 {
 		cfg.CrashRounds = 3 * cfg.BacklogCap
@@ -151,7 +144,7 @@ func faultSchedule(cfg FaultConfig, replicaAddrs, hostNames []string) []FaultEve
 	var events []FaultEvent
 	r := 2 // let every series exist before the first fault
 	// One of each kind is guaranteed — the long crash the acceptance
-	// invariant names, a stall inside the hint window, a partition, a skew —
+	// invariant names, a short stall, a partition, a skew —
 	// then the seeded tail mixes freely.
 	events = append(events, FaultEvent{
 		Round:  r,
@@ -212,8 +205,8 @@ func faultArm(cfg FaultConfig, events []FaultEvent, repair bool) (ArmResult, err
 		lt.Register(addrs[i], mems[i])
 	}
 	group := nwsnet.NewReplicaGroupTransport(lt, addrs, cfg.Quorum)
-	group.SetHintCap(cfg.HintCap)
-	ledger := &ledgerBackend{inner: group, seen: make(map[string]map[float64]bool)}
+	down := make(map[string]bool)
+	ledger := &ledgerBackend{inner: group, down: down, seen: make(map[string]map[float64]bool)}
 
 	var repairers []*nwsnet.Repairer
 	if repair {
@@ -276,7 +269,6 @@ func faultArm(cfg FaultConfig, events []FaultEvent, repair bool) (ArmResult, err
 	for i, n := range names {
 		hostIdx[n] = i
 	}
-	down := make(map[string]bool)
 	clearAt := make(map[int][]FaultEvent)
 
 	res := ArmResult{Repair: repair, ConvergedRound: -1, RoundsToConverge: -1}
@@ -355,6 +347,7 @@ func faultArm(cfg FaultConfig, events []FaultEvent, repair bool) (ArmResult, err
 
 	// Final scoring against the ledger of quorum-acknowledged measurements.
 	res.LedgerPoints = ledger.total()
+	res.MissedWrites = ledger.missed
 	keys := ledger.seriesKeys()
 	divergent := make(map[string]bool)
 	for _, m := range mems {
@@ -367,7 +360,6 @@ func faultArm(cfg FaultConfig, events []FaultEvent, repair bool) (ArmResult, err
 		}
 	}
 	res.DivergentSeries = len(divergent)
-	res.Hints = group.HintStats()
 	return res, nil
 }
 
@@ -392,10 +384,15 @@ func memsIdentical(mems []*nwsnet.Memory) bool {
 // ledgerBackend wraps the campaign's StoreBackend and records every
 // quorum-acknowledged measurement — the ground truth the zero-loss invariant
 // is judged against. (A sub-store that misses quorum stays in the daemon's
-// backlog and is not yet owed to the ledger.)
+// backlog and is not yet owed to the ledger.) It also counts the writes the
+// repair plane owes: each acknowledged point once per replica that was down
+// when it was acknowledged — counted from the schedule, not from the code
+// under test. A partitioned replica applies the write, so it owes nothing.
 type ledgerBackend struct {
-	inner nwsnet.StoreBackend
-	seen  map[string]map[float64]bool
+	inner  nwsnet.StoreBackend
+	down   map[string]bool // the campaign's crashed and stalled replicas
+	seen   map[string]map[float64]bool
+	missed uint64
 }
 
 func (l *ledgerBackend) StoreBatch(ctx context.Context, stores []nwsnet.BatchStore) ([]error, error) {
@@ -414,13 +411,27 @@ func (l *ledgerBackend) StoreBatch(ctx context.Context, stores []nwsnet.BatchSto
 			l.seen[st.Series] = bySeries
 		}
 		for _, p := range st.Points {
-			bySeries[p[0]] = true
+			if !bySeries[p[0]] {
+				bySeries[p[0]] = true
+				l.missed += l.downCount()
+			}
 		}
 	}
 	return errs, err
 }
 
 func (l *ledgerBackend) Health() []nwsnet.ReplicaHealth { return l.inner.Health() }
+
+// downCount reports how many replicas are down right now.
+func (l *ledgerBackend) downCount() uint64 {
+	n := uint64(0)
+	for _, d := range l.down {
+		if d {
+			n++
+		}
+	}
+	return n
+}
 
 func (l *ledgerBackend) total() uint64 {
 	n := uint64(0)
@@ -480,7 +491,7 @@ func RunFaultCampaign(cfg FaultConfig) (*FaultReport, error) {
 		Config: FaultReportConfig{
 			Hosts: cfg.Hosts, Rounds: cfg.Rounds, CadenceS: cfg.Cadence, TickS: cfg.Tick,
 			Replicas: cfg.Replicas, Quorum: cfg.Quorum, BacklogCap: cfg.BacklogCap,
-			HintCap: cfg.HintCap, CrashRounds: cfg.CrashRounds, RecoveryRounds: cfg.RecoveryRounds,
+			CrashRounds: cfg.CrashRounds, RecoveryRounds: cfg.RecoveryRounds,
 		},
 		Events: events,
 	}
@@ -524,10 +535,10 @@ func RunFaultCampaign(cfg FaultConfig) (*FaultReport, error) {
 		},
 		Verdict{
 			Config: "repair-off/divergence-reproduced",
-			SLO:    "missing_points>0",
+			SLO:    "missing_points==missed_writes>0",
 			Value:  float64(off.MissingPoints),
-			Target: 1,
-			Pass:   off.MissingPoints > 0,
+			Target: float64(off.MissedWrites),
+			Pass:   off.MissingPoints == off.MissedWrites && off.MissedWrites > 0,
 		},
 	)
 	return report, nil

@@ -83,23 +83,7 @@ func TestFaultCampaignVerdictsPinned(t *testing.T) {
 	if off.ConvergedRound != -1 {
 		t.Fatalf("repair-off arm converged at round %d without a repair plane", off.ConvergedRound)
 	}
-	// The hint queues are repair-independent writer state: both arms see
-	// the identical schedule, so their hint traffic matches exactly.
-	if on.Hints != off.Hints {
-		t.Fatalf("hint stats differ across arms: %+v vs %+v", on.Hints, off.Hints)
-	}
-	if on.Hints.Dropped == 0 {
-		t.Fatal("no hints dropped — the crash outage fits the hint queue and proves nothing")
-	}
-	// What anti-entropy recovered is exactly what the bounded hints dropped.
-	if on.RepairPointsRecovered != on.Hints.Dropped {
-		t.Fatalf("repair recovered %d points, hints dropped %d — unexplained delta",
-			on.RepairPointsRecovered, on.Hints.Dropped)
-	}
-	if off.MissingPoints != off.Hints.Dropped {
-		t.Fatalf("repair-off missing %d points, hints dropped %d — loss beyond the dropped hints",
-			off.MissingPoints, off.Hints.Dropped)
-	}
+	checkMissedWrites(t, on, off)
 
 	for _, v := range rep.Verdicts {
 		if !v.Pass {
@@ -116,6 +100,55 @@ func TestFaultCampaignVerdictsPinned(t *testing.T) {
 	for i, want := range wantVerdicts {
 		if rep.Verdicts[i].Config != want {
 			t.Fatalf("verdict[%d] = %q, want %q", i, rep.Verdicts[i].Config, want)
+		}
+	}
+}
+
+// checkMissedWrites pins the campaign's exact ledger. Both arms run the
+// identical schedule against the identical writer, so the ledger owes them
+// the same missed writes; without repair every one of them is still missing
+// at the end, and with repair anti-entropy recovered exactly them.
+func checkMissedWrites(t *testing.T, on, off ArmResult) {
+	t.Helper()
+	if on.MissedWrites != off.MissedWrites {
+		t.Fatalf("missed writes differ across arms: %d vs %d", on.MissedWrites, off.MissedWrites)
+	}
+	if off.MissedWrites == 0 {
+		t.Fatal("no write missed a replica — the schedule proves nothing")
+	}
+	if off.MissingPoints != off.MissedWrites {
+		t.Fatalf("repair-off missing %d points, missed writes %d", off.MissingPoints, off.MissedWrites)
+	}
+	if on.RepairPointsRecovered != on.MissedWrites {
+		t.Fatalf("repair recovered %d points, missed writes %d", on.RepairPointsRecovered, on.MissedWrites)
+	}
+}
+
+// TestFaultCampaignSeedSweep gates the campaign across seeds 1–20 at three
+// and five replicas: every verdict passes, the ledger's missed writes are
+// exactly what the repair-off arm lacks and what the repair-on arm recovered,
+// and the repair-on arm converges inside the recovery budget.
+func TestFaultCampaignSeedSweep(t *testing.T) {
+	for _, replicas := range []int{3, 5} {
+		for seed := int64(1); seed <= 20; seed++ {
+			cfg := DefaultFaultConfig()
+			cfg.Seed, cfg.Replicas = seed, replicas
+			rep, err := RunFaultCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("replicas%d/seed%d", replicas, seed), func(t *testing.T) {
+				for _, v := range rep.Verdicts {
+					if !v.Pass {
+						t.Errorf("verdict %s (%s) failed: value %g", v.Config, v.SLO, v.Value)
+					}
+				}
+				on, off := rep.Arms[0], rep.Arms[1]
+				checkMissedWrites(t, on, off)
+				if on.RoundsToConverge < 0 || on.RoundsToConverge > rep.Config.RecoveryRounds {
+					t.Fatalf("repair arm converged in %d rounds, budget %d", on.RoundsToConverge, rep.Config.RecoveryRounds)
+				}
+			})
 		}
 	}
 }

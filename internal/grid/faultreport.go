@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"io"
 
-	"nwscpu/internal/nwsnet"
 	"nwscpu/internal/report"
 )
 
 // FaultSchemaVersion identifies the fault-campaign JSON report layout. Bump
 // it on any breaking change to the FaultReport structure.
-const FaultSchemaVersion = "nws/fault-report/v1"
+const FaultSchemaVersion = "nws/fault-report/v2"
 
 // FaultReport is the robustness output of one fault campaign: the seeded
 // schedule it ran, both arms' scores, and the invariant verdicts. It is
@@ -37,7 +36,6 @@ type FaultReportConfig struct {
 	Replicas       int     `json:"replicas"`
 	Quorum         int     `json:"quorum"`
 	BacklogCap     int     `json:"backlog_cap"`
-	HintCap        int     `json:"hint_cap"`
 	CrashRounds    int     `json:"crash_rounds"`
 	RecoveryRounds int     `json:"recovery_rounds"`
 }
@@ -49,9 +47,11 @@ type ArmResult struct {
 	Repair bool   `json:"repair"`
 
 	// LedgerPoints counts distinct quorum-acknowledged measurements (the
-	// ground truth); MissingPoints counts ledger entries absent from any
-	// replica at the end of the run.
+	// ground truth); MissedWrites sums, over them, the replicas that were
+	// down when each was acknowledged; MissingPoints counts ledger entries
+	// absent from any replica at the end of the run.
 	LedgerPoints    uint64 `json:"ledger_points"`
+	MissedWrites    uint64 `json:"missed_writes"`
 	MissingPoints   uint64 `json:"missing_points"`
 	DivergentSeries int    `json:"divergent_series"`
 
@@ -65,9 +65,8 @@ type ArmResult struct {
 	ProbeFailures  uint64 `json:"probe_failures"`
 	QuorumFailures uint64 `json:"quorum_failures"`
 
-	Hints                 nwsnet.HintStats `json:"hints"`
-	RepairRounds          uint64           `json:"repair_rounds"`
-	RepairPointsRecovered uint64           `json:"repair_points_recovered"`
+	RepairRounds          uint64 `json:"repair_rounds"`
+	RepairPointsRecovered uint64 `json:"repair_points_recovered"`
 }
 
 // WriteJSON emits the report as indented JSON (schema FaultSchemaVersion).
@@ -88,8 +87,8 @@ func (r *FaultReport) WriteText(w io.Writer) error {
 		return err
 	}
 	c := r.Config
-	if _, err := fmt.Fprintf(w, "seed %d  hosts %d  rounds %d  replicas %d (quorum %d)  backlog cap %d  hint cap %d\n\n",
-		r.Seed, c.Hosts, c.Rounds, c.Replicas, c.Quorum, c.BacklogCap, c.HintCap); err != nil {
+	if _, err := fmt.Fprintf(w, "seed %d  hosts %d  rounds %d  replicas %d (quorum %d)  backlog cap %d\n\n",
+		r.Seed, c.Hosts, c.Rounds, c.Replicas, c.Quorum, c.BacklogCap); err != nil {
 		return err
 	}
 
@@ -110,14 +109,12 @@ func (r *FaultReport) WriteText(w io.Writer) error {
 		t.AddRow(name, f(r.Arms[0]), f(r.Arms[1]))
 	}
 	row("ledger points", func(a ArmResult) string { return fmt.Sprintf("%d", a.LedgerPoints) })
+	row("missed writes", func(a ArmResult) string { return fmt.Sprintf("%d", a.MissedWrites) })
 	row("missing points", func(a ArmResult) string { return fmt.Sprintf("%d", a.MissingPoints) })
 	row("divergent series", func(a ArmResult) string { return fmt.Sprintf("%d", a.DivergentSeries) })
 	row("rounds to converge", func(a ArmResult) string { return fmt.Sprintf("%d", a.RoundsToConverge) })
 	row("probe failures", func(a ArmResult) string { return fmt.Sprintf("%d/%d", a.ProbeFailures, a.Probes) })
 	row("quorum failures", func(a ArmResult) string { return fmt.Sprintf("%d", a.QuorumFailures) })
-	row("hints queued/replayed/dropped", func(a ArmResult) string {
-		return fmt.Sprintf("%d/%d/%d", a.Hints.Queued, a.Hints.Replayed, a.Hints.Dropped)
-	})
 	row("repair rounds", func(a ArmResult) string { return fmt.Sprintf("%d", a.RepairRounds) })
 	row("repair points recovered", func(a ArmResult) string { return fmt.Sprintf("%d", a.RepairPointsRecovered) })
 	if err := t.Render(w); err != nil {

@@ -245,8 +245,8 @@ func (k calls) DigestsCtx(ctx context.Context, memAddr, key string) ([]SeriesDig
 }
 
 // Backfill merge-inserts points behind a series' frontier on a memory
-// server — the delivery path for hinted handoff and repair pushes, where
-// the ordinary store path would dedup old timestamps away.
+// server — the delivery path for nwsctl repair's pushes, where the ordinary
+// store path would dedup old timestamps away.
 func (k calls) Backfill(memAddr, key string, points [][2]float64) error {
 	return k.BackfillCtx(context.Background(), memAddr, key, points)
 }

@@ -274,7 +274,7 @@ func TestClusterClientRouting(t *testing.T) {
 	wrong.Members[0].Addr, wrong.Members[1].Addr = wrong.Members[1].Endpoints()[0], wrong.Members[0].Endpoints()[0]
 	wrong.Members[0].Addrs, wrong.Members[1].Addrs = nil, nil
 	wrong.Epoch = v.Epoch - 1 // genuinely stale, so the redirect's view supersedes it
-	stale.adoptView(&wrong)
+	stale.table.adopt(wrong)
 	before := mClusterRefreshRedirect.Value()
 	if err := stale.Store(ctx, keys[0], [][2]float64{{3, 0.5}}); err != nil {
 		t.Fatalf("store through stale view: %v", err)

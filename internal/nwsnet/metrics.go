@@ -95,23 +95,14 @@ var (
 		"nws_replica_quorum_failures_total",
 		"Replicated writes that did not reach their quorum.")
 
-	// Repair plane: anti-entropy rounds and hinted handoff (see
-	// docs/ARCHITECTURE.md, "Repair plane").
+	// Repair plane: anti-entropy rounds (see docs/ARCHITECTURE.md,
+	// "Repair plane").
 	mRepairRounds = metrics.NewCounter(
 		"nws_repair_rounds_total",
 		"Anti-entropy repair rounds completed (digest exchange plus any pulls).")
 	mRepairPointsRecovered = metrics.NewCounter(
 		"nws_repair_points_recovered_total",
 		"Measurement points merged behind the frontier by anti-entropy repair.")
-	mHintsQueued = metrics.NewCounter(
-		"nws_hints_queued_total",
-		"Points parked in hinted-handoff queues for replicas that missed a quorum write.")
-	mHintsReplayed = metrics.NewCounter(
-		"nws_hints_replayed_total",
-		"Hinted points redelivered to a recovered replica via backfill.")
-	mHintsDropped = metrics.NewCounter(
-		"nws_hints_dropped_total",
-		"Hinted points evicted (oldest first) when a replica's hint queue hit its capacity.")
 
 	// Memory server.
 	mMemoryRequests = metrics.NewCounterVec(

@@ -6,9 +6,9 @@ import (
 )
 
 // TestPersistBackfillSurvivesRestart: history that arrives behind the
-// frontier — a wire OpBackfill (hinted-handoff replay, nwsctl repair), the
-// Repairer's pull, and the cluster handoff's direct Memory.Backfill — must be
-// as durable as a store: close, reopen, same digest.
+// frontier — a wire OpBackfill (nwsctl repair), the Repairer's pull, and
+// the cluster handoff's direct Memory.Backfill — must be as durable as a
+// store: close, reopen, same digest.
 func TestPersistBackfillSurvivesRestart(t *testing.T) {
 	head := [][2]float64{{100, 0.5}, {110, 0.6}}
 	hole := [][2]float64{{40, 0.1}, {50, 0.2}, {60, 0.3}}

@@ -67,8 +67,8 @@ const (
 	OpHello       Op = "hello"       // any server: negotiate connection metadata (tenant ID)
 
 	// Repair-plane operations (docs/PROTOCOL.md §9): anti-entropy digests
-	// and behind-the-frontier merges, used by replica repair and hinted
-	// handoff. Unlike OpStore, OpBackfill inserts points older than the
+	// and behind-the-frontier merges, used by replica repair and nwsctl
+	// repair. Unlike OpStore, OpBackfill inserts points older than the
 	// series frontier instead of deduplicating them away.
 	OpDigest   Op = "digest"   // memory: per-series frontier/count/checksum digests
 	OpBackfill Op = "backfill" // memory: merge points behind the frontier

@@ -19,8 +19,8 @@ import (
 // series whose prefix up to the peer's frontier matches the peer's digest
 // is in sync (the local store merely has newer points the peer will pull
 // from us), a series that is only behind pulls just the missing tail, and
-// only a genuine body mismatch (dropped hints, a trimmed ring) refetches
-// the series.
+// only a genuine body mismatch (a write missed mid-history, a trimmed ring)
+// refetches the series.
 type Repairer struct {
 	tr    Transport
 	mem   *Memory
@@ -137,7 +137,7 @@ func (rp *Repairer) repairFromPeer(ctx context.Context, peer string, owned func(
 		return recovered, err
 	}
 	// A tail pull closes a pure lag; anything still mismatched diverged in
-	// the body (dropped hints mid-history, capacity trims) and needs the
+	// the body (a write missed mid-history, capacity trims) and needs the
 	// whole series.
 	for _, d := range tailDigests {
 		if !rp.inSyncWith(d) {

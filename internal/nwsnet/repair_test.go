@@ -120,37 +120,51 @@ func TestLocalTransportFaultModes(t *testing.T) {
 	}
 }
 
-func TestHintedHandoffQueuesAndReplays(t *testing.T) {
+// TestRepairHealsMissedWrite pins the one healing path for a replica that
+// missed a quorum-met write: the router only marks it unhealthy, and one
+// RepairRound of the missed replica recovers exactly the points it missed.
+func TestRepairHealsMissedWrite(t *testing.T) {
+	eachPlacement(t, testRepairHealsMissedWrite)
+}
+
+func testRepairHealsMissedWrite(t *testing.T, group groupMaker) {
 	lt, mems, addrs := localReplicaSet(3)
-	g := NewReplicaGroupTransport(lt, addrs, 2)
+	g := group(lt, addrs, "k")
 	ctx := context.Background()
 
 	lt.SetDown(addrs[2], true)
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
+	if err := g.Store(ctx, "k", [][2]float64{{1, 0.1}, {2, 0.2}, {3, 0.3}}); err != nil {
 		t.Fatalf("quorum store with one down replica: %v", err)
-	}
-	if hs := g.HintStats(); hs.Queued != 2 {
-		t.Fatalf("hint stats after miss = %+v, want 2 queued", hs)
 	}
 	if mems[2].Len("k") != 0 {
 		t.Fatal("down replica holds points")
 	}
-
-	// Recovery observation (a successful ping) replays the hints.
-	lt.SetDown(addrs[2], false)
-	g.CheckHealth(ctx)
-	if mems[2].Len("k") != 2 {
-		t.Fatalf("recovered replica holds %d points, want 2 from hint replay", mems[2].Len("k"))
+	if healthy(t, g, addrs[2]) {
+		t.Fatal("replica that missed the write is still marked healthy")
 	}
-	if hs := g.HintStats(); hs.Replayed != 2 || hs.Dropped != 0 {
-		t.Fatalf("hint stats after replay = %+v", hs)
+
+	lt.SetDown(addrs[2], false)
+	rp := NewRepairer(lt, mems[2], addrs[:2])
+	n, err := rp.RepairRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 {
+		t.Fatalf("repair recovered %d points, want the 3 missed", n)
+	}
+	if st := rp.Stats(); st.Rounds != 1 || st.PointsRecovered != 3 {
+		t.Fatalf("repair stats = %+v", st)
 	}
 	if !digestsEqual(mems[0], mems[2]) {
-		t.Fatal("replicas not bit-identical after hint replay")
+		t.Fatal("replicas not bit-identical after repair")
 	}
 }
 
-func TestHintedHandoffReplaysOnNextCleanStore(t *testing.T) {
+// TestRepairMergesMissedWriteBehindNewerStore: the replica that missed a
+// write takes the next one, so its frontier is current and the hole sits
+// behind it; one repair round merges the missed point in behind the newer
+// write.
+func TestRepairMergesMissedWriteBehindNewerStore(t *testing.T) {
 	lt, mems, addrs := localReplicaSet(3)
 	g := NewReplicaGroupTransport(lt, addrs, 2)
 	ctx := context.Background()
@@ -160,26 +174,29 @@ func TestHintedHandoffReplaysOnNextCleanStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt.SetDown(addrs[2], false)
-	// The next clean write doubles as the recovery observation: the hint
-	// (older than the new point) merges in behind it via backfill.
 	if err := g.Store(ctx, "k", [][2]float64{{2, 0.2}}); err != nil {
 		t.Fatal(err)
 	}
-	if mems[2].Len("k") != 2 {
-		t.Fatalf("replica holds %d points, want 2 (hint merged behind newer write)", mems[2].Len("k"))
+	if mems[2].Len("k") != 1 {
+		t.Fatalf("replica holds %d points, want only the newer write", mems[2].Len("k"))
+	}
+	if n, err := NewRepairer(lt, mems[2], addrs[:2]).RepairRound(ctx); err != nil || n != 1 {
+		t.Fatalf("repair = %d, %v; want the 1 missed point", n, err)
 	}
 	if !digestsEqual(mems[0], mems[2]) {
-		t.Fatal("replicas not bit-identical after in-band replay")
+		t.Fatal("replicas not bit-identical after repair")
 	}
 }
 
-func TestHintedHandoffPartitionedReplicaIdempotent(t *testing.T) {
+// TestRepairPartitionedWriteRecoversNothing: a write through an asymmetric
+// partition is applied but unacknowledged, so the router marks the replica
+// unhealthy though it holds the point; its repair round finds nothing to
+// pull.
+func TestRepairPartitionedWriteRecoversNothing(t *testing.T) {
 	lt, mems, addrs := localReplicaSet(3)
 	g := NewReplicaGroupTransport(lt, addrs, 2)
 	ctx := context.Background()
 
-	// Applied but unacknowledged: the write lands on the partitioned replica
-	// yet the group cannot know, so it parks a hint anyway.
 	lt.SetPartitioned(addrs[2], true)
 	if err := g.Store(ctx, "k", [][2]float64{{1, 0.5}}); err != nil {
 		t.Fatalf("quorum store through partition: %v", err)
@@ -187,59 +204,16 @@ func TestHintedHandoffPartitionedReplicaIdempotent(t *testing.T) {
 	if mems[2].Len("k") != 1 {
 		t.Fatal("partitioned replica did not apply the write")
 	}
-	if hs := g.HintStats(); hs.Queued != 1 {
-		t.Fatalf("hint stats = %+v, want 1 queued for the unacked write", hs)
+	if healthy(t, g, addrs[2]) {
+		t.Fatal("unacknowledged replica is still marked healthy")
 	}
 
-	// Replaying the hint after recovery is a duplicate delivery; backfill
-	// dedups it.
 	lt.SetPartitioned(addrs[2], false)
-	g.CheckHealth(ctx)
-	if mems[2].Len("k") != 1 {
-		t.Fatalf("replica holds %d points after duplicate replay, want 1", mems[2].Len("k"))
+	if n, err := NewRepairer(lt, mems[2], addrs[:2]).RepairRound(ctx); err != nil || n != 0 {
+		t.Fatalf("repair = %d, %v; want 0 recovered", n, err)
 	}
 	if !digestsEqual(mems[0], mems[2]) {
-		t.Fatal("replicas not bit-identical after idempotent replay")
-	}
-}
-
-func TestHintCapDropsOldestAndRepairCloses(t *testing.T) {
-	eachPlacement(t, testHintCapDropsOldestAndRepairCloses)
-}
-
-func testHintCapDropsOldestAndRepairCloses(t *testing.T, group groupMaker) {
-	lt, mems, addrs := localReplicaSet(3)
-	g := group(lt, addrs, "k")
-	g.SetHintCap(2)
-	ctx := context.Background()
-
-	lt.SetDown(addrs[2], true)
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.1}, {2, 0.2}, {3, 0.3}}); err != nil {
-		t.Fatal(err)
-	}
-	if hs := g.HintStats(); hs.Queued != 3 || hs.Dropped != 1 {
-		t.Fatalf("hint stats = %+v, want 3 queued / 1 dropped at cap 2", hs)
-	}
-	lt.SetDown(addrs[2], false)
-	g.CheckHealth(ctx)
-	if mems[2].Len("k") != 2 {
-		t.Fatalf("replica holds %d points, want 2 (oldest hint dropped)", mems[2].Len("k"))
-	}
-
-	// Anti-entropy closes what the bounded hints could not.
-	rp := NewRepairer(lt, mems[2], addrs[:2])
-	n, err := rp.RepairRound(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("repair recovered %d points, want the 1 dropped hint", n)
-	}
-	if st := rp.Stats(); st.Rounds != 1 || st.PointsRecovered != 1 {
-		t.Fatalf("repair stats = %+v", st)
-	}
-	if !digestsEqual(mems[0], mems[2]) {
-		t.Fatal("replicas not bit-identical after repair")
+		t.Fatal("replicas not bit-identical after the partition")
 	}
 }
 
@@ -329,12 +303,8 @@ func TestReplicaDivergenceBeyondBacklogWindow(t *testing.T) {
 	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
 	d := NewSensorDaemonReplicas("rhost", sensors.SimHost{H: h}, addrs, 2, sensors.HybridConfig{})
 	defer d.Close()
-	// Rewire the daemon onto the in-process replica set, hints disabled to
-	// isolate the anti-entropy path (hints would cover a bounded slice of
-	// the outage; the bug is about everything beyond them).
-	g := NewReplicaGroupTransport(lt, addrs, 2)
-	g.SetHintCap(0)
-	d.group = g
+	// Rewire the daemon onto the in-process replica set.
+	d.group = NewReplicaGroupTransport(lt, addrs, 2)
 	d.SetBacklogCap(4)
 
 	var steps []float64

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
-	"nwscpu/internal/nwsnet/cluster"
 	"nwscpu/internal/resilience"
 )
 
@@ -31,11 +29,10 @@ const clusterRouteAttempts = 3
 //
 // Everything else is shared. A write goes to every owner of its key and
 // succeeds once a quorum acknowledges; owners that missed it are marked
-// unhealthy (nws_replica_healthy, per-process observation) and get the
-// points parked in a bounded hint queue (nws_hints_*), redelivered via
-// OpBackfill when they next answer; the rest a Repairer beside each store
-// closes (docs/ARCHITECTURE.md, "Repair plane"). Reads fail over across a
-// key's owners. A group of one behaves exactly like a direct client.
+// unhealthy (nws_replica_healthy, per-process observation), and the
+// Repairer beside each of them closes the gap (docs/ARCHITECTURE.md,
+// "Repair plane"). Reads fail over across a key's owners. A group of one
+// behaves exactly like a direct client.
 type ReplicaGroup struct {
 	tr     Transport
 	client *Client   // closed by Close; nil when the transport is the caller's
@@ -44,25 +41,9 @@ type ReplicaGroup struct {
 	nsAddr string    // view placement: the registry behind table
 	table  viewTable // view placement: the newest adopted view
 
-	mu      sync.Mutex
-	down    map[string]bool                    // endpoints last observed failing
-	hintCap int                                // max hinted points per endpoint per series; 0 disables
-	hints   map[string]map[string][][2]float64 // addr -> series -> parked points
-	hstats  HintStats
+	mu   sync.Mutex
+	down map[string]bool // endpoints last observed failing
 }
-
-// HintStats counts this group's hinted-handoff activity (the per-process
-// totals are also exported as nws_hints_queued/replayed/dropped_total).
-type HintStats struct {
-	Queued   uint64 `json:"queued"`
-	Replayed uint64 `json:"replayed"`
-	Dropped  uint64 `json:"dropped"`
-}
-
-// hintCapDefault bounds each endpoint's per-series hint queue: at sensord's
-// 10-second cadence it covers over an hour of missed points per series
-// before hints start dropping and anti-entropy has to close the rest.
-const hintCapDefault = 512
 
 // ReplicaHealth is one replica's last observed state.
 type ReplicaHealth struct {
@@ -103,13 +84,7 @@ func NewReplicaGroupTransport(tr Transport, addrs []string, quorum int) *Replica
 // view (bootstrapped from the registry by the first operation) and a write
 // needs a majority of them. The transport stays the caller's to close.
 func NewReplicaGroupCluster(tr Transport, nsAddr string) *ReplicaGroup {
-	return &ReplicaGroup{
-		tr:      tr,
-		nsAddr:  nsAddr,
-		down:    make(map[string]bool),
-		hintCap: hintCapDefault,
-		hints:   make(map[string]map[string][][2]float64),
-	}
+	return &ReplicaGroup{tr: tr, nsAddr: nsAddr, down: make(map[string]bool)}
 }
 
 // owners is the ownership function: key's owner endpoints in preference
@@ -170,7 +145,7 @@ func (g *ReplicaGroup) refresh(ctx context.Context) error {
 		return fmt.Errorf("nwsnet: registry %s returned no view", g.nsAddr)
 	}
 	mClusterRefreshRegistry.Inc()
-	g.adoptView(v)
+	g.table.adopt(*v)
 	return nil
 }
 
@@ -185,31 +160,9 @@ func (g *ReplicaGroup) redirected(err error) bool {
 	}
 	if me.View != nil {
 		mClusterRefreshRedirect.Inc()
-		g.adoptView(me.View)
+		g.table.adopt(*me.View)
 	}
 	return true
-}
-
-// adoptView installs v as the routing table if it is newer than the one
-// held. An endpoint that left the view will not be written again: its hints
-// are dropped and counted, and the owners' repairers close what they covered.
-func (g *ReplicaGroup) adoptView(v *cluster.View) {
-	if !g.table.adopt(*v) {
-		return
-	}
-	live := g.endpoints()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for addr, bySeries := range g.hints {
-		if slices.Contains(live, addr) {
-			continue
-		}
-		for _, pts := range bySeries {
-			g.hstats.Dropped += uint64(len(pts))
-			mHintsDropped.Add(uint64(len(pts)))
-		}
-		delete(g.hints, addr)
-	}
 }
 
 // Addrs returns the configured replicas or the view's active memory members.
@@ -224,21 +177,6 @@ func (g *ReplicaGroup) need(owners []string) int {
 		return g.quorum
 	}
 	return len(owners)/2 + 1
-}
-
-// SetHintCap bounds the hinted-handoff queue: at most n points per replica
-// per series (oldest dropped first past it). n <= 0 disables hints.
-func (g *ReplicaGroup) SetHintCap(n int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.hintCap = n
-}
-
-// HintStats reports this group's hinted-handoff counters.
-func (g *ReplicaGroup) HintStats() HintStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.hstats
 }
 
 // mark records one observation of an endpoint's health.
@@ -294,88 +232,6 @@ func isBreakerDenial(err error) bool {
 	return errors.Is(err, resilience.ErrBreakerOpen)
 }
 
-// CheckHealth pings every endpoint, refreshing the health states it
-// returns. An endpoint that answers gets any parked hints replayed to it.
-func (g *ReplicaGroup) CheckHealth(ctx context.Context) []ReplicaHealth {
-	for _, addr := range g.endpoints() {
-		err := g.tr.PingCtx(ctx, addr)
-		if isBreakerDenial(err) {
-			continue
-		}
-		g.mark(addr, err == nil)
-		if err == nil {
-			g.replayHints(ctx, addr)
-		}
-	}
-	return g.Health()
-}
-
-// queueHint parks points an owner missed from a quorum-successful write,
-// bounded to hintCap points per series with oldest-first eviction.
-func (g *ReplicaGroup) queueHint(addr, series string, pts [][2]float64) {
-	if len(pts) == 0 {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.hintCap <= 0 {
-		return
-	}
-	bySeries := g.hints[addr]
-	if bySeries == nil {
-		bySeries = make(map[string][][2]float64)
-		g.hints[addr] = bySeries
-	}
-	q := append(bySeries[series], pts...)
-	g.hstats.Queued += uint64(len(pts))
-	mHintsQueued.Add(uint64(len(pts)))
-	if over := len(q) - g.hintCap; over > 0 {
-		q = append([][2]float64(nil), q[over:]...)
-		g.hstats.Dropped += uint64(over)
-		mHintsDropped.Add(uint64(over))
-	}
-	bySeries[series] = q
-}
-
-// replayHints redelivers everything parked for an endpoint via backfill
-// (idempotent on the receiver, so replaying after an applied-but-unacked
-// write is harmless). Series replay in sorted order for deterministic
-// fault-harness schedules.
-func (g *ReplicaGroup) replayHints(ctx context.Context, addr string) {
-	g.mu.Lock()
-	parked := g.hints[addr]
-	delete(g.hints, addr)
-	g.mu.Unlock()
-	if len(parked) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(parked))
-	for k := range parked {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for n, series := range keys {
-		pts := parked[series]
-		if err := g.tr.BackfillCtx(ctx, addr, series, pts); err != nil {
-			// The endpoint just stopped answering: park the rest again, ahead
-			// of anything queued meanwhile, for the next recovery observation.
-			g.mu.Lock()
-			if g.hints[addr] == nil {
-				g.hints[addr] = make(map[string][][2]float64)
-			}
-			for _, k := range keys[n:] {
-				g.hints[addr][k] = append(parked[k], g.hints[addr][k]...)
-			}
-			g.mu.Unlock()
-			return
-		}
-		g.mu.Lock()
-		g.hstats.Replayed += uint64(len(pts))
-		g.mu.Unlock()
-		mHintsReplayed.Add(uint64(len(pts)))
-	}
-}
-
 // keep records err in *slot unless an earlier one is already there.
 func keep(slot *error, err error) {
 	if *slot == nil {
@@ -397,7 +253,8 @@ func (g *ReplicaGroup) Store(ctx context.Context, key string, points [][2]float6
 // envelope per owner endpoint, endpoints in first-seen order and sent
 // sequentially (so failure sequences are deterministic under test
 // schedules). A sub-store succeeds once its quorum acknowledges; owners that
-// missed it then get a hint parked. Redirected sub-stores are re-routed
+// missed it are marked unhealthy and left to their repairers. Redirected
+// sub-stores are re-routed
 // under the adopted view, the last round under the registry's. The returned
 // slice has one entry per input — nil when that sub-store met its quorum;
 // the overall error is non-nil when any did not.
@@ -410,10 +267,6 @@ func (g *ReplicaGroup) StoreBatch(ctx context.Context, stores []BatchStore) ([]e
 	n := len(stores)
 	if n == 0 {
 		return nil, nil
-	}
-	type miss struct {
-		addr string
-		sub  int
 	}
 	out := make([]error, n)    // first failure seen per sub; nil once its quorum is met
 	acks := make([]int, n)     // this round's acknowledgements
@@ -439,7 +292,6 @@ func (g *ReplicaGroup) StoreBatch(ctx context.Context, stores []BatchStore) ([]e
 				}
 			}
 		}
-		var missed []miss
 		redirected := false
 		for _, addr := range addrs {
 			idx, sub = idx[:0], sub[:0]
@@ -458,9 +310,6 @@ func (g *ReplicaGroup) StoreBatch(ctx context.Context, stores []BatchStore) ([]e
 				if !isBreakerDenial(err) {
 					g.mark(addr, false)
 				}
-				for _, i := range idx {
-					missed = append(missed, miss{addr, i})
-				}
 				continue
 			}
 			clean := true
@@ -476,19 +325,8 @@ func (g *ReplicaGroup) StoreBatch(ctx context.Context, stores []BatchStore) ([]e
 					continue
 				}
 				clean = false
-				missed = append(missed, miss{addr, i})
 			}
 			g.mark(addr, clean)
-			if clean {
-				g.replayHints(ctx, addr)
-			}
-		}
-		// A sub that met quorum is durable and the writer's backlog forgets
-		// it: park hints for the owners that missed it, so recovery redelivers.
-		for _, m := range missed {
-			if acks[m.sub] >= g.need(own[m.sub]) {
-				g.queueHint(m.addr, stores[m.sub].Series, stores[m.sub].Points)
-			}
 		}
 		for i := range stores {
 			if own[i] != nil && acks[i] >= g.need(own[i]) {

@@ -73,7 +73,7 @@ func eachPlacement(t *testing.T, fn func(t *testing.T, group groupMaker)) {
 				v.Members = append(v.Members, cluster.Member{ID: id, Kind: string(KindMemory), Addr: addrs[i], State: cluster.StateActive})
 			}
 			g := NewReplicaGroupCluster(tr, "127.0.0.1:1")
-			g.adoptView(&v)
+			g.table.adopt(v)
 			if got, err := g.owners(context.Background(), key); err != nil || !slices.Equal(got, addrs) {
 				t.Fatalf("view owners of %q = %v, %v; want %v", key, got, err, addrs)
 			}
@@ -359,7 +359,10 @@ func TestSensorBacklogDrainsAfterQuorumLoss(t *testing.T) {
 	}
 }
 
-func TestReplicaGroupCheckHealthRecovers(t *testing.T) {
+// TestReplicaGroupStoreRestoresHealth: a replica marked unhealthy by a
+// failed store is marked healthy again, nws_replica_healthy included, by the
+// next store it acknowledges.
+func TestReplicaGroupStoreRestoresHealth(t *testing.T) {
 	m := NewMemory(0)
 	srv := NewServer(m, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -382,9 +385,11 @@ func TestReplicaGroupCheckHealthRecovers(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	h := g.CheckHealth(ctx)
-	if !h[0].Healthy {
-		t.Fatal("CheckHealth did not restore the revived replica")
+	if err := g.Store(ctx, "k", [][2]float64{{2, 1}}); err != nil {
+		t.Fatalf("store to revived replica: %v", err)
+	}
+	if !g.Health()[0].Healthy {
+		t.Fatal("a successful store did not restore the revived replica")
 	}
 	if got := mReplicaHealthy.With(addr).Value(); got != 1 {
 		t.Fatalf("nws_replica_healthy{%s} = %g, want 1", addr, got)
@@ -463,37 +468,37 @@ func testOrderingConsultsBreakerBeforeHealth(t *testing.T, group groupMaker) {
 	}
 }
 
-func TestViewPlacementDropsHintsOfDepartedEndpoint(t *testing.T) {
+// TestViewPlacementNeverWritesDepartedEndpoint: a member that missed a
+// write and then left the view is neither written nor reported again, even
+// once it answers.
+func TestViewPlacementNeverWritesDepartedEndpoint(t *testing.T) {
 	lt, mems, addrs := localReplicaSet(3)
 	v := cluster.View{Epoch: 1, Config: cluster.Config{Replication: 3, VNodes: 8}}
 	for i, a := range addrs {
 		v.Members = append(v.Members, cluster.Member{ID: fmt.Sprintf("m%d", i), Kind: string(KindMemory), Addr: a, State: cluster.StateActive})
 	}
 	g := NewReplicaGroupCluster(lt, "registry") // never registered: any registry call fails
-	g.adoptView(&v)
+	g.table.adopt(v)
 	ctx := context.Background()
 
 	lt.SetDown(addrs[2], true)
 	if err := g.Store(ctx, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
 		t.Fatalf("store with 2/3 owners up: %v", err)
 	}
-	if hs := g.HintStats(); hs.Queued != 2 || hs.Dropped != 0 {
-		t.Fatalf("hints after the miss = %+v, want 2 queued", hs)
-	}
 
-	// The downed member's lease lapses: it leaves the view with hints parked.
+	// The downed member's lease lapses: it leaves the view, then answers again.
 	v2 := v.Clone()
 	v2.Epoch, v2.Members = 2, v2.Members[:2]
-	g.adoptView(&v2)
-	if hs := g.HintStats(); hs.Dropped != 2 {
-		t.Fatalf("hints after the endpoint left the view = %+v, want 2 dropped", hs)
-	}
+	g.table.adopt(v2)
 	lt.SetDown(addrs[2], false)
-	if h := g.CheckHealth(ctx); len(h) != 2 {
-		t.Fatalf("health after the view change = %+v, want the 2 remaining members", h)
+	if err := g.Store(ctx, "k", [][2]float64{{3, 0.3}}); err != nil {
+		t.Fatal(err)
 	}
-	if hs := g.HintStats(); hs.Replayed != 0 || mems[2].Len("k") != 0 {
-		t.Fatalf("departed endpoint was written: hints %+v, %d points", hs, mems[2].Len("k"))
+	if n := mems[2].Len("k"); n != 0 {
+		t.Fatalf("departed endpoint was written: %d points", n)
+	}
+	if h := g.Health(); len(h) != 2 {
+		t.Fatalf("health after the view change = %+v, want the 2 remaining members", h)
 	}
 }
 

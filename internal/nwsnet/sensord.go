@@ -137,8 +137,8 @@ func (d *SensorDaemon) SetBacklogCap(n int) {
 func (d *SensorDaemon) BacklogCap() int { return d.backlogCap }
 
 // Group returns the store backend the daemon delivers through (a
-// *ReplicaGroup on the replicated path), letting harnesses and operators
-// reach replication-layer knobs like SetHintCap.
+// *ReplicaGroup on the replicated path), so a daemon's other probes can
+// deliver their series the same way.
 func (d *SensorDaemon) Group() StoreBackend { return d.group }
 
 // Register announces this sensor to a name server. addr is where queries
