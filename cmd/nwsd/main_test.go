@@ -237,14 +237,16 @@ func TestMemoryReplicasRepairEachOther(t *testing.T) {
 // returns every replica address they bound.
 func startMemories(t *testing.T, opts ...daemonOpts) []string {
 	t.Helper()
-	stop := make(chan struct{})
-	bound := make(chan string, 8)
-	done := make(chan error, len(opts))
 	want, running := 0, len(opts)
+	for _, o := range opts {
+		want += max(o.replicas, 1)
+	}
+	stop := make(chan struct{})
+	bound := make(chan string, want)
+	done := make(chan error, len(opts))
 	for _, o := range opts {
 		o.stop = stop
 		o.notify = func(_, addr string) { bound <- addr }
-		want += max(o.replicas, 1)
 		go func() { done <- run(o, quietLogger()) }()
 	}
 	t.Cleanup(func() {
