@@ -18,7 +18,7 @@ import (
 //	crash      a replica goes down for several times the writer's backlog
 //	           window, then restarts over its durable store — the outage
 //	           only the repair plane can heal
-//	stall      a short replica outage, inside the writer's backlog window
+//	stall      a replica outage of a round or two
 //	partition  an asymmetric split: writes to the replica apply but the
 //	           responses are lost (the chaos proxy's partition fault,
 //	           in-process), exercising applied-but-unacked redelivery

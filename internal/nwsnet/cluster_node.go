@@ -46,17 +46,15 @@ type viewTable struct {
 	ring *cluster.Ring // nil while no memory member is active
 }
 
-// adopt installs v unless a view of the same or a newer epoch is held,
-// reporting whether it did; racing adopters converge on the newest epoch.
-func (t *viewTable) adopt(v cluster.View) bool {
+// adopt installs v unless a view of the same or a newer epoch is held;
+// racing adopters converge on the newest epoch.
+func (t *viewTable) adopt(v cluster.View) {
 	cp := v.Clone()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.view != nil && cp.Epoch <= t.view.Epoch {
-		return false
+	if t.view == nil || cp.Epoch > t.view.Epoch {
+		t.view, t.ring = &cp, cp.Ring(string(KindMemory))
 	}
-	t.view, t.ring = &cp, cp.Ring(string(KindMemory))
-	return true
 }
 
 // get returns the held view (nil before the first adopt) and its ring.
