@@ -131,13 +131,13 @@ func checkMissedWrites(t *testing.T, on, off ArmResult) {
 func TestFaultCampaignSeedSweep(t *testing.T) {
 	for _, replicas := range []int{3, 5} {
 		for seed := int64(1); seed <= 20; seed++ {
-			cfg := DefaultFaultConfig()
-			cfg.Seed, cfg.Replicas = seed, replicas
-			rep, err := RunFaultCampaign(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			t.Run(fmt.Sprintf("replicas%d/seed%d", replicas, seed), func(t *testing.T) {
+				cfg := DefaultFaultConfig()
+				cfg.Seed, cfg.Replicas = seed, replicas
+				rep, err := RunFaultCampaign(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, v := range rep.Verdicts {
 					if !v.Pass {
 						t.Errorf("verdict %s (%s) failed: value %g", v.Config, v.SLO, v.Value)
