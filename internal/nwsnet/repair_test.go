@@ -160,6 +160,39 @@ func testRepairHealsMissedWrite(t *testing.T, group groupMaker) {
 	}
 }
 
+// TestRecoveredReplicaHoldsMissedWriteUntilRepair: recovery alone replays
+// nothing. A replica that missed a write and is then restored to health by a
+// clean store of another series still lacks the missed points; only a
+// repair round pulls them.
+func TestRecoveredReplicaHoldsMissedWriteUntilRepair(t *testing.T) {
+	lt, mems, addrs := localReplicaSet(3)
+	g := NewReplicaGroupTransport(lt, addrs, 2)
+	ctx := context.Background()
+
+	lt.SetDown(addrs[2], true)
+	if err := g.Store(ctx, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
+		t.Fatalf("quorum store with one down replica: %v", err)
+	}
+
+	lt.SetDown(addrs[2], false)
+	if err := g.Store(ctx, "j", [][2]float64{{1, 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if !healthy(t, g, addrs[2]) {
+		t.Fatal("a clean store did not restore the recovered replica")
+	}
+	if mems[2].Len("k") != 0 {
+		t.Fatalf("recovered replica holds %d points of the missed write before repair, want 0", mems[2].Len("k"))
+	}
+
+	if n, err := NewRepairer(lt, mems[2], addrs[:2]).RepairRound(ctx); err != nil || n != 2 {
+		t.Fatalf("repair = %d, %v; want the 2 missed points", n, err)
+	}
+	if !digestsEqual(mems[0], mems[2]) {
+		t.Fatal("replicas not bit-identical after repair")
+	}
+}
+
 // TestRepairMergesMissedWriteBehindNewerStore: the replica that missed a
 // write takes the next one, so its frontier is current and the hole sits
 // behind it; one repair round merges the missed point in behind the newer
