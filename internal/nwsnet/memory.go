@@ -132,6 +132,9 @@ func (m *Memory) handleStore(req Request) Response {
 	if len(req.Points) == 0 {
 		return errResp("store requires points")
 	}
+	if i := firstNonFinite(req.Points); i >= 0 {
+		return errResp("store: point %d %v is not finite", i, req.Points[i])
+	}
 	sh := m.shard(req.Series)
 	sh.mu.Lock()
 	r := sh.store[req.Series]
@@ -383,9 +386,27 @@ func (m *Memory) handleBackfill(req Request) Response {
 	if len(req.Points) == 0 {
 		return errResp("backfill requires points")
 	}
+	if i := firstNonFinite(req.Points); i >= 0 {
+		return errResp("backfill: point %d %v is not finite", i, req.Points[i])
+	}
 	m.backfill(req.Series, req.Points)
 	return Response{}
 }
+
+// firstNonFinite returns the index of the first point whose t or v is NaN or
+// ±Inf, or -1. A NaN has no order, so it would break the frontier dedup and
+// the time search here and the forecasters' order statistics downstream;
+// the write doors refuse such a request whole.
+func firstNonFinite(pts [][2]float64) int {
+	for i, tv := range pts {
+		if !finite(tv[0]) || !finite(tv[1]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Backfill merge-inserts historical points into a series, bypassing the
 // store path's frontier dedup: rebalancing handoff streams a series' past

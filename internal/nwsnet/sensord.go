@@ -2,6 +2,7 @@ package nwsnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"sync"
@@ -161,15 +162,26 @@ func (d *SensorDaemon) Register(nsAddr, addr string) error {
 // nws_sensor_backlog_dropped_total) and the error reported — the daemon
 // keeps measuring through memory-server outages and backfills when the
 // server returns; server-side dedup makes the redelivered batches
-// idempotent.
+// idempotent. A non-finite reading is neither stored nor queued — the
+// memory would refuse it on every redelivery — and is reported as the
+// step's error.
 func (d *SensorDaemon) Step() error {
 	t := d.host.Now()
-	stores := make([]BatchStore, len(d.sensors))
-	for i, s := range d.sensors {
+	stores := make([]BatchStore, 0, len(d.sensors))
+	var badErr error
+	for _, s := range d.sensors {
 		v := s.Measure()
 		mSensorMeasurements.With(s.Name()).Inc()
 		key := SeriesKey(d.hostName, s.Name())
-		stores[i] = BatchStore{Series: key, Points: append(d.backlog[key], [2]float64{t, v})}
+		pts := d.backlog[key]
+		if finite(t) && finite(v) {
+			pts = append(pts, [2]float64{t, v})
+		} else if badErr == nil {
+			badErr = fmt.Errorf("nwsnet: sensor %s: non-finite reading (t=%v, v=%v) dropped", key, t, v)
+		}
+		if len(pts) > 0 {
+			stores = append(stores, BatchStore{Series: key, Points: pts})
+		}
 	}
 	subErrs, err := d.group.StoreBatch(context.Background(), stores)
 	var firstErr error
@@ -196,7 +208,7 @@ func (d *SensorDaemon) Step() error {
 	}
 	d.noteOutcome(firstErr)
 	mSensorBacklog.With(d.hostName).Set(float64(d.Backlogged()))
-	return firstErr
+	return errors.Join(firstErr, badErr)
 }
 
 // noteDropped counts backlog-cap drops and logs the first of an outage.
