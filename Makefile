@@ -81,13 +81,17 @@ docs-check:
 # request decode/execute path and the client-side response decode and
 # shed/busy error classification of the v2 binary frame codec; then the
 # durable memory's on-disk decoders (log frames and records, snapshot
-# images). Go fuzzers must run one at a time, so each gets its own
-# invocation of $(FUZZTIME).
+# images); then the forecasters' order-statistics window against a
+# copy-and-sort reference. Go fuzzers must run one at a time, so each gets
+# its own invocation of $(FUZZTIME). The window fuzzer re-sorts its reference
+# after every push, so minimizing a long interesting input would eat the
+# whole budget: it gets 100 minimization runs per input.
 fuzz-smoke:
 	$(GO) test -run - -fuzz 'FuzzDecodeBinaryRequest$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzDecodeBinaryResponse$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzWALFrame$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
+	$(GO) test -run - -fuzz 'FuzzOrderWindow$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/series
 
 # Grid-scale capacity baseline: the full 1000-host scenario harness
 # regenerating BENCH_grid.json (schema nws/grid-report/v1). Deterministic:
@@ -110,10 +114,12 @@ grid-smoke:
 benchmark-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# Forecaster hot-path microbenchmarks with allocation accounting (the
-# end-to-end numbers come from benchmark/; docs/PERFORMANCE.md).
+# Forecaster hot-path microbenchmarks with allocation accounting, and the
+# order-statistics window under them at w = 5, 50 and 200 (the end-to-end
+# numbers come from benchmark/; docs/PERFORMANCE.md).
 bench-forecast:
 	$(GO) test -run - -bench 'BenchmarkEngine|BenchmarkBank' -benchmem ./internal/forecast
+	$(GO) test -run - -bench 'BenchmarkOrderWindow' -benchmem ./internal/series
 
 # One iteration of every table/figure/ablation benchmark at 6-hour scale.
 bench:

@@ -46,8 +46,8 @@ func (e *Engine) noteOwnForecast() {
 // the point forecast. Coverage outside (0, 1) is clamped to 0.9.
 //
 // The residuals live in an order-statistics window, so the quantile reads
-// are O(log w) and the call allocates nothing (the seed implementation
-// copied and sorted the residual ring twice per call).
+// are O(1) and the call allocates nothing (the seed implementation copied
+// and sorted the residual ring twice per call).
 func (e *Engine) ForecastInterval(coverage float64) (Interval, bool) {
 	p, ok := e.forecast()
 	if !ok {

@@ -3,15 +3,17 @@ package series
 import "math"
 
 // OrderWindow is a sliding window over a scalar series that serves order
-// statistics incrementally: Push is O(log w), Median/Kth/Quantile are
-// O(log w), and the alpha-trimmed mean is O(trimmed span + log w) — all with
-// zero steady-state allocations. It replaces the copy-and-sort pattern
-// (O(w log w) time and one allocation per query) in the forecaster hot path.
+// statistics incrementally: Push is one binary search plus one memmove of at
+// most w values, Median/Kth/Quantile are O(1) index reads, and the
+// alpha-trimmed mean is O(trimmed span) — all with zero steady-state
+// allocations. It replaces the copy-and-sort pattern (O(w log w) time and one
+// allocation per query) in the forecaster hot path.
 //
 // Internally it pairs an arrival-order Ring (which value to evict next) with
-// an array-backed treap keyed by value and augmented with subtree sizes.
-// Nodes are preallocated and recycled through a free list, so a window at
-// steady state never touches the allocator.
+// a sorted copy of the same values. Both are preallocated at capacity, so a
+// window at steady state never touches the allocator. At the window lengths
+// the forecasters use (w ≤ 200) shifting a contiguous slice costs less than
+// walking a balanced tree: docs/PERFORMANCE.md has the measurements.
 //
 // Median, Quantile and TrimmedMean are bit-compatible with stats.Median,
 // stats.Quantile and stats.TrimmedMean applied to the window's contents:
@@ -19,22 +21,13 @@ import "math"
 // floating-point operations (including Kahan summation over ascending order
 // for the trimmed mean), so swapping a sorted-copy implementation for an
 // OrderWindow changes no forecast bit. NaN values are not supported (they
-// have no total order); availability series are finite by construction.
+// have no total order, so Push panics when it evicts one); availability
+// series are finite by construction and the network layer refuses NaN.
 //
 // The zero value is not usable; create OrderWindows with NewOrderWindow.
 type OrderWindow struct {
-	ring  *Ring // arrival order: oldest value = next eviction
-	nodes []owNode
-	root  int32
-	free  int32  // head of the free list, linked through owNode.left
-	rng   uint64 // xorshift64 state for treap priorities (deterministic)
-}
-
-type owNode struct {
-	val         float64
-	left, right int32
-	size        int32
-	prio        uint32
+	ring   *Ring     // arrival order: oldest value = next eviction
+	sorted []float64 // the same values in ascending order
 }
 
 // NewOrderWindow returns a window holding at most capacity values.
@@ -43,133 +36,50 @@ func NewOrderWindow(capacity int) *OrderWindow {
 	if capacity < 1 {
 		panic("series: NewOrderWindow capacity must be >= 1")
 	}
-	w := &OrderWindow{
-		ring:  NewRing(capacity),
-		nodes: make([]owNode, capacity),
-		root:  -1,
-		rng:   0x9E3779B97F4A7C15, // golden-ratio seed; any nonzero works
+	return &OrderWindow{ring: NewRing(capacity), sorted: make([]float64, 0, capacity)}
+}
+
+// search returns the index of the first value in the ascending s that is >= v.
+// The loop body is a conditional move rather than a branch: on noisy series
+// the comparison is a coin flip the branch predictor would lose.
+func search(s []float64, v float64) int {
+	base, n := 0, len(s)
+	for n > 1 {
+		half := n / 2
+		if s[base+half] < v {
+			base += half
+		}
+		n -= half
 	}
-	w.rebuildFreeList()
-	return w
-}
-
-func (w *OrderWindow) rebuildFreeList() {
-	for i := range w.nodes {
-		w.nodes[i].left = int32(i) + 1
+	if n > 0 && s[base] < v {
+		base++
 	}
-	w.nodes[len(w.nodes)-1].left = -1
-	w.free = 0
+	return base
 }
 
-func (w *OrderWindow) nextPrio() uint32 {
-	w.rng ^= w.rng << 13
-	w.rng ^= w.rng >> 7
-	w.rng ^= w.rng << 17
-	return uint32(w.rng >> 32)
-}
-
-func (w *OrderWindow) allocNode(v float64) int32 {
-	idx := w.free
-	w.free = w.nodes[idx].left
-	w.nodes[idx] = owNode{val: v, left: -1, right: -1, size: 1, prio: w.nextPrio()}
-	return idx
-}
-
-func (w *OrderWindow) freeNode(h int32) {
-	w.nodes[h].left = w.free
-	w.free = h
-}
-
-func (w *OrderWindow) size(h int32) int32 {
-	if h < 0 {
-		return 0
-	}
-	return w.nodes[h].size
-}
-
-func (w *OrderWindow) update(h int32) {
-	nd := &w.nodes[h]
-	nd.size = 1 + w.size(nd.left) + w.size(nd.right)
-}
-
-func (w *OrderWindow) rotRight(h int32) int32 {
-	l := w.nodes[h].left
-	w.nodes[h].left = w.nodes[l].right
-	w.nodes[l].right = h
-	w.update(h)
-	w.update(l)
-	return l
-}
-
-func (w *OrderWindow) rotLeft(h int32) int32 {
-	r := w.nodes[h].right
-	w.nodes[h].right = w.nodes[r].left
-	w.nodes[r].left = h
-	w.update(h)
-	w.update(r)
-	return r
-}
-
-func (w *OrderWindow) insert(h, idx int32) int32 {
-	if h < 0 {
-		return idx
-	}
-	if w.nodes[idx].val < w.nodes[h].val {
-		w.nodes[h].left = w.insert(w.nodes[h].left, idx)
-		if w.nodes[w.nodes[h].left].prio < w.nodes[h].prio {
-			h = w.rotRight(h)
+// Push appends v, evicting the oldest value if the window is full. v takes
+// over a free slot — the evicted value's, or a new one past the end — and
+// only the values between that slot and v's sorted position shift, by one.
+func (w *OrderWindow) Push(v float64) {
+	s := w.sorted
+	i := len(s) // the free slot
+	if w.ring.Full() {
+		old := w.ring.At(0)
+		if i = search(s, old); i == len(s) || s[i] != old {
+			panic("series: OrderWindow evicting a value it does not hold")
 		}
 	} else {
-		w.nodes[h].right = w.insert(w.nodes[h].right, idx)
-		if w.nodes[w.nodes[h].right].prio < w.nodes[h].prio {
-			h = w.rotLeft(h)
-		}
-	}
-	w.update(h)
-	return h
-}
-
-// delete removes one node holding v (duplicates are interchangeable).
-func (w *OrderWindow) delete(h int32, v float64) int32 {
-	if h < 0 {
-		panic("series: OrderWindow evicting a value it does not hold")
-	}
-	nd := &w.nodes[h]
-	switch {
-	case v < nd.val:
-		nd.left = w.delete(nd.left, v)
-	case v > nd.val:
-		nd.right = w.delete(nd.right, v)
-	default:
-		if nd.left < 0 {
-			r := nd.right
-			w.freeNode(h)
-			return r
-		}
-		if nd.right < 0 {
-			l := nd.left
-			w.freeNode(h)
-			return l
-		}
-		if w.nodes[nd.left].prio < w.nodes[nd.right].prio {
-			h = w.rotRight(h)
-			w.nodes[h].right = w.delete(w.nodes[h].right, v)
-		} else {
-			h = w.rotLeft(h)
-			w.nodes[h].left = w.delete(w.nodes[h].left, v)
-		}
-	}
-	w.update(h)
-	return h
-}
-
-// Push appends v, evicting the oldest value if the window is full.
-func (w *OrderWindow) Push(v float64) {
-	if w.ring.Full() {
-		w.root = w.delete(w.root, w.ring.At(0))
+		w.sorted = s[:i+1]
 	}
 	w.ring.Push(v)
-	w.root = w.insert(w.root, w.allocNode(v))
+	j := search(s, v)
+	if j > i {
+		j-- // v's position once the evicted value is gone
+		copy(s[i:j], s[i+1:j+1])
+	} else {
+		copy(s[j+1:i+1], s[j:i])
+	}
+	w.sorted[j] = v
 }
 
 // Len returns the number of stored values.
@@ -187,42 +97,32 @@ func (w *OrderWindow) At(i int) float64 { return w.ring.At(i) }
 // Kth returns the i-th smallest stored value (0-based). It panics if i is
 // out of range.
 func (w *OrderWindow) Kth(i int) float64 {
-	if i < 0 || i >= w.Len() {
+	if i < 0 || i >= len(w.sorted) {
 		panic("series: OrderWindow.Kth out of range")
 	}
-	h := w.root
-	for {
-		ls := int(w.size(w.nodes[h].left))
-		switch {
-		case i < ls:
-			h = w.nodes[h].left
-		case i == ls:
-			return w.nodes[h].val
-		default:
-			i -= ls + 1
-			h = w.nodes[h].right
-		}
-	}
+	return w.sorted[i]
 }
 
 // Median returns the median of the stored values, or 0 when empty
 // (matching stats.Median).
 func (w *OrderWindow) Median() float64 {
-	n := w.Len()
+	s := w.sorted
+	n := len(s)
 	if n == 0 {
 		return 0
 	}
 	if n%2 == 1 {
-		return w.Kth(n / 2)
+		return s[n/2]
 	}
-	return (w.Kth(n/2-1) + w.Kth(n/2)) / 2
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // Quantile returns the q-quantile of the stored values using linear
 // interpolation between order statistics (type-7, matching stats.Quantile).
 // It returns 0 when empty and clamps q into [0,1].
 func (w *OrderWindow) Quantile(q float64) float64 {
-	n := w.Len()
+	s := w.sorted
+	n := len(s)
 	if n == 0 {
 		return 0
 	}
@@ -233,16 +133,16 @@ func (w *OrderWindow) Quantile(q float64) float64 {
 		q = 1
 	}
 	if n == 1 {
-		return w.Kth(0)
+		return s[0]
 	}
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return w.Kth(lo)
+		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return w.Kth(lo)*(1-frac) + w.Kth(hi)*frac
+	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // TrimmedMean returns the mean of the stored values after discarding the
@@ -256,7 +156,12 @@ func (w *OrderWindow) TrimmedMean(frac float64) float64 {
 		return 0
 	}
 	if frac <= 0 {
-		return w.arrivalMean()
+		// stats.TrimmedMean averages the unsorted sample: arrival order.
+		var acc kahanSum
+		for i := 0; i < n; i++ {
+			acc.add(w.ring.At(i))
+		}
+		return acc.sum / float64(n)
 	}
 	if frac >= 0.5 {
 		return w.Median()
@@ -266,19 +171,10 @@ func (w *OrderWindow) TrimmedMean(frac float64) float64 {
 		return w.Median()
 	}
 	var acc kahanSum
-	w.rankRangeSum(w.root, 0, k, n-k, &acc)
-	return acc.sum / float64(n-2*k)
-}
-
-// arrivalMean is stats.Mean over the window in arrival order (the frac <= 0
-// branch of stats.TrimmedMean averages the unsorted sample).
-func (w *OrderWindow) arrivalMean() float64 {
-	n := w.Len()
-	var acc kahanSum
-	for i := 0; i < n; i++ {
-		acc.add(w.ring.At(i))
+	for _, x := range w.sorted[k : n-k] {
+		acc.add(x)
 	}
-	return acc.sum / float64(n)
+	return acc.sum / float64(n-2*k)
 }
 
 // kahanSum replicates the compensated loop of stats.Sum.
@@ -291,28 +187,8 @@ func (k *kahanSum) add(x float64) {
 	k.sum = t
 }
 
-// rankRangeSum adds the order statistics with ranks in [lo, hi) to acc in
-// ascending order. offset is the rank of the subtree's smallest element.
-func (w *OrderWindow) rankRangeSum(h int32, offset, lo, hi int, acc *kahanSum) {
-	if h < 0 {
-		return
-	}
-	nd := &w.nodes[h]
-	rank := offset + int(w.size(nd.left))
-	if lo < rank {
-		w.rankRangeSum(nd.left, offset, lo, hi, acc)
-	}
-	if rank >= lo && rank < hi {
-		acc.add(nd.val)
-	}
-	if hi > rank+1 {
-		w.rankRangeSum(nd.right, rank+1, lo, hi, acc)
-	}
-}
-
 // Reset empties the window without releasing its storage.
 func (w *OrderWindow) Reset() {
 	w.ring.Reset()
-	w.root = -1
-	w.rebuildFreeList()
+	w.sorted = w.sorted[:0]
 }

@@ -44,7 +44,13 @@ func (r *Ring) At(i int) float64 {
 	if i < 0 || i >= r.n {
 		panic("series: Ring.At out of range")
 	}
-	return r.buf[(r.start+i)%len(r.buf)]
+	// start and i are both below len(buf): one conditional subtraction
+	// wraps, where a modulo would cost an integer division per read.
+	j := r.start + i
+	if j >= len(r.buf) {
+		j -= len(r.buf)
+	}
+	return r.buf[j]
 }
 
 // Last returns the most recently pushed value. ok is false when empty.
