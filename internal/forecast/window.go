@@ -57,9 +57,9 @@ func (f *SlidingMean) Forecast() (float64, bool) {
 }
 
 // SlidingMedian predicts the median of the last w measurements. The window
-// is an incremental order-statistics structure, so Update and Forecast are
-// O(log w) with zero steady-state allocations (the seed implementation
-// copied and sorted the window on every forecast).
+// is an incremental order-statistics structure, so Update is one short
+// memmove and Forecast an O(1) read, with zero steady-state allocations (the
+// seed implementation copied and sorted the window on every forecast).
 type SlidingMedian struct {
 	name string
 	win  *series.OrderWindow
@@ -132,14 +132,17 @@ func (f *TrimmedMean) Forecast() (float64, bool) {
 // predictors.
 //
 // The median variant keeps one order-statistics window per candidate length,
-// so each candidate's prediction is O(log l) instead of a copy-and-sort of
-// the tail; the mean variant sums the ring tail in place. Neither variant
-// allocates after construction.
+// so each candidate's prediction is an O(1) read instead of a copy-and-sort
+// of the tail; the mean variant sums the ring tail in place. Each
+// candidate's prediction is computed once per measurement, right after the
+// push: Forecast reads the best one and the next Update scores them all.
+// Neither variant allocates after construction.
 type AdaptiveWindow struct {
 	name      string
 	useMedian bool
 	lengths   []int
 	errs      []float64 // cumulative absolute error per candidate length
+	preds     []float64 // each candidate's prediction for the next value
 	ring      *series.Ring
 	wins      []*series.OrderWindow // median variant: one per candidate length
 }
@@ -174,6 +177,7 @@ func newAdaptiveWindow(name string, useMedian bool, lengths []int) *AdaptiveWind
 		useMedian: useMedian,
 		lengths:   append([]int(nil), lengths...),
 		errs:      make([]float64, len(lengths)),
+		preds:     make([]float64, len(lengths)),
 		ring:      series.NewRing(maxLen),
 	}
 	if useMedian {
@@ -191,10 +195,10 @@ func (f *AdaptiveWindow) Name() string { return f.name }
 // Update implements Forecaster.
 func (f *AdaptiveWindow) Update(v float64) {
 	// Score each candidate length's forecast against the arriving value,
-	// then absorb the value into the window(s).
+	// absorb the value into the window(s), then predict the next one.
 	if f.ring.Len() > 0 {
-		for i := range f.lengths {
-			d := f.predictCandidate(i) - v
+		for i, p := range f.preds {
+			d := p - v
 			if d < 0 {
 				d = -d
 			}
@@ -205,6 +209,9 @@ func (f *AdaptiveWindow) Update(v float64) {
 	for _, w := range f.wins {
 		w.Push(v)
 	}
+	for i := range f.preds {
+		f.preds[i] = f.predictCandidate(i)
+	}
 }
 
 // Forecast implements Forecaster.
@@ -212,7 +219,7 @@ func (f *AdaptiveWindow) Forecast() (float64, bool) {
 	if f.ring.Len() == 0 {
 		return 0, false
 	}
-	return f.predictCandidate(f.bestIdx()), true
+	return f.preds[f.bestIdx()], true
 }
 
 // BestLength returns the currently selected window length (for diagnostics
