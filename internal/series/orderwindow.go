@@ -20,9 +20,10 @@ import "math"
 // they select the same order statistics and combine them with the same
 // floating-point operations (including Kahan summation over ascending order
 // for the trimmed mean), so swapping a sorted-copy implementation for an
-// OrderWindow changes no forecast bit. NaN values are not supported (they
-// have no total order, so Push panics when it evicts one); availability
-// series are finite by construction and the network layer refuses NaN.
+// OrderWindow changes no forecast bit. NaN values are not supported: they
+// have no total order, and a window holding one panics in Push, at the
+// latest when it evicts it. Availability series are finite by construction,
+// and the memory server refuses non-finite points.
 //
 // The zero value is not usable; create OrderWindows with NewOrderWindow.
 type OrderWindow struct {
