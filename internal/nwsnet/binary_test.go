@@ -284,6 +284,38 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameReleasesLargeBuffers: the server reader, the MuxConn reader
+// and pooled Client connections all read through one buffer per connection.
+// One large frame must not leave that buffer pinned at its size for the rest
+// of the connection's life.
+func TestReadFrameReleasesLargeBuffers(t *testing.T) {
+	var netBuf bytes.Buffer
+	w := bufio.NewWriter(&netBuf)
+	payloads := [][]byte{bytes.Repeat([]byte{0xAB}, 4<<20), {0x01}, bytes.Repeat([]byte{0xCD}, 1000), {0x02, 0x03}}
+	for _, p := range payloads {
+		if err := writeFrame(w, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(&netBuf)
+	var buf []byte
+	for i, want := range payloads {
+		got, _, err := readFrame(r, &buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: payload mismatch", i)
+		}
+	}
+	if cap(buf) > 64<<10 {
+		t.Errorf("after a 4 MiB frame and three small ones the connection still holds a %d-byte frame buffer; want at most 64 KiB", cap(buf))
+	}
+}
+
 // TestWireOpsCoverAllOps pins the opcode registry to the protocol Op set:
 // adding an Op without a binary opcode (or vice versa) must not compile
 // silently into a codec that cannot carry it.
