@@ -918,36 +918,51 @@ func writeFrame(w *bufio.Writer, payload []byte) error {
 	if len(payload) > maxFrameBytes {
 		return fmt.Errorf("nwsnet: frame payload %d bytes exceeds %d", len(payload), maxFrameBytes)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	// The header is appended in the writer's own spare buffer, so it costs
+	// no allocation (a local array would escape through Write).
+	if _, err := w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// readFrame reads one frame into *buf (grown as needed and reused across
-// calls) and returns the payload plus how many bytes were consumed before
-// the error, letting callers distinguish a clean idle timeout (zero bytes)
-// from one that cut a frame in half.
+// frameBufKeep is the largest read buffer a connection keeps between
+// frames. A bigger frame is read into a buffer of its own, which is garbage
+// once the frame is decoded, so one 8 MiB frame does not pin 8 MiB for the
+// rest of the connection's life.
+const frameBufKeep = 64 << 10
+
+// readFrame reads one frame into *buf (grown as needed up to frameBufKeep
+// and reused across calls) and returns the payload plus how many bytes of
+// the frame had arrived before the error, letting callers distinguish a
+// clean idle timeout (zero bytes) from one that cut a frame in half. The
+// payload is valid until the next call.
 func readFrame(r *bufio.Reader, buf *[]byte) ([]byte, int, error) {
-	var hdr [4]byte
-	n, err := io.ReadFull(r, hdr[:])
+	// Peek reads the header in place in the reader's buffer (a local array
+	// would escape through the io.Reader); on error it returns what arrived.
+	hdr, err := r.Peek(4)
 	if err != nil {
-		return nil, n, err
+		return nil, len(hdr), err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := binary.BigEndian.Uint32(hdr)
+	r.Discard(4) // cannot fail: Peek just buffered these four bytes
 	if size == 0 || size > maxFrameBytes {
-		return nil, n, fmt.Errorf("nwsnet: frame length %d out of range (1..%d)", size, maxFrameBytes)
+		return nil, 4, fmt.Errorf("nwsnet: frame length %d out of range (1..%d)", size, maxFrameBytes)
 	}
-	if cap(*buf) < int(size) {
+	var payload []byte
+	switch {
+	case size > frameBufKeep:
+		payload = make([]byte, size)
+	case cap(*buf) < int(size):
 		*buf = make([]byte, size)
+		payload = *buf
+	default:
+		payload = (*buf)[:size]
 	}
-	payload := (*buf)[:size]
 	m, err := io.ReadFull(r, payload)
 	if err != nil {
-		return nil, n + m, err
+		return nil, 4 + m, err
 	}
-	return payload, n + int(size), nil
+	return payload, 4 + int(size), nil
 }

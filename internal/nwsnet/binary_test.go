@@ -311,7 +311,7 @@ func TestReadFrameReleasesLargeBuffers(t *testing.T) {
 			t.Fatalf("frame %d: payload mismatch", i)
 		}
 	}
-	if cap(buf) > 64<<10 {
+	if cap(buf) > frameBufKeep {
 		t.Errorf("after a 4 MiB frame and three small ones the connection still holds a %d-byte frame buffer; want at most 64 KiB", cap(buf))
 	}
 }
