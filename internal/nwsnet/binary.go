@@ -26,8 +26,11 @@ import (
 //     behavior, the same batch envelope (LocalTransport carries the same
 //     values without the codec).
 //   - Cheap on the hot path: no reflection, no per-field allocation, pooled
-//     encode buffers, and varint-packed point arrays (XOR-chained
-//     byte-reversed float bits, so repeated values cost one byte).
+//     encode buffers, values walked and decoded in place rather than copied,
+//     a server connection's decoder that interns series keys and packs
+//     request points into shared blocks (connDecoder), and varint-packed
+//     point arrays (XOR-chained byte-reversed float bits, so repeated values
+//     cost one byte).
 //   - Safe against hostile bytes: every count is sanity-checked against the
 //     remaining frame before anything is allocated, slices grow
 //     incrementally, and a malformed frame closes the connection instead of
@@ -106,14 +109,57 @@ var wireOps = map[Op]byte{
 	OpBackfill:    binOpBackfill,
 }
 
-// binOpToOp is the reverse mapping, built once at init.
-var binOpToOp = func() map[byte]Op {
-	m := make(map[byte]Op, len(wireOps))
+// binOpToOp is the decode table, built once from wireOps: the op of every
+// assigned opcode, "" for the rest, so decoding an opcode is one index.
+var binOpToOp = func() (t [256]Op) {
 	for op, c := range wireOps {
-		m[c] = op
+		t[c] = op
 	}
-	return m
+	return t
 }()
+
+// opcode is wireOps' encode direction as a switch, so encoding a request
+// does not hash its op string. TestOpcodeTablesAgree holds the two to the
+// same pairs.
+func opcode(op Op) (byte, bool) {
+	switch op {
+	case OpStore:
+		return binOpStore, true
+	case OpBatch:
+		return binOpBatch, true
+	case OpFetch:
+		return binOpFetch, true
+	case OpPing:
+		return binOpPing, true
+	case OpRegister:
+		return binOpRegister, true
+	case OpLookup:
+		return binOpLookup, true
+	case OpList:
+		return binOpList, true
+	case OpSeries:
+		return binOpSeries, true
+	case OpForecast:
+		return binOpForecast, true
+	case OpJoin:
+		return binOpJoin, true
+	case OpLease:
+		return binOpLease, true
+	case OpView:
+		return binOpView, true
+	case OpSubscribe:
+		return binOpSubscribe, true
+	case OpUnsubscribe:
+		return binOpUnsubscribe, true
+	case OpHello:
+		return binOpHello, true
+	case OpDigest:
+		return binOpDigest, true
+	case OpBackfill:
+		return binOpBackfill, true
+	}
+	return 0, false
+}
 
 // Response flag bits, carried as one uvarint. A presence bit may be set
 // only when its section is non-empty, which makes encoding canonical:
@@ -185,7 +231,7 @@ func appendPoints(b []byte, pts [][2]float64) []byte {
 }
 
 // appendRegistration appends a Registration.
-func appendRegistration(b []byte, reg Registration) []byte {
+func appendRegistration(b []byte, reg *Registration) []byte {
 	b = appendString(b, reg.Name)
 	b = appendString(b, string(reg.Kind))
 	b = appendString(b, reg.Addr)
@@ -235,6 +281,71 @@ func appendView(b []byte, v *cluster.View) []byte {
 type binReader struct {
 	b   []byte
 	off int
+	// dec, when set, is the server connection's decoder state: series keys
+	// come from its key table and request points from its blocks.
+	dec *connDecoder
+}
+
+// Bounds on what a server connection's decoder keeps between frames. They
+// are constants, not options: whatever a peer sends, the key table holds at
+// most maxInternKeys keys of at most maxInternKeyLen bytes each.
+const (
+	maxInternKeys   = 2048 // the table is cleared when a new key would exceed it
+	maxInternKeyLen = 128  // a longer key is decoded as usual, not interned
+	pointsBlock     = 512  // points per backing block shared by requests
+)
+
+// connDecoder is the request-decode state one server connection keeps
+// across frames, so the steady-state decode of a store allocates almost
+// nothing:
+//
+//   - keys interns series keys: a sensor stores the same few keys every
+//     tick, and a repeated key decodes to the string already held.
+//   - pts is the unused tail of a block of points. The points of
+//     consecutive requests are decoded into it back to back, each request's
+//     slice capped at its own length (a 3-index slice), so appending to one
+//     never writes into its neighbour's. A block is never reused: when its
+//     tail runs short a new one is allocated and the old one lives on only
+//     as long as the requests that point into it. An array larger than a
+//     block gets a slice of its own.
+//
+// The zero value is ready to use.
+type connDecoder struct {
+	keys map[string]string
+	pts  [][2]float64
+}
+
+// key returns the string for a decoded series key, from the table when it
+// was seen before.
+func (d *connDecoder) key(b []byte) string {
+	if len(b) > maxInternKeyLen {
+		return string(b)
+	}
+	if s, ok := d.keys[string(b)]; ok {
+		return s
+	}
+	if d.keys == nil {
+		d.keys = make(map[string]string)
+	} else if len(d.keys) >= maxInternKeys {
+		clear(d.keys)
+	}
+	s := string(b)
+	d.keys[s] = s
+	return s
+}
+
+// points decodes n ≤ pointsBlock request points, already checked against
+// the payload, into the current block.
+func (d *connDecoder) points(r *binReader, n uint64) ([][2]float64, error) {
+	if uint64(cap(d.pts)) < n {
+		d.pts = make([][2]float64, 0, pointsBlock)
+	}
+	pts, err := r.appendPoints(d.pts, n)
+	if err != nil {
+		return nil, err
+	}
+	d.pts = pts[n:]
+	return pts[:n:n], nil
 }
 
 func (r *binReader) rem() int { return len(r.b) - r.off }
@@ -257,17 +368,36 @@ func (r *binReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *binReader) str() (string, error) {
+// strBytes returns a length-prefixed string's bytes, aliasing the payload.
+func (r *binReader) strBytes() ([]byte, error) {
 	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.rem()) {
+		return nil, errBinMalformed
+	}
+	b := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b, nil
+}
+
+func (r *binReader) str() (string, error) {
+	b, err := r.strBytes()
+	return string(b), err
+}
+
+// key decodes a series key: a string, taken from the connection's key table
+// when the reader has one.
+func (r *binReader) key() (string, error) {
+	if r.dec == nil {
+		return r.str()
+	}
+	b, err := r.strBytes()
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(r.rem()) {
-		return "", errBinMalformed
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
+	return r.dec.key(b), nil
 }
 
 func (r *binReader) f64() (float64, error) {
@@ -278,20 +408,30 @@ func (r *binReader) f64() (float64, error) {
 	return math.Float64frombits(bits.ReverseBytes64(u)), nil
 }
 
-// points decodes a point array. The count is sanity-checked against the
-// remaining payload (a point costs at least two bytes) before anything is
-// allocated, and the slice grows incrementally, so a forged count cannot
-// make the decoder allocate beyond the frame it was sent in.
+// points decodes a response point array, where presence implies content
+// (see the respFlag docs).
 func (r *binReader) points() ([][2]float64, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
-		return nil, errBinMalformed // presence implies content; see respFlag docs
+		return nil, errBinMalformed
 	}
+	return r.pointsN(n)
+}
+
+// pointsN decodes the n points after a count. The count is sanity-checked
+// against the remaining payload (a point costs at least two bytes) before
+// anything is allocated, and the slice grows incrementally, so a forged
+// count cannot make the decoder allocate beyond the frame it was sent in.
+// A connection decoder takes arrays that fit one of its blocks.
+func (r *binReader) pointsN(n uint64) ([][2]float64, error) {
 	if n > uint64(r.rem())/2 {
 		return nil, errBinMalformed
+	}
+	if r.dec != nil && n <= pointsBlock {
+		return r.dec.points(r, n)
 	}
 	return r.appendPoints(make([][2]float64, 0, min(n, 4096)), n)
 }
@@ -446,13 +586,13 @@ func (r *binReader) view() (*cluster.View, error) {
 // encodeRequestPayload appends the v2 payload for req tagged with id:
 // uvarint request ID, opcode byte, then the op's fields. It fails on ops the
 // wire does not register and on batch nesting past maxBatchDepth.
-func encodeRequestPayload(b []byte, id uint64, req Request) ([]byte, error) {
+func encodeRequestPayload(b []byte, id uint64, req *Request) ([]byte, error) {
 	b = binary.AppendUvarint(b, id)
 	return encodeRequestBody(b, req, 0)
 }
 
-func encodeRequestBody(b []byte, req Request, depth int) ([]byte, error) {
-	code, ok := wireOps[req.Op]
+func encodeRequestBody(b []byte, req *Request, depth int) ([]byte, error) {
+	code, ok := opcode(req.Op)
 	if !ok {
 		return nil, fmt.Errorf("nwsnet: op %q has no binary opcode", req.Op)
 	}
@@ -461,12 +601,12 @@ func encodeRequestBody(b []byte, req Request, depth int) ([]byte, error) {
 	case OpPing, OpSeries:
 		// No fields.
 	case OpRegister:
-		b = appendRegistration(b, req.Reg)
+		b = appendRegistration(b, &req.Reg)
 	case OpLookup:
 		b = appendString(b, req.Reg.Name)
 	case OpList:
 		b = appendString(b, string(req.Reg.Kind))
-	case OpStore:
+	case OpStore, OpBackfill:
 		b = appendString(b, req.Series)
 		b = appendPoints2(b, req.Points)
 	case OpFetch:
@@ -476,9 +616,6 @@ func encodeRequestBody(b []byte, req Request, depth int) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(max(req.Max, 0)))
 	case OpForecast, OpSubscribe, OpUnsubscribe, OpDigest:
 		b = appendString(b, req.Series)
-	case OpBackfill:
-		b = appendString(b, req.Series)
-		b = appendPoints2(b, req.Points)
 	case OpHello:
 		b = appendString(b, req.Tenant)
 	case OpJoin, OpLease:
@@ -492,8 +629,8 @@ func encodeRequestBody(b []byte, req Request, depth int) ([]byte, error) {
 		}
 		b = binary.AppendUvarint(b, uint64(len(req.Batch)))
 		var err error
-		for _, sub := range req.Batch {
-			if b, err = encodeRequestBody(b, sub, depth+1); err != nil {
+		for i := range req.Batch {
+			if b, err = encodeRequestBody(b, &req.Batch[i], depth+1); err != nil {
 				return nil, err
 			}
 		}
@@ -511,140 +648,140 @@ func appendPoints2(b []byte, pts [][2]float64) []byte {
 	return appendPoints(b, pts)
 }
 
-// decodeRequestPayload decodes one v2 request payload, requiring the whole
-// payload be consumed (trailing garbage is a protocol error).
+// decodeRequestPayload decodes one v2 request payload on its own, with no
+// connection state: what clients, tests and fuzzers use.
 func decodeRequestPayload(b []byte) (uint64, Request, error) {
-	r := binReader{b: b}
-	id, err := r.uvarint()
+	var req Request
+	id, err := decodeRequest(b, nil, &req)
 	if err != nil {
 		return 0, Request{}, err
-	}
-	req, err := decodeRequestBody(&r, 0)
-	if err != nil {
-		return 0, Request{}, err
-	}
-	if r.rem() != 0 {
-		return 0, Request{}, errBinMalformed
 	}
 	return id, req, nil
 }
 
-func decodeRequestBody(r *binReader, depth int) (Request, error) {
-	var req Request
+// decodeRequest decodes one v2 request payload into *req, requiring the
+// whole payload be consumed (trailing garbage is a protocol error). With a
+// connection decoder d, series keys and points come from d's table and
+// blocks (see connDecoder); the decoded value is the same either way.
+func decodeRequest(b []byte, d *connDecoder, req *Request) (uint64, error) {
+	r := binReader{b: b, dec: d}
+	id, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if err := decodeRequestBody(&r, req, 0); err != nil {
+		return 0, err
+	}
+	if r.rem() != 0 {
+		return 0, errBinMalformed
+	}
+	return id, nil
+}
+
+// decodeRequestBody decodes one request, batch subs in place, into *req,
+// which must be zero.
+func decodeRequestBody(r *binReader, req *Request, depth int) error {
 	code, err := r.u8()
 	if err != nil {
-		return req, err
+		return err
 	}
-	op, ok := binOpToOp[code]
-	if !ok {
-		return req, fmt.Errorf("nwsnet: unknown binary opcode 0x%02x", code)
+	op := binOpToOp[code]
+	if op == "" {
+		return fmt.Errorf("nwsnet: unknown binary opcode 0x%02x", code)
 	}
 	req.Op = op
 	switch op {
 	case OpPing, OpSeries:
 	case OpRegister:
 		if req.Reg, err = r.registration(); err != nil {
-			return req, err
+			return err
 		}
 	case OpLookup:
 		if req.Reg.Name, err = r.str(); err != nil {
-			return req, err
+			return err
 		}
 	case OpList:
 		var kind string
 		if kind, err = r.str(); err != nil {
-			return req, err
+			return err
 		}
 		req.Reg.Kind = Kind(kind)
-	case OpStore:
-		if req.Series, err = r.str(); err != nil {
-			return req, err
+	case OpStore, OpBackfill:
+		if req.Series, err = r.key(); err != nil {
+			return err
 		}
-		if req.Points, err = requestPoints(r); err != nil {
-			return req, err
+		if req.Points, err = r.requestPoints(); err != nil {
+			return err
 		}
 	case OpFetch:
-		if req.Series, err = r.str(); err != nil {
-			return req, err
+		if req.Series, err = r.key(); err != nil {
+			return err
 		}
 		if req.From, err = r.f64(); err != nil {
-			return req, err
+			return err
 		}
 		if req.To, err = r.f64(); err != nil {
-			return req, err
+			return err
 		}
 		var m uint64
 		if m, err = r.uvarint(); err != nil {
-			return req, err
+			return err
 		}
 		if m > uint64(maxFrameBytes) {
-			return req, errBinMalformed
+			return errBinMalformed
 		}
 		req.Max = int(m)
 	case OpForecast, OpSubscribe, OpUnsubscribe, OpDigest:
-		if req.Series, err = r.str(); err != nil {
-			return req, err
-		}
-	case OpBackfill:
-		if req.Series, err = r.str(); err != nil {
-			return req, err
-		}
-		if req.Points, err = requestPoints(r); err != nil {
-			return req, err
+		if req.Series, err = r.key(); err != nil {
+			return err
 		}
 	case OpHello:
 		if req.Tenant, err = r.str(); err != nil {
-			return req, err
+			return err
 		}
 	case OpJoin, OpLease:
 		if req.Member, err = r.member(); err != nil {
-			return req, err
+			return err
 		}
 		if req.Epoch, err = r.uvarint(); err != nil {
-			return req, err
+			return err
 		}
 	case OpView:
 		if req.Epoch, err = r.uvarint(); err != nil {
-			return req, err
+			return err
 		}
 	case OpBatch:
 		if depth >= maxBatchDepth {
-			return req, errBinMalformed
+			return errBinMalformed
 		}
 		n, err := r.uvarint()
 		if err != nil {
-			return req, err
+			return err
 		}
 		if n > uint64(r.rem()) {
-			return req, errBinMalformed
+			return errBinMalformed
 		}
 		if n > 0 {
 			req.Batch = make([]Request, 0, min(n, 1024))
 			for i := uint64(0); i < n; i++ {
-				sub, err := decodeRequestBody(r, depth+1)
-				if err != nil {
-					return req, err
+				req.Batch = append(req.Batch, Request{})
+				if err := decodeRequestBody(r, &req.Batch[i], depth+1); err != nil {
+					return err
 				}
-				req.Batch = append(req.Batch, sub)
 			}
 		}
 	}
-	return req, nil
+	return nil
 }
 
 // requestPoints decodes a request point array, where — unlike response
 // sections — an empty array is legal (the handler rejects it, as in process).
-func requestPoints(r *binReader) ([][2]float64, error) {
-	save := *r
+func (r *binReader) requestPoints() ([][2]float64, error) {
 	n, err := r.uvarint()
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	*r = save
-	return r.points()
+	return r.pointsN(n)
 }
 
 // --- response codec ---
@@ -652,12 +789,12 @@ func requestPoints(r *binReader) ([][2]float64, error) {
 // encodeResponsePayload appends the v2 payload for resp tagged with id:
 // uvarint ID, a flags byte (presence bits set only for non-empty sections),
 // then the present sections in flag-bit order.
-func encodeResponsePayload(b []byte, id uint64, resp Response) ([]byte, error) {
+func encodeResponsePayload(b []byte, id uint64, resp *Response) ([]byte, error) {
 	b = binary.AppendUvarint(b, id)
 	return encodeResponseBody(b, resp, 0)
 }
 
-func encodeResponseBody(b []byte, resp Response, depth int) ([]byte, error) {
+func encodeResponseBody(b []byte, resp *Response, depth int) ([]byte, error) {
 	var flags uint64
 	if resp.OK {
 		flags |= respFlagOK
@@ -707,8 +844,8 @@ func encodeResponseBody(b []byte, resp Response, depth int) ([]byte, error) {
 	}
 	if flags&respFlagEntries != 0 {
 		b = binary.AppendUvarint(b, uint64(len(resp.Entries)))
-		for _, e := range resp.Entries {
-			b = appendRegistration(b, e)
+		for i := range resp.Entries {
+			b = appendRegistration(b, &resp.Entries[i])
 		}
 	}
 	if flags&respFlagForecast != 0 {
@@ -724,8 +861,8 @@ func encodeResponseBody(b []byte, resp Response, depth int) ([]byte, error) {
 		}
 		b = binary.AppendUvarint(b, uint64(len(resp.Batch)))
 		var err error
-		for _, sub := range resp.Batch {
-			if b, err = encodeResponseBody(b, sub, depth+1); err != nil {
+		for i := range resp.Batch {
+			if b, err = encodeResponseBody(b, &resp.Batch[i], depth+1); err != nil {
 				return nil, err
 			}
 		}
@@ -754,8 +891,8 @@ func decodeResponsePayload(b []byte) (uint64, Response, error) {
 	if err != nil {
 		return 0, Response{}, err
 	}
-	resp, err := decodeResponseBody(&r, 0)
-	if err != nil {
+	var resp Response
+	if err := decodeResponseBody(&r, &resp, 0); err != nil {
 		return 0, Response{}, err
 	}
 	if r.rem() != 0 {
@@ -764,52 +901,53 @@ func decodeResponsePayload(b []byte) (uint64, Response, error) {
 	return id, resp, nil
 }
 
-func decodeResponseBody(r *binReader, depth int) (Response, error) {
-	var resp Response
+// decodeResponseBody decodes one response, batch subs in place, into *resp,
+// which must be zero.
+func decodeResponseBody(r *binReader, resp *Response, depth int) error {
 	flags, err := r.uvarint()
 	if err != nil {
-		return resp, err
+		return err
 	}
 	if flags&^respFlagsKnown != 0 {
 		// An unassigned presence bit would mean a section this decoder
 		// cannot parse (and would silently drop on re-encode): malformed.
-		return resp, errBinMalformed
+		return errBinMalformed
 	}
 	resp.OK = flags&respFlagOK != 0
 	if flags&respFlagError != 0 {
 		if resp.Error, err = r.str(); err != nil {
-			return resp, err
+			return err
 		}
 		if resp.Error == "" {
-			return resp, errBinMalformed
+			return errBinMalformed
 		}
 	}
 	if flags&respFlagCode != 0 {
 		if resp.Code, err = r.str(); err != nil {
-			return resp, err
+			return err
 		}
 		if resp.Code == "" {
-			return resp, errBinMalformed
+			return errBinMalformed
 		}
 	}
 	if flags&respFlagPoints != 0 {
 		if resp.Points, err = r.points(); err != nil {
-			return resp, err
+			return err
 		}
 	}
 	if flags&respFlagNames != 0 {
 		n, err := r.uvarint()
 		if err != nil {
-			return resp, err
+			return err
 		}
 		if n == 0 || n > uint64(r.rem()) {
-			return resp, errBinMalformed
+			return errBinMalformed
 		}
 		resp.Names = make([]string, 0, min(n, 1024))
 		for i := uint64(0); i < n; i++ {
 			s, err := r.str()
 			if err != nil {
-				return resp, err
+				return err
 			}
 			resp.Names = append(resp.Names, s)
 		}
@@ -817,16 +955,16 @@ func decodeResponseBody(r *binReader, depth int) (Response, error) {
 	if flags&respFlagEntries != 0 {
 		n, err := r.uvarint()
 		if err != nil {
-			return resp, err
+			return err
 		}
 		if n == 0 || n > uint64(r.rem()) {
-			return resp, errBinMalformed
+			return errBinMalformed
 		}
 		resp.Entries = make([]Registration, 0, min(n, 1024))
 		for i := uint64(0); i < n; i++ {
 			reg, err := r.registration()
 			if err != nil {
-				return resp, err
+				return err
 			}
 			resp.Entries = append(resp.Entries, reg)
 		}
@@ -834,79 +972,78 @@ func decodeResponseBody(r *binReader, depth int) (Response, error) {
 	if flags&respFlagForecast != 0 {
 		var f ForecastResult
 		if f.Value, err = r.f64(); err != nil {
-			return resp, err
+			return err
 		}
 		if f.Method, err = r.str(); err != nil {
-			return resp, err
+			return err
 		}
 		if f.MAE, err = r.f64(); err != nil {
-			return resp, err
+			return err
 		}
 		n, err := r.uvarint()
 		if err != nil {
-			return resp, err
+			return err
 		}
 		if n > uint64(maxFrameBytes) {
-			return resp, errBinMalformed
+			return errBinMalformed
 		}
 		f.N = int(n)
 		resp.Forecast = &f
 	}
 	if flags&respFlagBatch != 0 {
 		if depth >= maxBatchDepth {
-			return resp, errBinMalformed
+			return errBinMalformed
 		}
 		n, err := r.uvarint()
 		if err != nil {
-			return resp, err
+			return err
 		}
 		if n == 0 || n > uint64(r.rem()) {
-			return resp, errBinMalformed
+			return errBinMalformed
 		}
 		resp.Batch = make([]Response, 0, min(n, 1024))
 		for i := uint64(0); i < n; i++ {
-			sub, err := decodeResponseBody(r, depth+1)
-			if err != nil {
-				return resp, err
+			resp.Batch = append(resp.Batch, Response{})
+			if err := decodeResponseBody(r, &resp.Batch[i], depth+1); err != nil {
+				return err
 			}
-			resp.Batch = append(resp.Batch, sub)
 		}
 	}
 	if flags&respFlagView != 0 {
 		if resp.View, err = r.view(); err != nil {
-			return resp, err
+			return err
 		}
 	}
 	if flags&respFlagDigests != 0 {
 		n, err := r.uvarint()
 		if err != nil {
-			return resp, err
+			return err
 		}
 		// A digest costs at least four bytes (length prefix plus three
 		// varints), so the count check keeps forged counts from allocating
 		// beyond the frame.
 		if n == 0 || n > uint64(r.rem()) {
-			return resp, errBinMalformed
+			return errBinMalformed
 		}
 		resp.Digests = make([]SeriesDigest, 0, min(n, 1024))
 		for i := uint64(0); i < n; i++ {
 			var d SeriesDigest
 			if d.Series, err = r.str(); err != nil {
-				return resp, err
+				return err
 			}
 			if d.Count, err = r.uvarint(); err != nil {
-				return resp, err
+				return err
 			}
 			if d.Frontier, err = r.f64(); err != nil {
-				return resp, err
+				return err
 			}
 			if d.Sum, err = r.uvarint(); err != nil {
-				return resp, err
+				return err
 			}
 			resp.Digests = append(resp.Digests, d)
 		}
 	}
-	return resp, nil
+	return nil
 }
 
 // --- framing ---

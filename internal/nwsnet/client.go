@@ -252,7 +252,7 @@ func exchangeBinary(pc *poolConn, addr string, req Request) (Response, error) {
 	pc.nextID++
 	id := pc.nextID
 	buf := getEncBuf()
-	payload, err := encodeRequestPayload(*buf, id, req)
+	payload, err := encodeRequestPayload(*buf, id, &req)
 	if err != nil {
 		putEncBuf(buf)
 		return Response{}, resilience.Permanent(fmt.Errorf("nwsnet: encode for %s: %w", addr, err))

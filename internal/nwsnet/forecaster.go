@@ -518,7 +518,7 @@ func (f *ForecasterService) refreshTick() {
 		}
 		// 64 bytes hold a forecast body in one allocation unless the method
 		// name is unusually long.
-		body, err := encodeResponseBody(make([]byte, 0, 64), Response{OK: true, Forecast: forecasts[j]}, 0)
+		body, err := encodeResponseBody(make([]byte, 0, 64), &Response{OK: true, Forecast: forecasts[j]}, 0)
 		if err != nil {
 			continue
 		}
@@ -599,7 +599,8 @@ func (f *ForecasterService) AdoptView(v *cluster.View) {
 		if owned {
 			continue
 		}
-		body, err := encodeResponseBody(nil, movedResp(v, "forecast %q: not an owner under epoch %d", series, v.Epoch), 0)
+		moved := movedResp(v, "forecast %q: not an owner under epoch %d", series, v.Epoch)
+		body, err := encodeResponseBody(nil, &moved, 0)
 		if err == nil {
 			f.queueLocked(batches, series, body)
 		}

@@ -90,7 +90,7 @@ func (m *Memory) Handle(req Request) Response {
 	t0 := time.Now()
 	mMemoryRequestsByOp.get(req.Op).Inc()
 	defer mMemoryLatencyByOp.get(req.Op).ObserveSince(t0)
-	resp := m.handle(req)
+	resp := m.handle(&req)
 	if m.journal != nil && (req.Op == OpStore || req.Op == OpBatch || req.Op == OpBackfill) {
 		// Every record the request appended — a batch's subs included — goes
 		// out in one frame before the answer does.
@@ -104,7 +104,7 @@ func (m *Memory) Handle(req Request) Response {
 	return resp
 }
 
-func (m *Memory) handle(req Request) Response {
+func (m *Memory) handle(req *Request) Response {
 	switch req.Op {
 	case OpPing:
 		return Response{}
@@ -125,7 +125,7 @@ func (m *Memory) handle(req Request) Response {
 	}
 }
 
-func (m *Memory) handleStore(req Request) Response {
+func (m *Memory) handleStore(req *Request) Response {
 	if req.Series == "" {
 		return errResp("store requires a series key")
 	}
@@ -181,7 +181,7 @@ func (m *Memory) handleStore(req Request) Response {
 	return Response{}
 }
 
-func (m *Memory) handleFetch(req Request) Response {
+func (m *Memory) handleFetch(req *Request) Response {
 	if req.Series == "" {
 		return errResp("fetch requires a series key")
 	}
@@ -236,38 +236,20 @@ func (m *Memory) handleSeries() Response {
 // safe; ordering across sub-requests of one envelope is only guaranteed to
 // the extent their series differ, which is how callers use it (one
 // sub-store per series).
-func (m *Memory) handleBatch(req Request) Response {
-	if len(req.Batch) == 0 {
+func (m *Memory) handleBatch(req *Request) Response {
+	subs := req.Batch
+	if len(subs) == 0 {
 		return errResp("batch requires sub-requests")
 	}
-	mMemoryBatchSize.Observe(float64(len(req.Batch)))
-	out := make([]Response, len(req.Batch))
-	run := func(i int) {
-		sub := req.Batch[i]
-		op := opLabel(sub.Op)
-		mMemoryBatchSubs.With(op).Inc()
-		var r Response
-		if sub.Op == OpBatch {
-			r = errResp("batch: nested batch envelopes are not allowed")
-		} else {
-			r = m.handle(sub)
-		}
-		if r.Error != "" {
-			mMemoryBatchSubErrors.With(op).Inc()
-		}
-		r.OK = r.Error == ""
-		out[i] = r
-	}
-	if len(req.Batch) <= batchInlineLimit {
-		for i := range req.Batch {
-			run(i)
+	mMemoryBatchSize.Observe(float64(len(subs)))
+	out := make([]Response, len(subs))
+	if len(subs) <= batchInlineLimit {
+		for i := range subs {
+			m.batchSub(&subs[i], &out[i])
 		}
 		return Response{Batch: out}
 	}
-	workers := batchMaxWorkers
-	if workers > len(req.Batch) {
-		workers = len(req.Batch)
-	}
+	workers := min(batchMaxWorkers, len(subs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -276,15 +258,30 @@ func (m *Memory) handleBatch(req Request) Response {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(req.Batch) {
+				if i >= len(subs) {
 					return
 				}
-				run(i)
+				m.batchSub(&subs[i], &out[i])
 			}
 		}()
 	}
 	wg.Wait()
 	return Response{Batch: out}
+}
+
+// batchSub executes one sub-request of a batch envelope, writing its answer
+// to *out.
+func (m *Memory) batchSub(sub *Request, out *Response) {
+	mMemoryBatchSubsByOp.get(sub.Op).Inc()
+	if sub.Op == OpBatch {
+		*out = errResp("batch: nested batch envelopes are not allowed")
+	} else {
+		*out = m.handle(sub)
+	}
+	if out.Error != "" {
+		mMemoryBatchSubErrorsByOp.get(sub.Op).Inc()
+	}
+	out.OK = out.Error == ""
 }
 
 // digestThrough summarizes a ring's prefix with t <= through under its
@@ -372,14 +369,14 @@ func (m *Memory) Digests(key string) []SeriesDigest {
 // handleDigest answers OpDigest: per-series digests, all series when the
 // request names none. An unknown series is not an error — it answers with
 // no digests, which peers read as "nothing stored here yet".
-func (m *Memory) handleDigest(req Request) Response {
+func (m *Memory) handleDigest(req *Request) Response {
 	return Response{Digests: m.Digests(req.Series)}
 }
 
 // handleBackfill answers OpBackfill: a merge-insert behind the frontier
 // (repair pulls and pushes land here; the store path would dedup anything
 // at or before the frontier away).
-func (m *Memory) handleBackfill(req Request) Response {
+func (m *Memory) handleBackfill(req *Request) Response {
 	if req.Series == "" {
 		return errResp("backfill requires a series key")
 	}

@@ -417,6 +417,9 @@ var (
 	mMemoryErrorsByOp   = perOpCounters(mMemoryErrors)
 	mMemoryLatencyByOp  = perOpHistograms(mMemoryLatency)
 
+	mMemoryBatchSubsByOp      = perOpCounters(mMemoryBatchSubs)
+	mMemoryBatchSubErrorsByOp = perOpCounters(mMemoryBatchSubErrors)
+
 	mClusterRefreshRedirect = mClusterViewRefreshes.With("redirect")
 	mClusterRefreshRegistry = mClusterViewRefreshes.With("registry")
 )

@@ -238,7 +238,7 @@ func (m *MuxConn) goWith(req Request, onID func(id uint64)) *MuxCall {
 	m.mu.Unlock()
 
 	buf := getEncBuf()
-	payload, err := encodeRequestPayload(*buf, id, req)
+	payload, err := encodeRequestPayload(*buf, id, &call.Req)
 	if err != nil {
 		putEncBuf(buf)
 		if m.forget(id) {
@@ -706,7 +706,7 @@ func (m *MuxConn) replayWindow(window []*MuxCall) (*bufio.Reader, bool) {
 	old.Close()
 	for _, c := range window {
 		buf := getEncBuf()
-		payload, perr := encodeRequestPayload(*buf, c.id, c.Req)
+		payload, perr := encodeRequestPayload(*buf, c.id, &c.Req)
 		if perr == nil {
 			perr = writeFrame(m.w, payload)
 			*buf = payload

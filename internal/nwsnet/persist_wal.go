@@ -562,7 +562,7 @@ func openJournal(m *Memory, dir string) (*journal, error) {
 			if len(pts) == 0 {
 				return nil
 			}
-			return respErr(m.handleStore(Request{Series: key, Points: pts}))
+			return respErr(m.handleStore(&Request{Series: key, Points: pts}))
 		})
 		if err != nil {
 			return nil, fmt.Errorf("nwsnet: snapshot %s: %w", path, err)
@@ -664,7 +664,7 @@ func (j *journal) redo(path string, newest bool, scratch *[][2]float64) error {
 				j.mem.backfill(j.keys[rec.id], rec.pts)
 				return nil
 			}
-			return respErr(j.mem.handleStore(Request{Series: j.keys[rec.id], Points: rec.pts}))
+			return respErr(j.mem.handleStore(&Request{Series: j.keys[rec.id], Points: rec.pts}))
 		})
 		if err != nil {
 			return fmt.Errorf("nwsnet: log %s: frame at offset %d: %w", path, off, err)

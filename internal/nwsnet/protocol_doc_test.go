@@ -113,13 +113,13 @@ func TestProtocolDocHexExamples(t *testing.T) {
 		name string
 		enc  func() ([]byte, error)
 	}{
-		{"store-request-v2", func() ([]byte, error) { return encodeRequestPayload(nil, 1, goldenStoreReq) }},
-		{"fetch-request-v2", func() ([]byte, error) { return encodeRequestPayload(nil, 2, goldenFetchReq) }},
-		{"store-response-v2", func() ([]byte, error) { return encodeResponsePayload(nil, 1, goldenStoreResp) }},
-		{"fetch-response-v2", func() ([]byte, error) { return encodeResponsePayload(nil, 2, goldenFetchResp) }},
-		{"digest-request-v2", func() ([]byte, error) { return encodeRequestPayload(nil, 3, goldenDigestReq) }},
-		{"digest-response-v2", func() ([]byte, error) { return encodeResponsePayload(nil, 3, goldenDigestResp) }},
-		{"backfill-request-v2", func() ([]byte, error) { return encodeRequestPayload(nil, 4, goldenBackfillReq) }},
+		{"store-request-v2", func() ([]byte, error) { return encodeRequestPayload(nil, 1, &goldenStoreReq) }},
+		{"fetch-request-v2", func() ([]byte, error) { return encodeRequestPayload(nil, 2, &goldenFetchReq) }},
+		{"store-response-v2", func() ([]byte, error) { return encodeResponsePayload(nil, 1, &goldenStoreResp) }},
+		{"fetch-response-v2", func() ([]byte, error) { return encodeResponsePayload(nil, 2, &goldenFetchResp) }},
+		{"digest-request-v2", func() ([]byte, error) { return encodeRequestPayload(nil, 3, &goldenDigestReq) }},
+		{"digest-response-v2", func() ([]byte, error) { return encodeResponsePayload(nil, 3, &goldenDigestResp) }},
+		{"backfill-request-v2", func() ([]byte, error) { return encodeRequestPayload(nil, 4, &goldenBackfillReq) }},
 	}
 	for _, c := range binCases {
 		want, err := c.enc()

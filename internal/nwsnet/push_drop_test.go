@@ -27,7 +27,7 @@ func pushResult() Response {
 // pushBatchOf builds n push items carrying resp, IDs first, first+1, ...
 func pushBatchOf(t *testing.T, first uint64, n int, resp Response) []PushItem {
 	t.Helper()
-	body, err := encodeResponseBody(nil, resp, 0)
+	body, err := encodeResponseBody(nil, &resp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,12 @@ func TestPushBatchByteIdentity(t *testing.T) {
 	ww := bufio.NewWriter(&want)
 	var items []PushItem
 	for _, resp := range responses {
-		body, err := encodeResponseBody(nil, resp, 0)
+		body, err := encodeResponseBody(nil, &resp, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range ids {
-			payload, err := encodeResponsePayload(nil, id, resp)
+			payload, err := encodeResponsePayload(nil, id, &resp)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -184,7 +184,8 @@ func (s *Server) shedConn(conn net.Conn) {
 	w := bufio.NewWriter(conn)
 	w.WriteByte(wireVersionBinary)
 	buf := getEncBuf()
-	if payload, err := encodeResponsePayload(*buf, 0, busyResp("server at connection capacity; retry")); err == nil {
+	busy := busyResp("server at connection capacity; retry")
+	if payload, err := encodeResponsePayload(*buf, 0, &busy); err == nil {
 		writeFrame(w, payload)
 		*buf = payload
 	}
@@ -360,7 +361,7 @@ func (k *binSink) writeLocked(payload []byte, flush bool) error {
 }
 
 // send encodes and writes one response frame tagged with id.
-func (k *binSink) send(id uint64, resp Response, flush bool) error {
+func (k *binSink) send(id uint64, resp *Response, flush bool) error {
 	buf := getEncBuf()
 	payload, err := encodeResponsePayload(*buf, id, resp)
 	if err != nil {
@@ -452,13 +453,13 @@ func (k *binSink) PushBatch(items []PushItem) (int, error) {
 // subscribe runs the registration and writes its acknowledgement under the
 // sink lock, so a push for the new subscription — which needs the same lock
 // — cannot overtake the ack on the wire.
-func (k *binSink) subscribe(h SubscriptionHandler, in wireInbound, flush bool) error {
+func (k *binSink) subscribe(h SubscriptionHandler, in *wireInbound, flush bool) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	resp := h.Subscribe(in.req, in.id, k)
 	resp.OK = resp.Error == ""
 	buf := getEncBuf()
-	payload, err := encodeResponsePayload(*buf, in.id, resp)
+	payload, err := encodeResponsePayload(*buf, in.id, &resp)
 	if err != nil {
 		putEncBuf(buf)
 		return err
@@ -484,6 +485,7 @@ func (s *Server) serveBinary(conn net.Conn, reader *bufio.Reader, writer *bufio.
 	go func() {
 		defer close(queue)
 		var buf []byte
+		var dec connDecoder
 		for {
 			// Arm the idle deadline only when the next frame has to touch the
 			// socket; frames already buffered (pipelined bursts) mean the
@@ -526,8 +528,8 @@ func (s *Server) serveBinary(conn net.Conn, reader *bufio.Reader, writer *bufio.
 			}
 			mWireFramesIn.Inc()
 			mWireBytesIn.Add(uint64(len(payload)))
-			id, req, err := decodeRequestPayload(payload)
-			if err != nil {
+			var in wireInbound
+			if in.id, err = decodeRequest(payload, &dec, &in.req); err != nil {
 				// Binary framing cannot resynchronize after garbage; close
 				// instead of guessing where the next frame starts.
 				mWireDecodeErrors.Inc()
@@ -536,7 +538,7 @@ func (s *Server) serveBinary(conn net.Conn, reader *bufio.Reader, writer *bufio.
 				}
 				return
 			}
-			queue <- wireInbound{id: id, req: req}
+			queue <- in
 		}
 	}()
 	// On exit, poison the sink (so no read timeout is excused and no push
@@ -571,7 +573,7 @@ func (s *Server) serveBinary(conn net.Conn, reader *bufio.Reader, writer *bufio.
 		case !s.allowTenant(tenant):
 			resp = s.tenantBusy(tenant)
 		case in.req.Op == OpSubscribe && subHandler != nil:
-			if err := sink.subscribe(subHandler, in, flush); err != nil {
+			if err := sink.subscribe(subHandler, &in, flush); err != nil {
 				if s.logger != nil && !isTimeout(err) {
 					s.logger.Printf("nwsnet: subscribe: %v", err)
 				}
@@ -581,10 +583,10 @@ func (s *Server) serveBinary(conn net.Conn, reader *bufio.Reader, writer *bufio.
 		case in.req.Op == OpUnsubscribe && subHandler != nil:
 			resp = subHandler.Unsubscribe(in.req, sink)
 		default:
-			resp = s.dispatch(in.req)
+			resp = s.dispatch(&in.req)
 		}
 		resp.OK = resp.Error == ""
-		if err := sink.send(in.id, resp, flush); err != nil {
+		if err := sink.send(in.id, &resp, flush); err != nil {
 			if s.logger != nil && !isTimeout(err) {
 				s.logger.Printf("nwsnet: write frame: %v", err)
 			}
@@ -600,9 +602,9 @@ func (s *Server) serveBinary(conn net.Conn, reader *bufio.Reader, writer *bufio.
 // budget when one is configured: a request that cannot get a slot within
 // QueueWait is shed with a retryable busy response instead of queueing
 // without bound.
-func (s *Server) dispatch(req Request) Response {
+func (s *Server) dispatch(req *Request) Response {
 	if s.inflight == nil {
-		return s.handler.Handle(req)
+		return s.handler.Handle(*req)
 	}
 	select {
 	case s.inflight <- struct{}{}:
@@ -624,7 +626,7 @@ func (s *Server) dispatch(req Request) Response {
 		mServerInFlight.Dec()
 		<-s.inflight
 	}()
-	return s.handler.Handle(req)
+	return s.handler.Handle(*req)
 }
 
 // isTimeout reports whether err is a network deadline expiry.

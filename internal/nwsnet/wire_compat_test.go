@@ -45,7 +45,7 @@ func rawV2(t *testing.T, addr string) (net.Conn, func([]byte), func() (uint64, R
 // mustEncode encodes req as a v2 request payload tagged id.
 func mustEncode(t *testing.T, id uint64, req Request) []byte {
 	t.Helper()
-	p, err := encodeRequestPayload(nil, id, req)
+	p, err := encodeRequestPayload(nil, id, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestNonV2PeerRefused(t *testing.T) {
 // canonical, so equal encodings mean equal answers (an absent and an empty
 // section alike).
 func sameAnswer(t *testing.T, a, b Response) bool {
-	ea, err := encodeResponsePayload(nil, 1, a)
+	ea, err := encodeResponsePayload(nil, 1, &a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := encodeResponsePayload(nil, 1, b)
+	eb, err := encodeResponsePayload(nil, 1, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
