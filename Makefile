@@ -6,7 +6,7 @@ GOFMT ?= gofmt
 #   make fuzz-smoke FUZZTIME=2m
 FUZZTIME ?= 5s
 
-.PHONY: all build test test-race chaos chaos-cluster chaos-repair chaos-persist vet docs-check fuzz-smoke grid grid-smoke benchmark-smoke bench bench-forecast bench-paper experiments report clean
+.PHONY: all build test test-race chaos chaos-cluster chaos-repair chaos-persist vet docs-check fuzz-smoke grid grid-smoke benchmark-smoke bench bench-forecast bench-wire bench-paper experiments report clean
 
 all: build vet docs-check test chaos-cluster chaos-repair chaos-persist fuzz-smoke grid-smoke benchmark-smoke
 
@@ -120,6 +120,13 @@ benchmark-smoke:
 bench-forecast:
 	$(GO) test -run - -bench 'BenchmarkEngine|BenchmarkBank' -benchmem ./internal/forecast
 	$(GO) test -run - -bench 'BenchmarkOrderWindow' -benchmem ./internal/series
+
+# The v2 store path's server half, one host tick (a batch of three one-point
+# stores) at a time, with allocation accounting: the connection decoder's
+# decode, Memory.Handle into full rings, and the batch response's encode (the
+# end-to-end number is benchmark/'s wire_ingest; docs/PERFORMANCE.md).
+bench-wire:
+	$(GO) test -run - -bench 'BenchmarkDecodeHostTick|BenchmarkMemoryHandleHostTick|BenchmarkEncodeBatchResponse' -benchmem ./internal/nwsnet
 
 # One iteration of every table/figure/ablation benchmark at 6-hour scale.
 bench:

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"nwscpu/internal/nwsnet/cluster"
 )
@@ -59,13 +61,13 @@ func TestBinaryGoldenEncodings(t *testing.T) {
 		hex  string
 		enc  func() ([]byte, error)
 	}{
-		{"store request", goldenStoreReqHex, func() ([]byte, error) { return encodeRequestPayload(nil, 1, goldenStoreReq) }},
-		{"fetch request", goldenFetchReqHex, func() ([]byte, error) { return encodeRequestPayload(nil, 2, goldenFetchReq) }},
-		{"store response", goldenStoreRespHex, func() ([]byte, error) { return encodeResponsePayload(nil, 1, goldenStoreResp) }},
-		{"fetch response", goldenFetchRespHex, func() ([]byte, error) { return encodeResponsePayload(nil, 2, goldenFetchResp) }},
-		{"digest request", goldenDigestReqHex, func() ([]byte, error) { return encodeRequestPayload(nil, 3, goldenDigestReq) }},
-		{"digest response", goldenDigestRespHex, func() ([]byte, error) { return encodeResponsePayload(nil, 3, goldenDigestResp) }},
-		{"backfill request", goldenBackfillReqHex, func() ([]byte, error) { return encodeRequestPayload(nil, 4, goldenBackfillReq) }},
+		{"store request", goldenStoreReqHex, func() ([]byte, error) { return encodeRequestPayload(nil, 1, &goldenStoreReq) }},
+		{"fetch request", goldenFetchReqHex, func() ([]byte, error) { return encodeRequestPayload(nil, 2, &goldenFetchReq) }},
+		{"store response", goldenStoreRespHex, func() ([]byte, error) { return encodeResponsePayload(nil, 1, &goldenStoreResp) }},
+		{"fetch response", goldenFetchRespHex, func() ([]byte, error) { return encodeResponsePayload(nil, 2, &goldenFetchResp) }},
+		{"digest request", goldenDigestReqHex, func() ([]byte, error) { return encodeRequestPayload(nil, 3, &goldenDigestReq) }},
+		{"digest response", goldenDigestRespHex, func() ([]byte, error) { return encodeResponsePayload(nil, 3, &goldenDigestResp) }},
+		{"backfill request", goldenBackfillReqHex, func() ([]byte, error) { return encodeRequestPayload(nil, 4, &goldenBackfillReq) }},
 	}
 	for _, c := range cases {
 		got, err := c.enc()
@@ -110,7 +112,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		{Op: OpBackfill, Series: "k"},
 	}
 	for i, req := range reqs {
-		b, err := encodeRequestPayload(nil, uint64(i)+100, req)
+		b, err := encodeRequestPayload(nil, uint64(i)+100, &req)
 		if err != nil {
 			t.Fatalf("req %d: encode: %v", i, err)
 		}
@@ -158,7 +160,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, resp := range resps {
-		b, err := encodeResponsePayload(nil, uint64(i)+1, resp)
+		b, err := encodeResponsePayload(nil, uint64(i)+1, &resp)
 		if err != nil {
 			t.Fatalf("resp %d: encode: %v", i, err)
 		}
@@ -170,7 +172,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 			t.Fatalf("resp %d: id %d", i, id)
 		}
 		// NaN breaks DeepEqual; compare via a second encoding instead.
-		b2, err := encodeResponsePayload(nil, uint64(i)+1, got)
+		b2, err := encodeResponsePayload(nil, uint64(i)+1, &got)
 		if err != nil || !bytes.Equal(b, b2) {
 			t.Errorf("resp %d: round trip not byte-stable (%v)\n first % x\nsecond % x", i, err, b, b2)
 		}
@@ -185,7 +187,7 @@ func TestBinaryPointPackingIsCompact(t *testing.T) {
 	for i := range pts {
 		pts[i] = [2]float64{float64(10 * i), 0.97}
 	}
-	b, err := encodeRequestPayload(nil, 1, Request{Op: OpStore, Series: "h/cpu/nws_hybrid", Points: pts})
+	b, err := encodeRequestPayload(nil, 1, &Request{Op: OpStore, Series: "h/cpu/nws_hybrid", Points: pts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +315,116 @@ func TestReadFrameReleasesLargeBuffers(t *testing.T) {
 	}
 	if cap(buf) > frameBufKeep {
 		t.Errorf("after a 4 MiB frame and three small ones the connection still holds a %d-byte frame buffer; want at most 64 KiB", cap(buf))
+	}
+}
+
+// TestOpcodeTablesAgree holds the codec's two opcode tables — the encode
+// switch and the [256]Op decode table — to wireOps, the registry docs-check
+// compares PROTOCOL.md against: every registered op encodes to its opcode
+// and decodes back to itself, and every other byte is an unknown opcode.
+func TestOpcodeTablesAgree(t *testing.T) {
+	byCode := map[byte]Op{}
+	for op, code := range wireOps {
+		byCode[code] = op
+		req := Request{Op: op}
+		payload, err := encodeRequestPayload(nil, 1, &req)
+		if err != nil {
+			t.Errorf("op %q: encode: %v", op, err)
+			continue
+		}
+		if payload[1] != code {
+			t.Errorf("op %q encodes to opcode 0x%02x, wireOps says 0x%02x", op, payload[1], code)
+		}
+		if _, got, err := decodeRequestPayload(payload); err != nil || got.Op != op {
+			t.Errorf("opcode 0x%02x decodes to %q (%v), want %q", code, got.Op, err, op)
+		}
+	}
+	for c := 0; c < 256; c++ {
+		if _, ok := byCode[byte(c)]; ok {
+			continue
+		}
+		if c != 0 && c < 0x12 {
+			t.Errorf("opcode 0x%02x is unassigned; the registry has a hole", c)
+		}
+		_, _, err := decodeRequestPayload([]byte{0x01, byte(c)})
+		if err == nil || !strings.Contains(err.Error(), "unknown binary opcode") {
+			t.Errorf("unassigned opcode 0x%02x decodes with error %v, want an unknown binary opcode", c, err)
+		}
+	}
+	if _, ok := opcode("nosuchop"); ok {
+		t.Error("an op outside wireOps has an opcode")
+	}
+}
+
+// TestConnDecoderSubsDoNotAlias: a connection decoder packs the points of
+// a frame's subs back to back into one block. Each sub's slice must end at
+// its own last point, so appending to one cannot overwrite its sibling, and
+// the block must never be reused under a request already handed out.
+func TestConnDecoderSubsDoNotAlias(t *testing.T) {
+	frame := func(base float64) []byte {
+		req := Request{Op: OpBatch, Batch: []Request{
+			{Op: OpStore, Series: "a", Points: [][2]float64{{base + 1, 1}}},
+			{Op: OpStore, Series: "b", Points: [][2]float64{{base + 2, 2}, {base + 3, 3}}},
+		}}
+		b, err := encodeRequestPayload(nil, 1, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var dec connDecoder
+	var first Request
+	if _, err := decodeRequest(frame(0), &dec, &first); err != nil {
+		t.Fatal(err)
+	}
+	a, b := first.Batch[0].Points, first.Batch[1].Points
+	if uintptr(unsafe.Pointer(&b[0])) != uintptr(unsafe.Pointer(&a[0]))+unsafe.Sizeof(a[0]) {
+		t.Fatal("the subs' points were not decoded back to back into one block")
+	}
+	if cap(a) != len(a) || cap(b) != len(b) {
+		t.Fatalf("sub slices carry spare capacity: cap %d/%d for len %d/%d", cap(a), cap(b), len(a), len(b))
+	}
+	_ = append(first.Batch[0].Points, [2]float64{99, 99})
+	var second Request
+	if _, err := decodeRequest(frame(100), &dec, &second); err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]float64{{2, 2}, {3, 3}}
+	if !reflect.DeepEqual(first.Batch[1].Points, want) || !reflect.DeepEqual(first.Batch[0].Points, [][2]float64{{1, 1}}) {
+		t.Fatalf("first frame's points changed under later decodes and appends: %v %v", first.Batch[0].Points, first.Batch[1].Points)
+	}
+}
+
+// TestConnDecoderKeyTable: a repeated key decodes to the string the table
+// already holds; the table never holds more than maxInternKeys keys or a key
+// longer than maxInternKeyLen, whatever a peer sends.
+func TestConnDecoderKeyTable(t *testing.T) {
+	var dec connDecoder
+	decode := func(key string) string {
+		req := Request{Op: OpDigest, Series: key}
+		b, err := encodeRequestPayload(nil, 1, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Request
+		if _, err := decodeRequest(b, &dec, &got); err != nil || got.Series != key {
+			t.Fatalf("key %q decoded as %q (%v)", key, got.Series, err)
+		}
+		return got.Series
+	}
+	if k1, k2 := decode("h/cpu/vmstat"), decode("h/cpu/vmstat"); unsafe.StringData(k1) != unsafe.StringData(k2) {
+		t.Error("a repeated key was not interned")
+	}
+	long := strings.Repeat("x", maxInternKeyLen+1)
+	decode(long)
+	if _, ok := dec.keys[long]; ok {
+		t.Errorf("a %d-byte key was interned; the cap is %d", len(long), maxInternKeyLen)
+	}
+	for i := 0; i < 2*maxInternKeys+1; i++ {
+		decode(fmt.Sprintf("host-%05d/cpu/vmstat", i))
+		if len(dec.keys) > maxInternKeys {
+			t.Fatalf("key table holds %d keys; the cap is %d", len(dec.keys), maxInternKeys)
+		}
 	}
 }
 

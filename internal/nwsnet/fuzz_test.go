@@ -3,10 +3,13 @@ package nwsnet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"nwscpu/internal/nwsnet/cluster"
@@ -53,7 +56,7 @@ func binaryRequestSeeds() [][]byte {
 	}
 	var out [][]byte
 	for _, r := range reqs {
-		if b, err := encodeRequestPayload(nil, 1, r); err == nil {
+		if b, err := encodeRequestPayload(nil, 1, &r); err == nil {
 			out = append(out, b)
 		}
 	}
@@ -91,14 +94,36 @@ func responseElems(resp Response) int {
 	return n
 }
 
+// sameRequest is reflect.DeepEqual for decoded requests, except that floats
+// compare by bit pattern (DeepEqual holds a NaN unequal to itself).
+func sameRequest(a, b *Request) bool {
+	if (a.Points == nil) != (b.Points == nil) || !samePoints(a.Points, b.Points) ||
+		math.Float64bits(a.From) != math.Float64bits(b.From) || math.Float64bits(a.To) != math.Float64bits(b.To) ||
+		(a.Batch == nil) != (b.Batch == nil) || len(a.Batch) != len(b.Batch) {
+		return false
+	}
+	for i := range a.Batch {
+		if !sameRequest(&a.Batch[i], &b.Batch[i]) {
+			return false
+		}
+	}
+	x, y := *a, *b
+	x.Points, x.From, x.To, x.Batch = nil, 0, 0, nil
+	y.Points, y.From, y.To, y.Batch = nil, 0, 0, nil
+	return reflect.DeepEqual(x, y)
+}
+
 // FuzzDecodeBinaryRequest feeds arbitrary frame payloads — malformed
-// frames, truncated varints, forged counts — through the decode path the
-// server uses and executes whatever decodes against a live Memory. The
-// decoder must never panic or allocate beyond the input's size, and the
-// handler must never panic, whatever the request contains — the seed code
-// failed this for a plain fetch with From > To (a remotely triggerable slice
-// bounds panic), which is exactly the class of bug this guards. Whatever
-// decodes must round-trip canonically.
+// frames, truncated varints, forged counts — through the decode the server
+// runs, with one connection decoder (key table and points blocks) carried
+// across inputs as a connection carries it across frames, and executes
+// whatever decodes against a live Memory. The decoder must never panic or
+// allocate beyond the input's size, must decode exactly what the stateless
+// decode does, and must keep its key table inside its bounds; the handler
+// must never panic, whatever the request contains — the seed code failed
+// this for a plain fetch with From > To (a remotely triggerable slice bounds
+// panic), which is exactly the class of bug this guards. Whatever decodes
+// must round-trip canonically.
 func FuzzDecodeBinaryRequest(f *testing.F) {
 	for _, b := range binaryRequestSeeds() {
 		f.Add(b)
@@ -106,11 +131,49 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 	f.Add([]byte{0x01, 0x05})             // truncated store
 	f.Add([]byte{0x01, 0xff})             // unknown opcode
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // truncated varint ID
+	for _, req := range []Request{
+		{Op: OpBatch, Batch: []Request{ // a repeated key
+			{Op: OpStore, Series: "h/cpu/vmstat", Points: [][2]float64{{10, 0.5}}},
+			{Op: OpFetch, Series: "h/cpu/vmstat", Max: 1},
+			{Op: OpStore, Series: "h/cpu/vmstat", Points: [][2]float64{{20, 0.5}, {30, 0.25}}},
+		}},
+		{Op: OpStore, Series: strings.Repeat("k", maxInternKeyLen+1), Points: [][2]float64{{1, 1}}}, // over the length cap
+		{Op: OpBatch, Batch: func() []Request { // enough distinct keys to clear the table
+			subs := make([]Request, maxInternKeys+2)
+			for i := range subs {
+				subs[i] = Request{Op: OpDigest, Series: fmt.Sprintf("h%d", i)}
+			}
+			return subs
+		}()},
+	} {
+		b, err := encodeRequestPayload(nil, 7, &req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	m := NewMemory(16)
+	var dec connDecoder
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		id, req, err := decodeRequestPayload(payload)
+		var req Request
+		id, err := decodeRequest(payload, &dec, &req)
+		sid, sreq, serr := decodeRequestPayload(payload)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("connection decode error %v, stateless decode error %v", err, serr)
+		}
+		if len(dec.keys) > maxInternKeys {
+			t.Fatalf("key table holds %d keys; the cap is %d", len(dec.keys), maxInternKeys)
+		}
+		for k := range dec.keys {
+			if len(k) > maxInternKeyLen {
+				t.Fatalf("key table holds a %d-byte key; the cap is %d", len(k), maxInternKeyLen)
+			}
+		}
 		if err != nil {
 			return // undecodable frames close the connection before the handler
+		}
+		if id != sid || !sameRequest(&req, &sreq) {
+			t.Fatalf("connection decode differs from the stateless decode:\n got %d %+v\nwant %d %+v", id, req, sid, sreq)
 		}
 		if n := requestElems(req); n > len(payload) {
 			t.Fatalf("decoded %d elements from %d bytes: over-allocation", n, len(payload))
@@ -118,7 +181,7 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 		resp := m.Handle(req)
 		resp.OK = resp.Error == ""
 		// The response the server would send must encode and round-trip.
-		rb1, err := encodeResponsePayload(nil, id, resp)
+		rb1, err := encodeResponsePayload(nil, id, &resp)
 		if err != nil {
 			t.Fatalf("handler response unencodable: %v (%+v)", err, resp)
 		}
@@ -126,12 +189,12 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 		if err != nil || rid != id {
 			t.Fatalf("response round trip failed: id %d→%d, %v", id, rid, err)
 		}
-		rb2, err := encodeResponsePayload(nil, id, resp2)
+		rb2, err := encodeResponsePayload(nil, id, &resp2)
 		if err != nil || !bytes.Equal(rb1, rb2) {
 			t.Fatalf("response re-encode not stable: %v", err)
 		}
 		// The decoded request must round-trip canonically too.
-		b1, err := encodeRequestPayload(nil, id, req)
+		b1, err := encodeRequestPayload(nil, id, &req)
 		if err != nil {
 			t.Fatalf("decoded request unencodable: %v (%+v)", err, req)
 		}
@@ -139,7 +202,7 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 		if err != nil || id2 != id {
 			t.Fatalf("request round trip failed: id %d→%d, %v", id, id2, err)
 		}
-		b2, err := encodeRequestPayload(nil, id, req2)
+		b2, err := encodeRequestPayload(nil, id, &req2)
 		if err != nil || !bytes.Equal(b1, b2) {
 			t.Fatalf("request re-encode not stable: %v\n first % x\nsecond % x", err, b1, b2)
 		}
@@ -183,7 +246,7 @@ func FuzzDecodeBinaryResponse(f *testing.F) {
 		}},
 	}
 	for _, r := range resps {
-		if b, err := encodeResponsePayload(nil, 1, r); err == nil {
+		if b, err := encodeResponsePayload(nil, 1, &r); err == nil {
 			f.Add(b)
 		}
 	}
@@ -219,7 +282,7 @@ func FuzzDecodeBinaryResponse(f *testing.F) {
 				t.Fatalf("clean response classified as error: %v", rerr)
 			}
 		}
-		b1, err := encodeResponsePayload(nil, 3, resp)
+		b1, err := encodeResponsePayload(nil, 3, &resp)
 		if err != nil {
 			t.Fatalf("decoded response unencodable: %v (%+v)", err, resp)
 		}
@@ -227,7 +290,7 @@ func FuzzDecodeBinaryResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		b2, err := encodeResponsePayload(nil, 3, resp2)
+		b2, err := encodeResponsePayload(nil, 3, &resp2)
 		if err != nil || !bytes.Equal(b1, b2) {
 			t.Fatalf("re-encode not stable: %v\n first % x\nsecond % x", err, b1, b2)
 		}
