@@ -3,10 +3,10 @@ package nwsnet
 import "testing"
 
 // The v2 store path as the wire_ingest benchmark drives it: a host tick is
-// one batch of three one-point stores, one per sensor of a host. These tests
-// and benchmarks run its three server-side stages — decode, Memory.Handle,
-// encode — without sockets, so their costs are counts and per-op times that
-// do not depend on a second goroutine being scheduled.
+// one batch of three one-point stores, one per sensor of a host. The test
+// and the benchmarks (make bench-wire) run its three server-side stages —
+// decode, Memory.Handle, encode — without sockets, so their costs are counts
+// and per-op times that do not depend on a second goroutine being scheduled.
 
 // hostTick returns one host's tick k as the sensor daemon sends it.
 func hostTick(k int) Request {
@@ -35,8 +35,9 @@ func hostTickFrames(tb testing.TB, n int) [][]byte {
 }
 
 // wireStoreBatchAllocs is the allocation count of one warm host tick through
-// the server's store path: the batch's sub slice and its response slice. The
-// parent of the change that set it counted 10.
+// the server's store path: the batch's sub slice and its response slice. It
+// was 10 before the connection decoder, the in-place decode and the resolved
+// per-sub counters.
 const wireStoreBatchAllocs = 2
 
 // TestWireStoreBatchAllocs gates the allocations of one warm host tick
