@@ -648,21 +648,11 @@ func appendPoints2(b []byte, pts [][2]float64) []byte {
 	return appendPoints(b, pts)
 }
 
-// decodeRequestPayload decodes one v2 request payload on its own, with no
-// connection state: what clients, tests and fuzzers use.
-func decodeRequestPayload(b []byte) (uint64, Request, error) {
-	var req Request
-	id, err := decodeRequest(b, nil, &req)
-	if err != nil {
-		return 0, Request{}, err
-	}
-	return id, req, nil
-}
-
 // decodeRequest decodes one v2 request payload into *req, requiring the
 // whole payload be consumed (trailing garbage is a protocol error). With a
 // connection decoder d, series keys and points come from d's table and
-// blocks (see connDecoder); the decoded value is the same either way.
+// blocks (see connDecoder); with d nil nothing is kept between calls. The
+// decoded value is the same either way.
 func decodeRequest(b []byte, d *connDecoder, req *Request) (uint64, error) {
 	r := binReader{b: b, dec: d}
 	id, err := r.uvarint()

@@ -14,6 +14,17 @@ import (
 	"nwscpu/internal/nwsnet/cluster"
 )
 
+// decodeRequestPayload decodes one v2 request payload with no connection
+// state, returning the zero request on error.
+func decodeRequestPayload(b []byte) (uint64, Request, error) {
+	var req Request
+	id, err := decodeRequest(b, nil, &req)
+	if err != nil {
+		return 0, Request{}, err
+	}
+	return id, req, nil
+}
+
 // mustHex decodes a spaced hex dump ("01 05 ...") into bytes.
 func mustHex(t *testing.T, s string) []byte {
 	t.Helper()

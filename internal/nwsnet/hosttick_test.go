@@ -35,9 +35,7 @@ func hostTickFrames(tb testing.TB, n int) [][]byte {
 }
 
 // wireStoreBatchAllocs is the allocation count of one warm host tick through
-// the server's store path: the batch's sub slice and its response slice. It
-// was 10 before the connection decoder, the in-place decode and the resolved
-// per-sub counters.
+// the server's store path: the batch's sub slice and its response slice.
 const wireStoreBatchAllocs = 2
 
 // TestWireStoreBatchAllocs gates the allocations of one warm host tick
