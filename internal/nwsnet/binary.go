@@ -118,49 +118,6 @@ var binOpToOp = func() (t [256]Op) {
 	return t
 }()
 
-// opcode is wireOps' encode direction as a switch, so encoding a request
-// does not hash its op string. TestOpcodeTablesAgree holds the two to the
-// same pairs.
-func opcode(op Op) (byte, bool) {
-	switch op {
-	case OpStore:
-		return binOpStore, true
-	case OpBatch:
-		return binOpBatch, true
-	case OpFetch:
-		return binOpFetch, true
-	case OpPing:
-		return binOpPing, true
-	case OpRegister:
-		return binOpRegister, true
-	case OpLookup:
-		return binOpLookup, true
-	case OpList:
-		return binOpList, true
-	case OpSeries:
-		return binOpSeries, true
-	case OpForecast:
-		return binOpForecast, true
-	case OpJoin:
-		return binOpJoin, true
-	case OpLease:
-		return binOpLease, true
-	case OpView:
-		return binOpView, true
-	case OpSubscribe:
-		return binOpSubscribe, true
-	case OpUnsubscribe:
-		return binOpUnsubscribe, true
-	case OpHello:
-		return binOpHello, true
-	case OpDigest:
-		return binOpDigest, true
-	case OpBackfill:
-		return binOpBackfill, true
-	}
-	return 0, false
-}
-
 // Response flag bits, carried as one uvarint. A presence bit may be set
 // only when its section is non-empty, which makes encoding canonical:
 // decode ∘ encode is the identity on decoded values. Responses using only
@@ -592,7 +549,7 @@ func encodeRequestPayload(b []byte, id uint64, req *Request) ([]byte, error) {
 }
 
 func encodeRequestBody(b []byte, req *Request, depth int) ([]byte, error) {
-	code, ok := opcode(req.Op)
+	code, ok := wireOps[req.Op]
 	if !ok {
 		return nil, fmt.Errorf("nwsnet: op %q has no binary opcode", req.Op)
 	}
