@@ -27,10 +27,9 @@ import (
 //     values without the codec).
 //   - Cheap on the hot path: no reflection, no per-field allocation, pooled
 //     encode buffers, values walked and decoded in place rather than copied,
-//     a server connection's decoder that interns series keys and packs
-//     request points into shared blocks (connDecoder), and varint-packed
-//     point arrays (XOR-chained byte-reversed float bits, so repeated values
-//     cost one byte).
+//     a server connection's decoder that packs request points into shared
+//     blocks (connDecoder), and varint-packed point arrays (XOR-chained
+//     byte-reversed float bits, so repeated values cost one byte).
 //   - Safe against hostile bytes: every count is sanity-checked against the
 //     remaining frame before anything is allocated, slices grow
 //     incrementally, and a malformed frame closes the connection instead of
@@ -238,57 +237,27 @@ func appendView(b []byte, v *cluster.View) []byte {
 type binReader struct {
 	b   []byte
 	off int
-	// dec, when set, is the server connection's decoder state: series keys
-	// come from its key table and request points from its blocks.
+	// dec, when set, is the server connection's decoder state: request
+	// points come from its blocks.
 	dec *connDecoder
 }
 
-// Bounds on what a server connection's decoder keeps between frames. They
-// are constants, not options: whatever a peer sends, the key table holds at
-// most maxInternKeys keys of at most maxInternKeyLen bytes each.
-const (
-	maxInternKeys   = 2048 // the table is cleared when a new key would exceed it
-	maxInternKeyLen = 128  // a longer key is decoded as usual, not interned
-	pointsBlock     = 512  // points per backing block shared by requests
-)
+// pointsBlock is the number of points per backing block shared by requests.
+const pointsBlock = 512
 
 // connDecoder is the request-decode state one server connection keeps
-// across frames, so the steady-state decode of a store allocates almost
-// nothing:
-//
-//   - keys interns series keys: a sensor stores the same few keys every
-//     tick, and a repeated key decodes to the string already held.
-//   - pts is the unused tail of a block of points. The points of
-//     consecutive requests are decoded into it back to back, each request's
-//     slice capped at its own length (a 3-index slice), so appending to one
-//     never writes into its neighbour's. A block is never reused: when its
-//     tail runs short a new one is allocated and the old one lives on only
-//     as long as the requests that point into it. An array larger than a
-//     block gets a slice of its own.
+// across frames, so the steady-state decode of a store does not allocate
+// its points: pts is the unused tail of a block of points. The points of
+// consecutive requests are decoded into it back to back, each request's
+// slice capped at its own length (a 3-index slice), so appending to one
+// never writes into its neighbour's. A block is never reused: when its tail
+// runs short a new one is allocated and the old one lives on only as long
+// as the requests that point into it. An array larger than a block gets a
+// slice of its own.
 //
 // The zero value is ready to use.
 type connDecoder struct {
-	keys map[string]string
-	pts  [][2]float64
-}
-
-// key returns the string for a decoded series key, from the table when it
-// was seen before.
-func (d *connDecoder) key(b []byte) string {
-	if len(b) > maxInternKeyLen {
-		return string(b)
-	}
-	if s, ok := d.keys[string(b)]; ok {
-		return s
-	}
-	if d.keys == nil {
-		d.keys = make(map[string]string)
-	} else if len(d.keys) >= maxInternKeys {
-		clear(d.keys)
-	}
-	s := string(b)
-	d.keys[s] = s
-	return s
+	pts [][2]float64
 }
 
 // points decodes n ≤ pointsBlock request points, already checked against
@@ -325,36 +294,17 @@ func (r *binReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// strBytes returns a length-prefixed string's bytes, aliasing the payload.
-func (r *binReader) strBytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.rem()) {
-		return nil, errBinMalformed
-	}
-	b := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
-}
-
 func (r *binReader) str() (string, error) {
-	b, err := r.strBytes()
-	return string(b), err
-}
-
-// key decodes a series key: a string, taken from the connection's key table
-// when the reader has one.
-func (r *binReader) key() (string, error) {
-	if r.dec == nil {
-		return r.str()
-	}
-	b, err := r.strBytes()
+	n, err := r.uvarint()
 	if err != nil {
 		return "", err
 	}
-	return r.dec.key(b), nil
+	if n > uint64(r.rem()) {
+		return "", errBinMalformed
+	}
+	s := string(r.b[r.off : r.off+int(n)])
+	r.off += int(n)
+	return s, nil
 }
 
 func (r *binReader) f64() (float64, error) {
@@ -607,9 +557,9 @@ func appendPoints2(b []byte, pts [][2]float64) []byte {
 
 // decodeRequest decodes one v2 request payload into *req, requiring the
 // whole payload be consumed (trailing garbage is a protocol error). With a
-// connection decoder d, series keys and points come from d's table and
-// blocks (see connDecoder); with d nil nothing is kept between calls. The
-// decoded value is the same either way.
+// connection decoder d, request points come from d's blocks (see
+// connDecoder); with d nil nothing is kept between calls. The decoded value
+// is the same either way.
 func decodeRequest(b []byte, d *connDecoder, req *Request) (uint64, error) {
 	r := binReader{b: b, dec: d}
 	id, err := r.uvarint()
@@ -654,14 +604,14 @@ func decodeRequestBody(r *binReader, req *Request, depth int) error {
 		}
 		req.Reg.Kind = Kind(kind)
 	case OpStore, OpBackfill:
-		if req.Series, err = r.key(); err != nil {
+		if req.Series, err = r.str(); err != nil {
 			return err
 		}
 		if req.Points, err = r.requestPoints(); err != nil {
 			return err
 		}
 	case OpFetch:
-		if req.Series, err = r.key(); err != nil {
+		if req.Series, err = r.str(); err != nil {
 			return err
 		}
 		if req.From, err = r.f64(); err != nil {
@@ -679,7 +629,7 @@ func decodeRequestBody(r *binReader, req *Request, depth int) error {
 		}
 		req.Max = int(m)
 	case OpForecast, OpSubscribe, OpUnsubscribe, OpDigest:
-		if req.Series, err = r.key(); err != nil {
+		if req.Series, err = r.str(); err != nil {
 			return err
 		}
 	case OpHello:

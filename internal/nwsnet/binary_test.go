@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -389,39 +388,6 @@ func TestConnDecoderSubsDoNotAlias(t *testing.T) {
 	want := [][2]float64{{2, 2}, {3, 3}}
 	if !reflect.DeepEqual(first.Batch[1].Points, want) || !reflect.DeepEqual(first.Batch[0].Points, [][2]float64{{1, 1}}) {
 		t.Fatalf("first frame's points changed under later decodes and appends: %v %v", first.Batch[0].Points, first.Batch[1].Points)
-	}
-}
-
-// TestConnDecoderKeyTable: a repeated key decodes to the string the table
-// already holds; the table never holds more than maxInternKeys keys or a key
-// longer than maxInternKeyLen, whatever a peer sends.
-func TestConnDecoderKeyTable(t *testing.T) {
-	var dec connDecoder
-	decode := func(key string) string {
-		req := Request{Op: OpDigest, Series: key}
-		b, err := encodeRequestPayload(nil, 1, &req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got Request
-		if _, err := decodeRequest(b, &dec, &got); err != nil || got.Series != key {
-			t.Fatalf("key %q decoded as %q (%v)", key, got.Series, err)
-		}
-		return got.Series
-	}
-	if k1, k2 := decode("h/cpu/vmstat"), decode("h/cpu/vmstat"); unsafe.StringData(k1) != unsafe.StringData(k2) {
-		t.Error("a repeated key was not interned")
-	}
-	long := strings.Repeat("x", maxInternKeyLen+1)
-	decode(long)
-	if _, ok := dec.keys[long]; ok {
-		t.Errorf("a %d-byte key was interned; the cap is %d", len(long), maxInternKeyLen)
-	}
-	for i := 0; i < 2*maxInternKeys+1; i++ {
-		decode(fmt.Sprintf("host-%05d/cpu/vmstat", i))
-		if len(dec.keys) > maxInternKeys {
-			t.Fatalf("key table holds %d keys; the cap is %d", len(dec.keys), maxInternKeys)
-		}
 	}
 }
 

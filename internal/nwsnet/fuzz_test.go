@@ -115,11 +115,11 @@ func sameRequest(a, b *Request) bool {
 
 // FuzzDecodeBinaryRequest feeds arbitrary frame payloads — malformed
 // frames, truncated varints, forged counts — through the decode the server
-// runs, with one connection decoder (key table and points blocks) carried
-// across inputs as a connection carries it across frames, and executes
-// whatever decodes against a live Memory. The decoder must never panic or
-// allocate beyond the input's size, must decode exactly what the stateless
-// decode does, and must keep its key table inside its bounds; the handler
+// runs, with one connection decoder (its points blocks) carried across
+// inputs as a connection carries it across frames, and executes whatever
+// decodes against a live Memory. The decoder must never panic or allocate
+// beyond the input's size, and must decode exactly what the stateless
+// decode does; the handler
 // must never panic, whatever the request contains — the seed code failed
 // this for a plain fetch with From > To (a remotely triggerable slice bounds
 // panic), which is exactly the class of bug this guards. Whatever decodes
@@ -132,16 +132,16 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 	f.Add([]byte{0x01, 0xff})             // unknown opcode
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // truncated varint ID
 	for _, req := range []Request{
-		{Op: OpBatch, Batch: []Request{ // a repeated key
+		{Op: OpBatch, Batch: []Request{ // a repeated key, its points packed back to back
 			{Op: OpStore, Series: "h/cpu/vmstat", Points: [][2]float64{{10, 0.5}}},
 			{Op: OpFetch, Series: "h/cpu/vmstat", Max: 1},
 			{Op: OpStore, Series: "h/cpu/vmstat", Points: [][2]float64{{20, 0.5}, {30, 0.25}}},
 		}},
-		{Op: OpStore, Series: strings.Repeat("k", maxInternKeyLen+1), Points: [][2]float64{{1, 1}}}, // over the length cap
-		{Op: OpBatch, Batch: func() []Request { // enough distinct keys to clear the table
-			subs := make([]Request, maxInternKeys+2)
+		{Op: OpStore, Series: strings.Repeat("k", 129), Points: [][2]float64{{1, 1}}}, // a long key
+		{Op: OpBatch, Batch: func() []Request { // enough points to span several blocks
+			subs := make([]Request, 4*pointsBlock+2)
 			for i := range subs {
-				subs[i] = Request{Op: OpDigest, Series: fmt.Sprintf("h%d", i)}
+				subs[i] = Request{Op: OpStore, Series: fmt.Sprintf("h%d", i), Points: [][2]float64{{1, float64(i)}}}
 			}
 			return subs
 		}()},
@@ -160,14 +160,6 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 		sid, sreq, serr := decodeRequestPayload(payload)
 		if (err == nil) != (serr == nil) {
 			t.Fatalf("connection decode error %v, stateless decode error %v", err, serr)
-		}
-		if len(dec.keys) > maxInternKeys {
-			t.Fatalf("key table holds %d keys; the cap is %d", len(dec.keys), maxInternKeys)
-		}
-		for k := range dec.keys {
-			if len(k) > maxInternKeyLen {
-				t.Fatalf("key table holds a %d-byte key; the cap is %d", len(k), maxInternKeyLen)
-			}
 		}
 		if err != nil {
 			return // undecodable frames close the connection before the handler

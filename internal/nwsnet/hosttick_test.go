@@ -35,8 +35,9 @@ func hostTickFrames(tb testing.TB, n int) [][]byte {
 }
 
 // wireStoreBatchAllocs is the allocation count of one warm host tick through
-// the server's store path: the batch's sub slice and its response slice.
-const wireStoreBatchAllocs = 2
+// the server's store path: the batch's sub slice, its three series keys and
+// its response slice.
+const wireStoreBatchAllocs = 5
 
 // TestWireStoreBatchAllocs gates the allocations of one warm host tick
 // through the server's v2 store path: decode with a connection's decoder,
@@ -80,7 +81,7 @@ func TestWireStoreBatchAllocs(t *testing.T) {
 }
 
 // BenchmarkDecodeHostTick decodes host-tick frames as a server connection
-// does, with its key table and points blocks warm.
+// does, with its points blocks warm.
 func BenchmarkDecodeHostTick(b *testing.B) {
 	frames := hostTickFrames(b, 64)
 	var dec connDecoder
