@@ -126,7 +126,7 @@ bench-forecast:
 # decode, Memory.Handle into full rings, and the batch response's encode (the
 # end-to-end number is benchmark/'s wire_ingest; docs/PERFORMANCE.md).
 bench-wire:
-	$(GO) test -run - -bench 'BenchmarkDecodeHostTick|BenchmarkMemoryHandleHostTick|BenchmarkEncodeBatchResponse' -benchmem ./internal/nwsnet
+	$(GO) test -run - -bench 'BenchmarkDecodeHostTick|BenchmarkMemoryHandleHostTick|BenchmarkEncodeBatchResponse|BenchmarkClientFetchTail' -benchmem ./internal/nwsnet
 
 # One iteration of every table/figure/ablation benchmark at 6-hour scale.
 bench:

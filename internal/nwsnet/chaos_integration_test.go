@@ -195,17 +195,18 @@ func chaosRunOutcomes(t *testing.T, seed int64) []bool {
 			Jitter:      0.5,
 			Rand:        rand.New(rand.NewSource(seed)).Float64,
 		},
-		// Faults are drawn per connection, so the schedule only stays
-		// aligned across runs if every attempt dials exactly one fresh
-		// connection: disable idle pooling.
-		MaxIdlePerAddr: -1,
 	})
 	defer c.Close()
 
+	// Faults are drawn per connection, so the schedule only stays aligned
+	// across runs if every attempt dials exactly one fresh connection: a
+	// failed attempt's connection is discarded, and Close drops the one a
+	// successful call parked.
 	outcomes := make([]bool, 12)
 	for i := range outcomes {
 		err := c.Store(addr, "s", [][2]float64{{float64(i), 0.5}})
 		outcomes[i] = err == nil
+		c.Close()
 	}
 	return outcomes
 }
@@ -254,9 +255,6 @@ func TestChaosReplicaTimeoutMidBatchIdempotentRetry(t *testing.T) {
 	c := NewClientOptions(ClientOptions{
 		Timeout: time.Second,
 		Retry:   resilience.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond},
-		// Faults are drawn per connection: fresh connection per attempt
-		// keeps the schedule aligned (truncate first, pass after).
-		MaxIdlePerAddr: -1,
 	})
 	defer c.Close()
 	g := NewReplicaGroup(c, group, 2) // both replicas must ack
@@ -363,9 +361,8 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 	// Greedy fetchers warmed before the flood so their pooled connections
 	// hold seats inside the connection cap and exercise the in-flight queue.
 	fetchClient := NewClientOptions(ClientOptions{
-		Timeout:        500 * time.Millisecond,
-		Retry:          resilience.Policy{MaxAttempts: 1},
-		MaxIdlePerAddr: 4, // keep several seats inside the connection cap
+		Timeout: 500 * time.Millisecond,
+		Retry:   resilience.Policy{MaxAttempts: 1},
 	})
 	defer fetchClient.Close()
 	key := SeriesKey("floodhost", "vmstat")

@@ -79,10 +79,10 @@ var (
 	// local configuration, so the label set is bounded).
 	mPoolIdle = metrics.NewGaugeVec(
 		"nws_client_pool_idle_connections",
-		"Pooled protocol connections parked for reuse, by server address.", "addr")
+		"A Client's pooled MuxConns parked for reuse, by server address.", "addr")
 	mPoolActive = metrics.NewGaugeVec(
 		"nws_client_pool_active_connections",
-		"Pooled protocol connections currently checked out, by server address.", "addr")
+		"A Client's pooled MuxConns currently checked out, by server address.", "addr")
 
 	// Replica groups.
 	mReplicaHealthy = metrics.NewGaugeVec(
@@ -205,9 +205,6 @@ var (
 	mTenantThrottled = metrics.NewCounter(
 		"nws_tenant_throttled_total",
 		"Requests shed with a busy response because the connection's tenant was over its token-bucket quota.")
-	mMuxRedials = metrics.NewCounter(
-		"nws_client_mux_redials_total",
-		"MuxConn transports transparently redialed and their unanswered in-flight window replayed after an idle server cut the connection.")
 
 	// Sensor daemon.
 	mSensorMeasurements = metrics.NewCounterVec(

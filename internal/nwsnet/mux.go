@@ -2,11 +2,14 @@ package nwsnet
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
+
+	"nwscpu/internal/resilience"
 )
 
 // ErrMuxClosed reports a call issued on (or pending in) a MuxConn that was
@@ -14,11 +17,11 @@ import (
 var ErrMuxClosed = errors.New("nwsnet: mux connection closed")
 
 // MuxConn is one binary-codec connection carrying many requests in flight
-// at once — the pipelining client of wire protocol v2. Where Client runs in
-// lockstep (one request, wait, one response), a MuxConn tags
-// every request with an ID, keeps sending, and routes responses back as
-// they arrive, so wire throughput is bounded by bandwidth and server
-// capacity instead of round-trip latency.
+// at once — the client connection of wire protocol v2. It tags every request
+// with an ID, keeps sending, and routes responses back as they arrive, so
+// wire throughput is bounded by bandwidth and server capacity instead of
+// round-trip latency. Client pools MuxConns and runs one call at a time on
+// each.
 //
 // Concurrency: Go and Do are safe from any number of goroutines. Requests
 // from a single goroutine reach the server in call order (the server
@@ -27,31 +30,29 @@ var ErrMuxClosed = errors.New("nwsnet: mux connection closed")
 // monotonic-frontier dedup); requests racing from different goroutines are
 // ordered by an internal lock.
 //
-// Failure: with one exception, any transport error, decode error, or read
-// silence past the timeout fails every pending call with the same error and
-// poisons the connection; callers reconnect with DialMux. That keeps the
-// failure semantics explicit — a pipeline's worth of calls can never be
-// half-retried behind the caller's back. The exception is the idle-server
-// cut: when the transport dies cleanly (EOF or reset at a frame boundary)
-// before ANY response to the pending window has arrived — the signature of
-// a server that idle-closed the connection before reading the burst — the
-// MuxConn redials once and replays the window verbatim, same IDs and order,
-// so an idle connection's next burst is not poisoned by a shed that
-// happened before it was sent. The replay guarantee is as safe as the
-// burst itself: the server provably executed none of the window (it
-// answers strictly in order, and nothing came back). One redial is allowed
-// per window; it re-arms only after a frame arrives on the new transport.
+// Failure: any transport error, decode error, connection-level busy shed, or
+// read silence past the timeout fails every pending call with the same error
+// and poisons the connection — a server idle-closing a quiet connection
+// included, which also ends every subscription on it. Callers reconnect with
+// DialMux; Client does so for the connections it pools (it never parks a
+// dead one, and its retry dials fresh). That keeps the failure semantics
+// explicit: a pipeline's worth of calls is never half-retried behind the
+// caller's back.
 type MuxConn struct {
 	addr    string
 	timeout time.Duration
 	conn    net.Conn
+	// pooled marks a connection a Client owns: Client counts its calls, once
+	// per logical call, and runs one at a time on it.
+	pooled bool
 
 	// Writer side: writeMu serializes frame appends into w; flushing is
 	// delegated to a dedicated flusher goroutine woken through flushCh
 	// (group commit — Go never issues the write syscall itself, so frames
 	// appended while a flush is pending or in progress share the next one.
 	// A single pipelining goroutine batches its whole in-flight window per
-	// syscall, because the flusher only runs once the issuer blocks).
+	// syscall, because the flusher only runs once the issuer blocks). A
+	// pooled connection has nothing to group, so Go flushes it directly.
 	writeMu sync.Mutex
 	w       *bufio.Writer
 	flushCh chan struct{}
@@ -76,17 +77,6 @@ type MuxConn struct {
 	// once the acknowledgement drained it, so pushes route through this map.
 	subs        map[uint64]*muxSub
 	subBySeries map[string]uint64
-
-	// Redial-and-replay state (guarded by mu): when the last frame on the
-	// current transport predates the oldest pending call, none of the
-	// pending window has been answered. cut marks a transport that died
-	// cleanly while completely idle — the reader parks on wake until the
-	// next call, which then redials and replays through the window path
-	// instead of poisoning an idle connection.
-	lastFrame time.Time
-	redialed  bool
-	cut       bool
-	wake      chan struct{}
 
 	readerDone  chan struct{}
 	flusherDone chan struct{}
@@ -126,10 +116,25 @@ func (c *MuxCall) Wait() (Response, error) {
 // the dial and, after it, how long the connection may go without receiving
 // anything while responses are pending (0 selects 5 s).
 func DialMux(addr string, timeout time.Duration) (*MuxConn, error) {
+	return DialMuxTenant(addr, "", timeout)
+}
+
+// DialMuxTenant is DialMux plus tenant attribution: it sends an OpHello
+// naming tenant as the connection's first request and waits for the
+// acknowledgement, so every later request lands in that tenant's quota
+// bucket (ServerLimits.TenantRate). An empty tenant skips the hello.
+func DialMuxTenant(addr, tenant string, timeout time.Duration) (*MuxConn, error) {
+	return dialMux(context.Background(), addr, tenant, timeout, false)
+}
+
+// dialMux is DialMuxTenant with the dial and the hello bounded by ctx too,
+// and pooled set on the connection before its first request.
+func dialMux(ctx context.Context, addr, tenant string, timeout time.Duration, pooled bool) (*MuxConn, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	nc, err := net.DialTimeout("tcp", addr, timeout)
+	d := net.Dialer{Timeout: timeout}
+	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("nwsnet: dial %s: %w", addr, err)
 	}
@@ -143,6 +148,7 @@ func DialMux(addr string, timeout time.Duration) (*MuxConn, error) {
 		addr:        addr,
 		timeout:     timeout,
 		conn:        nc,
+		pooled:      pooled,
 		w:           bufio.NewWriterSize(nc, 64<<10),
 		flushCh:     make(chan struct{}, 1),
 		quit:        make(chan struct{}),
@@ -151,22 +157,10 @@ func DialMux(addr string, timeout time.Duration) (*MuxConn, error) {
 	}
 	go m.reader()
 	go m.flusher()
-	return m, nil
-}
-
-// DialMuxTenant is DialMux plus tenant attribution: it sends an OpHello
-// naming tenant as the connection's first request and waits for the
-// acknowledgement, so every later request lands in that tenant's quota
-// bucket (ServerLimits.TenantRate). An empty tenant skips the hello.
-func DialMuxTenant(addr, tenant string, timeout time.Duration) (*MuxConn, error) {
-	m, err := DialMux(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
 	if tenant == "" {
 		return m, nil
 	}
-	if _, err := m.Do(Request{Op: OpHello, Tenant: tenant}); err != nil {
+	if _, err := m.doCtx(ctx, Request{Op: OpHello, Tenant: tenant}); err != nil {
 		m.Close()
 		return nil, fmt.Errorf("nwsnet: hello to %s: %w", addr, err)
 	}
@@ -176,17 +170,12 @@ func DialMuxTenant(addr, tenant string, timeout time.Duration) (*MuxConn, error)
 // Addr returns the dialed server address.
 func (m *MuxConn) Addr() string { return m.addr }
 
-// InFlight reports how many calls are awaiting responses.
-func (m *MuxConn) InFlight() int {
+// alive reports whether the connection is still usable: nothing has
+// poisoned it yet.
+func (m *MuxConn) alive() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, c := range m.calls[m.head:] {
-		if c != nil {
-			n++
-		}
-	}
-	return n
+	return m.err == nil
 }
 
 // Go sends req without waiting and returns the in-flight call; wait on
@@ -223,18 +212,6 @@ func (m *MuxConn) goWith(req Request, onID func(id uint64)) *MuxCall {
 		m.head = 0
 	}
 	m.calls = append(m.calls, call)
-	if m.cut {
-		// The transport died while idle and the reader is parked: do not
-		// touch the dead writer — wake the reader, which redials and
-		// replays this call (and any racing with it) on the fresh
-		// transport, in FIFO order.
-		select {
-		case m.wake <- struct{}{}:
-		default:
-		}
-		m.mu.Unlock()
-		return call
-	}
 	m.mu.Unlock()
 
 	buf := getEncBuf()
@@ -242,8 +219,8 @@ func (m *MuxConn) goWith(req Request, onID func(id uint64)) *MuxCall {
 	if err != nil {
 		putEncBuf(buf)
 		if m.forget(id) {
-			call.Err = fmt.Errorf("nwsnet: encode for %s: %w", m.addr, err)
-			observeCall(req.Op, call.t0, call.Err)
+			call.Err = resilience.Permanent(fmt.Errorf("nwsnet: encode for %s: %w", m.addr, err))
+			m.observe(call)
 			call.deliver()
 		}
 		return call
@@ -256,6 +233,9 @@ func (m *MuxConn) goWith(req Request, onID func(id uint64)) *MuxCall {
 		m.conn.SetWriteDeadline(time.Now().Add(m.timeout))
 	}
 	werr := writeFrame(m.w, payload)
+	if werr == nil && m.pooled {
+		werr = m.w.Flush() // nothing to group: save the flusher hand-off
+	}
 	m.writeMu.Unlock()
 	*buf = payload
 	putEncBuf(buf)
@@ -263,11 +243,13 @@ func (m *MuxConn) goWith(req Request, onID func(id uint64)) *MuxCall {
 		m.fail(fmt.Errorf("nwsnet: send to %s: %w", m.addr, werr))
 		return call
 	}
-	// Wake the flusher; if a wakeup is already queued the pending flush
-	// covers this frame too (group commit).
-	select {
-	case m.flushCh <- struct{}{}:
-	default:
+	if !m.pooled {
+		// Wake the flusher; if a wakeup is already queued the pending
+		// flush covers this frame too (group commit).
+		select {
+		case m.flushCh <- struct{}{}:
+		default:
+		}
 	}
 	return call
 }
@@ -301,6 +283,26 @@ func (m *MuxConn) flusher() {
 // Do sends req and waits for its response — Go plus Wait.
 func (m *MuxConn) Do(req Request) (Response, error) {
 	return m.Go(req).Wait()
+}
+
+// doCtx is Do bounded by ctx. A context that ends first poisons the
+// connection, which completes the call at once with an error wrapping the
+// context's. The hook is registered only for a context that can end, so a
+// context-free caller pays nothing for it.
+func (m *MuxConn) doCtx(ctx context.Context, req Request) (Response, error) {
+	if ctx.Done() == nil {
+		return m.Do(req)
+	}
+	poison := func() { m.fail(fmt.Errorf("nwsnet: %s: %w", m.addr, ctx.Err())) }
+	stop := context.AfterFunc(ctx, poison)
+	resp, err := m.Do(req)
+	if !stop() {
+		// The context ended as the call completed and the hook is already
+		// running: poison here too, so the connection is dead by the time
+		// the caller decides whether to reuse it.
+		poison()
+	}
+	return resp, err
 }
 
 // Subscribe registers onPush for server-initiated forecast pushes on series
@@ -453,20 +455,25 @@ func (m *MuxConn) fail(err error) {
 	m.subs = nil
 	m.subBySeries = nil
 	m.mu.Unlock()
-	// The conn pointer swaps under writeMu during a redial; close under it.
-	m.writeMu.Lock()
 	m.conn.Close()
-	m.writeMu.Unlock()
 	for _, call := range pending {
 		if call == nil {
 			continue
 		}
 		call.Err = err
-		observeCall(call.Req.Op, call.t0, call.Err)
+		m.observe(call)
 		call.deliver()
 	}
 	for _, sub := range subs {
 		sub.onPush(Response{}, err)
+	}
+}
+
+// observe counts a completed call in the client metrics, unless a Client
+// owns the connection and counts the call itself.
+func (m *MuxConn) observe(call *MuxCall) {
+	if !m.pooled {
+		observeCall(call.Req.Op, call.t0, call.Err)
 	}
 }
 
@@ -491,7 +498,8 @@ func (m *MuxConn) reader() {
 		return
 	}
 	if accept != wireVersionBinary {
-		m.fail(fmt.Errorf("nwsnet: %s accepted wire version %d, not binary (%d)", m.addr, accept, wireVersionBinary))
+		m.fail(resilience.Permanent(fmt.Errorf(
+			"nwsnet: %s accepted wire version %d, not binary (%d)", m.addr, accept, wireVersionBinary)))
 		return
 	}
 	var buf []byte
@@ -515,22 +523,10 @@ func (m *MuxConn) reader() {
 				if oldest.IsZero() || time.Since(oldest) < m.timeout {
 					continue
 				}
-			} else if n == 0 {
-				// A clean cut at a frame boundary. Completely idle (nothing
-				// pending, no subscriptions): park until the next call needs
-				// a transport. Then — parked or not — if nothing in the
-				// pending window has been answered, the server closed before
-				// reading it: redial once and replay.
-				m.parkOnCut()
-				if nbr, ok := m.tryRedial(); ok {
-					br = nbr
-					continue
-				}
 			}
 			m.fail(fmt.Errorf("nwsnet: receive from %s: %w", m.addr, err))
 			return
 		}
-		m.noteFrame()
 		id, resp, err := decodeResponsePayload(payload)
 		if err != nil {
 			m.fail(fmt.Errorf("nwsnet: receive from %s: %w", m.addr, err))
@@ -565,18 +561,9 @@ func (m *MuxConn) reader() {
 		} else {
 			call.Resp = resp
 		}
-		observeCall(call.Req.Op, call.t0, call.Err)
+		m.observe(call)
 		call.deliver()
 	}
-}
-
-// noteFrame records a successful frame receipt on the current transport:
-// the redial gate re-arms, and the pending window is marked answered.
-func (m *MuxConn) noteFrame() {
-	m.mu.Lock()
-	m.lastFrame = time.Now()
-	m.redialed = false
-	m.mu.Unlock()
 }
 
 // routeSub resolves a push frame's subscription; terminal removes it.
@@ -587,150 +574,4 @@ func (m *MuxConn) routeSub(id uint64, terminal bool) *muxSub {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.subs[id]
-}
-
-// parkOnCut handles a clean transport cut with nothing in flight and no
-// subscriptions: poisoning would make the connection's very idleness fatal
-// (a server idle-timeout reaps quiet transports), and reconnecting eagerly
-// would race the same reaper in a dial loop. Instead the reader closes the
-// dead transport and parks until the next call arrives; that call is
-// appended unsent and the reader replays it through the normal redial
-// window. No-op when the cut has in-flight state to deal with.
-func (m *MuxConn) parkOnCut() {
-	m.mu.Lock()
-	pending := false
-	for _, c := range m.calls[m.head:] {
-		if c != nil {
-			pending = true
-			break
-		}
-	}
-	if m.err != nil || pending || len(m.subs) > 0 {
-		m.mu.Unlock()
-		return
-	}
-	if m.wake == nil {
-		m.wake = make(chan struct{}, 1)
-	}
-	// Drain any stale wake left from a previous burst (extra calls signal
-	// into the buffer after the reader is already up). goWith only signals
-	// while cut is set, and cut is set under this same lock, so anything
-	// in the buffer here predates this park.
-	select {
-	case <-m.wake:
-	default:
-	}
-	m.cut = true
-	wake := m.wake
-	m.mu.Unlock()
-	m.writeMu.Lock()
-	m.conn.Close() // dead transport; release it while parked
-	m.writeMu.Unlock()
-	select {
-	case <-wake:
-	case <-m.quit:
-	}
-}
-
-// tryRedial is the one-shot transparent reconnect: called by the reader on
-// a clean transport cut, it checks that the pending window is entirely
-// unanswered (the server answers strictly in order, so no frame since the
-// oldest pending call means none of the window executed), dials a fresh
-// connection, and replays the window verbatim — same IDs, same order. It
-// returns the new transport's reader on success. Subscriptions that were
-// already acknowledged lived on the dead connection's server state and do
-// not survive: they get a terminal push telling the caller to re-subscribe.
-// Un-acked subscribes in the window replay and re-register normally.
-func (m *MuxConn) tryRedial() (*bufio.Reader, bool) {
-	m.writeMu.Lock()
-	m.mu.Lock()
-	m.cut = false // calls append-and-write normally from here on
-	if m.err != nil || m.redialed {
-		m.mu.Unlock()
-		m.writeMu.Unlock()
-		return nil, false
-	}
-	var window []*MuxCall
-	pendingIDs := make(map[uint64]struct{})
-	for _, c := range m.calls[m.head:] {
-		if c != nil {
-			window = append(window, c)
-			pendingIDs[c.id] = struct{}{}
-		}
-	}
-	if len(window) == 0 || !m.lastFrame.Before(window[0].t0) {
-		m.mu.Unlock()
-		m.writeMu.Unlock()
-		return nil, false
-	}
-	m.redialed = true
-	var ended []*muxSub
-	for id, sub := range m.subs {
-		if _, pending := pendingIDs[id]; pending {
-			continue
-		}
-		delete(m.subs, id)
-		if m.subBySeries[sub.series] == id {
-			delete(m.subBySeries, sub.series)
-		}
-		ended = append(ended, sub)
-	}
-	m.mu.Unlock()
-	br, ok := m.replayWindow(window)
-	m.writeMu.Unlock()
-	if len(ended) > 0 {
-		err := fmt.Errorf("nwsnet: %s: subscription lost to reconnect; re-subscribe", m.addr)
-		for _, sub := range ended {
-			sub.onPush(Response{}, err)
-		}
-	}
-	return br, ok
-}
-
-// replayWindow dials, negotiates, swaps the transport in, and re-sends the
-// window. Callers hold writeMu (no frame can interleave with the replay).
-// On failure the caller poisons the connection with the original error.
-func (m *MuxConn) replayWindow(window []*MuxCall) (*bufio.Reader, bool) {
-	nc, err := net.DialTimeout("tcp", m.addr, m.timeout)
-	if err != nil {
-		return nil, false
-	}
-	nc.SetWriteDeadline(time.Now().Add(m.timeout))
-	if _, err := nc.Write(wirePreamble[:]); err != nil {
-		nc.Close()
-		return nil, false
-	}
-	old := m.conn
-	m.conn = nc
-	m.w.Reset(nc) // unflushed frames are pending calls; they replay below
-	old.Close()
-	for _, c := range window {
-		buf := getEncBuf()
-		payload, perr := encodeRequestPayload(*buf, c.id, &c.Req)
-		if perr == nil {
-			perr = writeFrame(m.w, payload)
-			*buf = payload
-		}
-		putEncBuf(buf)
-		if perr != nil {
-			return nil, false
-		}
-	}
-	if m.w.Flush() != nil {
-		return nil, false
-	}
-	nc.SetWriteDeadline(time.Time{})
-	// The server buffers its accept byte in front of the first response
-	// (negotiation costs zero round trips), so it can be read only after
-	// the window is on the wire — waiting for it before sending would
-	// deadlock against a server waiting out its idle deadline for a frame.
-	nc.SetReadDeadline(time.Now().Add(m.timeout))
-	br := bufio.NewReaderSize(nc, 256<<10)
-	accept, err := br.ReadByte()
-	if err != nil || accept != wireVersionBinary {
-		return nil, false
-	}
-	nc.SetReadDeadline(time.Time{})
-	mMuxRedials.Inc()
-	return br, true
 }

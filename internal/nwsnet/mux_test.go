@@ -90,8 +90,8 @@ func TestMuxConcurrentCallers(t *testing.T) {
 }
 
 // TestMuxBusyClassification checks a queue shed surfaces on the pipelined
-// path exactly as on lockstep: an IsBusy, non-terminal error on the shed
-// call only.
+// path exactly as a Client call sees it: an IsBusy, non-terminal error on
+// the shed call only.
 func TestMuxBusyClassification(t *testing.T) {
 	block := make(chan struct{})
 	h := handlerFunc(func(req Request) Response {

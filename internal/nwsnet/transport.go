@@ -97,7 +97,7 @@ func (t *LocalTransport) SetPartitioned(addr string, v bool) {
 }
 
 // exchange runs one request against an address, applying its fault mode,
-// and classifies the answer exactly as Client.do does.
+// and classifies the answer exactly as a MuxConn's reader does for Client.
 func (t *LocalTransport) exchange(_ context.Context, addr string, req Request) (Response, error) {
 	t.mu.Lock()
 	n := t.nodes[addr]

@@ -285,8 +285,10 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 // server-side idempotent dedup must converge both replicas to exactly one
 // copy of every point.
 func TestReplicaQuorumConvergesUnderChaos(t *testing.T) {
-	// Faults are drawn per connection and every attempt dials afresh: round
-	// 0's first attempt and round 2's are truncated, their retries pass.
+	// Faults are drawn per connection and every attempt dials afresh (a
+	// failed attempt's connection is discarded, and the client is closed
+	// between rounds): round 0's first attempt and round 2's are truncated,
+	// their retries pass.
 	chaosMem, _, chaosAddr := chaosFront(t, chaos.NewScript(
 		chaos.Action{Fault: chaos.Truncate},
 		chaos.Action{Fault: chaos.Pass},
@@ -294,11 +296,11 @@ func TestReplicaQuorumConvergesUnderChaos(t *testing.T) {
 		chaos.Action{Fault: chaos.Truncate},
 	))
 	mems, _, addrs := startReplicaSet(t, 1)
-	g := NewReplicaGroup(NewClientOptions(ClientOptions{
-		Timeout:        time.Second,
-		Retry:          resilience.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond},
-		MaxIdlePerAddr: -1,
-	}), []string{chaosAddr, addrs[0]}, 2)
+	c := NewClientOptions(ClientOptions{
+		Timeout: time.Second,
+		Retry:   resilience.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond},
+	})
+	g := NewReplicaGroup(c, []string{chaosAddr, addrs[0]}, 2)
 	defer g.Close()
 
 	const rounds = 6
@@ -310,6 +312,7 @@ func TestReplicaQuorumConvergesUnderChaos(t *testing.T) {
 		if _, err := g.StoreBatch(context.Background(), stores); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
+		c.Close()
 	}
 	for _, series := range []string{"chaos/a", "chaos/b"} {
 		for ri, m := range []*Memory{chaosMem, mems[0]} {

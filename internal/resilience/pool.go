@@ -15,11 +15,13 @@ var ErrPoolClosed = errors.New("resilience: pool closed")
 type PoolConfig struct {
 	// Dial creates a new connection. It must honor ctx.
 	Dial func(ctx context.Context) (io.Closer, error)
-	// MaxIdle bounds the connections parked for reuse (0 selects 2;
-	// negative disables reuse entirely — every Put closes).
+	// MaxIdle bounds the connections parked for reuse (≤ 0 selects 2).
 	MaxIdle int
 	// IdleTimeout reaps connections parked longer than this (0 = never).
 	IdleTimeout time.Duration
+	// Alive, when non-nil, reaps parked connections it reports dead — a
+	// peer that closed one while it was parked — so Get never hands one out.
+	Alive func(io.Closer) bool
 	// Now is the clock used for idle accounting; nil selects time.Now.
 	Now func() time.Time
 	// OnChange, when non-nil, observes every idle/active count change —
@@ -51,10 +53,8 @@ func NewPool(cfg PoolConfig) *Pool {
 	if cfg.Dial == nil {
 		panic("resilience: PoolConfig.Dial is required")
 	}
-	if cfg.MaxIdle == 0 {
+	if cfg.MaxIdle <= 0 {
 		cfg.MaxIdle = 2
-	} else if cfg.MaxIdle < 0 {
-		cfg.MaxIdle = 0
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -73,17 +73,17 @@ func (p *Pool) notify(idle, active int) {
 	}
 }
 
-// reapLocked closes idle connections past their idle timeout, returning
-// them for closing outside the lock.
+// reapLocked removes idle connections past their idle timeout or reported
+// dead by Alive, returning them for closing outside the lock.
 func (p *Pool) reapLocked() []io.Closer {
-	if p.cfg.IdleTimeout <= 0 || len(p.idle) == 0 {
+	if len(p.idle) == 0 || p.cfg.IdleTimeout <= 0 && p.cfg.Alive == nil {
 		return nil
 	}
 	cutoff := p.cfg.Now().Add(-p.cfg.IdleTimeout)
 	var dead []io.Closer
 	kept := p.idle[:0]
 	for _, ic := range p.idle {
-		if ic.parked.Before(cutoff) {
+		if p.cfg.IdleTimeout > 0 && ic.parked.Before(cutoff) || p.cfg.Alive != nil && !p.cfg.Alive(ic.c) {
 			dead = append(dead, ic.c)
 		} else {
 			kept = append(kept, ic)

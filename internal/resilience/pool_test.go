@@ -103,6 +103,31 @@ func TestPoolIdleReap(t *testing.T) {
 	}
 }
 
+// TestPoolReapsDeadParked: a parked connection that Alive reports dead is
+// closed at the next Get, which dials instead of handing it out.
+func TestPoolReapsDeadParked(t *testing.T) {
+	var dials atomic.Int64
+	var dead atomic.Bool
+	p := NewPool(PoolConfig{
+		Dial:  newFakeDialer(&dials),
+		Alive: func(io.Closer) bool { return !dead.Load() },
+	})
+	ctx := context.Background()
+	c1, _ := p.Get(ctx)
+	p.Put(c1, true)
+	dead.Store(true)
+	c2, err := p.Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2 == c1 || !c1.(*fakeConn).closed.Load() || dials.Load() != 2 {
+		t.Fatalf("dead parked connection handed out or left open (dials = %d)", dials.Load())
+	}
+	if idle, active := p.Stats(); idle != 0 || active != 1 {
+		t.Fatalf("idle, active = %d, %d; want 0, 1", idle, active)
+	}
+}
+
 func TestPoolCloseAndStats(t *testing.T) {
 	var dials atomic.Int64
 	var lastIdle, lastActive atomic.Int64
