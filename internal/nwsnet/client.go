@@ -2,6 +2,7 @@ package nwsnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -22,10 +23,8 @@ func observeCall(op Op, t0 time.Time, err error) {
 // ClientOptions configures a Client. The zero value selects the defaults
 // noted on each field.
 type ClientOptions struct {
-	// Timeout bounds each call attempt's dial and its wait for an answer:
-	// an unanswered attempt fails one to two Timeouts after it was sent,
-	// the MuxConn read timeout (0 selects 5 s). A context that ends sooner
-	// wins; see the *Ctx methods.
+	// Timeout bounds each call attempt — dial plus exchange (0 selects 5 s).
+	// A context that ends sooner wins; see the *Ctx methods.
 	Timeout time.Duration
 	// Retry governs how transient failures are retried. The zero value
 	// selects the resilience defaults: 3 attempts, 50 ms base backoff
@@ -36,8 +35,10 @@ type ClientOptions struct {
 	// this configuration (nil disables breaking entirely). Transport
 	// failures and server "busy" sheds count against an endpoint; any other
 	// answered response counts as a success, because a server rejecting a
-	// request is still alive. A breaker denial surfaces as a terminal error
-	// wrapping resilience.ErrBreakerOpen without touching the endpoint.
+	// request is still alive. An attempt the caller cancelled counts neither
+	// way (a context deadline counts as a timeout). A breaker denial surfaces
+	// as a terminal error wrapping resilience.ErrBreakerOpen without touching
+	// the endpoint.
 	Breaker *resilience.BreakerConfig
 	// Tenant, when non-empty, names the tenant every connection announces
 	// with an OpHello when it is dialed, so servers enforcing per-tenant
@@ -77,9 +78,6 @@ func NewClient(timeout time.Duration) *Client {
 
 // NewClientOptions returns a client configured by o.
 func NewClientOptions(o ClientOptions) *Client {
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Second
-	}
 	c := &Client{
 		timeout:    o.Timeout,
 		retry:      o.Retry,
@@ -95,9 +93,7 @@ func NewClientOptions(o ClientOptions) *Client {
 // poolIdleTimeout reaps pooled connections parked longer than this.
 const poolIdleTimeout = 90 * time.Second
 
-// pool returns (creating on first use) the connection pool for addr. A
-// parked connection whose reader already saw the server close it — an idle
-// reap, a restart — is reaped at checkout, without spending an attempt.
+// pool returns (creating on first use) the connection pool for addr.
 func (c *Client) pool(addr string) *resilience.Pool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -108,7 +104,6 @@ func (c *Client) pool(addr string) *resilience.Pool {
 				return dialMux(ctx, addr, c.tenant, c.timeout, true)
 			},
 			IdleTimeout: poolIdleTimeout,
-			Alive:       func(conn io.Closer) bool { return conn.(*MuxConn).alive() },
 			OnChange: func(idle, active int) {
 				mPoolIdle.With(addr).Set(float64(idle))
 				mPoolActive.With(addr).Set(float64(active))
@@ -144,9 +139,6 @@ func (c *Client) breakerFor(addr string) *resilience.Breaker {
 // BreakerState reports the circuit-breaker position for addr. It is
 // BreakerClosed when breaking is disabled or addr has never been called.
 func (c *Client) BreakerState(addr string) resilience.BreakerState {
-	if c.breakerCfg == nil {
-		return resilience.BreakerClosed
-	}
 	c.mu.Lock()
 	b := c.breakers[addr]
 	c.mu.Unlock()
@@ -175,14 +167,24 @@ func (c *Client) Close() error {
 // protocol rejection leaves it parked for reuse.
 func (c *Client) exchange(ctx context.Context, addr string, req Request) (Response, error) {
 	pl := c.pool(addr)
-	got, err := pl.Get(ctx)
-	if err != nil {
-		return Response{}, err
+	for {
+		got, err := pl.Get(ctx)
+		if err != nil {
+			return Response{}, err
+		}
+		m := got.(*MuxConn)
+		// A once-parked connection the server closed since (an idle reap, a
+		// restart) is swapped without spending the attempt. A fresh dead one
+		// fails it, so a server shedding every connection ends the loop.
+		if m.parked && !m.alive() {
+			pl.Put(m, false)
+			continue
+		}
+		resp, err := m.doCtx(ctx, req)
+		m.parked = true
+		pl.Put(m, m.alive())
+		return resp, err
 	}
-	m := got.(*MuxConn)
-	resp, err := m.doCtx(ctx, req)
-	pl.Put(m, m.alive())
-	return resp, err
 }
 
 // do performs a call under the retry policy. Protocol errors (the server
@@ -205,7 +207,11 @@ func (c *Client) do(ctx context.Context, addr string, req Request) (resp Respons
 		}
 		var e error
 		resp, e = c.exchange(ctx, addr, req) // a failed attempt's resp is zero
-		if brk != nil {
+		switch {
+		case brk == nil:
+		case e != nil && errors.Is(ctx.Err(), context.Canceled):
+			brk.Release() // the caller gave up: no news about the endpoint
+		default:
 			// Transport failures and busy sheds (never terminal) count
 			// against the endpoint; any other answer — acceptance or a
 			// terminal rejection — is proof of life.

@@ -3,8 +3,11 @@ package nwsnet
 import (
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"nwscpu/internal/resilience"
 )
 
 // slowHandler answers every request after a fixed delay.
@@ -82,8 +85,45 @@ func TestClientContextCancelsCall(t *testing.T) {
 	}
 }
 
+// TestClientCancelIsNotChargedToBreaker: a caller cancelling its own calls
+// says nothing about the endpoint, so the breaker stays closed however often
+// it happens.
+func TestClientCancelIsNotChargedToBreaker(t *testing.T) {
+	srv := NewServer(slowHandler{delay: 200 * time.Millisecond}, nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	c := NewClientOptions(ClientOptions{
+		Timeout: 10 * time.Second,
+		Retry:   resilience.Policy{MaxAttempts: 1},
+		Breaker: &resilience.BreakerConfig{Window: 2, MinSamples: 1, OpenFor: time.Hour},
+	})
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(20*time.Millisecond, cancel)
+		if err := c.PingCtx(ctx, addr); err == nil {
+			t.Fatal("cancelled call succeeded")
+		}
+		cancel()
+	}
+	if st := c.BreakerState(addr); st != resilience.BreakerClosed {
+		t.Fatalf("breaker %v after the caller's own cancellations, want closed", st)
+	}
+}
+
 func TestClientDefaultTimeoutStillApplies(t *testing.T) {
-	srv := NewServer(slowHandler{delay: time.Second}, nil)
+	// The first request is answered at once; every later one stalls.
+	var served atomic.Int64
+	srv := NewServer(handlerFunc(func(Request) Response {
+		if served.Add(1) > 1 {
+			time.Sleep(time.Second)
+		}
+		return Response{}
+	}), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -92,13 +132,22 @@ func TestClientDefaultTimeoutStillApplies(t *testing.T) {
 
 	// No context given: the constructor timeout is the only bound, as
 	// before. With retries disabled the deadline error surfaces directly.
-	c := NewClientOptions(ClientOptions{Timeout: 80 * time.Millisecond})
+	const timeout = 300 * time.Millisecond
+	c := NewClientOptions(ClientOptions{Timeout: timeout, Retry: resilience.Policy{MaxAttempts: 1}})
+	defer c.Close()
+	if err := c.Ping(addr); err != nil {
+		t.Fatal(err)
+	}
+	// Call again on the pooled connection halfway through its reader's
+	// read-deadline lap: the call must still fail one timeout after it was
+	// sent, not at the end of the reader's next lap.
+	time.Sleep(timeout / 2)
 	t0 := time.Now()
 	if err := c.Ping(addr); err == nil {
 		t.Fatal("call outlived the configured timeout")
 	}
-	if d := time.Since(t0); d > 2*time.Second {
-		t.Fatalf("timeout took %v", d)
+	if d := time.Since(t0); d > timeout*5/4 {
+		t.Fatalf("timeout took %v, want about %v", d, timeout)
 	}
 }
 

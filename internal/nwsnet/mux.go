@@ -43,8 +43,10 @@ type MuxConn struct {
 	timeout time.Duration
 	conn    net.Conn
 	// pooled marks a connection a Client owns: Client counts its calls, once
-	// per logical call, and runs one at a time on it.
-	pooled bool
+	// per logical call, and runs one at a time on it. parked marks one Client
+	// has put back at least once; only the goroutine holding it checked out
+	// touches it.
+	pooled, parked bool
 
 	// Writer side: writeMu serializes frame appends into w; flushing is
 	// delegated to a dedicated flusher goroutine woken through flushCh
@@ -52,7 +54,8 @@ type MuxConn struct {
 	// appended while a flush is pending or in progress share the next one.
 	// A single pipelining goroutine batches its whole in-flight window per
 	// syscall, because the flusher only runs once the issuer blocks). A
-	// pooled connection has nothing to group, so Go flushes it directly.
+	// pooled connection has nothing to group, so Go flushes it directly and
+	// no flusher runs.
 	writeMu sync.Mutex
 	w       *bufio.Writer
 	flushCh chan struct{}
@@ -62,9 +65,9 @@ type MuxConn struct {
 	// replaces a pending-ID map: matching a response is one comparison at the
 	// head instead of a hash and two map operations per request, and the
 	// oldest call (the read-timeout reference) is simply the front. Entries
-	// removed out of order (encode failures, or a server answering out of
-	// spec) are nil'd in place and skipped. head is the index of the front;
-	// the slice is compacted as it drains.
+	// removed out of order (encode failures, or two callers whose frames
+	// reached the wire in the other order) are nil'd in place and skipped.
+	// head is the index of the front; the slice is compacted as it drains.
 	mu     sync.Mutex
 	calls  []*MuxCall
 	head   int
@@ -150,13 +153,17 @@ func dialMux(ctx context.Context, addr, tenant string, timeout time.Duration, po
 		conn:        nc,
 		pooled:      pooled,
 		w:           bufio.NewWriterSize(nc, 64<<10),
-		flushCh:     make(chan struct{}, 1),
 		quit:        make(chan struct{}),
 		readerDone:  make(chan struct{}),
 		flusherDone: make(chan struct{}),
 	}
 	go m.reader()
-	go m.flusher()
+	if pooled {
+		close(m.flusherDone)
+	} else {
+		m.flushCh = make(chan struct{}, 1)
+		go m.flusher()
+	}
 	if tenant == "" {
 		return m, nil
 	}
@@ -243,13 +250,17 @@ func (m *MuxConn) goWith(req Request, onID func(id uint64)) *MuxCall {
 		m.fail(fmt.Errorf("nwsnet: send to %s: %w", m.addr, werr))
 		return call
 	}
-	if !m.pooled {
-		// Wake the flusher; if a wakeup is already queued the pending
-		// flush covers this frame too (group commit).
-		select {
-		case m.flushCh <- struct{}{}:
-		default:
-		}
+	if m.pooled {
+		// The only call in flight: an unanswered one fails one timeout after
+		// it was sent, not at the end of the reader's next deadline lap.
+		m.conn.SetReadDeadline(call.t0.Add(m.timeout))
+		return call
+	}
+	// Wake the flusher; if a wakeup is already queued the pending flush
+	// covers this frame too (group commit).
+	select {
+	case m.flushCh <- struct{}{}:
+	default:
 	}
 	return call
 }
@@ -338,8 +349,7 @@ func (m *MuxConn) Subscribe(series string, onPush func(Response, error)) *MuxCal
 func (m *MuxConn) Unsubscribe(series string) *MuxCall {
 	m.mu.Lock()
 	if id, ok := m.subBySeries[series]; ok {
-		delete(m.subBySeries, series)
-		delete(m.subs, id)
+		m.dropSubLocked(id)
 	}
 	m.mu.Unlock()
 	return m.Go(Request{Op: OpUnsubscribe, Series: series})
@@ -353,11 +363,9 @@ func (m *MuxConn) Subscriptions() int {
 	return len(m.subs)
 }
 
-// dropSub removes the push routing for id, reporting the subscription if
-// one was registered.
-func (m *MuxConn) dropSub(id uint64) *muxSub {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// dropSubLocked removes the push routing for id, reporting the subscription
+// if one was registered. Callers hold mu.
+func (m *MuxConn) dropSubLocked(id uint64) *muxSub {
 	sub := m.subs[id]
 	if sub != nil {
 		delete(m.subs, id)
@@ -388,12 +396,7 @@ func (m *MuxConn) oldestPending() time.Time {
 func (m *MuxConn) forget(id uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if sub := m.subs[id]; sub != nil {
-		delete(m.subs, id)
-		if m.subBySeries[sub.series] == id {
-			delete(m.subBySeries, sub.series)
-		}
-	}
+	m.dropSubLocked(id)
 	for i := len(m.calls) - 1; i >= m.head; i-- {
 		if c := m.calls[i]; c != nil && c.id == id {
 			m.calls[i] = nil
@@ -404,33 +407,21 @@ func (m *MuxConn) forget(id uint64) bool {
 }
 
 // take removes and returns the pending call with the given response ID, or
-// nil when no such call is in flight. The fast path is one comparison: the
-// server answers in request order, so the match is at the front.
+// nil when no such call is in flight. The server answers in arrival order,
+// so the match is almost always the front; a frame whose write lost a race
+// to a later-queued one is answered early and found further back.
 func (m *MuxConn) take(id uint64) *MuxCall {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.head < len(m.calls) && m.calls[m.head] == nil {
-		m.head++
-	}
-	if m.head == len(m.calls) {
-		m.calls = m.calls[:0]
-		m.head = 0
-		return nil
-	}
-	if c := m.calls[m.head]; c.id == id {
-		m.calls[m.head] = nil
-		m.head++
-		if m.head == len(m.calls) {
-			m.calls = m.calls[:0]
-			m.head = 0
-		}
-		return c
-	}
-	// A server answering out of arrival order is out of spec but harmless
-	// to tolerate: find the call wherever it is.
 	for i := m.head; i < len(m.calls); i++ {
 		if c := m.calls[i]; c != nil && c.id == id {
 			m.calls[i] = nil
+			for m.head < len(m.calls) && m.calls[m.head] == nil {
+				m.head++
+			}
+			if m.head == len(m.calls) {
+				m.calls, m.head = m.calls[:0], 0
+			}
 			return c
 		}
 	}
@@ -556,7 +547,7 @@ func (m *MuxConn) reader() {
 		if rerr != nil {
 			call.Err = rerr
 			if call.Req.Op == OpSubscribe {
-				m.dropSub(id) // refused: nothing registered server-side
+				m.routeSub(id, true) // refused: nothing registered server-side
 			}
 		} else {
 			call.Resp = resp
@@ -568,10 +559,10 @@ func (m *MuxConn) reader() {
 
 // routeSub resolves a push frame's subscription; terminal removes it.
 func (m *MuxConn) routeSub(id uint64, terminal bool) *muxSub {
-	if terminal {
-		return m.dropSub(id)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if terminal {
+		return m.dropSubLocked(id)
+	}
 	return m.subs[id]
 }

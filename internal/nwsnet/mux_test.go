@@ -1,8 +1,11 @@
 package nwsnet
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -137,6 +140,63 @@ func TestMuxBusyClassification(t *testing.T) {
 	// The connection survives a request-level shed; later calls work.
 	if _, err := mux.Do(Request{Op: OpPing}); err != nil {
 		t.Fatalf("ping after shed: %v", err)
+	}
+}
+
+// TestMuxMatchesOutOfOrderResponses checks responses are matched by ID, not
+// by position: two callers' frames can reach the wire in the other order
+// than their calls were queued, and the server then answers the later call
+// first.
+func TestMuxMatchesOutOfOrderResponses(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		if _, err := io.ReadFull(br, make([]byte, wirePreambleLen)); err != nil {
+			return
+		}
+		var ids []uint64
+		var buf []byte
+		for len(ids) < 2 {
+			payload, _, err := readFrame(br, &buf)
+			if err != nil {
+				return
+			}
+			id, _, err := decodeRequestPayload(payload)
+			if err != nil {
+				return
+			}
+			ids = append(ids, id)
+		}
+		bw := bufio.NewWriter(nc)
+		bw.WriteByte(wireVersionBinary)
+		for i := len(ids) - 1; i >= 0; i-- { // newest first
+			payload, _ := encodeResponsePayload(nil, ids[i], &Response{OK: true, Names: []string{fmt.Sprint(ids[i])}})
+			writeFrame(bw, payload)
+		}
+		bw.Flush()
+		io.Copy(io.Discard, br) // hold the connection until the client closes it
+	}()
+
+	m, err := DialMux(ln.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	calls := []*MuxCall{m.Go(Request{Op: OpPing}), m.Go(Request{Op: OpPing})}
+	for i, c := range calls {
+		resp, err := c.Wait()
+		if err != nil || len(resp.Names) != 1 || resp.Names[0] != fmt.Sprint(c.id) {
+			t.Fatalf("call %d (ID %d) got %+v, %v", i, c.id, resp, err)
+		}
 	}
 }
 

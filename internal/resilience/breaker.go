@@ -177,6 +177,16 @@ func (b *Breaker) Allow() bool {
 	return true
 }
 
+// Release returns an admission without an outcome — the caller abandoned the
+// call, which says nothing about the endpoint — freeing its probe slot.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.probing > 0 {
+		b.probing--
+	}
+}
+
 // Record feeds one call outcome back. While closed it advances the rolling
 // window and opens the circuit when the failure rate trips; while half-open
 // (or for a straggler recorded after the circuit opened) a success counts

@@ -180,3 +180,22 @@ func TestBreakerWindowSlides(t *testing.T) {
 		t.Fatalf("state = %v, want closed (stale failure must have slid out)", got)
 	}
 }
+
+// TestBreakerReleaseFreesProbe: a released half-open probe leaves the state
+// alone and frees its slot for the next caller.
+func TestBreakerReleaseFreesProbe(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	b := NewBreaker(BreakerConfig{Window: 2, MinSamples: 1, OpenFor: time.Second, Probes: 1, Now: clk.Now})
+	b.Record(false)
+	clk.Advance(2 * time.Second)
+	if !b.Allow() {
+		t.Fatal("half-open denied the first probe")
+	}
+	b.Release()
+	if got := b.State(); got != BreakerHalfOpen {
+		t.Fatalf("state after release = %v, want half-open", got)
+	}
+	if !b.Allow() {
+		t.Fatal("released probe slot not freed")
+	}
+}

@@ -15,13 +15,8 @@ var ErrPoolClosed = errors.New("resilience: pool closed")
 type PoolConfig struct {
 	// Dial creates a new connection. It must honor ctx.
 	Dial func(ctx context.Context) (io.Closer, error)
-	// MaxIdle bounds the connections parked for reuse (≤ 0 selects 2).
-	MaxIdle int
 	// IdleTimeout reaps connections parked longer than this (0 = never).
 	IdleTimeout time.Duration
-	// Alive, when non-nil, reaps parked connections it reports dead — a
-	// peer that closed one while it was parked — so Get never hands one out.
-	Alive func(io.Closer) bool
 	// Now is the clock used for idle accounting; nil selects time.Now.
 	Now func() time.Time
 	// OnChange, when non-nil, observes every idle/active count change —
@@ -29,6 +24,9 @@ type PoolConfig struct {
 	// without internal locks held.
 	OnChange func(idle, active int)
 }
+
+// maxIdle bounds the connections a Pool parks for reuse.
+const maxIdle = 2
 
 // Pool keeps a bounded set of reusable connections to one endpoint: Get
 // hands out a parked connection or dials a fresh one, Put parks it
@@ -53,9 +51,6 @@ func NewPool(cfg PoolConfig) *Pool {
 	if cfg.Dial == nil {
 		panic("resilience: PoolConfig.Dial is required")
 	}
-	if cfg.MaxIdle <= 0 {
-		cfg.MaxIdle = 2
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -73,17 +68,17 @@ func (p *Pool) notify(idle, active int) {
 	}
 }
 
-// reapLocked removes idle connections past their idle timeout or reported
-// dead by Alive, returning them for closing outside the lock.
+// reapLocked closes idle connections past their idle timeout, returning
+// them for closing outside the lock.
 func (p *Pool) reapLocked() []io.Closer {
-	if len(p.idle) == 0 || p.cfg.IdleTimeout <= 0 && p.cfg.Alive == nil {
+	if p.cfg.IdleTimeout <= 0 || len(p.idle) == 0 {
 		return nil
 	}
 	cutoff := p.cfg.Now().Add(-p.cfg.IdleTimeout)
 	var dead []io.Closer
 	kept := p.idle[:0]
 	for _, ic := range p.idle {
-		if p.cfg.IdleTimeout > 0 && ic.parked.Before(cutoff) || p.cfg.Alive != nil && !p.cfg.Alive(ic.c) {
+		if ic.parked.Before(cutoff) {
 			dead = append(dead, ic.c)
 		} else {
 			kept = append(kept, ic)
@@ -140,7 +135,7 @@ func (p *Pool) Get(ctx context.Context) (io.Closer, error) {
 func (p *Pool) Put(c io.Closer, healthy bool) {
 	p.lock()
 	p.active--
-	park := healthy && !p.closed && len(p.idle) < p.cfg.MaxIdle
+	park := healthy && !p.closed && len(p.idle) < maxIdle
 	if park {
 		p.idle = append(p.idle, idleConn{c: c, parked: p.cfg.Now()})
 	}
@@ -154,13 +149,6 @@ func (p *Pool) Put(c io.Closer, healthy bool) {
 		d.Close()
 	}
 	p.notify(idle, active)
-}
-
-// Stats reports the current idle and checked-out connection counts.
-func (p *Pool) Stats() (idle, active int) {
-	p.lock()
-	defer p.unlock()
-	return len(p.idle), p.active
 }
 
 // Close closes every parked connection and fails future Gets. Connections

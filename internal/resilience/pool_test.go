@@ -29,6 +29,13 @@ func newFakeDialer(dials *atomic.Int64) func(context.Context) (io.Closer, error)
 	}
 }
 
+// stats reports p's idle and checked-out connection counts.
+func stats(p *Pool) (idle, active int) {
+	p.lock()
+	defer p.unlock()
+	return len(p.idle), p.active
+}
+
 func TestPoolReusesConnections(t *testing.T) {
 	var dials atomic.Int64
 	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials)})
@@ -61,16 +68,18 @@ func TestPoolReusesConnections(t *testing.T) {
 
 func TestPoolMaxIdle(t *testing.T) {
 	var dials atomic.Int64
-	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials), MaxIdle: 1})
+	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials)})
 	ctx := context.Background()
 	c1, _ := p.Get(ctx)
 	c2, _ := p.Get(ctx)
+	c3, _ := p.Get(ctx)
 	p.Put(c1, true)
-	p.Put(c2, true) // surplus: closed, not parked
-	if idle, _ := p.Stats(); idle != 1 {
-		t.Fatalf("idle = %d, want 1", idle)
+	p.Put(c2, true)
+	p.Put(c3, true) // surplus: closed, not parked
+	if idle, _ := stats(p); idle != maxIdle {
+		t.Fatalf("idle = %d, want %d", idle, maxIdle)
 	}
-	if !c2.(*fakeConn).closed.Load() {
+	if !c3.(*fakeConn).closed.Load() {
 		t.Fatal("surplus connection not closed")
 	}
 }
@@ -103,31 +112,6 @@ func TestPoolIdleReap(t *testing.T) {
 	}
 }
 
-// TestPoolReapsDeadParked: a parked connection that Alive reports dead is
-// closed at the next Get, which dials instead of handing it out.
-func TestPoolReapsDeadParked(t *testing.T) {
-	var dials atomic.Int64
-	var dead atomic.Bool
-	p := NewPool(PoolConfig{
-		Dial:  newFakeDialer(&dials),
-		Alive: func(io.Closer) bool { return !dead.Load() },
-	})
-	ctx := context.Background()
-	c1, _ := p.Get(ctx)
-	p.Put(c1, true)
-	dead.Store(true)
-	c2, err := p.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 == c1 || !c1.(*fakeConn).closed.Load() || dials.Load() != 2 {
-		t.Fatalf("dead parked connection handed out or left open (dials = %d)", dials.Load())
-	}
-	if idle, active := p.Stats(); idle != 0 || active != 1 {
-		t.Fatalf("idle, active = %d, %d; want 0, 1", idle, active)
-	}
-}
-
 func TestPoolCloseAndStats(t *testing.T) {
 	var dials atomic.Int64
 	var lastIdle, lastActive atomic.Int64
@@ -141,7 +125,7 @@ func TestPoolCloseAndStats(t *testing.T) {
 	ctx := context.Background()
 	c1, _ := p.Get(ctx)
 	c2, _ := p.Get(ctx)
-	if idle, active := p.Stats(); idle != 0 || active != 2 {
+	if idle, active := stats(p); idle != 0 || active != 2 {
 		t.Fatalf("Stats = (%d, %d), want (0, 2)", idle, active)
 	}
 	if lastActive.Load() != 2 {
@@ -168,7 +152,7 @@ func TestPoolCloseAndStats(t *testing.T) {
 
 func TestPoolConcurrentGets(t *testing.T) {
 	var dials atomic.Int64
-	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials), MaxIdle: 8})
+	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials)})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -186,11 +170,11 @@ func TestPoolConcurrentGets(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	idle, active := p.Stats()
+	idle, active := stats(p)
 	if active != 0 {
 		t.Fatalf("active = %d after all Puts", active)
 	}
-	if idle > 8 {
-		t.Fatalf("idle = %d exceeds MaxIdle", idle)
+	if idle > maxIdle {
+		t.Fatalf("idle = %d exceeds maxIdle", idle)
 	}
 }
