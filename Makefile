@@ -81,7 +81,8 @@ docs-check:
 # request decode/execute path and the client-side response decode and
 # shed/busy error classification of the v2 binary frame codec; then the
 # durable memory's on-disk decoders (log frames and records, snapshot
-# images); then the forecasters' order-statistics window against a
+# images); then the point codec's uvarint kernels against encoding/binary;
+# then the forecasters' order-statistics window against a
 # copy-and-sort reference. Go fuzzers must run one at a time, so each gets
 # its own invocation of $(FUZZTIME). The window fuzzer re-sorts its reference
 # after every push, so minimizing a long interesting input would eat the
@@ -91,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run - -fuzz 'FuzzDecodeBinaryResponse$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzWALFrame$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
+	$(GO) test -run - -fuzz 'FuzzUvarint$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzOrderWindow$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/series
 
 # Grid-scale capacity baseline: the full 1000-host scenario harness
@@ -124,9 +126,11 @@ bench-forecast:
 # The v2 store path's server half, one host tick (a batch of three one-point
 # stores) at a time, with allocation accounting: the connection decoder's
 # decode, Memory.Handle into full rings, and the batch response's encode (the
-# end-to-end number is benchmark/'s wire_ingest; docs/PERFORMANCE.md).
+# end-to-end number is benchmark/'s wire_ingest; docs/PERFORMANCE.md). Then
+# the read path's point codec: a 1024-point range response encoded and
+# decoded, in ns per point (end to end: history_fetch).
 bench-wire:
-	$(GO) test -run - -bench 'BenchmarkDecodeHostTick|BenchmarkMemoryHandleHostTick|BenchmarkEncodeBatchResponse|BenchmarkClientFetchTail' -benchmem ./internal/nwsnet
+	$(GO) test -run - -bench 'BenchmarkDecodeHostTick|BenchmarkMemoryHandleHostTick|BenchmarkEncodeBatchResponse|BenchmarkClientFetchTail|BenchmarkPointsCodec' -benchmem ./internal/nwsnet
 
 # One iteration of every table/figure/ablation benchmark at 6-hour scale.
 bench:

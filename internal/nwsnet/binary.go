@@ -156,6 +156,18 @@ func putEncBuf(b *[]byte) { *b = (*b)[:0]; encBufPool.Put(b) }
 
 // --- primitive encoders ---
 
+// putUvarint appends the uvarint of v: the bytes binary.AppendUvarint
+// appends.
+func putUvarint(b []byte, v uint64) []byte {
+	return binary.AppendUvarint(b, v)
+}
+
+// getUvarint decodes the uvarint at the start of b: the value and byte count
+// binary.Uvarint returns, errors included.
+func getUvarint(b []byte) (uint64, int) {
+	return binary.Uvarint(b)
+}
+
 // appendString appends a length-prefixed string.
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
