@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"nwscpu/internal/nwsnet/cluster"
@@ -156,21 +157,87 @@ func putEncBuf(b *[]byte) { *b = (*b)[:0]; encBufPool.Put(b) }
 
 // --- primitive encoders ---
 
+// The codec's uvarint kernels: the LEB128 of encoding/binary, a word at a
+// time. A noisy measurement XORs to a 9- or 10-byte uvarint, which a byte
+// loop takes ten steps over; these take one 8-byte store or load, three
+// shift/mask steps that move the eight 7-bit groups between their places in
+// the value and their bytes, and at most two tail bytes.
+const (
+	uvarintCont  = 0x8080808080808080 // every byte's continuation bit
+	uvarintLanes = 0x7f7f7f7f7f7f7f7f // every byte's seven value bits
+)
+
+// uvarintLen is the length of a uvarint by its value's bit length.
+var uvarintLen = func() (t [65]uint8) {
+	for n := range t {
+		t[n] = uint8(max(1, (n+6)/7))
+	}
+	return t
+}()
+
 // putUvarint appends the uvarint of v: the bytes binary.AppendUvarint
-// appends.
+// appends. It writes ten bytes whatever the length, so it may leave up to
+// nine past the new length, inside the capacity, for a later append to
+// overwrite.
 func putUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
+	n := int(uvarintLen[bits.Len64(v)])
+	l := len(b)
+	b = slices.Grow(b, binary.MaxVarintLen64)[:l+binary.MaxVarintLen64]
+	// Spread the low 56 bits over eight bytes, seven to a byte: 28-bit
+	// halves to 32-bit words, 14-bit quarters to 16-bit words, 7-bit
+	// eighths to bytes. Then set the continuation bit of every byte before
+	// the n-th (all eight when the value runs on past them).
+	x := v & (1<<56 - 1)
+	x = x&0x000000000fffffff | x&0x00fffffff0000000<<4
+	x = x&0x00003fff00003fff | x&0x0fffc0000fffc000<<2
+	x = x&0x007f007f007f007f | x&0x3f803f803f803f80<<1
+	x |= uvarintCont & (1<<(8*uint(n-1)) - 1)
+	binary.LittleEndian.PutUint64(b[l:], x)
+	// The ninth byte is bits 56-62, with bit 63 as its continuation bit;
+	// the tenth, needed only then, is 1.
+	b[l+8] = byte(v >> 56)
+	b[l+9] = 1
+	return b[:l+n]
 }
 
 // getUvarint decodes the uvarint at the start of b: the value and byte count
-// binary.Uvarint returns, errors included.
+// binary.Uvarint returns, errors included. Within the last 9 bytes of b it
+// is binary.Uvarint.
 func getUvarint(b []byte) (uint64, int) {
-	return binary.Uvarint(b)
+	if len(b) < binary.MaxVarintLen64 {
+		return binary.Uvarint(b)
+	}
+	x := binary.LittleEndian.Uint64(b)
+	if stop := ^x & uvarintCont; stop != 0 {
+		// The lowest clear continuation bit ends the value: keep the
+		// bytes up to and including its byte.
+		return uvarintCompact(x & (stop ^ (stop - 1))), (bits.TrailingZeros64(stop) + 1) / 8
+	}
+	// Nine or ten bytes, chosen without a branch: noisy values split
+	// evenly between the two, which no predictor learns.
+	c8, c9 := b[8], b[9]
+	more := c8 >> 7 // 1 when a tenth byte follows
+	if uint(more)*uint(c9) > 1 {
+		return binary.Uvarint(b) // a tenth byte above 1 overflows; it reports it
+	}
+	return uvarintCompact(x) | uint64(c8&0x7f)<<56 | uint64(c9&more)<<63, 9 + int(more)
+}
+
+// uvarintCompact gathers the seven value bits of each of x's bytes into the
+// low 56 bits, undoing putUvarint's spread.
+func uvarintCompact(x uint64) uint64 {
+	x &= uvarintLanes
+	x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+	x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+	return x&0x000000000fffffff | x&0x0fffffff00000000>>4
 }
 
 // appendString appends a length-prefixed string.
 func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
+	b = putUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
@@ -179,7 +246,7 @@ func appendString(b []byte, s string) []byte {
 // measurement values like 0.5 or integral timestamps) to the top of the
 // word, so the uvarint drops them: 10000.0 costs 4 bytes instead of 8.
 func appendF64(b []byte, f float64) []byte {
-	return binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(f)))
+	return putUvarint(b, bits.ReverseBytes64(math.Float64bits(f)))
 }
 
 // appendPoints appends a [t, v] array: a count, then per point the uvarint
@@ -187,12 +254,13 @@ func appendF64(b []byte, f float64) []byte {
 // and v streams. Identical consecutive values (a flat series) cost one byte,
 // and slowly-moving ones a few, without any lossy quantization.
 func appendPoints(b []byte, pts [][2]float64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(pts)))
+	b = putUvarint(b, uint64(len(pts)))
+	b = slices.Grow(b, 2*binary.MaxVarintLen64*len(pts))
 	var pt, pv uint64
 	for _, p := range pts {
 		tb, vb := math.Float64bits(p[0]), math.Float64bits(p[1])
-		b = binary.AppendUvarint(b, bits.ReverseBytes64(tb^pt))
-		b = binary.AppendUvarint(b, bits.ReverseBytes64(vb^pv))
+		b = putUvarint(b, bits.ReverseBytes64(tb^pt))
+		b = putUvarint(b, bits.ReverseBytes64(vb^pv))
 		pt, pv = tb, vb
 	}
 	return b
@@ -203,7 +271,7 @@ func appendRegistration(b []byte, reg *Registration) []byte {
 	b = appendString(b, reg.Name)
 	b = appendString(b, string(reg.Kind))
 	b = appendString(b, reg.Addr)
-	b = binary.AppendUvarint(b, uint64(len(reg.Addrs)))
+	b = putUvarint(b, uint64(len(reg.Addrs)))
 	for _, a := range reg.Addrs {
 		b = appendString(b, a)
 	}
@@ -221,7 +289,7 @@ func appendMember(b []byte, m *cluster.Member) []byte {
 	b = appendString(b, v.ID)
 	b = appendString(b, v.Kind)
 	b = appendString(b, v.Addr)
-	b = binary.AppendUvarint(b, uint64(len(v.Addrs)))
+	b = putUvarint(b, uint64(len(v.Addrs)))
 	for _, a := range v.Addrs {
 		b = appendString(b, a)
 	}
@@ -231,11 +299,11 @@ func appendMember(b []byte, m *cluster.Member) []byte {
 // appendView appends a membership view: epoch, ring config, then the
 // member list.
 func appendView(b []byte, v *cluster.View) []byte {
-	b = binary.AppendUvarint(b, v.Epoch)
-	b = binary.AppendUvarint(b, uint64(max(v.Config.Replication, 0)))
-	b = binary.AppendUvarint(b, uint64(max(v.Config.VNodes, 0)))
-	b = binary.AppendUvarint(b, v.Config.Seed)
-	b = binary.AppendUvarint(b, uint64(len(v.Members)))
+	b = putUvarint(b, v.Epoch)
+	b = putUvarint(b, uint64(max(v.Config.Replication, 0)))
+	b = putUvarint(b, uint64(max(v.Config.VNodes, 0)))
+	b = putUvarint(b, v.Config.Seed)
+	b = putUvarint(b, uint64(len(v.Members)))
 	for i := range v.Members {
 		b = appendMember(b, &v.Members[i])
 	}
@@ -298,7 +366,7 @@ func (r *binReader) u8() (byte, error) {
 }
 
 func (r *binReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
+	v, n := getUvarint(r.b[r.off:])
 	if n <= 0 {
 		return 0, errBinMalformed
 	}
@@ -358,20 +426,29 @@ func (r *binReader) pointsN(n uint64) ([][2]float64, error) {
 // appendPoints decodes the n XOR-chained points after a count onto dst; the
 // caller has checked n against the remaining payload.
 func (r *binReader) appendPoints(dst [][2]float64, n uint64) ([][2]float64, error) {
+	b, off := r.b, r.off
 	var pt, pv uint64
 	for i := uint64(0); i < n; i++ {
-		dt, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		dt, k := getUvarint(b[off:])
+		if k <= 0 {
+			return nil, errBinMalformed
 		}
-		dv, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		off += k
+		dv, k := getUvarint(b[off:])
+		if k <= 0 {
+			return nil, errBinMalformed
 		}
+		off += k
 		pt ^= bits.ReverseBytes64(dt)
 		pv ^= bits.ReverseBytes64(dv)
-		dst = append(dst, [2]float64{math.Float64frombits(pt), math.Float64frombits(pv)})
+		// Two word stores into the slice: a composite literal appended
+		// whole goes through a stack temporary, and its 16-byte reload
+		// stalls behind the two 8-byte stores that built it.
+		dst = append(dst, [2]float64{})
+		p := &dst[len(dst)-1]
+		p[0], p[1] = math.Float64frombits(pt), math.Float64frombits(pv)
 	}
+	r.off = off
 	return dst, nil
 }
 
@@ -506,7 +583,7 @@ func (r *binReader) view() (*cluster.View, error) {
 // uvarint request ID, opcode byte, then the op's fields. It fails on ops the
 // wire does not register and on batch nesting past maxBatchDepth.
 func encodeRequestPayload(b []byte, id uint64, req *Request) ([]byte, error) {
-	b = binary.AppendUvarint(b, id)
+	b = putUvarint(b, id)
 	return encodeRequestBody(b, req, 0)
 }
 
@@ -532,21 +609,21 @@ func encodeRequestBody(b []byte, req *Request, depth int) ([]byte, error) {
 		b = appendString(b, req.Series)
 		b = appendF64(b, req.From)
 		b = appendF64(b, req.To)
-		b = binary.AppendUvarint(b, uint64(max(req.Max, 0)))
+		b = putUvarint(b, uint64(max(req.Max, 0)))
 	case OpForecast, OpSubscribe, OpUnsubscribe, OpDigest:
 		b = appendString(b, req.Series)
 	case OpHello:
 		b = appendString(b, req.Tenant)
 	case OpJoin, OpLease:
 		b = appendMember(b, req.Member)
-		b = binary.AppendUvarint(b, req.Epoch)
+		b = putUvarint(b, req.Epoch)
 	case OpView:
-		b = binary.AppendUvarint(b, req.Epoch)
+		b = putUvarint(b, req.Epoch)
 	case OpBatch:
 		if depth >= maxBatchDepth {
 			return nil, fmt.Errorf("nwsnet: batch nesting exceeds depth %d", maxBatchDepth)
 		}
-		b = binary.AppendUvarint(b, uint64(len(req.Batch)))
+		b = putUvarint(b, uint64(len(req.Batch)))
 		var err error
 		for i := range req.Batch {
 			if b, err = encodeRequestBody(b, &req.Batch[i], depth+1); err != nil {
@@ -562,7 +639,7 @@ func encodeRequestBody(b []byte, req *Request, depth int) ([]byte, error) {
 // wire and in-process paths answer it identically).
 func appendPoints2(b []byte, pts [][2]float64) []byte {
 	if len(pts) == 0 {
-		return binary.AppendUvarint(b, 0)
+		return putUvarint(b, 0)
 	}
 	return appendPoints(b, pts)
 }
@@ -699,7 +776,7 @@ func (r *binReader) requestPoints() ([][2]float64, error) {
 // uvarint ID, a flags byte (presence bits set only for non-empty sections),
 // then the present sections in flag-bit order.
 func encodeResponsePayload(b []byte, id uint64, resp *Response) ([]byte, error) {
-	b = binary.AppendUvarint(b, id)
+	b = putUvarint(b, id)
 	return encodeResponseBody(b, resp, 0)
 }
 
@@ -735,7 +812,7 @@ func encodeResponseBody(b []byte, resp *Response, depth int) ([]byte, error) {
 	if len(resp.Digests) > 0 {
 		flags |= respFlagDigests
 	}
-	b = binary.AppendUvarint(b, flags)
+	b = putUvarint(b, flags)
 	if flags&respFlagError != 0 {
 		b = appendString(b, resp.Error)
 	}
@@ -746,13 +823,13 @@ func encodeResponseBody(b []byte, resp *Response, depth int) ([]byte, error) {
 		b = appendPoints(b, resp.Points)
 	}
 	if flags&respFlagNames != 0 {
-		b = binary.AppendUvarint(b, uint64(len(resp.Names)))
+		b = putUvarint(b, uint64(len(resp.Names)))
 		for _, n := range resp.Names {
 			b = appendString(b, n)
 		}
 	}
 	if flags&respFlagEntries != 0 {
-		b = binary.AppendUvarint(b, uint64(len(resp.Entries)))
+		b = putUvarint(b, uint64(len(resp.Entries)))
 		for i := range resp.Entries {
 			b = appendRegistration(b, &resp.Entries[i])
 		}
@@ -762,13 +839,13 @@ func encodeResponseBody(b []byte, resp *Response, depth int) ([]byte, error) {
 		b = appendF64(b, f.Value)
 		b = appendString(b, f.Method)
 		b = appendF64(b, f.MAE)
-		b = binary.AppendUvarint(b, uint64(max(f.N, 0)))
+		b = putUvarint(b, uint64(max(f.N, 0)))
 	}
 	if flags&respFlagBatch != 0 {
 		if depth >= maxBatchDepth {
 			return nil, fmt.Errorf("nwsnet: batch nesting exceeds depth %d", maxBatchDepth)
 		}
-		b = binary.AppendUvarint(b, uint64(len(resp.Batch)))
+		b = putUvarint(b, uint64(len(resp.Batch)))
 		var err error
 		for i := range resp.Batch {
 			if b, err = encodeResponseBody(b, &resp.Batch[i], depth+1); err != nil {
@@ -780,12 +857,12 @@ func encodeResponseBody(b []byte, resp *Response, depth int) ([]byte, error) {
 		b = appendView(b, resp.View)
 	}
 	if flags&respFlagDigests != 0 {
-		b = binary.AppendUvarint(b, uint64(len(resp.Digests)))
+		b = putUvarint(b, uint64(len(resp.Digests)))
 		for _, d := range resp.Digests {
 			b = appendString(b, d.Series)
-			b = binary.AppendUvarint(b, d.Count)
+			b = putUvarint(b, d.Count)
 			b = appendF64(b, d.Frontier)
-			b = binary.AppendUvarint(b, d.Sum)
+			b = putUvarint(b, d.Sum)
 		}
 	}
 	return b, nil

@@ -128,13 +128,13 @@ type walRecord struct {
 
 func appendDefine(b []byte, id uint32, key string) []byte {
 	b = append(b, recDefine)
-	b = binary.AppendUvarint(b, uint64(id))
+	b = putUvarint(b, uint64(id))
 	return appendString(b, key)
 }
 
 func appendPointsRecord(b []byte, kind byte, id uint32, pts [][2]float64) []byte {
 	b = append(b, kind)
-	b = binary.AppendUvarint(b, uint64(id))
+	b = putUvarint(b, uint64(id))
 	return appendPoints(b, pts)
 }
 
@@ -203,7 +203,7 @@ func decodeRecords(payload []byte, scratch *[][2]float64, fn func(walRecord) err
 // everything before it.
 
 func appendSnapshotEntry(b []byte, id uint32, key string, pts [][2]float64) []byte {
-	b = binary.AppendUvarint(b, uint64(id))
+	b = putUvarint(b, uint64(id))
 	b = appendString(b, key)
 	return appendPoints2(b, pts)
 }
