@@ -45,6 +45,7 @@ const (
 	goldenDigestReqHex   = "03 10 05 61 2f 63 70 75"
 	goldenDigestRespHex  = "03 81 04 01 05 61 2f 63 70 75 02 c0 b6 81 04 e3 9b ff f0 f9 d9 86 d6 ee 01"
 	goldenBackfillReqHex = "04 11 05 61 2f 63 70 75 02 c0 b2 01 bf c0 03 80 84 80 04 00"
+	goldenNoisyRespHex   = "05 09 02 c0 b2 01 bf c0 03 80 84 80 04 80 94 a4 a0 dd 92 86 95 99 01"
 )
 
 var (
@@ -54,6 +55,8 @@ var (
 	goldenFetchResp   = Response{OK: true, Points: [][2]float64{{100, 0.5}, {110, 0.5}}}
 	goldenDigestReq   = Request{Op: OpDigest, Series: "a/cpu"}
 	goldenBackfillReq = Request{Op: OpBackfill, Series: "a/cpu", Points: goldenStoreReq.Points}
+	// A noisy reading: 0.8137 after 0.5 XORs to a full 10-byte uvarint.
+	goldenNoisyResp = Response{OK: true, Points: [][2]float64{{100, 0.5}, {110, 0.8137}}}
 
 	// The digest response is computed by the live digest algorithm over the
 	// golden store's points, so a checksum change breaks the golden hex (and
@@ -78,6 +81,7 @@ func TestBinaryGoldenEncodings(t *testing.T) {
 		{"digest request", goldenDigestReqHex, func() ([]byte, error) { return encodeRequestPayload(nil, 3, &goldenDigestReq) }},
 		{"digest response", goldenDigestRespHex, func() ([]byte, error) { return encodeResponsePayload(nil, 3, &goldenDigestResp) }},
 		{"backfill request", goldenBackfillReqHex, func() ([]byte, error) { return encodeRequestPayload(nil, 4, &goldenBackfillReq) }},
+		{"noisy fetch response", goldenNoisyRespHex, func() ([]byte, error) { return encodeResponsePayload(nil, 5, &goldenNoisyResp) }},
 	}
 	for _, c := range cases {
 		got, err := c.enc()
@@ -87,6 +91,9 @@ func TestBinaryGoldenEncodings(t *testing.T) {
 		if want := mustHex(t, c.hex); !bytes.Equal(got, want) {
 			t.Errorf("%s:\n got % x\nwant % x", c.name, got, want)
 		}
+	}
+	if _, resp, err := decodeResponsePayload(mustHex(t, goldenNoisyRespHex)); err != nil || !samePoints(resp.Points, goldenNoisyResp.Points) {
+		t.Errorf("noisy fetch response decodes to %v, %v", resp.Points, err)
 	}
 }
 

@@ -120,6 +120,7 @@ func TestProtocolDocHexExamples(t *testing.T) {
 		{"digest-request-v2", func() ([]byte, error) { return encodeRequestPayload(nil, 3, &goldenDigestReq) }},
 		{"digest-response-v2", func() ([]byte, error) { return encodeResponsePayload(nil, 3, &goldenDigestResp) }},
 		{"backfill-request-v2", func() ([]byte, error) { return encodeRequestPayload(nil, 4, &goldenBackfillReq) }},
+		{"noisy-fetch-response-v2", func() ([]byte, error) { return encodeResponsePayload(nil, 5, &goldenNoisyResp) }},
 	}
 	for _, c := range binCases {
 		want, err := c.enc()
