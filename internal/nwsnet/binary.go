@@ -176,13 +176,19 @@ var uvarintLen = func() (t [65]uint8) {
 }()
 
 // putUvarint appends the uvarint of v: the bytes binary.AppendUvarint
-// appends. It writes ten bytes whatever the length, so it may leave up to
-// nine past the new length, inside the capacity, for a later append to
-// overwrite.
+// appends. A one-byte value, the common case outside point arrays, is
+// appended inline.
 func putUvarint(b []byte, v uint64) []byte {
 	if v < 0x80 {
 		return append(b, byte(v))
 	}
+	return putUvarintWord(b, v)
+}
+
+// putUvarintWord is putUvarint for v ≥ 0x80. It writes ten bytes whatever
+// the length, so it may leave up to nine past the new length, inside the
+// capacity, for a later append to overwrite.
+func putUvarintWord(b []byte, v uint64) []byte {
 	n := int(uvarintLen[bits.Len64(v)])
 	l := len(b)
 	b = slices.Grow(b, binary.MaxVarintLen64)[:l+binary.MaxVarintLen64]
