@@ -261,6 +261,8 @@ func appendF64(b []byte, f float64) []byte {
 // and slowly-moving ones a few, without any lossy quantization.
 func appendPoints(b []byte, pts [][2]float64) []byte {
 	b = putUvarint(b, uint64(len(pts)))
+	// Grow once for the worst case, two 10-byte uvarints a point, so no
+	// word store below reallocates.
 	b = slices.Grow(b, 2*binary.MaxVarintLen64*len(pts))
 	var pt, pv uint64
 	for _, p := range pts {

@@ -181,7 +181,7 @@ func FuzzUvarint(f *testing.F) {
 // codecPoints returns an n-point array built from XOR deltas of the given
 // uvarint lengths, taken in turn from lens starting at k, so that the
 // arrays of consecutive sizes end on different lengths. Every eleventh
-// point is one of NaN, -0 and ±Inf instead.
+// point's value is one of NaN, -0 and ±Inf instead.
 func codecPoints(r *rand.Rand, n, k int, lens []int) [][2]float64 {
 	pts := make([][2]float64, n)
 	var pt, pv uint64
