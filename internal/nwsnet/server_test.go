@@ -1,6 +1,9 @@
 package nwsnet
 
 import (
+	"bufio"
+	"bytes"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -337,4 +340,152 @@ func TestClientBreakerOpensDeniesAndRecovers(t *testing.T) {
 	if got := c.BreakerState(addr); got != resilience.BreakerClosed {
 		t.Fatalf("breaker state after probe success = %v, want closed", got)
 	}
+}
+
+// TestServerBusyIsNotIdle: a request that runs longer than IdleTimeout is
+// work, not silence. The connection must still be there for the next call,
+// and nothing may count as an idle shed.
+func TestServerBusyIsNotIdle(t *testing.T) {
+	h := handlerFunc(func(req Request) Response {
+		if req.Op == OpStore {
+			time.Sleep(300 * time.Millisecond)
+		}
+		return Response{}
+	})
+	_, addr := startServerLimits(t, h, ServerLimits{IdleTimeout: 100 * time.Millisecond})
+	mux, err := DialMux(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+	shed0 := mServerShed.With(shedIdle).Value()
+	if _, err := mux.Do(Request{Op: OpStore, Series: "k", Points: [][2]float64{{1, 1}}}); err != nil {
+		t.Fatalf("slow call: %v", err)
+	}
+	if _, err := mux.Do(Request{Op: OpPing}); err != nil {
+		t.Fatalf("call after a request that outran the idle timeout: %v", err)
+	}
+	if got := mServerShed.With(shedIdle).Value() - shed0; got != 0 {
+		t.Fatalf("shed(idle) delta = %d, want 0", got)
+	}
+}
+
+// writeCountingConn counts the Write calls the server makes on its end of a
+// connection.
+type writeCountingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestServerBurstThroughServeLoop drives the real serve loop over a pipe
+// with a burst that arrives in one client write. Every answer must reach the
+// client, in order, before the connection closes. A well-formed burst is
+// answered in one server write, with nws_wire_pipeline_depth counting down
+// the frames still buffered behind each request. A burst that ends in a
+// frame the server cannot decode still gets the answers before it.
+func TestServerBurstThroughServeLoop(t *testing.T) {
+	const n = 8
+	unknownOp := []byte{byte(n + 1), 0xff} // request ID, then no assigned opcode
+	for _, c := range []struct {
+		name    string
+		frames  int  // pings with IDs 1..frames
+		garbage bool // then a frame with an unknown opcode
+	}{
+		{"pings", n, false},
+		{"pings-then-unknown-op", 2, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var burst bytes.Buffer
+			burst.Write(wirePreamble[:])
+			bw := bufio.NewWriter(&burst)
+			for id := 1; id <= c.frames; id++ {
+				writeFrame(bw, mustEncode(t, uint64(id), Request{Op: OpPing}))
+			}
+			if c.garbage {
+				writeFrame(bw, unknownOp)
+			}
+			bw.Flush()
+
+			srv := NewServer(NewMemory(0), nil)
+			server, client := net.Pipe()
+			defer client.Close()
+			counted := &writeCountingConn{Conn: server}
+			depthN, depthSum := mWirePipelineDepth.Count(), mWirePipelineDepth.Sum()
+			decodeErrs := mWireDecodeErrors.Value()
+			srv.wg.Add(1)
+			go srv.serveConn(counted)
+			client.SetDeadline(time.Now().Add(5 * time.Second))
+			go client.Write(burst.Bytes()) // returns once the server has read all of it
+
+			r := bufio.NewReader(client)
+			if b, err := r.ReadByte(); err != nil || b != wireVersionBinary {
+				t.Fatalf("accept byte = %#x, %v; want %#x", b, err, wireVersionBinary)
+			}
+			var buf []byte
+			for want := uint64(1); want <= uint64(c.frames); want++ {
+				p, _, err := readFrame(r, &buf)
+				if err != nil {
+					t.Fatalf("answer %d of %d: %v", want, c.frames, err)
+				}
+				id, resp, err := decodeResponsePayload(p)
+				if err != nil || id != want || !resp.OK {
+					t.Fatalf("answer = ID %d %+v, %v; want ID %d ok", id, resp, err, want)
+				}
+			}
+			if !c.garbage {
+				client.Close() // the server's read ends, and so does the loop
+			} else if _, err := r.ReadByte(); err != io.EOF {
+				t.Fatalf("after the answers: %v, want EOF (the server closes on the bad frame)", err)
+			}
+			srv.wg.Wait()
+
+			if c.garbage {
+				if got := mWireDecodeErrors.Value() - decodeErrs; got != 1 {
+					t.Fatalf("decode errors delta = %d, want 1", got)
+				}
+				return
+			}
+			if got := counted.writes.Load(); got != 1 {
+				t.Errorf("server made %d writes for a one-write burst of %d, want 1", got, n)
+			}
+			if got := mWirePipelineDepth.Count() - depthN; got != n {
+				t.Errorf("pipeline depth observations = %d, want %d", got, n)
+			}
+			if got := mWirePipelineDepth.Sum() - depthSum; got != n*(n-1)/2 {
+				t.Errorf("pipeline depth sum = %v, want %d (%d, %d, …, 0)", got, n*(n-1)/2, n-1, n-2)
+			}
+		})
+	}
+}
+
+// TestServerOneGoroutinePerConnection: a negotiated v2 connection parked
+// between requests costs the server one goroutine.
+func TestServerOneGoroutinePerConnection(t *testing.T) {
+	_, addr := startServerLimits(t, NewMemory(0), ServerLimits{})
+	baseline := runtime.NumGoroutine()
+	conns0 := mWireConns.With(codecBinary).Value()
+	const n = 32
+	for i := 0; i < n; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(wirePreamble[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for mWireConns.With(codecBinary).Value()-conns0 < n && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := mWireConns.With(codecBinary).Value() - conns0; got != n {
+		t.Fatalf("negotiated %d connections, want %d", got, n)
+	}
+	waitForGoroutines(t, baseline+n+n/4)
 }
