@@ -54,12 +54,6 @@ const wirePreambleLen = 5
 // points fits comfortably.
 const maxFrameBytes = 8 << 20
 
-// wireReadAhead is how many decoded requests a binary server connection
-// buffers between its frame reader and its executor — the server half of
-// pipelining. Past it the reader blocks, which backpressures the client
-// through TCP instead of queueing without bound.
-const wireReadAhead = 256
-
 // maxBatchDepth caps batch-envelope nesting the binary codec will encode or
 // decode. Execution rejects any nesting (see Memory.handleBatch); the codec
 // cap merely keeps hostile frames from recursing the decoder.

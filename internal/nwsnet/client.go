@@ -49,10 +49,11 @@ type ClientOptions struct {
 
 // Client performs protocol calls against nwsnet servers over wire protocol
 // v2 (docs/PROTOCOL.md). It pools MuxConns per address and checks one out
-// per attempt, so concurrent callers never queue behind each other in a
-// server's serial per-connection executor. Transient failures (dial errors,
-// connections dying mid-exchange) are retried under the client's retry
-// policy; a dead connection is never parked again, so a retry dials fresh. A
+// per attempt, so concurrent callers never queue behind each other on a
+// connection whose requests the server runs one at a time, in arrival order.
+// Transient failures (dial errors, connections dying mid-exchange) are
+// retried under the client's retry policy; a dead connection is never parked
+// again, so a retry dials fresh. A
 // server that declines v2 fails the call with a terminal error naming the
 // version it accepted. The typed calls (Ping, Store, FetchBatch, …) are the
 // calls surface LocalTransport shares, run through the client's retrying

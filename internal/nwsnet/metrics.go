@@ -52,7 +52,7 @@ var (
 		"Malformed binary frames and refused handshakes (anything but the v2 preamble, v1 JSON lines included); each closes its connection (binary framing cannot resynchronize).")
 	mWirePipelineDepth = metrics.NewHistogram(
 		"nws_wire_pipeline_depth",
-		"Requests already decoded and waiting behind the one being dispatched on a binary connection — how deep clients actually pipeline.",
+		"Whole requests already received behind the one starting on a binary connection — how deep clients actually pipeline.",
 		[]float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256})
 
 	// Protocol clients (Client and MuxConn outbound calls).

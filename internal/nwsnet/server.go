@@ -58,10 +58,11 @@ type ServerLimits struct {
 	// meaningful with MaxInFlight > 0 (then 0 selects 100 ms). Shedding
 	// answers within this budget instead of letting the client time out.
 	QueueWait time.Duration
-	// IdleTimeout disconnects a connection that sends no request for this
-	// long (reason "idle") — the defense against clients that connect and
-	// never send, which would otherwise pin a goroutine forever. 0 = no
-	// idle deadline.
+	// IdleTimeout disconnects a connection whose next request has not
+	// arrived this long after the server was ready to read it (reason
+	// "idle") — the defense against clients that connect and never send,
+	// which would otherwise pin a goroutine forever. Time spent executing
+	// the previous request does not count. 0 = no idle deadline.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds writing one response (reason "write") — the
 	// defense against stalled readers that stop draining their socket
@@ -93,7 +94,7 @@ type Server struct {
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
-	closed   bool
+	closed   atomic.Bool // set under mu; loaded without it by serve loops
 	wg       sync.WaitGroup
 	// Tenant quota state, under its own lock so the per-request quota
 	// check never contends with connection bookkeeping.
@@ -133,7 +134,7 @@ func (s *Server) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		l.Close()
 		return "", errors.New("nwsnet: server already closed")
@@ -154,7 +155,7 @@ func (s *Server) acceptLoop(l net.Listener) {
 			return // listener closed
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			return
@@ -181,16 +182,10 @@ func (s *Server) shedConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	conn.SetWriteDeadline(time.Now().Add(time.Second))
-	w := bufio.NewWriter(conn)
-	w.WriteByte(wireVersionBinary)
-	buf := getEncBuf()
+	sink := &binSink{conn: conn, w: bufio.NewWriter(conn)}
+	sink.w.WriteByte(wireVersionBinary)
 	busy := busyResp("server at connection capacity; retry")
-	if payload, err := encodeResponsePayload(*buf, 0, &busy); err == nil {
-		writeFrame(w, payload)
-		*buf = payload
-	}
-	putEncBuf(buf)
-	if w.Flush() == nil {
+	if sink.send(0, &busy, true) == nil {
 		lingerClose(conn)
 	}
 }
@@ -238,7 +233,7 @@ func (s *Server) negotiate(conn net.Conn, reader *bufio.Reader, writer *bufio.Wr
 	// v2 peer from any other without waiting for five.
 	first, err := reader.Peek(1)
 	if err != nil {
-		if err != io.EOF && !s.isClosed() {
+		if err != io.EOF && !s.closed.Load() {
 			if isTimeout(err) {
 				mServerShed.With(shedIdle).Inc()
 			} else if s.logger != nil {
@@ -273,15 +268,8 @@ func (s *Server) negotiate(conn net.Conn, reader *bufio.Reader, writer *bufio.Wr
 	return false
 }
 
-// wireInbound is one decoded binary request queued between the frame reader
-// and the executor.
-type wireInbound struct {
-	id  uint64
-	req Request
-}
-
 // binSink is the serialized write half of one binary connection: every
-// outbound frame — ordinary responses from the executor and server-initiated
+// outbound frame — ordinary responses from the serve loop and server-initiated
 // pushes from a SubscriptionHandler — goes through its lock, so pushes
 // interleave with responses at frame granularity and never corrupt the
 // stream. It implements PushSink.
@@ -300,7 +288,7 @@ type binSink struct {
 func (k *binSink) addSubs(delta int64) { k.subs.Add(delta) }
 
 // poisoned reports whether a write failure, a cut or teardown has killed the
-// sink; the frame reader checks it before reading a timeout as idleness.
+// sink; the serve loop checks it before reading a timeout as idleness.
 func (k *binSink) poisoned() bool {
 	if k.severed.Load() {
 		return true
@@ -310,11 +298,14 @@ func (k *binSink) poisoned() bool {
 	return k.err != nil
 }
 
-// close poisons the sink so no further push lands and no read timeout is
-// excused; the serve loop calls it on its way out.
+// close flushes what the serve loop left buffered — the answers to a burst
+// cut short by a frame it could not decode — then poisons the sink so no
+// further push lands and no read timeout is excused; the serve loop calls it
+// on every way out.
 func (k *binSink) close() {
 	k.mu.Lock()
 	if k.err == nil {
+		k.w.Flush()
 		k.err = net.ErrClosed
 	}
 	k.mu.Unlock()
@@ -329,20 +320,46 @@ func (k *binSink) cut() {
 	k.conn.SetReadDeadline(time.Now().Add(-time.Second))
 }
 
-// writeLocked frames payload and optionally flushes; callers hold k.mu. A
-// failure poisons the sink and expires the connection's read deadline so
-// the serve loop tears the connection down promptly.
-func (k *binSink) writeLocked(payload []byte, flush bool) error {
+// failLocked poisons the sink with a write failure and expires the
+// connection's read deadline, so the serve loop tears the connection down
+// promptly; callers hold k.mu.
+func (k *binSink) failLocked(err error) {
+	if isTimeout(err) {
+		mServerShed.With(shedWrite).Inc()
+	}
+	k.err = err
+	k.conn.SetReadDeadline(time.Now().Add(-time.Second))
+}
+
+// send writes resp as one response frame tagged with id, and optionally
+// flushes.
+func (k *binSink) send(id uint64, resp *Response, flush bool) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.sendLocked(id, resp, flush)
+}
+
+// sendLocked is send for callers that hold k.mu: the one place a response
+// frame is encoded and written.
+func (k *binSink) sendLocked(id uint64, resp *Response, flush bool) error {
 	if k.err != nil {
 		return k.err
 	}
+	resp.OK = resp.Error == ""
+	buf := getEncBuf()
+	defer putEncBuf(buf)
+	payload, err := encodeResponsePayload(*buf, id, resp)
+	if err != nil {
+		return err
+	}
+	*buf = payload
 	// Arm the write deadline once per flush batch (the buffer is empty
 	// exactly when a batch starts): it still bounds how long a stalled
 	// peer can pin the connection, without a deadline call per frame.
 	if k.limits.WriteTimeout > 0 && k.w.Buffered() == 0 {
 		k.conn.SetWriteDeadline(time.Now().Add(k.limits.WriteTimeout))
 	}
-	err := writeFrame(k.w, payload)
+	err = writeFrame(k.w, payload)
 	if err == nil {
 		mWireFramesOut.Inc()
 		mWireBytesOut.Add(uint64(len(payload)))
@@ -351,28 +368,8 @@ func (k *binSink) writeLocked(payload []byte, flush bool) error {
 		}
 	}
 	if err != nil {
-		if isTimeout(err) {
-			mServerShed.With(shedWrite).Inc()
-		}
-		k.err = err
-		k.conn.SetReadDeadline(time.Now().Add(-time.Second))
+		k.failLocked(err)
 	}
-	return err
-}
-
-// send encodes and writes one response frame tagged with id.
-func (k *binSink) send(id uint64, resp *Response, flush bool) error {
-	buf := getEncBuf()
-	payload, err := encodeResponsePayload(*buf, id, resp)
-	if err != nil {
-		putEncBuf(buf)
-		return err
-	}
-	k.mu.Lock()
-	err = k.writeLocked(payload, flush)
-	k.mu.Unlock()
-	*buf = payload
-	putEncBuf(buf)
 	return err
 }
 
@@ -408,7 +405,7 @@ func (k *binSink) PushBatch(items []PushItem) (int, error) {
 	// written: the connection stays usable, as after any encode error.
 	var hdr [4 + binary.MaxVarintLen64]byte
 	for _, it := range items {
-		if size := binary.PutUvarint(hdr[4:], it.ID) + len(it.Body); size > maxFrameBytes {
+		if size := len(putUvarint(hdr[:4], it.ID)) - 4 + len(it.Body); size > maxFrameBytes {
 			return 0, fmt.Errorf("nwsnet: frame payload %d bytes exceeds %d", size, maxFrameBytes)
 		}
 	}
@@ -420,10 +417,10 @@ func (k *binSink) PushBatch(items []PushItem) (int, error) {
 	var err error
 	sent := 0
 	for _, it := range items {
-		n := binary.PutUvarint(hdr[4:], it.ID)
-		size := n + len(it.Body)
-		binary.BigEndian.PutUint32(hdr[:4], uint32(size))
-		if _, err = k.w.Write(hdr[:4+n]); err != nil {
+		h := putUvarint(hdr[:4], it.ID)
+		size := len(h) - 4 + len(it.Body)
+		binary.BigEndian.PutUint32(h, uint32(size))
+		if _, err = k.w.Write(h); err != nil {
 			break
 		}
 		if _, err = k.w.Write(it.Body); err != nil {
@@ -435,13 +432,7 @@ func (k *binSink) PushBatch(items []PushItem) (int, error) {
 		err = k.w.Flush()
 	}
 	if err != nil {
-		// Same teardown as writeLocked: poison the sink and expire the read
-		// deadline so the serve loop exits promptly.
-		if isTimeout(err) {
-			mServerShed.With(shedWrite).Inc()
-		}
-		k.err = err
-		k.conn.SetReadDeadline(time.Now().Add(-time.Second))
+		k.failLocked(err)
 		return 0, err
 	}
 	k.conn.SetWriteDeadline(time.Time{})
@@ -453,149 +444,144 @@ func (k *binSink) PushBatch(items []PushItem) (int, error) {
 // subscribe runs the registration and writes its acknowledgement under the
 // sink lock, so a push for the new subscription — which needs the same lock
 // — cannot overtake the ack on the wire.
-func (k *binSink) subscribe(h SubscriptionHandler, in *wireInbound, flush bool) error {
+func (k *binSink) subscribe(h SubscriptionHandler, req *Request, id uint64, flush bool) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	resp := h.Subscribe(in.req, in.id, k)
-	resp.OK = resp.Error == ""
-	buf := getEncBuf()
-	payload, err := encodeResponsePayload(*buf, in.id, &resp)
-	if err != nil {
-		putEncBuf(buf)
-		return err
-	}
-	err = k.writeLocked(payload, flush)
-	*buf = payload
-	putEncBuf(buf)
-	return err
+	resp := h.Subscribe(*req, id, k)
+	return k.sendLocked(id, &resp, flush)
 }
 
-// serveBinary is the v2 serve loop. A reader goroutine decodes frames ahead
-// of execution into a bounded queue — the server half of pipelining — while
-// this goroutine executes them strictly in arrival order (order matters: the
-// memory server's idempotent-store dedup relies on a connection's stores
-// applying in the sequence they were sent) and writes responses back tagged
-// with the request ID, coalescing flushes while more work is queued. All
+// bufferedFrames counts the whole frames r already holds, read from the
+// socket but not yet served.
+func bufferedFrames(r *bufio.Reader) int {
+	b, _ := r.Peek(r.Buffered())
+	n := 0
+	for len(b) >= 4 {
+		size := uint64(binary.BigEndian.Uint32(b))
+		if size > uint64(len(b)-4) {
+			break
+		}
+		b = b[4+size:]
+		n++
+	}
+	return n
+}
+
+// serveBinary is the v2 serve loop, on the connection's own goroutine: it
+// reads, decodes and executes each request and writes its response tagged
+// with the request ID, strictly in arrival order (order matters: the memory
+// server's idempotent-store dedup relies on a connection's stores applying
+// in the sequence they were sent). The requests a pipelining client sends
+// meanwhile wait in the reader's buffer and then in the socket, which
+// backpressures the client through TCP. Responses are flushed once no whole
+// request is left buffered, so a burst's answers share one syscall. All
 // writes go through a binSink so subscription pushes (server-initiated
 // frames from a SubscriptionHandler) serialize cleanly with responses.
 func (s *Server) serveBinary(conn net.Conn, reader *bufio.Reader, writer *bufio.Writer) {
 	sink := &binSink{conn: conn, limits: s.limits, w: writer}
+	defer sink.close()
 	subHandler, _ := s.handler.(SubscriptionHandler)
-	queue := make(chan wireInbound, wireReadAhead)
-	go func() {
-		defer close(queue)
-		var buf []byte
-		var dec connDecoder
-		for {
-			// Arm the idle deadline only when the next frame has to touch the
-			// socket; frames already buffered (pipelined bursts) mean the
-			// connection is anything but idle. A connection with active
+	// Drop this connection's subscriptions first (LIFO), so the handler
+	// stops pushing to it before the sink closes.
+	if subHandler != nil {
+		defer subHandler.DropSink(sink)
+	}
+	var (
+		buf    []byte
+		dec    connDecoder
+		tenant string
+		ahead  int // whole requests buffered behind the one being served
+	)
+	for {
+		if ahead == 0 {
+			// The next read may wait on the socket, so only now is the
+			// connection possibly idle. A connection with active
 			// subscriptions is never idle-disconnected: it is quiet because
 			// it is listening, not because it is gone.
-			if s.limits.IdleTimeout > 0 && reader.Buffered() == 0 && sink.subs.Load() == 0 {
-				conn.SetReadDeadline(time.Now().Add(s.limits.IdleTimeout))
+			if s.limits.IdleTimeout > 0 {
+				var idle time.Time
+				if sink.subs.Load() == 0 {
+					idle = time.Now().Add(s.limits.IdleTimeout)
+				}
+				conn.SetReadDeadline(idle)
 			}
-			// Checked after the last place this loop moves the deadline: a cut
-			// that came first is seen here, one that comes later expires the
-			// deadline the read below waits under.
-			if sink.severed.Load() {
+			// Checked after the last place this loop moves the deadline: a
+			// cut or a Close that came first is seen here, one that comes
+			// later expires the deadline the read below waits under.
+			if sink.severed.Load() || s.closed.Load() {
 				return
 			}
-			payload, n, err := readFrame(reader, &buf)
-			if err != nil {
-				if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || s.isClosed() {
-					return
-				}
-				if isTimeout(err) {
-					if sink.poisoned() {
-						return // the deadline was expired on purpose, not by silence
-					}
-					if n == 0 && sink.subs.Load() > 0 {
-						// The deadline was armed before the executor
-						// registered a subscription; clear it and keep
-						// listening.
-						conn.SetReadDeadline(time.Time{})
-						continue
-					}
+		}
+		payload, _, err := readFrame(reader, &buf)
+		if err != nil {
+			switch {
+			case err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || s.closed.Load():
+			case isTimeout(err):
+				// A cut or a failed write expires the deadline on purpose;
+				// only silence is idleness.
+				if !sink.poisoned() {
 					mServerShed.With(shedIdle).Inc()
-					return
 				}
+			default:
 				mWireDecodeErrors.Inc()
 				if s.logger != nil {
 					s.logger.Printf("nwsnet: read frame: %v", err)
 				}
-				return
 			}
-			mWireFramesIn.Inc()
-			mWireBytesIn.Add(uint64(len(payload)))
-			var in wireInbound
-			if in.id, err = decodeRequest(payload, &dec, &in.req); err != nil {
-				// Binary framing cannot resynchronize after garbage; close
-				// instead of guessing where the next frame starts.
-				mWireDecodeErrors.Inc()
-				if s.logger != nil {
-					s.logger.Printf("nwsnet: decode frame: %v", err)
-				}
-				return
+			return
+		}
+		mWireFramesIn.Inc()
+		mWireBytesIn.Add(uint64(len(payload)))
+		var req Request
+		id, err := decodeRequest(payload, &dec, &req)
+		if err != nil {
+			// Binary framing cannot resynchronize after garbage; close
+			// instead of guessing where the next frame starts.
+			mWireDecodeErrors.Inc()
+			if s.logger != nil {
+				s.logger.Printf("nwsnet: decode frame: %v", err)
 			}
-			queue <- in
+			return
 		}
-	}()
-	// On exit, poison the sink (so no read timeout is excused and no push
-	// lands mid-teardown), unblock the reader (it may be parked on a read
-	// or a queue send), and drain until it closes the channel, so
-	// serveConn's deferred conn.Close never races a goroutine still using
-	// the bufio.Reader.
-	defer func() {
-		sink.close()
-		conn.SetReadDeadline(time.Now().Add(-time.Second))
-		for range queue {
+		// Only a read that found no whole request buffered can have pulled
+		// more from the socket: count the burst it brought once, then count
+		// it down.
+		if ahead > 0 {
+			ahead--
+		} else {
+			ahead = bufferedFrames(reader)
 		}
-	}()
-	// Drop this connection's subscriptions first (LIFO), before the reader
-	// is reaped, so the handler stops pushing to a connection on its way out.
-	if subHandler != nil {
-		defer subHandler.DropSink(sink)
-	}
-	var tenant string
-	for in := range queue {
-		mServerRequestsByOp.get(in.req.Op).Inc()
-		mWirePipelineDepth.Observe(float64(len(queue)))
-		// Flush only when no further request is queued: under pipelining
-		// many responses share one syscall.
-		flush := len(queue) == 0
+		mServerRequestsByOp.get(req.Op).Inc()
+		mWirePipelineDepth.Observe(float64(ahead))
+		flush := ahead == 0
 		var resp Response
 		switch {
-		case in.req.Op == OpHello:
+		case req.Op == OpHello:
 			// Connection-level: attribute the rest of the connection to
 			// the named tenant.
-			tenant = in.req.Tenant
+			tenant = req.Tenant
 		case !s.allowTenant(tenant):
 			resp = s.tenantBusy(tenant)
-		case in.req.Op == OpSubscribe && subHandler != nil:
-			if err := sink.subscribe(subHandler, &in, flush); err != nil {
+		case req.Op == OpSubscribe && subHandler != nil:
+			if err := sink.subscribe(subHandler, &req, id, flush); err != nil {
 				if s.logger != nil && !isTimeout(err) {
 					s.logger.Printf("nwsnet: subscribe: %v", err)
 				}
 				return
 			}
 			continue
-		case in.req.Op == OpUnsubscribe && subHandler != nil:
-			resp = subHandler.Unsubscribe(in.req, sink)
+		case req.Op == OpUnsubscribe && subHandler != nil:
+			resp = subHandler.Unsubscribe(req, sink)
 		default:
-			resp = s.dispatch(&in.req)
+			resp = s.dispatch(&req)
 		}
-		resp.OK = resp.Error == ""
-		if err := sink.send(in.id, &resp, flush); err != nil {
+		if err := sink.send(id, &resp, flush); err != nil {
 			if s.logger != nil && !isTimeout(err) {
 				s.logger.Printf("nwsnet: write frame: %v", err)
 			}
 			return
 		}
 	}
-	sink.mu.Lock()
-	writer.Flush()
-	sink.mu.Unlock()
 }
 
 // dispatch runs one request through the handler, bounded by the in-flight
@@ -635,12 +621,6 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // Close stops the listener and drains live connections: requests already
 // in flight run to completion and their responses are written before the
 // connections close — only the idle wait for the next request is cut
@@ -648,11 +628,11 @@ func (s *Server) isClosed() bool {
 // goroutine has exited. It is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	s.closed.Store(true)
 	l := s.listener
 	past := time.Now().Add(-time.Second)
 	for c := range s.conns {
