@@ -301,7 +301,8 @@ func (k *binSink) poisoned() bool {
 // close flushes what the serve loop left buffered — the answers to a burst
 // cut short by a frame it could not decode — then poisons the sink so no
 // further push lands and no read timeout is excused; the serve loop calls it
-// on every way out.
+// on every way out. The flush's error is dropped: the connection closes
+// either way.
 func (k *binSink) close() {
 	k.mu.Lock()
 	if k.err == nil {
