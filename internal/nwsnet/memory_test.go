@@ -211,6 +211,78 @@ func TestMemoryBatchConcurrentExecution(t *testing.T) {
 	}
 }
 
+// TestBatchAppliesSubRequestsInOrder sends envelopes of eight one-point
+// stores to one series (t = 10…80). A batch must have the effects of its
+// subs sent one after another, so every sub is acked and every point is
+// kept: if two subs applied out of order, the later point would dedup the
+// earlier one away while both still answered OK. The durable row checks the
+// same of what a reopened log replays.
+func TestBatchAppliesSubRequestsInOrder(t *testing.T) {
+	const envelopes, subsPer = 2000, 8
+	key := func(e int) string { return fmt.Sprintf("order/%d", e) }
+	envelope := func(e int) Request {
+		subs := make([]Request, subsPer)
+		for i := range subs {
+			subs[i] = Request{Op: OpStore, Series: key(e),
+				Points: [][2]float64{{float64(10 * (i + 1)), float64(i) / subsPer}}}
+		}
+		return Request{Op: OpBatch, Batch: subs}
+	}
+	// The same points stored one request at a time.
+	want := NewMemory(0)
+	for i, sub := range envelope(0).Batch {
+		if resp := want.Handle(sub); resp.Error != "" {
+			t.Fatalf("reference store %d: %s", i, resp.Error)
+		}
+	}
+	wantDigest, _ := want.Digest(key(0))
+
+	send := func(t *testing.T, h Handler) {
+		for e := 0; e < envelopes; e++ {
+			resp := h.Handle(envelope(e))
+			if resp.Error != "" || len(resp.Batch) != subsPer {
+				t.Fatalf("envelope %d = %+v", e, resp)
+			}
+			for i, r := range resp.Batch {
+				if !r.OK {
+					t.Fatalf("envelope %d sub %d not acked: %q", e, i, r.Error)
+				}
+			}
+		}
+	}
+	check := func(t *testing.T, m *Memory) {
+		lost := 0
+		for e := 0; e < envelopes; e++ {
+			got, _ := m.Digest(key(e))
+			got.Series = wantDigest.Series
+			if m.Len(key(e)) != subsPer || got != wantDigest {
+				lost++
+			}
+		}
+		if lost > 0 {
+			t.Fatalf("%d of %d envelopes kept fewer or other points than their subs sent one at a time", lost, envelopes)
+		}
+	}
+
+	t.Run("memory", func(t *testing.T) {
+		m := NewMemory(0)
+		send(t, m)
+		check(t, m)
+	})
+	t.Run("durable", func(t *testing.T) {
+		dir := t.TempDir()
+		pm, err := NewPersistentMemory(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		send(t, pm)
+		if err := pm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, openPersistent(t, 0, dir).Memory)
+	})
+}
+
 // TestClientBatchRoundTrip drives StoreBatch and FetchBatch through a real
 // server: per-sub results must line up with the inputs on both paths.
 func TestClientBatchRoundTrip(t *testing.T) {
