@@ -167,10 +167,10 @@ func (n *ClusterNode) Handle(req Request) Response {
 }
 
 // handleBatch guards a batch envelope. The common case — every sub-request
-// owned — forwards the whole envelope so the Memory's batch concurrency and
-// metrics apply; only an envelope with at least one misrouted sub falls back
-// to per-sub dispatch, answering the misrouted subs with redirects while the
-// owned ones still execute.
+// owned — forwards the whole envelope, so it is one journal commit and the
+// Memory's batch metrics apply; only an envelope with at least one misrouted
+// sub falls back to per-sub dispatch, answering the misrouted subs with
+// redirects while the owned ones still execute.
 func (n *ClusterNode) handleBatch(req Request) Response {
 	misrouted := false
 	for _, sub := range req.Batch {

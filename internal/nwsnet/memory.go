@@ -16,14 +16,6 @@ import (
 // on while costing ~a map header each.
 const memShardCount = 32
 
-// batchMaxWorkers bounds the goroutines executing one batch envelope's
-// sub-requests; small batches below batchInlineLimit run inline on the
-// connection goroutine instead.
-const (
-	batchMaxWorkers  = 8
-	batchInlineLimit = 4
-)
-
 // Memory is the NWS persistent-state server: it stores bounded measurement
 // series by key and serves range queries over them. Each series keeps at
 // most its configured capacity of most-recent points in a ring buffer, like
@@ -230,12 +222,9 @@ func (m *Memory) handleSeries() Response {
 	return Response{Names: names}
 }
 
-// handleBatch executes the envelope's sub-requests — with bounded
-// concurrency for large batches, inline for small ones — and returns their
-// responses in request order. The shards make concurrent sub-execution
-// safe; ordering across sub-requests of one envelope is only guaranteed to
-// the extent their series differ, which is how callers use it (one
-// sub-store per series).
+// handleBatch executes the envelope's sub-requests in order on the calling
+// goroutine, so a batch has exactly the effects of its subs sent one after
+// another, and returns their responses in request order.
 func (m *Memory) handleBatch(req *Request) Response {
 	subs := req.Batch
 	if len(subs) == 0 {
@@ -243,29 +232,9 @@ func (m *Memory) handleBatch(req *Request) Response {
 	}
 	mMemoryBatchSize.Observe(float64(len(subs)))
 	out := make([]Response, len(subs))
-	if len(subs) <= batchInlineLimit {
-		for i := range subs {
-			m.batchSub(&subs[i], &out[i])
-		}
-		return Response{Batch: out}
+	for i := range subs {
+		m.batchSub(&subs[i], &out[i])
 	}
-	workers := min(batchMaxWorkers, len(subs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(subs) {
-					return
-				}
-				m.batchSub(&subs[i], &out[i])
-			}
-		}()
-	}
-	wg.Wait()
 	return Response{Batch: out}
 }
 

@@ -184,10 +184,9 @@ func TestMemoryBatchEnvelope(t *testing.T) {
 	}
 }
 
-// TestMemoryBatchConcurrentExecution pushes a batch well past the inline
-// limit so the worker pool runs it, across enough distinct series to hit
-// many shards at once. Run with -race this also guards the pool itself.
-func TestMemoryBatchConcurrentExecution(t *testing.T) {
+// TestMemoryBatchWideEnvelope stores one point into each of 100 series in
+// one envelope, enough distinct series to cross every shard.
+func TestMemoryBatchWideEnvelope(t *testing.T) {
 	m := NewMemory(0)
 	const n = 100
 	subs := make([]Request, n)

@@ -99,8 +99,8 @@ func (l *crashLedger) request() Request {
 		pts := l.fresh(s, 3)
 		pts[1] = [2]float64{900, 0.5}
 		return Request{Op: OpStore, Series: crashKey(s), Points: pts}
-	case k < 9: // a host tick: one inline envelope over several series
-		subs := make([]Request, 2+l.rng.Intn(batchInlineLimit-1))
+	case k < 9: // a host tick: one envelope over two to four series
+		subs := make([]Request, 2+l.rng.Intn(3))
 		for i := range subs {
 			si := (s + i) % crashSeries
 			subs[i] = Request{Op: OpStore, Series: crashKey(si), Points: l.fresh(si, 1)}
@@ -460,10 +460,10 @@ func TestPersistCrashCampaignReproducible(t *testing.T) {
 }
 
 // TestPersistConcurrentLogOrder: with several writers racing on the same few
-// series — and a large envelope fanned out over the batch worker pool beside
-// them — the log must hold each series' records in the order they were
-// applied, or redo's frontier dedup drops points the live store kept. Digests
-// after reopening must equal the live ones, every time.
+// series — and a large envelope to them racing beside — the log must hold
+// each series' records in the order they were applied, or redo's frontier
+// dedup drops points the live store kept. Digests after reopening must equal
+// the live ones, every time.
 func TestPersistConcurrentLogOrder(t *testing.T) {
 	const writers, perWriter, hot, rounds = 8, 40, 4, 50
 	for round := 0; round < rounds; round++ {
