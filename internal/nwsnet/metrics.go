@@ -251,151 +251,44 @@ var (
 )
 
 // otherOp is the bounded fallback label for ops arriving off the wire that
-// opLabel does not recognize.
+// opList does not name.
 const otherOp Op = "other"
 
-// opCounters resolves a CounterVec's bounded per-op label set once, so the
-// per-request path is a switch on the op instead of the vec's With (an
-// RWMutex acquisition plus a map lookup each call).
-type opCounters struct {
-	ping, register, lookup, list, store, fetch, series, batch, forecast *metrics.Counter
-	join, lease, view, subscribe, unsubscribe, hello, other             *metrics.Counter
-	digest, backfill                                                    *metrics.Counter
-}
+// opList is every op with a metric label of its own, hottest first so the
+// request path's scan stops early, then otherOp. Ops arrive straight off the
+// wire, so labeling them verbatim would let a remote client mint one time
+// series per arbitrary op string and grow registry memory without bound.
+var opList = [...]Op{OpStore, OpFetch, OpBatch, OpForecast, OpPing, OpRegister, OpLookup, OpList, OpSeries,
+	OpJoin, OpLease, OpView, OpSubscribe, OpUnsubscribe, OpHello, OpDigest, OpBackfill, otherOp}
 
-func perOpCounters(v *metrics.CounterVec) *opCounters {
-	return &opCounters{
-		ping:        v.With(string(OpPing)),
-		register:    v.With(string(OpRegister)),
-		lookup:      v.With(string(OpLookup)),
-		list:        v.With(string(OpList)),
-		store:       v.With(string(OpStore)),
-		fetch:       v.With(string(OpFetch)),
-		series:      v.With(string(OpSeries)),
-		batch:       v.With(string(OpBatch)),
-		forecast:    v.With(string(OpForecast)),
-		join:        v.With(string(OpJoin)),
-		lease:       v.With(string(OpLease)),
-		view:        v.With(string(OpView)),
-		subscribe:   v.With(string(OpSubscribe)),
-		unsubscribe: v.With(string(OpUnsubscribe)),
-		hello:       v.With(string(OpHello)),
-		digest:      v.With(string(OpDigest)),
-		backfill:    v.With(string(OpBackfill)),
-		other:       v.With(string(otherOp)),
+// opIndex returns op's position in opList; an op it does not name maps to
+// otherOp's.
+func opIndex(op Op) int {
+	for i, o := range opList[:len(opList)-1] {
+		if o == op {
+			return i
+		}
 	}
+	return len(opList) - 1
 }
 
-// get collapses unknown ops onto the other entry exactly as opLabel would.
-func (c *opCounters) get(op Op) *metrics.Counter {
-	switch op {
-	case OpStore:
-		return c.store
-	case OpFetch:
-		return c.fetch
-	case OpBatch:
-		return c.batch
-	case OpForecast:
-		return c.forecast
-	case OpPing:
-		return c.ping
-	case OpRegister:
-		return c.register
-	case OpLookup:
-		return c.lookup
-	case OpList:
-		return c.list
-	case OpSeries:
-		return c.series
-	case OpJoin:
-		return c.join
-	case OpLease:
-		return c.lease
-	case OpView:
-		return c.view
-	case OpSubscribe:
-		return c.subscribe
-	case OpUnsubscribe:
-		return c.unsubscribe
-	case OpHello:
-		return c.hello
-	case OpDigest:
-		return c.digest
-	case OpBackfill:
-		return c.backfill
+// opLabel maps a wire operation to its bounded metric label.
+func opLabel(op Op) string { return string(opList[opIndex(op)]) }
+
+// perOp resolves a metric vec's per-op label set once, so the request path
+// indexes an array instead of calling the vec's With (an RWMutex
+// acquisition plus a map lookup each call).
+type perOp[M any] [len(opList)]*M
+
+func newPerOp[M any](with func(...string) *M) *perOp[M] {
+	var t perOp[M]
+	for i, op := range opList {
+		t[i] = with(string(op))
 	}
-	return c.other
+	return &t
 }
 
-// opHistograms is the same resolution for a HistogramVec.
-type opHistograms struct {
-	ping, register, lookup, list, store, fetch, series, batch, forecast *metrics.Histogram
-	join, lease, view, subscribe, unsubscribe, hello, other             *metrics.Histogram
-	digest, backfill                                                    *metrics.Histogram
-}
-
-func perOpHistograms(v *metrics.HistogramVec) *opHistograms {
-	return &opHistograms{
-		ping:        v.With(string(OpPing)),
-		register:    v.With(string(OpRegister)),
-		lookup:      v.With(string(OpLookup)),
-		list:        v.With(string(OpList)),
-		store:       v.With(string(OpStore)),
-		fetch:       v.With(string(OpFetch)),
-		series:      v.With(string(OpSeries)),
-		batch:       v.With(string(OpBatch)),
-		forecast:    v.With(string(OpForecast)),
-		join:        v.With(string(OpJoin)),
-		lease:       v.With(string(OpLease)),
-		view:        v.With(string(OpView)),
-		subscribe:   v.With(string(OpSubscribe)),
-		unsubscribe: v.With(string(OpUnsubscribe)),
-		hello:       v.With(string(OpHello)),
-		digest:      v.With(string(OpDigest)),
-		backfill:    v.With(string(OpBackfill)),
-		other:       v.With(string(otherOp)),
-	}
-}
-
-func (h *opHistograms) get(op Op) *metrics.Histogram {
-	switch op {
-	case OpStore:
-		return h.store
-	case OpFetch:
-		return h.fetch
-	case OpBatch:
-		return h.batch
-	case OpForecast:
-		return h.forecast
-	case OpPing:
-		return h.ping
-	case OpRegister:
-		return h.register
-	case OpLookup:
-		return h.lookup
-	case OpList:
-		return h.list
-	case OpSeries:
-		return h.series
-	case OpJoin:
-		return h.join
-	case OpLease:
-		return h.lease
-	case OpView:
-		return h.view
-	case OpSubscribe:
-		return h.subscribe
-	case OpUnsubscribe:
-		return h.unsubscribe
-	case OpHello:
-		return h.hello
-	case OpDigest:
-		return h.digest
-	case OpBackfill:
-		return h.backfill
-	}
-	return h.other
-}
+func (t *perOp[M]) get(op Op) *M { return t[opIndex(op)] }
 
 // Hot-path metric handles. The serve loops, the memory handler, and the
 // client exchange paths touch these families on every request; the bounded
@@ -406,16 +299,16 @@ var (
 	mWireBytesIn   = mWireBytes.With(dirIn)
 	mWireBytesOut  = mWireBytes.With(dirOut)
 
-	mServerRequestsByOp = perOpCounters(mServerRequests)
-	mClientCallsByOp    = perOpCounters(mClientCalls)
-	mClientErrorsByOp   = perOpCounters(mClientErrors)
-	mClientLatencyByOp  = perOpHistograms(mClientLatency)
-	mMemoryRequestsByOp = perOpCounters(mMemoryRequests)
-	mMemoryErrorsByOp   = perOpCounters(mMemoryErrors)
-	mMemoryLatencyByOp  = perOpHistograms(mMemoryLatency)
+	mServerRequestsByOp = newPerOp(mServerRequests.With)
+	mClientCallsByOp    = newPerOp(mClientCalls.With)
+	mClientErrorsByOp   = newPerOp(mClientErrors.With)
+	mClientLatencyByOp  = newPerOp(mClientLatency.With)
+	mMemoryRequestsByOp = newPerOp(mMemoryRequests.With)
+	mMemoryErrorsByOp   = newPerOp(mMemoryErrors.With)
+	mMemoryLatencyByOp  = newPerOp(mMemoryLatency.With)
 
-	mMemoryBatchSubsByOp      = perOpCounters(mMemoryBatchSubs)
-	mMemoryBatchSubErrorsByOp = perOpCounters(mMemoryBatchSubErrors)
+	mMemoryBatchSubsByOp      = newPerOp(mMemoryBatchSubs.With)
+	mMemoryBatchSubErrorsByOp = newPerOp(mMemoryBatchSubErrors.With)
 
 	mClusterRefreshRedirect = mClusterViewRefreshes.With("redirect")
 	mClusterRefreshRegistry = mClusterViewRefreshes.With("registry")

@@ -74,19 +74,6 @@ const (
 	OpBackfill Op = "backfill" // memory: merge points behind the frontier
 )
 
-// opLabel maps a wire operation to a bounded metric label: known ops map to
-// their own name, anything else to "other". Ops arrive straight off the wire,
-// so labeling them verbatim would let a remote client mint one time series
-// per arbitrary op string and grow registry memory without bound.
-func opLabel(op Op) string {
-	switch op {
-	case OpPing, OpRegister, OpLookup, OpList, OpStore, OpFetch, OpSeries, OpBatch, OpForecast,
-		OpJoin, OpLease, OpView, OpSubscribe, OpUnsubscribe, OpHello, OpDigest, OpBackfill:
-		return string(op)
-	}
-	return "other"
-}
-
 // Registration describes one component known to the name server.
 type Registration struct {
 	Name string
