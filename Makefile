@@ -129,11 +129,13 @@ bench-forecast:
 # The v2 store path's server half, one host tick (a batch of three one-point
 # stores) at a time, with allocation accounting: the connection decoder's
 # decode, Memory.Handle into full rings, and the batch response's encode (the
-# end-to-end number is benchmark/'s wire_ingest; docs/PERFORMANCE.md). Then
-# the read path's point codec: a 1024-point range response encoded and
-# decoded, in ns per point (end to end: history_fetch).
+# end-to-end number is benchmark/'s wire_ingest; docs/PERFORMANCE.md), and
+# Memory.Handle under a forecaster refresh round's envelopes: 512 one-point
+# stores, then 512 one-point fetches, in ns per sub-request (end to end:
+# forecast_serve). Then the read path's point codec: a 1024-point range
+# response encoded and decoded, in ns per point (end to end: history_fetch).
 bench-wire:
-	$(GO) test -run - -bench 'BenchmarkDecodeHostTick|BenchmarkMemoryHandleHostTick|BenchmarkEncodeBatchResponse|BenchmarkClientFetchTail|BenchmarkPointsCodec' -benchmem ./internal/nwsnet
+	$(GO) test -run - -bench 'BenchmarkDecodeHostTick|BenchmarkMemoryHandleHostTick|BenchmarkMemoryHandleForecastRound|BenchmarkEncodeBatchResponse|BenchmarkClientFetchTail|BenchmarkPointsCodec' -benchmem ./internal/nwsnet
 
 # One iteration of every table/figure/ablation benchmark at 6-hour scale.
 bench:

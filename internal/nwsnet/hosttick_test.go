@@ -1,6 +1,9 @@
 package nwsnet
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The v2 store path as the wire_ingest benchmark drives it: a host tick is
 // one batch of three one-point stores, one per sensor of a host. The test
@@ -98,27 +101,70 @@ func BenchmarkDecodeHostTick(b *testing.B) {
 // BenchmarkMemoryHandleHostTick stores host ticks into full rings, so every
 // point also evicts one: the memory's share of a wire_ingest point.
 func BenchmarkMemoryHandleHostTick(b *testing.B) {
+	benchMemoryRounds(b, []Request{hostTick(0)})
+}
+
+// BenchmarkMemoryHandleForecastRound runs a forecaster refresh round's shape
+// against full rings: one envelope of 512 one-point stores, one per series,
+// then one envelope of 512 fetches of the point just stored.
+func BenchmarkMemoryHandleForecastRound(b *testing.B) {
+	const nSeries = 512
+	stores := make([]Request, nSeries)
+	fetches := make([]Request, nSeries)
+	for s := range stores {
+		key := SeriesKey(fmt.Sprintf("pool-%03d", s), "nws_hybrid")
+		stores[s] = Request{Op: OpStore, Series: key, Points: [][2]float64{{0, 0.25 + float64(s%7)/7}}}
+		fetches[s] = Request{Op: OpFetch, Series: key}
+	}
+	benchMemoryRounds(b, []Request{{Op: OpBatch, Batch: stores}, {Op: OpBatch, Batch: fetches}})
+}
+
+// benchMemoryRounds sends one round of batch envelopes per op, its store
+// subs stamped t = 10k in round k and its fetch subs reading from that t on,
+// into a memory whose rings were first filled, so every stored point also
+// evicts one. It reports ns per sub-request
+// beside ns per round.
+func benchMemoryRounds(b *testing.B, round []Request) {
 	const capacity = 2048
 	m := NewMemory(capacity)
-	req := hostTick(0)
+	subs := 0
+	for _, env := range round {
+		subs += len(env.Batch)
+	}
 	k := 0
-	store := func() {
-		for s := range req.Batch {
-			req.Batch[s].Points[0][0] = 10 * float64(k)
-		}
+	run := func() {
+		t := 10 * float64(k)
 		k++
-		if resp := m.Handle(req); len(resp.Batch) != 3 || resp.Batch[0].Error != "" {
-			b.Fatalf("tick %d answered %+v", k, resp)
+		for _, env := range round {
+			for s := range env.Batch {
+				if sub := &env.Batch[s]; sub.Op == OpStore {
+					sub.Points[0][0] = t
+				} else {
+					sub.From = t
+				}
+			}
+			if resp := m.Handle(env); len(resp.Batch) != len(env.Batch) || resp.Batch[0].Error != "" {
+				b.Fatalf("round %d answered %+v", k, resp)
+			}
 		}
 	}
-	for k < capacity {
-		store()
+	for _, env := range round {
+		for _, sub := range env.Batch {
+			if sub.Op == OpStore {
+				pts := make([][2]float64, capacity)
+				for i := range pts {
+					pts[i] = [2]float64{10 * float64(i-capacity), 0.5}
+				}
+				m.Handle(Request{Op: OpStore, Series: sub.Series, Points: pts})
+			}
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		store()
+		run()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*subs), "ns/sub")
 }
 
 // BenchmarkEncodeBatchResponse encodes a host tick's answer, three acked
