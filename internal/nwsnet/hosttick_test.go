@@ -119,11 +119,10 @@ func BenchmarkMemoryHandleForecastRound(b *testing.B) {
 	benchMemoryRounds(b, []Request{{Op: OpBatch, Batch: stores}, {Op: OpBatch, Batch: fetches}})
 }
 
-// benchMemoryRounds sends one round of batch envelopes per op, its store
-// subs stamped t = 10k in round k and its fetch subs reading from that t on,
-// into a memory whose rings were first filled, so every stored point also
-// evicts one. It reports ns per sub-request
-// beside ns per round.
+// benchMemoryRounds sends the round's batch envelopes once per iteration,
+// its store subs stamped t = 10k in round k and its fetch subs reading from
+// that t on, into a memory whose rings were first filled, so every stored
+// point also evicts one. It reports ns per sub-request beside ns per round.
 func benchMemoryRounds(b *testing.B, round []Request) {
 	const capacity = 2048
 	m := NewMemory(capacity)
