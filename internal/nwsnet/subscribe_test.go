@@ -285,6 +285,30 @@ func TestSubscribedConnectionSurvivesIdleTimeout(t *testing.T) {
 	}
 }
 
+// TestStopRefresherAfterCacheServing checks that the two owners of the
+// cache-authoritative flag compose: StopRefresher after SetCacheServing
+// (with no refresher ever started) must not panic, and must hand polls back
+// to the memory, so a store made after it reaches the next forecast.
+func TestStopRefresherAfterCacheServing(t *testing.T) {
+	mem := NewMemory(0)
+	f := NewForecasterServiceBackend(NewLocalBackend(mem), 0)
+	mustStore(t, mem, "s", [2]float64{1, 0.5}, [2]float64{2, 0.5})
+	f.SetCacheServing(true)
+	if r := f.Handle(Request{Op: OpForecast, Series: "s"}); r.Forecast == nil || r.Forecast.N != 2 {
+		t.Fatalf("first poll %+v, want a forecast over 2 points", r)
+	}
+	f.StopRefresher()
+	mustStore(t, mem, "s", [2]float64{3, 0.5})
+	_, misses0, _ := f.CacheStats()
+	r := f.Handle(Request{Op: OpForecast, Series: "s"})
+	if _, misses1, _ := f.CacheStats(); misses1 != misses0+1 {
+		t.Fatalf("poll after StopRefresher was served from the cache (misses %d -> %d)", misses0, misses1)
+	}
+	if r.Forecast == nil || r.Forecast.N != 3 {
+		t.Fatalf("poll after StopRefresher %+v, want a forecast over 3 points", r)
+	}
+}
+
 // TestMuxCallsFailAgainstClosedServer checks the failure semantics stay
 // explicit: a MuxConn whose server is gone does not reconnect on its own, so
 // every call issued on it completes with an error rather than hanging or
