@@ -372,7 +372,7 @@ func runMemory(o daemonOpts, logger *log.Logger) error {
 		if interval <= 0 {
 			interval = time.Second
 		}
-		if _, err := agent.Start(context.Background(), interval); err != nil {
+		if err := agent.Start(context.Background(), interval); err != nil {
 			return fmt.Errorf("joining cluster at %s: %w", o.clusterAddr, err)
 		}
 		agents = append(agents, agent)
@@ -480,7 +480,7 @@ func runClusterForecaster(o daemonOpts, logger *log.Logger) error {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	if _, err := agent.Start(context.Background(), interval); err != nil {
+	if err := agent.Start(context.Background(), interval); err != nil {
 		srv.Close()
 		return fmt.Errorf("joining cluster at %s: %w", o.clusterAddr, err)
 	}

@@ -46,8 +46,8 @@ type ClusterAgent struct {
 	mu        sync.Mutex
 	epoch     uint64
 	viewHooks []func(*cluster.View)
-	stopCh    chan struct{}
-	doneCh    chan struct{}
+
+	renewals loop
 }
 
 // NewClusterAgent builds the lifecycle agent for the node guarding member
@@ -220,70 +220,39 @@ func (a *ClusterAgent) projectActive(v cluster.View) cluster.View {
 
 // Start joins the cluster and launches the background renewal loop,
 // heartbeating every interval (a third of the registry TTL is the
-// conventional choice). Errors are delivered on the returned channel
-// (buffered; the loop keeps running — and re-joins — after errors). Stop
-// terminates the loop.
-func (a *ClusterAgent) Start(ctx context.Context, interval time.Duration) (<-chan error, error) {
+// conventional choice). A failed renewal or re-join is logged, and the loop
+// keeps running — and re-joins — after it. Stop terminates the loop; a
+// stopped agent does not start again.
+func (a *ClusterAgent) Start(ctx context.Context, interval time.Duration) error {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	errs := make(chan error, 16)
 	if err := a.Join(ctx); err != nil {
-		return nil, err
+		return err
 	}
-	a.mu.Lock()
-	if a.stopCh != nil {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("nwsnet: cluster agent %s already started", a.self.ID)
+	if !a.renewals.start(interval, func() { a.renewOrRejoin(ctx) }) {
+		return fmt.Errorf("nwsnet: cluster agent %s already started or stopped", a.self.ID)
 	}
-	a.stopCh = make(chan struct{})
-	a.doneCh = make(chan struct{})
-	stop, done := a.stopCh, a.doneCh
-	a.mu.Unlock()
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				rejoin, err := a.Renew(ctx)
-				if err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-				}
-				if rejoin {
-					a.logf("lease lost; re-joining")
-					if err := a.Join(ctx); err != nil {
-						select {
-						case errs <- err:
-						default:
-						}
-					}
-				}
-			}
+	return nil
+}
+
+// renewOrRejoin is one pass of the renewal loop.
+func (a *ClusterAgent) renewOrRejoin(ctx context.Context) {
+	rejoin, err := a.Renew(ctx)
+	if err != nil {
+		a.logf("lease renewal failed: %v", err)
+	}
+	if rejoin {
+		a.logf("lease lost; re-joining")
+		if err := a.Join(ctx); err != nil {
+			a.logf("re-join failed: %v", err)
 		}
-	}()
-	return errs, nil
+	}
 }
 
 // Stop terminates a Start loop and waits for it to exit. Safe without a
 // prior Start.
-func (a *ClusterAgent) Stop() {
-	a.mu.Lock()
-	stop, done := a.stopCh, a.doneCh
-	a.stopCh, a.doneCh = nil, nil
-	a.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
+func (a *ClusterAgent) Stop() { a.renewals.halt() }
 
 // Close releases the pooled connections of a client the agent owns; a no-op
 // over a caller's Transport.

@@ -34,7 +34,7 @@ func startChaosNode(t *testing.T, nsAddr, id string, interval time.Duration) *ch
 	}
 	n.addr = addr
 	n.agent = NewClusterAgent(nil, nsAddr, cluster.Member{ID: id, Kind: string(KindMemory), Addr: addr}, n.node)
-	if _, err := n.agent.Start(context.Background(), interval); err != nil {
+	if err := n.agent.Start(context.Background(), interval); err != nil {
 		n.srv.Close()
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package nwsnet
 import (
 	"context"
 	"fmt"
+	"log"
+	"strings"
 	"testing"
 	"time"
 
@@ -348,6 +350,45 @@ func TestClusterHandoffOnJoin(t *testing.T) {
 // TestMemoryBackfill verifies the handoff merge path: history lands behind
 // the write frontier, duplicate timestamps are skipped, and capacity keeps
 // the newest points.
+// logLines is a log writer that hands each line to a reader, dropping
+// lines while its buffer is full.
+type logLines chan string
+
+func (w logLines) Write(p []byte) (int, error) {
+	select {
+	case w <- string(p):
+	default:
+	}
+	return len(p), nil
+}
+
+// TestClusterAgentLogsFailedRenewal checks that a renewal the registry
+// cannot answer reaches the operator: the agent's renewal loop logs it
+// through the agent's logger and keeps running.
+func TestClusterAgentLogsFailedRenewal(t *testing.T) {
+	lt := NewLocalTransport()
+	lt.Register("registry", NewNameServerCluster(time.Hour, cluster.Config{Replication: 1}))
+	a := NewClusterAgent(lt, "registry", cluster.Member{ID: "f", Kind: string(KindForecaster), Addr: "fc-f"}, nil)
+	lines := make(logLines, 64)
+	a.SetLogger(log.New(lines, "", 0))
+	if err := a.Start(context.Background(), time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Stop)
+	lt.SetDown("registry", true)
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case line := <-lines:
+			if strings.Contains(line, "lease renewal failed") {
+				return
+			}
+		case <-deadline:
+			t.Fatal("no failed renewal logged within 5 s of the registry going down")
+		}
+	}
+}
+
 func TestMemoryBackfill(t *testing.T) {
 	m := NewMemory(0)
 	if r := m.Handle(Request{Op: OpStore, Series: "k", Points: [][2]float64{{10, 1}, {11, 1}}}); r.Error != "" {

@@ -44,13 +44,12 @@ type ForecasterService struct {
 	subs   map[string]map[PushSink]uint64 // series → sink → subscription request ID
 	bySink map[PushSink]map[string]struct{}
 
-	// refreshing is set while the background refresher runs; the per-series
-	// forecast cache is authoritative only then (without the refresher
-	// nothing would ever invalidate a stale entry on behalf of remote
-	// stores).
-	refreshing  atomic.Bool
-	stopRefresh chan struct{}
-	refreshDone chan struct{}
+	// refreshing is set while the background refresher runs (or a harness
+	// driving RefreshNow says so); the per-series forecast cache is
+	// authoritative only then (without the refresher nothing would ever
+	// invalidate a stale entry on behalf of remote stores).
+	refreshing atomic.Bool
+	refresher  loop
 
 	// selfID is this forecaster's cluster member ID, when it serves a slice
 	// of a partitioned deployment; AdoptView uses it to hand off
@@ -419,40 +418,23 @@ func (f *ForecasterService) Subscriptions() int {
 // pushes them to each changed series' subscribers. While it runs, forecast
 // queries are served from the cache, so a poll costs no memory round trip
 // and staleness is bounded by one tick. interval <= 0 selects 1 s.
-// Idempotent while running; StopRefresher ends it.
+// Idempotent while running; StopRefresher ends it, and a stopped refresher
+// does not start again.
 func (f *ForecasterService) StartRefresher(interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	if !f.refreshing.CompareAndSwap(false, true) {
-		return
+	if f.refresher.start(interval, f.refreshTick) {
+		f.refreshing.Store(true)
 	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	f.stopRefresh, f.refreshDone = stop, done
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-			}
-			f.refreshTick()
-		}
-	}()
 }
 
 // StopRefresher ends the maintenance loop and waits for it; forecast
 // queries go back to fetching per query. Safe without a prior
-// StartRefresher.
+// StartRefresher, and after SetCacheServing.
 func (f *ForecasterService) StopRefresher() {
-	if !f.refreshing.CompareAndSwap(true, false) {
-		return
-	}
-	close(f.stopRefresh)
-	<-f.refreshDone
+	f.refresher.halt()
+	f.refreshing.Store(false)
 }
 
 // RefreshNow runs one maintenance pass synchronously: batch-fetch every
@@ -470,8 +452,7 @@ func (f *ForecasterService) RefreshNow() { f.refreshTick() }
 // to serve while *something* invalidates stale entries on behalf of remote
 // stores; StartRefresher is that something in wall-clock deployments, and
 // a harness driving RefreshNow every virtual tick is the equivalent under
-// a simulated clock. Do not mix with StartRefresher/StopRefresher, which
-// own the same flag.
+// a simulated clock. StopRefresher clears the same flag.
 func (f *ForecasterService) SetCacheServing(on bool) { f.refreshing.Store(on) }
 
 // refreshTick is one maintenance pass. It holds no lock across the batch

@@ -261,42 +261,6 @@ func TestSensorDaemonSimulated(t *testing.T) {
 	}
 }
 
-func TestSensorDaemonLiveLoop(t *testing.T) {
-	mem := NewMemory(0)
-	memAddr := startServer(t, mem)
-	h := simos.New(simos.DefaultConfig())
-	h.RunUntil(1) // fixed virtual clock; loop pushes same-timestamp points
-	d := NewSensorDaemon("live", sensors.SimHost{H: h}, memAddr, sensors.HybridConfig{})
-	errs := d.Start(5 * time.Millisecond)
-	// Wait for the first delivery, not for a guess at how long one takes.
-	for deadline := time.Now().Add(5 * time.Second); mem.Len(SeriesKey("live", "load_average")) == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	d.Stop()
-	d.Stop() // idempotent
-	select {
-	case err := <-errs:
-		t.Fatalf("daemon error: %v", err)
-	default:
-	}
-	m := NewClient(time.Second)
-	pts, err := m.Fetch(memAddr, SeriesKey("live", "load_average"), 0, 0, 0)
-	if err != nil || len(pts) == 0 {
-		t.Fatalf("live loop stored nothing: %v, %v", pts, err)
-	}
-	// Double Start must fail through the error channel.
-	errs2 := d.Start(time.Hour)
-	d2 := d.Start(time.Hour)
-	if err := <-d2; err == nil {
-		t.Fatal("second Start accepted")
-	}
-	d.Stop()
-	select {
-	case <-errs2:
-	default:
-	}
-}
-
 func TestServerRejectsGarbage(t *testing.T) {
 	addr := startServer(t, NewNameServer())
 	// A frame with an unknown opcode cannot be decoded, and binary framing

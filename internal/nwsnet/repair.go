@@ -29,11 +29,7 @@ type Repairer struct {
 	mu    sync.Mutex
 	stats RepairStats
 
-	loopMu   sync.Mutex
-	started  bool
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	doneCh   chan struct{}
+	loop loop
 }
 
 // RepairStats counts one repairer's activity (the per-process totals are
@@ -52,13 +48,7 @@ const repairFetchChunk = 64
 // RepairRound and the background loop. A repairer whose peers change — a
 // cluster member's — passes them to RepairFrom each round instead.
 func NewRepairer(tr Transport, mem *Memory, peers []string) *Repairer {
-	return &Repairer{
-		tr:     tr,
-		mem:    mem,
-		peers:  append([]string(nil), peers...),
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
-	}
+	return &Repairer{tr: tr, mem: mem, peers: append([]string(nil), peers...)}
 }
 
 // Stats reports this repairer's counters.
@@ -176,48 +166,16 @@ func (rp *Repairer) pull(ctx context.Context, peer string, fetches []BatchFetch)
 	return recovered, nil
 }
 
-// Start launches the background RepairLoop at the given cadence; Stop ends
-// it. Starting an already-started (or stopped) repairer is a no-op.
+// Start runs RepairRound every interval in the background (interval <= 0
+// selects a minute) until Stop. Starting a running or stopped repairer is a
+// no-op.
 func (rp *Repairer) Start(interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Minute
 	}
-	rp.loopMu.Lock()
-	defer rp.loopMu.Unlock()
-	if rp.started {
-		return
-	}
-	select {
-	case <-rp.stopCh:
-		return // already stopped
-	default:
-	}
-	rp.started = true
-	go rp.repairLoop(interval)
+	rp.loop.start(interval, func() { rp.RepairRound(context.Background()) })
 }
 
-// repairLoop is the background anti-entropy driver.
-func (rp *Repairer) repairLoop(interval time.Duration) {
-	defer close(rp.doneCh)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-rp.stopCh:
-			return
-		case <-t.C:
-			rp.RepairRound(context.Background())
-		}
-	}
-}
-
-// Stop ends the background loop (if Start ran) and waits for it to exit.
-func (rp *Repairer) Stop() {
-	rp.loopMu.Lock()
-	started := rp.started
-	rp.loopMu.Unlock()
-	rp.stopOnce.Do(func() { close(rp.stopCh) })
-	if started {
-		<-rp.doneCh
-	}
-}
+// Stop ends the background rounds (if Start ran) and waits for the last one
+// to return.
+func (rp *Repairer) Stop() { rp.loop.halt() }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"nwscpu/internal/resilience"
@@ -53,10 +52,6 @@ type SensorDaemon struct {
 	inOutage      bool
 	outageDrops   int
 	outageDropLog bool
-
-	mu     sync.Mutex
-	stopCh chan struct{}
-	doneCh chan struct{}
 }
 
 // backlogDefaultCap bounds the per-series store-and-forward buffer
@@ -254,44 +249,8 @@ func (d *SensorDaemon) Backlogged() int {
 	return n
 }
 
-// Start launches a background wall-clock measurement loop with the given
-// period. Errors are delivered on the returned channel (buffered; the loop
-// keeps running after errors). Stop terminates the loop.
-func (d *SensorDaemon) Start(period time.Duration) <-chan error {
-	errs := make(chan error, 16)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopCh != nil {
-		errs <- fmt.Errorf("nwsnet: sensor daemon already started")
-		close(errs)
-		return errs
-	}
-	d.stopCh = make(chan struct{})
-	d.doneCh = make(chan struct{})
-	stop, done := d.stopCh, d.doneCh
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if err := d.Step(); err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-				}
-			}
-		}
-	}()
-	return errs
-}
-
 // Close releases the daemon's pooled memory connections. Call after the
-// final Step or Stop. A backend-wired daemon owns no connections.
+// final Step. A backend-wired daemon owns no connections.
 func (d *SensorDaemon) Close() error {
 	if d.client == nil {
 		return nil
@@ -301,17 +260,3 @@ func (d *SensorDaemon) Close() error {
 
 // Replicas reports the health of the daemon's memory replica group.
 func (d *SensorDaemon) Replicas() []ReplicaHealth { return d.group.Health() }
-
-// Stop terminates a Start loop and waits for it to exit. It is safe to call
-// without a prior Start.
-func (d *SensorDaemon) Stop() {
-	d.mu.Lock()
-	stop, done := d.stopCh, d.doneCh
-	d.stopCh, d.doneCh = nil, nil
-	d.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
