@@ -315,7 +315,6 @@ func runMemory(o daemonOpts, logger *log.Logger) error {
 		}
 	}()
 	for i := 0; i < n; i++ {
-		var h nwsnet.Handler
 		var mem *nwsnet.Memory
 		if o.stateDir != "" {
 			dir := o.stateDir
@@ -328,17 +327,17 @@ func runMemory(o daemonOpts, logger *log.Logger) error {
 			}
 			stores = append(stores, pm)
 			logger.Printf("durable memory in %s", dir)
-			h, mem = pm, pm.Memory
+			mem = pm.Memory
 		} else {
-			m := nwsnet.NewMemory(o.capacity)
-			h, mem = m, m
+			mem = nwsnet.NewMemory(o.capacity)
 		}
 		mems = append(mems, mem)
+		var h nwsnet.Handler = mem
 		if o.clusterAddr != "" {
 			// The member ID is fixed after the bind below (the bound address
 			// is the default identity); the guard is inert until the agent
 			// joins, so serving before that is safe.
-			node := nwsnet.NewClusterNodeHandler("", h, mem)
+			node := nwsnet.NewClusterNode("", mem)
 			nodes = append(nodes, node)
 			h = node
 		}

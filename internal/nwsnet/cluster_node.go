@@ -29,7 +29,6 @@ import (
 // cluster-enabled node. A node with no adopted view (single-node
 // deployment, or an agent that has not joined yet) guards nothing.
 type ClusterNode struct {
-	inner Handler
 	mem   *Memory
 	table viewTable
 
@@ -67,14 +66,7 @@ func (t *viewTable) get() (*cluster.View, *cluster.Ring) {
 // NewClusterNode wraps mem as the shard owned by member id. The guard is
 // inert until AdoptView installs a membership view.
 func NewClusterNode(id string, mem *Memory) *ClusterNode {
-	return &ClusterNode{id: id, inner: mem, mem: mem}
-}
-
-// NewClusterNodeHandler guards a handler that layers over mem (a
-// PersistentMemory, say): owned requests dispatch through inner, while the
-// guard's held-series checks and the handoff backfill go straight to mem.
-func NewClusterNodeHandler(id string, inner Handler, mem *Memory) *ClusterNode {
-	return &ClusterNode{id: id, inner: inner, mem: mem}
+	return &ClusterNode{id: id, mem: mem}
 }
 
 // Memory returns the wrapped store (the handoff path backfills through it).
@@ -154,7 +146,7 @@ func (n *ClusterNode) Handle(req Request) Response {
 			mClusterRedirects.Inc()
 			return movedResp(view, "%s %q: not an owner under epoch %d", req.Op, req.Series, view.Epoch)
 		}
-		return n.inner.Handle(req)
+		return n.mem.Handle(req)
 	case OpBatch:
 		return n.handleBatch(req)
 	default:
@@ -162,7 +154,7 @@ func (n *ClusterNode) Handle(req Request) Response {
 		// purpose: anti-entropy must be able to read and heal whatever a
 		// node actually holds — including series stranded by a ring move —
 		// mirroring how handoff fetches bypass the ownership check.
-		return n.inner.Handle(req)
+		return n.mem.Handle(req)
 	}
 }
 
@@ -180,7 +172,7 @@ func (n *ClusterNode) handleBatch(req Request) Response {
 		}
 	}
 	if !misrouted {
-		return n.inner.Handle(req)
+		return n.mem.Handle(req)
 	}
 	out := make([]Response, len(req.Batch))
 	for i, sub := range req.Batch {
@@ -191,7 +183,7 @@ func (n *ClusterNode) handleBatch(req Request) Response {
 			mClusterRedirects.Inc()
 			r = movedResp(view, "%s %q: not an owner under epoch %d", sub.Op, sub.Series, view.Epoch)
 		} else {
-			r = n.inner.Handle(sub)
+			r = n.mem.Handle(sub)
 		}
 		r.OK = r.Error == ""
 		out[i] = r

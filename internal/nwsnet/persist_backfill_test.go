@@ -35,7 +35,7 @@ func TestPersistBackfillSurvivesRestart(t *testing.T) {
 			}
 		},
 		"cluster handoff": func(t *testing.T, pm *PersistentMemory) {
-			node := NewClusterNodeHandler("n", pm, pm.Memory)
+			node := NewClusterNode("n", pm.Memory)
 			if n := node.Memory().Backfill("k", hole); n != len(hole) {
 				t.Fatalf("backfilled %d points, want %d", n, len(hole))
 			}
