@@ -76,10 +76,11 @@ chaos-persist:
 # examples byte for byte; then README, DESIGN, docs/ and the verify skill are
 # held to the tree — every make target, cmd/ directory and nwsd/nwsctl flag
 # they show must exist — and docs/OBSERVABILITY.md to the metric
-# registrations, both ways.
+# registrations, both ways; and every exported Go name in internal/ and cmd/
+# to a doc comment that starts with it.
 docs-check:
 	$(GO) test -run 'TestProtocolDoc' -count=1 ./internal/nwsnet
-	$(GO) test -run 'TestDocsNameWhatExists|TestDocsMetricsMatchCode' -count=1 .
+	$(GO) test -run 'TestDocsNameWhatExists|TestDocsMetricsMatchCode|TestDocsExportedNamesDocumented' -count=1 .
 
 # Bounded fuzzing of both halves of the wire protocol: the server-side
 # request decode/execute path and the client-side response decode and

@@ -1,6 +1,10 @@
 package nwscpu_test
 
 import (
+	"go/ast"
+	"go/doc"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -177,6 +181,58 @@ func TestDocsMetricsMatchCode(t *testing.T) {
 	for name := range rows {
 		if strings.HasPrefix(name, "nws_") && registered[name] == "" {
 			t.Errorf("docs/OBSERVABILITY.md has a row for %s, which no non-test file registers", name)
+		}
+	}
+}
+
+// TestDocsExportedNamesDocumented holds the Go sources to the doc-comment
+// convention (make docs-check): every exported type, function and method
+// in internal/ and cmd/ has a doc comment that starts with its name, so `go
+// doc` prints something for each and no comment sits on the wrong name.
+func TestDocsExportedNamesDocumented(t *testing.T) {
+	fset := token.NewFileSet()
+	dirs := map[string][]*ast.File{}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+				return filepath.SkipDir
+			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			dirs[filepath.Dir(path)] = append(dirs[filepath.Dir(path)], f)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(dirs) == 0 {
+		t.Fatal("no Go packages found under internal/ or cmd/")
+	}
+	for dir, files := range dirs {
+		pkg, err := doc.NewFromFiles(fset, files, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(label, name, text string, pos token.Pos) {
+			if words := strings.Fields(text); len(words) == 0 || words[0] != name {
+				t.Errorf("%s: %s has no doc comment starting with its name", fset.Position(pos), label)
+			}
+		}
+		funcs := func(recv string, fns []*doc.Func) {
+			for _, fn := range fns {
+				check(recv+fn.Name, fn.Name, fn.Doc, fn.Decl.Pos())
+			}
+		}
+		funcs("", pkg.Funcs)
+		for _, typ := range pkg.Types {
+			check(typ.Name, typ.Name, typ.Doc, typ.Decl.Pos())
+			funcs("", typ.Funcs)
+			funcs(typ.Name+".", typ.Methods)
 		}
 	}
 }

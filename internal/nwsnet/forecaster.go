@@ -12,11 +12,6 @@ import (
 	"nwscpu/internal/resilience"
 )
 
-// ForecasterService answers forecast queries: for each requested series it
-// keeps an incremental forecasting engine fed from the memory server, so
-// repeated queries only transfer the new points. With a replicated memory
-// group, fetches fail over to the next healthy replica, so one dead memory
-// server costs a query at most one extra attempt.
 // FetchBackend is the read-plane contract a ForecasterService pulls
 // history through: satisfied by a ReplicaGroup on either placement (fixed
 // replicas or ring-routed cluster owners) and by the in-process
@@ -29,6 +24,11 @@ type FetchBackend interface {
 	Health() []ReplicaHealth
 }
 
+// ForecasterService answers forecast queries: for each requested series it
+// keeps an incremental forecasting engine fed from the memory server, so
+// repeated queries only transfer the new points. With a replicated memory
+// group, fetches fail over to the next healthy replica, so one dead memory
+// server costs a query at most one extra attempt.
 type ForecasterService struct {
 	group   FetchBackend
 	timeout time.Duration

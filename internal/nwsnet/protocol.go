@@ -178,6 +178,7 @@ type MovedError struct {
 	Msg    string        // the server's human-readable error text
 }
 
+// Error names the redirecting endpoint and the server's reason.
 func (e *MovedError) Error() string {
 	if e.Msg != "" {
 		return fmt.Sprintf("nwsnet: %s: %s", e.Addr, e.Msg)

@@ -17,11 +17,6 @@ func SeriesKey(host, method string) string {
 	return fmt.Sprintf("%s/cpu/%s", host, method)
 }
 
-// SensorDaemon measures one host with the three sensors and pushes every
-// measurement to a memory server — the persistent NWS CPU sensor process.
-//
-// For simulated hosts the caller advances virtual time and calls Step; for
-// live hosts Start runs a wall-clock loop.
 // StoreBackend is the delivery-plane contract a SensorDaemon pushes
 // through: a ReplicaGroup on either placement (fixed replicas, or ring
 // owners with redirect-driven rebalancing) and the in-process LocalBackend
@@ -32,6 +27,11 @@ type StoreBackend interface {
 	Health() []ReplicaHealth
 }
 
+// SensorDaemon measures one host with the three sensors and pushes every
+// measurement to a memory server — the persistent NWS CPU sensor process.
+//
+// The caller calls Step once per measurement period: after advancing
+// virtual time for a simulated host, or from its own ticker for a live one.
 type SensorDaemon struct {
 	hostName string
 	host     sensors.Host
