@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// loop is the one periodic driver the package's background work runs on:
-// the repairer, the cluster agent's lease renewals and the forecaster's
-// refresher. A loop runs at most once in its life: start on a loop that is
-// running or was halted does nothing, and halt is safe before start and
-// when called twice. The zero value is ready to start.
+// loop runs the package's periodic background work: the repairer, the
+// cluster agent's lease renewals and the forecaster's refresher. A loop
+// runs at most once in its life: start on a loop that is running or was
+// halted does nothing, and halt is safe before start and when called twice.
+// The zero value is ready to start.
 type loop struct {
 	mu     sync.Mutex
 	halted bool

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// TestLoopRunsAtMostOnce drives the periodic driver through each order of
+// TestLoopRunsAtMostOnce takes the periodic loop through each order of
 // start and halt: once halted a loop never runs again, a second start does
 // not launch a second goroutine, and halt is safe before start and twice.
 // Every row ends with two concurrent halts; no pass may run after the
