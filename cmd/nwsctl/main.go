@@ -44,6 +44,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -84,7 +85,7 @@ func run(args []string, out io.Writer) error {
 			if addr == "" {
 				continue
 			}
-			if err := c.Ping(addr); err != nil {
+			if err := c.PingCtx(context.Background(), addr); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "%s: ok\n", addr)
@@ -98,7 +99,7 @@ func run(args []string, out io.Writer) error {
 		healthy := 0
 		var up []string
 		for _, addr := range addrs {
-			if err := c.Ping(addr); err != nil {
+			if err := c.PingCtx(context.Background(), addr); err != nil {
 				fmt.Fprintf(out, "%-24s down (%v)\n", addr, err)
 				continue
 			}
@@ -127,7 +128,7 @@ func run(args []string, out io.Writer) error {
 		if *nameserver == "" {
 			return fmt.Errorf("list needs -nameserver")
 		}
-		regs, err := c.List(*nameserver, "")
+		regs, err := c.ListCtx(context.Background(), *nameserver, "")
 		if err != nil {
 			return err
 		}
@@ -139,7 +140,7 @@ func run(args []string, out io.Writer) error {
 		if *memory == "" {
 			return fmt.Errorf("series needs -memory")
 		}
-		names, err := c.Series(*memory)
+		names, err := c.SeriesCtx(context.Background(), *memory)
 		if err != nil {
 			return err
 		}
@@ -158,7 +159,7 @@ func run(args []string, out io.Writer) error {
 				return fmt.Errorf("bad max %q: %w", cmd[2], err)
 			}
 		}
-		pts, err := c.Fetch(*memory, cmd[1], 0, 0, max)
+		pts, err := c.FetchCtx(context.Background(), *memory, cmd[1], 0, 0, max)
 		if err != nil {
 			return err
 		}
@@ -170,7 +171,7 @@ func run(args []string, out io.Writer) error {
 		if *forecaster == "" || len(cmd) < 2 {
 			return fmt.Errorf("forecast needs -forecaster and a series key")
 		}
-		f, err := c.Forecast(*forecaster, cmd[1])
+		f, err := c.ForecastCtx(context.Background(), *forecaster, cmd[1])
 		if err != nil {
 			return err
 		}
@@ -219,7 +220,7 @@ func memoryAddrs(c *nwsnet.Client, memory, nameserver, key string) ([]string, *c
 			}
 		}
 	case nameserver != "":
-		if v, err := c.FetchView(nameserver, 0); err == nil && v != nil {
+		if v, err := c.FetchViewCtx(context.Background(), nameserver, 0); err == nil && v != nil {
 			members := v.Active(string(nwsnet.KindMemory))
 			if key != "" && len(members) > 0 {
 				members = v.Owners(string(nwsnet.KindMemory), key)
@@ -231,7 +232,7 @@ func memoryAddrs(c *nwsnet.Client, memory, nameserver, key string) ([]string, *c
 				return addrs, v, nil
 			}
 		}
-		regs, err := c.List(nameserver, nwsnet.KindMemory)
+		regs, err := c.ListCtx(context.Background(), nameserver, nwsnet.KindMemory)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -272,7 +273,7 @@ func frontierLag(c *nwsnet.Client, addrs []string, v *cluster.View, out io.Write
 	best := map[string]float64{}
 	var supported []string
 	for _, addr := range addrs {
-		ds, err := c.Digests(addr, "")
+		ds, err := c.DigestsCtx(context.Background(), addr, "")
 		if err != nil {
 			fmt.Fprintf(out, "%-24s digests unavailable (%v)\n", addr, err)
 			continue
@@ -329,7 +330,7 @@ func repairSeries(c *nwsnet.Client, addrs []string, key string, out io.Writer) e
 	states := make([]state, len(addrs))
 	for i, addr := range addrs {
 		states[i] = state{addr: addr}
-		ds, err := c.Digests(addr, key)
+		ds, err := c.DigestsCtx(context.Background(), addr, key)
 		if err != nil {
 			fmt.Fprintf(out, "%-24s unreachable (%v)\n", addr, err)
 			continue
@@ -355,7 +356,7 @@ func repairSeries(c *nwsnet.Client, addrs []string, key string, out io.Writer) e
 		return fmt.Errorf("repair %s: no reachable replica holds the series", key)
 	}
 	best := states[bestIdx]
-	pts, err := c.Fetch(best.addr, key, 0, 0, 0)
+	pts, err := c.FetchCtx(context.Background(), best.addr, key, 0, 0, 0)
 	if err != nil {
 		return fmt.Errorf("repair %s: fetch from %s: %w", key, best.addr, err)
 	}
@@ -371,11 +372,11 @@ func repairSeries(c *nwsnet.Client, addrs []string, key string, out io.Writer) e
 			fmt.Fprintf(out, "%-24s in sync\n", s.addr)
 			continue
 		}
-		if err := c.Backfill(s.addr, key, pts); err != nil {
+		if err := c.BackfillCtx(context.Background(), s.addr, key, pts); err != nil {
 			fmt.Fprintf(out, "%-24s backfill failed (%v)\n", s.addr, err)
 			continue
 		}
-		ds, err := c.Digests(s.addr, key)
+		ds, err := c.DigestsCtx(context.Background(), s.addr, key)
 		switch {
 		case err == nil && len(ds) > 0 && ds[0] == best.d:
 			inSync++
@@ -446,7 +447,7 @@ func subscribe(addr, tenant, series string, limit int, out io.Writer) error {
 // non-zero when fewer active memory members remain than the replication
 // factor, i.e. when some key range has lost its write quorum.
 func members(c *nwsnet.Client, nsAddr string, out io.Writer) error {
-	v, err := c.FetchView(nsAddr, 0)
+	v, err := c.FetchViewCtx(context.Background(), nsAddr, 0)
 	if err != nil {
 		return err
 	}
@@ -490,7 +491,7 @@ func members(c *nwsnet.Client, nsAddr string, out io.Writer) error {
 
 // ringOwners prints which members own a series key under the current view.
 func ringOwners(c *nwsnet.Client, nsAddr, key string, out io.Writer) error {
-	v, err := c.FetchView(nsAddr, 0)
+	v, err := c.FetchViewCtx(context.Background(), nsAddr, 0)
 	if err != nil {
 		return err
 	}

@@ -43,17 +43,17 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestRunAgainstLiveComponents(t *testing.T) {
-	nsAddr := startComponent(t, nwsnet.NewNameServer())
+	nsAddr := startComponent(t, nwsnet.NewNameServer(0, cluster.Config{}))
 	memAddr := startComponent(t, nwsnet.NewMemory(0))
-	fcAddr := startComponent(t, nwsnet.NewForecasterService(memAddr, 0))
+	fcAddr := startComponent(t, nwsnet.NewForecasterService([]string{memAddr}, 0))
 
 	c := nwsnet.NewClient(0)
-	if err := c.Register(nsAddr, nwsnet.Registration{
+	if err := c.RegisterCtx(context.Background(), nsAddr, nwsnet.Registration{
 		Name: "h/cpu", Kind: nwsnet.KindSensor, Addr: "s:1",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Store(memAddr, "h/cpu/vmstat",
+	if err := c.StoreCtx(context.Background(), memAddr, "h/cpu/vmstat",
 		[][2]float64{{10, 0.5}, {20, 0.5}, {30, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +134,9 @@ func TestHealthCommand(t *testing.T) {
 	}
 
 	// Resolution via the name server's registered replica set.
-	nsAddr := startComponent(t, nwsnet.NewNameServer())
+	nsAddr := startComponent(t, nwsnet.NewNameServer(0, cluster.Config{}))
 	c := nwsnet.NewClient(0)
-	if err := c.Register(nsAddr, nwsnet.Registration{
+	if err := c.RegisterCtx(context.Background(), nsAddr, nwsnet.Registration{
 		Name: "memory", Kind: nwsnet.KindMemory, Addr: a, Addrs: []string{a, b},
 	}); err != nil {
 		t.Fatal(err)
@@ -151,17 +151,18 @@ func TestHealthCommand(t *testing.T) {
 }
 
 func TestHealthFrontierLag(t *testing.T) {
+	ctx := context.Background()
 	a := startComponent(t, nwsnet.NewMemory(0))
 	b := startComponent(t, nwsnet.NewMemory(0))
 	c := nwsnet.NewClient(0)
-	if err := c.Store(a, "h/cpu/vmstat", [][2]float64{{10, 0.5}, {20, 0.5}, {30, 0.5}}); err != nil {
+	if err := c.StoreCtx(ctx, a, "h/cpu/vmstat", [][2]float64{{10, 0.5}, {20, 0.5}, {30, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	// Replica b lags two rounds and is missing a second series entirely.
-	if err := c.Store(b, "h/cpu/vmstat", [][2]float64{{10, 0.5}}); err != nil {
+	if err := c.StoreCtx(ctx, b, "h/cpu/vmstat", [][2]float64{{10, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Store(a, "h/cpu/loadavg", [][2]float64{{10, 0.4}}); err != nil {
+	if err := c.StoreCtx(ctx, a, "h/cpu/loadavg", [][2]float64{{10, 0.4}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,6 +183,7 @@ func TestHealthFrontierLag(t *testing.T) {
 }
 
 func TestRepairCommand(t *testing.T) {
+	ctx := context.Background()
 	if err := run([]string{"repair", "k"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("repair without -memory or -nameserver accepted")
 	}
@@ -194,10 +196,10 @@ func TestRepairCommand(t *testing.T) {
 	cth := startComponent(t, nwsnet.NewMemory(0))
 	c := nwsnet.NewClient(0)
 	full := [][2]float64{{10, 0.1}, {20, 0.2}, {30, 0.3}}
-	if err := c.Store(a, "k", full); err != nil {
+	if err := c.StoreCtx(ctx, a, "k", full); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Store(b, "k", full[:1]); err != nil { // laggard
+	if err := c.StoreCtx(ctx, b, "k", full[:1]); err != nil { // laggard
 		t.Fatal(err)
 	}
 	// Replica c is empty: a full backfill candidate.
@@ -215,7 +217,7 @@ func TestRepairCommand(t *testing.T) {
 		t.Fatalf("repair did not converge the group:\n%s", out)
 	}
 	for _, addr := range []string{a, b, cth} {
-		pts, err := c.Fetch(addr, "k", 0, 0, 0)
+		pts, err := c.FetchCtx(ctx, addr, "k", 0, 0, 0)
 		if err != nil || len(pts) != 3 {
 			t.Fatalf("replica %s after repair: %v, %v", addr, pts, err)
 		}
@@ -245,13 +247,13 @@ func TestRepairCommand(t *testing.T) {
 }
 
 func TestMembersAndRingCommands(t *testing.T) {
-	nsAddr := startComponent(t, nwsnet.NewNameServerCluster(time.Minute,
+	nsAddr := startComponent(t, nwsnet.NewNameServer(time.Minute,
 		cluster.Config{Replication: 2, VNodes: 16}))
 	c := nwsnet.NewClient(0)
 
 	// A lone active member with replication 2: listing works, but the
 	// quorum gate must report the key space at risk via a non-zero exit.
-	if _, err := c.JoinCluster(nsAddr, cluster.Member{
+	if _, err := c.JoinClusterCtx(context.Background(), nsAddr, cluster.Member{
 		ID: "shard-a", Kind: string(nwsnet.KindMemory), Addr: "a:1",
 		State: cluster.StateActive,
 	}); err != nil {
@@ -268,7 +270,7 @@ func TestMembersAndRingCommands(t *testing.T) {
 
 	// Second active member restores the quorum: clean exit, and the
 	// listing shows the epoch header plus both leases.
-	if _, err := c.JoinCluster(nsAddr, cluster.Member{
+	if _, err := c.JoinClusterCtx(context.Background(), nsAddr, cluster.Member{
 		ID: "shard-b", Kind: string(nwsnet.KindMemory), Addr: "b:1",
 		State: cluster.StateActive,
 	}); err != nil {
@@ -300,7 +302,7 @@ func TestMembersAndRingCommands(t *testing.T) {
 	}
 
 	// A registry with no cluster config returns no view at all.
-	plainNS := startComponent(t, nwsnet.NewNameServer())
+	plainNS := startComponent(t, nwsnet.NewNameServer(0, cluster.Config{}))
 	if err := run([]string{"-nameserver", plainNS, "members"}, &buf); err == nil {
 		t.Fatal("members against a non-cluster registry accepted")
 	}
@@ -323,7 +325,7 @@ func startShard(t *testing.T, nsAddr, id string) (addr string) {
 // second owner misses the newest point.
 func clusterFixture(t *testing.T) (nsAddr string, shards map[string]string, key string, owners []cluster.Member) {
 	t.Helper()
-	nsAddr = startComponent(t, nwsnet.NewNameServerCluster(time.Minute, cluster.Config{Replication: 2, VNodes: 16}))
+	nsAddr = startComponent(t, nwsnet.NewNameServer(time.Minute, cluster.Config{Replication: 2, VNodes: 16}))
 	shards = map[string]string{}
 	for _, id := range []string{"shard-a", "shard-b", "shard-c"} {
 		shards[id] = startShard(t, nsAddr, id)
@@ -335,7 +337,7 @@ func clusterFixture(t *testing.T) (nsAddr string, shards map[string]string, key 
 	if err := g.Store(context.Background(), key, [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.FetchView(nsAddr, 0)
+	v, err := c.FetchViewCtx(context.Background(), nsAddr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +345,7 @@ func clusterFixture(t *testing.T) (nsAddr string, shards map[string]string, key 
 	if len(owners) != 2 {
 		t.Fatalf("owners of %s = %+v, want 2", key, owners)
 	}
-	if err := c.Store(owners[0].Addr, key, [][2]float64{{3, 0.3}}); err != nil {
+	if err := c.StoreCtx(context.Background(), owners[0].Addr, key, [][2]float64{{3, 0.3}}); err != nil {
 		t.Fatal(err)
 	}
 	return nsAddr, shards, key, owners

@@ -202,7 +202,7 @@ func run(o daemonOpts, logger *log.Logger) error {
 	}
 	switch o.role {
 	case "nameserver":
-		return serve(o, nwsnet.NewNameServerCluster(o.ttl, cluster.Config{
+		return serve(o, nwsnet.NewNameServer(o.ttl, cluster.Config{
 			Replication: o.replication, VNodes: o.vnodes,
 		}), logger)
 	case "memory":
@@ -214,7 +214,7 @@ func run(o daemonOpts, logger *log.Logger) error {
 		if o.memory == "" {
 			return fmt.Errorf("forecaster needs -memory")
 		}
-		fs := nwsnet.NewForecasterServiceReplicas(memoryAddrs(o), 0)
+		fs := nwsnet.NewForecasterService(memoryAddrs(o), 0)
 		// Catch up on existing history in one batched round trip before
 		// serving, so the first query per series is not the expensive one.
 		// Best effort: an empty or unreachable memory just starts cold.
@@ -407,7 +407,7 @@ func runMemory(o daemonOpts, logger *log.Logger) error {
 		reg := nwsnet.Registration{
 			Name: "memory", Kind: nwsnet.KindMemory, Addr: addrs[0], Addrs: addrs,
 		}
-		if err := c.Register(o.nameserver, reg); err != nil {
+		if err := c.RegisterCtx(context.Background(), o.nameserver, reg); err != nil {
 			return fmt.Errorf("registering with name server: %w", err)
 		}
 		logger.Printf("registered %d-replica memory group with %s", n, o.nameserver)
@@ -423,7 +423,7 @@ func runMemory(o daemonOpts, logger *log.Logger) error {
 				case <-heartbeatDone:
 					return
 				case <-ticker.C:
-					if err := c.Register(o.nameserver, reg); err != nil {
+					if err := c.RegisterCtx(context.Background(), o.nameserver, reg); err != nil {
 						logger.Printf("heartbeat failed: %v", err)
 					}
 				}
@@ -544,7 +544,7 @@ func runSensor(o daemonOpts, logger *log.Logger) error {
 			memory = "cluster " + o.clusterAddr
 		}
 	} else {
-		daemon = nwsnet.NewSensorDaemonReplicas(hostName, host, memoryAddrs(o), 0, sensors.HybridConfig{})
+		daemon = nwsnet.NewSensorDaemon(hostName, host, memoryAddrs(o), 0, sensors.HybridConfig{})
 	}
 	daemon.SetLogger(logger)
 	defer daemon.Close()

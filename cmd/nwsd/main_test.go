@@ -12,6 +12,7 @@ import (
 	"nwscpu/internal/metrics"
 	"nwscpu/internal/netsensor"
 	"nwscpu/internal/nwsnet"
+	"nwscpu/internal/nwsnet/cluster"
 )
 
 func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
@@ -61,7 +62,8 @@ func TestReplicaListen(t *testing.T) {
 }
 
 func TestMemoryReplicasRole(t *testing.T) {
-	ns := nwsnet.NewServer(nwsnet.NewNameServer(), nil)
+	ctx := context.Background()
+	ns := nwsnet.NewServer(nwsnet.NewNameServer(0, cluster.Config{}), nil)
 	nsAddr, err := ns.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +92,7 @@ func TestMemoryReplicasRole(t *testing.T) {
 	c := nwsnet.NewClient(time.Second)
 	defer c.Close()
 	for _, addr := range addrs {
-		if err := c.Ping(addr); err != nil {
+		if err := c.PingCtx(ctx, addr); err != nil {
 			t.Fatalf("replica %s: %v", addr, err)
 		}
 	}
@@ -100,7 +102,7 @@ func TestMemoryReplicasRole(t *testing.T) {
 	var reg nwsnet.Registration
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		reg, err = c.Lookup(nsAddr, "memory")
+		reg, err = c.LookupCtx(ctx, nsAddr, "memory")
 		if err == nil {
 			break
 		}
@@ -118,7 +120,7 @@ func TestMemoryReplicasRole(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, addr := range addrs {
-		pts, err := c.Fetch(addr, "k", 0, 0, 0)
+		pts, err := c.FetchCtx(ctx, addr, "k", 0, 0, 0)
 		if err != nil || len(pts) != 1 {
 			t.Fatalf("replica %s after group store: %v, %v", addr, pts, err)
 		}
@@ -275,17 +277,18 @@ func startMemories(t *testing.T, opts ...daemonOpts) []string {
 // repairsHole leaves the third of three replicas without one point the
 // other two hold, and waits for a repairer to pull it in.
 func repairsHole(t *testing.T, addrs []string) {
+	ctx := context.Background()
 	t.Helper()
 	c := nwsnet.NewClient(time.Second)
 	defer c.Close()
 	recovered0 := counterValue(t, "nws_repair_points_recovered_total")
 	for _, addr := range addrs {
-		if err := c.Store(addr, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
+		if err := c.StoreCtx(ctx, addr, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, addr := range addrs[:2] {
-		if err := c.Store(addr, "k", [][2]float64{{3, 0.3}}); err != nil {
+		if err := c.StoreCtx(ctx, addr, "k", [][2]float64{{3, 0.3}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,12 +300,12 @@ func repairsHole(t *testing.T, addrs []string) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	want, err := c.Digests(addrs[0], "k")
+	want, err := c.DigestsCtx(ctx, addrs[0], "k")
 	if err != nil || len(want) != 1 || want[0].Count != 3 {
 		t.Fatalf("reference digest = %+v, %v", want, err)
 	}
 	for _, addr := range addrs[1:] {
-		got, err := c.Digests(addr, "k")
+		got, err := c.DigestsCtx(ctx, addr, "k")
 		if err != nil || len(got) != 1 || got[0] != want[0] {
 			t.Fatalf("replica %s digest = %+v, %v; want %+v", addr, got, err, want[0])
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -57,10 +58,10 @@ func TestMemoryRoleServesMetrics(t *testing.T) {
 
 	// Drive real traffic through the memory server.
 	c := nwsnet.NewClient(time.Second)
-	if err := c.Store(memAddr, "box/cpu/nws_hybrid", [][2]float64{{0, 0.5}, {10, 0.6}}); err != nil {
+	if err := c.StoreCtx(context.Background(), memAddr, "box/cpu/nws_hybrid", [][2]float64{{0, 0.5}, {10, 0.6}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fetch(memAddr, "box/cpu/nws_hybrid", 0, 0, 0); err != nil {
+	if _, err := c.FetchCtx(context.Background(), memAddr, "box/cpu/nws_hybrid", 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 

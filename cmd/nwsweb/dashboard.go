@@ -87,7 +87,7 @@ func routeLabel(path string) string {
 }
 
 func (d *dashboard) handleSeriesList(w http.ResponseWriter, r *http.Request) {
-	names, err := d.client.Series(d.memory)
+	names, err := d.client.SeriesCtx(r.Context(), d.memory)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -109,7 +109,7 @@ func (d *dashboard) handleSeriesGet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	pts, err := d.client.Fetch(d.memory, key, 0, 0, max)
+	pts, err := d.client.FetchCtx(r.Context(), d.memory, key, 0, 0, max)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -127,7 +127,7 @@ func (d *dashboard) handleForecast(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing series key", http.StatusBadRequest)
 		return
 	}
-	fc, err := d.client.Forecast(d.forecaster, key)
+	fc, err := d.client.ForecastCtx(r.Context(), d.forecaster, key)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -170,14 +170,14 @@ func (d *dashboard) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	names, err := d.client.Series(d.memory)
+	names, err := d.client.SeriesCtx(r.Context(), d.memory)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	var rows []indexSeries
 	for _, key := range names {
-		pts, err := d.client.Fetch(d.memory, key, 0, 0, 120)
+		pts, err := d.client.FetchCtx(r.Context(), d.memory, key, 0, 0, 120)
 		if err != nil || len(pts) == 0 {
 			continue
 		}
@@ -188,7 +188,7 @@ func (d *dashboard) handleIndex(w http.ResponseWriter, r *http.Request) {
 			Spark: sparkline(pts),
 		}
 		if d.forecaster != "" {
-			if fc, err := d.client.Forecast(d.forecaster, key); err == nil {
+			if fc, err := d.client.ForecastCtx(r.Context(), d.forecaster, key); err == nil {
 				row.Forecast = fmt.Sprintf("%.4g (%s)", fc.Value, fc.Method)
 			}
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -21,7 +22,7 @@ func startBackends(t *testing.T) (memAddr, fcAddr string) {
 	}
 	t.Cleanup(func() { memSrv.Close() })
 
-	fcSrv := nwsnet.NewServer(nwsnet.NewForecasterService(memAddr, time.Second), nil)
+	fcSrv := nwsnet.NewServer(nwsnet.NewForecasterService([]string{memAddr}, time.Second), nil)
 	fcAddr, err = fcSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func startBackends(t *testing.T) (memAddr, fcAddr string) {
 	for i := range pts {
 		pts[i] = [2]float64{float64(i * 10), 0.5 + 0.01*float64(i%5)}
 	}
-	if err := c.Store(memAddr, "thing1/cpu/nws_hybrid", pts); err != nil {
+	if err := c.StoreCtx(context.Background(), memAddr, "thing1/cpu/nws_hybrid", pts); err != nil {
 		t.Fatal(err)
 	}
 	return memAddr, fcAddr

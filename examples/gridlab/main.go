@@ -7,12 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 
 	"nwscpu/internal/nwsnet"
+	"nwscpu/internal/nwsnet/cluster"
 	"nwscpu/internal/sensors"
 	"nwscpu/internal/simos"
 	"nwscpu/internal/workload"
@@ -25,6 +27,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	stateDir, err := os.MkdirTemp("", "gridlab-memory-*")
 	if err != nil {
 		return err
@@ -32,7 +35,7 @@ func run() error {
 	defer os.RemoveAll(stateDir)
 
 	// 1. Name server with heartbeat expiry.
-	nsSrv := nwsnet.NewServer(nwsnet.NewNameServer(), nil)
+	nsSrv := nwsnet.NewServer(nwsnet.NewNameServer(0, cluster.Config{}), nil)
 	nsAddr, err := nsSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
@@ -53,7 +56,7 @@ func run() error {
 	defer memSrv.Close()
 
 	// 3. Forecaster service over the memory.
-	fcSrv := nwsnet.NewServer(nwsnet.NewForecasterService(memAddr, 0), nil)
+	fcSrv := nwsnet.NewServer(nwsnet.NewForecasterService([]string{memAddr}, 0), nil)
 	fcAddr, err := fcSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
@@ -69,7 +72,7 @@ func run() error {
 		if kind == nwsnet.KindForecaster {
 			addr = fcAddr
 		}
-		if err := c.Register(nsAddr, nwsnet.Registration{Name: name, Kind: kind, Addr: addr}); err != nil {
+		if err := c.RegisterCtx(ctx, nsAddr, nwsnet.Registration{Name: name, Kind: kind, Addr: addr}); err != nil {
 			return err
 		}
 	}
@@ -81,7 +84,7 @@ func run() error {
 	for _, p := range hosts {
 		h := simos.New(simos.DefaultConfig())
 		workload.Submit(h, p.Generate(4000))
-		d := nwsnet.NewSensorDaemon(p.Name, sensors.SimHost{H: h}, memAddr, sensors.HybridConfig{})
+		d := nwsnet.NewSensorDaemon(p.Name, sensors.SimHost{H: h}, []string{memAddr}, 0, sensors.HybridConfig{})
 		if err := d.Register(nsAddr, memAddr); err != nil {
 			return err
 		}
@@ -95,7 +98,7 @@ func run() error {
 
 	// 5. Query it like a scheduler: enumerate sensors, read back series,
 	// ask for forecasts.
-	regs, err := c.List(nsAddr, nwsnet.KindSensor)
+	regs, err := c.ListCtx(ctx, nsAddr, nwsnet.KindSensor)
 	if err != nil {
 		return err
 	}
@@ -104,14 +107,14 @@ func run() error {
 		fmt.Printf("  %-14s -> %s\n", r.Name, r.Addr)
 	}
 
-	keys, err := c.Series(memAddr)
+	keys, err := c.SeriesCtx(ctx, memAddr)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nmemory holds %d series; forecasting the hybrid series of each host:\n", len(keys))
 	for _, p := range hosts {
 		key := nwsnet.SeriesKey(p.Name, "nws_hybrid")
-		fc, err := c.Forecast(fcAddr, key)
+		fc, err := c.ForecastCtx(ctx, fcAddr, key)
 		if err != nil {
 			return err
 		}

@@ -52,7 +52,7 @@ func TestChaosPrimaryReplicaKilledMidRun(t *testing.T) {
 
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemonReplicas("chaoshost", sensors.SimHost{H: h}, group, 0, sensors.HybridConfig{})
+	d := NewSensorDaemon("chaoshost", sensors.SimHost{H: h}, group, 0, sensors.HybridConfig{})
 	defer d.Close()
 
 	step := func() {
@@ -129,7 +129,7 @@ func TestChaosFullOutageBacklogDrainsLossless(t *testing.T) {
 
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemonReplicas("outagehost", sensors.SimHost{H: h}, []string{addr}, 0, sensors.HybridConfig{})
+	d := NewSensorDaemon("outagehost", sensors.SimHost{H: h}, []string{addr}, 0, sensors.HybridConfig{})
 	defer d.Close()
 
 	const before, during = 3, 4
@@ -204,7 +204,7 @@ func chaosRunOutcomes(t *testing.T, seed int64) []bool {
 	// successful call parked.
 	outcomes := make([]bool, 12)
 	for i := range outcomes {
-		err := c.Store(addr, "s", [][2]float64{{float64(i), 0.5}})
+		err := c.StoreCtx(context.Background(), addr, "s", [][2]float64{{float64(i), 0.5}})
 		outcomes[i] = err == nil
 		c.Close()
 	}
@@ -299,6 +299,7 @@ func TestChaosReplicaTimeoutMidBatchIdempotentRetry(t *testing.T) {
 // measurement loss on BOTH replicas while the breaker recovers through
 // half-open back to closed.
 func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
+	ctx := context.Background()
 	const (
 		maxConns    = 10
 		maxInFlight = 1
@@ -335,7 +336,7 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 	// replicas, including the one being flooded.
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 7200})
-	d := NewSensorDaemonReplicas("floodhost", sensors.SimHost{H: h}, []string{addr0, addr1}, 2, sensors.HybridConfig{})
+	d := NewSensorDaemon("floodhost", sensors.SimHost{H: h}, []string{addr0, addr1}, 2, sensors.HybridConfig{})
 	defer d.Close()
 
 	steps := 0
@@ -366,7 +367,7 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 	})
 	defer fetchClient.Close()
 	key := SeriesKey("floodhost", "vmstat")
-	if _, err := fetchClient.Fetch(addr0, key, 0, 0, 0); err != nil {
+	if _, err := fetchClient.FetchCtx(ctx, addr0, key, 0, 0, 0); err != nil {
 		t.Fatalf("pre-flood fetch: %v", err)
 	}
 
@@ -406,7 +407,7 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := fetchClient.Fetch(addr0, key, 0, 0, 0); err != nil {
+				if _, err := fetchClient.FetchCtx(ctx, addr0, key, 0, 0, 0); err != nil {
 					if IsBusy(err) {
 						atomic.AddInt64(&busySeen, 1)
 						if resilience.IsTerminal(err) {
@@ -436,7 +437,7 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 			defer flood.Done()
 			c := NewClientOptions(ClientOptions{Timeout: 300 * time.Millisecond, Retry: resilience.Policy{MaxAttempts: 1}})
 			defer c.Close()
-			c.Fetch(stallAddr, key, 0, 0, 0) // times out: the proxy never reads the reply
+			c.FetchCtx(ctx, stallAddr, key, 0, 0, 0) // times out: the proxy never reads the reply
 		}()
 	}
 
@@ -458,7 +459,7 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 			t.Fatal("breaker never opened under the flood")
 		}
 		step() // errors tolerated: the backlog buffers them
-		brkClient.Fetch(addr0, key, 0, 0, 0)
+		brkClient.FetchCtx(ctx, addr0, key, 0, 0, 0)
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -509,7 +510,7 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 	recovered := false
 	recoverDeadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(recoverDeadline) {
-		if _, err := brkClient.Fetch(addr0, key, 0, 0, 0); err == nil {
+		if _, err := brkClient.FetchCtx(ctx, addr0, key, 0, 0, 0); err == nil {
 			recovered = true
 			break
 		}

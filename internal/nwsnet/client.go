@@ -24,7 +24,7 @@ func observeCall(op Op, t0 time.Time, err error) {
 // noted on each field.
 type ClientOptions struct {
 	// Timeout bounds each call attempt — dial plus exchange (0 selects 5 s).
-	// A context that ends sooner wins; see the *Ctx methods.
+	// A context that ends sooner wins: every call takes the caller's context.
 	Timeout time.Duration
 	// Retry governs how transient failures are retried. The zero value
 	// selects the resilience defaults: 3 attempts, 50 ms base backoff
@@ -55,10 +55,10 @@ type ClientOptions struct {
 // retried under the client's retry policy; a dead connection is never parked
 // again, so a retry dials fresh. A
 // server that declines v2 fails the call with a terminal error naming the
-// version it accepted. The typed calls (Ping, Store, FetchBatch, …) are the
-// calls surface LocalTransport shares, run through the client's retrying
-// exchange. The zero value is not usable; create clients with NewClient or
-// NewClientOptions.
+// version it accepted. The typed calls (PingCtx, StoreCtx, FetchBatchCtx,
+// …) are the calls surface LocalTransport shares, run through the client's
+// retrying exchange. The zero value is not usable; create clients with
+// NewClient or NewClientOptions.
 type Client struct {
 	calls
 	timeout    time.Duration

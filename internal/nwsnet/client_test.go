@@ -23,7 +23,7 @@ func TestClientConnectionLifecycle(t *testing.T) {
 	}
 	store := func(t *testing.T, f *fixture, i int) {
 		t.Helper()
-		if err := f.c.Store(f.addr, "k", [][2]float64{{float64(i), 0.5}}); err != nil {
+		if err := f.c.StoreCtx(context.Background(), f.addr, "k", [][2]float64{{float64(i), 0.5}}); err != nil {
 			t.Fatalf("store %d: %v", i, err)
 		}
 	}
@@ -40,7 +40,7 @@ func TestClientConnectionLifecycle(t *testing.T) {
 			}
 		}, 1, 50},
 		{"a rejection keeps the connection", ServerLimits{}, func(t *testing.T, f *fixture) {
-			if err := f.c.Store(f.addr, "", nil); err == nil {
+			if err := f.c.StoreCtx(context.Background(), f.addr, "", nil); err == nil {
 				t.Fatal("invalid store accepted")
 			}
 			store(t, f, 1)
@@ -146,7 +146,7 @@ func TestClientCountsLogicalCalls(t *testing.T) {
 	})
 	defer c.Close()
 	before := read(OpStore)
-	if err := c.Store(addr, "k", [][2]float64{{1, 1}}); err != nil {
+	if err := c.StoreCtx(context.Background(), addr, "k", [][2]float64{{1, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := delta(before, read(OpStore)), (counts{calls: 1, retries: 1, observed: 1}); got != want {
@@ -179,7 +179,7 @@ func TestServerHandlesManyConcurrentClients(t *testing.T) {
 			c := NewClient(2 * time.Second)
 			key := SeriesKey("stress", string(rune('a'+g)))
 			for i := 0; i < 10; i++ {
-				if err := c.Store(addr, key, [][2]float64{{float64(i), 1}}); err != nil {
+				if err := c.StoreCtx(context.Background(), addr, key, [][2]float64{{float64(i), 1}}); err != nil {
 					errs <- err
 					return
 				}
@@ -214,7 +214,7 @@ func BenchmarkClientFetchTail(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got, err := c.Fetch(addr, "k", 0, 0, 64); err != nil || len(got) != 64 {
+		if got, err := c.FetchCtx(context.Background(), addr, "k", 0, 0, 64); err != nil || len(got) != 64 {
 			b.Fatalf("fetched %d points: %v", len(got), err)
 		}
 	}

@@ -68,7 +68,7 @@ func TestChaosClusterShardFailover(t *testing.T) {
 		heartbeat = 150 * time.Millisecond
 		nKeys     = 12
 	)
-	ns := NewNameServerCluster(ttl, cluster.Config{Replication: 2, VNodes: 32})
+	ns := NewNameServer(ttl, cluster.Config{Replication: 2, VNodes: 32})
 	nsSrv := NewServer(ns, nil)
 	nsAddr, err := nsSrv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -174,7 +174,7 @@ func TestChaosClusterShardFailover(t *testing.T) {
 		defer probe.Close()
 		deadline := time.Now().Add(3*ttl + 10*time.Second)
 		for time.Now().Before(deadline) {
-			if v, err := probe.FetchView(nsAddr, 0); err == nil && v != nil {
+			if v, err := probe.FetchViewCtx(ctx, nsAddr, 0); err == nil && v != nil {
 				if len(v.Active(string(KindMemory))) == wantActive {
 					return *v
 				}

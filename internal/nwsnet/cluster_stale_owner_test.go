@@ -41,7 +41,7 @@ func keyFirstOwnedBy(t *testing.T, cfg cluster.Config, ids []string, want string
 func TestClusterStaleOwnerWindowConverges(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		cfg := cluster.Config{Replication: 2, VNodes: 32}
-		nsSrv := NewServer(NewNameServerCluster(time.Hour, cfg), nil)
+		nsSrv := NewServer(NewNameServer(time.Hour, cfg), nil)
 		nsAddr, err := nsSrv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +61,7 @@ func TestClusterStaleOwnerWindowConverges(t *testing.T) {
 	t.Run("local", func(t *testing.T) {
 		cfg := cluster.Config{Replication: 3, VNodes: 32}
 		lt := NewLocalTransport()
-		lt.Register("registry", NewNameServerCluster(time.Hour, cfg))
+		lt.Register("registry", NewNameServer(time.Hour, cfg))
 		listen := func(id string, h Handler) string {
 			lt.Register("mem-"+id, h)
 			return "mem-" + id
@@ -199,7 +199,7 @@ func staleOwnerWindow(t *testing.T, cfg cluster.Config, tr Transport, nsAddr str
 func TestRouterWritesKeyOnlyToCurrentOwners(t *testing.T) {
 	cfg := cluster.Config{Replication: 3, VNodes: 32}
 	lt := NewLocalTransport()
-	lt.Register("registry", NewNameServerCluster(time.Hour, cfg))
+	lt.Register("registry", NewNameServer(time.Hour, cfg))
 	ctx := context.Background()
 	nodes := map[string]*ClusterNode{}
 	var agents []*ClusterAgent

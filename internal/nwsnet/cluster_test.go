@@ -16,7 +16,7 @@ import (
 // Returns the registry address, the nodes, and their addresses.
 func startCluster(t *testing.T, n int, cfg cluster.Config, ttl time.Duration) (nsAddr string, nodes []*ClusterNode, addrs []string) {
 	t.Helper()
-	ns := NewNameServerCluster(ttl, cfg)
+	ns := NewNameServer(ttl, cfg)
 	nsSrv := NewServer(ns, nil)
 	var err error
 	nsAddr, err = nsSrv.Listen("127.0.0.1:0")
@@ -63,7 +63,7 @@ func startClusterNode(t *testing.T, nsAddr, id string) (*ClusterNode, string) {
 // view fetch supports not-modified.
 func TestClusterRegistryLifecycle(t *testing.T) {
 	t.Run(codecBinary, func(t *testing.T) {
-		ns := NewNameServerCluster(time.Minute, cluster.Config{Replication: 2, VNodes: 16})
+		ns := NewNameServer(time.Minute, cluster.Config{Replication: 2, VNodes: 16})
 		srv := NewServer(ns, nil)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
@@ -367,7 +367,7 @@ func (w logLines) Write(p []byte) (int, error) {
 // through the agent's logger and keeps running.
 func TestClusterAgentLogsFailedRenewal(t *testing.T) {
 	lt := NewLocalTransport()
-	lt.Register("registry", NewNameServerCluster(time.Hour, cluster.Config{Replication: 1}))
+	lt.Register("registry", NewNameServer(time.Hour, cluster.Config{Replication: 1}))
 	a := NewClusterAgent(lt, "registry", cluster.Member{ID: "f", Kind: string(KindForecaster), Addr: "fc-f"}, nil)
 	lines := make(logLines, 64)
 	a.SetLogger(log.New(lines, "", 0))
@@ -432,7 +432,7 @@ func TestMemoryBackfill(t *testing.T) {
 // active lease bumps the epoch and leaves the view, a lapsed joining lease
 // disappears without moving keys.
 func TestNameServerLeaseExpiry(t *testing.T) {
-	ns := NewNameServerCluster(time.Second, cluster.Config{Replication: 2})
+	ns := NewNameServer(time.Second, cluster.Config{Replication: 2})
 	now := time.Unix(1000, 0)
 	ns.now = func() time.Time { return now }
 	ns.lastSweep = now
@@ -487,7 +487,7 @@ func TestNameServerLeaseExpiry(t *testing.T) {
 // lookups inside one TTL window runs at most one full sweep, and an expired
 // entry observed by a lookup is reaped individually without sweeping.
 func TestNameServerAmortizedReap(t *testing.T) {
-	ns := NewNameServerTTL(time.Second)
+	ns := NewNameServer(time.Second, cluster.Config{})
 	now := time.Unix(2000, 0)
 	ns.now = func() time.Time { return now }
 	ns.lastSweep = now
@@ -549,7 +549,7 @@ func TestNameServerAmortizedReap(t *testing.T) {
 // BenchmarkNameServerLookup pins the amortized-reap win: per-lookup cost on
 // a directory of thousands must be O(1), not O(n) map sweeps.
 func BenchmarkNameServerLookup(b *testing.B) {
-	ns := NewNameServerTTL(time.Hour)
+	ns := NewNameServer(time.Hour, cluster.Config{})
 	const n = 10000
 	for i := 0; i < n; i++ {
 		ns.Handle(Request{Op: OpRegister, Reg: Registration{

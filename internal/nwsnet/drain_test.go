@@ -135,7 +135,7 @@ func TestClientDefaultTimeoutStillApplies(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	c := NewClientOptions(ClientOptions{Timeout: timeout, Retry: resilience.Policy{MaxAttempts: 1}})
 	defer c.Close()
-	if err := c.Ping(addr); err != nil {
+	if err := c.PingCtx(context.Background(), addr); err != nil {
 		t.Fatal(err)
 	}
 	// Call again on the pooled connection halfway through its reader's
@@ -143,7 +143,7 @@ func TestClientDefaultTimeoutStillApplies(t *testing.T) {
 	// sent, not at the end of the reader's next lap.
 	time.Sleep(timeout / 2)
 	t0 := time.Now()
-	if err := c.Ping(addr); err == nil {
+	if err := c.PingCtx(context.Background(), addr); err == nil {
 		t.Fatal("call outlived the configured timeout")
 	}
 	if d := time.Since(t0); d > timeout*5/4 {
@@ -158,7 +158,7 @@ func TestClientPoolsConnections(t *testing.T) {
 	c := NewClient(time.Second)
 	defer c.Close()
 	for i := 0; i < 20; i++ {
-		if err := c.Store(addr, "p", [][2]float64{{float64(i), 1}}); err != nil {
+		if err := c.StoreCtx(context.Background(), addr, "p", [][2]float64{{float64(i), 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package nwsnet_test
 
 import (
+	"context"
 	"fmt"
 
 	"nwscpu/internal/nwsnet"
@@ -16,7 +17,7 @@ func Example() {
 	}
 	defer memSrv.Close()
 
-	fcSrv := nwsnet.NewServer(nwsnet.NewForecasterService(memAddr, 0), nil)
+	fcSrv := nwsnet.NewServer(nwsnet.NewForecasterService([]string{memAddr}, 0), nil)
 	fcAddr, err := fcSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		fmt.Println(err)
@@ -24,13 +25,14 @@ func Example() {
 	}
 	defer fcSrv.Close()
 
+	ctx := context.Background()
 	c := nwsnet.NewClient(0)
 	points := [][2]float64{{0, 0.9}, {10, 0.9}, {20, 0.9}}
-	if err := c.Store(memAddr, "box/cpu/nws_hybrid", points); err != nil {
+	if err := c.StoreCtx(ctx, memAddr, "box/cpu/nws_hybrid", points); err != nil {
 		fmt.Println(err)
 		return
 	}
-	fc, err := c.Forecast(fcAddr, "box/cpu/nws_hybrid")
+	fc, err := c.ForecastCtx(ctx, fcAddr, "box/cpu/nws_hybrid")
 	if err != nil {
 		fmt.Println(err)
 		return

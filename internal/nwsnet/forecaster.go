@@ -68,16 +68,11 @@ type engineState struct {
 	cached *ForecastResult
 }
 
-// NewForecasterService returns a forecaster pulling from the memory server
-// at memoryAddr. timeout bounds each memory call (0 selects 5 s).
-func NewForecasterService(memoryAddr string, timeout time.Duration) *ForecasterService {
-	return NewForecasterServiceReplicas([]string{memoryAddr}, timeout)
-}
-
-// NewForecasterServiceReplicas returns a forecaster pulling from a
-// replicated memory group, reads failing over in replica-health order.
-// timeout bounds each memory call attempt (0 selects 5 s).
-func NewForecasterServiceReplicas(memAddrs []string, timeout time.Duration) *ForecasterService {
+// NewForecasterService returns a forecaster pulling from a replicated
+// memory group, reads failing over in replica-health order. A single memory
+// server is the group []string{addr}. timeout bounds each memory call
+// attempt (0 selects 5 s).
+func NewForecasterService(memAddrs []string, timeout time.Duration) *ForecasterService {
 	return NewForecasterServiceBackend(NewReplicaGroup(forecasterClient(timeout), memAddrs, 0), timeout)
 }
 
@@ -88,7 +83,7 @@ func forecasterClient(timeout time.Duration) *Client {
 		// One in-call retry per replica; replica failover is the main
 		// recovery path for reads.
 		Retry: resilience.Policy{MaxAttempts: 2, BaseDelay: 25 * time.Millisecond},
-		// Probe-limiter mode (see NewSensorDaemonReplicas): never delays a
+		// Probe-limiter mode (see NewSensorDaemon): never delays a
 		// sequential caller, but bounds concurrent hammering of a replica
 		// that keeps failing, and lets ReplicaGroup order open-breaker
 		// replicas last.

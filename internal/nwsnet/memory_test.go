@@ -285,12 +285,13 @@ func TestBatchAppliesSubRequestsInOrder(t *testing.T) {
 // TestClientBatchRoundTrip drives StoreBatch and FetchBatch through a real
 // server: per-sub results must line up with the inputs on both paths.
 func TestClientBatchRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	m := NewMemory(0)
 	addr := startServer(t, m)
 	c := NewClient(time.Second)
 	defer c.Close()
 
-	errs, err := c.StoreBatch(addr, []BatchStore{
+	errs, err := c.StoreBatchCtx(ctx, addr, []BatchStore{
 		{Series: "x", Points: [][2]float64{{1, 10}, {2, 20}}},
 		{Series: "", Points: [][2]float64{{1, 1}}}, // invalid
 		{Series: "y", Points: [][2]float64{{5, 50}}},
@@ -302,7 +303,7 @@ func TestClientBatchRoundTrip(t *testing.T) {
 		t.Fatalf("per-sub errors = %v", errs)
 	}
 
-	results, err := c.FetchBatch(addr, []BatchFetch{
+	results, err := c.FetchBatchCtx(ctx, addr, []BatchFetch{
 		{Series: "x"},
 		{Series: "nope"},
 		{Series: "x", From: 2},
@@ -328,10 +329,10 @@ func TestClientBatchRoundTrip(t *testing.T) {
 	}
 
 	// Empty inputs are a no-op, not a wire call.
-	if errs, err := c.StoreBatch(addr, nil); errs != nil || err != nil {
+	if errs, err := c.StoreBatchCtx(ctx, addr, nil); errs != nil || err != nil {
 		t.Fatalf("empty StoreBatch = %v, %v", errs, err)
 	}
-	if res, err := c.FetchBatch(addr, nil); res != nil || err != nil {
+	if res, err := c.FetchBatchCtx(ctx, addr, nil); res != nil || err != nil {
 		t.Fatalf("empty FetchBatch = %v, %v", res, err)
 	}
 }
@@ -382,7 +383,7 @@ func TestForecasterWarm(t *testing.T) {
 			t.Fatal(resp.Error)
 		}
 	}
-	f := NewForecasterService(memAddr, time.Second)
+	f := NewForecasterService([]string{memAddr}, time.Second)
 	n, err := f.Warm(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package nwsnet
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -118,7 +119,7 @@ func TestMuxBusyClassification(t *testing.T) {
 	blocker := NewClient(5 * time.Second)
 	defer blocker.Close()
 	blockerDone := make(chan error, 1)
-	go func() { blockerDone <- blocker.Store(addr, "a", [][2]float64{{1, 1}}) }()
+	go func() { blockerDone <- blocker.StoreCtx(context.Background(), addr, "a", [][2]float64{{1, 1}}) }()
 	// Wait until the blocker's handler is actually holding the slot.
 	deadline := time.Now().Add(2 * time.Second)
 	for mServerInFlight.Value() < 1 {

@@ -49,23 +49,11 @@ type memberEntry struct {
 	seen time.Time
 }
 
-// NewNameServer returns a registry whose entries never expire.
-func NewNameServer() *NameServer {
-	return NewNameServerTTL(0)
-}
-
-// NewNameServerTTL returns a registry whose entries expire ttl after their
-// most recent registration (0 disables expiry). Cluster membership uses the
-// same TTL for leases and the default ring geometry; use
-// NewNameServerCluster to set the geometry explicitly.
-func NewNameServerTTL(ttl time.Duration) *NameServer {
-	return NewNameServerCluster(ttl, cluster.Config{})
-}
-
-// NewNameServerCluster returns a registry serving cluster membership with
-// the given ring geometry (zero fields select the defaults: replication 2,
-// 64 vnodes). ttl bounds both directory entries and membership leases.
-func NewNameServerCluster(ttl time.Duration, cfg cluster.Config) *NameServer {
+// NewNameServer returns a registry whose entries and membership leases
+// expire ttl after their most recent registration or renewal (0 disables
+// expiry), serving cluster membership with the ring geometry cfg (zero
+// fields select the defaults: replication 2, 64 vnodes).
+func NewNameServer(ttl time.Duration, cfg cluster.Config) *NameServer {
 	ns := &NameServer{
 		ttl:     ttl,
 		now:     time.Now,

@@ -1,6 +1,7 @@
 package nwsnet
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,22 +15,23 @@ import (
 // arrived. The memory refuses the point instead, so the forecaster serves
 // over the finite points around the refusal.
 func TestNaNMeasurementDoesNotCrashForecaster(t *testing.T) {
+	ctx := context.Background()
 	lt := NewLocalTransport()
 	lt.Register("mem", NewMemory(0))
 	f := NewForecasterServiceBackend(NewReplicaGroupTransport(lt, []string{"mem"}, 1), 0)
 	f.SetCacheServing(true)
 	const key = "h/cpu/nws_hybrid"
 
-	if err := lt.Store("mem", key, [][2]float64{{0, 0.5}}); err != nil {
+	if err := lt.StoreCtx(ctx, "mem", key, [][2]float64{{0, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	if r := f.Handle(Request{Op: OpForecast, Series: key}); r.Error != "" {
 		t.Fatalf("first forecast: %s", r.Error)
 	}
-	nanErr := lt.Store("mem", key, [][2]float64{{1, math.NaN()}})
+	nanErr := lt.StoreCtx(ctx, "mem", key, [][2]float64{{1, math.NaN()}})
 	const rounds = 60
 	for i := 2; i < 2+rounds; i++ {
-		if err := lt.Store("mem", key, [][2]float64{{float64(i), float64(i%7) / 7}}); err != nil {
+		if err := lt.StoreCtx(ctx, "mem", key, [][2]float64{{float64(i), float64(i%7) / 7}}); err != nil {
 			t.Fatalf("store %d: %v", i, err)
 		}
 		f.RefreshNow()
@@ -50,6 +52,7 @@ func TestNaNMeasurementDoesNotCrashForecaster(t *testing.T) {
 // whole: its finite points are not applied either, and nothing reaches the
 // journal, so a reopened memory holds exactly what was acknowledged.
 func TestMemoryRefusesNonFinitePoints(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	pm, err := NewPersistentMemory(0, dir)
 	if err != nil {
@@ -58,7 +61,7 @@ func TestMemoryRefusesNonFinitePoints(t *testing.T) {
 	lt := NewLocalTransport()
 	lt.Register("mem", pm)
 	const key = "k"
-	if err := lt.Store("mem", key, [][2]float64{{10, 0.5}}); err != nil {
+	if err := lt.StoreCtx(ctx, "mem", key, [][2]float64{{10, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	for name, bad := range map[string][2]float64{
@@ -70,10 +73,10 @@ func TestMemoryRefusesNonFinitePoints(t *testing.T) {
 		"-Inf t": {math.Inf(-1), 0.5},
 	} {
 		pts := [][2]float64{{5, 0.25}, {15, 0.75}, bad}
-		if err := lt.Store("mem", key, pts); err == nil || IsBusy(err) {
+		if err := lt.StoreCtx(ctx, "mem", key, pts); err == nil || IsBusy(err) {
 			t.Errorf("%s: store answered %v, want a terminal refusal", name, err)
 		}
-		if err := lt.Backfill("mem", key, pts); err == nil || IsBusy(err) {
+		if err := lt.BackfillCtx(ctx, "mem", key, pts); err == nil || IsBusy(err) {
 			t.Errorf("%s: backfill answered %v, want a terminal refusal", name, err)
 		}
 		// The same point inside a batch envelope fails its own sub only.

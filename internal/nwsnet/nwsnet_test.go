@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"nwscpu/internal/nwsnet/cluster"
 	"nwscpu/internal/sensors"
 	"nwscpu/internal/simos"
 )
@@ -27,30 +28,31 @@ func startServer(t *testing.T, h Handler) string {
 func TestPingAllComponents(t *testing.T) {
 	c := NewClient(time.Second)
 	for name, h := range map[string]Handler{
-		"nameserver": NewNameServer(),
+		"nameserver": NewNameServer(0, cluster.Config{}),
 		"memory":     NewMemory(0),
-		"forecaster": NewForecasterService("127.0.0.1:1", time.Second),
+		"forecaster": NewForecasterService([]string{"127.0.0.1:1"}, time.Second),
 	} {
 		addr := startServer(t, h)
-		if err := c.Ping(addr); err != nil {
+		if err := c.PingCtx(context.Background(), addr); err != nil {
 			t.Errorf("%s ping: %v", name, err)
 		}
 	}
 }
 
 func TestNameServerRegisterLookupList(t *testing.T) {
-	addr := startServer(t, NewNameServer())
+	ctx := context.Background()
+	addr := startServer(t, NewNameServer(0, cluster.Config{}))
 	c := NewClient(time.Second)
 
 	reg := Registration{Name: "thing1/cpu", Kind: KindSensor, Addr: "10.0.0.1:9000"}
-	if err := c.Register(addr, reg); err != nil {
+	if err := c.RegisterCtx(ctx, addr, reg); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(addr, Registration{Name: "mem0", Kind: KindMemory, Addr: "10.0.0.2:9001"}); err != nil {
+	if err := c.RegisterCtx(ctx, addr, Registration{Name: "mem0", Kind: KindMemory, Addr: "10.0.0.2:9001"}); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := c.Lookup(addr, "thing1/cpu")
+	got, err := c.LookupCtx(ctx, addr, "thing1/cpu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,37 +60,37 @@ func TestNameServerRegisterLookupList(t *testing.T) {
 		t.Fatalf("Lookup = %+v, want %+v", got, reg)
 	}
 
-	if _, err := c.Lookup(addr, "nonexistent"); err == nil {
+	if _, err := c.LookupCtx(ctx, addr, "nonexistent"); err == nil {
 		t.Fatal("lookup of unknown name succeeded")
 	}
 
-	all, err := c.List(addr, "")
+	all, err := c.ListCtx(ctx, addr, "")
 	if err != nil || len(all) != 2 {
 		t.Fatalf("List all = %v, %v", all, err)
 	}
-	sensorsOnly, err := c.List(addr, KindSensor)
+	sensorsOnly, err := c.ListCtx(ctx, addr, KindSensor)
 	if err != nil || len(sensorsOnly) != 1 || sensorsOnly[0].Name != "thing1/cpu" {
 		t.Fatalf("List sensors = %v, %v", sensorsOnly, err)
 	}
 
 	// Re-registration overwrites.
 	reg.Addr = "10.0.0.9:9999"
-	if err := c.Register(addr, reg); err != nil {
+	if err := c.RegisterCtx(ctx, addr, reg); err != nil {
 		t.Fatal(err)
 	}
-	got, err = c.Lookup(addr, "thing1/cpu")
+	got, err = c.LookupCtx(ctx, addr, "thing1/cpu")
 	if err != nil || got.Addr != "10.0.0.9:9999" {
 		t.Fatalf("re-register not applied: %+v, %v", got, err)
 	}
 }
 
 func TestNameServerValidation(t *testing.T) {
-	addr := startServer(t, NewNameServer())
+	addr := startServer(t, NewNameServer(0, cluster.Config{}))
 	c := NewClient(time.Second)
-	if err := c.Register(addr, Registration{Name: "x"}); err == nil {
+	ctx := context.Background()
+	if err := c.RegisterCtx(ctx, addr, Registration{Name: "x"}); err == nil {
 		t.Fatal("incomplete registration accepted")
 	}
-	ctx := context.Background()
 	if _, err := c.do(ctx, addr, Request{Op: OpLookup}); err == nil {
 		t.Fatal("empty lookup accepted")
 	}
@@ -98,14 +100,15 @@ func TestNameServerValidation(t *testing.T) {
 }
 
 func TestMemoryStoreFetch(t *testing.T) {
+	ctx := context.Background()
 	addr := startServer(t, NewMemory(0))
 	c := NewClient(time.Second)
 
 	pts := [][2]float64{{10, 0.9}, {20, 0.8}, {30, 0.7}}
-	if err := c.Store(addr, "h/cpu/load_average", pts); err != nil {
+	if err := c.StoreCtx(ctx, addr, "h/cpu/load_average", pts); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Fetch(addr, "h/cpu/load_average", 0, 0, 0)
+	got, err := c.FetchCtx(ctx, addr, "h/cpu/load_average", 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,45 +117,46 @@ func TestMemoryStoreFetch(t *testing.T) {
 	}
 
 	// Range query [15, 25).
-	got, err = c.Fetch(addr, "h/cpu/load_average", 15, 25, 0)
+	got, err = c.FetchCtx(ctx, addr, "h/cpu/load_average", 15, 25, 0)
 	if err != nil || len(got) != 1 || got[0][0] != 20 {
 		t.Fatalf("range fetch = %v, %v", got, err)
 	}
 
 	// Max-points truncation keeps the most recent.
-	got, err = c.Fetch(addr, "h/cpu/load_average", 0, 0, 2)
+	got, err = c.FetchCtx(ctx, addr, "h/cpu/load_average", 0, 0, 2)
 	if err != nil || len(got) != 2 || got[0][0] != 20 {
 		t.Fatalf("max fetch = %v, %v", got, err)
 	}
 
-	if _, err := c.Fetch(addr, "nope", 0, 0, 0); err == nil {
+	if _, err := c.FetchCtx(ctx, addr, "nope", 0, 0, 0); err == nil {
 		t.Fatal("fetch of unknown series succeeded")
 	}
 
-	names, err := c.Series(addr)
+	names, err := c.SeriesCtx(ctx, addr)
 	if err != nil || len(names) != 1 || names[0] != "h/cpu/load_average" {
 		t.Fatalf("Series = %v, %v", names, err)
 	}
 }
 
 func TestMemoryValidation(t *testing.T) {
+	ctx := context.Background()
 	addr := startServer(t, NewMemory(0))
 	c := NewClient(time.Second)
-	if err := c.Store(addr, "", [][2]float64{{1, 1}}); err == nil {
+	if err := c.StoreCtx(ctx, addr, "", [][2]float64{{1, 1}}); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	if err := c.Store(addr, "k", nil); err == nil {
+	if err := c.StoreCtx(ctx, addr, "k", nil); err == nil {
 		t.Fatal("empty points accepted")
 	}
-	if err := c.Store(addr, "k", [][2]float64{{5, 1}}); err != nil {
+	if err := c.StoreCtx(ctx, addr, "k", [][2]float64{{5, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Stores are idempotent: points at or before the stored frontier are
 	// absorbed silently (a retried delivery must not error or duplicate).
-	if err := c.Store(addr, "k", [][2]float64{{1, 1}}); err != nil {
+	if err := c.StoreCtx(ctx, addr, "k", [][2]float64{{1, 1}}); err != nil {
 		t.Fatalf("stale store errored instead of deduping: %v", err)
 	}
-	got, err := c.Fetch(addr, "k", 0, 0, 0)
+	got, err := c.FetchCtx(ctx, addr, "k", 0, 0, 0)
 	if err != nil || len(got) != 1 || got[0][0] != 5 {
 		t.Fatalf("after stale store: %v, %v (want only {5,1})", got, err)
 	}
@@ -163,22 +167,23 @@ func TestMemoryCapacityBound(t *testing.T) {
 	addr := startServer(t, m)
 	c := NewClient(time.Second)
 	for i := 0; i < 12; i++ {
-		if err := c.Store(addr, "k", [][2]float64{{float64(i), float64(i)}}); err != nil {
+		if err := c.StoreCtx(context.Background(), addr, "k", [][2]float64{{float64(i), float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if m.Len("k") != 5 {
 		t.Fatalf("Len = %d, want 5", m.Len("k"))
 	}
-	got, err := c.Fetch(addr, "k", 0, 0, 0)
+	got, err := c.FetchCtx(context.Background(), addr, "k", 0, 0, 0)
 	if err != nil || len(got) != 5 || got[0][0] != 7 {
 		t.Fatalf("bounded fetch = %v, %v", got, err)
 	}
 }
 
 func TestForecasterEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	memAddr := startServer(t, NewMemory(0))
-	fcAddr := startServer(t, NewForecasterService(memAddr, time.Second))
+	fcAddr := startServer(t, NewForecasterService([]string{memAddr}, time.Second))
 	c := NewClient(time.Second)
 
 	// Constant series: forecast must be the constant with ~0 MAE.
@@ -186,10 +191,10 @@ func TestForecasterEndToEnd(t *testing.T) {
 	for i := range pts {
 		pts[i] = [2]float64{float64(i * 10), 0.75}
 	}
-	if err := c.Store(memAddr, "h/cpu/vmstat", pts); err != nil {
+	if err := c.StoreCtx(ctx, memAddr, "h/cpu/vmstat", pts); err != nil {
 		t.Fatal(err)
 	}
-	fc, err := c.Forecast(fcAddr, "h/cpu/vmstat")
+	fc, err := c.ForecastCtx(ctx, fcAddr, "h/cpu/vmstat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +207,10 @@ func TestForecasterEndToEnd(t *testing.T) {
 
 	// Incremental: add new points, re-query; engine must only consume the
 	// new ones (N grows by exactly the new count).
-	if err := c.Store(memAddr, "h/cpu/vmstat", [][2]float64{{500, 0.8}, {510, 0.8}}); err != nil {
+	if err := c.StoreCtx(ctx, memAddr, "h/cpu/vmstat", [][2]float64{{500, 0.8}, {510, 0.8}}); err != nil {
 		t.Fatal(err)
 	}
-	fc2, err := c.Forecast(fcAddr, "h/cpu/vmstat")
+	fc2, err := c.ForecastCtx(ctx, fcAddr, "h/cpu/vmstat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,26 +218,26 @@ func TestForecasterEndToEnd(t *testing.T) {
 		t.Fatalf("incremental N = %d, want 52", fc2.N)
 	}
 
-	if _, err := c.Forecast(fcAddr, "unknown"); err == nil {
+	if _, err := c.ForecastCtx(ctx, fcAddr, "unknown"); err == nil {
 		t.Fatal("forecast of unknown series succeeded")
 	}
 }
 
 func TestForecasterMemoryDown(t *testing.T) {
-	fcAddr := startServer(t, NewForecasterService("127.0.0.1:1", 200*time.Millisecond))
+	fcAddr := startServer(t, NewForecasterService([]string{"127.0.0.1:1"}, 200*time.Millisecond))
 	c := NewClient(time.Second)
-	if _, err := c.Forecast(fcAddr, "h/cpu/vmstat"); err == nil {
+	if _, err := c.ForecastCtx(context.Background(), fcAddr, "h/cpu/vmstat"); err == nil {
 		t.Fatal("forecast with unreachable memory succeeded")
 	}
 }
 
 func TestSensorDaemonSimulated(t *testing.T) {
 	memAddr := startServer(t, NewMemory(0))
-	nsAddr := startServer(t, NewNameServer())
+	nsAddr := startServer(t, NewNameServer(0, cluster.Config{}))
 
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemon("simhost", sensors.SimHost{H: h}, memAddr, sensors.HybridConfig{})
+	d := NewSensorDaemon("simhost", sensors.SimHost{H: h}, []string{memAddr}, 0, sensors.HybridConfig{})
 	if err := d.Register(nsAddr, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +251,7 @@ func TestSensorDaemonSimulated(t *testing.T) {
 
 	c := NewClient(time.Second)
 	for _, method := range []string{"load_average", "vmstat", "nws_hybrid"} {
-		pts, err := c.Fetch(memAddr, SeriesKey("simhost", method), 0, 0, 0)
+		pts, err := c.FetchCtx(context.Background(), memAddr, SeriesKey("simhost", method), 0, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -255,14 +260,14 @@ func TestSensorDaemonSimulated(t *testing.T) {
 		}
 	}
 
-	regs, err := c.List(nsAddr, KindSensor)
+	regs, err := c.ListCtx(context.Background(), nsAddr, KindSensor)
 	if err != nil || len(regs) != 1 || regs[0].Name != "simhost/cpu" {
 		t.Fatalf("registration = %v, %v", regs, err)
 	}
 }
 
 func TestServerRejectsGarbage(t *testing.T) {
-	addr := startServer(t, NewNameServer())
+	addr := startServer(t, NewNameServer(0, cluster.Config{}))
 	// A frame with an unknown opcode cannot be decoded, and binary framing
 	// cannot resynchronize: the server closes the connection without a
 	// response. The next fresh connection must still work.
@@ -275,13 +280,13 @@ func TestServerRejectsGarbage(t *testing.T) {
 	if got := mWireDecodeErrors.Value() - dec0; got != 1 {
 		t.Fatalf("decode errors delta = %d, want 1", got)
 	}
-	if err := NewClient(time.Second).Ping(addr); err != nil {
+	if err := NewClient(time.Second).PingCtx(context.Background(), addr); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
-	srv := NewServer(NewNameServer(), nil)
+	srv := NewServer(NewNameServer(0, cluster.Config{}), nil)
 	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -320,12 +325,12 @@ func TestRequestRoundTrip(t *testing.T) {
 		}
 		// Fresh series per call to avoid ordering conflicts.
 		k := key + string(rune('a'+n%26))
-		if err := c.Store(memAddr, "p/"+k, pts); err != nil {
+		if err := c.StoreCtx(context.Background(), memAddr, "p/"+k, pts); err != nil {
 			// Ordering conflicts with an earlier iteration using the same
 			// key are acceptable; transport errors are not.
 			return true
 		}
-		back, err := c.Fetch(memAddr, "p/"+k, 0, 0, 0)
+		back, err := c.FetchCtx(context.Background(), memAddr, "p/"+k, 0, 0, 0)
 		if err != nil {
 			return false
 		}
@@ -353,7 +358,7 @@ func TestSensorDaemonStoreAndForward(t *testing.T) {
 	}
 
 	h := simos.New(simos.DefaultConfig())
-	d := NewSensorDaemon("safhost", sensors.SimHost{H: h}, addr, sensors.HybridConfig{})
+	d := NewSensorDaemon("safhost", sensors.SimHost{H: h}, []string{addr}, 0, sensors.HybridConfig{})
 	defer d.Close()
 
 	// Deliver a couple of measurements, then take the memory down.
@@ -397,7 +402,7 @@ func TestSensorDaemonStoreAndForward(t *testing.T) {
 
 func TestSensorDaemonBacklogBounded(t *testing.T) {
 	h := simos.New(simos.DefaultConfig())
-	d := NewSensorDaemon("bh", sensors.SimHost{H: h}, "127.0.0.1:1", sensors.HybridConfig{})
+	d := NewSensorDaemon("bh", sensors.SimHost{H: h}, []string{"127.0.0.1:1"}, 0, sensors.HybridConfig{})
 	defer d.Close()
 	d.backlogCap = 5
 	for i := 0; i < 10; i++ {

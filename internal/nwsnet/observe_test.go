@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nwscpu/internal/metrics"
+	"nwscpu/internal/nwsnet/cluster"
 	"nwscpu/internal/sensors"
 	"nwscpu/internal/simos"
 )
@@ -102,7 +103,7 @@ func TestSensorDaemonDropAccountingAndOutageLog(t *testing.T) {
 	}
 
 	h := simos.New(simos.DefaultConfig())
-	d := NewSensorDaemon("drophost", sensors.SimHost{H: h}, addr, sensors.HybridConfig{})
+	d := NewSensorDaemon("drophost", sensors.SimHost{H: h}, []string{addr}, 0, sensors.HybridConfig{})
 	defer d.Close()
 	d.backlogCap = 4
 	var buf bytes.Buffer
@@ -186,7 +187,7 @@ func TestNameServerMetrics(t *testing.T) {
 
 	base := time.Now()
 	cur := base
-	ns := NewNameServerTTL(100 * time.Millisecond)
+	ns := NewNameServer(100*time.Millisecond, cluster.Config{})
 	ns.now = func() time.Time { return cur }
 
 	reg := Registration{Name: "a/cpu", Kind: KindSensor, Addr: "x:1"}

@@ -1,11 +1,14 @@
 package nwsnet
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"nwscpu/internal/nwsnet/cluster"
 )
 
 // openPersistent opens a durable memory in dir and closes it with the test.
@@ -41,12 +44,13 @@ func dirFiles(t *testing.T, dir, ext string) []string {
 }
 
 func TestPersistentMemoryRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	pm := openPersistent(t, 0, dir)
 	addr := startServer(t, pm)
 	c := NewClient(time.Second)
 	pts := [][2]float64{{10, 0.9}, {20, 0.85}, {30, 0.8}}
-	if err := c.Store(addr, "thing1/cpu/nws_hybrid", pts); err != nil {
+	if err := c.StoreCtx(ctx, addr, "thing1/cpu/nws_hybrid", pts); err != nil {
 		t.Fatal(err)
 	}
 	if err := pm.Close(); err != nil {
@@ -56,7 +60,7 @@ func TestPersistentMemoryRoundTrip(t *testing.T) {
 	// Restart: the series must come back from the log.
 	pm2 := openPersistent(t, 0, dir)
 	addr2 := startServer(t, pm2)
-	got, err := c.Fetch(addr2, "thing1/cpu/nws_hybrid", 0, 0, 0)
+	got, err := c.FetchCtx(ctx, addr2, "thing1/cpu/nws_hybrid", 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +68,10 @@ func TestPersistentMemoryRoundTrip(t *testing.T) {
 		t.Fatalf("replayed points = %v", got)
 	}
 	// Appending after replay must continue the series.
-	if err := c.Store(addr2, "thing1/cpu/nws_hybrid", [][2]float64{{40, 0.7}}); err != nil {
+	if err := c.StoreCtx(ctx, addr2, "thing1/cpu/nws_hybrid", [][2]float64{{40, 0.7}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err = c.Fetch(addr2, "thing1/cpu/nws_hybrid", 0, 0, 0)
+	got, err = c.FetchCtx(ctx, addr2, "thing1/cpu/nws_hybrid", 0, 0, 0)
 	if err != nil || len(got) != 4 {
 		t.Fatalf("after append: %v, %v", got, err)
 	}
@@ -253,7 +257,7 @@ func TestPersistentMemoryKeyEscaping(t *testing.T) {
 }
 
 func TestNameServerTTLExpiry(t *testing.T) {
-	ns := NewNameServerTTL(time.Minute)
+	ns := NewNameServer(time.Minute, cluster.Config{})
 	now := time.Unix(1000, 0)
 	ns.now = func() time.Time { return now }
 
@@ -283,7 +287,7 @@ func TestNameServerTTLExpiry(t *testing.T) {
 }
 
 func TestNameServerZeroTTLNeverExpires(t *testing.T) {
-	ns := NewNameServer()
+	ns := NewNameServer(0, cluster.Config{})
 	now := time.Unix(0, 0)
 	ns.now = func() time.Time { return now }
 	ns.Handle(Request{Op: OpRegister, Reg: Registration{Name: "x", Kind: KindMemory, Addr: "a:1"}})

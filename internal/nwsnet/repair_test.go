@@ -334,7 +334,7 @@ func TestReplicaDivergenceBeyondBacklogWindow(t *testing.T) {
 	lt, mems, addrs := localReplicaSet(3)
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemonReplicas("rhost", sensors.SimHost{H: h}, addrs, 2, sensors.HybridConfig{})
+	d := NewSensorDaemon("rhost", sensors.SimHost{H: h}, addrs, 2, sensors.HybridConfig{})
 	defer d.Close()
 	// Rewire the daemon onto the in-process replica set.
 	d.group = NewReplicaGroupTransport(lt, addrs, 2)

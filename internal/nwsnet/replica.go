@@ -402,7 +402,7 @@ func (g *ReplicaGroup) read(ctx context.Context, key string, op func(addr string
 }
 
 // Fetch reads a series range from its owners with failover (see
-// Client.Fetch for the range semantics).
+// Client.FetchCtx for the range semantics).
 func (g *ReplicaGroup) Fetch(ctx context.Context, key string, from, to float64, max int) (pts [][2]float64, err error) {
 	err = g.read(ctx, key, func(addr string) (e error) {
 		pts, e = g.tr.FetchCtx(ctx, addr, key, from, to, max)

@@ -300,7 +300,7 @@ func TestSensorBacklogDrainsAfterQuorumLoss(t *testing.T) {
 
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemonReplicas("qhost", sensors.SimHost{H: h}, addrs, 0, sensors.HybridConfig{})
+	d := NewSensorDaemon("qhost", sensors.SimHost{H: h}, addrs, 0, sensors.HybridConfig{})
 	defer d.Close()
 
 	step := func(wantErr bool) {
@@ -340,7 +340,7 @@ func TestSensorBacklogDrainsAfterQuorumLoss(t *testing.T) {
 	// Both quorum members hold the complete series through the final step.
 	key := SeriesKey("qhost", "vmstat")
 	for _, i := range []int{0, 1} {
-		pts, err := fastClient().Fetch(addrs[i], key, 0, 0, 0)
+		pts, err := fastClient().FetchCtx(context.Background(), addrs[i], key, 0, 0, 0)
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}

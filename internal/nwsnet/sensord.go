@@ -58,17 +58,11 @@ type SensorDaemon struct {
 // (an hour of 10-second measurements).
 const backlogDefaultCap = 360
 
-// NewSensorDaemon builds a daemon for the named host, pushing to the memory
-// server at memAddr.
-func NewSensorDaemon(hostName string, h sensors.Host, memAddr string, hybrid sensors.HybridConfig) *SensorDaemon {
-	return NewSensorDaemonReplicas(hostName, h, []string{memAddr}, 0, hybrid)
-}
-
-// NewSensorDaemonReplicas builds a daemon pushing to a replicated memory
-// group: every measurement fans out to all of memAddrs and is delivered
-// once quorum replicas acknowledge (quorum <= 0 selects a majority). With a
-// single address it behaves exactly like NewSensorDaemon.
-func NewSensorDaemonReplicas(hostName string, h sensors.Host, memAddrs []string, quorum int, hybrid sensors.HybridConfig) *SensorDaemon {
+// NewSensorDaemon builds a daemon for the named host, pushing to a
+// replicated memory group: every measurement fans out to all of memAddrs and
+// is delivered once quorum replicas acknowledge (quorum <= 0 selects a
+// majority). A single memory server is the group []string{addr}, quorum 0.
+func NewSensorDaemon(hostName string, h sensors.Host, memAddrs []string, quorum int, hybrid sensors.HybridConfig) *SensorDaemon {
 	if hybrid.ProbeEvery == 0 {
 		hybrid = sensors.DefaultHybridConfig()
 	}
@@ -108,7 +102,7 @@ func NewSensorDaemonReplicas(hostName string, h sensors.Host, memAddrs []string,
 // undeliverable rides the same store-and-forward backlog as the replicated
 // path.
 func NewSensorDaemonCluster(hostName string, h sensors.Host, nsAddr string, hybrid sensors.HybridConfig) *SensorDaemon {
-	d := NewSensorDaemonReplicas(hostName, h, nil, 0, hybrid)
+	d := NewSensorDaemon(hostName, h, nil, 0, hybrid)
 	d.group = NewReplicaGroupCluster(d.client, nsAddr)
 	return d
 }
@@ -143,7 +137,7 @@ func (d *SensorDaemon) Register(nsAddr, addr string) error {
 	if d.client == nil {
 		return fmt.Errorf("nwsnet: sensor %s: no wire client (backend-wired daemon)", d.hostName)
 	}
-	return d.client.Register(nsAddr, Registration{
+	return d.client.RegisterCtx(context.TODO(), nsAddr, Registration{
 		Name: d.hostName + "/cpu",
 		Kind: KindSensor,
 		Addr: addr,

@@ -3,6 +3,7 @@ package nwsnet
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"runtime"
@@ -87,7 +88,7 @@ func TestServerShedsConnectionsOverCap(t *testing.T) {
 	cl := NewClient(time.Second)
 	var ok bool
 	for i := 0; i < 100 && !ok; i++ {
-		ok = cl.Ping(addr) == nil
+		ok = cl.PingCtx(context.Background(), addr) == nil
 		if !ok {
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -127,7 +128,7 @@ func TestServerIdleDeadlineFreesGoroutine(t *testing.T) {
 	}
 	waitForGoroutines(t, baseline+1)
 	// The server itself must still be live for well-behaved clients.
-	if err := NewClient(time.Second).Ping(addr); err != nil {
+	if err := NewClient(time.Second).PingCtx(context.Background(), addr); err != nil {
 		t.Fatalf("server dead after shedding idle connections: %v", err)
 	}
 	srv.Close()
@@ -184,7 +185,7 @@ func TestServerQueueShedsWithinBudget(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		NewClient(5*time.Second).Store(addr, "k", [][2]float64{{1, 1}})
+		NewClient(5*time.Second).StoreCtx(context.Background(), addr, "k", [][2]float64{{1, 1}})
 	}()
 	// Wait until the blocker holds the slot.
 	deadline := time.Now().Add(2 * time.Second)
@@ -199,7 +200,7 @@ func TestServerQueueShedsWithinBudget(t *testing.T) {
 	// No retries: one attempt measures the shed latency directly.
 	c := NewClientOptions(ClientOptions{Timeout: 5 * time.Second, Retry: resilience.Policy{MaxAttempts: 1}})
 	t0 := time.Now()
-	err := c.Ping(addr)
+	err := c.PingCtx(context.Background(), addr)
 	elapsed := time.Since(t0)
 	if err == nil {
 		t.Fatal("request got a slot despite a saturated server")
@@ -251,7 +252,7 @@ func TestServerInFlightBoundHolds(t *testing.T) {
 			defer wg.Done()
 			c := NewClient(5 * time.Second)
 			for j := 0; j < 5; j++ {
-				if err := c.Ping(addr); err != nil {
+				if err := c.PingCtx(context.Background(), addr); err != nil {
 					t.Errorf("ping under load: %v", err)
 					return
 				}
@@ -279,7 +280,7 @@ func TestClientRetriesBusyWithBackoff(t *testing.T) {
 		Timeout: time.Second,
 		Retry:   resilience.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond},
 	})
-	if err := c.Ping(addr); err != nil {
+	if err := c.PingCtx(context.Background(), addr); err != nil {
 		t.Fatalf("busy was not retried: %v", err)
 	}
 	if got := atomic.LoadInt64(&calls); got != 2 {
@@ -288,6 +289,7 @@ func TestClientRetriesBusyWithBackoff(t *testing.T) {
 }
 
 func TestClientBreakerOpensDeniesAndRecovers(t *testing.T) {
+	ctx := context.Background()
 	// A server shedding every request trips the client breaker; once open,
 	// calls are denied without touching the server. After OpenFor, a probe
 	// goes through, and a recovered server closes the circuit.
@@ -310,7 +312,7 @@ func TestClientBreakerOpensDeniesAndRecovers(t *testing.T) {
 	})
 
 	for i := 0; i < 2; i++ {
-		if err := c.Ping(addr); err == nil {
+		if err := c.PingCtx(ctx, addr); err == nil {
 			t.Fatal("busy server answered a ping successfully")
 		}
 	}
@@ -320,7 +322,7 @@ func TestClientBreakerOpensDeniesAndRecovers(t *testing.T) {
 
 	// Denied without a server round trip.
 	before := atomic.LoadInt64(&calls)
-	err := c.Ping(addr)
+	err := c.PingCtx(ctx, addr)
 	if err == nil {
 		t.Fatal("open breaker allowed a call")
 	}
@@ -334,7 +336,7 @@ func TestClientBreakerOpensDeniesAndRecovers(t *testing.T) {
 	// Server recovers; after OpenFor the probe closes the circuit.
 	busy.Store(false)
 	time.Sleep(openFor + 20*time.Millisecond)
-	if err := c.Ping(addr); err != nil {
+	if err := c.PingCtx(ctx, addr); err != nil {
 		t.Fatalf("post-recovery probe failed: %v", err)
 	}
 	if got := c.BreakerState(addr); got != resilience.BreakerClosed {

@@ -18,7 +18,7 @@ func startForecastPlane(t *testing.T, tick time.Duration) (*Memory, *ForecasterS
 	t.Helper()
 	mem := NewMemory(0)
 	_, memAddr := startServerLimits(t, mem, ServerLimits{})
-	f := NewForecasterService(memAddr, 2*time.Second)
+	f := NewForecasterService([]string{memAddr}, 2*time.Second)
 	f.StartRefresher(tick)
 	t.Cleanup(f.StopRefresher)
 	_, fcAddr := startServerLimits(t, f, ServerLimits{})
@@ -121,7 +121,7 @@ func TestManySubscribersOneTick(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			mem := NewMemory(0)
 			_, memAddr := startServerLimits(t, mem, ServerLimits{})
-			f := NewForecasterService(memAddr, 10*time.Second)
+			f := NewForecasterService([]string{memAddr}, 10*time.Second)
 			f.SetCacheServing(true)
 			fcSrv, fcAddr := startServerLimits(t, f, ServerLimits{})
 			keys := make([]string, row.series)
@@ -251,7 +251,7 @@ func TestManySubscribersOneTick(t *testing.T) {
 func TestSubscribedConnectionSurvivesIdleTimeout(t *testing.T) {
 	mem := NewMemory(0)
 	_, memAddr := startServerLimits(t, mem, ServerLimits{})
-	f := NewForecasterService(memAddr, 2*time.Second)
+	f := NewForecasterService([]string{memAddr}, 2*time.Second)
 	f.StartRefresher(20 * time.Millisecond)
 	t.Cleanup(f.StopRefresher)
 	_, fcAddr := startServerLimits(t, f, ServerLimits{IdleTimeout: 120 * time.Millisecond})
@@ -371,7 +371,7 @@ func TestWarmPartialFailure(t *testing.T) {
 	mem.Handle(Request{Op: OpStore, Series: "good", Points: good})
 	mem.Handle(Request{Op: OpStore, Series: "bad", Points: bad})
 
-	f := NewForecasterService(addr, 2*time.Second)
+	f := NewForecasterService([]string{addr}, 2*time.Second)
 	ctx := context.Background()
 
 	failBad.Store(true)

@@ -140,7 +140,7 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 			{ID: "other", Kind: string(KindMemory), Addr: "o:1", State: cluster.StateActive}}})
 		return map[string]Handler{
 			"mem":   NewMemory(100),
-			"ns":    NewNameServerCluster(time.Minute, cfg),
+			"ns":    NewNameServer(time.Minute, cfg),
 			"busy":  handlerFunc(func(Request) Response { return busyResp("synthetic shed") }),
 			"moved": node,
 		}
