@@ -88,7 +88,8 @@ docs-check:
 # durable memory's on-disk decoders (log frames and records, snapshot
 # images); then the point codec's uvarint kernels against encoding/binary;
 # then the forecasters' order-statistics window against a
-# copy-and-sort reference. Go fuzzers must run one at a time, so each gets
+# copy-and-sort reference; then the parsers of outside input — trace CSV
+# files, /proc/stat and /proc/loadavg. Go fuzzers must run one at a time, so each gets
 # its own invocation of $(FUZZTIME). The window fuzzer re-sorts its reference
 # after every push, so minimizing a long interesting input would eat the
 # whole budget: it gets 100 minimization runs per input.
@@ -99,6 +100,9 @@ fuzz-smoke:
 	$(GO) test -run - -fuzz 'FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzUvarint$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzOrderWindow$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/series
+	$(GO) test -run - -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/series
+	$(GO) test -run - -fuzz 'FuzzParseStat$$' -fuzztime $(FUZZTIME) ./internal/prochost
+	$(GO) test -run - -fuzz 'FuzzParseLoadAvg$$' -fuzztime $(FUZZTIME) ./internal/prochost
 
 # Grid-scale capacity baseline: the full 1000-host scenario harness
 # regenerating BENCH_grid.json (schema nws/grid-report/v1). Deterministic:

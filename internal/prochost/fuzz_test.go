@@ -1,6 +1,10 @@
 package prochost
 
-import "testing"
+import (
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // Fuzzing the /proc parsers: they must never panic and must either return an
 // error or a well-formed result on arbitrary input. Run with
@@ -16,6 +20,7 @@ func FuzzParseLoadAvg(f *testing.F) {
 		"0.5 0.5 0.5 12 3",
 		"9e999 0 0 1/1 1",
 		"0.1 0.1 0.1 -2/-5 0",
+		"nan 0 0 1/1 1",
 	} {
 		f.Add(seed)
 	}
@@ -38,6 +43,9 @@ func FuzzParseStat(f *testing.F) {
 		"cpu 1 2 3",
 		"cpu a b c d",
 		"intr 5\ncpu 1 2 3 4\n",
+		"cpu  5000 300 2000 90000 400 50 60 70 1200 100\n", // guest running
+		"cpu inf 0 0 0",
+		"cpu 1e308 1e308 -1e308 -1e308 -1e308 -1e308",
 	} {
 		f.Add(seed)
 	}
@@ -46,8 +54,21 @@ func FuzzParseStat(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if st.Total() != st.Total() {
-			t.Fatalf("parsed NaN total from %q", content)
+		// Total is the first eight columns (user..steal) summed in the
+		// order Total adds them; guest and guest_nice are not added again.
+		var col [8]float64
+		for _, line := range strings.Split(content, "\n") {
+			if strings.HasPrefix(line, "cpu ") {
+				fields := strings.Fields(line)[1:]
+				for i := 0; i < len(fields) && i < len(col); i++ {
+					col[i], _ = strconv.ParseFloat(fields[i], 64)
+				}
+				break
+			}
+		}
+		want := col[0] + col[1] + col[2] + col[3] + (col[4] + col[5] + col[6] + col[7])
+		if st.Total() != want {
+			t.Fatalf("Total = %v, want the first eight columns' sum %v, from %q", st.Total(), want, content)
 		}
 		_ = CountCPUs(content)
 	})

@@ -11,9 +11,21 @@ package prochost
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
+
+// parseCount parses one numeric /proc field. Loads and jiffy counters are
+// finite and non-negative; anything else is a malformed file, refused here
+// so sums of fields stay well defined.
+func parseCount(field string) (float64, error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err == nil && (v < 0 || math.IsInf(v, 0) || math.IsNaN(v)) {
+		err = fmt.Errorf("%q is not a finite non-negative count", field)
+	}
+	return v, err
+}
 
 // LoadInfo is the parsed content of /proc/loadavg.
 type LoadInfo struct {
@@ -30,13 +42,13 @@ func ParseLoadAvg(content string) (LoadInfo, error) {
 	}
 	var li LoadInfo
 	var err error
-	if li.Load1, err = strconv.ParseFloat(fields[0], 64); err != nil {
+	if li.Load1, err = parseCount(fields[0]); err != nil {
 		return LoadInfo{}, fmt.Errorf("prochost: loadavg load1: %w", err)
 	}
-	if li.Load5, err = strconv.ParseFloat(fields[1], 64); err != nil {
+	if li.Load5, err = parseCount(fields[1]); err != nil {
 		return LoadInfo{}, fmt.Errorf("prochost: loadavg load5: %w", err)
 	}
-	if li.Load15, err = strconv.ParseFloat(fields[2], 64); err != nil {
+	if li.Load15, err = parseCount(fields[2]); err != nil {
 		return LoadInfo{}, fmt.Errorf("prochost: loadavg load15: %w", err)
 	}
 	rt := strings.SplitN(fields[3], "/", 2)
@@ -67,14 +79,16 @@ func CountCPUs(content string) int {
 // StatTimes is the parsed aggregate "cpu" line of /proc/stat, in jiffies.
 type StatTimes struct {
 	User, Nice, Sys, Idle float64
-	Other                 float64 // iowait + irq + softirq + steal + ...
+	Other                 float64 // iowait + irq + softirq + steal
 }
 
 // Total returns the sum of all accounted jiffies.
 func (s StatTimes) Total() float64 { return s.User + s.Nice + s.Sys + s.Idle + s.Other }
 
 // ParseStat parses the content of /proc/stat, extracting the aggregate
-// "cpu " line.
+// "cpu " line. Other sums columns 5-8 (iowait, irq, softirq, steal) only:
+// the kernel already counts guest and guest_nice time (columns 9-10) inside
+// user and nice (proc(5)), so adding them again would count it twice.
 func ParseStat(content string) (StatTimes, error) {
 	for _, line := range strings.Split(content, "\n") {
 		if !strings.HasPrefix(line, "cpu ") {
@@ -86,14 +100,14 @@ func ParseStat(content string) (StatTimes, error) {
 		}
 		vals := make([]float64, 0, len(fields)-1)
 		for _, f := range fields[1:] {
-			v, err := strconv.ParseFloat(f, 64)
+			v, err := parseCount(f)
 			if err != nil {
 				return StatTimes{}, fmt.Errorf("prochost: cpu line field %q: %w", f, err)
 			}
 			vals = append(vals, v)
 		}
 		st := StatTimes{User: vals[0], Nice: vals[1], Sys: vals[2], Idle: vals[3]}
-		for _, v := range vals[4:] {
+		for _, v := range vals[4:min(len(vals), 8)] {
 			st.Other += v
 		}
 		return st, nil
