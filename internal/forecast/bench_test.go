@@ -69,11 +69,12 @@ func BenchmarkEngineForecastInterval(b *testing.B) {
 }
 
 // BenchmarkBankMember measures one Update+Forecast round per iteration for
-// each DefaultBank member individually, in steady state (window full).
+// each DefaultBank member individually, in steady state (window full). Each
+// member comes from a fresh bank, so it owns the windows it pushes.
 func BenchmarkBankMember(b *testing.B) {
 	vals := benchValues(1024)
-	for _, f := range DefaultBank() {
-		f := f
+	for m := range DefaultBank() {
+		f := DefaultBank()[m]
 		b.Run(f.Name(), func(b *testing.B) {
 			for _, v := range vals[:128] { // fill windows before timing
 				f.Update(v)
