@@ -127,7 +127,8 @@ benchmark-smoke:
 
 # Forecaster hot-path microbenchmarks with allocation accounting, and the
 # order-statistics window under them at w = 5, 50 and 200 (the end-to-end
-# numbers come from benchmark/; docs/PERFORMANCE.md).
+# numbers come from benchmark/; docs/PERFORMANCE.md). 'BenchmarkEngine'
+# covers BenchmarkEngineUpdateCold, 512 warmed engines updated in turn.
 bench-forecast:
 	$(GO) test -run - -bench 'BenchmarkEngine|BenchmarkBank' -benchmem ./internal/forecast
 	$(GO) test -run - -bench 'BenchmarkOrderWindow' -benchmem ./internal/series

@@ -6,9 +6,10 @@ import (
 )
 
 // Microbenchmarks of the forecaster hot path (make bench-forecast): the
-// whole-engine Update kernel in both selection modes, the empirical
-// prediction interval, and every DefaultBank member in steady state
-// (window full, measuring one Update+Forecast round per iteration).
+// whole-engine Update kernel in both selection modes and over 512 engines
+// in turn, the empirical prediction interval, and every DefaultBank member
+// in steady state (window full, measuring one Update+Forecast round per
+// iteration).
 
 // benchValues returns a deterministic availability-like series in [0,1).
 func benchValues(n int) []float64 {
@@ -27,6 +28,26 @@ func BenchmarkEngineUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Update(vals[i%len(vals)])
+	}
+}
+
+// BenchmarkEngineUpdateCold updates 512 warmed default engines round-robin,
+// the shape of a refresh pass over many series: each Update finds its
+// engine's windows cold in cache, where BenchmarkEngineUpdate keeps one
+// engine hot.
+func BenchmarkEngineUpdateCold(b *testing.B) {
+	vals := benchValues(1024)
+	engines := make([]*Engine, 512)
+	for i := range engines {
+		engines[i] = NewDefaultEngine()
+		for _, v := range vals[:128] {
+			engines[i].Update(v)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engines[i%len(engines)].Update(vals[i%len(vals)])
 	}
 }
 

@@ -175,7 +175,8 @@ type Prediction struct {
 // best-member index in the same O(bank) pass that absorbs the measurement
 // (amortized O(1) per bank member), and the index stays cached until the
 // next Update — scores only change when a measurement arrives — so
-// Forecast, BestMethod and ForecastInterval are O(1) and allocation-free.
+// Forecast and BestMethod are O(1) and allocation-free. ForecastInterval
+// sorts the residual window on each call; see there.
 //
 // Engine is not safe for concurrent use; wrap it in a mutex if shared.
 type Engine struct {
@@ -185,15 +186,17 @@ type Engine struct {
 	n        int  // measurements seen
 	best     int  // cached index of the best-scoring tracker, -1 = none
 
-	// The engine's own forwarded-forecast residuals, backing the empirical
-	// prediction intervals of ForecastInterval.
+	// The engine's own forwarded-forecast residuals in arrival order,
+	// backing the empirical prediction intervals of ForecastInterval, which
+	// sorts them into ownSorted when called.
 	ownForecast float64
 	ownPending  bool
-	ownErrs     *series.OrderWindow
+	ownErrs     *series.Ring
+	ownSorted   *series.OrderWindow
 
-	// selections counts how often each member was the one the engine
-	// forwarded (the NWS selection dynamics).
-	selections map[string]int
+	// selections counts, per tracker, how often that member was the one
+	// the engine forwarded (the NWS selection dynamics).
+	selections []int
 }
 
 // NewEngine builds an engine over the given forecasters with cumulative
@@ -233,7 +236,7 @@ func NewWindowedEngine(selectBy SelectBy, selectWindow int, bank ...Forecaster) 
 		selectBy:   selectBy,
 		windowed:   selectWindow > 0,
 		best:       -1,
-		selections: make(map[string]int),
+		selections: make([]int, len(ts)),
 	}
 }
 
@@ -241,7 +244,15 @@ func NewWindowedEngine(selectBy SelectBy, selectWindow int, bank ...Forecaster) 
 // value, running mean, sliding means and medians over several windows,
 // trimmed means, exponential smoothing over several gains, adaptive-gain
 // smoothing, adaptive windows, and a damped trend.
+//
+// The members of one bank that read the sorted window of one length — the
+// sliding medians, the trimmed means and the adaptive median — share it,
+// so an Engine pushes each measurement into 5 order windows rather than
+// 11. Feed the members of one bank the same values in the same order, as
+// Engine does; a member fed out of lockstep with the window it shares
+// panics. To run a member alone, build it alone with its constructor.
 func DefaultBank() []Forecaster {
+	pool := windowPool{}
 	return []Forecaster{
 		NewLastValue(),
 		NewRunningMean(),
@@ -250,13 +261,13 @@ func DefaultBank() []Forecaster {
 		NewSlidingMean(20),
 		NewSlidingMean(30),
 		NewSlidingMean(50),
-		NewSlidingMedian(5),
-		NewSlidingMedian(10),
-		NewSlidingMedian(20),
-		NewSlidingMedian(30),
-		NewSlidingMedian(50),
-		NewTrimmedMean(30, 0.3),
-		NewTrimmedMean(50, 0.2),
+		newSlidingMedian(pool, 5),
+		newSlidingMedian(pool, 10),
+		newSlidingMedian(pool, 20),
+		newSlidingMedian(pool, 30),
+		newSlidingMedian(pool, 50),
+		newTrimmedMean(pool, 30, 0.3),
+		newTrimmedMean(pool, 50, 0.2),
 		NewExpSmooth("exp_05", 0.05),
 		NewExpSmooth("exp_10", 0.10),
 		NewExpSmooth("exp_20", 0.20),
@@ -266,7 +277,7 @@ func DefaultBank() []Forecaster {
 		NewExpSmooth("exp_90", 0.90),
 		NewTriggLeach(0.2),
 		NewAdaptiveWindowMean(5, 10, 20, 50),
-		NewAdaptiveWindowMedian(5, 10, 20, 50),
+		newAdaptiveWindow("adapt_median", true, pool, []int{5, 10, 20, 50}),
 		NewTrend(0.5),
 	}
 }
@@ -408,8 +419,10 @@ func (e *Engine) Report() []MethodError {
 // is deterministic for a given series.
 func (e *Engine) SelectionCounts() []MethodCount {
 	out := make([]MethodCount, 0, len(e.selections))
-	for name, n := range e.selections {
-		out = append(out, MethodCount{Name: name, Count: n})
+	for i, n := range e.selections {
+		if n > 0 {
+			out = append(out, MethodCount{Name: e.trackers[i].f.Name(), Count: n})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {

@@ -1,9 +1,14 @@
 package forecast
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
+
+	"nwscpu/internal/series"
 )
 
 func TestEngineEmptyBankPanics(t *testing.T) {
@@ -282,5 +287,125 @@ func TestWindowedEngineConstantSeries(t *testing.T) {
 	p, ok := e.Forecast()
 	if !ok || math.Abs(p.Value-0.3) > 1e-9 {
 		t.Fatalf("windowed engine on constant series: %v %v", p.Value, ok)
+	}
+}
+
+// aloneBank is DefaultBank with every member built alone by its exported
+// constructor, so each owns its windows.
+func aloneBank() []Forecaster {
+	return []Forecaster{
+		NewLastValue(),
+		NewRunningMean(),
+		NewSlidingMean(5),
+		NewSlidingMean(10),
+		NewSlidingMean(20),
+		NewSlidingMean(30),
+		NewSlidingMean(50),
+		NewSlidingMedian(5),
+		NewSlidingMedian(10),
+		NewSlidingMedian(20),
+		NewSlidingMedian(30),
+		NewSlidingMedian(50),
+		NewTrimmedMean(30, 0.3),
+		NewTrimmedMean(50, 0.2),
+		NewExpSmooth("exp_05", 0.05),
+		NewExpSmooth("exp_10", 0.10),
+		NewExpSmooth("exp_20", 0.20),
+		NewExpSmooth("exp_30", 0.30),
+		NewExpSmooth("exp_50", 0.50),
+		NewExpSmooth("exp_75", 0.75),
+		NewExpSmooth("exp_90", 0.90),
+		NewTriggLeach(0.2),
+		NewAdaptiveWindowMean(5, 10, 20, 50),
+		NewAdaptiveWindowMedian(5, 10, 20, 50),
+		NewTrend(0.5),
+	}
+}
+
+// orderWindows returns the distinct order windows a bank's members push.
+func orderWindows(bank []Forecaster) map[*series.OrderWindow]bool {
+	wins := make(map[*series.OrderWindow]bool)
+	for _, f := range bank {
+		switch f := f.(type) {
+		case *SlidingMedian:
+			wins[f.win.win] = true
+		case *TrimmedMean:
+			wins[f.win.win] = true
+		case *AdaptiveWindow:
+			for _, w := range f.wins {
+				wins[w.win] = true
+			}
+		}
+	}
+	return wins
+}
+
+func bankMember(bank []Forecaster, name string) Forecaster {
+	for _, f := range bank {
+		if f.Name() == name {
+			return f
+		}
+	}
+	panic("no bank member " + name)
+}
+
+// The members of one DefaultBank push each measurement into one order
+// window per distinct length, loudly refuse to be fed out of lockstep, and
+// forecast exactly as the same members built alone.
+func TestDefaultBankSharesWindows(t *testing.T) {
+	bank, alone := DefaultBank(), aloneBank()
+	for i := range bank {
+		if bank[i].Name() != alone[i].Name() {
+			t.Fatalf("member %d: DefaultBank has %q, aloneBank %q", i, bank[i].Name(), alone[i].Name())
+		}
+	}
+	if n := len(orderWindows(bank)); n != 5 {
+		t.Fatalf("DefaultBank pushes %d order windows, want 5 (lengths 5, 10, 20, 30, 50)", n)
+	}
+	if n := len(orderWindows(alone)); n != 11 {
+		t.Fatalf("members built alone push %d order windows, want 11", n)
+	}
+
+	t.Run("lockstep", func(t *testing.T) {
+		bank := DefaultBank()
+		med, adapt := bankMember(bank, "sw_median_5"), bankMember(bank, "adapt_median")
+		med.Update(0.1)
+		adapt.Update(0.1)
+		med.Update(0.2)
+		med.Update(0.3) // adapt_median's second value is now behind the window
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "fed out of lockstep") {
+				t.Fatalf("member fed behind its shared window: recover() = %v, want a lockstep panic", r)
+			}
+		}()
+		adapt.Update(0.2)
+	})
+
+	for name, trace := range goldenTraces(t) {
+		for _, cfg := range []struct {
+			name   string
+			by     SelectBy
+			window int
+		}{{"cumulative_mae", ByMAE, 0}, {"windowed25_mse", ByMSE, 25}} {
+			t.Run(name+"/"+cfg.name, func(t *testing.T) {
+				shared := NewWindowedEngine(cfg.by, cfg.window, DefaultBank()...)
+				alone := NewWindowedEngine(cfg.by, cfg.window, aloneBank()...)
+				for i, v := range trace {
+					shared.Update(v)
+					alone.Update(v)
+					got, gotOK := shared.ForecastInterval(0.9)
+					want, wantOK := alone.ForecastInterval(0.9)
+					if gotOK != wantOK || got != want {
+						t.Fatalf("step %d: shared bank %+v (%v), members alone %+v (%v)", i, got, gotOK, want, wantOK)
+					}
+				}
+				if got, want := shared.SelectionCounts(), alone.SelectionCounts(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("selection counts diverged:\n got %v\nwant %v", got, want)
+				}
+				if got, want := shared.Report(), alone.Report(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("reports diverged:\n got %v\nwant %v", got, want)
+				}
+			})
+		}
 	}
 }

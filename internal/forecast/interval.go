@@ -3,7 +3,8 @@ package forecast
 import "nwscpu/internal/series"
 
 // intervalWindow is how many recent engine-level one-step errors back the
-// empirical prediction intervals.
+// empirical prediction intervals. Update pushes each one into a ring in
+// O(1); ForecastInterval sorts the window on each call.
 const intervalWindow = 200
 
 // Interval is a prediction with an empirical uncertainty band.
@@ -19,7 +20,7 @@ type Interval struct {
 func (e *Engine) recordOwnError(v float64) {
 	if e.ownPending {
 		if e.ownErrs == nil {
-			e.ownErrs = series.NewOrderWindow(intervalWindow)
+			e.ownErrs = series.NewRing(intervalWindow)
 		}
 		e.ownErrs.Push(v - e.ownForecast)
 	}
@@ -36,7 +37,7 @@ func (e *Engine) noteOwnForecast() {
 	t := e.trackers[e.best]
 	e.ownForecast = t.pending
 	e.ownPending = true
-	e.selections[t.f.Name()]++
+	e.selections[e.best]++
 }
 
 // ForecastInterval returns the engine's forecast together with an empirical
@@ -45,9 +46,11 @@ func (e *Engine) noteOwnForecast() {
 // engine has a forecast; before any residuals exist the band collapses to
 // the point forecast. Coverage outside (0, 1) is clamped to 0.9.
 //
-// The residuals live in an order-statistics window, so the quantile reads
-// are O(1) and the call allocates nothing (the seed implementation copied
-// and sorted the residual ring twice per call).
+// Update keeps the residuals in arrival order only, so each call inserts
+// them, one binary search and one short memmove each, into a scratch
+// order-statistics window and reads the two type-7 quantiles there. The
+// scratch window is made on the first call and kept, so later calls
+// allocate nothing.
 func (e *Engine) ForecastInterval(coverage float64) (Interval, bool) {
 	p, ok := e.forecast()
 	if !ok {
@@ -60,9 +63,17 @@ func (e *Engine) ForecastInterval(coverage float64) (Interval, bool) {
 	if e.ownErrs == nil || e.ownErrs.Len() == 0 {
 		return iv, true
 	}
+	if e.ownSorted == nil {
+		e.ownSorted = series.NewOrderWindow(intervalWindow)
+	}
+	sorted := e.ownSorted
+	sorted.Reset()
+	for i := 0; i < e.ownErrs.Len(); i++ {
+		sorted.Push(e.ownErrs.At(i))
+	}
 	alpha := (1 - coverage) / 2
-	iv.Lo = p.Value + e.ownErrs.Quantile(alpha)
-	iv.Hi = p.Value + e.ownErrs.Quantile(1-alpha)
-	iv.N = e.ownErrs.Len()
+	iv.Lo = p.Value + sorted.Quantile(alpha)
+	iv.Hi = p.Value + sorted.Quantile(1-alpha)
+	iv.N = sorted.Len()
 	return iv, true
 }

@@ -56,33 +56,79 @@ func (f *SlidingMean) Forecast() (float64, bool) {
 	return f.sum / float64(n), true
 }
 
+// sharedWindow is an order window that several members of one bank read.
+// It counts the values pushed into it, and each member counts its own
+// updates: the first member to reach step k pushes the k-th value, and the
+// rest of the bank, fed the same value at the same step, reads the window
+// as it is. A member built alone owns its window, and pushes every value.
+type sharedWindow struct {
+	win *series.OrderWindow
+	n   int // values pushed
+}
+
+// push brings the window to step, the caller's own update count after v.
+// It panics if the caller has fallen behind the window: another member was
+// fed a value this one was not, so the window no longer matches its count.
+func (s *sharedWindow) push(step int, v float64) {
+	switch step {
+	case s.n + 1:
+		s.win.Push(v)
+		s.n = step
+	case s.n:
+	default:
+		panic("forecast: shared order window fed out of lockstep")
+	}
+}
+
+// windowPool hands out one sharedWindow per length, so the members of one
+// bank push each measurement once per distinct window length. A nil pool
+// hands out a private window on every call.
+type windowPool map[int]*sharedWindow
+
+func (p windowPool) get(w int) *sharedWindow {
+	s := p[w]
+	if s == nil {
+		s = &sharedWindow{win: series.NewOrderWindow(w)}
+		if p != nil {
+			p[w] = s
+		}
+	}
+	return s
+}
+
 // SlidingMedian predicts the median of the last w measurements. The window
 // is an incremental order-statistics structure, so Update is one short
 // memmove and Forecast an O(1) read, with zero steady-state allocations (the
 // seed implementation copied and sorted the window on every forecast).
 type SlidingMedian struct {
 	name string
-	win  *series.OrderWindow
+	n    int // updates seen
+	win  *sharedWindow
 }
 
 // NewSlidingMedian returns a sliding-window median over windows of w values.
 // It panics if w < 1.
-func NewSlidingMedian(w int) *SlidingMedian {
-	return &SlidingMedian{name: fmt.Sprintf("sw_median_%d", w), win: series.NewOrderWindow(w)}
+func NewSlidingMedian(w int) *SlidingMedian { return newSlidingMedian(nil, w) }
+
+func newSlidingMedian(pool windowPool, w int) *SlidingMedian {
+	return &SlidingMedian{name: fmt.Sprintf("sw_median_%d", w), win: pool.get(w)}
 }
 
 // Name implements Forecaster.
 func (f *SlidingMedian) Name() string { return f.name }
 
 // Update implements Forecaster.
-func (f *SlidingMedian) Update(v float64) { f.win.Push(v) }
+func (f *SlidingMedian) Update(v float64) {
+	f.n++
+	f.win.push(f.n, v)
+}
 
 // Forecast implements Forecaster.
 func (f *SlidingMedian) Forecast() (float64, bool) {
-	if f.win.Len() == 0 {
+	if f.n == 0 {
 		return 0, false
 	}
-	return f.win.Median(), true
+	return f.win.win.Median(), true
 }
 
 // TrimmedMean predicts the alpha-trimmed mean of the last w measurements:
@@ -95,19 +141,22 @@ func (f *SlidingMedian) Forecast() (float64, bool) {
 type TrimmedMean struct {
 	name string
 	trim float64
-	win  *series.OrderWindow
+	n    int // updates seen
+	win  *sharedWindow
 }
 
 // NewTrimmedMean returns an alpha-trimmed sliding mean. It panics if w < 1
 // or trim is outside [0, 0.5).
-func NewTrimmedMean(w int, trim float64) *TrimmedMean {
+func NewTrimmedMean(w int, trim float64) *TrimmedMean { return newTrimmedMean(nil, w, trim) }
+
+func newTrimmedMean(pool windowPool, w int, trim float64) *TrimmedMean {
 	if trim < 0 || trim >= 0.5 {
 		panic("forecast: TrimmedMean trim must be in [0,0.5)")
 	}
 	return &TrimmedMean{
 		name: fmt.Sprintf("sw_trim_%d_%02.0f", w, trim*100),
 		trim: trim,
-		win:  series.NewOrderWindow(w),
+		win:  pool.get(w),
 	}
 }
 
@@ -115,14 +164,17 @@ func NewTrimmedMean(w int, trim float64) *TrimmedMean {
 func (f *TrimmedMean) Name() string { return f.name }
 
 // Update implements Forecaster.
-func (f *TrimmedMean) Update(v float64) { f.win.Push(v) }
+func (f *TrimmedMean) Update(v float64) {
+	f.n++
+	f.win.push(f.n, v)
+}
 
 // Forecast implements Forecaster.
 func (f *TrimmedMean) Forecast() (float64, bool) {
-	if f.win.Len() == 0 {
+	if f.n == 0 {
 		return 0, false
 	}
-	return f.win.TrimmedMean(f.trim), true
+	return f.win.win.TrimmedMean(f.trim), true
 }
 
 // AdaptiveWindow predicts the mean (or median) of a window whose length
@@ -131,35 +183,37 @@ func (f *TrimmedMean) Forecast() (float64, bool) {
 // length for the next forecast. This mirrors the NWS adaptive-window
 // predictors.
 //
-// The median variant keeps one order-statistics window per candidate length,
-// so each candidate's prediction is an O(1) read instead of a copy-and-sort
-// of the tail; the mean variant sums the ring tail in place. Each
-// candidate's prediction is computed once per measurement, right after the
-// push: Forecast reads the best one and the next Update scores them all.
-// Neither variant allocates after construction.
+// The median variant reads one order-statistics window per candidate
+// length, so each candidate's prediction is an O(1) read instead of a
+// copy-and-sort of the tail; the mean variant sums the tail of one ring in
+// place. Each candidate's prediction is computed once per measurement,
+// right after the push: Forecast reads the best one and the next Update
+// scores them all. Neither variant allocates after construction.
 type AdaptiveWindow struct {
-	name      string
-	useMedian bool
-	lengths   []int
-	errs      []float64 // cumulative absolute error per candidate length
-	preds     []float64 // each candidate's prediction for the next value
-	ring      *series.Ring
-	wins      []*series.OrderWindow // median variant: one per candidate length
+	name    string
+	lengths []int
+	n       int             // updates seen
+	errs    []float64       // cumulative absolute error per candidate length
+	preds   []float64       // each candidate's prediction for the next value
+	ring    *series.Ring    // mean variant: the longest candidate's values
+	wins    []*sharedWindow // median variant: one per candidate length
 }
 
 // NewAdaptiveWindowMean returns an adaptive-window mean predictor choosing
 // among the given window lengths. It panics if lengths is empty or contains
 // a non-positive length.
 func NewAdaptiveWindowMean(lengths ...int) *AdaptiveWindow {
-	return newAdaptiveWindow("adapt_mean", false, lengths)
+	return newAdaptiveWindow("adapt_mean", false, nil, lengths)
 }
 
 // NewAdaptiveWindowMedian returns an adaptive-window median predictor.
 func NewAdaptiveWindowMedian(lengths ...int) *AdaptiveWindow {
-	return newAdaptiveWindow("adapt_median", true, lengths)
+	return newAdaptiveWindow("adapt_median", true, nil, lengths)
 }
 
-func newAdaptiveWindow(name string, useMedian bool, lengths []int) *AdaptiveWindow {
+// newAdaptiveWindow builds either variant; the median variant takes its
+// windows from pool.
+func newAdaptiveWindow(name string, useMedian bool, pool windowPool, lengths []int) *AdaptiveWindow {
 	if len(lengths) == 0 {
 		panic("forecast: AdaptiveWindow needs at least one length")
 	}
@@ -173,18 +227,18 @@ func newAdaptiveWindow(name string, useMedian bool, lengths []int) *AdaptiveWind
 		}
 	}
 	f := &AdaptiveWindow{
-		name:      name,
-		useMedian: useMedian,
-		lengths:   append([]int(nil), lengths...),
-		errs:      make([]float64, len(lengths)),
-		preds:     make([]float64, len(lengths)),
-		ring:      series.NewRing(maxLen),
+		name:    name,
+		lengths: append([]int(nil), lengths...),
+		errs:    make([]float64, len(lengths)),
+		preds:   make([]float64, len(lengths)),
 	}
 	if useMedian {
-		f.wins = make([]*series.OrderWindow, len(lengths))
+		f.wins = make([]*sharedWindow, len(lengths))
 		for i, l := range f.lengths {
-			f.wins[i] = series.NewOrderWindow(l)
+			f.wins[i] = pool.get(l)
 		}
+	} else {
+		f.ring = series.NewRing(maxLen)
 	}
 	return f
 }
@@ -196,7 +250,7 @@ func (f *AdaptiveWindow) Name() string { return f.name }
 func (f *AdaptiveWindow) Update(v float64) {
 	// Score each candidate length's forecast against the arriving value,
 	// absorb the value into the window(s), then predict the next one.
-	if f.ring.Len() > 0 {
+	if f.n > 0 {
 		for i, p := range f.preds {
 			d := p - v
 			if d < 0 {
@@ -205,9 +259,12 @@ func (f *AdaptiveWindow) Update(v float64) {
 			f.errs[i] += d
 		}
 	}
-	f.ring.Push(v)
+	f.n++
+	if f.ring != nil {
+		f.ring.Push(v)
+	}
 	for _, w := range f.wins {
-		w.Push(v)
+		w.push(f.n, v)
 	}
 	for i := range f.preds {
 		f.preds[i] = f.predictCandidate(i)
@@ -216,7 +273,7 @@ func (f *AdaptiveWindow) Update(v float64) {
 
 // Forecast implements Forecaster.
 func (f *AdaptiveWindow) Forecast() (float64, bool) {
-	if f.ring.Len() == 0 {
+	if f.n == 0 {
 		return 0, false
 	}
 	return f.preds[f.bestIdx()], true
@@ -240,8 +297,8 @@ func (f *AdaptiveWindow) bestIdx() int {
 // order window, or the mean of the last lengths[i] ring values (Kahan
 // compensated, matching stats.Mean over the copied tail bit for bit).
 func (f *AdaptiveWindow) predictCandidate(i int) float64 {
-	if f.useMedian {
-		return f.wins[i].Median()
+	if f.wins != nil {
+		return f.wins[i].win.Median()
 	}
 	n := f.ring.Len()
 	k := f.lengths[i]
