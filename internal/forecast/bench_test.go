@@ -34,20 +34,23 @@ func BenchmarkEngineUpdate(b *testing.B) {
 // BenchmarkEngineUpdateCold updates 512 warmed default engines round-robin,
 // the shape of a refresh pass over many series: each Update finds its
 // engine's windows cold in cache, where BenchmarkEngineUpdate keeps one
-// engine hot.
+// engine hot. Engine k's t-th value is vals[(k+t) % len(vals)], so every
+// engine reads the same noisy series from its own offset.
 func BenchmarkEngineUpdateCold(b *testing.B) {
+	const warm = 128
 	vals := benchValues(1024)
 	engines := make([]*Engine, 512)
-	for i := range engines {
-		engines[i] = NewDefaultEngine()
-		for _, v := range vals[:128] {
-			engines[i].Update(v)
+	for k := range engines {
+		engines[k] = NewDefaultEngine()
+		for t := 0; t < warm; t++ {
+			engines[k].Update(vals[(k+t)%len(vals)])
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engines[i%len(engines)].Update(vals[i%len(vals)])
+		k, t := i%len(engines), warm+i/len(engines)
+		engines[k].Update(vals[(k+t)%len(vals)])
 	}
 }
 

@@ -74,7 +74,7 @@ func (s *sharedWindow) push(step int, v float64) {
 	case s.n + 1:
 		s.win.Push(v)
 		s.n = step
-	case s.n:
+	case s.n: // another member pushed v at this step
 	default:
 		panic("forecast: shared order window fed out of lockstep")
 	}
