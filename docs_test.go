@@ -1,6 +1,7 @@
 package nwscpu_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/doc"
 	"go/parser"
@@ -10,7 +11,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -185,42 +188,71 @@ func TestDocsMetricsMatchCode(t *testing.T) {
 	}
 }
 
+// goSources is the module's non-test Go source, parsed once with comments and
+// grouped by directory. The benchmark's module is part of it: benchmark/sut.go
+// is a caller of internal/.
+type goSources struct {
+	fset *token.FileSet
+	dirs map[string][]*ast.File
+}
+
+var (
+	parseOnce   sync.Once
+	parsedSrc   goSources
+	parseSrcErr error
+)
+
+// moduleSources parses every non-test .go file under the repository root,
+// skipping testdata and hidden directories, once per test binary.
+func moduleSources(t *testing.T) goSources {
+	t.Helper()
+	parseOnce.Do(func() {
+		parsedSrc = goSources{fset: token.NewFileSet(), dirs: map[string][]*ast.File{}}
+		parseSrcErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+				return filepath.SkipDir
+			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+				return nil
+			}
+			f, err := parser.ParseFile(parsedSrc.fset, path, nil, parser.ParseComments)
+			dir := filepath.ToSlash(filepath.Dir(path))
+			parsedSrc.dirs[dir] = append(parsedSrc.dirs[dir], f)
+			return err
+		})
+	})
+	if parseSrcErr != nil {
+		t.Fatal(parseSrcErr)
+	}
+	return parsedSrc
+}
+
 // TestDocsExportedNamesDocumented holds the Go sources to the doc-comment
 // convention (make docs-check): every exported type, function and method
 // in internal/ and cmd/ has a doc comment that starts with its name, so `go
 // doc` prints something for each and no comment sits on the wrong name.
 func TestDocsExportedNamesDocumented(t *testing.T) {
-	fset := token.NewFileSet()
-	dirs := map[string][]*ast.File{}
-	for _, root := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			switch {
-			case err != nil:
-				return err
-			case d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
-				return filepath.SkipDir
-			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			dirs[filepath.Dir(path)] = append(dirs[filepath.Dir(path)], f)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
+	src := moduleSources(t)
+	checked := 0
+	for dir, files := range src.dirs {
+		if !strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "cmd/") {
+			continue
 		}
-	}
-	if len(dirs) == 0 {
-		t.Fatal("no Go packages found under internal/ or cmd/")
-	}
-	for dir, files := range dirs {
-		pkg, err := doc.NewFromFiles(fset, files, dir)
+		checked++
+		// AllDecls, because without it go/doc strips the unexported
+		// declarations from the shared ASTs; check skips them instead.
+		pkg, err := doc.NewFromFiles(src.fset, files, dir, doc.AllDecls|doc.PreserveAST)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check := func(label, name, text string, pos token.Pos) {
+			if !token.IsExported(name) {
+				return
+			}
 			if words := strings.Fields(text); len(words) == 0 || words[0] != name {
-				t.Errorf("%s: %s has no doc comment starting with its name", fset.Position(pos), label)
+				t.Errorf("%s: %s has no doc comment starting with its name", src.fset.Position(pos), label)
 			}
 		}
 		funcs := func(recv string, fns []*doc.Func) {
@@ -230,9 +262,154 @@ func TestDocsExportedNamesDocumented(t *testing.T) {
 		}
 		funcs("", pkg.Funcs)
 		for _, typ := range pkg.Types {
+			if !token.IsExported(typ.Name) {
+				continue
+			}
 			check(typ.Name, typ.Name, typ.Doc, typ.Decl.Pos())
 			funcs("", typ.Funcs)
 			funcs(typ.Name+".", typ.Methods)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no Go packages found under internal/ or cmd/")
+	}
+}
+
+// exportsAllowed lists the names in internal/ that stay without a non-test
+// caller, one reason each. A key is a package directory, which exempts the
+// whole package, or dir.Name, or dir.Recv.Name for a method.
+var exportsAllowed = map[string]string{
+	"internal/series.Series.MarshalJSON":       "encoding/json calls it through json.Marshaler",
+	"internal/series.Series.UnmarshalJSON":     "encoding/json calls it through json.Unmarshaler",
+	"internal/resilience.terminalError.Unwrap": "errors.Is and errors.As call it",
+	"internal/resilience/chaos":                "the fault harness that other packages' tests import",
+	"internal/nwsnet.calls.StoreCtx":           "the typed call for OpStore, which the server serves and docs/PROTOCOL.md specifies",
+	"internal/nwsnet.calls.LookupCtx":          "the typed call for OpLookup, which the server serves and docs/PROTOCOL.md specifies",
+	"internal/stats.Autocorrelation":           "the direct-sum reference that ACF is checked against",
+	"internal/stats.IFFT":                      "the inverse in FFT's round-trip check",
+	"internal/series.Ring.Tail":                "the seed kernel's window in forecast's golden reference",
+}
+
+// TestExportsHaveCallers is the dead-code gate (make docs-check): every
+// exported function, method, type, const and var in internal/ is referred to
+// by some non-test file in the module — benchmark/, cmd/ and examples/
+// included — and every unexported one by a non-test file of its own package,
+// unless exportsAllowed gives a reason. A reference is an identifier with the
+// declared name anywhere outside the declaration itself, so the match can
+// miss a dead name that shares a live one's spelling but never reports a live
+// one; an Example function is a test and calls nothing here. A stale
+// allow-list entry, one whose name is gone or now has a caller, fails too.
+func TestExportsHaveCallers(t *testing.T) {
+	src := moduleSources(t)
+	type decl struct {
+		dir, key string
+		name     *ast.Ident
+		node     ast.Node
+	}
+	var decls []decl
+	named := map[*ast.Ident]bool{}
+	add := func(dir, recv string, name *ast.Ident, node ast.Node) {
+		if name.Name == "_" || name.Name == "init" {
+			return
+		}
+		key := dir + "." + name.Name
+		if recv != "" {
+			key = dir + "." + recv + "." + name.Name
+		}
+		decls = append(decls, decl{dir, key, name, node})
+		named[name] = true
+	}
+	for dir, files := range src.dirs {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					add(dir, recvName(d), d.Name, d)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							add(dir, "", s.Name, s)
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								add(dir, "", n, s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	type use struct {
+		dir string
+		pos token.Pos
+	}
+	uses := map[string][]use{}
+	for dir, files := range src.dirs {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !named[id] {
+					uses[id.Name] = append(uses[id.Name], use{dir, id.Pos()})
+				}
+				return true
+			})
+		}
+	}
+
+	var dead []string
+	seen := map[string]bool{}
+	for _, d := range decls {
+		if !strings.HasPrefix(d.dir, "internal/") {
+			continue
+		}
+		exported := d.name.IsExported()
+		used := false
+		for _, u := range uses[d.name.Name] {
+			if (exported || u.dir == d.dir) && (u.pos < d.node.Pos() || u.pos >= d.node.End()) {
+				used = true
+				break
+			}
+		}
+		_, allowed := exportsAllowed[d.key]
+		_, pkgAllowed := exportsAllowed[d.dir]
+		seen[d.key] = true
+		switch {
+		case used && allowed:
+			t.Errorf("exportsAllowed lists %s, which now has a non-test caller", d.key)
+		case !used && !allowed && !pkgAllowed:
+			dead = append(dead, fmt.Sprintf("%s: %s has no non-test caller", src.fset.Position(d.name.Pos()), d.key))
+		}
+	}
+	for key := range exportsAllowed {
+		if !seen[key] && src.dirs[key] == nil {
+			t.Errorf("exportsAllowed lists %s, which names no declaration or package", key)
+		}
+	}
+	sort.Strings(dead)
+	for _, msg := range dead {
+		t.Error(msg)
+	}
+}
+
+// recvName returns the receiver's type name of a method, without type
+// parameters or pointer, and "" for a function.
+func recvName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return ""
+	}
+	typ := fn.Recv.List[0].Type
+	for {
+		switch x := typ.(type) {
+		case *ast.StarExpr:
+			typ = x.X
+		case *ast.IndexExpr:
+			typ = x.X
+		case *ast.IndexListExpr:
+			typ = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
 		}
 	}
 }
