@@ -62,16 +62,6 @@ func TestShortRunCached(t *testing.T) {
 	}
 }
 
-func TestPrefetch(t *testing.T) {
-	s := quickSuite(t)
-	if err := s.Prefetch([]string{"thing1", "thing2"}, "short", "week"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Prefetch([]string{"thing1"}, "bogus"); err == nil {
-		t.Fatal("bogus prefetch kind accepted")
-	}
-}
-
 func TestTable1Shape(t *testing.T) {
 	s := quickSuite(t)
 	tab, err := s.Table1()

@@ -32,7 +32,7 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 //	<host>_week.csv              week-long load-average trace
 //
 // Only runs that have already been computed (via the table/figure methods
-// or Prefetch) are written; Export never triggers new simulations. It
+// or Preload) are written; Export never triggers new simulations. It
 // returns the number of files written.
 func (s *Suite) Export(dir string) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

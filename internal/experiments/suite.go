@@ -161,52 +161,3 @@ func (s *Suite) Week(host string) (*series.Series, error) {
 	s.week[host] = trace
 	return trace, nil
 }
-
-// Prefetch runs all cached simulations for the named hosts up front,
-// in parallel when the Config allows. kinds selects which runs: any
-// combination of "short", "medium", "week".
-func (s *Suite) Prefetch(hosts []string, kinds ...string) error {
-	type job struct {
-		host, kind string
-	}
-	var jobs []job
-	for _, h := range hosts {
-		for _, k := range kinds {
-			jobs = append(jobs, job{h, k})
-		}
-	}
-	run := func(j job) error {
-		switch j.kind {
-		case "short":
-			_, err := s.Short(j.host)
-			return err
-		case "medium":
-			_, err := s.Medium(j.host)
-			return err
-		case "week":
-			_, err := s.Week(j.host)
-			return err
-		default:
-			return fmt.Errorf("experiments: unknown prefetch kind %q", j.kind)
-		}
-	}
-	if !s.cfg.Parallel {
-		for _, j := range jobs {
-			if err := run(j); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make(chan error, len(jobs))
-	for _, j := range jobs {
-		go func(j job) { errs <- run(j) }(j)
-	}
-	var first error
-	for range jobs {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -102,19 +102,6 @@ func Generate(rng *rand.Rand, hurst float64, n int) ([]float64, error) {
 	return out, nil
 }
 
-// FBM returns a fractional Brownian motion path of length n (the cumulative
-// sum of fractional Gaussian noise): B[0] = X[0], B[i] = B[i-1] + X[i].
-func FBM(rng *rand.Rand, hurst float64, n int) ([]float64, error) {
-	xs, err := Generate(rng, hurst, n)
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < n; i++ {
-		xs[i] += xs[i-1]
-	}
-	return xs, nil
-}
-
 // AvailabilityTrace maps fractional Gaussian noise onto a plausible CPU
 // availability series: mean + scale*noise, clamped to [0, 1]. It gives
 // forecaster tests a series with exactly known long-memory structure,

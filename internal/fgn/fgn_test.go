@@ -120,47 +120,6 @@ func TestHurstEstimatorsRecoverKnownH(t *testing.T) {
 	}
 }
 
-func TestFBMIsCumulativeSum(t *testing.T) {
-	rngA := rand.New(rand.NewSource(5))
-	rngB := rand.New(rand.NewSource(5))
-	noise, err := Generate(rngA, 0.7, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := FBM(rngB, 0.7, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cum float64
-	for i := range noise {
-		cum += noise[i]
-		if math.Abs(path[i]-cum) > 1e-9 {
-			t.Fatalf("FBM[%d] = %v, want %v", i, path[i], cum)
-		}
-	}
-}
-
-func TestFBMSelfSimilarScaling(t *testing.T) {
-	// Var(B_n) ~ n^{2H}: compare variance of increments over span n vs 4n;
-	// ratio should be ~4^{2H}.
-	const h = 0.8
-	rng := rand.New(rand.NewSource(6))
-	var v1, v4 []float64
-	for r := 0; r < 200; r++ {
-		path, err := FBM(rng, h, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1 = append(v1, path[255])
-		v4 = append(v4, path[1023])
-	}
-	ratio := stats.Variance(v4) / stats.Variance(v1)
-	want := math.Pow(4, 2*h)
-	if ratio < want*0.6 || ratio > want*1.5 {
-		t.Fatalf("fBm variance ratio %v, want ~%v", ratio, want)
-	}
-}
-
 func TestAvailabilityTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	xs, err := AvailabilityTrace(rng, 0.7, 0.7, 0.15, 10000)

@@ -60,11 +60,11 @@ func TestARRecoversAR1Process(t *testing.T) {
 		x = 0.8*x + rng.NormFloat64()
 		xs = append(xs, x)
 	}
-	arRes, err := Evaluate(NewAR(2, 200, 10), xs)
+	arRes, err := evaluateOne(NewAR(2, 200, 10), xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meanRes, err := Evaluate(NewRunningMean(), xs)
+	meanRes, err := evaluateOne(NewRunningMean(), xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestARBeatsLastValueOnAntipersistentNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arRes, err := Evaluate(NewAR(4, 200, 10), xs)
+	arRes, err := evaluateOne(NewAR(4, 200, 10), xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastRes, err := Evaluate(NewLastValue(), xs)
+	lastRes, err := evaluateOne(NewLastValue(), xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,51 +178,6 @@ func TestExtendedBankUniqueNames(t *testing.T) {
 	}
 }
 
-func TestForecastInterval(t *testing.T) {
-	e := NewDefaultEngine()
-	if _, ok := e.ForecastInterval(0.9); ok {
-		t.Fatal("interval before data")
-	}
-	rng := rand.New(rand.NewSource(14))
-	// Stationary noise around 0.6 with sd 0.05.
-	var inside, total int
-	for i := 0; i < 3000; i++ {
-		v := 0.6 + rng.NormFloat64()*0.05
-		if iv, ok := e.ForecastInterval(0.9); ok && iv.N > 50 {
-			total++
-			if v >= iv.Lo && v <= iv.Hi {
-				inside++
-			}
-			if iv.Lo > iv.Prediction.Value || iv.Hi < iv.Prediction.Value {
-				t.Fatalf("interval %v..%v excludes point forecast %v", iv.Lo, iv.Hi, iv.Prediction.Value)
-			}
-		}
-		e.Update(v)
-	}
-	cov := float64(inside) / float64(total)
-	if cov < 0.85 || cov > 0.97 {
-		t.Fatalf("empirical coverage %v, want ~0.90", cov)
-	}
-}
-
-func TestForecastIntervalClampsCoverage(t *testing.T) {
-	e := NewDefaultEngine()
-	for i := 0; i < 50; i++ {
-		e.Update(0.5)
-	}
-	iv, ok := e.ForecastInterval(-2)
-	if !ok {
-		t.Fatal("no interval")
-	}
-	if iv.Lo > iv.Hi {
-		t.Fatalf("degenerate interval %v..%v", iv.Lo, iv.Hi)
-	}
-	// Constant series: band collapses onto the forecast.
-	if math.Abs(iv.Lo-0.5) > 1e-9 || math.Abs(iv.Hi-0.5) > 1e-9 {
-		t.Fatalf("constant-series interval %v..%v, want 0.5..0.5", iv.Lo, iv.Hi)
-	}
-}
-
 func TestHoltValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewHolt("h", 0, 0.5) },
@@ -263,11 +218,11 @@ func TestHoltBeatsSimpleSmoothingOnRamp(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		vals = append(vals, 0.001*float64(i)+rng.NormFloat64()*0.01)
 	}
-	holtRes, err := Evaluate(NewHolt("holt", 0.3, 0.1), vals)
+	holtRes, err := evaluateOne(NewHolt("holt", 0.3, 0.1), vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	expRes, err := Evaluate(NewExpSmooth("exp", 0.3), vals)
+	expRes, err := evaluateOne(NewExpSmooth("exp", 0.3), vals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,20 +78,6 @@ func BenchmarkEngineForecast(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineForecastInterval(b *testing.B) {
-	e := NewDefaultEngine()
-	for _, v := range benchValues(1000) {
-		e.Update(v)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := e.ForecastInterval(0.9); !ok {
-			b.Fatal("no interval")
-		}
-	}
-}
-
 // BenchmarkBankMember measures one Update+Forecast round per iteration for
 // each DefaultBank member individually, in steady state (window full). Each
 // member comes from a fresh bank, so it owns the windows it pushes.

@@ -175,8 +175,7 @@ type Prediction struct {
 // best-member index in the same O(bank) pass that absorbs the measurement
 // (amortized O(1) per bank member), and the index stays cached until the
 // next Update — scores only change when a measurement arrives — so
-// Forecast and BestMethod are O(1) and allocation-free. ForecastInterval
-// sorts the residual window on each call; see there.
+// Forecast and BestMethod are O(1) and allocation-free.
 //
 // Engine is not safe for concurrent use; wrap it in a mutex if shared.
 type Engine struct {
@@ -185,18 +184,6 @@ type Engine struct {
 	windowed bool // selection window configured (incremental sums in play)
 	n        int  // measurements seen
 	best     int  // cached index of the best-scoring tracker, -1 = none
-
-	// The engine's own forwarded-forecast residuals in arrival order,
-	// backing the empirical prediction intervals of ForecastInterval, which
-	// sorts them into ownSorted when called.
-	ownForecast float64
-	ownPending  bool
-	ownErrs     *series.Ring
-	ownSorted   *series.OrderWindow
-
-	// selections counts, per tracker, how often that member was the one
-	// the engine forwarded (the NWS selection dynamics).
-	selections []int
 }
 
 // NewEngine builds an engine over the given forecasters with cumulative
@@ -232,11 +219,10 @@ func NewWindowedEngine(selectBy SelectBy, selectWindow int, bank ...Forecaster) 
 	}
 	mEngineEngines.Inc()
 	return &Engine{
-		trackers:   ts,
-		selectBy:   selectBy,
-		windowed:   selectWindow > 0,
-		best:       -1,
-		selections: make([]int, len(ts)),
+		trackers: ts,
+		selectBy: selectBy,
+		windowed: selectWindow > 0,
+		best:     -1,
 	}
 }
 
@@ -250,7 +236,7 @@ func NewWindowedEngine(selectBy SelectBy, selectWindow int, bank ...Forecaster) 
 // so an Engine pushes each measurement into 5 order windows rather than
 // 11. Feed the members of one bank the same values in the same order, as
 // Engine does; a member fed out of lockstep with the window it shares
-// panics. To run a member alone, build it alone with its constructor.
+// panics. To run a member alone, take it from a bank of its own.
 func DefaultBank() []Forecaster {
 	pool := windowPool{}
 	return []Forecaster{
@@ -313,7 +299,6 @@ func NewExtendedEngine(seasonalPeriod int) *Engine {
 // every query between Updates reads the cached selection.
 func (e *Engine) Update(v float64) {
 	mEngineUpdates.Inc()
-	e.recordOwnError(v)
 	best := -1
 	bestScore := math.Inf(1)
 	for i, t := range e.trackers {
@@ -353,7 +338,6 @@ func (e *Engine) Update(v float64) {
 	}
 	e.best = best
 	e.n++
-	e.noteOwnForecast()
 }
 
 // ambiguous reports whether any rival tracker's score could, within the
@@ -381,9 +365,8 @@ func (e *Engine) Forecast() (Prediction, bool) {
 	return e.forecast()
 }
 
-// forecast is the unmetered selection read used internally (and by the
-// derived views BestMethod and ForecastInterval): the
-// nws_forecast_engine_forecasts_total counter must count only forecasts
+// forecast is the unmetered selection read behind Forecast and BestMethod:
+// the nws_forecast_engine_forecasts_total counter must count only forecasts
 // served by Forecast itself, not the selector's own bookkeeping.
 func (e *Engine) forecast() (Prediction, bool) {
 	if e.best < 0 {
@@ -410,33 +393,6 @@ func (e *Engine) Report() []MethodError {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].MAE < out[j].MAE })
 	return out
-}
-
-// SelectionCounts returns how many times each member was the engine's
-// forwarded choice, sorted by descending count — the selection dynamics the
-// NWS papers report (one method rarely dominates; the lead changes as the
-// series' character shifts). Ties break by ascending name, so the ordering
-// is deterministic for a given series.
-func (e *Engine) SelectionCounts() []MethodCount {
-	out := make([]MethodCount, 0, len(e.selections))
-	for i, n := range e.selections {
-		if n > 0 {
-			out = append(out, MethodCount{Name: e.trackers[i].f.Name(), Count: n})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// MethodCount pairs a forecaster name with its selection count.
-type MethodCount struct {
-	Name  string
-	Count int
 }
 
 // BestMethod returns the name of the member the engine would forward right

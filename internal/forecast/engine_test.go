@@ -153,9 +153,16 @@ func TestEngineReportSorted(t *testing.T) {
 	}
 }
 
+// evaluateOne scores a single forecaster through EvaluateEngine, the path
+// the ablations take, as the engine's only member.
+func evaluateOne(f Forecaster, values []float64) (EvalResult, error) {
+	res, _, err := EvaluateEngine(func() *Engine { return NewEngine(ByMAE, f) }, values)
+	return res, err
+}
+
 func TestEvaluateMatchesManualMAE(t *testing.T) {
 	vals := []float64{1, 2, 3, 4}
-	res, err := Evaluate(NewLastValue(), vals)
+	res, err := evaluateOne(NewLastValue(), vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +179,6 @@ func TestEvaluateMatchesManualMAE(t *testing.T) {
 }
 
 func TestEvaluateEmpty(t *testing.T) {
-	if _, err := Evaluate(NewLastValue(), nil); err == nil {
-		t.Fatal("empty series accepted")
-	}
 	if _, _, err := EvaluateEngine(NewDefaultEngine, nil); err == nil {
 		t.Fatal("empty series accepted by EvaluateEngine")
 	}
@@ -192,41 +196,6 @@ func TestEvaluateEngineForecastsAligned(t *testing.T) {
 	for i := 1; i < len(vals); i++ {
 		if res.Forecasts[i] != 5 {
 			t.Fatalf("forecast[%d] = %v", i, res.Forecasts[i])
-		}
-	}
-}
-
-func TestSelectionCounts(t *testing.T) {
-	e := NewDefaultEngine()
-	if len(e.SelectionCounts()) != 0 {
-		t.Fatal("selections before data")
-	}
-	rng := rand.New(rand.NewSource(31))
-	level := 0.5
-	n := 2000
-	for i := 0; i < n; i++ {
-		if i%400 == 0 {
-			level = rng.Float64()
-		}
-		e.Update(level + rng.NormFloat64()*0.05)
-	}
-	counts := e.SelectionCounts()
-	if len(counts) == 0 {
-		t.Fatal("no selections recorded")
-	}
-	total := 0
-	for _, c := range counts {
-		total += c.Count
-		if c.Count <= 0 {
-			t.Fatalf("non-positive count: %+v", c)
-		}
-	}
-	if total != n {
-		t.Fatalf("selection total = %d, want %d", total, n)
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i-1].Count < counts[i].Count {
-			t.Fatalf("counts not sorted: %v", counts)
 		}
 	}
 }
@@ -290,8 +259,8 @@ func TestWindowedEngineConstantSeries(t *testing.T) {
 	}
 }
 
-// aloneBank is DefaultBank with every member built alone by its exported
-// constructor, so each owns its windows.
+// aloneBank is DefaultBank with every member built alone, from a nil window
+// pool, so each owns its windows.
 func aloneBank() []Forecaster {
 	return []Forecaster{
 		NewLastValue(),
@@ -301,13 +270,13 @@ func aloneBank() []Forecaster {
 		NewSlidingMean(20),
 		NewSlidingMean(30),
 		NewSlidingMean(50),
-		NewSlidingMedian(5),
-		NewSlidingMedian(10),
-		NewSlidingMedian(20),
-		NewSlidingMedian(30),
-		NewSlidingMedian(50),
-		NewTrimmedMean(30, 0.3),
-		NewTrimmedMean(50, 0.2),
+		newSlidingMedian(nil, 5),
+		newSlidingMedian(nil, 10),
+		newSlidingMedian(nil, 20),
+		newSlidingMedian(nil, 30),
+		newSlidingMedian(nil, 50),
+		newTrimmedMean(nil, 30, 0.3),
+		newTrimmedMean(nil, 50, 0.2),
 		NewExpSmooth("exp_05", 0.05),
 		NewExpSmooth("exp_10", 0.10),
 		NewExpSmooth("exp_20", 0.20),
@@ -317,7 +286,7 @@ func aloneBank() []Forecaster {
 		NewExpSmooth("exp_90", 0.90),
 		NewTriggLeach(0.2),
 		NewAdaptiveWindowMean(5, 10, 20, 50),
-		NewAdaptiveWindowMedian(5, 10, 20, 50),
+		newAdaptiveWindow("adapt_median", true, nil, []int{5, 10, 20, 50}),
 		NewTrend(0.5),
 	}
 }
@@ -393,14 +362,11 @@ func TestDefaultBankSharesWindows(t *testing.T) {
 				for i, v := range trace {
 					shared.Update(v)
 					alone.Update(v)
-					got, gotOK := shared.ForecastInterval(0.9)
-					want, wantOK := alone.ForecastInterval(0.9)
+					got, gotOK := shared.Forecast()
+					want, wantOK := alone.Forecast()
 					if gotOK != wantOK || got != want {
 						t.Fatalf("step %d: shared bank %+v (%v), members alone %+v (%v)", i, got, gotOK, want, wantOK)
 					}
-				}
-				if got, want := shared.SelectionCounts(), alone.SelectionCounts(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("selection counts diverged:\n got %v\nwant %v", got, want)
 				}
 				if got, want := shared.Report(), alone.Report(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("reports diverged:\n got %v\nwant %v", got, want)

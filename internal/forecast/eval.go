@@ -13,38 +13,6 @@ type EvalResult struct {
 	Forecasts []float64 // Forecasts[i] is the prediction for values[i]; NaN when unavailable
 }
 
-// Evaluate replays values through a fresh run of f, recording for each
-// element the forecast that was issued before it arrived and scoring it
-// against the element. The first element is never scored (no history).
-//
-// This computes the paper's one-step-ahead prediction error (Equation 5) for
-// a single method over a measurement series.
-func Evaluate(f Forecaster, values []float64) (EvalResult, error) {
-	if len(values) == 0 {
-		return EvalResult{}, errors.New("forecast: Evaluate on empty series")
-	}
-	res := EvalResult{Forecasts: make([]float64, len(values))}
-	var sumAbs, sumSq float64
-	for i, v := range values {
-		pred, ok := f.Forecast()
-		if ok {
-			res.Forecasts[i] = pred
-			d := pred - v
-			sumAbs += math.Abs(d)
-			sumSq += d * d
-			res.N++
-		} else {
-			res.Forecasts[i] = math.NaN()
-		}
-		f.Update(v)
-	}
-	if res.N > 0 {
-		res.MAE = sumAbs / float64(res.N)
-		res.RMSE = math.Sqrt(sumSq / float64(res.N))
-	}
-	return res, nil
-}
-
 // EvaluateEngine replays values through a fresh engine built by newEngine
 // and returns both the engine's own evaluation and the final per-method
 // report. newEngine is a constructor so that callers can choose the bank and

@@ -17,22 +17,12 @@ func ExampleEngine() {
 	// Output: next availability: 90%
 }
 
-// Prediction intervals quantify forecast uncertainty from the engine's own
-// recent residuals.
-func ExampleEngine_ForecastInterval() {
-	eng := forecast.NewDefaultEngine()
-	for i := 0; i < 100; i++ {
-		eng.Update(0.5)
-	}
-	iv, _ := eng.ForecastInterval(0.9)
-	fmt.Printf("%.2f in [%.2f, %.2f]\n", iv.Value, iv.Lo, iv.Hi)
-	// Output: 0.50 in [0.50, 0.50]
-}
-
-// Evaluate replays a whole series through a forecaster, computing the
-// paper's one-step-ahead prediction error (Equation 5).
-func ExampleEvaluate() {
-	res, _ := forecast.Evaluate(forecast.NewLastValue(), []float64{1, 2, 3, 4})
+// EvaluateEngine replays a whole series through a fresh engine, computing
+// the paper's one-step-ahead prediction error (Equation 5). A one-member
+// engine scores a single forecaster.
+func ExampleEvaluateEngine() {
+	lastValue := func() *forecast.Engine { return forecast.NewEngine(forecast.ByMAE, forecast.NewLastValue()) }
+	res, _, _ := forecast.EvaluateEngine(lastValue, []float64{1, 2, 3, 4})
 	fmt.Printf("MAE %.1f over %d forecasts\n", res.MAE, res.N)
 	// Output: MAE 1.0 over 3 forecasts
 }

@@ -163,18 +163,18 @@ func TestSlidingMeanStaysAccurate(t *testing.T) {
 }
 
 func TestSlidingMedian(t *testing.T) {
-	f := NewSlidingMedian(3)
+	f := newSlidingMedian(nil, 3)
 	feed(f, 100, 1, 2, 9) // window 1,2,9
 	if got := mustForecast(t, f); got != 2 {
 		t.Fatalf("SlidingMedian = %v, want 2", got)
 	}
-	if _, ok := NewSlidingMedian(5).Forecast(); ok {
+	if _, ok := newSlidingMedian(nil, 5).Forecast(); ok {
 		t.Fatal("empty median should not forecast")
 	}
 }
 
 func TestTrimmedMean(t *testing.T) {
-	f := NewTrimmedMean(5, 0.2)
+	f := newTrimmedMean(nil, 5, 0.2)
 	feed(f, 100, 1, 2, 3, -50) // sorted: -50,1,2,3,100; trim 1 each side -> mean(1,2,3)=2
 	if got := mustForecast(t, f); got != 2 {
 		t.Fatalf("TrimmedMean = %v, want 2", got)
@@ -187,7 +187,7 @@ func TestTrimmedMeanPanics(t *testing.T) {
 			t.Fatal("trim 0.5 accepted")
 		}
 	}()
-	NewTrimmedMean(5, 0.5)
+	newTrimmedMean(nil, 5, 0.5)
 }
 
 func TestAdaptiveWindowPrefersShortOnShifts(t *testing.T) {
@@ -201,19 +201,19 @@ func TestAdaptiveWindowPrefersShortOnShifts(t *testing.T) {
 		}
 		f.Update(level + rng.NormFloat64()*0.01)
 	}
-	if got := f.BestLength(); got != 2 {
-		t.Fatalf("BestLength = %d, want 2 on shifting series", got)
+	if got := f.lengths[f.bestIdx()]; got != 2 {
+		t.Fatalf("best length = %d, want 2 on shifting series", got)
 	}
 }
 
 func TestAdaptiveWindowPrefersLongOnNoise(t *testing.T) {
-	f := NewAdaptiveWindowMedian(2, 50)
+	f := newAdaptiveWindow("adapt_median", true, nil, []int{2, 50})
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 2000; i++ {
 		f.Update(5 + rng.NormFloat64())
 	}
-	if got := f.BestLength(); got != 50 {
-		t.Fatalf("BestLength = %d, want 50 on stationary noise", got)
+	if got := f.lengths[f.bestIdx()]; got != 50 {
+		t.Fatalf("best length = %d, want 50 on stationary noise", got)
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 // This file pins the incremental forecasting kernel to the seed
 // implementation bit for bit: the seed's copy-and-sort window forecasters
 // and its O(bank × window) selector are reproduced below verbatim (metrics
-// stripped), and every forwarded prediction, interval, and selection count
-// must match the production kernel exactly over recorded simulator traces.
-// If these pass, the incremental rewrite cannot have moved a single number
-// in the paper's tables (Tables 2/3/5/6 all flow through Engine forecasts
-// and SelectionCounts).
+// stripped), and every forwarded prediction — value, selected member and its
+// errors — and the final per-member report must match the production kernel
+// exactly over recorded simulator traces. If these pass, the incremental
+// rewrite cannot have moved a single number in the paper's tables (Tables
+// 2/3/5/6 all flow through Engine forecasts).
 //
 // SlidingMean is deliberately shared between both sides: its periodic sum
 // resynchronization is an intentional ulp-level numeric bugfix (see
@@ -186,13 +186,9 @@ func (t *seedTracker) mse() float64 {
 }
 
 type seedEngine struct {
-	trackers    []*seedTracker
-	selectBy    SelectBy
-	n           int
-	ownForecast float64
-	ownPending  bool
-	ownErrs     *series.Ring
-	selections  map[string]int
+	trackers []*seedTracker
+	selectBy SelectBy
+	n        int
 }
 
 func newSeedEngine(selectBy SelectBy, selectWindow int, bank []Forecaster) *seedEngine {
@@ -204,16 +200,10 @@ func newSeedEngine(selectBy SelectBy, selectWindow int, bank []Forecaster) *seed
 			ts[i].winSq = series.NewRing(selectWindow)
 		}
 	}
-	return &seedEngine{trackers: ts, selectBy: selectBy, selections: make(map[string]int)}
+	return &seedEngine{trackers: ts, selectBy: selectBy}
 }
 
 func (e *seedEngine) Update(v float64) {
-	if e.ownPending {
-		if e.ownErrs == nil {
-			e.ownErrs = series.NewRing(intervalWindow)
-		}
-		e.ownErrs.Push(v - e.ownForecast)
-	}
 	for _, t := range e.trackers {
 		if t.hasPending {
 			d := t.pending - v
@@ -223,11 +213,6 @@ func (e *seedEngine) Update(v float64) {
 		t.pending, t.hasPending = t.f.Forecast()
 	}
 	e.n++
-	if p, ok := e.Forecast(); ok {
-		e.ownForecast = p.Value
-		e.ownPending = true
-		e.selections[p.Method]++
-	}
 }
 
 func (e *seedEngine) Forecast() (Prediction, bool) {
@@ -247,40 +232,6 @@ func (e *seedEngine) Forecast() (Prediction, bool) {
 	}
 	t := e.trackers[best]
 	return Prediction{Value: t.pending, Method: t.f.Name(), MAE: t.mae(), MSE: t.mse()}, true
-}
-
-func (e *seedEngine) ForecastInterval(coverage float64) (Interval, bool) {
-	p, ok := e.Forecast()
-	if !ok {
-		return Interval{}, false
-	}
-	if coverage <= 0 || coverage >= 1 {
-		coverage = 0.9
-	}
-	iv := Interval{Prediction: p, Lo: p.Value, Hi: p.Value}
-	if e.ownErrs == nil || e.ownErrs.Len() == 0 {
-		return iv, true
-	}
-	resid := e.ownErrs.Values(nil)
-	alpha := (1 - coverage) / 2
-	iv.Lo = p.Value + stats.Quantile(resid, alpha)
-	iv.Hi = p.Value + stats.Quantile(resid, 1-alpha)
-	iv.N = len(resid)
-	return iv, true
-}
-
-func (e *seedEngine) SelectionCounts() []MethodCount {
-	out := make([]MethodCount, 0, len(e.selections))
-	for name, n := range e.selections {
-		out = append(out, MethodCount{Name: name, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }
 
 // seedBank mirrors DefaultBank with the seed window implementations.
@@ -383,17 +334,6 @@ func TestGoldenEquivalenceWithSeedKernel(t *testing.T) {
 						t.Fatalf("step %d: forecast = %+v (%v), seed = %+v (%v)",
 							i, got, gotOK, want, wantOK)
 					}
-					if i%7 == 0 {
-						gi, giOK := eng.ForecastInterval(0.9)
-						wi, wiOK := ref.ForecastInterval(0.9)
-						if giOK != wiOK || gi != wi {
-							t.Fatalf("step %d: interval = %+v (%v), seed = %+v (%v)",
-								i, gi, giOK, wi, wiOK)
-						}
-					}
-				}
-				if got, want := eng.SelectionCounts(), ref.SelectionCounts(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("selection dynamics diverged:\n got %v\nwant %v", got, want)
 				}
 				if got, want := eng.Report(), mapSeedReport(ref); !reflect.DeepEqual(got, want) {
 					t.Fatalf("reports diverged:\n got %v\nwant %v", got, want)
@@ -421,13 +361,13 @@ func TestGoldenWindowForecasterEquivalence(t *testing.T) {
 		inc  Forecaster
 		seed Forecaster
 	}{
-		{"median5", NewSlidingMedian(5), &seedSlidingMedian{name: "sw_median_5", win: newSeedRingWindow(5)}},
-		{"median50", NewSlidingMedian(50), &seedSlidingMedian{name: "sw_median_50", win: newSeedRingWindow(50)}},
-		{"trim_30_30", NewTrimmedMean(30, 0.3), &seedTrimmedMean{name: "sw_trim_30_30", trim: 0.3, win: newSeedRingWindow(30)}},
-		{"trim_50_20", NewTrimmedMean(50, 0.2), &seedTrimmedMean{name: "sw_trim_50_20", trim: 0.2, win: newSeedRingWindow(50)}},
-		{"trim_zero", NewTrimmedMean(10, 0), &seedTrimmedMean{name: "sw_trim_10_00", trim: 0, win: newSeedRingWindow(10)}},
+		{"median5", newSlidingMedian(nil, 5), &seedSlidingMedian{name: "sw_median_5", win: newSeedRingWindow(5)}},
+		{"median50", newSlidingMedian(nil, 50), &seedSlidingMedian{name: "sw_median_50", win: newSeedRingWindow(50)}},
+		{"trim_30_30", newTrimmedMean(nil, 30, 0.3), &seedTrimmedMean{name: "sw_trim_30_30", trim: 0.3, win: newSeedRingWindow(30)}},
+		{"trim_50_20", newTrimmedMean(nil, 50, 0.2), &seedTrimmedMean{name: "sw_trim_50_20", trim: 0.2, win: newSeedRingWindow(50)}},
+		{"trim_zero", newTrimmedMean(nil, 10, 0), &seedTrimmedMean{name: "sw_trim_10_00", trim: 0, win: newSeedRingWindow(10)}},
 		{"adapt_mean", NewAdaptiveWindowMean(5, 10, 20, 50), newSeedAdaptiveWindow("adapt_mean", false, []int{5, 10, 20, 50})},
-		{"adapt_median", NewAdaptiveWindowMedian(5, 10, 20, 50), newSeedAdaptiveWindow("adapt_median", true, []int{5, 10, 20, 50})},
+		{"adapt_median", newAdaptiveWindow("adapt_median", true, nil, []int{5, 10, 20, 50}), newSeedAdaptiveWindow("adapt_median", true, []int{5, 10, 20, 50})},
 	}
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 5000; i++ {
@@ -463,9 +403,6 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		e.Update(float64(i%89) / 89)
 		if _, ok := e.Forecast(); !ok {
 			t.Fatal("no forecast")
-		}
-		if _, ok := e.ForecastInterval(0.9); !ok {
-			t.Fatal("no interval")
 		}
 		_ = e.BestMethod()
 	})

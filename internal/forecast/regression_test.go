@@ -3,16 +3,15 @@ package forecast
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
 // TestForecastCounterCountsOnlyExternalCalls pins the semantics of
 // nws_forecast_engine_forecasts_total: only Engine.Forecast increments it.
 // The seed implementation routed the selector's own bookkeeping (one
-// selection per Update) and the derived views (BestMethod, ForecastInterval)
-// through Forecast, inflating the counter several-fold over the forecasts
-// actually served to callers.
+// selection per Update) and the derived view BestMethod through Forecast,
+// inflating the counter several-fold over the forecasts actually served to
+// callers.
 func TestForecastCounterCountsOnlyExternalCalls(t *testing.T) {
 	e := NewDefaultEngine()
 	rng := rand.New(rand.NewSource(41))
@@ -21,7 +20,6 @@ func TestForecastCounterCountsOnlyExternalCalls(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		e.Update(rng.Float64())
 		e.BestMethod()
-		e.ForecastInterval(0.9)
 	}
 	if got := mEngineForecasts.Value() - before; got != 0 {
 		t.Fatalf("internal reads incremented forecasts_total by %d, want 0", got)
@@ -100,45 +98,6 @@ func TestTriggLeachFlatSeriesFallback(t *testing.T) {
 	}
 	if f.ae != 0 {
 		t.Fatalf("smoothed absolute error = %v on a flat series, want 0 (fallback path not exercised)", f.ae)
-	}
-}
-
-// TestSelectionCountsDeterministic runs two identical engines over the same
-// series and requires identical selection dynamics, and checks the documented
-// ordering: descending count, ties broken by ascending name.
-func TestSelectionCountsDeterministic(t *testing.T) {
-	run := func() *Engine {
-		e := NewWindowedEngine(ByMAE, 25, DefaultBank()...)
-		rng := rand.New(rand.NewSource(43))
-		v := 0.6
-		for i := 0; i < 2000; i++ {
-			v += 0.05 * (rng.Float64() - 0.5)
-			e.Update(v)
-		}
-		return e
-	}
-	a, b := run().SelectionCounts(), run().SelectionCounts()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("identical runs produced different SelectionCounts:\n%v\n%v", a, b)
-	}
-	total := 0
-	for i, mc := range a {
-		total += mc.Count
-		if i == 0 {
-			continue
-		}
-		prev := a[i-1]
-		if mc.Count > prev.Count {
-			t.Fatalf("counts not descending: %v before %v", prev, mc)
-		}
-		if mc.Count == prev.Count && mc.Name <= prev.Name {
-			t.Fatalf("tie at count %d not in ascending name order: %q before %q", mc.Count, prev.Name, mc.Name)
-		}
-	}
-	// Every Update selects exactly one member (the bank forecasts from the
-	// first measurement on).
-	if total != 2000 {
-		t.Fatalf("selection counts sum to %d, want 2000", total)
 	}
 }
 

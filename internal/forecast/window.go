@@ -106,10 +106,8 @@ type SlidingMedian struct {
 	win  *sharedWindow
 }
 
-// NewSlidingMedian returns a sliding-window median over windows of w values.
-// It panics if w < 1.
-func NewSlidingMedian(w int) *SlidingMedian { return newSlidingMedian(nil, w) }
-
+// newSlidingMedian returns a sliding-window median over windows of w values,
+// reading the window pool hands out. It panics if w < 1.
 func newSlidingMedian(pool windowPool, w int) *SlidingMedian {
 	return &SlidingMedian{name: fmt.Sprintf("sw_median_%d", w), win: pool.get(w)}
 }
@@ -145,10 +143,8 @@ type TrimmedMean struct {
 	win  *sharedWindow
 }
 
-// NewTrimmedMean returns an alpha-trimmed sliding mean. It panics if w < 1
-// or trim is outside [0, 0.5).
-func NewTrimmedMean(w int, trim float64) *TrimmedMean { return newTrimmedMean(nil, w, trim) }
-
+// newTrimmedMean returns an alpha-trimmed sliding mean, reading the window
+// pool hands out. It panics if w < 1 or trim is outside [0, 0.5).
 func newTrimmedMean(pool windowPool, w int, trim float64) *TrimmedMean {
 	if trim < 0 || trim >= 0.5 {
 		panic("forecast: TrimmedMean trim must be in [0,0.5)")
@@ -204,11 +200,6 @@ type AdaptiveWindow struct {
 // a non-positive length.
 func NewAdaptiveWindowMean(lengths ...int) *AdaptiveWindow {
 	return newAdaptiveWindow("adapt_mean", false, nil, lengths)
-}
-
-// NewAdaptiveWindowMedian returns an adaptive-window median predictor.
-func NewAdaptiveWindowMedian(lengths ...int) *AdaptiveWindow {
-	return newAdaptiveWindow("adapt_median", true, nil, lengths)
 }
 
 // newAdaptiveWindow builds either variant; the median variant takes its
@@ -278,10 +269,6 @@ func (f *AdaptiveWindow) Forecast() (float64, bool) {
 	}
 	return f.preds[f.bestIdx()], true
 }
-
-// BestLength returns the currently selected window length (for diagnostics
-// and ablation reporting).
-func (f *AdaptiveWindow) BestLength() int { return f.lengths[f.bestIdx()] }
 
 func (f *AdaptiveWindow) bestIdx() int {
 	best := 0

@@ -272,16 +272,6 @@ func catalog() []scenario {
 	}
 }
 
-// ScenarioNames lists the catalog in report order.
-func ScenarioNames() []string {
-	cat := catalog()
-	names := make([]string, len(cat))
-	for i, s := range cat {
-		names[i] = s.name
-	}
-	return names
-}
-
 // --- serving-plane instrumentation ---
 
 // countingHandler counts the memory sub-operations the run actually issues

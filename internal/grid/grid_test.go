@@ -75,13 +75,13 @@ func TestReportShape(t *testing.T) {
 	if r.Schema != SchemaVersion {
 		t.Fatalf("schema %q, want %q", r.Schema, SchemaVersion)
 	}
-	names := ScenarioNames()
-	if len(r.Scenarios) != len(names) {
-		t.Fatalf("%d scenarios, want %d", len(r.Scenarios), len(names))
+	cat := catalog()
+	if len(r.Scenarios) != len(cat) {
+		t.Fatalf("%d scenarios, want %d", len(r.Scenarios), len(cat))
 	}
 	for i, sc := range r.Scenarios {
-		if sc.Name != names[i] {
-			t.Fatalf("scenario %d = %q, want %q", i, sc.Name, names[i])
+		if sc.Name != cat[i].name {
+			t.Fatalf("scenario %d = %q, want %q", i, sc.Name, cat[i].name)
 		}
 		if sc.Hosts == 0 {
 			t.Fatalf("scenario %q got no hosts", sc.Name)
@@ -102,7 +102,7 @@ func TestReportShape(t *testing.T) {
 	if len(r.Serving) != len(cfg.LoadFactors) {
 		t.Fatalf("%d serving points, want %d", len(r.Serving), len(cfg.LoadFactors))
 	}
-	if want := len(cfg.LoadFactors) + len(names); len(r.Verdicts) != want {
+	if want := len(cfg.LoadFactors) + len(cat); len(r.Verdicts) != want {
 		t.Fatalf("%d verdicts, want %d", len(r.Verdicts), want)
 	}
 	rounds := r.Totals.Rounds

@@ -133,34 +133,6 @@ var DefLatencyBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// ExponentialBuckets returns n bounds starting at start, each factor times
-// the previous. It panics on a non-positive start, a factor <= 1, or n < 1.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("metrics: ExponentialBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n bounds starting at start, spaced width apart. It
-// panics on a non-positive width or n < 1.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("metrics: LinearBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 // labelSep joins label values into child-map keys; label values containing
 // the separator byte are sanitized at With time (NUL → U+FFFD) so values
 // taken from untrusted input can never corrupt keys or crash the caller.

@@ -126,21 +126,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-func TestBucketHelpers(t *testing.T) {
-	exp := ExponentialBuckets(1, 2, 4)
-	for i, want := range []float64{1, 2, 4, 8} {
-		if exp[i] != want {
-			t.Errorf("ExponentialBuckets[%d] = %g, want %g", i, exp[i], want)
-		}
-	}
-	lin := LinearBuckets(0, 2.5, 3)
-	for i, want := range []float64{0, 2.5, 5} {
-		if lin[i] != want {
-			t.Errorf("LinearBuckets[%d] = %g, want %g", i, lin[i], want)
-		}
-	}
-}
-
 func TestRegistryPanics(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("dup_total", "")

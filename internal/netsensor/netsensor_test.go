@@ -3,7 +3,6 @@ package netsensor
 import (
 	"encoding/binary"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -200,56 +199,5 @@ func TestNetworkSeriesForecastable(t *testing.T) {
 	}
 	if pred.Value <= 0 || pred.Value > 0.5 {
 		t.Fatalf("latency forecast = %v s, implausible", pred.Value)
-	}
-}
-
-func TestCliqueValidation(t *testing.T) {
-	if _, err := NewClique(nil, nil, 0, time.Second); err == nil {
-		t.Fatal("empty clique accepted")
-	}
-	if _, err := NewClique([]string{"a"}, []string{"x", "y"}, 0, time.Second); err == nil {
-		t.Fatal("mismatched clique accepted")
-	}
-}
-
-func TestCliqueMeasure(t *testing.T) {
-	a := startReflector(t)
-	b := startReflector(t)
-	c, err := NewClique([]string{"hostA", "hostB"}, []string{a, b}, 0, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	m := c.Measure()
-	for i := range m.Names {
-		if m.Errs[i] != nil {
-			t.Fatalf("%s: %v", m.Names[i], m.Errs[i])
-		}
-		if m.Latency[i] <= 0 || m.Bandwidth[i] < 1<<20 {
-			t.Fatalf("%s: latency %v bandwidth %v", m.Names[i], m.Latency[i], m.Bandwidth[i])
-		}
-	}
-	out := m.String()
-	if !strings.Contains(out, "hostA") || !strings.Contains(out, "ok") {
-		t.Fatalf("matrix render:\n%s", out)
-	}
-}
-
-func TestCliquePartialFailure(t *testing.T) {
-	a := startReflector(t)
-	c, err := NewClique([]string{"up", "down"}, []string{a, "127.0.0.1:1"}, 0, 200*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	m := c.Measure()
-	if m.Errs[0] != nil {
-		t.Fatalf("healthy member failed: %v", m.Errs[0])
-	}
-	if m.Errs[1] == nil {
-		t.Fatal("dead member did not error")
-	}
-	if !strings.Contains(m.String(), "down") {
-		t.Fatal("dead member missing from render")
 	}
 }

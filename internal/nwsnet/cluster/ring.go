@@ -95,9 +95,6 @@ func (r *Ring) hash(key []byte) uint64 {
 	return h
 }
 
-// Nodes returns the ring's node IDs in sorted order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // succ returns the index of the first ring point at or after h, wrapping.
 func (r *Ring) succ(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

@@ -501,7 +501,7 @@ func TestNameServerAmortizedReap(t *testing.T) {
 			t.Fatal(r.Error)
 		}
 	}
-	if got := ns.Sweeps(); got != 0 {
+	if got := ns.sweeps; got != 0 {
 		t.Fatalf("registrations inside the TTL swept %d times", got)
 	}
 
@@ -513,7 +513,7 @@ func TestNameServerAmortizedReap(t *testing.T) {
 			t.Fatal(r.Error)
 		}
 	}
-	if got := ns.Sweeps(); got != 0 {
+	if got := ns.sweeps; got != 0 {
 		t.Fatalf("lookup burst inside TTL swept %d times, want 0", got)
 	}
 
@@ -522,7 +522,7 @@ func TestNameServerAmortizedReap(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ns.Handle(Request{Op: OpLookup, Reg: Registration{Name: fmt.Sprintf("h%04d/cpu", i)}})
 	}
-	if got := ns.Sweeps(); got != 1 {
+	if got := ns.sweeps; got != 1 {
 		t.Fatalf("lookup burst across TTL swept %d times, want exactly 1", got)
 	}
 
@@ -533,12 +533,12 @@ func TestNameServerAmortizedReap(t *testing.T) {
 	ns.Handle(Request{Op: OpRegister, Reg: Registration{Name: "lapsing/cpu", Kind: KindSensor, Addr: "a:1"}})
 	now = now.Add(600 * time.Millisecond) // crosses the boundary: next request sweeps
 	ns.Handle(Request{Op: OpRegister, Reg: Registration{Name: "fresh/cpu", Kind: KindSensor, Addr: "a:1"}})
-	sweeps := ns.Sweeps() // lapsing/cpu (0.6s old) survived that sweep
+	sweeps := ns.sweeps // lapsing/cpu (0.6s old) survived that sweep
 	now = now.Add(600 * time.Millisecond)
 	if r := ns.Handle(Request{Op: OpLookup, Reg: Registration{Name: "lapsing/cpu"}}); r.Error == "" {
 		t.Fatal("expired entry still resolvable")
 	}
-	if got := ns.Sweeps(); got != sweeps {
+	if got := ns.sweeps; got != sweeps {
 		t.Fatalf("individual reap ran a full sweep (%d → %d)", sweeps, got)
 	}
 	if r := ns.Handle(Request{Op: OpLookup, Reg: Registration{Name: "fresh/cpu"}}); r.Error != "" {

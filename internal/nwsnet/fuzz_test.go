@@ -310,7 +310,7 @@ func durableSeedFiles(f *testing.F) (log, snap []byte) {
 		}})
 	}
 	drive(0)
-	if err := pm.Checkpoint(); err != nil {
+	if err := pm.journal.checkpointNow(); err != nil {
 		f.Fatal(err)
 	}
 	drive(100)

@@ -103,14 +103,6 @@ func (ns *NameServer) maybeSweepLocked() {
 	}
 }
 
-// Sweeps reports how many full expiry sweeps have run (test visibility for
-// the amortization guarantee).
-func (ns *NameServer) Sweeps() int {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.sweeps
-}
-
 // reapMembersLocked expires lapsed leases. Only an active member's expiry
 // bumps the epoch — a joining member was never in the routing ring, so its
 // disappearance moves no keys.

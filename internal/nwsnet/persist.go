@@ -31,12 +31,6 @@ func NewPersistentMemory(capacity int, dir string) (*PersistentMemory, error) {
 	return &PersistentMemory{Memory: m}, nil
 }
 
-// Checkpoint writes a snapshot of every series now and drops the log
-// generations it supersedes. The memory does this by itself whenever the log
-// outgrows the last snapshot; an operator wants it before copying the
-// directory.
-func (pm *PersistentMemory) Checkpoint() error { return pm.journal.checkpointNow() }
-
 // Close hands anything still buffered to the OS and closes the log. Stores
 // and backfills after Close answer with an error; reads keep working.
 func (pm *PersistentMemory) Close() error { return pm.journal.close() }

@@ -145,7 +145,7 @@ func (l *crashLedger) run(n int) {
 // the snapshot, whatever happens to the new generation.
 func (l *crashLedger) checkpoint() {
 	l.t.Helper()
-	if err := l.pm.Checkpoint(); err != nil {
+	if err := l.pm.journal.checkpointNow(); err != nil {
 		l.t.Fatal(err)
 	}
 	for i := range l.entries {
@@ -540,7 +540,7 @@ func TestPersistConcurrentCheckpoint(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 10; i++ {
-		if err := pm.Checkpoint(); err != nil {
+		if err := pm.journal.checkpointNow(); err != nil {
 			t.Error(err)
 		}
 	}

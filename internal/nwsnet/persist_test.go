@@ -43,6 +43,15 @@ func dirFiles(t *testing.T, dir, ext string) []string {
 	return paths
 }
 
+// checkpointNow runs a checkpoint whether or not one is due, after any that
+// is already running; the memory itself checkpoints only when the log has
+// outgrown the last snapshot.
+func (j *journal) checkpointNow() error {
+	j.ckMu.Lock()
+	defer j.ckMu.Unlock()
+	return j.checkpoint(true)
+}
+
 func TestPersistentMemoryRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -109,7 +118,7 @@ func TestPersistentMemoryRefusesTextLogs(t *testing.T) {
 	dir := t.TempDir()
 	pm := openPersistent(t, 0, dir)
 	mustStore(t, pm, "k", [2]float64{10, 0.9})
-	if err := pm.Checkpoint(); err != nil {
+	if err := pm.journal.checkpointNow(); err != nil {
 		t.Fatal(err)
 	}
 	pm.Close()
@@ -134,7 +143,7 @@ func TestPersistentMemoryCompact(t *testing.T) {
 		mustStore(t, pm, "k", [2]float64{float64(i), float64(i)})
 	}
 	comp0 := mMemoryCompactions.Value()
-	if err := pm.Checkpoint(); err != nil {
+	if err := pm.journal.checkpointNow(); err != nil {
 		t.Fatal(err)
 	}
 	if got := mMemoryCompactions.Value() - comp0; got != 1 {
@@ -236,7 +245,7 @@ func TestPersistentMemoryKeyEscaping(t *testing.T) {
 	for i, key := range keys {
 		mustStore(t, pm, key, [2]float64{1, float64(i)})
 	}
-	if err := pm.Checkpoint(); err != nil {
+	if err := pm.journal.checkpointNow(); err != nil {
 		t.Fatal(err)
 	}
 	for i, key := range keys {

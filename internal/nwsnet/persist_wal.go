@@ -368,14 +368,6 @@ func (j *journal) checkpoint(force bool) error {
 	return nil
 }
 
-// checkpointNow runs a checkpoint whether or not one is due, after any that
-// is already running.
-func (j *journal) checkpointNow() error {
-	j.ckMu.Lock()
-	defer j.ckMu.Unlock()
-	return j.checkpoint(true)
-}
-
 // rotateLocked closes the current generation and starts the next one.
 func (j *journal) rotateLocked() error {
 	if err := j.f.Close(); err != nil {

@@ -2,7 +2,6 @@ package nwsnet
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
@@ -26,17 +25,7 @@ type Repairer struct {
 	mem   *Memory
 	peers []string
 
-	mu    sync.Mutex
-	stats RepairStats
-
 	loop loop
-}
-
-// RepairStats counts one repairer's activity (the per-process totals are
-// also exported as nws_repair_rounds_total / nws_repair_points_recovered_total).
-type RepairStats struct {
-	Rounds          uint64 `json:"rounds"`
-	PointsRecovered uint64 `json:"points_recovered"`
 }
 
 // repairFetchChunk bounds how many series one repair pull batches into a
@@ -49,13 +38,6 @@ const repairFetchChunk = 64
 // cluster member's — passes them to RepairFrom each round instead.
 func NewRepairer(tr Transport, mem *Memory, peers []string) *Repairer {
 	return &Repairer{tr: tr, mem: mem, peers: append([]string(nil), peers...)}
-}
-
-// Stats reports this repairer's counters.
-func (rp *Repairer) Stats() RepairStats {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return rp.stats
 }
 
 // RepairRound runs one full anti-entropy round against the configured
@@ -80,10 +62,6 @@ func (rp *Repairer) RepairFrom(ctx context.Context, peers []string, owned func(s
 			firstErr = err
 		}
 	}
-	rp.mu.Lock()
-	rp.stats.Rounds++
-	rp.stats.PointsRecovered += uint64(recovered)
-	rp.mu.Unlock()
 	mRepairRounds.Inc()
 	mRepairPointsRecovered.Add(uint64(recovered))
 	return recovered, firstErr

@@ -27,10 +27,3 @@ func ExampleSeries_WriteCSV() {
 	// t,value
 	// 0,0.5
 }
-
-func ExampleSeries_Resample() {
-	s := series.FromValues("jittery", 0, 10, []float64{0, 1})
-	r, _ := s.Resample(0, 5, 10)
-	fmt.Println(r.Values())
-	// Output: [0 0.5 1]
-}

@@ -1,12 +1,9 @@
 package series
 
-import "math"
-
 // OrderWindow is a sliding window over a scalar series that serves order
 // statistics incrementally: Push is one binary search plus one memmove of at
-// most w values, Median/Kth/Quantile are O(1) index reads, and the
-// alpha-trimmed mean is O(trimmed span) — all with zero steady-state
-// allocations. It replaces the copy-and-sort pattern (O(w log w) time and one
+// most w values, Median is an O(1) index read, and the alpha-trimmed mean is
+// O(trimmed span) — all with zero steady-state allocations. It replaces the copy-and-sort pattern (O(w log w) time and one
 // allocation per query) in the forecaster hot path.
 //
 // Internally it pairs an arrival-order Ring (which value to evict next) with
@@ -15,15 +12,15 @@ import "math"
 // the forecasters use (w ≤ 200) shifting a contiguous slice costs less than
 // walking a balanced tree: docs/PERFORMANCE.md has the measurements.
 //
-// Median, Quantile and TrimmedMean are bit-compatible with stats.Median,
-// stats.Quantile and stats.TrimmedMean applied to the window's contents:
-// they select the same order statistics and combine them with the same
-// floating-point operations (including Kahan summation over ascending order
-// for the trimmed mean), so swapping a sorted-copy implementation for an
-// OrderWindow changes no forecast bit. NaN values are not supported: they
-// have no total order, and a window holding one panics in Push, at the
-// latest when it evicts it. Availability series are finite by construction,
-// and the memory server refuses non-finite points.
+// Median and TrimmedMean are bit-compatible with stats.Median and
+// stats.TrimmedMean applied to the window's contents: they select the same
+// order statistics and combine them with the same floating-point operations
+// (including Kahan summation over ascending order for the trimmed mean), so
+// swapping a sorted-copy implementation for an OrderWindow changes no
+// forecast bit. NaN values are not supported: they have no total order, and
+// a window holding one panics in Push, at the latest when it evicts it.
+// Availability series are finite by construction, and the memory server
+// refuses non-finite points.
 //
 // The zero value is not usable; create OrderWindows with NewOrderWindow.
 type OrderWindow struct {
@@ -95,15 +92,6 @@ func (w *OrderWindow) Full() bool { return w.ring.Full() }
 // At returns the i-th stored value in arrival order (0 = oldest).
 func (w *OrderWindow) At(i int) float64 { return w.ring.At(i) }
 
-// Kth returns the i-th smallest stored value (0-based). It panics if i is
-// out of range.
-func (w *OrderWindow) Kth(i int) float64 {
-	if i < 0 || i >= len(w.sorted) {
-		panic("series: OrderWindow.Kth out of range")
-	}
-	return w.sorted[i]
-}
-
 // Median returns the median of the stored values, or 0 when empty
 // (matching stats.Median).
 func (w *OrderWindow) Median() float64 {
@@ -116,34 +104,6 @@ func (w *OrderWindow) Median() float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Quantile returns the q-quantile of the stored values using linear
-// interpolation between order statistics (type-7, matching stats.Quantile).
-// It returns 0 when empty and clamps q into [0,1].
-func (w *OrderWindow) Quantile(q float64) float64 {
-	s := w.sorted
-	n := len(s)
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	if n == 1 {
-		return s[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // TrimmedMean returns the mean of the stored values after discarding the
@@ -186,10 +146,4 @@ func (k *kahanSum) add(x float64) {
 	t := k.sum + y
 	k.c = (t - k.sum) - y
 	k.sum = t
-}
-
-// Reset empties the window without releasing its storage.
-func (w *OrderWindow) Reset() {
-	w.ring.Reset()
-	w.sorted = w.sorted[:0]
 }

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// refMedian / refQuantile / refTrimmed replicate the stats package's
+// refMedian / refTrimmed replicate the stats package's
 // copy-and-sort arithmetic so the equivalence checks below can assert exact
 // (bitwise) agreement without importing stats (which would cycle).
 
@@ -42,24 +42,6 @@ func refKahanMean(xs []float64) float64 {
 		sum = t
 	}
 	return sum / float64(len(xs))
-}
-
-func refQuantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	tmp := refSorted(xs)
-	if n == 1 {
-		return tmp[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if frac == 0 {
-		return tmp[lo]
-	}
-	return tmp[lo]*(1-frac) + tmp[lo+1]*frac
 }
 
 func refTrimmed(xs []float64, frac float64) float64 {
@@ -121,17 +103,12 @@ func matchesReference(w *OrderWindow, window []float64) string {
 	// contents; handing it the sorted copy makes its own sort a linear pass.
 	sorted := refSorted(window)
 	for k, want := range sorted {
-		if got := w.Kth(k); got != want {
-			return fmt.Sprintf("Kth(%d) = %v, want %v", k, got, want)
+		if got := w.sorted[k]; got != want {
+			return fmt.Sprintf("sorted[%d] = %v, want %v", k, got, want)
 		}
 	}
 	if got, want := w.Median(), refMedian(sorted); !same(got, want) {
 		return fmt.Sprintf("Median = %v, want %v", got, want)
-	}
-	for _, q := range []float64{0, 0.05, 0.25, 0.5, 0.77, 0.95, 1} {
-		if got, want := w.Quantile(q), refQuantile(sorted, q); !same(got, want) {
-			return fmt.Sprintf("Quantile(%v) = %v, want %v", q, got, want)
-		}
 	}
 	if got, want := w.TrimmedMean(0), refTrimmed(window, 0); !same(got, want) {
 		return fmt.Sprintf("TrimmedMean(0) = %v, want %v", got, want)
@@ -194,39 +171,18 @@ func FuzzOrderWindow(f *testing.F) {
 
 func TestOrderWindowEmptyAndClamps(t *testing.T) {
 	w := NewOrderWindow(4)
-	if w.Median() != 0 || w.Quantile(0.5) != 0 || w.TrimmedMean(0.2) != 0 {
+	if w.Median() != 0 || w.TrimmedMean(0.2) != 0 {
 		t.Fatal("empty window should report 0 like the stats package")
 	}
 	w.Push(7)
-	if w.Quantile(-3) != 7 || w.Quantile(9) != 7 {
-		t.Fatal("Quantile should clamp q into [0,1]")
-	}
 	if w.TrimmedMean(0.9) != 7 {
 		t.Fatal("TrimmedMean with frac >= 0.5 should fall back to the median")
-	}
-}
-
-func TestOrderWindowReset(t *testing.T) {
-	w := NewOrderWindow(3)
-	for _, v := range []float64{5, 1, 9, 2} {
-		w.Push(v)
-	}
-	w.Reset()
-	if w.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", w.Len())
-	}
-	for _, v := range []float64{4, 8} {
-		w.Push(v)
-	}
-	if got := w.Median(); got != 6 {
-		t.Fatalf("Median after Reset+Push = %v, want 6", got)
 	}
 }
 
 func TestOrderWindowPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero capacity": func() { NewOrderWindow(0) },
-		"Kth range":     func() { NewOrderWindow(2).Kth(0) },
 	} {
 		func() {
 			defer func() {
@@ -252,7 +208,6 @@ func TestOrderWindowSteadyStateAllocs(t *testing.T) {
 		i++
 		w.Push(float64(i%97) * 0.125)
 		_ = w.Median()
-		_ = w.Quantile(0.9)
 		_ = w.TrimmedMean(0.2)
 	})
 	if allocs != 0 {

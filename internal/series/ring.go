@@ -93,6 +93,3 @@ func (r *Ring) Tail(k int, dst []float64) []float64 {
 	}
 	return dst
 }
-
-// Reset empties the ring without releasing its storage.
-func (r *Ring) Reset() { r.start, r.n = 0, 0 }

@@ -63,23 +63,6 @@ func TestRingValuesReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestRingReset(t *testing.T) {
-	r := NewRing(2)
-	r.Push(1)
-	r.Push(2)
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", r.Len())
-	}
-	if _, ok := r.Last(); ok {
-		t.Fatal("Last after Reset should fail")
-	}
-	r.Push(9)
-	if v, _ := r.Last(); v != 9 {
-		t.Fatal("ring unusable after Reset")
-	}
-}
-
 func TestRingPanics(t *testing.T) {
 	func() {
 		defer func() {

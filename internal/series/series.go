@@ -11,7 +11,6 @@ package series
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -99,18 +98,6 @@ func (s *Series) Slice(from, to float64) *Series {
 	return out
 }
 
-// LatestBefore returns the last point with time strictly before t, mirroring
-// the paper's rule of comparing the test process to "the measurement taken
-// most immediately before the test process executes". ok is false when no
-// such point exists.
-func (s *Series) LatestBefore(t float64) (Point, bool) {
-	i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= t })
-	if i == 0 {
-		return Point{}, false
-	}
-	return s.Points[i-1], true
-}
-
 // ErrBadAggregation reports an invalid aggregation parameter.
 var ErrBadAggregation = errors.New("series: aggregation parameters invalid")
 
@@ -140,53 +127,4 @@ func (s *Series) AggregateCount(m int) (*Series, error) {
 		}
 	}
 	return out, nil
-}
-
-// AggregateWindow returns the series of means over fixed wall-clock windows
-// of the given width in seconds, anchored at the first point's time. Windows
-// containing no points are skipped. width must be positive.
-func (s *Series) AggregateWindow(width float64) (*Series, error) {
-	if width <= 0 || math.IsNaN(width) {
-		return nil, ErrBadAggregation
-	}
-	out := New(s.Name, s.Unit)
-	if len(s.Points) == 0 {
-		return out, nil
-	}
-	start := s.Points[0].T
-	var sum float64
-	var n int
-	win := 0
-	flush := func(endT float64) {
-		if n > 0 {
-			out.Points = append(out.Points, Point{T: endT, V: sum / float64(n)})
-		}
-		sum, n = 0, 0
-	}
-	for _, p := range s.Points {
-		for p.T >= start+float64(win+1)*width {
-			flush(start + float64(win+1)*width)
-			win++
-		}
-		sum += p.V
-		n++
-	}
-	flush(start + float64(win+1)*width)
-	return out, nil
-}
-
-// MeanOver returns the mean value of points with t in [from, to), and the
-// number of points averaged.
-func (s *Series) MeanOver(from, to float64) (mean float64, n int) {
-	lo := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= from })
-	hi := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= to })
-	var sum float64
-	for _, p := range s.Points[lo:hi] {
-		sum += p.V
-	}
-	n = hi - lo
-	if n == 0 {
-		return 0, 0
-	}
-	return sum / float64(n), n
 }

@@ -67,22 +67,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestLatestBefore(t *testing.T) {
-	s := FromValues("a", 0, 10, []float64{5, 6, 7})
-	p, ok := s.LatestBefore(15)
-	if !ok || p.V != 6 {
-		t.Fatalf("LatestBefore(15) = %v %v", p, ok)
-	}
-	// Strictly before: a point at exactly t does not count.
-	p, ok = s.LatestBefore(10)
-	if !ok || p.V != 5 {
-		t.Fatalf("LatestBefore(10) = %v %v", p, ok)
-	}
-	if _, ok := s.LatestBefore(0); ok {
-		t.Fatal("LatestBefore before first point should fail")
-	}
-}
-
 func TestAggregateCount(t *testing.T) {
 	s := FromValues("a", 0, 10, []float64{1, 3, 5, 7, 100})
 	agg, err := s.AggregateCount(2)
@@ -105,52 +89,6 @@ func TestAggregateCount(t *testing.T) {
 	cp.Points[0].V = 42
 	if s.At(0).V == 42 {
 		t.Fatal("AggregateCount(1) aliased the source")
-	}
-}
-
-func TestAggregateWindow(t *testing.T) {
-	s := New("a", "")
-	for _, p := range []Point{{0, 1}, {5, 3}, {12, 10}, {31, 100}} {
-		if err := s.Append(p.T, p.V); err != nil {
-			t.Fatal(err)
-		}
-	}
-	agg, err := s.AggregateWindow(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Window [0,10): mean 2 at t=10; [10,20): 10 at t=20; [20,30) empty and
-	// skipped; [30,40): 100 at t=40.
-	if agg.Len() != 3 {
-		t.Fatalf("agg = %+v", agg.Points)
-	}
-	if agg.At(0).V != 2 || agg.At(0).T != 10 {
-		t.Fatalf("agg[0] = %v", agg.At(0))
-	}
-	if agg.At(1).V != 10 || agg.At(1).T != 20 {
-		t.Fatalf("agg[1] = %v", agg.At(1))
-	}
-	if agg.At(2).V != 100 || agg.At(2).T != 40 {
-		t.Fatalf("agg[2] = %v", agg.At(2))
-	}
-	if _, err := s.AggregateWindow(0); err == nil {
-		t.Fatal("zero width not rejected")
-	}
-	empty := New("e", "")
-	agg, err = empty.AggregateWindow(5)
-	if err != nil || agg.Len() != 0 {
-		t.Fatalf("empty aggregate = %v %v", agg, err)
-	}
-}
-
-func TestMeanOver(t *testing.T) {
-	s := FromValues("a", 0, 1, []float64{2, 4, 6, 8})
-	m, n := s.MeanOver(1, 3)
-	if n != 2 || m != 5 {
-		t.Fatalf("MeanOver = %v, %d", m, n)
-	}
-	if _, n := s.MeanOver(100, 200); n != 0 {
-		t.Fatal("MeanOver empty range should report n=0")
 	}
 }
 

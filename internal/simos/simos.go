@@ -247,9 +247,6 @@ func (h *Host) RunQueue() int {
 	return n
 }
 
-// NumLive returns the number of live (not yet exited) processes.
-func (h *Host) NumLive() int { return len(h.procs) }
-
 // Spawn creates a process now and returns its PID.
 func (h *Host) Spawn(spec ProcSpec) PID {
 	return h.spawnAt(h.Now(), spec)
@@ -276,19 +273,6 @@ func (h *Host) spawnAt(now float64, spec ProcSpec) PID {
 	return p.pid
 }
 
-// SubmitAt schedules a process to arrive at time t (>= Now). Arrivals may be
-// submitted in any order.
-func (h *Host) SubmitAt(t float64, spec ProcSpec) {
-	if t < h.Now() {
-		t = h.Now()
-	}
-	h.pending = append(h.pending, arrival{t: t, spec: spec})
-	// Keep sorted; submissions are usually near-sorted so insertion is cheap.
-	for i := len(h.pending) - 1; i > 0 && h.pending[i].t < h.pending[i-1].t; i-- {
-		h.pending[i], h.pending[i-1] = h.pending[i-1], h.pending[i]
-	}
-}
-
 // SubmitAll schedules a batch of (time, spec) arrivals.
 func (h *Host) SubmitAll(ts []float64, specs []ProcSpec) {
 	if len(ts) != len(specs) {
@@ -300,32 +284,8 @@ func (h *Host) SubmitAll(ts []float64, specs []ProcSpec) {
 	sort.SliceStable(h.pending, func(i, j int) bool { return h.pending[i].t < h.pending[j].t })
 }
 
-// Kill terminates the process with the given pid. Killing an unknown or
-// already-exited pid is a no-op.
-func (h *Host) Kill(pid PID) {
-	for _, p := range h.procs {
-		if p.pid == pid {
-			p.done = true
-			return
-		}
-	}
-}
-
-// Lookup returns the live process result-so-far for pid. ok is false if the
-// process is not live.
-func (h *Host) Lookup(pid PID) (ProcResult, bool) {
-	for _, p := range h.procs {
-		if p.pid == pid {
-			wall := h.Now() - p.start
-			return result(p.cpuTime, wall), true
-		}
-	}
-	return ProcResult{}, false
-}
-
 // Exit returns the result of an exited process along with its completion
 // time. ok is false while the process is still live (or was never spawned).
-// Killed processes appear here once the next simulation step reaps them.
 func (h *Host) Exit(pid PID) (res ProcResult, at float64, ok bool) {
 	r, ok := h.exits[pid]
 	if !ok {

@@ -82,7 +82,7 @@ func TestConservation(t *testing.T) {
 	h := newHost()
 	h.Spawn(ProcSpec{Name: "a", Demand: 30, SysFrac: 0.25})
 	h.Spawn(ProcSpec{Name: "b", Nice: 19, Demand: math.Inf(1), WallLimit: 200})
-	h.SubmitAt(50, ProcSpec{Name: "c", Demand: 10})
+	h.SubmitAll([]float64{50}, []ProcSpec{{Name: "c", Demand: 10}})
 	h.RunUntil(200)
 	c := h.Counters()
 	if math.Abs(c.User+c.Nice+c.Sys+c.Idle-c.Total) > 1e-6 {
@@ -106,7 +106,7 @@ func TestDemandCompletion(t *testing.T) {
 	if math.Abs(res.Wall-5) > 0.02 { // idle host: wall == cpu
 		t.Fatalf("Wall = %v, want 5", res.Wall)
 	}
-	if h.NumLive() != 0 {
+	if len(h.procs) != 0 {
 		t.Fatal("completed process still live")
 	}
 }
@@ -141,12 +141,11 @@ func TestLoadAverageConvergesToSpinnerCount(t *testing.T) {
 }
 
 func TestLoadAverageDecaysWhenIdle(t *testing.T) {
+	idleAt300 := ProcSpec{Name: "spin", Demand: math.Inf(1), WallLimit: 300}
 	h := newHost()
-	pid := h.Spawn(spinner(0))
+	h.Spawn(idleAt300)
 	h.RunUntil(300)
-	high := h.LoadAvg()
-	h.Kill(pid)
-	prev := high
+	prev := h.LoadAvg()
 	for _, tt := range []float64{330, 360, 420, 600} {
 		h.RunUntil(tt)
 		l := h.LoadAvg()
@@ -161,10 +160,9 @@ func TestLoadAverageDecaysWhenIdle(t *testing.T) {
 	// One-minute time constant: after 60 idle seconds the load should have
 	// decayed by roughly e.
 	h2 := newHost()
-	pid2 := h2.Spawn(spinner(0))
+	h2.Spawn(idleAt300)
 	h2.RunUntil(300)
 	l0 := h2.LoadAvg()
-	h2.Kill(pid2)
 	h2.RunUntil(360)
 	ratio := h2.LoadAvg() / l0
 	if math.Abs(ratio-math.Exp(-1)) > 0.05 {
@@ -224,17 +222,17 @@ func TestBurstProcessSleeps(t *testing.T) {
 
 func TestSubmitAtFutureArrival(t *testing.T) {
 	h := newHost()
-	h.SubmitAt(50, ProcSpec{Name: "later", Demand: 5})
+	h.SubmitAll([]float64{50}, []ProcSpec{{Name: "later", Demand: 5}})
 	h.RunUntil(49)
-	if h.NumLive() != 0 {
+	if len(h.procs) != 0 {
 		t.Fatal("process arrived early")
 	}
 	h.RunUntil(51)
-	if h.NumLive() != 1 {
+	if len(h.procs) != 1 {
 		t.Fatal("process did not arrive")
 	}
 	h.RunUntil(60)
-	if h.NumLive() != 0 {
+	if len(h.procs) != 0 {
 		t.Fatal("process did not finish")
 	}
 	c := h.Counters()
@@ -246,9 +244,9 @@ func TestSubmitAtFutureArrival(t *testing.T) {
 func TestSubmitAtPastClamps(t *testing.T) {
 	h := newHost()
 	h.RunUntil(10)
-	h.SubmitAt(5, ProcSpec{Name: "past", Demand: 1})
+	h.SubmitAll([]float64{5}, []ProcSpec{{Name: "past", Demand: 1}})
 	h.RunUntil(10.02)
-	if h.NumLive() != 1 {
+	if len(h.procs) != 1 {
 		t.Fatal("past-dated arrival not admitted immediately")
 	}
 }
@@ -260,11 +258,11 @@ func TestSubmitAllSortsArrivals(t *testing.T) {
 		[]ProcSpec{{Name: "c", Demand: 1}, {Name: "a", Demand: 1}, {Name: "b", Demand: 1}},
 	)
 	h.RunUntil(10.5)
-	if h.NumLive() != 1 {
-		t.Fatalf("live at t=10.5: %d, want 1", h.NumLive())
+	if len(h.procs) != 1 {
+		t.Fatalf("live at t=10.5: %d, want 1", len(h.procs))
 	}
 	h.RunUntil(35)
-	if h.NumLive() != 0 {
+	if len(h.procs) != 0 {
 		t.Fatal("arrivals did not all complete")
 	}
 	func() {
@@ -275,26 +273,6 @@ func TestSubmitAllSortsArrivals(t *testing.T) {
 		}()
 		h.SubmitAll([]float64{1}, nil)
 	}()
-}
-
-func TestKillAndLookup(t *testing.T) {
-	h := newHost()
-	pid := h.Spawn(spinner(0))
-	h.RunUntil(5)
-	res, ok := h.Lookup(pid)
-	if !ok || res.CPUTime < 4.9 {
-		t.Fatalf("Lookup = %+v, %v", res, ok)
-	}
-	h.Kill(pid)
-	h.RunUntil(6)
-	if _, ok := h.Lookup(pid); ok {
-		t.Fatal("killed process still visible")
-	}
-	h.Kill(pid)                   // double-kill is a no-op
-	h.Kill(PID(9999))             // unknown pid is a no-op
-	if _, ok := h.Lookup(0); ok { // never-issued pid
-		t.Fatal("Lookup(0) succeeded")
-	}
 }
 
 func TestSpawnValidation(t *testing.T) {
@@ -347,8 +325,8 @@ func TestRunQueueCountsOnlyRunnable(t *testing.T) {
 	if rq := h.RunQueue(); rq != 1 {
 		t.Fatalf("RunQueue = %d, want 1 (sleeper excluded)", rq)
 	}
-	if h.NumLive() != 2 {
-		t.Fatalf("NumLive = %d, want 2", h.NumLive())
+	if len(h.procs) != 2 {
+		t.Fatalf("live processes = %d, want 2", len(h.procs))
 	}
 }
 

@@ -98,10 +98,8 @@ func TestSMPNicePreemptedOnlyWhenSaturated(t *testing.T) {
 	// simultaneously, so the nice job is NOT starved.
 	h := smpHost(2)
 	h.Spawn(spinner(0))
-	pidNice := h.Spawn(ProcSpec{Name: "bg", Nice: 19, Demand: math.Inf(1), WallLimit: 3600})
-	h.RunUntil(60)
-	res, ok := h.Lookup(pidNice)
-	if !ok || res.Fraction < 0.95 {
+	res := h.RunProcess(ProcSpec{Name: "bg", Nice: 19, Demand: math.Inf(1), WallLimit: 60})
+	if res.Fraction < 0.95 {
 		t.Fatalf("nice job on spare SMP CPU got %v, want ~1", res.Fraction)
 	}
 }

@@ -14,7 +14,7 @@ func TestStealNilIsBitIdentical(t *testing.T) {
 			h.SetSteal(nil)
 		}
 		h.Spawn(spinner(0))
-		h.SubmitAt(30, ProcSpec{Name: "batch", Demand: 5})
+		h.SubmitAll([]float64{30}, []ProcSpec{{Name: "batch", Demand: 5}})
 		h.RunUntil(60)
 		res := h.RunProcess(ProcSpec{Name: "probe", Demand: math.Inf(1), WallLimit: 1.5})
 		return h.Counters(), h.LoadAvg(), res

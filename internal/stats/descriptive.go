@@ -151,19 +151,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return tmp[lo]*(1-frac) + tmp[hi]*frac
 }
 
-// MAD returns the median absolute deviation of xs about its median.
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	med := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
-	}
-	return Median(dev)
-}
-
 // TrimmedMean returns the mean of xs after discarding the lowest and highest
 // frac fraction of the sorted sample (0 <= frac < 0.5). With frac = 0 it is
 // the ordinary mean. If trimming would discard everything the median is
@@ -218,22 +205,6 @@ func Summarize(xs []float64) Summary {
 		Q25:      Quantile(xs, 0.25),
 		Q75:      Quantile(xs, 0.75),
 	}
-}
-
-// MeanAbsError returns the mean absolute difference between corresponding
-// elements of a and b. The slices must have equal, nonzero length.
-func MeanAbsError(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("stats: MeanAbsError length mismatch")
-	}
-	if len(a) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum float64
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum / float64(len(a)), nil
 }
 
 // RMSE returns the root-mean-square error between corresponding elements of

@@ -100,13 +100,6 @@ func TestQuantileClamps(t *testing.T) {
 	}
 }
 
-func TestMAD(t *testing.T) {
-	xs := []float64{1, 1, 2, 2, 4, 6, 9}
-	if got := MAD(xs); got != 1 {
-		t.Fatalf("MAD = %v, want 1", got)
-	}
-}
-
 func TestTrimmedMean(t *testing.T) {
 	xs := []float64{100, 1, 2, 3, 4, 5, -100} // outliers at both ends
 	if got := TrimmedMean(xs, 0.2); !almostEq(got, 3, 1e-12) {
@@ -131,19 +124,15 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestMeanAbsErrorAndRMSE(t *testing.T) {
+func TestRMSE(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{2, 2, 1}
-	mae, err := MeanAbsError(a, b)
-	if err != nil || !almostEq(mae, 1, 1e-12) {
-		t.Fatalf("MAE = %v, %v", mae, err)
-	}
 	rmse, err := RMSE(a, b)
 	if err != nil || !almostEq(rmse, math.Sqrt(5.0/3.0), 1e-12) {
 		t.Fatalf("RMSE = %v, %v", rmse, err)
 	}
-	if _, err := MeanAbsError(a, b[:2]); err == nil {
-		t.Fatal("MAE length mismatch not rejected")
+	if _, err := RMSE(a, b[:2]); err == nil {
+		t.Fatal("RMSE length mismatch not rejected")
 	}
 	if _, err := RMSE(nil, nil); err == nil {
 		t.Fatal("RMSE empty not rejected")

@@ -39,13 +39,6 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// AddAll records every observation in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
 // Total returns the number of recorded observations.
 func (h *Histogram) Total() int { return h.total }
 

@@ -80,18 +80,3 @@ func clampP(p float64) float64 {
 	}
 	return p
 }
-
-// ECDF returns the empirical cumulative distribution function of xs
-// evaluated at t: the fraction of observations <= t.
-func ECDF(xs []float64, t float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= t {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}

@@ -102,18 +102,3 @@ func TestKSProbabilityBounds(t *testing.T) {
 		t.Fatalf("Q(1) = %v, want ~0.27", p)
 	}
 }
-
-func TestECDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	cases := []struct{ t, want float64 }{
-		{0, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if got := ECDF(xs, c.t); got != c.want {
-			t.Errorf("ECDF(%v) = %v, want %v", c.t, got, c.want)
-		}
-	}
-	if ECDF(nil, 1) != 0 {
-		t.Error("ECDF of empty sample should be 0")
-	}
-}

@@ -68,7 +68,9 @@ func TestLinearRegressionFlatY(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
-	h.AddAll([]float64{-1, 0, 1.9, 2, 5, 9.9, 10, 100})
+	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 100} {
+		h.Add(x)
+	}
 	if h.Total() != 8 {
 		t.Fatalf("Total = %d", h.Total())
 	}

@@ -103,29 +103,6 @@ func Kongo(duration float64) Profile {
 	}
 }
 
-// FlashCrowd is a stress scenario beyond the paper's testbed: a quiet host
-// that is suddenly saturated by a burst of arrivals mid-experiment (deadline
-// night in a departmental lab). Forecasters face an abrupt regime change
-// instead of the smooth load the six UCSD profiles produce.
-func FlashCrowd(duration float64) Profile {
-	crowdStart := duration * 0.4
-	crowdLen := duration * 0.2
-	var fixtures []Fixture
-	for i := 0; i < 4; i++ {
-		fixtures = append(fixtures, Fixture{
-			At: crowdStart + float64(i)*5,
-			Spec: simos.ProcSpec{
-				Name: "crowd", Demand: math.Inf(1), WallLimit: crowdLen,
-			},
-		})
-	}
-	return Profile{
-		Name: "flashcrowd", Seed: 707,
-		JobRate: 1.0 / 600, JobShape: jobShape, JobScale: 6, JobMax: 200,
-		Fixtures: fixtures,
-	}
-}
-
 // Profiles returns all six host profiles for an experiment of the given
 // duration, in the paper's table order.
 func Profiles(duration float64) []Profile {

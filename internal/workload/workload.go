@@ -26,19 +26,6 @@ import (
 	"nwscpu/internal/simos"
 )
 
-// Pareto draws a Pareto(alpha, xm) variate: xm * U^(-1/alpha).
-// It panics if alpha or xm is not positive.
-func Pareto(rng *rand.Rand, alpha, xm float64) float64 {
-	if alpha <= 0 || xm <= 0 {
-		panic("workload: Pareto parameters must be positive")
-	}
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return xm * math.Pow(u, -1/alpha)
-}
-
 // BoundedPareto draws a Pareto(alpha, xm) variate truncated (by inverse-CDF
 // restriction, not rejection) to [xm, max]. It panics on invalid parameters.
 func BoundedPareto(rng *rand.Rand, alpha, xm, max float64) float64 {
