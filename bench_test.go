@@ -37,7 +37,7 @@ func benchSuite(b *testing.B) *experiments.Suite {
 		case "paper":
 			cfg = experiments.DefaultConfig()
 		default:
-			cfg = experiments.Config{Duration: 6 * 3600, WeekDuration: 2 * 86400, Parallel: true}
+			cfg = experiments.Config{Duration: 6 * 3600, WeekDuration: 2 * 86400}
 		}
 		suite = experiments.NewSuite(cfg)
 	})

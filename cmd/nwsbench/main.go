@@ -19,7 +19,6 @@
 //	-duration  monitored run length in seconds (default 86400, the paper's 24h)
 //	-week      Hurst-trace length in seconds (default 604800, one week)
 //	-quick     shrink both for a fast smoke run
-//	-serial    disable per-host parallelism
 //	-save dir  export every computed series as CSV into dir
 //	-html file write a self-contained HTML report with tables and SVG figures
 //	-load dir  reuse traces previously exported with -save instead of resimulating
@@ -51,7 +50,6 @@ func run(args []string, out io.Writer) error {
 	save := fs.String("save", "", "after running, export all computed series as CSV into this directory")
 	htmlOut := fs.String("html", "", "write a self-contained HTML report (tables + SVG figures) to this file")
 	load := fs.String("load", "", "preload runs from a directory previously written with -save")
-	serial := fs.Bool("serial", false, "run host simulations serially")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -60,10 +58,9 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("no experiments requested; try: nwsbench all")
 	}
 
-	cfg := experiments.Config{Duration: *duration, WeekDuration: *week, Parallel: !*serial}
+	cfg := experiments.Config{Duration: *duration, WeekDuration: *week}
 	if *quick {
 		cfg = experiments.QuickConfig()
-		cfg.Parallel = !*serial
 	}
 	suite := experiments.NewSuite(cfg)
 	if *load != "" {

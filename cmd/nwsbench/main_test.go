@@ -45,7 +45,7 @@ func TestRunQuickTable(t *testing.T) {
 
 func TestRunQuickFigure(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-serial", "fig2"}, &buf); err != nil {
+	if err := run([]string{"-quick", "fig2"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "autocorrelations") {

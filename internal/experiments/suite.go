@@ -28,19 +28,17 @@ type Config struct {
 	// WeekDuration of the unmonitored load-average traces used for Hurst
 	// estimation (paper: one week).
 	WeekDuration float64
-	// Parallel runs host simulations concurrently (one goroutine per host).
-	Parallel bool
 }
 
 // DefaultConfig returns the paper-scale configuration.
 func DefaultConfig() Config {
-	return Config{Duration: 86400, WeekDuration: 7 * 86400, Parallel: true}
+	return Config{Duration: 86400, WeekDuration: 7 * 86400}
 }
 
 // QuickConfig returns a configuration small enough for unit tests while
 // still exercising every code path (tests and probes included).
 func QuickConfig() Config {
-	return Config{Duration: 4000, WeekDuration: 20000, Parallel: true}
+	return Config{Duration: 4000, WeekDuration: 20000}
 }
 
 // HostNames lists the six hosts in the paper's table order.
