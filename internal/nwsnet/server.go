@@ -349,21 +349,30 @@ func (k *binSink) sendLocked(id uint64, resp *Response, flush bool) error {
 	resp.OK = resp.Error == ""
 	buf := getEncBuf()
 	defer putEncBuf(buf)
-	payload, err := encodeResponsePayload(*buf, id, resp)
+	// The frame header is reserved in front of the payload, so the writer
+	// gets one contiguous frame: a frame larger than its buffer goes out in
+	// one write(2) instead of a buffer's worth and then the rest.
+	frame, err := encodeResponsePayload(append(*buf, 0, 0, 0, 0), id, resp)
 	if err != nil {
 		return err
 	}
-	*buf = payload
+	*buf = frame
+	size := len(frame) - 4
 	// Arm the write deadline once per flush batch (the buffer is empty
 	// exactly when a batch starts): it still bounds how long a stalled
 	// peer can pin the connection, without a deadline call per frame.
 	if k.limits.WriteTimeout > 0 && k.w.Buffered() == 0 {
 		k.conn.SetWriteDeadline(time.Now().Add(k.limits.WriteTimeout))
 	}
-	err = writeFrame(k.w, payload)
+	if size > maxFrameBytes {
+		err = fmt.Errorf("nwsnet: frame payload %d bytes exceeds %d", size, maxFrameBytes)
+	} else {
+		binary.BigEndian.PutUint32(frame, uint32(size))
+		_, err = k.w.Write(frame)
+	}
 	if err == nil {
 		mWireFramesOut.Inc()
-		mWireBytesOut.Add(uint64(len(payload)))
+		mWireBytesOut.Add(uint64(size))
 		if flush {
 			err = k.w.Flush()
 		}

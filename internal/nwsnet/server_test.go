@@ -491,3 +491,113 @@ func TestServerOneGoroutinePerConnection(t *testing.T) {
 	}
 	waitForGoroutines(t, baseline+n+n/4)
 }
+
+// countConn counts the Write calls made on a net.Conn and keeps their bytes.
+type countConn struct {
+	net.Conn
+	mu     sync.Mutex
+	writes int
+	out    bytes.Buffer
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	c.out.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// take returns the writes and bytes seen since the last take.
+func (c *countConn) take() (int, []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, b := c.writes, bytes.Clone(c.out.Bytes())
+	c.writes = 0
+	c.out.Reset()
+	return n, b
+}
+
+// TestResponseFrameOneWrite pins one write per response frame: a 64- and a
+// 1024-point fetch response each leave the server in a single Write on the
+// connection, the second one larger than the connection's 4 KiB buffered
+// writer, and the bytes are exactly what encodeResponsePayload + writeFrame
+// make of the handler's answer.
+func TestResponseFrameOneWrite(t *testing.T) {
+	mem := NewMemory(0)
+	pts := make([][2]float64, 1024)
+	for i := range pts {
+		pts[i] = [2]float64{10 * float64(i), float64(i%97) / 97}
+	}
+	mem.Handle(Request{Op: OpStore, Series: "k", Points: pts})
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	srv := NewServer(mem, nil)
+	t.Cleanup(func() { srv.Close() })
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- nc
+	}()
+	_, send, recv := rawV2(t, ln.Addr().String())
+	nc, ok := <-accepted
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	cc := &countConn{Conn: nc}
+	srv.mu.Lock()
+	srv.conns[cc] = struct{}{}
+	srv.mu.Unlock()
+	srv.wg.Add(1)
+	go srv.serveConn(cc)
+
+	// The accept byte rides in front of the first response; a ping takes it.
+	send(mustEncode(t, 1, Request{Op: OpPing}))
+	if _, _, err := recv(); err != nil {
+		t.Fatal(err)
+	}
+	cc.take()
+
+	for _, c := range []struct {
+		id  uint64
+		max int
+	}{{2, 64}, {3, 1024}} {
+		id, max := c.id, c.max
+		req := Request{Op: OpFetch, Series: "k", Max: max}
+		send(mustEncode(t, id, req))
+		if gotID, resp, err := recv(); err != nil || gotID != id || len(resp.Points) != max {
+			t.Fatalf("fetch %d: id %d, %d points, %v", max, gotID, len(resp.Points), err)
+		}
+		writes, got := cc.take()
+
+		want := mem.Handle(req)
+		want.OK = want.Error == ""
+		payload, err := encodeResponsePayload(nil, id, &want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frame bytes.Buffer
+		w := bufio.NewWriter(&frame)
+		if err := writeFrame(w, payload); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		if max == 1024 && len(payload) <= 4096 {
+			t.Fatalf("a %d-byte payload does not exceed the server's 4 KiB writer", len(payload))
+		}
+		if writes != 1 {
+			t.Errorf("%d-point response (%d payload bytes): %d writes, want 1", max, len(payload), writes)
+		}
+		if !bytes.Equal(got, frame.Bytes()) {
+			t.Errorf("%d-point response: %d bytes on the wire differ from the %d-byte reference frame", max, len(got), frame.Len())
+		}
+	}
+}
