@@ -132,9 +132,12 @@ benchmark-smoke:
 # order-statistics window under them at w = 5, 50 and 200 (the end-to-end
 # numbers come from benchmark/; docs/PERFORMANCE.md). 'BenchmarkEngine'
 # covers BenchmarkEngineUpdateCold, 512 warmed engines updated in turn.
+# BenchmarkRefreshTick is one refresh pass over 512 warmed series on
+# LocalTransport, in ns per series, on one core and on two.
 bench-forecast:
 	$(GO) test -run - -bench 'BenchmarkEngine|BenchmarkBank' -benchmem ./internal/forecast
 	$(GO) test -run - -bench 'BenchmarkOrderWindow' -benchmem ./internal/series
+	$(GO) test -run - -bench 'BenchmarkRefreshTick' -cpu 1,2 -benchmem ./internal/nwsnet
 
 # The v2 store path's server half, one host tick (a batch of three one-point
 # stores) at a time, with allocation accounting: the connection decoder's

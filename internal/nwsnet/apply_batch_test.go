@@ -1,6 +1,7 @@
 package nwsnet
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -96,8 +97,10 @@ func TestRefreshMatchesOffline(t *testing.T) {
 			}
 			f := NewForecasterServiceBackend(NewLocalBackend(mem), 0)
 			f.SetCacheServing(true)
-			// Repeated keys must not be counted twice.
-			n, err := f.Warm(context.Background(), append(append([]string{}, keys...), keys[:16]...))
+			// Repeated keys must not be counted twice. Every key is repeated,
+			// so without Warm's skip the same engines would sit in two slices
+			// applied at the same time.
+			n, err := f.Warm(context.Background(), append(append([]string{}, keys...), keys...))
 			if err != nil || n != series*history {
 				t.Fatalf("Warm = %d, %v; want %d points", n, err, series*history)
 			}
@@ -192,4 +195,117 @@ func TestRefreshMatchesOffline(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recordSink is a PushSink that keeps every item it is handed, in order.
+type recordSink struct {
+	mu    sync.Mutex
+	items []PushItem
+}
+
+func (s *recordSink) PushBatch(items []PushItem) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, it := range items {
+		s.items = append(s.items, PushItem{ID: it.ID, Body: bytes.Clone(it.Body)})
+	}
+	return len(items), nil
+}
+
+// TestRefreshPushOrderDeterministic pins the refresh pass's order: the items
+// one sink receives over several ticks — IDs and bodies, in order — are the
+// same at GOMAXPROCS 1, 2 and 4, because the pass walks the engines in
+// creation order and gathers the changed forecasts in that order.
+func TestRefreshPushOrderDeterministic(t *testing.T) {
+	const (
+		series = 64
+		ticks  = 6
+	)
+	run := func(procs int) []PushItem {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		mem := NewMemory(0)
+		store := func(tick int) {
+			for i := 0; i < series; i++ {
+				v := float64((i*31+tick*17)%100) / 100
+				mem.Handle(Request{Op: OpStore, Series: fmt.Sprintf("h%02d/cpu", i), Points: [][2]float64{{float64(tick), v}}})
+			}
+		}
+		store(1)
+		f := NewForecasterServiceBackend(NewLocalBackend(mem), 0)
+		keys := make([]string, series)
+		for i := range keys {
+			// Create the engines out of key order, so creation order is
+			// neither sorted nor the memory's.
+			keys[i] = fmt.Sprintf("h%02d/cpu", (i*37)%series)
+		}
+		if _, err := f.Warm(context.Background(), keys); err != nil {
+			t.Fatal(err)
+		}
+		sink := &recordSink{}
+		for i, k := range keys {
+			if resp := f.Subscribe(Request{Op: OpSubscribe, Series: k}, uint64(1000+i), sink); resp.Error != "" {
+				t.Fatalf("subscribe %s: %s", k, resp.Error)
+			}
+		}
+		for tick := 2; tick <= ticks; tick++ {
+			store(tick)
+			f.RefreshNow()
+		}
+		return sink.items
+	}
+	want := run(1)
+	if len(want) != series*(ticks-1) {
+		t.Fatalf("GOMAXPROCS=1: %d pushes, want %d", len(want), series*(ticks-1))
+	}
+	for _, procs := range []int{2, 4} {
+		got := run(procs)
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS=%d: %d pushes, want %d", procs, len(got), len(want))
+		}
+		for j := range want {
+			if got[j].ID != want[j].ID || !bytes.Equal(got[j].Body, want[j].Body) {
+				t.Fatalf("GOMAXPROCS=%d: push %d is id %d, want id %d as at GOMAXPROCS=1", procs, j, got[j].ID, want[j].ID)
+			}
+		}
+	}
+}
+
+// BenchmarkRefreshTick times one refresh pass over 512 warmed series on
+// LocalTransport, the pass forecast_serve times end to end: each iteration
+// stores one point per series (untimed) and runs RefreshNow. It reports ns
+// per series; run it with -cpu 1,2 to see what the apply gains from a
+// second core.
+func BenchmarkRefreshTick(b *testing.B) {
+	const (
+		series  = 512
+		history = 256
+	)
+	keys := make([]string, series)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("h%03d/cpu/m", i)
+	}
+	mem := NewMemory(2048)
+	store := func(tick int) {
+		for i, k := range keys {
+			v := float64((i*7919+tick*104729)%1000) / 1000
+			mem.Handle(Request{Op: OpStore, Series: k, Points: [][2]float64{{10 * float64(tick), v}}})
+		}
+	}
+	for tick := 1; tick <= history; tick++ {
+		store(tick)
+	}
+	f := NewForecasterServiceBackend(NewLocalBackend(mem), 0)
+	f.SetCacheServing(true)
+	if n, err := f.Warm(context.Background(), keys); err != nil || n != series*history {
+		b.Fatalf("Warm = %d, %v; want %d points", n, err, series*history)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		store(history + 1 + i)
+		b.StartTimer()
+		f.RefreshNow()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*series), "ns/series")
 }

@@ -3,6 +3,7 @@ package nwsnet
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,6 +36,10 @@ type ForecasterService struct {
 
 	mu      sync.Mutex
 	engines map[string]*engineState
+	// order holds the same states in creation order. Engines are never
+	// deleted, so the slice only grows: the refresh pass walks it, and its
+	// fetch envelopes and pushes come in the same order every tick.
+	order []*engineState
 
 	// Subscription hub (docs/PROTOCOL.md §8): which push sinks watch which
 	// series. Guarded by hubMu, which is never held across a PushBatch — the
@@ -60,6 +65,7 @@ type ForecasterService struct {
 }
 
 type engineState struct {
+	key   string
 	eng   *forecast.Engine
 	lastT float64
 	// cached is the memoized forecast at the current frontier, nil after
@@ -122,12 +128,18 @@ func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	fetches := make([]BatchFetch, len(keys))
-	states := make([]*engineState, len(keys))
+	fetches := make([]BatchFetch, 0, len(keys))
+	states := make([]*engineState, 0, len(keys))
+	seen := make(map[*engineState]bool, len(keys))
 	f.mu.Lock()
-	for i, k := range keys {
-		states[i] = f.engine(k)
-		fetches[i] = BatchFetch{Series: k, From: nextAfter(states[i].lastT)}
+	for _, k := range keys {
+		st := f.engine(k)
+		if seen[st] {
+			continue // a repeated key would put one engine on two goroutines
+		}
+		seen[st] = true
+		states = append(states, st)
+		fetches = append(fetches, BatchFetch{Series: k, From: nextAfter(st.lastT)})
 	}
 	f.mu.Unlock()
 
@@ -157,30 +169,66 @@ func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error
 // applyBatch feeds results[i].Points into states[i] and re-forecasts (and
 // re-caches) every engine that consumed a point, the one apply step Warm and
 // refreshTick share. Callers hold f.mu throughout, so no poll or subscribe
-// sees a half-applied tick. It returns the points consumed and the indexes
-// of the changed forecasts in batch order.
+// sees a half-applied tick. states holds no engine twice.
+//
+// The batch is split into min(GOMAXPROCS, len) contiguous slices, each
+// applied on its own goroutine, and runs inline when that is one slice. Every
+// engine still takes its points in order on one goroutine, so every forecast
+// is the one a serial apply makes. Each slice counts its points and cache
+// invalidations locally, and the results are gathered in batch order: the
+// points consumed and the indexes of the changed forecasts.
 func (f *ForecasterService) applyBatch(states []*engineState, results []FetchResult) (total int, changed []int) {
-	for i, res := range results {
-		if res.Err != nil {
-			continue
-		}
-		n := f.applyLocked(states[i], res.Points)
-		total += n
-		if n == 0 {
-			continue
-		}
-		if _, ok := f.forecastLocked(states[i]); ok {
-			changed = append(changed, i)
-		}
+	type part struct {
+		total, invals int
+		changed       []int
 	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(states)))
+	parts := make([]part, workers)
+	apply := func(w int) {
+		var p part
+		for i := w * len(states) / workers; i < (w+1)*len(states)/workers; i++ {
+			if results[i].Err != nil {
+				continue
+			}
+			n, inval := states[i].apply(results[i].Points)
+			p.total += n
+			if inval {
+				p.invals++
+			}
+			if n == 0 {
+				continue
+			}
+			if _, ok := states[i].forecast(); ok {
+				p.changed = append(p.changed, i)
+			}
+		}
+		parts[w] = p
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			apply(w)
+		}()
+	}
+	apply(0)
+	wg.Wait()
+	invals := 0
+	for _, p := range parts {
+		total += p.total
+		invals += p.invals
+		changed = append(changed, p.changed...)
+	}
+	f.countInvals(invals)
 	return total, changed
 }
 
-// applyLocked feeds every point newer than the frontier into st, dropping
-// any cached forecast the moment the engine changes. Returns the number of
-// points consumed. Callers hold f.mu.
-func (f *ForecasterService) applyLocked(st *engineState, points [][2]float64) int {
-	n := 0
+// apply feeds every point newer than the frontier into st, dropping any
+// cached forecast the moment the engine changes. It returns the number of
+// points consumed and whether a cached forecast was dropped. The caller
+// holds f.mu, or owns st within applyBatch.
+func (st *engineState) apply(points [][2]float64) (n int, invalidated bool) {
 	for _, tv := range points {
 		if tv[0] <= st.lastT {
 			continue
@@ -191,10 +239,18 @@ func (f *ForecasterService) applyLocked(st *engineState, points [][2]float64) in
 	}
 	if n > 0 && st.cached != nil {
 		st.cached = nil
-		f.cacheInvals.Add(1)
-		mFcCacheInvalidations.Inc()
+		invalidated = true
 	}
-	return n
+	return n, invalidated
+}
+
+// countInvals adds n cache invalidations to the service's and the global
+// counter.
+func (f *ForecasterService) countInvals(n int) {
+	if n > 0 {
+		f.cacheInvals.Add(uint64(n))
+		mFcCacheInvalidations.Add(uint64(n))
+	}
 }
 
 // engine returns (creating on first use) the state for key. Callers must
@@ -202,8 +258,9 @@ func (f *ForecasterService) applyLocked(st *engineState, points [][2]float64) in
 func (f *ForecasterService) engine(key string) *engineState {
 	st := f.engines[key]
 	if st == nil {
-		st = &engineState{eng: forecast.NewDefaultEngine(), lastT: -1}
+		st = &engineState{key: key, eng: forecast.NewDefaultEngine(), lastT: -1}
 		f.engines[key] = st
+		f.order = append(f.order, st)
 		mFcEngines.Set(float64(len(f.engines)))
 	}
 	return st
@@ -264,8 +321,12 @@ func (f *ForecasterService) handleForecast(key string) Response {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	tEng := time.Now()
-	mFcPointsPulled.Add(uint64(f.applyLocked(st, points)))
-	res, ok := f.forecastLocked(st)
+	n, inval := st.apply(points)
+	if inval {
+		f.countInvals(1)
+	}
+	mFcPointsPulled.Add(uint64(n))
+	res, ok := st.forecast()
 	mFcEngineLatency.ObserveSince(tEng)
 	if !ok {
 		return errResp("forecast: no measurements for %q", key)
@@ -273,9 +334,9 @@ func (f *ForecasterService) handleForecast(key string) Response {
 	return Response{Forecast: res}
 }
 
-// forecastLocked computes the forecast at st's current frontier and caches
-// it. Callers hold f.mu.
-func (f *ForecasterService) forecastLocked(st *engineState) (*ForecastResult, bool) {
+// forecast computes the forecast at st's current frontier and caches it.
+// The caller holds f.mu, or owns st within applyBatch.
+func (st *engineState) forecast() (*ForecastResult, bool) {
 	pred, ok := st.eng.Forecast()
 	if !ok {
 		return nil, false
@@ -455,13 +516,12 @@ func (f *ForecasterService) SetCacheServing(on bool) { f.refreshing.Store(on) }
 // subscribe in progress).
 func (f *ForecasterService) refreshTick() {
 	f.mu.Lock()
-	keys := make([]string, 0, len(f.engines))
-	states := make([]*engineState, 0, len(f.engines))
-	fetches := make([]BatchFetch, 0, len(f.engines))
-	for k, st := range f.engines {
-		keys = append(keys, k)
-		states = append(states, st)
-		fetches = append(fetches, BatchFetch{Series: k, From: nextAfter(st.lastT)})
+	// order only grows, and never rewrites an element, so this prefix stays
+	// valid to read after f.mu is released.
+	states := f.order[:len(f.order):len(f.order)]
+	fetches := make([]BatchFetch, len(states))
+	for i, st := range states {
+		fetches[i] = BatchFetch{Series: st.key, From: nextAfter(st.lastT)}
 	}
 	f.mu.Unlock()
 	if len(fetches) == 0 {
@@ -489,7 +549,7 @@ func (f *ForecasterService) refreshTick() {
 	batches := make(map[PushSink][]PushItem)
 	f.hubMu.Lock()
 	for j, i := range changed {
-		if len(f.subs[keys[i]]) == 0 {
+		if len(f.subs[states[i].key]) == 0 {
 			continue
 		}
 		// 64 bytes hold a forecast body in one allocation unless the method
@@ -498,7 +558,7 @@ func (f *ForecasterService) refreshTick() {
 		if err != nil {
 			continue
 		}
-		f.queueLocked(batches, keys[i], body)
+		f.queueLocked(batches, states[i].key, body)
 	}
 	f.hubMu.Unlock()
 	f.deliver(batches, false)
