@@ -3,7 +3,6 @@ package nwsnet
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,18 +127,12 @@ func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	fetches := make([]BatchFetch, 0, len(keys))
-	states := make([]*engineState, 0, len(keys))
-	seen := make(map[*engineState]bool, len(keys))
+	fetches := make([]BatchFetch, len(keys))
+	states := make([]*engineState, len(keys))
 	f.mu.Lock()
-	for _, k := range keys {
-		st := f.engine(k)
-		if seen[st] {
-			continue // a repeated key would put one engine on two goroutines
-		}
-		seen[st] = true
-		states = append(states, st)
-		fetches = append(fetches, BatchFetch{Series: k, From: nextAfter(st.lastT)})
+	for i, k := range keys {
+		states[i] = f.engine(k)
+		fetches[i] = BatchFetch{Series: k, From: nextAfter(states[i].lastT)}
 	}
 	f.mu.Unlock()
 
@@ -169,66 +162,30 @@ func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error
 // applyBatch feeds results[i].Points into states[i] and re-forecasts (and
 // re-caches) every engine that consumed a point, the one apply step Warm and
 // refreshTick share. Callers hold f.mu throughout, so no poll or subscribe
-// sees a half-applied tick. states holds no engine twice.
-//
-// The batch is split into min(GOMAXPROCS, len) contiguous slices, each
-// applied on its own goroutine, and runs inline when that is one slice. Every
-// engine still takes its points in order on one goroutine, so every forecast
-// is the one a serial apply makes. Each slice counts its points and cache
-// invalidations locally, and the results are gathered in batch order: the
-// points consumed and the indexes of the changed forecasts.
+// sees a half-applied tick. It returns the points consumed and the indexes
+// of the changed forecasts in batch order.
 func (f *ForecasterService) applyBatch(states []*engineState, results []FetchResult) (total int, changed []int) {
-	type part struct {
-		total, invals int
-		changed       []int
-	}
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(states)))
-	parts := make([]part, workers)
-	apply := func(w int) {
-		var p part
-		for i := w * len(states) / workers; i < (w+1)*len(states)/workers; i++ {
-			if results[i].Err != nil {
-				continue
-			}
-			n, inval := states[i].apply(results[i].Points)
-			p.total += n
-			if inval {
-				p.invals++
-			}
-			if n == 0 {
-				continue
-			}
-			if _, ok := states[i].forecast(); ok {
-				p.changed = append(p.changed, i)
-			}
+	for i, res := range results {
+		if res.Err != nil {
+			continue
 		}
-		parts[w] = p
+		n := f.applyLocked(states[i], res.Points)
+		total += n
+		if n == 0 {
+			continue
+		}
+		if _, ok := f.forecastLocked(states[i]); ok {
+			changed = append(changed, i)
+		}
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			apply(w)
-		}()
-	}
-	apply(0)
-	wg.Wait()
-	invals := 0
-	for _, p := range parts {
-		total += p.total
-		invals += p.invals
-		changed = append(changed, p.changed...)
-	}
-	f.countInvals(invals)
 	return total, changed
 }
 
-// apply feeds every point newer than the frontier into st, dropping any
-// cached forecast the moment the engine changes. It returns the number of
-// points consumed and whether a cached forecast was dropped. The caller
-// holds f.mu, or owns st within applyBatch.
-func (st *engineState) apply(points [][2]float64) (n int, invalidated bool) {
+// applyLocked feeds every point newer than the frontier into st, dropping
+// any cached forecast the moment the engine changes. Returns the number of
+// points consumed. Callers hold f.mu.
+func (f *ForecasterService) applyLocked(st *engineState, points [][2]float64) int {
+	n := 0
 	for _, tv := range points {
 		if tv[0] <= st.lastT {
 			continue
@@ -239,18 +196,10 @@ func (st *engineState) apply(points [][2]float64) (n int, invalidated bool) {
 	}
 	if n > 0 && st.cached != nil {
 		st.cached = nil
-		invalidated = true
+		f.cacheInvals.Add(1)
+		mFcCacheInvalidations.Inc()
 	}
-	return n, invalidated
-}
-
-// countInvals adds n cache invalidations to the service's and the global
-// counter.
-func (f *ForecasterService) countInvals(n int) {
-	if n > 0 {
-		f.cacheInvals.Add(uint64(n))
-		mFcCacheInvalidations.Add(uint64(n))
-	}
+	return n
 }
 
 // engine returns (creating on first use) the state for key. Callers must
@@ -321,12 +270,8 @@ func (f *ForecasterService) handleForecast(key string) Response {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	tEng := time.Now()
-	n, inval := st.apply(points)
-	if inval {
-		f.countInvals(1)
-	}
-	mFcPointsPulled.Add(uint64(n))
-	res, ok := st.forecast()
+	mFcPointsPulled.Add(uint64(f.applyLocked(st, points)))
+	res, ok := f.forecastLocked(st)
 	mFcEngineLatency.ObserveSince(tEng)
 	if !ok {
 		return errResp("forecast: no measurements for %q", key)
@@ -334,9 +279,9 @@ func (f *ForecasterService) handleForecast(key string) Response {
 	return Response{Forecast: res}
 }
 
-// forecast computes the forecast at st's current frontier and caches it.
-// The caller holds f.mu, or owns st within applyBatch.
-func (st *engineState) forecast() (*ForecastResult, bool) {
+// forecastLocked computes the forecast at st's current frontier and caches
+// it. Callers hold f.mu.
+func (f *ForecasterService) forecastLocked(st *engineState) (*ForecastResult, bool) {
 	pred, ok := st.eng.Forecast()
 	if !ok {
 		return nil, false
