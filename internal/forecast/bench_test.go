@@ -80,11 +80,10 @@ func BenchmarkEngineForecast(b *testing.B) {
 
 // BenchmarkBankMember measures one Update+Forecast round per iteration for
 // each DefaultBank member individually, in steady state (window full). Each
-// member comes from a fresh bank, so it owns the windows it pushes.
+// member is built alone, so it pushes only a history of its own.
 func BenchmarkBankMember(b *testing.B) {
 	vals := benchValues(1024)
-	for m := range DefaultBank() {
-		f := DefaultBank()[m]
+	for _, f := range aloneBank() {
 		b.Run(f.Name(), func(b *testing.B) {
 			for _, v := range vals[:128] { // fill windows before timing
 				f.Update(v)

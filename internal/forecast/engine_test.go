@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestEnginePicksLastValueOnRandomWalk(t *testing.T) {
 	// On a random walk, last-value is the optimal one-step predictor among
 	// the bank; the selector must find it.
 	rng := rand.New(rand.NewSource(23))
-	e := NewEngine(ByMAE, NewLastValue(), NewRunningMean(), NewSlidingMean(50))
+	e := NewEngine(ByMAE, NewLastValue(), NewRunningMean(), newSlidingMean(50))
 	x := 0.0
 	for i := 0; i < 5000; i++ {
 		x += rng.NormFloat64()
@@ -259,24 +260,67 @@ func TestWindowedEngineConstantSeries(t *testing.T) {
 	}
 }
 
-// aloneBank is DefaultBank with every member built alone, from a nil window
-// pool, so each owns its windows.
+// newHistory returns a history keeping the last size values, with one
+// sorted window per length in lengths.
+func newHistory(size int, lengths ...int) *history {
+	h := &history{buf: make([]float64, size), wins: make([]series.OrderWindow, len(lengths))}
+	for i, l := range lengths {
+		h.wins[i] = make(series.OrderWindow, 0, l)
+	}
+	return h
+}
+
+// newSlidingMean, newSlidingMedian, newTrimmedMean and newAdaptiveWindow
+// build a member alone, over a history of its own.
+
+func newSlidingMean(w int) *SlidingMean {
+	f := slidingMean(fmt.Sprintf("sw_mean_%d", w), newHistory(w+1), w)
+	return &f
+}
+
+func newSlidingMedian(w int) *SlidingMedian {
+	f := slidingMedian(fmt.Sprintf("sw_median_%d", w), newHistory(w+1, w), w)
+	return &f
+}
+
+func newTrimmedMean(w int, trim float64) *TrimmedMean {
+	f := trimmedMean(fmt.Sprintf("sw_trim_%d_%02.0f", w, trim*100), newHistory(w+1, w), w, trim)
+	return &f
+}
+
+func newAdaptiveWindow(name string, median bool, lengths ...int) *AdaptiveWindow {
+	cands := make([]candidate, len(lengths))
+	size := 1
+	for i, l := range lengths {
+		cands[i].length = l
+		size = max(size, l+1)
+	}
+	var sorted []int
+	if median {
+		sorted = lengths
+	}
+	f := adaptiveWindow(name, newHistory(size, sorted...), cands, median)
+	return &f
+}
+
+// aloneBank is DefaultBank with every member built alone, so each owns its
+// history.
 func aloneBank() []Forecaster {
 	return []Forecaster{
 		NewLastValue(),
 		NewRunningMean(),
-		NewSlidingMean(5),
-		NewSlidingMean(10),
-		NewSlidingMean(20),
-		NewSlidingMean(30),
-		NewSlidingMean(50),
-		newSlidingMedian(nil, 5),
-		newSlidingMedian(nil, 10),
-		newSlidingMedian(nil, 20),
-		newSlidingMedian(nil, 30),
-		newSlidingMedian(nil, 50),
-		newTrimmedMean(nil, 30, 0.3),
-		newTrimmedMean(nil, 50, 0.2),
+		newSlidingMean(5),
+		newSlidingMean(10),
+		newSlidingMean(20),
+		newSlidingMean(30),
+		newSlidingMean(50),
+		newSlidingMedian(5),
+		newSlidingMedian(10),
+		newSlidingMedian(20),
+		newSlidingMedian(30),
+		newSlidingMedian(50),
+		newTrimmedMean(30, 0.3),
+		newTrimmedMean(50, 0.2),
 		NewExpSmooth("exp_05", 0.05),
 		NewExpSmooth("exp_10", 0.10),
 		NewExpSmooth("exp_20", 0.20),
@@ -285,28 +329,28 @@ func aloneBank() []Forecaster {
 		NewExpSmooth("exp_75", 0.75),
 		NewExpSmooth("exp_90", 0.90),
 		NewTriggLeach(0.2),
-		NewAdaptiveWindowMean(5, 10, 20, 50),
-		newAdaptiveWindow("adapt_median", true, nil, []int{5, 10, 20, 50}),
+		newAdaptiveWindow("adapt_mean", false, 5, 10, 20, 50),
+		newAdaptiveWindow("adapt_median", true, 5, 10, 20, 50),
 		NewTrend(0.5),
 	}
 }
 
-// orderWindows returns the distinct order windows a bank's members push.
-func orderWindows(bank []Forecaster) map[*series.OrderWindow]bool {
-	wins := make(map[*series.OrderWindow]bool)
+// histories returns the distinct histories a bank's members push.
+func histories(bank []Forecaster) map[*history]bool {
+	hs := make(map[*history]bool)
 	for _, f := range bank {
 		switch f := f.(type) {
+		case *SlidingMean:
+			hs[f.hist] = true
 		case *SlidingMedian:
-			wins[f.win.win] = true
+			hs[f.hist] = true
 		case *TrimmedMean:
-			wins[f.win.win] = true
+			hs[f.hist] = true
 		case *AdaptiveWindow:
-			for _, w := range f.wins {
-				wins[w.win] = true
-			}
+			hs[f.hist] = true
 		}
 	}
-	return wins
+	return hs
 }
 
 func bankMember(bank []Forecaster, name string) Forecaster {
@@ -318,9 +362,10 @@ func bankMember(bank []Forecaster, name string) Forecaster {
 	panic("no bank member " + name)
 }
 
-// The members of one DefaultBank push each measurement into one order
-// window per distinct length, loudly refuse to be fed out of lockstep, and
-// forecast exactly as the same members built alone.
+// The members of one DefaultBank push each measurement into one history (a
+// 51-value ring and one sorted window per distinct length), loudly refuse to
+// be fed out of lockstep, and forecast exactly as the same members built
+// alone, each over a history of its own.
 func TestDefaultBankSharesWindows(t *testing.T) {
 	bank, alone := DefaultBank(), aloneBank()
 	for i := range bank {
@@ -328,11 +373,22 @@ func TestDefaultBankSharesWindows(t *testing.T) {
 			t.Fatalf("member %d: DefaultBank has %q, aloneBank %q", i, bank[i].Name(), alone[i].Name())
 		}
 	}
-	if n := len(orderWindows(bank)); n != 5 {
-		t.Fatalf("DefaultBank pushes %d order windows, want 5 (lengths 5, 10, 20, 30, 50)", n)
+	hs := histories(bank)
+	if len(hs) != 1 {
+		t.Fatalf("DefaultBank pushes %d histories, want 1", len(hs))
 	}
-	if n := len(orderWindows(alone)); n != 11 {
-		t.Fatalf("members built alone push %d order windows, want 11", n)
+	for h := range hs {
+		var lens []int
+		for _, s := range h.wins {
+			lens = append(lens, cap(s))
+		}
+		if len(h.buf) != 51 || !reflect.DeepEqual(lens, []int{5, 10, 20, 30, 50}) {
+			t.Fatalf("DefaultBank's history: ring of %d, sorted windows %v; want 51 and [5 10 20 30 50]", len(h.buf), lens)
+		}
+	}
+	// 5 sliding means, 5 sliding medians, 2 trimmed means, 2 adaptive windows.
+	if n := len(histories(alone)); n != 14 {
+		t.Fatalf("members built alone push %d histories, want 14, one each", n)
 	}
 
 	t.Run("lockstep", func(t *testing.T) {
@@ -373,5 +429,38 @@ func TestDefaultBankSharesWindows(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A warmed default engine, the state a forecaster keeps per series, fits in
+// 5 KB and 8 heap objects, and building one takes at most 6 allocations.
+// Before each bank shared one history and became one allocation, it was
+// 8 664 B in 108 objects. These are counts, not timings, so they hold on
+// any box.
+func TestDefaultEngineFootprint(t *testing.T) {
+	const engines = 1000
+	vals := benchValues(128)
+	all := make([]*Engine, engines)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for k := range all {
+		all[k] = NewDefaultEngine()
+		for _, v := range vals {
+			all[k].Update(v)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(all)
+	bytes := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / engines
+	objects := float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / engines
+	allocs := testing.AllocsPerRun(100, func() { NewDefaultEngine() })
+	t.Logf("warmed default engine: %.0f B in %.2f heap objects; %v allocations to build", bytes, objects, allocs)
+	if bytes > 5120 || objects > 8 {
+		t.Fatalf("warmed default engine holds %.0f B in %.2f heap objects, want <= 5120 B and <= 8", bytes, objects)
+	}
+	if allocs > 6 {
+		t.Fatalf("NewDefaultEngine costs %v allocations, want <= 6", allocs)
 	}
 }

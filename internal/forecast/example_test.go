@@ -27,14 +27,19 @@ func ExampleEvaluateEngine() {
 	// Output: MAE 1.0 over 3 forecasts
 }
 
-// Individual forecasters satisfy a one-method-pair interface and can be
-// used standalone.
+// The members of a bank satisfy a one-method-pair interface and can be used
+// standalone: take one from a bank of its own.
 func ExampleSlidingMean() {
-	f := forecast.NewSlidingMean(3)
-	for _, v := range []float64{1, 2, 3, 4} {
+	var f forecast.Forecaster
+	for _, m := range forecast.DefaultBank() {
+		if m.Name() == "sw_mean_5" {
+			f = m
+		}
+	}
+	for _, v := range []float64{1, 2, 3, 4, 5, 6} {
 		f.Update(v)
 	}
 	pred, _ := f.Forecast()
 	fmt.Println(pred)
-	// Output: 3
+	// Output: 4
 }

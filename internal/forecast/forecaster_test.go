@@ -121,7 +121,7 @@ func TestTrendPanics(t *testing.T) {
 }
 
 func TestSlidingMean(t *testing.T) {
-	f := NewSlidingMean(3)
+	f := newSlidingMean(3)
 	feed(f, 1, 2, 3, 4) // window holds 2,3,4
 	if got := mustForecast(t, f); got != 3 {
 		t.Fatalf("SlidingMean = %v, want 3", got)
@@ -132,7 +132,7 @@ func TestSlidingMean(t *testing.T) {
 }
 
 func TestSlidingMeanPartialWindow(t *testing.T) {
-	f := NewSlidingMean(10)
+	f := newSlidingMean(10)
 	feed(f, 2, 4)
 	if got := mustForecast(t, f); got != 3 {
 		t.Fatalf("partial-window mean = %v, want 3", got)
@@ -141,7 +141,7 @@ func TestSlidingMeanPartialWindow(t *testing.T) {
 
 func TestSlidingMeanStaysAccurate(t *testing.T) {
 	// Long run: incremental sum must not drift away from the exact mean.
-	f := NewSlidingMean(7)
+	f := newSlidingMean(7)
 	rng := rand.New(rand.NewSource(4))
 	var last []float64
 	for i := 0; i < 100000; i++ {
@@ -163,18 +163,18 @@ func TestSlidingMeanStaysAccurate(t *testing.T) {
 }
 
 func TestSlidingMedian(t *testing.T) {
-	f := newSlidingMedian(nil, 3)
+	f := newSlidingMedian(3)
 	feed(f, 100, 1, 2, 9) // window 1,2,9
 	if got := mustForecast(t, f); got != 2 {
 		t.Fatalf("SlidingMedian = %v, want 2", got)
 	}
-	if _, ok := newSlidingMedian(nil, 5).Forecast(); ok {
+	if _, ok := newSlidingMedian(5).Forecast(); ok {
 		t.Fatal("empty median should not forecast")
 	}
 }
 
 func TestTrimmedMean(t *testing.T) {
-	f := newTrimmedMean(nil, 5, 0.2)
+	f := newTrimmedMean(5, 0.2)
 	feed(f, 100, 1, 2, 3, -50) // sorted: -50,1,2,3,100; trim 1 each side -> mean(1,2,3)=2
 	if got := mustForecast(t, f); got != 2 {
 		t.Fatalf("TrimmedMean = %v, want 2", got)
@@ -187,11 +187,11 @@ func TestTrimmedMeanPanics(t *testing.T) {
 			t.Fatal("trim 0.5 accepted")
 		}
 	}()
-	newTrimmedMean(nil, 5, 0.5)
+	newTrimmedMean(5, 0.5)
 }
 
 func TestAdaptiveWindowPrefersShortOnShifts(t *testing.T) {
-	f := NewAdaptiveWindowMean(2, 50)
+	f := newAdaptiveWindow("adapt_mean", false, 2, 50)
 	// A series with frequent level shifts favors the short window.
 	rng := rand.New(rand.NewSource(17))
 	level := 0.0
@@ -201,26 +201,26 @@ func TestAdaptiveWindowPrefersShortOnShifts(t *testing.T) {
 		}
 		f.Update(level + rng.NormFloat64()*0.01)
 	}
-	if got := f.lengths[f.bestIdx()]; got != 2 {
+	if got := f.cands[f.bestIdx()].length; got != 2 {
 		t.Fatalf("best length = %d, want 2 on shifting series", got)
 	}
 }
 
 func TestAdaptiveWindowPrefersLongOnNoise(t *testing.T) {
-	f := newAdaptiveWindow("adapt_median", true, nil, []int{2, 50})
+	f := newAdaptiveWindow("adapt_median", true, 2, 50)
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 2000; i++ {
 		f.Update(5 + rng.NormFloat64())
 	}
-	if got := f.lengths[f.bestIdx()]; got != 50 {
+	if got := f.cands[f.bestIdx()].length; got != 50 {
 		t.Fatalf("best length = %d, want 50 on stationary noise", got)
 	}
 }
 
 func TestAdaptiveWindowPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewAdaptiveWindowMean() },
-		func() { NewAdaptiveWindowMean(0) },
+		func() { newAdaptiveWindow("adapt_mean", false) },
+		func() { newAdaptiveWindow("adapt_mean", false, 0) },
 	} {
 		func() {
 			defer func() {

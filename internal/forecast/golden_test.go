@@ -239,11 +239,11 @@ func seedBank() []Forecaster {
 	return []Forecaster{
 		NewLastValue(),
 		NewRunningMean(),
-		NewSlidingMean(5),
-		NewSlidingMean(10),
-		NewSlidingMean(20),
-		NewSlidingMean(30),
-		NewSlidingMean(50),
+		newSlidingMean(5),
+		newSlidingMean(10),
+		newSlidingMean(20),
+		newSlidingMean(30),
+		newSlidingMean(50),
 		&seedSlidingMedian{name: "sw_median_5", win: newSeedRingWindow(5)},
 		&seedSlidingMedian{name: "sw_median_10", win: newSeedRingWindow(10)},
 		&seedSlidingMedian{name: "sw_median_20", win: newSeedRingWindow(20)},
@@ -361,13 +361,13 @@ func TestGoldenWindowForecasterEquivalence(t *testing.T) {
 		inc  Forecaster
 		seed Forecaster
 	}{
-		{"median5", newSlidingMedian(nil, 5), &seedSlidingMedian{name: "sw_median_5", win: newSeedRingWindow(5)}},
-		{"median50", newSlidingMedian(nil, 50), &seedSlidingMedian{name: "sw_median_50", win: newSeedRingWindow(50)}},
-		{"trim_30_30", newTrimmedMean(nil, 30, 0.3), &seedTrimmedMean{name: "sw_trim_30_30", trim: 0.3, win: newSeedRingWindow(30)}},
-		{"trim_50_20", newTrimmedMean(nil, 50, 0.2), &seedTrimmedMean{name: "sw_trim_50_20", trim: 0.2, win: newSeedRingWindow(50)}},
-		{"trim_zero", newTrimmedMean(nil, 10, 0), &seedTrimmedMean{name: "sw_trim_10_00", trim: 0, win: newSeedRingWindow(10)}},
-		{"adapt_mean", NewAdaptiveWindowMean(5, 10, 20, 50), newSeedAdaptiveWindow("adapt_mean", false, []int{5, 10, 20, 50})},
-		{"adapt_median", newAdaptiveWindow("adapt_median", true, nil, []int{5, 10, 20, 50}), newSeedAdaptiveWindow("adapt_median", true, []int{5, 10, 20, 50})},
+		{"median5", newSlidingMedian(5), &seedSlidingMedian{name: "sw_median_5", win: newSeedRingWindow(5)}},
+		{"median50", newSlidingMedian(50), &seedSlidingMedian{name: "sw_median_50", win: newSeedRingWindow(50)}},
+		{"trim_30_30", newTrimmedMean(30, 0.3), &seedTrimmedMean{name: "sw_trim_30_30", trim: 0.3, win: newSeedRingWindow(30)}},
+		{"trim_50_20", newTrimmedMean(50, 0.2), &seedTrimmedMean{name: "sw_trim_50_20", trim: 0.2, win: newSeedRingWindow(50)}},
+		{"trim_zero", newTrimmedMean(10, 0), &seedTrimmedMean{name: "sw_trim_10_00", trim: 0, win: newSeedRingWindow(10)}},
+		{"adapt_mean", newAdaptiveWindow("adapt_mean", false, 5, 10, 20, 50), newSeedAdaptiveWindow("adapt_mean", false, []int{5, 10, 20, 50})},
+		{"adapt_median", newAdaptiveWindow("adapt_median", true, 5, 10, 20, 50), newSeedAdaptiveWindow("adapt_median", true, []int{5, 10, 20, 50})},
 	}
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 5000; i++ {

@@ -38,12 +38,13 @@ func TestForecastCounterCountsOnlyExternalCalls(t *testing.T) {
 
 // TestSlidingMeanDriftBounded drives a SlidingMean through ten million
 // updates of a large-magnitude, heavily cancelling series and checks the
-// maintained sum against a compensated fresh sum of the ring contents. The
+// maintained sum against a compensated fresh sum of the window, read from
+// the member's history. The
 // periodic resynchronization pins the drift at one window's worth of
 // roundoff; without it the incremental sum random-walks away without bound.
 func TestSlidingMeanDriftBounded(t *testing.T) {
 	const w = 50
-	f := NewSlidingMean(w)
+	f := newSlidingMean(w)
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 10_000_000; i++ {
 		// Large offsets of alternating sign force cancellation in the
@@ -55,18 +56,20 @@ func TestSlidingMeanDriftBounded(t *testing.T) {
 		f.Update(v)
 	}
 
+	a, b := f.hist.tail(w)
+	window := append(append([]float64(nil), a...), b...)
 	var sum, c float64
-	for i := 0; i < f.ring.Len(); i++ {
-		y := f.ring.At(i) - c
+	for _, x := range window {
+		y := x - c
 		tt := sum + y
 		c = (tt - sum) - y
 		sum = tt
 	}
-	// Between resyncs at most ~2*Cap add/subtract operations touch the sum,
+	// Between resyncs at most ~2*w add/subtract operations touch the sum,
 	// each erring by at most one ulp of a window-sum-sized quantity.
 	scale := math.Abs(sum)
-	for i := 0; i < f.ring.Len(); i++ {
-		if a := math.Abs(f.ring.At(i)); a > scale {
+	for _, x := range window {
+		if a := math.Abs(x); a > scale {
 			scale = a
 		}
 	}

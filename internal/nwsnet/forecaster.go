@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nwscpu/internal/forecast"
+	"nwscpu/internal/metrics"
 	"nwscpu/internal/nwsnet/cluster"
 	"nwscpu/internal/resilience"
 )
@@ -71,6 +72,11 @@ type engineState struct {
 	// any update touched the engine. Served to queries only while the
 	// refresher runs (it bounds staleness to one tick).
 	cached *ForecastResult
+	// selected counts the forecasts served by method, the bank member the
+	// engine last forwarded. It is resolved when that member changes, so a
+	// cache hit resolves no label.
+	method   string
+	selected *metrics.Counter
 }
 
 // NewForecasterService returns a forecaster pulling from a replicated
@@ -215,7 +221,9 @@ func (f *ForecasterService) engine(key string) *engineState {
 	return st
 }
 
-// Handle implements Handler.
+// Handle implements Handler. A forecast answer may carry the cached result
+// itself, shared with every other reader and with the refresher's pushes:
+// treat its Forecast as read-only.
 func (f *ForecasterService) Handle(req Request) Response {
 	switch req.Op {
 	case OpPing:
@@ -227,12 +235,12 @@ func (f *ForecasterService) Handle(req Request) Response {
 			return errResp("forecast requires a series key")
 		}
 		t0 := time.Now()
-		resp := f.handleForecast(req.Series)
+		resp, selected := f.handleForecast(req.Series)
 		mFcLatency.ObserveSince(t0)
 		if resp.Error != "" {
 			mFcErrors.Inc()
-		} else if resp.Forecast != nil {
-			mFcMethodSelected.With(resp.Forecast.Method).Inc()
+		} else {
+			selected.Inc()
 		}
 		return resp
 	default:
@@ -240,18 +248,21 @@ func (f *ForecasterService) Handle(req Request) Response {
 	}
 }
 
-func (f *ForecasterService) handleForecast(key string) Response {
+// handleForecast answers one forecast query, with the counter of the
+// method that made the forecast (nil with an error).
+func (f *ForecasterService) handleForecast(key string) (Response, *metrics.Counter) {
 	f.mu.Lock()
 	st := f.engine(key)
 	// The cached result is the answer at the current frontier; it is
 	// authoritative only while the refresher runs, because only the
-	// refresher observes stores made by other clients and invalidates.
+	// refresher observes stores made by other clients and invalidates. It
+	// is replaced, never modified, so it is served without a copy.
 	if st.cached != nil && f.refreshing.Load() {
-		res := *st.cached
+		res, selected := st.cached, st.selected
 		f.mu.Unlock()
 		f.cacheHits.Add(1)
 		mFcCacheHits.Inc()
-		return Response{Forecast: &res}
+		return Response{Forecast: res}, selected
 	}
 	from := nextAfter(st.lastT) // read under f.mu: a concurrent miss on the same series moves it
 	f.mu.Unlock()
@@ -264,7 +275,7 @@ func (f *ForecasterService) handleForecast(key string) Response {
 	defer cancel()
 	points, err := f.group.Fetch(ctx, key, from, 0, 0)
 	if err != nil {
-		return errResp("forecast: memory fetch: %v", err)
+		return errResp("forecast: memory fetch: %v", err), nil
 	}
 
 	f.mu.Lock()
@@ -274,9 +285,9 @@ func (f *ForecasterService) handleForecast(key string) Response {
 	res, ok := f.forecastLocked(st)
 	mFcEngineLatency.ObserveSince(tEng)
 	if !ok {
-		return errResp("forecast: no measurements for %q", key)
+		return errResp("forecast: no measurements for %q", key), nil
 	}
-	return Response{Forecast: res}
+	return Response{Forecast: res}, st.selected
 }
 
 // forecastLocked computes the forecast at st's current frontier and caches
@@ -293,6 +304,9 @@ func (f *ForecasterService) forecastLocked(st *engineState) (*ForecastResult, bo
 		N:      st.eng.N(),
 	}
 	st.cached = res
+	if pred.Method != st.method {
+		st.method, st.selected = pred.Method, mFcMethodSelected.With(pred.Method)
+	}
 	return res, true
 }
 
@@ -348,7 +362,7 @@ func (f *ForecasterService) Subscribe(req Request, id uint64, sink PushSink) Res
 		}
 	}
 	ack := Response{}
-	if resp := f.handleForecast(req.Series); resp.Error == "" {
+	if resp, _ := f.handleForecast(req.Series); resp.Error == "" {
 		ack.Forecast = resp.Forecast
 	}
 	return ack

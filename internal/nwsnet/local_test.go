@@ -79,3 +79,40 @@ func TestLocalBackendRoundTrip(t *testing.T) {
 		t.Fatalf("series: %v %v", names, err)
 	}
 }
+
+// A cache hit is the forecaster's hot read: it serves the cached result
+// without a copy and counts it on a method counter resolved when the
+// forecast was cached, so it allocates nothing.
+func TestForecastCacheHitAllocatesNothing(t *testing.T) {
+	lt := NewLocalTransport()
+	lt.Register("mem", NewMemory(0))
+	f := NewForecasterServiceBackend(NewReplicaGroupTransport(lt, []string{"mem"}, 1), 0)
+	f.SetCacheServing(true)
+	const key = "h/cpu/nws_hybrid"
+	if err := lt.StoreCtx(context.Background(), "mem", key, [][2]float64{{0, 0.5}, {1, 0.25}}); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Op: OpForecast, Series: key}
+	first := f.Handle(req) // a miss: it builds the engine and caches the forecast
+	if first.Error != "" || first.Forecast == nil {
+		t.Fatalf("first forecast: %+v", first)
+	}
+	selected := mFcMethodSelected.With(first.Forecast.Method)
+	hits0, misses0, _ := f.CacheStats()
+	counted0 := selected.Value()
+	allocs := testing.AllocsPerRun(100, func() {
+		if r := f.Handle(req); r.Forecast != first.Forecast {
+			t.Fatalf("cache hit served %+v, want the cached result %p", r, first.Forecast)
+		}
+	})
+	hits1, misses1, _ := f.CacheStats()
+	if hits1-hits0 != 101 || misses1 != misses0 {
+		t.Fatalf("cache stats moved hits %d->%d misses %d->%d, want 101 hits", hits0, hits1, misses0, misses1)
+	}
+	if got := selected.Value() - counted0; got != 101 {
+		t.Fatalf("%s counted %d forecasts, want 101", first.Forecast.Method, got)
+	}
+	if allocs != 0 {
+		t.Fatalf("a cache hit costs %v allocations, want 0", allocs)
+	}
+}

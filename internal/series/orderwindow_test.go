@@ -9,65 +9,35 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+
+	"nwscpu/internal/stats"
 )
 
-// refMedian / refTrimmed replicate the stats package's
-// copy-and-sort arithmetic so the equivalence checks below can assert exact
-// (bitwise) agreement without importing stats (which would cycle).
-
-func refSorted(xs []float64) []float64 {
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	return tmp
+// window is the caller's side of an OrderWindow: the arrival-order record
+// the window itself does not keep, which hands each push the value it
+// evicts.
+type window struct {
+	sorted  OrderWindow
+	arrived []float64 // the window's values, oldest first
 }
 
-func refMedian(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	tmp := refSorted(xs)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
+func newWindow(capacity int) *window {
+	return &window{sorted: make(OrderWindow, 0, capacity)}
 }
 
-func refKahanMean(xs []float64) float64 {
-	var sum, c float64
-	for _, x := range xs {
-		y := x - c
-		t := sum + y
-		c = (t - sum) - y
-		sum = t
+func (w *window) push(v float64) {
+	var old float64
+	if len(w.arrived) == cap(w.sorted) {
+		old, w.arrived = w.arrived[0], w.arrived[1:]
 	}
-	return sum / float64(len(xs))
-}
-
-func refTrimmed(xs []float64, frac float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if frac <= 0 {
-		return refKahanMean(xs)
-	}
-	if frac >= 0.5 {
-		return refMedian(xs)
-	}
-	tmp := refSorted(xs)
-	k := int(float64(n) * frac)
-	if 2*k >= n {
-		return refMedian(xs)
-	}
-	return refKahanMean(tmp[k : n-k])
+	w.sorted.Push(v, old)
+	w.arrived = append(w.arrived, v)
 }
 
 func TestOrderWindowMatchesSortedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, capacity := range []int{1, 2, 3, 5, 8, 50, 200, 256} {
-		w := NewOrderWindow(capacity)
-		window := make([]float64, 0, capacity)
+		w := newWindow(capacity)
 		for i := 0; i < 3000; i++ {
 			var v float64
 			switch {
@@ -78,43 +48,35 @@ func TestOrderWindowMatchesSortedReference(t *testing.T) {
 			default:
 				v = rng.NormFloat64() * 100
 			}
-			w.Push(v)
-			window = append(window, v)
-			if len(window) > capacity {
-				window = window[1:]
-			}
-			if err := matchesReference(w, window); err != "" {
+			w.push(v)
+			if err := matchesReference(w); err != "" {
 				t.Fatalf("cap %d step %d: %s", capacity, i, err)
 			}
 		}
 	}
 }
 
-// matchesReference compares every order statistic of w with the
-// copy-and-sort reference over window, its expected contents in arrival
-// order, and describes the first difference ("" when there is none). NaN
-// results — ±Inf inputs can produce them — match each other.
-func matchesReference(w *OrderWindow, window []float64) string {
+// matchesReference compares every order statistic of w's sorted window
+// with stats.Median and stats.TrimmedMean over its arrival-order contents,
+// and describes the first difference ("" when there is none). NaN results
+// — ±Inf inputs can produce them — match each other.
+func matchesReference(w *window) string {
 	same := func(a, b float64) bool { return a == b || (a != a && b != b) }
-	if w.Len() != len(window) {
-		return fmt.Sprintf("Len = %d, want %d", w.Len(), len(window))
+	if len(w.sorted) != len(w.arrived) {
+		return fmt.Sprintf("len = %d, want %d", len(w.sorted), len(w.arrived))
 	}
-	// Every reference but the untrimmed mean depends only on the sorted
-	// contents; handing it the sorted copy makes its own sort a linear pass.
-	sorted := refSorted(window)
+	sorted := append([]float64(nil), w.arrived...)
+	sort.Float64s(sorted)
 	for k, want := range sorted {
 		if got := w.sorted[k]; got != want {
 			return fmt.Sprintf("sorted[%d] = %v, want %v", k, got, want)
 		}
 	}
-	if got, want := w.Median(), refMedian(sorted); !same(got, want) {
+	if got, want := w.sorted.Median(), stats.Median(w.arrived); !same(got, want) {
 		return fmt.Sprintf("Median = %v, want %v", got, want)
 	}
-	if got, want := w.TrimmedMean(0), refTrimmed(window, 0); !same(got, want) {
-		return fmt.Sprintf("TrimmedMean(0) = %v, want %v", got, want)
-	}
-	for _, f := range []float64{0.1, 0.2, 0.3, 0.49} {
-		if got, want := w.TrimmedMean(f), refTrimmed(sorted, f); !same(got, want) {
+	for _, f := range []float64{0.1, 0.2, 0.3, 0.49, 0.5} {
+		if got, want := w.sorted.TrimmedMean(f), stats.TrimmedMean(w.arrived, f); !same(got, want) {
 			return fmt.Sprintf("TrimmedMean(%v) = %v, want %v", f, got, want)
 		}
 	}
@@ -136,8 +98,7 @@ func FuzzOrderWindow(f *testing.F) {
 		if len(data) > 1024 {
 			data = data[:1024] // the reference re-sorts after every push
 		}
-		w := NewOrderWindow(int(capacity) + 1)
-		var window []float64
+		w := newWindow(int(capacity) + 1)
 		for len(data) > 0 {
 			b := data[0]
 			data = data[1:]
@@ -158,23 +119,20 @@ func FuzzOrderWindow(f *testing.F) {
 			default:
 				v = (float64(b) - 128) / 4
 			}
-			w.Push(v)
-			if window = append(window, v); len(window) > w.Cap() {
-				window = window[1:]
-			}
-			if err := matchesReference(w, window); err != "" {
-				t.Fatalf("cap %d after %d values: %s", w.Cap(), len(window), err)
+			w.push(v)
+			if err := matchesReference(w); err != "" {
+				t.Fatalf("cap %d after %d values: %s", cap(w.sorted), len(w.arrived), err)
 			}
 		}
 	})
 }
 
 func TestOrderWindowEmptyAndClamps(t *testing.T) {
-	w := NewOrderWindow(4)
+	w := make(OrderWindow, 0, 4)
 	if w.Median() != 0 || w.TrimmedMean(0.2) != 0 {
 		t.Fatal("empty window should report 0 like the stats package")
 	}
-	w.Push(7)
+	w.Push(7, 0)
 	if w.TrimmedMean(0.9) != 7 {
 		t.Fatal("TrimmedMean with frac >= 0.5 should fall back to the median")
 	}
@@ -182,7 +140,20 @@ func TestOrderWindowEmptyAndClamps(t *testing.T) {
 
 func TestOrderWindowPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero capacity": func() { NewOrderWindow(0) },
+		"zero capacity": func() {
+			var w OrderWindow
+			w.Push(1, 0)
+		},
+		"evicting a value it does not hold": func() {
+			w := make(OrderWindow, 0, 2)
+			w.Push(1, 0)
+			w.Push(2, 0)
+			w.Push(3, 5)
+		},
+		"untrimmed mean": func() {
+			w := OrderWindow{1, 2}
+			w.TrimmedMean(0)
+		},
 	} {
 		func() {
 			defer func() {
@@ -198,15 +169,21 @@ func TestOrderWindowPanics(t *testing.T) {
 // The whole point of OrderWindow: a full window must run without touching
 // the allocator.
 func TestOrderWindowSteadyStateAllocs(t *testing.T) {
-	w := NewOrderWindow(50)
+	const capacity = 50
+	w := make(OrderWindow, 0, capacity)
+	var arrived [capacity]float64 // the caller's ring
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		w.Push(rng.Float64())
-	}
 	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
+	push := func(v float64) {
+		w.Push(v, arrived[i%capacity])
+		arrived[i%capacity] = v
 		i++
-		w.Push(float64(i%97) * 0.125)
+	}
+	for i < 200 {
+		push(rng.Float64())
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		push(float64(i%97) * 0.125)
 		_ = w.Median()
 		_ = w.TrimmedMean(0.2)
 	})
@@ -219,8 +196,8 @@ func TestOrderWindowSteadyStateAllocs(t *testing.T) {
 var benchSink float64
 
 // BenchmarkOrderWindowPush times one push plus one median read on a full
-// window of uniform values, at the bank's smallest window (5), its common
-// one (50) and the engine's interval window (200, the longest shift).
+// window of uniform values, at the bank's shortest window (5), its longest
+// (50), and 200, where the memmove still beats a balanced tree.
 func BenchmarkOrderWindowPush(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	vals := make([]float64, 1024)
@@ -229,14 +206,16 @@ func BenchmarkOrderWindowPush(b *testing.B) {
 	}
 	for _, capacity := range []int{5, 50, 200} {
 		b.Run(strconv.Itoa(capacity), func(b *testing.B) {
-			w := NewOrderWindow(capacity)
+			w := make(OrderWindow, 0, capacity)
 			for _, v := range vals[:capacity] {
-				w.Push(v)
+				w.Push(v, 0)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.Push(vals[i%len(vals)])
+				// vals[j] entered the window capacity pushes ago.
+				j := (i + capacity) % len(vals)
+				w.Push(vals[j], vals[i%len(vals)])
 				benchSink = w.Median()
 			}
 		})
