@@ -129,7 +129,8 @@ benchmark-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Forecaster hot-path microbenchmarks with allocation accounting, and the
-# order-statistics window under them at w = 5, 50 and 200 (the end-to-end
+# order-statistics window under them at w = 5 and 50 (the bank's shortest
+# and longest) and 200, each push handed the value it evicts (the end-to-end
 # numbers come from benchmark/; docs/PERFORMANCE.md). 'BenchmarkEngine'
 # covers BenchmarkEngineUpdateCold, 512 warmed engines updated in turn.
 # BenchmarkRefreshTick is one refresh pass over 512 warmed series on
