@@ -3,12 +3,16 @@ package nwscpu_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/doc"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -190,7 +194,8 @@ func TestDocsMetricsMatchCode(t *testing.T) {
 
 // goSources is the module's non-test Go source, parsed once with comments and
 // grouped by directory. The benchmark's module is part of it: benchmark/sut.go
-// is a caller of internal/.
+// is a caller of internal/. Only the files go/build selects for the host are
+// in it, so every package type-checks as the host's compiler sees it.
 type goSources struct {
 	fset *token.FileSet
 	dirs map[string][]*ast.File
@@ -202,31 +207,40 @@ var (
 	parseSrcErr error
 )
 
-// moduleSources parses every non-test .go file under the repository root,
-// skipping testdata and hidden directories, once per test binary.
+// moduleSources parses the repository's sources once per test binary.
 func moduleSources(t *testing.T) goSources {
 	t.Helper()
-	parseOnce.Do(func() {
-		parsedSrc = goSources{fset: token.NewFileSet(), dirs: map[string][]*ast.File{}}
-		parseSrcErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-			switch {
-			case err != nil:
-				return err
-			case d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
-				return filepath.SkipDir
-			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-				return nil
-			}
-			f, err := parser.ParseFile(parsedSrc.fset, path, nil, parser.ParseComments)
-			dir := filepath.ToSlash(filepath.Dir(path))
-			parsedSrc.dirs[dir] = append(parsedSrc.dirs[dir], f)
-			return err
-		})
-	})
+	parseOnce.Do(func() { parsedSrc, parseSrcErr = parseTree(".") })
 	if parseSrcErr != nil {
 		t.Fatal(parseSrcErr)
 	}
 	return parsedSrc
+}
+
+// parseTree parses every non-test .go file under root that go/build selects
+// for the host, skipping testdata and hidden directories. Directories are
+// keyed relative to root, with forward slashes.
+func parseTree(root string) (goSources, error) {
+	src := goSources{fset: token.NewFileSet(), dirs: map[string][]*ast.File{}}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); !ok || err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(src.fset, path, nil, parser.ParseComments)
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		dir := filepath.ToSlash(rel)
+		src.dirs[dir] = append(src.dirs[dir], f)
+		return err
+	})
+	return src, err
 }
 
 // TestDocsExportedNamesDocumented holds the Go sources to the doc-comment
@@ -277,7 +291,7 @@ func TestDocsExportedNamesDocumented(t *testing.T) {
 
 // exportsAllowed lists the names in internal/ that stay without a non-test
 // caller, one reason each. A key is a package directory, which exempts the
-// whole package, or dir.Name, or dir.Recv.Name for a method.
+// whole package, or dir.Name, or dir.Type.Name for a method or a field.
 var exportsAllowed = map[string]string{
 	"internal/series.Series.MarshalJSON":       "encoding/json calls it through json.Marshaler",
 	"internal/series.Series.UnmarshalJSON":     "encoding/json calls it through json.Unmarshaler",
@@ -291,93 +305,31 @@ var exportsAllowed = map[string]string{
 }
 
 // TestExportsHaveCallers is the dead-code gate (make docs-check): every
-// exported function, method, type, const and var in internal/ is referred to
-// by some non-test file in the module — benchmark/, cmd/ and examples/
-// included — and every unexported one by a non-test file of its own package,
-// unless exportsAllowed gives a reason. A reference is an identifier with the
-// declared name anywhere outside the declaration itself, so the match can
-// miss a dead name that shares a live one's spelling but never reports a live
-// one; an Example function is a test and calls nothing here. A stale
-// allow-list entry, one whose name is gone or now has a caller, fails too.
+// function, method, type, const and var declared at package level in
+// internal/, and every field of a struct type declared there, is used by some
+// non-test file of the module — benchmark/, cmd/ and examples/ included —
+// unless exportsAllowed gives a reason. Uses are matched by object, as
+// go/types resolves them (see findCallers), so a dead method that shares a
+// live one's spelling is found; an Example function is a test and calls
+// nothing here. A stale allow-list entry, one whose name is gone or now has a
+// caller, fails too.
 func TestExportsHaveCallers(t *testing.T) {
 	src := moduleSources(t)
-	type decl struct {
-		dir, key string
-		name     *ast.Ident
-		node     ast.Node
+	objs, err := findCallers(src, "nwscpu", "internal/")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var decls []decl
-	named := map[*ast.Ident]bool{}
-	add := func(dir, recv string, name *ast.Ident, node ast.Node) {
-		if name.Name == "_" || name.Name == "init" {
-			return
-		}
-		key := dir + "." + name.Name
-		if recv != "" {
-			key = dir + "." + recv + "." + name.Name
-		}
-		decls = append(decls, decl{dir, key, name, node})
-		named[name] = true
-	}
-	for dir, files := range src.dirs {
-		for _, f := range files {
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					add(dir, recvName(d), d.Name, d)
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							add(dir, "", s.Name, s)
-						case *ast.ValueSpec:
-							for _, n := range s.Names {
-								add(dir, "", n, s)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	type use struct {
-		dir string
-		pos token.Pos
-	}
-	uses := map[string][]use{}
-	for dir, files := range src.dirs {
-		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !named[id] {
-					uses[id.Name] = append(uses[id.Name], use{dir, id.Pos()})
-				}
-				return true
-			})
-		}
-	}
-
 	var dead []string
 	seen := map[string]bool{}
-	for _, d := range decls {
-		if !strings.HasPrefix(d.dir, "internal/") {
-			continue
-		}
-		exported := d.name.IsExported()
-		used := false
-		for _, u := range uses[d.name.Name] {
-			if (exported || u.dir == d.dir) && (u.pos < d.node.Pos() || u.pos >= d.node.End()) {
-				used = true
-				break
-			}
-		}
-		_, allowed := exportsAllowed[d.key]
-		_, pkgAllowed := exportsAllowed[d.dir]
-		seen[d.key] = true
+	for _, o := range objs {
+		_, allowed := exportsAllowed[o.key]
+		_, pkgAllowed := exportsAllowed[o.dir]
+		seen[o.key] = true
 		switch {
-		case used && allowed:
-			t.Errorf("exportsAllowed lists %s, which now has a non-test caller", d.key)
-		case !used && !allowed && !pkgAllowed:
-			dead = append(dead, fmt.Sprintf("%s: %s has no non-test caller", src.fset.Position(d.name.Pos()), d.key))
+		case o.used && allowed:
+			t.Errorf("exportsAllowed lists %s, which now has a non-test caller", o.key)
+		case !o.used && !allowed && !pkgAllowed:
+			dead = append(dead, fmt.Sprintf("%s: %s has no non-test caller", o.pos, o.key))
 		}
 	}
 	for key := range exportsAllowed {
@@ -391,25 +343,281 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 }
 
-// recvName returns the receiver's type name of a method, without type
-// parameters or pointer, and "" for a function.
-func recvName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil {
-		return ""
+// TestFindCallersFixture runs the gate's finder over testdata/callers, a
+// module whose internal/fix package holds one dead name of each kind the
+// by-spelling match missed and one live name of each shape a type-aware
+// match can miss. Exactly the two dead ones are reported.
+func TestFindCallersFixture(t *testing.T) {
+	src, err := parseTree("testdata/callers")
+	if err != nil {
+		t.Fatal(err)
 	}
-	typ := fn.Recv.List[0].Type
-	for {
-		switch x := typ.(type) {
-		case *ast.StarExpr:
-			typ = x.X
-		case *ast.IndexExpr:
-			typ = x.X
-		case *ast.IndexListExpr:
-			typ = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+	objs, err := findCallers(src, "fixture", "internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dead []string
+	for _, o := range objs {
+		if !o.used {
+			dead = append(dead, o.key)
 		}
 	}
+	sort.Strings(dead)
+	want := []string{"internal/fix.Gauge.Reset", "internal/fix.Gauge.peak"}
+	if fmt.Sprint(dead) != fmt.Sprint(want) {
+		t.Errorf("dead = %v, want %v", dead, want)
+	}
+}
+
+// callee is one object the caller gate checks.
+type callee struct {
+	key, dir string
+	pos      token.Position
+	decl     ast.Node // a use inside it is the object referring to itself
+	used     bool
+}
+
+// findCallers type-checks every package in src and reports, for each
+// package-level object, method and struct field declared in a directory
+// under prefix, whether non-test code uses it. A directory's import path is
+// module/dir, so a second module at module/benchmark resolves its imports
+// to the same checked packages. An object counts as used when an identifier
+// outside its own declaration resolves to it, with:
+//   - generic instances mapped back to their origin, and promoted methods
+//     and fields to their declaration, as go/types resolves them;
+//   - a struct field used only where it is read: a composite-literal key or
+//     an assignment target writes it;
+//   - a method also used when its receiver type, or a type it is promoted
+//     into, implements an interface whose method of that name is called.
+func findCallers(src goSources, module, prefix string) ([]*callee, error) {
+	std := importer.ForCompiler(src.fset, "source", nil)
+	pkgs := map[string]*types.Package{}
+	var infos []*types.Info
+	var objs []*callee
+	byObj := map[types.Object]*callee{}
+	writes := map[*ast.Ident]bool{} // field keys in composite literals, assignment targets
+	recvs := map[*ast.Ident]bool{}  // the type names in method receivers
+
+	var check func(dir string) (*types.Package, error)
+	imp := importerFunc(func(importPath string) (*types.Package, error) {
+		if dir, ok := strings.CutPrefix(importPath, module+"/"); ok && src.dirs[dir] != nil {
+			return check(dir)
+		}
+		return std.Import(importPath)
+	})
+	check = func(dir string) (*types.Package, error) {
+		importPath := path.Join(module, dir)
+		if p := pkgs[importPath]; p != nil {
+			return p, nil
+		}
+		info := &types.Info{
+			Defs:      map[*ast.Ident]types.Object{},
+			Uses:      map[*ast.Ident]types.Object{},
+			Instances: map[*ast.Ident]types.Instance{},
+		}
+		p, err := (&types.Config{Importer: imp}).Check(importPath, src.fset, src.dirs[dir], info)
+		if err != nil {
+			return nil, err
+		}
+		pkgs[importPath], infos = p, append(infos, info)
+		add := func(outer string, id *ast.Ident, decl ast.Node) {
+			if obj := info.Defs[id]; obj != nil && id.Name != "_" && id.Name != "init" {
+				key := dir + "." + id.Name
+				if outer != "" {
+					key = dir + "." + outer + "." + id.Name
+				}
+				c := &callee{key: key, dir: dir, pos: src.fset.Position(id.Pos()), decl: decl}
+				objs, byObj[obj] = append(objs, c), c
+			}
+		}
+		for _, f := range src.dirs[dir] {
+			for _, d := range f.Decls {
+				if !strings.HasPrefix(dir, prefix) {
+					break
+				}
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					add(recvName(info.Defs[d.Name].(*types.Func)), d.Name, d)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							add("", s.Name, s)
+							if st, ok := s.Type.(*ast.StructType); ok {
+								for _, field := range st.Fields.List {
+									if field.Tag != nil {
+										continue // read by the encoder its tag names
+									}
+									for _, n := range field.Names {
+										add(s.Name.Name, n, field)
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								add("", n, s)
+							}
+						}
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								writes[id] = true
+							}
+						}
+					}
+				case *ast.FuncDecl:
+					if n.Recv != nil {
+						ast.Inspect(n.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								recvs[id] = true
+							}
+							return true
+						})
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							writes[sel.Sel] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		return p, nil
+	}
+
+	dirs := make([]string, 0, len(src.dirs))
+	for dir := range src.dirs {
+		dirs = append(dirs, dir)
+	}
+	// The main module first, then the benchmark module over the same packages.
+	sort.Slice(dirs, func(i, j int) bool {
+		bi, bj := strings.HasPrefix(dirs[i], "benchmark"), strings.HasPrefix(dirs[j], "benchmark")
+		return bi != bj && bj || bi == bj && dirs[i] < dirs[j]
+	})
+	for _, dir := range dirs {
+		if _, err := check(dir); err != nil {
+			return nil, err
+		}
+	}
+
+	called := map[*types.Interface][]*types.Func{} // interface methods the code calls
+	var named []*types.Named                       // every concrete type, for satisfaction
+	for _, info := range infos {
+		for id, obj := range info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+						called[iface] = append(called[iface], fn)
+					}
+				}
+			}
+			c := byObj[origin(obj)]
+			if c == nil || c.used || id.Pos() >= c.decl.Pos() && id.Pos() < c.decl.End() {
+				continue
+			}
+			if v, ok := obj.(*types.Var); recvs[id] || ok && v.IsField() && writes[id] {
+				continue
+			}
+			c.used = true
+		}
+		for _, obj := range info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+					named = append(named, n)
+				}
+			}
+		}
+		for _, inst := range info.Instances {
+			if n, ok := inst.Type.(*types.Named); ok {
+				named = append(named, n)
+			}
+		}
+	}
+	// The standard library calls through the interfaces it declares (fmt
+	// through Stringer, encoding/json through Marshaler), in bodies the
+	// gate does not check: all their methods count as called.
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+		if strings.HasPrefix(p.Path(), module+"/") {
+			return
+		}
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() && types.IsInterface(tn.Type()) {
+				iface := tn.Type().Underlying().(*types.Interface)
+				for i := 0; i < iface.NumMethods(); i++ {
+					called[iface] = append(called[iface], iface.Method(i))
+				}
+			}
+		}
+	}
+	for _, p := range pkgs {
+		walk(p)
+	}
+	for iface, fns := range called {
+		for _, n := range named {
+			if types.IsInterface(n) {
+				continue
+			}
+			for _, typ := range []types.Type{n, types.NewPointer(n)} {
+				if !types.Implements(typ, iface) {
+					continue
+				}
+				for _, fn := range fns {
+					obj, _, _ := types.LookupFieldOrMethod(typ, false, fn.Pkg(), fn.Name())
+					if c := byObj[origin(obj)]; c != nil {
+						c.used = true
+					}
+				}
+			}
+		}
+	}
+	return objs, nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+// Import implements types.Importer.
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// origin maps an instance of a generic function, method or field back to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// recvName returns the name of a method's receiver type, without type
+// arguments or pointer, and "" for a function.
+func recvName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	typ := recv.Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	return typ.(*types.Named).Obj().Name()
 }
