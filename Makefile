@@ -13,9 +13,11 @@ all: build vet docs-check test chaos-cluster chaos-repair chaos-persist fuzz-smo
 build:
 	$(GO) build ./...
 
-# Static checks: go vet plus a gofmt cleanliness gate.
+# Static checks: go vet, on the host and cross-checked for darwin (the live
+# /proc backend must build where it cannot run), plus a gofmt cleanliness gate.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./...
 	@unformatted=$$($(GOFMT) -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \

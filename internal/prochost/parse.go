@@ -1,8 +1,11 @@
-// Package prochost implements the sensors.Host interface for the live Linux
-// machine the library runs on, reading /proc/loadavg and /proc/stat — the
-// modern equivalents of the uptime and vmstat readings the paper's sensors
-// used — and running real spinning probe processes measured with getrusage,
-// exactly as the NWS CPU sensor did.
+// Package prochost implements the sensors.Host interface for the live
+// machine the library runs on, reading Linux's /proc/loadavg and /proc/stat —
+// the modern equivalents of the uptime and vmstat readings the paper's
+// sensors used — and running real spinning probe processes measured with
+// getrusage, exactly as the NWS CPU sensor did.
+//
+// The package builds on every platform. New fails where /proc is missing,
+// and the probe reads 0 off Linux, whose getrusage(RUSAGE_THREAD) it needs.
 //
 // Availability on a live multi-core host is expressed as the fraction of one
 // CPU a full-priority thread can obtain, matching the paper's uniprocessor
@@ -27,10 +30,10 @@ func parseCount(field string) (float64, error) {
 	return v, err
 }
 
-// LoadInfo is the parsed content of /proc/loadavg.
+// LoadInfo is the part of /proc/loadavg the sensors read.
 type LoadInfo struct {
-	Load1, Load5, Load15 float64
-	Running, Total       int // runnable entities / total entities
+	Load1   float64
+	Running int // runnable entities
 }
 
 // ParseLoadAvg parses the content of /proc/loadavg, e.g.
@@ -45,10 +48,11 @@ func ParseLoadAvg(content string) (LoadInfo, error) {
 	if li.Load1, err = parseCount(fields[0]); err != nil {
 		return LoadInfo{}, fmt.Errorf("prochost: loadavg load1: %w", err)
 	}
-	if li.Load5, err = parseCount(fields[1]); err != nil {
+	// The 5- and 15-minute loads and the entity total are checked, not kept.
+	if _, err = parseCount(fields[1]); err != nil {
 		return LoadInfo{}, fmt.Errorf("prochost: loadavg load5: %w", err)
 	}
-	if li.Load15, err = parseCount(fields[2]); err != nil {
+	if _, err = parseCount(fields[2]); err != nil {
 		return LoadInfo{}, fmt.Errorf("prochost: loadavg load15: %w", err)
 	}
 	rt := strings.SplitN(fields[3], "/", 2)
@@ -58,7 +62,7 @@ func ParseLoadAvg(content string) (LoadInfo, error) {
 	if li.Running, err = strconv.Atoi(rt[0]); err != nil {
 		return LoadInfo{}, fmt.Errorf("prochost: run-queue running: %w", err)
 	}
-	if li.Total, err = strconv.Atoi(rt[1]); err != nil {
+	if _, err = strconv.Atoi(rt[1]); err != nil {
 		return LoadInfo{}, fmt.Errorf("prochost: run-queue total: %w", err)
 	}
 	return li, nil

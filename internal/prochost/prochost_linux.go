@@ -2,167 +2,17 @@
 
 package prochost
 
-import (
-	"fmt"
-	"os"
-	"runtime"
-	"syscall"
-	"time"
-
-	"nwscpu/internal/sensors"
-)
-
-// jiffiesPerSecond is the kernel USER_HZ that /proc/stat counters use.
-// Linux fixes the userspace-visible value at 100 regardless of CONFIG_HZ.
-const jiffiesPerSecond = 100.0
+import "syscall"
 
 // rusageThread is RUSAGE_THREAD, absent from package syscall's constants.
 const rusageThread = 1
 
-// Host measures the local Linux machine. It satisfies sensors.Host, so the
-// paper's sensors run unchanged against live /proc data.
-type Host struct {
-	procRoot string // normally "/proc"; tests point it at fixtures
-	start    time.Time
+// threadCPU returns the calling OS thread's user plus system CPU seconds,
+// from getrusage(RUSAGE_THREAD); ok is false if the call fails.
+func threadCPU() (seconds float64, ok bool) {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(rusageThread, &ru); err != nil {
+		return 0, false
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9, true
 }
-
-// New returns a Host reading the real /proc filesystem. It fails if the
-// needed files are unreadable.
-func New() (*Host, error) {
-	return NewAt("/proc")
-}
-
-// NewAt returns a Host reading a /proc-format tree rooted at dir (for
-// testing with fixture files).
-func NewAt(dir string) (*Host, error) {
-	h := &Host{procRoot: dir, start: time.Now()}
-	if _, err := h.readLoad(); err != nil {
-		return nil, err
-	}
-	if _, err := h.readStat(); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-func (h *Host) readLoad() (LoadInfo, error) {
-	b, err := os.ReadFile(h.procRoot + "/loadavg")
-	if err != nil {
-		return LoadInfo{}, fmt.Errorf("prochost: %w", err)
-	}
-	return ParseLoadAvg(string(b))
-}
-
-func (h *Host) readStat() (StatTimes, error) {
-	b, err := os.ReadFile(h.procRoot + "/stat")
-	if err != nil {
-		return StatTimes{}, fmt.Errorf("prochost: %w", err)
-	}
-	return ParseStat(string(b))
-}
-
-// Now implements sensors.Host: seconds since the Host was created.
-func (h *Host) Now() float64 { return time.Since(h.start).Seconds() }
-
-// LoadAvg implements sensors.Host.
-func (h *Host) LoadAvg() float64 {
-	li, err := h.readLoad()
-	if err != nil {
-		return 0
-	}
-	return li.Load1
-}
-
-// CPUTimes implements sensors.Host. Jiffies are converted to seconds;
-// iowait/irq/etc. are folded into Idle and Sys respectively is left as
-// reported — the vmstat sensor only needs consistent fractions.
-func (h *Host) CPUTimes() sensors.CPUTimes {
-	st, err := h.readStat()
-	if err != nil {
-		return sensors.CPUTimes{}
-	}
-	return sensors.CPUTimes{
-		User:  st.User / jiffiesPerSecond,
-		Nice:  st.Nice / jiffiesPerSecond,
-		Sys:   st.Sys / jiffiesPerSecond,
-		Idle:  (st.Idle + st.Other) / jiffiesPerSecond,
-		Total: st.Total() / jiffiesPerSecond,
-	}
-}
-
-// NumCPUs implements sensors.Host: the number of per-CPU "cpuN" lines in
-// /proc/stat.
-func (h *Host) NumCPUs() int {
-	b, err := os.ReadFile(h.procRoot + "/stat")
-	if err != nil {
-		return 1
-	}
-	n := CountCPUs(string(b))
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
-// RunQueue implements sensors.Host: the running count from /proc/loadavg
-// minus this process's own runnable thread.
-func (h *Host) RunQueue() int {
-	li, err := h.readLoad()
-	if err != nil {
-		return 0
-	}
-	rq := li.Running - 1
-	if rq < 0 {
-		rq = 0
-	}
-	return rq
-}
-
-// RunSpin implements sensors.Host: it pins a goroutine to an OS thread,
-// spins for the requested wall time, and reports the thread's CPU time
-// (getrusage(RUSAGE_THREAD)) over the wall time — the NWS probe process.
-func (h *Host) RunSpin(wall float64) float64 {
-	if wall <= 0 {
-		return 0
-	}
-	done := make(chan float64, 1)
-	go func() {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-		var before, after syscall.Rusage
-		start := time.Now()
-		if err := syscall.Getrusage(rusageThread, &before); err != nil {
-			done <- 0
-			return
-		}
-		deadline := start.Add(time.Duration(wall * float64(time.Second)))
-		sink := 0
-		for time.Now().Before(deadline) {
-			for i := 0; i < 1<<14; i++ {
-				sink += i
-			}
-		}
-		_ = sink
-		elapsed := time.Since(start).Seconds()
-		if err := syscall.Getrusage(rusageThread, &after); err != nil || elapsed <= 0 {
-			done <- 0
-			return
-		}
-		cpu := tvSec(after.Utime) + tvSec(after.Stime) - tvSec(before.Utime) - tvSec(before.Stime)
-		frac := cpu / elapsed
-		if frac > 1 {
-			frac = 1
-		}
-		if frac < 0 {
-			frac = 0
-		}
-		done <- frac
-	}()
-	return <-done
-}
-
-func tvSec(tv syscall.Timeval) float64 {
-	return float64(tv.Sec) + float64(tv.Usec)/1e6
-}
-
-var _ sensors.Host = (*Host)(nil)

@@ -2,17 +2,6 @@
 
 package prochost
 
-import "errors"
-
-// Host is unavailable on non-Linux platforms; the simulator backend remains
-// fully functional everywhere.
-type Host struct{}
-
-// ErrUnsupported reports that live-host monitoring needs Linux /proc.
-var ErrUnsupported = errors.New("prochost: live host monitoring requires Linux")
-
-// New reports ErrUnsupported on non-Linux platforms.
-func New() (*Host, error) { return nil, ErrUnsupported }
-
-// NewAt reports ErrUnsupported on non-Linux platforms.
-func NewAt(string) (*Host, error) { return nil, ErrUnsupported }
+// threadCPU reports that a thread's CPU time is unreadable:
+// getrusage(RUSAGE_THREAD) is Linux's, so RunSpin reports 0 here.
+func threadCPU() (seconds float64, ok bool) { return 0, false }
