@@ -35,7 +35,7 @@ func benchSuite(b *testing.B) *experiments.Suite {
 		case "quick":
 			cfg = experiments.QuickConfig()
 		case "paper":
-			cfg = experiments.DefaultConfig()
+			cfg = experiments.Config{Duration: 86400, WeekDuration: 7 * 86400}
 		default:
 			cfg = experiments.Config{Duration: 6 * 3600, WeekDuration: 2 * 86400}
 		}

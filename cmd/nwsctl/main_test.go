@@ -334,7 +334,7 @@ func clusterFixture(t *testing.T) (nsAddr string, shards map[string]string, key 
 	t.Cleanup(func() { c.Close() })
 	key = "h/cpu/nws_hybrid"
 	g := nwsnet.NewReplicaGroupCluster(c, nsAddr)
-	if err := g.Store(context.Background(), key, [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
+	if _, err := g.StoreBatch(context.Background(), []nwsnet.BatchStore{{Series: key, Points: [][2]float64{{1, 0.1}, {2, 0.2}}}}); err != nil {
 		t.Fatal(err)
 	}
 	v, err := c.FetchViewCtx(context.Background(), nsAddr, 0)

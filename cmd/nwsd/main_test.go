@@ -116,7 +116,7 @@ func TestMemoryReplicasRole(t *testing.T) {
 	}
 	// Writes through the resolved group reach every replica.
 	g := nwsnet.NewReplicaGroup(c, reg.Endpoints(), 0)
-	if err := g.Store(context.Background(), "k", [][2]float64{{1, 0.5}}); err != nil {
+	if _, err := g.StoreBatch(context.Background(), []nwsnet.BatchStore{{Series: "k", Points: [][2]float64{{1, 0.5}}}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, addr := range addrs {

@@ -40,7 +40,7 @@ func TestNewMonitorValidation(t *testing.T) {
 
 func TestMonitorRecordsAllSeries(t *testing.T) {
 	sh, h := simhost()
-	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 4000})
+	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 4000})
 	m := NewMonitor(sh, ShortTermConfig())
 	if err := m.Run(1300); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestMonitorRecordsAllSeries(t *testing.T) {
 
 func TestMonitorTestObservationsSane(t *testing.T) {
 	sh, h := simhost()
-	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 4000})
+	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 4000})
 	m := NewMonitor(sh, ShortTermConfig())
 	if err := m.Run(1300); err != nil {
 		t.Fatal(err)

@@ -203,7 +203,7 @@ func (s *Suite) AblationEq2Weight() (Eq2WeightAblation, error) {
 	gateway.Fixtures = append(gateway.Fixtures, workload.Fixture{
 		At: 0,
 		Spec: simos.ProcSpec{
-			Name: "interrupts", Kernel: true, SysFrac: 1,
+			Kernel: true, SysFrac: 1,
 			Demand: math.Inf(1), WallLimit: s.cfg.Duration + 601,
 			BurstCPU: 0.2, BurstSleep: 0.37,
 		},
@@ -299,7 +299,6 @@ func (s *Suite) AblationSelectWindow(host string, windows []int) (SelectWindowAb
 type PartitionAblation struct {
 	ForecastMakespan float64
 	EqualMakespan    float64
-	Chunks           []float64
 }
 
 // String summarizes the comparison.
@@ -312,15 +311,12 @@ func (a PartitionAblation) String() string {
 // hosts with a divisible job of totalWork CPU-seconds.
 func AblationPartition(totalWork, warmup float64, seed int64) PartitionAblation {
 	horizon := warmup + 20*totalWork
-	run := func(equal bool) ([]float64, float64) {
+	run := func(equal bool) float64 {
 		c := sched.NewCluster(workload.Profiles(horizon), horizon)
 		c.Warmup(warmup, 10)
-		res := c.PartitionExperiment(totalWork, sched.PolicyForecast, equal, seed)
-		return res.Chunks, res.Makespan
+		return c.PartitionExperiment(totalWork, sched.PolicyForecast, equal, seed)
 	}
-	chunks, fm := run(false)
-	_, em := run(true)
-	return PartitionAblation{ForecastMakespan: fm, EqualMakespan: em, Chunks: chunks}
+	return PartitionAblation{ForecastMakespan: run(false), EqualMakespan: run(true)}
 }
 
 // SchedulerAblation compares scheduling policies on a small grid.

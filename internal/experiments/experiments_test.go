@@ -396,9 +396,6 @@ func TestAblationPartition(t *testing.T) {
 	if a.ForecastMakespan <= 0 || a.EqualMakespan <= 0 {
 		t.Fatalf("degenerate: %+v", a)
 	}
-	if len(a.Chunks) != 6 {
-		t.Fatalf("chunks = %v", a.Chunks)
-	}
 	if a.String() == "" {
 		t.Fatal("empty String")
 	}

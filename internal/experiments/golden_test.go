@@ -100,7 +100,11 @@ func goldenCells(t *testing.T, s *Suite) []byte {
 		hashLine("fig2", host, "acf", f2[host]...)
 	}
 	for _, r := range f3 {
-		vs := []float64{r.Hurst, r.Fit.Slope, r.Fit.Intercept, r.Fit.R2, float64(r.Fit.N)}
+		lengths := map[float64]bool{} // the fit's sample: one mean per segment length
+		for _, p := range r.Points {
+			lengths[p.LogD] = true
+		}
+		vs := []float64{r.Hurst, r.Fit.Slope, r.Fit.Intercept, r.Fit.R2, float64(len(lengths))}
 		for _, p := range r.Points {
 			vs = append(vs, p.LogD, p.LogRS)
 		}

@@ -30,11 +30,6 @@ type Config struct {
 	WeekDuration float64
 }
 
-// DefaultConfig returns the paper-scale configuration.
-func DefaultConfig() Config {
-	return Config{Duration: 86400, WeekDuration: 7 * 86400}
-}
-
 // QuickConfig returns a configuration small enough for unit tests while
 // still exercising every code path (tests and probes included).
 func QuickConfig() Config {

@@ -146,7 +146,6 @@ type Seasonal struct {
 	name    string
 	period  int
 	history *series.Ring
-	scratch []float64
 }
 
 // NewSeasonal returns a seasonal predictor with the given period (in

@@ -135,7 +135,6 @@ type Prediction struct {
 	Value  float64 // predicted next measurement
 	Method string  // name of the forecaster that produced it
 	MAE    float64 // that forecaster's cumulative mean absolute error
-	MSE    float64 // that forecaster's cumulative mean squared error
 }
 
 // Engine is the NWS dynamic forecaster: it runs a bank of Forecasters in
@@ -148,7 +147,7 @@ type Prediction struct {
 // best-member index in the same O(bank) pass that absorbs the measurement
 // (amortized O(1) per bank member), and the index stays cached until the
 // next Update — scores only change when a measurement arrives — so
-// Forecast and BestMethod are O(1) and allocation-free.
+// Forecast is O(1) and allocation-free.
 //
 // Engine is not safe for concurrent use; wrap it in a mutex if shared.
 type Engine struct {
@@ -394,15 +393,15 @@ func (e *Engine) Forecast() (Prediction, bool) {
 	return e.forecast()
 }
 
-// forecast is the unmetered selection read behind Forecast and BestMethod:
-// the nws_forecast_engine_forecasts_total counter must count only forecasts
+// forecast is the unmetered selection read behind Forecast: the
+// nws_forecast_engine_forecasts_total counter must count only forecasts
 // served by Forecast itself, not the selector's own bookkeeping.
 func (e *Engine) forecast() (Prediction, bool) {
 	if e.best < 0 {
 		return Prediction{}, false
 	}
 	t := &e.trackers[e.best]
-	return Prediction{Value: t.pending, Method: t.f.Name(), MAE: t.mae(), MSE: t.mse()}, true
+	return Prediction{Value: t.pending, Method: t.f.Name(), MAE: t.mae()}, true
 }
 
 // MethodError summarizes one bank member's accuracy.
@@ -423,14 +422,4 @@ func (e *Engine) Report() []MethodError {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].MAE < out[j].MAE })
 	return out
-}
-
-// BestMethod returns the name of the member the engine would forward right
-// now, or "" if none has forecast yet.
-func (e *Engine) BestMethod() string {
-	p, ok := e.forecast()
-	if !ok {
-		return ""
-	}
-	return p.Method
 }

@@ -231,7 +231,7 @@ func (e *seedEngine) Forecast() (Prediction, bool) {
 		return Prediction{}, false
 	}
 	t := e.trackers[best]
-	return Prediction{Value: t.pending, Method: t.f.Name(), MAE: t.mae(), MSE: t.mse()}, true
+	return Prediction{Value: t.pending, Method: t.f.Name(), MAE: t.mae()}, true
 }
 
 // seedBank mirrors DefaultBank with the seed window implementations.
@@ -404,7 +404,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		if _, ok := e.Forecast(); !ok {
 			t.Fatal("no forecast")
 		}
-		_ = e.BestMethod()
+		_ = bestMethod(e)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state allocs/op = %v, want 0", allocs)

@@ -9,7 +9,7 @@ import (
 // TestForecastCounterCountsOnlyExternalCalls pins the semantics of
 // nws_forecast_engine_forecasts_total: only Engine.Forecast increments it.
 // The seed implementation routed the selector's own bookkeeping (one
-// selection per Update) and the derived view BestMethod through Forecast,
+// selection per Update) and its view of the best member's name through Forecast,
 // inflating the counter several-fold over the forecasts actually served to
 // callers.
 func TestForecastCounterCountsOnlyExternalCalls(t *testing.T) {
@@ -19,7 +19,7 @@ func TestForecastCounterCountsOnlyExternalCalls(t *testing.T) {
 	before := mEngineForecasts.Value()
 	for i := 0; i < 500; i++ {
 		e.Update(rng.Float64())
-		e.BestMethod()
+		bestMethod(e)
 	}
 	if got := mEngineForecasts.Value() - before; got != 0 {
 		t.Fatalf("internal reads incremented forecasts_total by %d, want 0", got)
@@ -194,7 +194,7 @@ func TestWindowedSelectionMatchesBruteForce(t *testing.T) {
 				if best >= 0 {
 					want = ref[best].f.Name()
 				}
-				if got := e.BestMethod(); got != want {
+				if got := bestMethod(e); got != want {
 					t.Fatalf("step %d: engine selected %q, brute force selected %q", step, got, want)
 				}
 			}

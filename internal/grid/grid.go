@@ -302,12 +302,11 @@ func (s *countSink) PushBatch(items []nwsnet.PushItem) (int, error) {
 // --- the runner ---
 
 type hostSim struct {
-	name     string
-	scenIdx  int
-	host     *simos.Host
-	daemon   *nwsnet.SensorDaemon
-	series   string // the host's nws_hybrid series key
-	buildErr error
+	name    string
+	scenIdx int
+	host    *simos.Host
+	daemon  *nwsnet.SensorDaemon
+	series  string // the host's nws_hybrid series key
 }
 
 // forEachHost runs fn(i) for every host index on a bounded worker pool.

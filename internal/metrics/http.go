@@ -54,7 +54,6 @@ func NewDebugMux(reg *Registry) *http.ServeMux {
 type DebugServer struct {
 	addr string
 	srv  *http.Server
-	ln   net.Listener
 
 	mu     sync.Mutex
 	closed bool
@@ -70,7 +69,6 @@ func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 	ds := &DebugServer{
 		addr: ln.Addr().String(),
 		srv:  &http.Server{Handler: NewDebugMux(reg)},
-		ln:   ln,
 	}
 	go func() { _ = ds.srv.Serve(ln) }()
 	return ds, nil

@@ -236,9 +236,6 @@ func NewLatencySensor(addr string, payloadBytes int, timeout time.Duration) *Lat
 	}
 }
 
-// Name identifies the sensor in series keys.
-func (s *LatencySensor) Name() string { return "net_latency" }
-
 // Measure returns one round-trip time in seconds.
 func (s *LatencySensor) Measure() (float64, error) {
 	s.pc.mu.Lock()
@@ -302,9 +299,6 @@ func NewBandwidthSensor(addr string, probeBytes int, timeout time.Duration) *Ban
 		buf: make([]byte, probeBytes),
 	}
 }
-
-// Name identifies the sensor in series keys.
-func (s *BandwidthSensor) Name() string { return "net_bandwidth" }
 
 // Measure returns one throughput sample in bytes per second: the probe
 // payload is streamed to the reflector and the clock stops when its ack

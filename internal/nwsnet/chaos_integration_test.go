@@ -51,7 +51,7 @@ func TestChaosPrimaryReplicaKilledMidRun(t *testing.T) {
 	group := []string{primaryAddr, addrs[0], addrs[1]}
 
 	h := simos.New(simos.DefaultConfig())
-	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
+	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
 	d := NewSensorDaemon("chaoshost", sensors.SimHost{H: h}, group, 0, sensors.HybridConfig{})
 	defer d.Close()
 
@@ -128,7 +128,7 @@ func TestChaosFullOutageBacklogDrainsLossless(t *testing.T) {
 	m, proxy, addr := chaosFront(t, nil)
 
 	h := simos.New(simos.DefaultConfig())
-	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
+	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
 	d := NewSensorDaemon("outagehost", sensors.SimHost{H: h}, []string{addr}, 0, sensors.HybridConfig{})
 	defer d.Close()
 
@@ -335,7 +335,7 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 	// Quorum 2 of 2: every measurement must eventually land on both
 	// replicas, including the one being flooded.
 	h := simos.New(simos.DefaultConfig())
-	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 7200})
+	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 7200})
 	d := NewSensorDaemon("floodhost", sensors.SimHost{H: h}, []string{addr0, addr1}, 2, sensors.HybridConfig{})
 	defer d.Close()
 

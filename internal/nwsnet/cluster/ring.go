@@ -14,7 +14,6 @@ import (
 // key ranges adjacent to its points move (~1/n of the keyspace), which is
 // what bounds rebalancing handoff traffic.
 type Ring struct {
-	vnodes int
 	seed   uint64
 	nodes  []string    // sorted, distinct
 	points []ringPoint // sorted by hash
@@ -44,7 +43,7 @@ func NewRing(nodeIDs []string, vnodes int, seed uint64) *Ring {
 		return nil
 	}
 	sort.Strings(nodes)
-	r := &Ring{vnodes: vnodes, seed: seed, nodes: nodes}
+	r := &Ring{seed: seed, nodes: nodes}
 	r.points = make([]ringPoint, 0, len(nodes)*vnodes)
 	var buf []byte
 	for ni, id := range nodes {

@@ -116,7 +116,7 @@ func TestChaosClusterShardFailover(t *testing.T) {
 			for ki, key := range keys {
 				pt := [2]float64{float64(seq), 0.5 + 0.4*math.Sin(float64(seq*31+ki*7))}
 				for attempt := 0; ; attempt++ {
-					err := cc.Store(ctx, key, [][2]float64{pt})
+					err := storeOne(ctx, cc, key, [][2]float64{pt})
 					if err == nil {
 						break
 					}

@@ -117,7 +117,7 @@ func staleOwnerWindow(t *testing.T, cfg cluster.Config, tr Transport, nsAddr str
 		t.Helper()
 		seq++
 		pts := [][2]float64{{float64(seq), 0.25 + float64(seq)/100}}
-		if err := writer.Store(ctx, key, pts); err != nil {
+		if err := storeOne(ctx, writer, key, pts); err != nil {
 			t.Fatalf("store seq %d: %v", seq, err)
 		}
 		reference.Handle(Request{Op: OpStore, Series: key, Points: pts})
@@ -248,7 +248,7 @@ func TestRouterWritesKeyOnlyToCurrentOwners(t *testing.T) {
 	renewAll()
 	writer := NewReplicaGroupCluster(lt, "registry")
 	for seq := 1; seq <= 4; seq++ {
-		if err := writer.Store(ctx, lost, [][2]float64{{float64(seq), 0.5}}); err != nil {
+		if err := storeOne(ctx, writer, lost, [][2]float64{{float64(seq), 0.5}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +256,7 @@ func TestRouterWritesKeyOnlyToCurrentOwners(t *testing.T) {
 
 	// A misses a write the other two owners acknowledge.
 	lt.SetDown("mem-"+a, true)
-	if err := writer.Store(ctx, lost, [][2]float64{{5, 0.5}}); err != nil {
+	if err := storeOne(ctx, writer, lost, [][2]float64{{5, 0.5}}); err != nil {
 		t.Fatalf("store with 2/3 owners up: %v", err)
 	}
 	// The joiner takes lost from A; everyone, the writer too, adopts the view.
@@ -266,7 +266,7 @@ func TestRouterWritesKeyOnlyToCurrentOwners(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt.SetDown("mem-"+a, false)
-	if err := writer.Store(ctx, kept, [][2]float64{{1, 0.5}}); err != nil {
+	if err := storeOne(ctx, writer, kept, [][2]float64{{1, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 

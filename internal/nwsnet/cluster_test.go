@@ -216,7 +216,7 @@ func TestClusterClientRouting(t *testing.T) {
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("host%02d/cpu/nws_hybrid", i)
-		if err := cc.Store(ctx, keys[i], [][2]float64{{1, 0.25}, {2, 0.75}}); err != nil {
+		if err := storeOne(ctx, cc, keys[i], [][2]float64{{1, 0.25}, {2, 0.75}}); err != nil {
 			t.Fatalf("store %s: %v", keys[i], err)
 		}
 	}
@@ -278,7 +278,7 @@ func TestClusterClientRouting(t *testing.T) {
 	wrong.Epoch = v.Epoch - 1 // genuinely stale, so the redirect's view supersedes it
 	stale.table.adopt(wrong)
 	before := mClusterRefreshRedirect.Value()
-	if err := stale.Store(ctx, keys[0], [][2]float64{{3, 0.5}}); err != nil {
+	if err := storeOne(ctx, stale, keys[0], [][2]float64{{3, 0.5}}); err != nil {
 		t.Fatalf("store through stale view: %v", err)
 	}
 	if mClusterRefreshRedirect.Value() == before {
@@ -305,7 +305,7 @@ func TestClusterHandoffOnJoin(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("host%02d/cpu/nws_hybrid", i)
 		pts := [][2]float64{{1, 0.1}, {2, 0.2}, {3, 0.3}}
-		if err := cc.Store(ctx, keys[i], pts); err != nil {
+		if err := storeOne(ctx, cc, keys[i], pts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -450,7 +450,7 @@ func TestNameServerLeaseExpiry(t *testing.T) {
 	// b (joining) lapses: no epoch movement, member gone.
 	now = now.Add(1100 * time.Millisecond)
 	ns.Handle(Request{Op: OpLease, Member: &cluster.Member{ID: "a"}, Epoch: 1}) // keeps a alive? no — a lapsed too
-	v := ns.View()
+	v := *ns.Handle(Request{Op: OpView}).View
 	if len(v.Members) != 0 {
 		t.Fatalf("members after lapse = %+v", v.Members)
 	}
@@ -463,7 +463,7 @@ func TestNameServerLeaseExpiry(t *testing.T) {
 	if r := join("a", cluster.StateActive); r.Error != "" {
 		t.Fatal(r.Error)
 	}
-	epoch := ns.View().Epoch
+	epoch := ns.Handle(Request{Op: OpView}).View.Epoch
 	if r := join("j", cluster.StateJoining); r.Error != "" {
 		t.Fatal(r.Error)
 	}
@@ -473,7 +473,7 @@ func TestNameServerLeaseExpiry(t *testing.T) {
 			t.Fatalf("renewal %d: %s", i, r.Error)
 		}
 	}
-	v = ns.View()
+	v = *ns.Handle(Request{Op: OpView}).View
 	if len(v.Members) != 1 || v.Members[0].ID != "a" {
 		t.Fatalf("survivors = %+v, want only a", v.Members)
 	}

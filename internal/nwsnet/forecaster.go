@@ -112,9 +112,6 @@ func NewForecasterServiceCluster(nsAddr string, timeout time.Duration) *Forecast
 	return NewForecasterServiceBackend(NewReplicaGroupCluster(forecasterClient(timeout), nsAddr), timeout)
 }
 
-// Replicas reports the health of the forecaster's memory replica group.
-func (f *ForecasterService) Replicas() []ReplicaHealth { return f.group.Health() }
-
 // Warm primes per-series engines by batch-fetching every series' unseen
 // history in one round trip per replica attempt instead of one fetch per
 // series — the history catch-up a restarted forecaster owes for each series

@@ -18,7 +18,7 @@ func TestLocalBackendRoundTrip(t *testing.T) {
 	backend := NewLocalBackend(mem)
 
 	h := simos.New(simos.DefaultConfig())
-	h.Spawn(simos.ProcSpec{Name: "spin", Demand: math.Inf(1), WallLimit: 3600})
+	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
 	d := NewSensorDaemonBackend("simhost", sensors.SimHost{H: h}, backend, sensors.HybridConfig{})
 	defer d.Close()
 

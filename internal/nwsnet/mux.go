@@ -174,9 +174,6 @@ func dialMux(ctx context.Context, addr, tenant string, timeout time.Duration, po
 	return m, nil
 }
 
-// Addr returns the dialed server address.
-func (m *MuxConn) Addr() string { return m.addr }
-
 // alive reports whether the connection is still usable: nothing has
 // poisoned it yet.
 func (m *MuxConn) alive() bool {
@@ -341,26 +338,6 @@ func (m *MuxConn) Subscribe(series string, onPush func(Response, error)) *MuxCal
 		m.subs[id] = &muxSub{series: series, onPush: onPush}
 		m.subBySeries[series] = id
 	})
-}
-
-// Unsubscribe stops pushes for series and issues the unsubscribe request.
-// The push handler gets no terminal call (the caller asked), and
-// unsubscribing a series that was never subscribed is not an error.
-func (m *MuxConn) Unsubscribe(series string) *MuxCall {
-	m.mu.Lock()
-	if id, ok := m.subBySeries[series]; ok {
-		m.dropSubLocked(id)
-	}
-	m.mu.Unlock()
-	return m.Go(Request{Op: OpUnsubscribe, Series: series})
-}
-
-// Subscriptions reports how many subscriptions are active on the
-// connection.
-func (m *MuxConn) Subscriptions() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.subs)
 }
 
 // dropSubLocked removes the push routing for id, reporting the subscription

@@ -153,14 +153,6 @@ func (ns *NameServer) viewLocked() *cluster.View {
 	return v
 }
 
-// View returns the registry's current membership view.
-func (ns *NameServer) View() cluster.View {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	ns.reapMembersLocked()
-	return *ns.viewLocked()
-}
-
 // Handle implements Handler.
 func (ns *NameServer) Handle(req Request) Response {
 	switch req.Op {

@@ -236,7 +236,7 @@ func TestSensorDaemonSimulated(t *testing.T) {
 	nsAddr := startServer(t, NewNameServer(0, cluster.Config{}))
 
 	h := simos.New(simos.DefaultConfig())
-	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
+	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
 	d := NewSensorDaemon("simhost", sensors.SimHost{H: h}, []string{memAddr}, 0, sensors.HybridConfig{})
 	if err := d.Register(nsAddr, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)

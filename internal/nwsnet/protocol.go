@@ -172,10 +172,9 @@ const CodeMoved = "moved"
 // is not an owner of the key under View (the server's current view, when it
 // attached one).
 type MovedError struct {
-	Addr   string        // the endpoint that redirected
-	Series string        // the misrouted series key, when the server echoed it
-	View   *cluster.View // the server's membership view, nil if absent
-	Msg    string        // the server's human-readable error text
+	Addr string        // the endpoint that redirected
+	View *cluster.View // the server's membership view, nil if absent
+	Msg  string        // the server's human-readable error text
 }
 
 // Error names the redirecting endpoint and the server's reason.

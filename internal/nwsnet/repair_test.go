@@ -133,7 +133,7 @@ func testRepairHealsMissedWrite(t *testing.T, group groupMaker) {
 	ctx := context.Background()
 
 	lt.SetDown(addrs[2], true)
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.1}, {2, 0.2}, {3, 0.3}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{1, 0.1}, {2, 0.2}, {3, 0.3}}); err != nil {
 		t.Fatalf("quorum store with one down replica: %v", err)
 	}
 	if mems[2].Len("k") != 0 {
@@ -167,12 +167,12 @@ func TestRecoveredReplicaHoldsMissedWriteUntilRepair(t *testing.T) {
 	ctx := context.Background()
 
 	lt.SetDown(addrs[2], true)
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
 		t.Fatalf("quorum store with one down replica: %v", err)
 	}
 
 	lt.SetDown(addrs[2], false)
-	if err := g.Store(ctx, "j", [][2]float64{{1, 0.5}}); err != nil {
+	if err := storeOne(ctx, g, "j", [][2]float64{{1, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	if !healthy(t, g, addrs[2]) {
@@ -200,11 +200,11 @@ func TestRepairMergesMissedWriteBehindNewerStore(t *testing.T) {
 	ctx := context.Background()
 
 	lt.SetDown(addrs[2], true)
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.1}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{1, 0.1}}); err != nil {
 		t.Fatal(err)
 	}
 	lt.SetDown(addrs[2], false)
-	if err := g.Store(ctx, "k", [][2]float64{{2, 0.2}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{2, 0.2}}); err != nil {
 		t.Fatal(err)
 	}
 	if mems[2].Len("k") != 1 {
@@ -228,7 +228,7 @@ func TestRepairPartitionedWriteRecoversNothing(t *testing.T) {
 	ctx := context.Background()
 
 	lt.SetPartitioned(addrs[2], true)
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.5}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{1, 0.5}}); err != nil {
 		t.Fatalf("quorum store through partition: %v", err)
 	}
 	if mems[2].Len("k") != 1 {
@@ -330,7 +330,7 @@ func TestRepairRoundSurvivesDownPeer(t *testing.T) {
 func TestReplicaDivergenceBeyondBacklogWindow(t *testing.T) {
 	lt, mems, addrs := localReplicaSet(3)
 	h := simos.New(simos.DefaultConfig())
-	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
+	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
 	d := NewSensorDaemon("rhost", sensors.SimHost{H: h}, addrs, 2, sensors.HybridConfig{})
 	defer d.Close()
 	// Rewire the daemon onto the in-process replica set.
@@ -356,7 +356,7 @@ func TestReplicaDivergenceBeyondBacklogWindow(t *testing.T) {
 	// Outage 3x the backlog window. Every step meets quorum (2/3 up), so
 	// the writer forgets each batch immediately — the backlog never grows
 	// and cannot heal this replica no matter how large it is.
-	for i := 0; i < 3*d.BacklogCap(); i++ {
+	for i := 0; i < 3*d.backlogCap; i++ {
 		step()
 	}
 	lt.SetDown(addrs[2], false)
@@ -371,8 +371,8 @@ func TestReplicaDivergenceBeyondBacklogWindow(t *testing.T) {
 	if d2.Frontier != d0.Frontier {
 		t.Fatalf("revived replica frontier %v, want %v (post-outage writes lost)", d2.Frontier, d0.Frontier)
 	}
-	if missed := int(d0.Count - d2.Count); missed != 3*d.BacklogCap() {
-		t.Fatalf("revived replica missing %d points, want the full %d-step outage", missed, 3*d.BacklogCap())
+	if missed := int(d0.Count - d2.Count); missed != 3*d.backlogCap {
+		t.Fatalf("revived replica missing %d points, want the full %d-step outage", missed, 3*d.backlogCap)
 	}
 	if digestsEqual(mems[0], mems[2]) {
 		t.Fatal("divergence not reproduced: replicas identical without repair")
@@ -384,7 +384,7 @@ func TestReplicaDivergenceBeyondBacklogWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 3 * 3 * d.BacklogCap(); recovered != want {
+	if want := 3 * 3 * d.backlogCap; recovered != want {
 		t.Fatalf("repair recovered %d points, want %d (3 series x outage)", recovered, want)
 	}
 	if !digestsEqual(mems[0], mems[2]) || !digestsEqual(mems[1], mems[2]) {

@@ -165,12 +165,6 @@ func (g *ReplicaGroup) redirected(err error) bool {
 	return true
 }
 
-// Addrs returns the configured replicas or the view's active memory members.
-func (g *ReplicaGroup) Addrs() []string { return append([]string(nil), g.endpoints()...) }
-
-// Quorum returns the write quorum; 0 means a majority of each key's owners.
-func (g *ReplicaGroup) Quorum() int { return g.quorum }
-
 // need returns how many of a key's owners must acknowledge a write.
 func (g *ReplicaGroup) need(owners []string) int {
 	if g.quorum > 0 {
@@ -237,16 +231,6 @@ func keep(slot *error, err error) {
 	if *slot == nil {
 		*slot = err
 	}
-}
-
-// Store writes one series' points to its owners — a batch of one; see
-// StoreBatch for the semantics.
-func (g *ReplicaGroup) Store(ctx context.Context, key string, points [][2]float64) error {
-	errs, err := g.StoreBatch(ctx, []BatchStore{{Series: key, Points: points}})
-	if err != nil {
-		return errs[0] // the one sub-store's own failure
-	}
-	return nil
 }
 
 // StoreBatch sends every sub-store to all owners of its key: one batch

@@ -94,19 +94,28 @@ func healthy(t *testing.T, g *ReplicaGroup, addr string) bool {
 	return false
 }
 
+// storeOne writes one series' points through g, a batch of one, and returns
+// that sub-store's own failure.
+func storeOne(ctx context.Context, g *ReplicaGroup, key string, points [][2]float64) error {
+	if errs, err := g.StoreBatch(ctx, []BatchStore{{Series: key, Points: points}}); err != nil {
+		return errs[0]
+	}
+	return nil
+}
+
 func TestReplicaGroupQuorumDefaults(t *testing.T) {
 	g := NewReplicaGroup(fastClient(), []string{"a:1", "b:1", "c:1"}, 0)
-	if g.Quorum() != 2 {
-		t.Fatalf("majority of 3 = %d, want 2", g.Quorum())
+	if g.quorum != 2 {
+		t.Fatalf("majority of 3 = %d, want 2", g.quorum)
 	}
-	if q := NewReplicaGroup(fastClient(), []string{"a:1"}, 0).Quorum(); q != 1 {
+	if q := NewReplicaGroup(fastClient(), []string{"a:1"}, 0).quorum; q != 1 {
 		t.Fatalf("majority of 1 = %d, want 1", q)
 	}
-	if q := NewReplicaGroup(fastClient(), []string{"a:1", "b:1"}, 99).Quorum(); q != 2 {
+	if q := NewReplicaGroup(fastClient(), []string{"a:1", "b:1"}, 99).quorum; q != 2 {
 		t.Fatalf("oversized quorum = %d, want clamped to 2", q)
 	}
-	if got := g.Addrs(); len(got) != 3 || got[0] != "a:1" {
-		t.Fatalf("Addrs = %v", got)
+	if got := g.endpoints(); len(got) != 3 || got[0] != "a:1" {
+		t.Fatalf("endpoints = %v", got)
 	}
 }
 
@@ -115,7 +124,7 @@ func TestReplicaGroupWritesFanOut(t *testing.T) {
 	g := NewReplicaGroup(fastClient(), addrs, 0)
 	ctx := context.Background()
 
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.5}, {2, 0.6}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{1, 0.5}, {2, 0.6}}); err != nil {
 		t.Fatal(err)
 	}
 	for i, m := range mems {
@@ -138,7 +147,7 @@ func TestReplicaGroupQuorumSurvivesOneDeadReplica(t *testing.T) {
 	if err := srvs[0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.5}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{1, 0.5}}); err != nil {
 		t.Fatalf("store with 2/3 replicas up: %v", err)
 	}
 	if mems[1].Len("k") != 1 || mems[2].Len("k") != 1 {
@@ -161,7 +170,7 @@ func TestReplicaGroupQuorumFailure(t *testing.T) {
 
 	srvs[0].Close()
 	srvs[1].Close()
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.5}}); err == nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{1, 0.5}}); err == nil {
 		t.Fatal("store with 1/3 replicas met a quorum of 2")
 	}
 	if got := mReplicaQuorumFailures.Value() - qf0; got != 1 {
@@ -175,7 +184,7 @@ func TestReplicaGroupReadFailover(t *testing.T) {
 	g := NewReplicaGroup(fastClient(), addrs, 0)
 	ctx := context.Background()
 
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.5}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{1, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the preferred replica: the read must fail over.
@@ -271,7 +280,7 @@ func testRedeliveryConverges(t *testing.T, group groupMaker) {
 
 	// The redelivered batch overlaps replica 0 and is new to replica 1.
 	batch := [][2]float64{{1, 0.1}, {2, 0.2}, {3, 0.3}}
-	if err := g.Store(ctx, "k", batch); err != nil {
+	if err := storeOne(ctx, g, "k", batch); err != nil {
 		t.Fatalf("redelivered store did not converge: %v", err)
 	}
 	for i, m := range mems {
@@ -282,7 +291,7 @@ func testRedeliveryConverges(t *testing.T, group groupMaker) {
 
 	// A fully stale batch (older than every replica) is absorbed by the
 	// server-side dedup: no error, and no replica's series changes.
-	if err := g.Store(ctx, "k", [][2]float64{{0, 0.9}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{0, 0.9}}); err != nil {
 		t.Fatalf("stale batch errored instead of deduping: %v", err)
 	}
 	for i, m := range mems {
@@ -299,7 +308,7 @@ func TestSensorBacklogDrainsAfterQuorumLoss(t *testing.T) {
 	mems, srvs, addrs := startReplicaSet(t, 3)
 
 	h := simos.New(simos.DefaultConfig())
-	h.Spawn(simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: 3600})
+	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
 	d := NewSensorDaemon("qhost", sensors.SimHost{H: h}, addrs, 0, sensors.HybridConfig{})
 	defer d.Close()
 
@@ -373,7 +382,7 @@ func TestReplicaGroupStoreRestoresHealth(t *testing.T) {
 	ctx := context.Background()
 
 	srv.Close()
-	if err := g.Store(ctx, "k", [][2]float64{{1, 1}}); err == nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{1, 1}}); err == nil {
 		t.Fatal("store to dead replica succeeded")
 	}
 	if g.Health()[0].Healthy {
@@ -385,7 +394,7 @@ func TestReplicaGroupStoreRestoresHealth(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	if err := g.Store(ctx, "k", [][2]float64{{2, 1}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{2, 1}}); err != nil {
 		t.Fatalf("store to revived replica: %v", err)
 	}
 	if !g.Health()[0].Healthy {
@@ -482,7 +491,7 @@ func TestViewPlacementNeverWritesDepartedEndpoint(t *testing.T) {
 	ctx := context.Background()
 
 	lt.SetDown(addrs[2], true)
-	if err := g.Store(ctx, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{1, 0.1}, {2, 0.2}}); err != nil {
 		t.Fatalf("store with 2/3 owners up: %v", err)
 	}
 
@@ -491,7 +500,7 @@ func TestViewPlacementNeverWritesDepartedEndpoint(t *testing.T) {
 	v2.Epoch, v2.Members = 2, v2.Members[:2]
 	g.table.adopt(v2)
 	lt.SetDown(addrs[2], false)
-	if err := g.Store(ctx, "k", [][2]float64{{3, 0.3}}); err != nil {
+	if err := storeOne(ctx, g, "k", [][2]float64{{3, 0.3}}); err != nil {
 		t.Fatal(err)
 	}
 	if n := mems[2].Len("k"); n != 0 {

@@ -123,9 +123,6 @@ func (d *SensorDaemon) SetBacklogCap(n int) {
 	d.backlogCap = n
 }
 
-// BacklogCap reports the per-series store-and-forward backlog bound.
-func (d *SensorDaemon) BacklogCap() int { return d.backlogCap }
-
 // Group returns the store backend the daemon delivers through (a
 // *ReplicaGroup on the replicated path), so a daemon's other probes can
 // deliver their series the same way.

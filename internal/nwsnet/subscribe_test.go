@@ -52,8 +52,11 @@ func TestSubscribeAckAndPush(t *testing.T) {
 	if ack.Forecast == nil || ack.Forecast.N != 3 {
 		t.Fatalf("ack forecast %+v, want one over 3 points", ack.Forecast)
 	}
-	if got := mux.Subscriptions(); got != 1 {
-		t.Fatalf("client tracks %d subscriptions, want 1", got)
+	mux.mu.Lock()
+	subs := len(mux.subs)
+	mux.mu.Unlock()
+	if subs != 1 {
+		t.Fatalf("client tracks %d subscriptions, want 1", subs)
 	}
 
 	mem.Handle(Request{Op: OpStore, Series: "s", Points: [][2]float64{{4, 0.5}, {5, 0.5}}})
@@ -66,7 +69,7 @@ func TestSubscribeAckAndPush(t *testing.T) {
 		t.Fatal("no push within 100 refresh ticks of the store")
 	}
 
-	if _, err := mux.Unsubscribe("s").Wait(); err != nil {
+	if _, err := mux.Go(Request{Op: OpUnsubscribe, Series: "s"}).Wait(); err != nil {
 		t.Fatalf("unsubscribe: %v", err)
 	}
 	mem.Handle(Request{Op: OpStore, Series: "s", Points: [][2]float64{{6, 0.5}}})

@@ -141,13 +141,8 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Delay returns the backoff taken after the attempt-th failure (1-based),
+// delay returns the backoff taken after the attempt-th failure (1-based),
 // jitter included.
-func (p Policy) Delay(attempt int) time.Duration {
-	p = p.withDefaults()
-	return p.delay(attempt)
-}
-
 func (p Policy) delay(attempt int) time.Duration {
 	d := float64(p.BaseDelay)
 	for i := 1; i < attempt; i++ {

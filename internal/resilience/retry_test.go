@@ -111,7 +111,7 @@ func TestBackoffScheduleDeterministic(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for i := 1; i <= 6; i++ {
-		da, db := a.Delay(i), b.Delay(i)
+		da, db := a.withDefaults().delay(i), b.withDefaults().delay(i)
 		if da != db {
 			t.Fatalf("attempt %d: %v != %v with same seed", i, da, db)
 		}
@@ -122,14 +122,14 @@ func TestBackoffGrowthAndCap(t *testing.T) {
 	p := Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: 750 * time.Millisecond, Multiplier: 2}
 	want := []time.Duration{100, 200, 400, 750, 750} // ms, capped
 	for i, w := range want {
-		if got := p.Delay(i + 1); got != w*time.Millisecond {
-			t.Fatalf("Delay(%d) = %v, want %v", i+1, got, w*time.Millisecond)
+		if got := p.withDefaults().delay(i + 1); got != w*time.Millisecond {
+			t.Fatalf("delay(%d) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}
 	// Jitter stays within the ± band.
 	pj := Policy{BaseDelay: 100 * time.Millisecond, Jitter: 0.5, Rand: rand.New(rand.NewSource(1)).Float64}
 	for i := 0; i < 50; i++ {
-		d := pj.Delay(1)
+		d := pj.withDefaults().delay(1)
 		if d < 50*time.Millisecond || d > 150*time.Millisecond {
 			t.Fatalf("jittered delay %v outside [50ms, 150ms]", d)
 		}

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"nwscpu/internal/simos"
 )
 
@@ -14,14 +12,6 @@ import (
 // chunks — running concurrently — finish at the same time. The paper's
 // introduction is exactly about making this split well; its conclusion
 // cites >100% gains from doing so with far cruder measurements.
-
-// PartitionResult reports one partitioned execution.
-type PartitionResult struct {
-	Policy   Policy
-	Chunks   []float64 // CPU-seconds assigned to each host
-	Makespan float64   // wall time until the last chunk finished
-	Finish   []float64 // per-host chunk completion times
-}
 
 // Partition splits total CPU-seconds across the cluster's hosts
 // proportionally to the policy's availability estimates:
@@ -83,7 +73,6 @@ func (c *Cluster) ExecutePartition(chunks []float64) (makespan float64, finish [
 			continue
 		}
 		pids[i] = c.hosts[i].Spawn(simos.ProcSpec{
-			Name:   fmt.Sprintf("chunk%d", i),
 			Demand: w,
 		})
 	}
@@ -109,15 +98,16 @@ func (c *Cluster) ExecutePartition(chunks []float64) (makespan float64, finish [
 
 // PartitionExperiment runs the full data-parallel pipeline: build the
 // cluster, warm the sensors, split total CPU-seconds per the policy, and
-// execute. Pass PolicyRandom for an effectively random split; use
+// execute. It returns the makespan, the wall time until the last chunk
+// finished. Pass PolicyRandom for an effectively random split; use
 // equal == true to force the equal-share baseline instead of a policy.
-func (c *Cluster) PartitionExperiment(total float64, p Policy, equal bool, seed int64) PartitionResult {
+func (c *Cluster) PartitionExperiment(total float64, p Policy, equal bool, seed int64) float64 {
 	var chunks []float64
 	if equal {
 		chunks = c.PartitionEqual(total)
 	} else {
 		chunks = c.Partition(total, p, seed)
 	}
-	makespan, finish := c.ExecutePartition(chunks)
-	return PartitionResult{Policy: p, Chunks: chunks, Makespan: makespan, Finish: finish}
+	makespan, _ := c.ExecutePartition(chunks)
+	return makespan
 }

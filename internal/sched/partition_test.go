@@ -92,8 +92,7 @@ func TestForecastPartitionBeatsEqualSplit(t *testing.T) {
 	run := func(equal bool) float64 {
 		c := NewCluster(testProfiles(horizon), horizon)
 		c.Warmup(600, 10)
-		res := c.PartitionExperiment(600, PolicyForecast, equal, 1)
-		return res.Makespan
+		return c.PartitionExperiment(600, PolicyForecast, equal, 1)
 	}
 	forecastMakespan := run(false)
 	equalMakespan := run(true)

@@ -27,7 +27,6 @@ import (
 
 // Task is one unit of schedulable work.
 type Task struct {
-	ID     int
 	Demand float64 // CPU seconds
 }
 
@@ -35,7 +34,7 @@ type Task struct {
 func MakeTasks(n int, demand float64) []Task {
 	out := make([]Task, n)
 	for i := range out {
-		out[i] = Task{ID: i, Demand: demand}
+		out[i] = Task{Demand: demand}
 	}
 	return out
 }
@@ -186,7 +185,6 @@ func (c *Cluster) Execute(tasks []Task, placements []int) (makespan, meanComplet
 	for ti, task := range tasks {
 		h := c.hosts[placements[ti]]
 		pids[ti] = h.Spawn(simos.ProcSpec{
-			Name:   fmt.Sprintf("task%d", task.ID),
 			Demand: task.Demand,
 		})
 	}

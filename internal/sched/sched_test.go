@@ -23,7 +23,7 @@ func testProfiles(horizon float64) []workload.Profile {
 	conundrum := workload.Profile{
 		Name: "conundrum", Seed: 3,
 		Fixtures: []workload.Fixture{
-			{At: 0, Spec: simos.ProcSpec{Name: "soak", Nice: 19, Demand: math.Inf(1), WallLimit: horizon + 1}},
+			{At: 0, Spec: simos.ProcSpec{Nice: 19, Demand: math.Inf(1), WallLimit: horizon + 1}},
 		},
 	}
 	return []workload.Profile{idle, busy, conundrum}
@@ -42,7 +42,7 @@ func TestPolicyString(t *testing.T) {
 
 func TestMakeTasks(t *testing.T) {
 	tasks := MakeTasks(5, 30)
-	if len(tasks) != 5 || tasks[4].ID != 4 || tasks[2].Demand != 30 {
+	if len(tasks) != 5 || tasks[2].Demand != 30 {
 		t.Fatalf("MakeTasks = %+v", tasks)
 	}
 }

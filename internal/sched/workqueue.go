@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -78,7 +77,6 @@ func (c *Cluster) RunDynamic(tasks []Task, p Policy, seed int64, quantum float64
 			}
 			t := tasks[next]
 			busy[best] = c.hosts[best].Spawn(simos.ProcSpec{
-				Name:   fmt.Sprintf("task%d", t.ID),
 				Demand: t.Demand,
 			})
 			res.Placements[next] = best

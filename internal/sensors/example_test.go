@@ -11,7 +11,7 @@ import (
 // Measuring a simulated host with the paper's Equation 1 sensor.
 func ExampleLoadAvgSensor() {
 	host := simos.New(simos.DefaultConfig())
-	host.Spawn(simos.ProcSpec{Name: "hog", Demand: math.Inf(1), WallLimit: 7200})
+	host.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 7200})
 	host.RunUntil(600) // let the load average converge
 
 	la := sensors.NewLoadAvgSensor(sensors.SimHost{H: host})

@@ -74,7 +74,6 @@ func (s SimHost) NumCPUs() int { return s.H.NumCPUs() }
 // RunSpin implements Host.
 func (s SimHost) RunSpin(wall float64) float64 {
 	res := s.H.RunProcess(simos.ProcSpec{
-		Name:      "spin",
 		Demand:    math.Inf(1),
 		WallLimit: wall,
 	})

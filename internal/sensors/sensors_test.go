@@ -13,7 +13,7 @@ func simhost() (SimHost, *simos.Host) {
 }
 
 func spin(wall float64) simos.ProcSpec {
-	return simos.ProcSpec{Name: "bg", Demand: math.Inf(1), WallLimit: wall}
+	return simos.ProcSpec{Demand: math.Inf(1), WallLimit: wall}
 }
 
 func TestLoadAvgSensorIdle(t *testing.T) {
@@ -92,7 +92,7 @@ func TestVmstatSensorSysTimeWeighting(t *testing.T) {
 	// A pure-system-time hog (network gateway) should yield low availability:
 	// with user ~ 0, w ~ 0, so the sys share is not counted as available.
 	sh, h := simhost()
-	h.Spawn(simos.ProcSpec{Name: "gw", Demand: math.Inf(1), WallLimit: 3600, SysFrac: 1.0})
+	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600, SysFrac: 1.0})
 	s := NewVmstatSensor(sh, 0)
 	var got float64
 	for tt := 10.0; tt <= 300; tt += 10 {
@@ -122,7 +122,7 @@ func TestSensorsAreBlindToNice(t *testing.T) {
 	// soaker even though a full-priority process would get ~100% — the
 	// conundrum misreading.
 	sh, h := simhost()
-	h.Spawn(simos.ProcSpec{Name: "soak", Nice: 19, Demand: math.Inf(1), WallLimit: 7200})
+	h.Spawn(simos.ProcSpec{Nice: 19, Demand: math.Inf(1), WallLimit: 7200})
 	la := NewLoadAvgSensor(sh)
 	vm := NewVmstatSensor(sh, 0)
 	var laV, vmV float64
@@ -142,7 +142,7 @@ func TestSensorsAreBlindToNice(t *testing.T) {
 
 func TestHybridCorrectsNiceBias(t *testing.T) {
 	sh, h := simhost()
-	h.Spawn(simos.ProcSpec{Name: "soak", Nice: 19, Demand: math.Inf(1), WallLimit: 7200})
+	h.Spawn(simos.ProcSpec{Nice: 19, Demand: math.Inf(1), WallLimit: 7200})
 	h.RunUntil(600)
 	hy := NewHybridSensor(sh, DefaultHybridConfig())
 	var last float64
@@ -195,7 +195,7 @@ func TestHybridProbeCadence(t *testing.T) {
 
 func TestHybridDisableBias(t *testing.T) {
 	sh, h := simhost()
-	h.Spawn(simos.ProcSpec{Name: "soak", Nice: 19, Demand: math.Inf(1), WallLimit: 7200})
+	h.Spawn(simos.ProcSpec{Nice: 19, Demand: math.Inf(1), WallLimit: 7200})
 	h.RunUntil(600)
 	cfg := DefaultHybridConfig()
 	cfg.DisableBias = true
@@ -247,7 +247,7 @@ func TestHybridSelectedMethodReported(t *testing.T) {
 func TestMeasurementsAlwaysInRange(t *testing.T) {
 	sh, h := simhost()
 	h.Spawn(spin(1800))
-	h.Spawn(simos.ProcSpec{Name: "n", Nice: 10, Demand: math.Inf(1), WallLimit: 1800})
+	h.Spawn(simos.ProcSpec{Nice: 10, Demand: math.Inf(1), WallLimit: 1800})
 	ss := []Sensor{
 		NewLoadAvgSensor(sh),
 		NewVmstatSensor(sh, 0),
@@ -280,7 +280,7 @@ func TestVmstatWeightModes(t *testing.T) {
 	// won't yield interrupt work); w=1 wrongly promises a fair share.
 	measure := func(weight SysWeight) float64 {
 		sh, h := simhost()
-		h.Spawn(simos.ProcSpec{Name: "gw", Demand: math.Inf(1), WallLimit: 3600, SysFrac: 1.0})
+		h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600, SysFrac: 1.0})
 		s := NewVmstatSensorWeight(sh, 0, weight)
 		var got float64
 		for tt := 10.0; tt <= 300; tt += 10 {

@@ -36,9 +36,6 @@ func NewPointRing(capacity int) *PointRing {
 // Len returns the number of stored points.
 func (r *PointRing) Len() int { return r.n }
 
-// Cap returns the ring's capacity bound.
-func (r *PointRing) Cap() int { return r.bound }
-
 // Push appends p, evicting the oldest point when the ring is at capacity.
 // It reports whether an eviction happened.
 func (r *PointRing) Push(p Point) (evicted bool) {

@@ -4,8 +4,8 @@ import "testing"
 
 func TestPointRingGrowsToBoundThenEvicts(t *testing.T) {
 	r := NewPointRing(5)
-	if r.Cap() != 5 || r.Len() != 0 {
-		t.Fatalf("fresh ring: cap %d len %d", r.Cap(), r.Len())
+	if r.bound != 5 || r.Len() != 0 {
+		t.Fatalf("fresh ring: bound %d len %d", r.bound, r.Len())
 	}
 	if _, ok := r.Last(); ok {
 		t.Fatal("Last on empty ring reported ok")

@@ -11,7 +11,6 @@ package series
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Point is one timestamped measurement.
@@ -87,16 +86,6 @@ func (s *Series) Last() (p Point, ok bool) {
 // At returns the i-th point (0-based). It panics if i is out of range, like
 // a slice index.
 func (s *Series) At(i int) Point { return s.Points[i] }
-
-// Slice returns a new Series holding the points with t in [from, to). The
-// underlying points are copied.
-func (s *Series) Slice(from, to float64) *Series {
-	lo := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= from })
-	hi := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= to })
-	out := New(s.Name, s.Unit)
-	out.Points = append([]Point(nil), s.Points[lo:hi]...)
-	return out
-}
 
 // ErrBadAggregation reports an invalid aggregation parameter.
 var ErrBadAggregation = errors.New("series: aggregation parameters invalid")

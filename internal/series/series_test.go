@@ -56,17 +56,6 @@ func TestLastEmpty(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	s := FromValues("a", 0, 1, []float64{0, 1, 2, 3, 4})
-	sub := s.Slice(1, 3.5)
-	if sub.Len() != 3 || sub.At(0).V != 1 || sub.At(2).V != 3 {
-		t.Fatalf("Slice = %+v", sub.Points)
-	}
-	if s.Slice(10, 20).Len() != 0 {
-		t.Fatal("out-of-range slice should be empty")
-	}
-}
-
 func TestAggregateCount(t *testing.T) {
 	s := FromValues("a", 0, 10, []float64{1, 3, 5, 7, 100})
 	agg, err := s.AggregateCount(2)

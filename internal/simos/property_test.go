@@ -24,7 +24,6 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 		pids := make([]PID, 0, nProcs)
 		for i := 0; i < nProcs; i++ {
 			spec := ProcSpec{
-				Name:    "p",
 				Nice:    int(rng.Int31n(20)),
 				SysFrac: rng.Float64(),
 			}
@@ -65,7 +64,8 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 			if p := h.find(pid); p != nil && p.cpuTime > h.Now()+1e-6 {
 				return false
 			}
-			if res, _, ok := h.Exit(pid); ok && res.CPUTime > res.Wall+0.02 {
+			// Spawned at 0, so the exit time is the wall time.
+			if res, at, ok := h.Exit(pid); ok && res.Fraction*at > at+0.02 {
 				return false
 			}
 		}
@@ -81,10 +81,10 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	build := func() *Host {
 		h := New(DefaultConfig())
-		h.Spawn(ProcSpec{Name: "a", Demand: 12.3, SysFrac: 0.2})
-		h.SubmitAll([]float64{7}, []ProcSpec{{Name: "b", Nice: 5, Demand: math.Inf(1), WallLimit: 40,
+		h.Spawn(ProcSpec{Demand: 12.3, SysFrac: 0.2})
+		h.SubmitAll([]float64{7}, []ProcSpec{{Nice: 5, Demand: math.Inf(1), WallLimit: 40,
 			BurstCPU: 0.3, BurstSleep: 0.7}})
-		h.SubmitAll([]float64{19}, []ProcSpec{{Name: "c", Demand: 5}})
+		h.SubmitAll([]float64{19}, []ProcSpec{{Demand: 5}})
 		h.RunUntil(60)
 		return h
 	}

@@ -80,8 +80,6 @@ type PID int
 
 // ProcSpec describes a process to run on the simulated host.
 type ProcSpec struct {
-	// Name labels the process in diagnostics.
-	Name string
 	// Nice is the Unix nice value, 0 (full priority) to 19 (background).
 	Nice int
 	// Demand is the total CPU seconds the process needs before exiting.
@@ -130,24 +128,19 @@ func (p *process) runnable(now float64) bool {
 // Counters is the cumulative CPU-time accounting of the host, in seconds.
 // Nice holds CPU time consumed by processes with Nice > 0 (classic vmstat
 // folds this into user time; the sensors do the same, but tests want it
-// separately). Steal is the hypervisor's view of cycles taken from the
-// guest while a process was dispatched; the guest's own counters (User,
-// Nice, Sys) still charge the full quantum, exactly as a guest kernel
-// without a paravirtual steal clock accounts time it never actually got.
+// separately). Cycles a hypervisor steals are charged to the guest's
+// counters in full (see SetSteal).
 type Counters struct {
 	User  float64
 	Nice  float64
 	Sys   float64
 	Idle  float64
 	Total float64
-	Steal float64
 }
 
 // ProcResult reports the outcome of a completed process.
 type ProcResult struct {
-	CPUTime  float64 // CPU seconds obtained
-	Wall     float64 // wall seconds from start to exit
-	Fraction float64 // CPUTime / Wall; 0 when Wall == 0
+	Fraction float64 // CPU seconds obtained over wall seconds; 0 when no wall time passed
 }
 
 type exitRec struct {
@@ -295,7 +288,7 @@ func (h *Host) Exit(pid PID) (res ProcResult, at float64, ok bool) {
 }
 
 func result(cpu, wall float64) ProcResult {
-	r := ProcResult{CPUTime: cpu, Wall: wall}
+	var r ProcResult
 	if wall > 0 {
 		r.Fraction = cpu / wall
 	}
@@ -400,7 +393,6 @@ func (h *Host) step() {
 		best.cpuTime += got
 		best.left -= got
 		best.burstCPU += got
-		h.ctr.Steal += tick - got
 		best.lastRun = h.tickNum
 		best.pcpu += 1
 		if best.pcpu > h.cfg.PCpuMax {

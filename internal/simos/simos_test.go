@@ -8,7 +8,7 @@ import (
 func newHost() *Host { return New(DefaultConfig()) }
 
 func spinner(nice int) ProcSpec {
-	return ProcSpec{Name: "spin", Nice: nice, Demand: math.Inf(1), WallLimit: 3600}
+	return ProcSpec{Nice: nice, Demand: math.Inf(1), WallLimit: 3600}
 }
 
 func TestNewPanicsOnBadConfig(t *testing.T) {
@@ -59,19 +59,19 @@ func TestIdleAccounting(t *testing.T) {
 
 func TestLoneProcessGetsFullCPU(t *testing.T) {
 	h := newHost()
-	res := h.RunProcess(ProcSpec{Name: "solo", Demand: math.Inf(1), WallLimit: 10})
+	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 10})
 	if res.Fraction < 0.999 {
 		t.Fatalf("lone process fraction = %v, want ~1", res.Fraction)
 	}
-	if math.Abs(res.Wall-10) > 0.02 {
-		t.Fatalf("wall = %v, want 10", res.Wall)
+	if math.Abs(h.Now()-10) > 0.02 {
+		t.Fatalf("wall = %v, want 10", h.Now())
 	}
 }
 
 func TestTwoEqualSpinnersShareFairly(t *testing.T) {
 	h := newHost()
 	h.Spawn(spinner(0))
-	res := h.RunProcess(ProcSpec{Name: "p2", Demand: math.Inf(1), WallLimit: 60})
+	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 60})
 	if res.Fraction < 0.40 || res.Fraction > 0.60 {
 		t.Fatalf("competing process fraction = %v, want ~0.5", res.Fraction)
 	}
@@ -80,9 +80,9 @@ func TestTwoEqualSpinnersShareFairly(t *testing.T) {
 func TestConservation(t *testing.T) {
 	// user + nice + sys + idle == total, and total CPU granted <= wall time.
 	h := newHost()
-	h.Spawn(ProcSpec{Name: "a", Demand: 30, SysFrac: 0.25})
-	h.Spawn(ProcSpec{Name: "b", Nice: 19, Demand: math.Inf(1), WallLimit: 200})
-	h.SubmitAll([]float64{50}, []ProcSpec{{Name: "c", Demand: 10}})
+	h.Spawn(ProcSpec{Demand: 30, SysFrac: 0.25})
+	h.Spawn(ProcSpec{Nice: 19, Demand: math.Inf(1), WallLimit: 200})
+	h.SubmitAll([]float64{50}, []ProcSpec{{Demand: 10}})
 	h.RunUntil(200)
 	c := h.Counters()
 	if math.Abs(c.User+c.Nice+c.Sys+c.Idle-c.Total) > 1e-6 {
@@ -99,12 +99,12 @@ func TestConservation(t *testing.T) {
 
 func TestDemandCompletion(t *testing.T) {
 	h := newHost()
-	res := h.RunProcess(ProcSpec{Name: "job", Demand: 5})
-	if math.Abs(res.CPUTime-5) > 0.02 {
-		t.Fatalf("CPUTime = %v, want 5", res.CPUTime)
+	res := h.RunProcess(ProcSpec{Demand: 5})
+	if cpu := res.Fraction * h.Now(); math.Abs(cpu-5) > 0.02 {
+		t.Fatalf("CPU time = %v, want 5", cpu)
 	}
-	if math.Abs(res.Wall-5) > 0.02 { // idle host: wall == cpu
-		t.Fatalf("Wall = %v, want 5", res.Wall)
+	if math.Abs(h.Now()-5) > 0.02 { // idle host: wall == cpu
+		t.Fatalf("wall = %v, want 5", h.Now())
 	}
 	if len(h.procs) != 0 {
 		t.Fatal("completed process still live")
@@ -113,7 +113,7 @@ func TestDemandCompletion(t *testing.T) {
 
 func TestSysFracAccounting(t *testing.T) {
 	h := newHost()
-	h.RunProcess(ProcSpec{Name: "daemon", Demand: 10, SysFrac: 0.3})
+	h.RunProcess(ProcSpec{Demand: 10, SysFrac: 0.3})
 	c := h.Counters()
 	if math.Abs(c.Sys-3) > 0.05 || math.Abs(c.User-7) > 0.05 {
 		t.Fatalf("sysfrac accounting: %+v", c)
@@ -122,7 +122,7 @@ func TestSysFracAccounting(t *testing.T) {
 
 func TestNiceAccountedSeparately(t *testing.T) {
 	h := newHost()
-	h.RunProcess(ProcSpec{Name: "bg", Nice: 19, Demand: 5})
+	h.RunProcess(ProcSpec{Nice: 19, Demand: 5})
 	c := h.Counters()
 	if math.Abs(c.Nice-5) > 0.05 || c.User > 0.01 {
 		t.Fatalf("nice accounting: %+v", c)
@@ -141,7 +141,7 @@ func TestLoadAverageConvergesToSpinnerCount(t *testing.T) {
 }
 
 func TestLoadAverageDecaysWhenIdle(t *testing.T) {
-	idleAt300 := ProcSpec{Name: "spin", Demand: math.Inf(1), WallLimit: 300}
+	idleAt300 := ProcSpec{Demand: math.Inf(1), WallLimit: 300}
 	h := newHost()
 	h.Spawn(idleAt300)
 	h.RunUntil(300)
@@ -175,12 +175,12 @@ func TestLoadAverageDecaysWhenIdle(t *testing.T) {
 // whole CPU.
 func TestNiceBackgroundIsPreempted(t *testing.T) {
 	h := newHost()
-	h.Spawn(ProcSpec{Name: "bg", Nice: 19, Demand: math.Inf(1), WallLimit: 7200})
+	h.Spawn(ProcSpec{Nice: 19, Demand: math.Inf(1), WallLimit: 7200})
 	h.RunUntil(600)
 	if l := h.LoadAvg(); l < 0.9 {
 		t.Fatalf("background spinner load = %v, want ~1", l)
 	}
-	res := h.RunProcess(ProcSpec{Name: "test", Demand: math.Inf(1), WallLimit: 10})
+	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 10})
 	if res.Fraction < 0.93 {
 		t.Fatalf("full-priority process got %v of CPU against nice-19 bg, want ~1", res.Fraction)
 	}
@@ -191,14 +191,14 @@ func TestNiceBackgroundIsPreempted(t *testing.T) {
 // longer test process ends up sharing and sees much less.
 func TestLongRunnerEvictedByShortProbe(t *testing.T) {
 	h := newHost()
-	h.Spawn(ProcSpec{Name: "hog", Demand: math.Inf(1), WallLimit: 7200})
+	h.Spawn(ProcSpec{Demand: math.Inf(1), WallLimit: 7200})
 	h.RunUntil(600) // hog accumulates pcpu
-	probe := h.RunProcess(ProcSpec{Name: "probe", Demand: math.Inf(1), WallLimit: 1.5})
+	probe := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 1.5})
 	if probe.Fraction < 0.9 {
 		t.Fatalf("1.5s probe fraction = %v, want ~1 (eviction)", probe.Fraction)
 	}
 	h.RunUntil(h.Now() + 120) // let the hog re-equilibrate
-	test := h.RunProcess(ProcSpec{Name: "test", Demand: math.Inf(1), WallLimit: 10})
+	test := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 10})
 	if test.Fraction > 0.85 {
 		t.Fatalf("10s test fraction = %v, want well below the probe's", test.Fraction)
 	}
@@ -210,7 +210,7 @@ func TestLongRunnerEvictedByShortProbe(t *testing.T) {
 func TestBurstProcessSleeps(t *testing.T) {
 	h := newHost()
 	// Compute 1s, sleep 3s, repeat: ~25% utilization on an idle machine.
-	h.Spawn(ProcSpec{Name: "think", Demand: math.Inf(1), WallLimit: 400,
+	h.Spawn(ProcSpec{Demand: math.Inf(1), WallLimit: 400,
 		BurstCPU: 1, BurstSleep: 3})
 	h.RunUntil(400)
 	c := h.Counters()
@@ -222,7 +222,7 @@ func TestBurstProcessSleeps(t *testing.T) {
 
 func TestSubmitAtFutureArrival(t *testing.T) {
 	h := newHost()
-	h.SubmitAll([]float64{50}, []ProcSpec{{Name: "later", Demand: 5}})
+	h.SubmitAll([]float64{50}, []ProcSpec{{Demand: 5}})
 	h.RunUntil(49)
 	if len(h.procs) != 0 {
 		t.Fatal("process arrived early")
@@ -244,7 +244,7 @@ func TestSubmitAtFutureArrival(t *testing.T) {
 func TestSubmitAtPastClamps(t *testing.T) {
 	h := newHost()
 	h.RunUntil(10)
-	h.SubmitAll([]float64{5}, []ProcSpec{{Name: "past", Demand: 1}})
+	h.SubmitAll([]float64{5}, []ProcSpec{{Demand: 1}})
 	h.RunUntil(10.02)
 	if len(h.procs) != 1 {
 		t.Fatal("past-dated arrival not admitted immediately")
@@ -255,7 +255,7 @@ func TestSubmitAllSortsArrivals(t *testing.T) {
 	h := newHost()
 	h.SubmitAll(
 		[]float64{30, 10, 20},
-		[]ProcSpec{{Name: "c", Demand: 1}, {Name: "a", Demand: 1}, {Name: "b", Demand: 1}},
+		[]ProcSpec{{Demand: 1}, {Demand: 1}, {Demand: 1}},
 	)
 	h.RunUntil(10.5)
 	if len(h.procs) != 1 {
@@ -278,9 +278,9 @@ func TestSubmitAllSortsArrivals(t *testing.T) {
 func TestSpawnValidation(t *testing.T) {
 	h := newHost()
 	for i, spec := range []ProcSpec{
-		{Name: "x"},                         // no demand, no wall limit
-		{Name: "y", Demand: 1, SysFrac: -1}, // bad sysfrac
-		{Name: "z", Demand: 1, SysFrac: 2},
+		{},                       // no demand, no wall limit
+		{Demand: 1, SysFrac: -1}, // bad sysfrac
+		{Demand: 1, SysFrac: 2},
 	} {
 		func() {
 			defer func() {
@@ -300,7 +300,7 @@ func TestRunProcessNeverReturningPanics(t *testing.T) {
 			t.Fatal("RunProcess(inf, no wall) accepted")
 		}
 	}()
-	h.RunProcess(ProcSpec{Name: "forever", Demand: math.Inf(1)})
+	h.RunProcess(ProcSpec{Demand: math.Inf(1)})
 }
 
 func TestPriorityDegradationSharesWithLatecomer(t *testing.T) {
@@ -310,7 +310,7 @@ func TestPriorityDegradationSharesWithLatecomer(t *testing.T) {
 	h := newHost()
 	h.Spawn(spinner(0))
 	h.RunUntil(100)
-	res := h.RunProcess(ProcSpec{Name: "late", Demand: math.Inf(1), WallLimit: 120})
+	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 120})
 	if res.Fraction < 0.4 || res.Fraction > 0.75 {
 		t.Fatalf("latecomer fraction over 120s = %v, want ~0.5-0.7", res.Fraction)
 	}
@@ -318,7 +318,7 @@ func TestPriorityDegradationSharesWithLatecomer(t *testing.T) {
 
 func TestRunQueueCountsOnlyRunnable(t *testing.T) {
 	h := newHost()
-	h.Spawn(ProcSpec{Name: "sleeper", Demand: math.Inf(1), WallLimit: 100,
+	h.Spawn(ProcSpec{Demand: math.Inf(1), WallLimit: 100,
 		BurstCPU: 0.1, BurstSleep: 50})
 	h.Spawn(spinner(0))
 	h.RunUntil(10) // sleeper has burst-slept by now
@@ -333,7 +333,7 @@ func TestRunQueueCountsOnlyRunnable(t *testing.T) {
 func BenchmarkHostTick(b *testing.B) {
 	h := newHost()
 	for i := 0; i < 5; i++ {
-		h.Spawn(ProcSpec{Name: "w", Demand: math.Inf(1), WallLimit: 1e9})
+		h.Spawn(ProcSpec{Demand: math.Inf(1), WallLimit: 1e9})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -345,9 +345,9 @@ func TestKernelProcessPreemptsEverything(t *testing.T) {
 	h := newHost()
 	// A duty-cycled kernel interrupt load (40%) against a full-priority
 	// user process: the user process gets only the remaining 60%.
-	h.Spawn(ProcSpec{Name: "irq", Kernel: true, SysFrac: 1,
+	h.Spawn(ProcSpec{Kernel: true, SysFrac: 1,
 		Demand: math.Inf(1), WallLimit: 7200, BurstCPU: 0.2, BurstSleep: 0.3})
-	res := h.RunProcess(ProcSpec{Name: "user", Demand: math.Inf(1), WallLimit: 60})
+	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 60})
 	if res.Fraction < 0.5 || res.Fraction > 0.7 {
 		t.Fatalf("user fraction vs 40%% kernel load = %v, want ~0.6", res.Fraction)
 	}

@@ -14,9 +14,9 @@ func TestStealNilIsBitIdentical(t *testing.T) {
 			h.SetSteal(nil)
 		}
 		h.Spawn(spinner(0))
-		h.SubmitAll([]float64{30}, []ProcSpec{{Name: "batch", Demand: 5}})
+		h.SubmitAll([]float64{30}, []ProcSpec{{Demand: 5}})
 		h.RunUntil(60)
-		res := h.RunProcess(ProcSpec{Name: "probe", Demand: math.Inf(1), WallLimit: 1.5})
+		res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 1.5})
 		return h.Counters(), h.LoadAvg(), res
 	}
 	c1, l1, r1 := run(false)
@@ -29,8 +29,8 @@ func TestStealNilIsBitIdentical(t *testing.T) {
 // TestStealSlowsProgressButHidesFromPassiveSensors is the paper's point:
 // under a constant 50% steal a lone spinner's probe fraction halves, a
 // fixed demand takes twice the wall time, yet the guest's loadavg and
-// user-time counters are identical to the unstolen run — only the Steal
-// counter (the hypervisor's view) and an active probe reveal it.
+// user-time counters are identical to the unstolen run — only an active
+// probe reveals it.
 func TestStealSlowsProgressButHidesFromPassiveSensors(t *testing.T) {
 	mk := func(steal float64) *Host {
 		h := newHost()
@@ -42,13 +42,13 @@ func TestStealSlowsProgressButHidesFromPassiveSensors(t *testing.T) {
 
 	// A fixed CPU demand needs 1/(1-steal) times the wall time.
 	clean, stolen := mk(0), mk(0.5)
-	p1 := clean.RunProcess(ProcSpec{Name: "job", Demand: 10})
-	p2 := stolen.RunProcess(ProcSpec{Name: "job", Demand: 10})
-	if math.Abs(p1.Wall-10) > 0.05 {
-		t.Fatalf("clean 10s demand took %v wall", p1.Wall)
+	clean.RunProcess(ProcSpec{Demand: 10})
+	stolen.RunProcess(ProcSpec{Demand: 10})
+	if math.Abs(clean.Now()-10) > 0.05 {
+		t.Fatalf("clean 10s demand took %v wall", clean.Now())
 	}
-	if math.Abs(p2.Wall-20) > 0.1 {
-		t.Fatalf("50%% steal: 10s demand took %v wall, want ~20", p2.Wall)
+	if math.Abs(stolen.Now()-20) > 0.1 {
+		t.Fatalf("50%% steal: 10s demand took %v wall, want ~20", stolen.Now())
 	}
 
 	// A wall-limited probe on a busy host: guest accounting identical,
@@ -65,14 +65,8 @@ func TestStealSlowsProgressButHidesFromPassiveSensors(t *testing.T) {
 	if clean.LoadAvg() != stolen.LoadAvg() {
 		t.Fatalf("loadavg saw the steal: %v vs %v", clean.LoadAvg(), stolen.LoadAvg())
 	}
-	if c2.Steal < 140 || c2.Steal > 160 {
-		t.Fatalf("steal counter = %v after 300s at 50%%, want ~150", c2.Steal)
-	}
-	if c1.Steal != 0 {
-		t.Fatalf("clean host accrued steal: %v", c1.Steal)
-	}
-	r1 := clean.RunProcess(ProcSpec{Name: "probe", Demand: math.Inf(1), WallLimit: 3})
-	r2 := stolen.RunProcess(ProcSpec{Name: "probe", Demand: math.Inf(1), WallLimit: 3})
+	r1 := clean.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 3})
+	r2 := stolen.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 3})
 	if r2.Fraction > 0.75*r1.Fraction {
 		t.Fatalf("probe blind to steal: clean %v vs stolen %v", r1.Fraction, r2.Fraction)
 	}
@@ -83,19 +77,19 @@ func TestStealSlowsProgressButHidesFromPassiveSensors(t *testing.T) {
 func TestStealClamped(t *testing.T) {
 	h := newHost()
 	h.SetSteal(func(float64) float64 { return -3 })
-	res := h.RunProcess(ProcSpec{Name: "job", Demand: 5})
-	if math.Abs(res.Wall-5) > 0.05 {
-		t.Fatalf("negative steal changed progress: wall %v", res.Wall)
+	h.RunProcess(ProcSpec{Demand: 5})
+	if math.Abs(h.Now()-5) > 0.05 {
+		t.Fatalf("negative steal changed progress: wall %v", h.Now())
 	}
 	h2 := newHost()
 	h2.SetSteal(func(float64) float64 { return 2 })
-	pid := h2.Spawn(ProcSpec{Name: "job", Demand: 5, WallLimit: 10})
+	pid := h2.Spawn(ProcSpec{Demand: 5, WallLimit: 10})
 	h2.RunUntil(20)
 	res2, _, ok := h2.Exit(pid)
 	if !ok {
 		t.Fatal("fully stolen process never reaped")
 	}
-	if res2.CPUTime != 0 {
+	if res2.Fraction != 0 {
 		t.Fatalf("fully stolen process made progress: %+v", res2)
 	}
 }

@@ -15,9 +15,6 @@ import (
 	"sort"
 )
 
-// ErrEmpty is returned by functions that cannot operate on an empty sample.
-var ErrEmpty = errors.New("stats: empty sample")
-
 // ErrShort is returned when a sample is too short for the requested analysis.
 var ErrShort = errors.New("stats: sample too short")
 
@@ -75,9 +72,6 @@ func PopVariance(xs []float64) float64 {
 	}
 	return ss / float64(n)
 }
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the smallest element of xs. It panics on an empty slice.
 func Min(xs []float64) float64 {
@@ -177,15 +171,14 @@ func TrimmedMean(xs []float64, frac float64) float64 {
 
 // Summary holds the descriptive statistics of a sample.
 type Summary struct {
-	N        int
-	Mean     float64
-	Variance float64 // unbiased sample variance
-	StdDev   float64
-	Min      float64
-	Max      float64
-	Median   float64
-	Q25      float64
-	Q75      float64
+	N      int
+	Mean   float64
+	StdDev float64 // square root of the unbiased sample variance
+	Min    float64
+	Max    float64
+	Median float64
+	Q25    float64
+	Q75    float64
 }
 
 // Summarize computes a Summary of xs. An empty sample yields a zero Summary.
@@ -193,33 +186,14 @@ func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	v := Variance(xs)
 	return Summary{
-		N:        len(xs),
-		Mean:     Mean(xs),
-		Variance: v,
-		StdDev:   math.Sqrt(v),
-		Min:      Min(xs),
-		Max:      Max(xs),
-		Median:   Median(xs),
-		Q25:      Quantile(xs, 0.25),
-		Q75:      Quantile(xs, 0.75),
+		N:      len(xs),
+		Mean:   Mean(xs),
+		StdDev: math.Sqrt(Variance(xs)),
+		Min:    Min(xs),
+		Max:    Max(xs),
+		Median: Median(xs),
+		Q25:    Quantile(xs, 0.25),
+		Q75:    Quantile(xs, 0.75),
 	}
-}
-
-// RMSE returns the root-mean-square error between corresponding elements of
-// a and b. The slices must have equal, nonzero length.
-func RMSE(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("stats: RMSE length mismatch")
-	}
-	if len(a) == 0 {
-		return 0, ErrEmpty
-	}
-	var ss float64
-	for i := range a {
-		d := a[i] - b[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(a))), nil
 }

@@ -124,21 +124,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{2, 2, 1}
-	rmse, err := RMSE(a, b)
-	if err != nil || !almostEq(rmse, math.Sqrt(5.0/3.0), 1e-12) {
-		t.Fatalf("RMSE = %v, %v", rmse, err)
-	}
-	if _, err := RMSE(a, b[:2]); err == nil {
-		t.Fatal("RMSE length mismatch not rejected")
-	}
-	if _, err := RMSE(nil, nil); err == nil {
-		t.Fatal("RMSE empty not rejected")
-	}
-}
-
 func TestMinMaxPanicOnEmpty(t *testing.T) {
 	for name, f := range map[string]func([]float64) float64{"Min": Min, "Max": Max} {
 		func() {
@@ -194,7 +179,7 @@ func TestAffineInvariance(t *testing.T) {
 		if !almostEq(Mean(ys), a*Mean(xs)+b, 1e-6) {
 			t.Fatalf("mean affine violated (a=%v b=%v)", a, b)
 		}
-		if !almostEq(StdDev(ys), math.Abs(a)*StdDev(xs), 1e-6) {
+		if !almostEq(math.Sqrt(Variance(ys)), math.Abs(a)*math.Sqrt(Variance(xs)), 1e-6) {
 			t.Fatalf("stddev affine violated (a=%v b=%v)", a, b)
 		}
 	}

@@ -7,9 +7,8 @@ import (
 
 // KSResult is the outcome of a two-sample Kolmogorov–Smirnov test.
 type KSResult struct {
-	D      float64 // the KS statistic: sup |F1 - F2|
-	P      float64 // asymptotic p-value of the null "same distribution"
-	N1, N2 int
+	D float64 // the KS statistic: sup |F1 - F2|
+	P float64 // asymptotic p-value of the null "same distribution"
 }
 
 // KolmogorovSmirnov runs the two-sample KS test on xs and ys. The paper
@@ -43,7 +42,7 @@ func KolmogorovSmirnov(xs, ys []float64) (KSResult, error) {
 		}
 	}
 	ne := float64(n1) * float64(n2) / float64(n1+n2)
-	res := KSResult{D: d, N1: n1, N2: n2}
+	res := KSResult{D: d}
 	res.P = ksProbability((math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d)
 	return res, nil
 }

@@ -79,9 +79,6 @@ func TestKSUnequalSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.N1 != 100 || res.N2 != 3000 {
-		t.Fatalf("sizes recorded wrong: %+v", res)
-	}
 	if res.P < 0.01 {
 		t.Fatalf("P = %v on same uniform distribution", res.P)
 	}

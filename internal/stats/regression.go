@@ -8,7 +8,6 @@ type LinFit struct {
 	Slope     float64
 	Intercept float64
 	R2        float64 // coefficient of determination
-	N         int
 }
 
 // LinearRegression fits y = a + b*x by ordinary least squares. xs and ys must
@@ -40,5 +39,5 @@ func LinearRegression(xs, ys []float64) (LinFit, error) {
 	if syy > 0 {
 		r2 = (sxy * sxy) / (sxx * syy)
 	}
-	return LinFit{Slope: b, Intercept: a, R2: r2, N: n}, nil
+	return LinFit{Slope: b, Intercept: a, R2: r2}, nil
 }

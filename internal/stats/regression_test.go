@@ -65,42 +65,3 @@ func TestLinearRegressionFlatY(t *testing.T) {
 		t.Fatalf("flat fit = %+v", fit)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 100} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	// -1, 0, 1.9 in bin 0; 2 in bin 1; 5 in bin 2; 9.9, 10, 100 in bin 4.
-	want := []int{3, 1, 1, 0, 3}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("Counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if got := h.BinCenter(0); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v", got)
-	}
-	if s := h.String(); len(s) == 0 {
-		t.Fatal("String empty")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}

@@ -57,7 +57,7 @@ func Conundrum(duration float64) Profile {
 		Fixtures: []Fixture{{
 			At: 0,
 			Spec: simos.ProcSpec{
-				Name: "soaker", Nice: 19,
+				Nice:   19,
 				Demand: math.Inf(1), WallLimit: duration + 1,
 			},
 		}},
@@ -96,7 +96,6 @@ func Kongo(duration float64) Profile {
 		Fixtures: []Fixture{{
 			At: 0,
 			Spec: simos.ProcSpec{
-				Name:   "longrunner",
 				Demand: math.Inf(1), WallLimit: duration + 1,
 			},
 		}},

@@ -46,7 +46,6 @@ func FromUtilizationTrace(trace *series.Series) ([]Arrival, error) {
 		// the interval start aliases against the kernel's 5-second load
 		// sampling and disappears from the load average entirely.
 		spec := simos.ProcSpec{
-			Name:      "replay",
 			Demand:    u * dt,
 			WallLimit: dt,
 		}

@@ -245,7 +245,6 @@ func (p Profile) Generate(duration float64) []Arrival {
 			}
 			demand := BoundedPareto(rng, p.JobShape, p.JobScale, p.JobMax)
 			out = append(out, Arrival{T: t, Spec: simos.ProcSpec{
-				Name:       "job",
 				Nice:       p.JobNice,
 				Demand:     demand,
 				SysFrac:    p.JobSysFrac,
@@ -275,7 +274,6 @@ func (p Profile) Generate(duration float64) []Arrival {
 				length = Exp(rng, p.SessionMeanLen)
 			}
 			out = append(out, Arrival{T: t, Spec: simos.ProcSpec{
-				Name:       "session",
 				Demand:     math.Inf(1),
 				WallLimit:  length + 1,
 				BurstCPU:   Exp(rng, p.SessionMeanBurst) + 0.01,
