@@ -64,7 +64,7 @@ func (t *tracker) mse() float64 {
 // the fast path picks the identical member. Sums are additionally resynced
 // every Cap evictions so the bound (and drift) stays small forever.
 type errWindow struct {
-	abs, sq       *series.Ring
+	abs, sq       series.Ring
 	sumAbs, sumSq float64
 	errAbs, errSq float64 // bounds on |sum - exact window sum|
 	evicts        int     // evictions since the last sum resynchronization
@@ -97,8 +97,8 @@ func (w *errWindow) record(absErr, sqErr float64) {
 // and resets the drift bounds to a fresh sum's own worst-case roundoff.
 func (w *errWindow) resync() {
 	n := float64(w.abs.Len())
-	w.sumAbs = ringSum(w.abs)
-	w.sumSq = ringSum(w.sq)
+	w.sumAbs = ringSum(&w.abs)
+	w.sumSq = ringSum(&w.sq)
 	w.errAbs = ulp * n * math.Abs(w.sumAbs)
 	w.errSq = ulp * n * math.Abs(w.sumSq)
 	w.evicts = 0
@@ -188,8 +188,8 @@ func NewWindowedEngine(selectBy SelectBy, selectWindow int, bank ...Forecaster) 
 	if selectWindow > 0 {
 		e.wins = make([]errWindow, len(bank))
 		for i := range e.wins {
-			e.wins[i].abs = series.NewRing(selectWindow)
-			e.wins[i].sq = series.NewRing(selectWindow)
+			e.wins[i].abs = *series.NewRing(selectWindow)
+			e.wins[i].sq = *series.NewRing(selectWindow)
 		}
 	}
 	mEngineEngines.Inc()

@@ -444,32 +444,46 @@ func TestDefaultBankSharesWindows(t *testing.T) {
 // A warmed default engine, the state a forecaster keeps per series, fits in
 // 5 KB and 8 heap objects, and building one takes at most 6 allocations.
 // Before each bank shared one history and became one allocation, it was
-// 8 664 B in 108 objects. These are counts, not timings, so they hold on
-// any box.
+// 8 664 B in 108 objects. A windowed engine over the same bank, as the
+// selection-window ablation builds, adds one error window per member that
+// holds its two rings by value: 54 objects, 104 when they were pointers.
+// These are counts, not timings, so they hold on any box.
 func TestDefaultEngineFootprint(t *testing.T) {
-	const engines = 1000
-	vals := benchValues(128)
-	all := make([]*Engine, engines)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for k := range all {
-		all[k] = NewDefaultEngine()
-		for _, v := range vals {
-			all[k].Update(v)
-		}
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(all)
-	bytes := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / engines
-	objects := float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / engines
-	allocs := testing.AllocsPerRun(100, func() { NewDefaultEngine() })
-	t.Logf("warmed default engine: %.0f B in %.2f heap objects; %v allocations to build", bytes, objects, allocs)
-	if bytes > 5120 || objects > 8 {
-		t.Fatalf("warmed default engine holds %.0f B in %.2f heap objects, want <= 5120 B and <= 8", bytes, objects)
-	}
-	if allocs > 6 {
-		t.Fatalf("NewDefaultEngine costs %v allocations, want <= 6", allocs)
+	for _, tc := range []struct {
+		name           string
+		build          func() *Engine
+		bytes, objects float64
+		allocsToBuild  float64
+	}{
+		{"default", NewDefaultEngine, 5120, 8, 6},
+		{"windowed", func() *Engine { return NewWindowedEngine(ByMAE, 25, DefaultBank()...) }, 18 * 1024, 56, 56},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const engines = 1000
+			vals := benchValues(128)
+			all := make([]*Engine, engines)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for k := range all {
+				all[k] = tc.build()
+				for _, v := range vals {
+					all[k].Update(v)
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(all)
+			bytes := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / engines
+			objects := float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / engines
+			allocs := testing.AllocsPerRun(100, func() { tc.build() })
+			t.Logf("warmed engine: %.0f B in %.2f heap objects; %v allocations to build", bytes, objects, allocs)
+			if bytes > tc.bytes || objects > tc.objects {
+				t.Fatalf("warmed engine holds %.0f B in %.2f heap objects, want <= %.0f B and <= %.0f", bytes, objects, tc.bytes, tc.objects)
+			}
+			if allocs > tc.allocsToBuild {
+				t.Fatalf("building the engine costs %v allocations, want <= %v", allocs, tc.allocsToBuild)
+			}
+		})
 	}
 }
