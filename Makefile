@@ -79,10 +79,10 @@ chaos-persist:
 # held to the tree — every make target, cmd/ directory and nwsd/nwsctl flag
 # they show must exist — and docs/OBSERVABILITY.md to the metric
 # registrations, both ways; and every exported Go name in internal/ and cmd/
-# to a doc comment that starts with it. Last, every exported name in
-# internal/ must have a caller in some non-test file of the module, and every
-# unexported one in its own package, unless docs_test.go's allow-list gives
-# the reason it stays.
+# to a doc comment that starts with it. Last, every package-level name and
+# struct field in internal/ must be used by some non-test file of the module,
+# matched by object with go/types (a field must be read, not only set),
+# unless docs_test.go's allow-list gives the reason it stays.
 docs-check:
 	$(GO) test -run 'TestProtocolDoc' -count=1 ./internal/nwsnet
 	$(GO) test -run 'TestDocsNameWhatExists|TestDocsMetricsMatchCode|TestDocsExportedNamesDocumented|TestExportsHaveCallers' -count=1 .

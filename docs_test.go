@@ -346,9 +346,9 @@ func TestExportsHaveCallers(t *testing.T) {
 }
 
 // TestFindCallersFixture runs the gate's finder over testdata/callers, a
-// module whose internal/fix package holds one dead name of each kind the
-// by-spelling match missed and one live name of each shape a type-aware
-// match can miss. Exactly the two dead ones are reported.
+// module whose internal/fix package holds one dead name of each kind a
+// by-spelling match misses and one live name of each shape a type-aware
+// match can miss. Exactly the three dead ones are reported.
 func TestFindCallersFixture(t *testing.T) {
 	src, err := parseTree("testdata/callers")
 	if err != nil {
@@ -365,7 +365,7 @@ func TestFindCallersFixture(t *testing.T) {
 		}
 	}
 	sort.Strings(dead)
-	want := []string{"internal/fix.Gauge.Reset", "internal/fix.Gauge.peak"}
+	want := []string{"internal/fix.Gauge.Reset", "internal/fix.Gauge.peak", "internal/fix.label"}
 	if fmt.Sprint(dead) != fmt.Sprint(want) {
 		t.Errorf("dead = %v, want %v", dead, want)
 	}
@@ -388,17 +388,20 @@ type callee struct {
 //   - generic instances mapped back to their origin, and promoted methods
 //     and fields to their declaration, as go/types resolves them;
 //   - a struct field used only where it is read: a composite-literal key or
-//     an assignment target writes it;
+//     an assignment target writes it, and a tagged field is read by the
+//     encoder its tag names;
+//   - a method's receiver not a use of its type;
 //   - a method also used when its receiver type, or a type it is promoted
-//     into, implements an interface whose method of that name is called.
+//     into, implements an interface whose method of that name the module
+//     calls, or any exported interface of the standard library, whose own
+//     code calls through them where the gate does not look.
 func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 	std := importer.ForCompiler(src.fset, "source", nil)
 	pkgs := map[string]*types.Package{}
 	var infos []*types.Info
 	var objs []*callee
 	byObj := map[types.Object]*callee{}
-	writes := map[*ast.Ident]bool{} // field keys in composite literals, assignment targets
-	recvs := map[*ast.Ident]bool{}  // the type names in method receivers
+	nonUses := map[*ast.Ident]bool{} // field writes and receiver types
 
 	var check func(dir string) (*types.Package, error)
 	imp := importerFunc(func(importPath string) (*types.Package, error) {
@@ -422,87 +425,39 @@ func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 			return nil, err
 		}
 		pkgs[importPath], infos = p, append(infos, info)
-		add := func(outer string, id *ast.Ident, decl ast.Node) {
-			if obj := info.Defs[id]; obj != nil && id.Name != "_" && id.Name != "init" {
+		for _, f := range src.dirs[dir] {
+			markNonUses(f, info, nonUses)
+			if !strings.HasPrefix(dir, prefix) {
+				continue
+			}
+			declarations(f, func(outer string, id *ast.Ident, decl ast.Node) {
+				if id.Name == "_" || id.Name == "init" {
+					return
+				}
+				if fn, ok := info.Defs[id].(*types.Func); ok {
+					outer = recvName(fn)
+				}
 				key := dir + "." + id.Name
 				if outer != "" {
 					key = dir + "." + outer + "." + id.Name
 				}
 				c := &callee{key: key, dir: dir, pos: src.fset.Position(id.Pos()), decl: decl}
-				objs, byObj[obj] = append(objs, c), c
-			}
-		}
-		for _, f := range src.dirs[dir] {
-			for _, d := range f.Decls {
-				if !strings.HasPrefix(dir, prefix) {
-					break
-				}
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					add(recvName(info.Defs[d.Name].(*types.Func)), d.Name, d)
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							add("", s.Name, s)
-							if st, ok := s.Type.(*ast.StructType); ok {
-								for _, field := range st.Fields.List {
-									if field.Tag != nil {
-										continue // read by the encoder its tag names
-									}
-									for _, n := range field.Names {
-										add(s.Name.Name, n, field)
-									}
-								}
-							}
-						case *ast.ValueSpec:
-							for _, n := range s.Names {
-								add("", n, s)
-							}
-						}
-					}
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					for _, e := range n.Elts {
-						if kv, ok := e.(*ast.KeyValueExpr); ok {
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								writes[id] = true
-							}
-						}
-					}
-				case *ast.FuncDecl:
-					if n.Recv != nil {
-						ast.Inspect(n.Recv, func(n ast.Node) bool {
-							if id, ok := n.(*ast.Ident); ok {
-								recvs[id] = true
-							}
-							return true
-						})
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok {
-							writes[sel.Sel] = true
-						}
-					}
-				}
-				return true
+				objs, byObj[info.Defs[id]] = append(objs, c), c
 			})
 		}
 		return p, nil
 	}
 
+	// The main module's packages first, then the benchmark module's.
 	dirs := make([]string, 0, len(src.dirs))
 	for dir := range src.dirs {
 		dirs = append(dirs, dir)
 	}
-	// The main module first, then the benchmark module over the same packages.
 	sort.Slice(dirs, func(i, j int) bool {
-		bi, bj := strings.HasPrefix(dirs[i], "benchmark"), strings.HasPrefix(dirs[j], "benchmark")
-		return bi != bj && bj || bi == bj && dirs[i] < dirs[j]
+		if bi, bj := strings.HasPrefix(dirs[i], "benchmark"), strings.HasPrefix(dirs[j], "benchmark"); bi != bj {
+			return bj
+		}
+		return dirs[i] < dirs[j]
 	})
 	for _, dir := range dirs {
 		if _, err := check(dir); err != nil {
@@ -510,8 +465,8 @@ func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 		}
 	}
 
-	called := map[*types.Interface][]*types.Func{} // interface methods the code calls
-	var named []*types.Named                       // every concrete type, for satisfaction
+	called := map[*types.Interface][]*types.Func{} // interface methods called
+	var named []*types.Named                       // the concrete types that may implement them
 	for _, info := range infos {
 		for id, obj := range info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
@@ -522,43 +477,25 @@ func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 				}
 			}
 			c := byObj[origin(obj)]
-			if c == nil || c.used || id.Pos() >= c.decl.Pos() && id.Pos() < c.decl.End() {
-				continue
-			}
-			if v, ok := obj.(*types.Var); recvs[id] || ok && v.IsField() && writes[id] {
+			if c == nil || c.used || nonUses[id] || id.Pos() >= c.decl.Pos() && id.Pos() < c.decl.End() {
 				continue
 			}
 			c.used = true
 		}
 		for _, obj := range info.Defs {
 			if tn, ok := obj.(*types.TypeName); ok {
-				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
 					named = append(named, n)
 				}
 			}
 		}
 		for _, inst := range info.Instances {
-			if n, ok := inst.Type.(*types.Named); ok {
+			if n, ok := inst.Type.(*types.Named); ok && !types.IsInterface(n) {
 				named = append(named, n)
 			}
 		}
 	}
-	// The standard library calls through the interfaces it declares (fmt
-	// through Stringer, encoding/json through Marshaler), in bodies the
-	// gate does not check: all their methods count as called.
-	seen := map[*types.Package]bool{}
-	var walk func(p *types.Package)
-	walk = func(p *types.Package) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		for _, imp := range p.Imports() {
-			walk(imp)
-		}
-		if strings.HasPrefix(p.Path(), module+"/") {
-			return
-		}
+	for _, p := range stdPackages(pkgs, module) {
 		for _, name := range p.Scope().Names() {
 			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() && types.IsInterface(tn.Type()) {
 				iface := tn.Type().Underlying().(*types.Interface)
@@ -568,14 +505,8 @@ func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 			}
 		}
 	}
-	for _, p := range pkgs {
-		walk(p)
-	}
 	for iface, fns := range called {
 		for _, n := range named {
-			if types.IsInterface(n) {
-				continue
-			}
 			for _, typ := range []types.Type{n, types.NewPointer(n)} {
 				if !types.Implements(typ, iface) {
 					continue
@@ -590,6 +521,103 @@ func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 		}
 	}
 	return objs, nil
+}
+
+// declarations calls add for every package-level function, method, type,
+// const and var in f, and for every untagged named field of a struct type
+// declared there, with the struct type's name as outer. decl is the node a
+// use inside of which is the object referring to itself.
+func declarations(f *ast.File, add func(outer string, id *ast.Ident, decl ast.Node)) {
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			add("", d.Name, d)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					add("", s.Name, s)
+					if st, ok := s.Type.(*ast.StructType); ok {
+						for _, field := range st.Fields.List {
+							for _, n := range field.Names {
+								if field.Tag == nil {
+									add(s.Name.Name, n, field)
+								}
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						add("", n, s)
+					}
+				}
+			}
+		}
+	}
+}
+
+// markNonUses records the identifiers in f that resolve to an object without
+// using it: a field named as a composite-literal key or assigned to through
+// a selector is written, not read, and a method's receiver does not use its
+// type.
+func markNonUses(f *ast.File, info *types.Info, nonUses map[*ast.Ident]bool) {
+	field := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			nonUses[id] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						field(id)
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					field(sel.Sel)
+				}
+			}
+		case *ast.FuncDecl:
+			if n.Recv != nil {
+				ast.Inspect(n.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						nonUses[id] = true
+					}
+					return true
+				})
+			}
+		}
+		return true
+	})
+}
+
+// stdPackages returns every package that pkgs import, directly or not,
+// outside module.
+func stdPackages(pkgs map[string]*types.Package, module string) []*types.Package {
+	seen := map[*types.Package]bool{}
+	var out []*types.Package
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		if !strings.HasPrefix(p.Path(), module+"/") {
+			out = append(out, p)
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range pkgs {
+		walk(p)
+	}
+	return out
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -318,7 +318,7 @@ func (m *MuxConn) doCtx(ctx context.Context, req Request) (Response, error) {
 // acknowledgement (carrying the current forecast when one is computable).
 // onPush runs on the connection's reader goroutine, so it must not block.
 // It receives (resp, nil) for every push, and exactly one terminal call
-// (resp, err) when the subscription ends without Unsubscribe: a moved push
+// (resp, err) when the subscription ends: a moved push
 // during a cluster rebalance (err wraps *MovedError and resp carries the
 // authoritative view — redial the new owner), a lost transport, or Close.
 // A connection holds at most one subscription per series; re-subscribing

@@ -1,6 +1,6 @@
-// Package fix is the caller gate's fixture: Gauge.Reset and Gauge.peak are
-// dead, and every other name is live through one shape a type-aware match
-// can miss.
+// Package fix is the caller gate's fixture: Gauge.Reset, Gauge.peak and
+// label are dead, and every other name is live through one shape a
+// type-aware match can miss.
 package fix
 
 // Counter is a live type.
@@ -22,26 +22,56 @@ type Gauge struct {
 	peak int
 }
 
-// Reset is dead.
-func (g *Gauge) Reset() { g.v = 0 }
+// Reset is dead: its one caller is itself.
+func (g *Gauge) Reset() {
+	if g.v > 0 {
+		g.v = 0
+		g.Reset()
+	}
+}
 
-// Sizer is an interface whose method Run calls.
-type Sizer interface{ Len() int }
+// Sizer is an interface whose methods Run calls.
+type Sizer interface {
+	Len() int
+	Cap() int
+}
 
-// calls declares Len, which Client's embedding promotes into Sizer.
+// calls declares Len, which Client's embedding promotes into Sizer; calls
+// alone does not satisfy Sizer.
 type calls struct{}
 
 // Len is called only through Sizer, on a Client.
 func (calls) Len() int { return 1 }
 
-// Client satisfies Sizer through its embedded calls.
+// Client satisfies Sizer through its embedded calls and its own Cap.
 type Client struct{ calls }
+
+// Cap is called only through Sizer.
+func (Client) Cap() int { return 1 }
 
 // perOp is a generic type whose method is called on an instance.
 type perOp[T any] [2]*T
 
 // get is called on perOp[int].
 func (p *perOp[T]) get(i int) *T { return p[i] }
+
+// Report is what the app prints.
+type Report struct {
+	Hosts int `json:"hosts"` // written only, but encoding/json reads it
+}
+
+// String is called only by fmt, through fmt.Stringer.
+func (r Report) String() string { return "report" }
+
+// label is dead: only its own method's receiver names it, though fmt.Stringer
+// keeps that method.
+type label struct{}
+
+// String would be called by fmt, had anything made a label.
+func (label) String() string { return "label" }
+
+// Summary returns the app's report.
+func Summary() Report { return Report{Hosts: 1} }
 
 // Run uses every live name once.
 func Run() int {
@@ -56,7 +86,7 @@ func Run() int {
 	var s Sizer = Client{}
 	var p perOp[int]
 	if p.get(0) == nil {
-		return c.n + g.v + s.Len()
+		return c.n + g.v + s.Len() + s.Cap()
 	}
 	return 0
 }
