@@ -82,10 +82,11 @@ chaos-persist:
 # to a doc comment that starts with it. Last, every package-level name and
 # struct field in internal/ must be used by some non-test file of the module,
 # matched by object with go/types (a field must be read, not only set),
-# unless docs_test.go's allow-list gives the reason it stays.
+# unless docs_test.go's allow-list gives the reason it stays; the gate's
+# finder is itself checked against the fixture module in testdata/callers.
 docs-check:
 	$(GO) test -run 'TestProtocolDoc' -count=1 ./internal/nwsnet
-	$(GO) test -run 'TestDocsNameWhatExists|TestDocsMetricsMatchCode|TestDocsExportedNamesDocumented|TestExportsHaveCallers' -count=1 .
+	$(GO) test -run 'TestDocsNameWhatExists|TestDocsMetricsMatchCode|TestDocsExportedNamesDocumented|TestExportsHaveCallers|TestFindCallersFixture' -count=1 .
 
 # Bounded fuzzing of both halves of the wire protocol: the server-side
 # request decode/execute path and the client-side response decode and
