@@ -151,8 +151,12 @@ bench-forecast:
 # stores, then 512 one-point fetches, in ns per sub-request (end to end:
 # forecast_serve). Then the read path's point codec: a 1024-point range
 # response encoded and decoded, in ns per point (end to end: history_fetch).
+# Last, a durable memory's recovery: durable_restart's directory shape (512
+# full rings of 1280 in a snapshot, then a log of host-tick frames) opened
+# and answering its first fetch, in ns per recovered point (end to end:
+# durable_restart's latency).
 bench-wire:
-	$(GO) test -run - -bench 'BenchmarkDecodeHostTick|BenchmarkMemoryHandleHostTick|BenchmarkMemoryHandleForecastRound|BenchmarkEncodeBatchResponse|BenchmarkClientFetchTail|BenchmarkPointsCodec' -benchmem ./internal/nwsnet
+	$(GO) test -run - -bench 'BenchmarkDecodeHostTick|BenchmarkMemoryHandleHostTick|BenchmarkMemoryHandleForecastRound|BenchmarkEncodeBatchResponse|BenchmarkClientFetchTail|BenchmarkPointsCodec|BenchmarkReopen' -benchmem ./internal/nwsnet
 
 # One iteration of every table/figure/ablation benchmark at 6-hour scale.
 bench:

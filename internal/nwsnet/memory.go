@@ -140,25 +140,32 @@ func (m *Memory) handleStore(req *Request) Response {
 	// accepted is what the journal records: the request's points until one
 	// is skipped, a filtered copy from then on.
 	accepted, filtered := req.Points, false
+	// Points move into the ring in maximal runs past the frontier: a run
+	// ends where a point is skipped.
+	frontier, run := math.Inf(-1), 0
+	if last, ok := r.Last(); ok {
+		frontier = last.T
+	}
 	for i, tv := range req.Points {
 		// Idempotent under redelivery: a point at or before the stored
 		// frontier was already applied (or is stale) — skip it rather than
 		// duplicating the tail or rejecting the whole batch.
-		if last, ok := r.Last(); ok && tv[0] <= last.T {
+		if tv[0] <= frontier {
 			deduped++
+			evicted += uint64(r.PushRun(req.Points[run:i]))
+			run = i + 1
 			if !filtered && m.journal != nil {
 				accepted, filtered = append([][2]float64(nil), req.Points[:i]...), true
 			}
 			continue
 		}
-		if r.Push(series.Point{T: tv[0], V: tv[1]}) {
-			evicted++
-		}
+		frontier = tv[0]
 		appended++
 		if filtered {
 			accepted = append(accepted, tv)
 		}
 	}
+	evicted += uint64(r.PushRun(req.Points[run:]))
 	if m.journal != nil && appended > 0 {
 		// Under the shard lock, so the series' log order is its apply order.
 		m.journal.record(recStore, req.Series, accepted)
@@ -198,11 +205,7 @@ func (m *Memory) handleFetch(req *Request) Response {
 	if req.Max > 0 && hi-lo > req.Max {
 		lo = hi - req.Max
 	}
-	out := make([][2]float64, hi-lo)
-	for i := lo; i < hi; i++ {
-		p := r.At(i)
-		out[i-lo] = [2]float64{p.T, p.V}
-	}
+	out := r.AppendRange(make([][2]float64, 0, hi-lo), lo, hi)
 	sh.mu.RUnlock()
 	mMemoryPointsFetched.Add(uint64(len(out)))
 	return Response{Points: out}
@@ -410,11 +413,8 @@ func (m *Memory) backfill(key string, pts [][2]float64) int {
 		sh.store[key] = r
 		created = true
 	}
-	existing := make([]series.Point, r.Len())
-	for i := range existing {
-		existing[i] = r.At(i)
-	}
-	merged := make([]series.Point, 0, len(existing)+len(incoming))
+	existing := r.AppendRange(nil, 0, r.Len())
+	merged := make([][2]float64, 0, len(existing)+len(incoming))
 	var inserted [][2]float64 // for the journal, in time order
 	added := 0
 	i, j := 0, 0
@@ -423,18 +423,18 @@ func (m *Memory) backfill(key string, pts [][2]float64) int {
 		case j >= len(incoming):
 			merged = append(merged, existing[i])
 			i++
-		case i >= len(existing) || incoming[j][0] < existing[i].T:
-			p := series.Point{T: incoming[j][0], V: incoming[j][1]}
+		case i >= len(existing) || incoming[j][0] < existing[i][0]:
+			p := incoming[j]
 			// Collapse duplicate timestamps within the incoming stream too.
-			if len(merged) == 0 || merged[len(merged)-1].T < p.T {
+			if len(merged) == 0 || merged[len(merged)-1][0] < p[0] {
 				merged = append(merged, p)
 				added++
 				if m.journal != nil {
-					inserted = append(inserted, incoming[j])
+					inserted = append(inserted, p)
 				}
 			}
 			j++
-		case incoming[j][0] == existing[i].T:
+		case incoming[j][0] == existing[i][0]:
 			merged = append(merged, existing[i]) // already stored: keep ours
 			i++
 			j++
@@ -448,15 +448,13 @@ func (m *Memory) backfill(key string, pts [][2]float64) int {
 		// History the trim just evicted was never observably inserted;
 		// recount so the reported insertions are the ones that survived
 		// (merged minus the surviving pre-existing points).
-		cut := merged[0].T
-		kept := len(existing) - sort.Search(len(existing), func(i int) bool { return existing[i].T >= cut })
+		cut := merged[0][0]
+		kept := len(existing) - sort.Search(len(existing), func(i int) bool { return existing[i][0] >= cut })
 		added = len(merged) - kept
 		inserted = inserted[sort.Search(len(inserted), func(i int) bool { return inserted[i][0] >= cut }):]
 	}
 	r.Reset()
-	for _, p := range merged {
-		r.Push(p)
-	}
+	r.PushRun(merged)
 	if len(inserted) > 0 {
 		m.journal.record(recBackfill, key, inserted)
 	}
@@ -473,10 +471,7 @@ func (m *Memory) appendSeries(dst [][2]float64, key string) [][2]float64 {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if r := sh.store[key]; r != nil {
-		for i, n := 0, r.Len(); i < n; i++ {
-			p := r.At(i)
-			dst = append(dst, [2]float64{p.T, p.V})
-		}
+		dst = r.AppendRange(dst, 0, r.Len())
 	}
 	return dst
 }

@@ -31,7 +31,7 @@ func mustStore(t *testing.T, h Handler, key string, pts ...[2]float64) {
 }
 
 // dirFiles returns the names in dir with the given extension, sorted.
-func dirFiles(t *testing.T, dir, ext string) []string {
+func dirFiles(t testing.TB, dir, ext string) []string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "*"+ext))
 	if err != nil {

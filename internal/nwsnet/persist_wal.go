@@ -623,17 +623,33 @@ func (j *journal) define(id uint32, key string) error {
 	return fmt.Errorf("series id %d (%q) out of sequence: %d ids known", id, key, len(j.keys))
 }
 
-// redo applies one log generation. A bad frame is an error naming the file
-// and offset — except in the newest generation when no whole frame follows
-// it: that is a write cut short by a crash (or a damaged last frame), and the
-// file is cut back to the last good frame.
+// redoRun is a stretch of one series' log: consecutive store records
+// concatenated — a store is a fold over its points, so one store of the lot
+// has the effect of the records one by one — or one backfill record.
+type redoRun struct {
+	pts      [][2]float64
+	backfill bool
+}
+
+// redo applies one log generation: every frame is decoded first, each
+// series' records grouped into runs in log order, and then each series'
+// runs are applied through the store and backfill paths. Series are
+// independent, so only each one's own order matters; the fuzzy snapshot's
+// idempotence argument holds series by series. Everything the apply could
+// refuse is checked while decoding, so the first bad record fails the open
+// with its file and frame offset, as it would applied in log order.
+//
+// A bad frame is an error naming the file and offset — except in the newest
+// generation when no whole frame follows it: that is a write cut short by a
+// crash (or a damaged last frame), and the file is cut back to the last good
+// frame before anything is applied.
 func (j *journal) redo(path string, newest bool, scratch *[][2]float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("nwsnet: reading log: %w", err)
 	}
-	off := 0
-	for off < len(data) {
+	var runs [][]redoRun // by series id, in log order
+	for off := 0; off < len(data); {
 		payload, size, err := splitFrame(data[off:])
 		if err != nil {
 			if !newest || frameFollows(data[off+1:]) {
@@ -643,7 +659,7 @@ func (j *journal) redo(path string, newest bool, scratch *[][2]float64) error {
 				return fmt.Errorf("nwsnet: truncating torn log %s: %w", path, err)
 			}
 			mMemoryLogTruncations.Inc()
-			return nil
+			break
 		}
 		err = decodeRecords(payload, scratch, func(rec walRecord) error {
 			if rec.kind == recDefine {
@@ -652,16 +668,40 @@ func (j *journal) redo(path string, newest bool, scratch *[][2]float64) error {
 			if int(rec.id) >= len(j.keys) {
 				return fmt.Errorf("record for undefined series id %d", rec.id)
 			}
-			if rec.kind == recBackfill {
-				j.mem.backfill(j.keys[rec.id], rec.pts)
-				return nil
+			backfill := rec.kind == recBackfill
+			if !backfill {
+				// What handleStore would refuse; a backfill refuses nothing.
+				if j.keys[rec.id] == "" {
+					return errors.New("store requires a series key")
+				}
+				if i := firstNonFinite(rec.pts); i >= 0 {
+					return fmt.Errorf("store: point %d %v is not finite", i, rec.pts[i])
+				}
 			}
-			return respErr(j.mem.handleStore(&Request{Series: j.keys[rec.id], Points: rec.pts}))
+			if int(rec.id) >= len(runs) {
+				runs = append(runs, make([][]redoRun, len(j.keys)-len(runs))...)
+			}
+			rs := runs[rec.id]
+			if n := len(rs); n > 0 && !backfill && !rs[n-1].backfill {
+				rs[n-1].pts = append(rs[n-1].pts, rec.pts...)
+			} else {
+				runs[rec.id] = append(rs, redoRun{append([][2]float64(nil), rec.pts...), backfill})
+			}
+			return nil
 		})
 		if err != nil {
 			return fmt.Errorf("nwsnet: log %s: frame at offset %d: %w", path, off, err)
 		}
 		off += size
+	}
+	for id, rs := range runs {
+		for _, run := range rs {
+			if run.backfill {
+				j.mem.backfill(j.keys[id], run.pts)
+			} else {
+				j.mem.handleStore(&Request{Series: j.keys[id], Points: run.pts})
+			}
+		}
 	}
 	return nil
 }
