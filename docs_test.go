@@ -304,6 +304,9 @@ var exportsAllowed = map[string]string{
 	"internal/report.pageData.Title":           "html/template reads it in pageTemplate",
 	"internal/report.htmlTable.Title":          "html/template reads it in pageTemplate",
 	"internal/report.htmlTable.Header":         "html/template reads it in pageTemplate",
+	"internal/report.htmlTable.Rows":           "html/template reads it in pageTemplate",
+	"internal/report.pageData.Tables":          "html/template reads it in pageTemplate",
+	"internal/report.pageData.Charts":          "html/template reads it in pageTemplate",
 }
 
 // TestExportsHaveCallers is the dead-code gate (make docs-check): every
@@ -348,7 +351,7 @@ func TestExportsHaveCallers(t *testing.T) {
 // TestFindCallersFixture runs the gate's finder over testdata/callers, a
 // module whose internal/fix package holds one dead name of each kind a
 // by-spelling match misses and one live name of each shape a type-aware
-// match can miss. Exactly the three dead ones are reported.
+// match can miss. Exactly the four dead ones are reported.
 func TestFindCallersFixture(t *testing.T) {
 	src, err := parseTree("testdata/callers")
 	if err != nil {
@@ -365,7 +368,7 @@ func TestFindCallersFixture(t *testing.T) {
 		}
 	}
 	sort.Strings(dead)
-	want := []string{"internal/fix.Gauge.Reset", "internal/fix.Gauge.peak", "internal/fix.label"}
+	want := []string{"internal/fix.Gauge.Reset", "internal/fix.Gauge.hist", "internal/fix.Gauge.peak", "internal/fix.label"}
 	if fmt.Sprint(dead) != fmt.Sprint(want) {
 		t.Errorf("dead = %v, want %v", dead, want)
 	}
@@ -558,8 +561,8 @@ func declarations(f *ast.File, add func(outer string, id *ast.Ident, decl ast.No
 
 // markNonUses records the identifiers in f that resolve to an object without
 // using it: a field named as a composite-literal key or assigned to through
-// a selector is written, not read, and a method's receiver does not use its
-// type.
+// a selector is written, not read — a self-append, x.f = append(x.f, v),
+// included — and a method's receiver does not use its type.
 func markNonUses(f *ast.File, info *types.Info, nonUses map[*ast.Ident]bool) {
 	field := func(id *ast.Ident) {
 		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
@@ -577,9 +580,16 @@ func markNonUses(f *ast.File, info *types.Info, nonUses map[*ast.Ident]bool) {
 				}
 			}
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if sel, ok := lhs.(*ast.SelectorExpr); ok {
-					field(sel.Sel)
+			for i, lhs := range n.Lhs {
+				sel, ok := lhs.(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				field(sel.Sel)
+				if len(n.Rhs) == len(n.Lhs) {
+					if arg := selfAppended(n.Rhs[i], info); arg != nil && types.ExprString(arg) == types.ExprString(sel) {
+						field(arg.Sel)
+					}
 				}
 			}
 		case *ast.FuncDecl:
@@ -594,6 +604,20 @@ func markNonUses(f *ast.File, info *types.Info, nonUses map[*ast.Ident]bool) {
 		}
 		return true
 	})
+}
+
+// selfAppended returns the selector a call of the builtin append extends,
+// as in append(x.f, v), or nil when e is not such a call.
+func selfAppended(e ast.Expr, info *types.Info) *ast.SelectorExpr {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	if fn, ok := call.Fun.(*ast.Ident); !ok || info.Uses[fn] != types.Universe.Lookup("append") {
+		return nil
+	}
+	sel, _ := call.Args[0].(*ast.SelectorExpr)
+	return sel
 }
 
 // stdPackages returns every package that pkgs import, directly or not,

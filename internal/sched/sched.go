@@ -25,16 +25,12 @@ import (
 	"nwscpu/internal/workload"
 )
 
-// Task is one unit of schedulable work.
-type Task struct {
-	Demand float64 // CPU seconds
-}
-
-// MakeTasks builds n identical tasks of the given demand.
-func MakeTasks(n int, demand float64) []Task {
-	out := make([]Task, n)
+// MakeTasks builds n identical tasks of the given demand. A task is one unit
+// of schedulable work, given by its demand in CPU seconds.
+func MakeTasks(n int, demand float64) []float64 {
+	out := make([]float64, n)
 	for i := range out {
-		out[i] = Task{Demand: demand}
+		out[i] = demand
 	}
 	return out
 }
@@ -75,7 +71,6 @@ type Result struct {
 // hybrid sensors feeding per-host forecast engines — the environment a grid
 // application scheduler sees.
 type Cluster struct {
-	Names   []string
 	hosts   []*simos.Host
 	sensors []*sensors.HybridSensor
 	engines []*forecast.Engine
@@ -89,7 +84,6 @@ func NewCluster(profiles []workload.Profile, horizon float64) *Cluster {
 		h := simos.New(simos.DefaultConfig())
 		workload.Submit(h, p.Generate(horizon))
 		sh := sensors.SimHost{H: h}
-		c.Names = append(c.Names, p.Name)
 		c.hosts = append(c.hosts, h)
 		c.sensors = append(c.sensors, sensors.NewHybridSensor(sh, sensors.DefaultHybridConfig()))
 		c.engines = append(c.engines, forecast.NewDefaultEngine())
@@ -144,21 +138,21 @@ func newRngForPolicy(seed int64) *rand.Rand { return rand.New(rand.NewSource(see
 // completion time (queued demand plus this task, divided by predicted
 // availability) is smallest. For PolicyRandom the "predictions" are random,
 // which makes the placement uniform in expectation.
-func (c *Cluster) Place(tasks []Task, p Policy, seed int64) []int {
+func (c *Cluster) Place(tasks []float64, p Policy, seed int64) []int {
 	rng := rand.New(rand.NewSource(seed))
 	avail := c.predictions(p, rng)
 	queued := make([]float64, len(c.hosts))
 	placements := make([]int, len(tasks))
-	for ti, task := range tasks {
+	for ti, demand := range tasks {
 		best, bestETA := 0, math.Inf(1)
 		for hi := range c.hosts {
-			eta := (queued[hi] + task.Demand) / avail[hi]
+			eta := (queued[hi] + demand) / avail[hi]
 			if eta < bestETA {
 				best, bestETA = hi, eta
 			}
 		}
 		placements[ti] = best
-		queued[best] += task.Demand
+		queued[best] += demand
 	}
 	return placements
 }
@@ -167,7 +161,7 @@ func (c *Cluster) Place(tasks []Task, p Policy, seed int64) []int {
 // tasks complete, returning the observed makespan and mean completion time.
 // All hosts share the same virtual timeline (they were created together and
 // advance in lockstep here).
-func (c *Cluster) Execute(tasks []Task, placements []int) (makespan, meanCompletion float64) {
+func (c *Cluster) Execute(tasks []float64, placements []int) (makespan, meanCompletion float64) {
 	if len(tasks) != len(placements) {
 		panic("sched: placements length mismatch")
 	}
@@ -182,10 +176,10 @@ func (c *Cluster) Execute(tasks []Task, placements []int) (makespan, meanComplet
 		h.RunUntil(start)
 	}
 	pids := make([]simos.PID, len(tasks))
-	for ti, task := range tasks {
+	for ti, demand := range tasks {
 		h := c.hosts[placements[ti]]
 		pids[ti] = h.Spawn(simos.ProcSpec{
-			Demand: task.Demand,
+			Demand: demand,
 		})
 	}
 	var sum float64
@@ -211,11 +205,11 @@ func (c *Cluster) Execute(tasks []Task, placements []int) (makespan, meanComplet
 
 // Experiment runs the full pipeline for one policy: build a cluster over the
 // profiles, warm up the sensors, place, execute.
-func Experiment(profiles []workload.Profile, tasks []Task, p Policy, warmup float64, seed int64) Result {
+func Experiment(profiles []workload.Profile, tasks []float64, p Policy, warmup float64, seed int64) Result {
 	// Horizon covers warm-up plus a generous execution window.
 	var totalDemand float64
-	for _, t := range tasks {
-		totalDemand += t.Demand
+	for _, demand := range tasks {
+		totalDemand += demand
 	}
 	horizon := warmup + 20*totalDemand
 	c := NewCluster(profiles, horizon)

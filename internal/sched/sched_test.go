@@ -42,7 +42,7 @@ func TestPolicyString(t *testing.T) {
 
 func TestMakeTasks(t *testing.T) {
 	tasks := MakeTasks(5, 30)
-	if len(tasks) != 5 || tasks[2].Demand != 30 {
+	if len(tasks) != 5 || tasks[2] != 30 {
 		t.Fatalf("MakeTasks = %+v", tasks)
 	}
 }

@@ -31,7 +31,7 @@ type DynamicResult struct {
 // The simulation advances all hosts in lockstep at the given quantum in
 // seconds (10 matches the paper's sensing cadence). It panics on a
 // non-positive quantum.
-func (c *Cluster) RunDynamic(tasks []Task, p Policy, seed int64, quantum float64) DynamicResult {
+func (c *Cluster) RunDynamic(tasks []float64, p Policy, seed int64, quantum float64) DynamicResult {
 	if quantum <= 0 {
 		panic("sched: RunDynamic quantum must be positive")
 	}
@@ -75,9 +75,8 @@ func (c *Cluster) RunDynamic(tasks []Task, p Policy, seed int64, quantum float64
 			if best == -1 {
 				return // every host is busy
 			}
-			t := tasks[next]
 			busy[best] = c.hosts[best].Spawn(simos.ProcSpec{
-				Demand: t.Demand,
+				Demand: tasks[next],
 			})
 			res.Placements[next] = best
 			res.Dispatches[best]++
@@ -117,10 +116,10 @@ func (c *Cluster) RunDynamic(tasks []Task, p Policy, seed int64, quantum float64
 
 // DynamicExperiment builds a cluster over the profiles, warms the sensors,
 // and executes the tasks with self-scheduling under the given policy.
-func DynamicExperiment(profiles []workload.Profile, tasks []Task, p Policy, warmup float64, seed int64) DynamicResult {
+func DynamicExperiment(profiles []workload.Profile, tasks []float64, p Policy, warmup float64, seed int64) DynamicResult {
 	var totalDemand float64
-	for _, t := range tasks {
-		totalDemand += t.Demand
+	for _, demand := range tasks {
+		totalDemand += demand
 	}
 	horizon := warmup + 20*totalDemand
 	c := NewCluster(profiles, horizon)

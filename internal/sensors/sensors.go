@@ -73,11 +73,10 @@ func (s SimHost) NumCPUs() int { return s.H.NumCPUs() }
 
 // RunSpin implements Host.
 func (s SimHost) RunSpin(wall float64) float64 {
-	res := s.H.RunProcess(simos.ProcSpec{
+	return s.H.RunProcess(simos.ProcSpec{
 		Demand:    math.Inf(1),
 		WallLimit: wall,
 	})
-	return res.Fraction
 }
 
 // clamp01 confines an availability estimate to [0, 1].

@@ -65,7 +65,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 				return false
 			}
 			// Spawned at 0, so the exit time is the wall time.
-			if res, at, ok := h.Exit(pid); ok && res.Fraction*at > at+0.02 {
+			if frac, at, ok := h.Exit(pid); ok && frac*at > at+0.02 {
 				return false
 			}
 		}

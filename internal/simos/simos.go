@@ -138,14 +138,9 @@ type Counters struct {
 	Total float64
 }
 
-// ProcResult reports the outcome of a completed process.
-type ProcResult struct {
-	Fraction float64 // CPU seconds obtained over wall seconds; 0 when no wall time passed
-}
-
 type exitRec struct {
-	res ProcResult
-	at  float64
+	fraction float64
+	at       float64
 }
 
 type arrival struct {
@@ -277,22 +272,24 @@ func (h *Host) SubmitAll(ts []float64, specs []ProcSpec) {
 	sort.SliceStable(h.pending, func(i, j int) bool { return h.pending[i].t < h.pending[j].t })
 }
 
-// Exit returns the result of an exited process along with its completion
-// time. ok is false while the process is still live (or was never spawned).
-func (h *Host) Exit(pid PID) (res ProcResult, at float64, ok bool) {
+// Exit returns the CPU fraction an exited process obtained (see RunProcess)
+// along with its completion time. ok is false while the process is still
+// live (or was never spawned).
+func (h *Host) Exit(pid PID) (fraction, at float64, ok bool) {
 	r, ok := h.exits[pid]
 	if !ok {
-		return ProcResult{}, 0, false
+		return 0, 0, false
 	}
-	return r.res, r.at, true
+	return r.fraction, r.at, true
 }
 
-func result(cpu, wall float64) ProcResult {
-	var r ProcResult
+// cpuFraction is CPU seconds obtained over wall seconds; 0 when no wall time
+// passed.
+func cpuFraction(cpu, wall float64) float64 {
 	if wall > 0 {
-		r.Fraction = cpu / wall
+		return cpu / wall
 	}
-	return r
+	return 0
 }
 
 // RunUntil advances the simulation to time t. It is a no-op if t <= Now.
@@ -304,10 +301,11 @@ func (h *Host) RunUntil(t float64) {
 }
 
 // RunProcess spawns spec now, advances the simulation until it exits, and
-// returns its result. This is how the NWS probe and the paper's test process
-// are run: they block the experiment driver exactly as a real spinning
-// process blocks a shell.
-func (h *Host) RunProcess(spec ProcSpec) ProcResult {
+// returns the fraction of the CPU it obtained: CPU seconds over wall
+// seconds, 0 when no wall time passed. This is how the NWS probe and the
+// paper's test process are run: they block the experiment driver exactly as
+// a real spinning process blocks a shell.
+func (h *Host) RunProcess(spec ProcSpec) float64 {
 	if math.IsInf(spec.Demand, 1) && spec.WallLimit <= 0 {
 		panic("simos: RunProcess would never return (infinite demand, no wall limit)")
 	}
@@ -316,7 +314,7 @@ func (h *Host) RunProcess(spec ProcSpec) ProcResult {
 	for !p.done {
 		h.step()
 	}
-	return result(p.cpuTime, h.Now()-p.start)
+	return cpuFraction(p.cpuTime, h.Now()-p.start)
 }
 
 // dispatched reports whether p was already given a CPU this quantum.
@@ -428,7 +426,7 @@ func (h *Host) step() {
 		if !p.done {
 			live = append(live, p)
 		} else {
-			h.exits[p.pid] = exitRec{res: result(p.cpuTime, now-p.start), at: now}
+			h.exits[p.pid] = exitRec{fraction: cpuFraction(p.cpuTime, now-p.start), at: now}
 		}
 	}
 	h.procs = live

@@ -59,9 +59,9 @@ func TestIdleAccounting(t *testing.T) {
 
 func TestLoneProcessGetsFullCPU(t *testing.T) {
 	h := newHost()
-	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 10})
-	if res.Fraction < 0.999 {
-		t.Fatalf("lone process fraction = %v, want ~1", res.Fraction)
+	frac := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 10})
+	if frac < 0.999 {
+		t.Fatalf("lone process fraction = %v, want ~1", frac)
 	}
 	if math.Abs(h.Now()-10) > 0.02 {
 		t.Fatalf("wall = %v, want 10", h.Now())
@@ -71,9 +71,9 @@ func TestLoneProcessGetsFullCPU(t *testing.T) {
 func TestTwoEqualSpinnersShareFairly(t *testing.T) {
 	h := newHost()
 	h.Spawn(spinner(0))
-	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 60})
-	if res.Fraction < 0.40 || res.Fraction > 0.60 {
-		t.Fatalf("competing process fraction = %v, want ~0.5", res.Fraction)
+	frac := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 60})
+	if frac < 0.40 || frac > 0.60 {
+		t.Fatalf("competing process fraction = %v, want ~0.5", frac)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestConservation(t *testing.T) {
 
 func TestDemandCompletion(t *testing.T) {
 	h := newHost()
-	res := h.RunProcess(ProcSpec{Demand: 5})
-	if cpu := res.Fraction * h.Now(); math.Abs(cpu-5) > 0.02 {
+	frac := h.RunProcess(ProcSpec{Demand: 5})
+	if cpu := frac * h.Now(); math.Abs(cpu-5) > 0.02 {
 		t.Fatalf("CPU time = %v, want 5", cpu)
 	}
 	if math.Abs(h.Now()-5) > 0.02 { // idle host: wall == cpu
@@ -180,9 +180,9 @@ func TestNiceBackgroundIsPreempted(t *testing.T) {
 	if l := h.LoadAvg(); l < 0.9 {
 		t.Fatalf("background spinner load = %v, want ~1", l)
 	}
-	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 10})
-	if res.Fraction < 0.93 {
-		t.Fatalf("full-priority process got %v of CPU against nice-19 bg, want ~1", res.Fraction)
+	frac := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 10})
+	if frac < 0.93 {
+		t.Fatalf("full-priority process got %v of CPU against nice-19 bg, want ~1", frac)
 	}
 }
 
@@ -194,16 +194,16 @@ func TestLongRunnerEvictedByShortProbe(t *testing.T) {
 	h.Spawn(ProcSpec{Demand: math.Inf(1), WallLimit: 7200})
 	h.RunUntil(600) // hog accumulates pcpu
 	probe := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 1.5})
-	if probe.Fraction < 0.9 {
-		t.Fatalf("1.5s probe fraction = %v, want ~1 (eviction)", probe.Fraction)
+	if probe < 0.9 {
+		t.Fatalf("1.5s probe fraction = %v, want ~1 (eviction)", probe)
 	}
 	h.RunUntil(h.Now() + 120) // let the hog re-equilibrate
 	test := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 10})
-	if test.Fraction > 0.85 {
-		t.Fatalf("10s test fraction = %v, want well below the probe's", test.Fraction)
+	if test > 0.85 {
+		t.Fatalf("10s test fraction = %v, want well below the probe's", test)
 	}
-	if test.Fraction < 0.45 {
-		t.Fatalf("10s test fraction = %v, should still beat a fair 50%% share", test.Fraction)
+	if test < 0.45 {
+		t.Fatalf("10s test fraction = %v, should still beat a fair 50%% share", test)
 	}
 }
 
@@ -310,9 +310,9 @@ func TestPriorityDegradationSharesWithLatecomer(t *testing.T) {
 	h := newHost()
 	h.Spawn(spinner(0))
 	h.RunUntil(100)
-	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 120})
-	if res.Fraction < 0.4 || res.Fraction > 0.75 {
-		t.Fatalf("latecomer fraction over 120s = %v, want ~0.5-0.7", res.Fraction)
+	frac := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 120})
+	if frac < 0.4 || frac > 0.75 {
+		t.Fatalf("latecomer fraction over 120s = %v, want ~0.5-0.7", frac)
 	}
 }
 
@@ -347,9 +347,9 @@ func TestKernelProcessPreemptsEverything(t *testing.T) {
 	// user process: the user process gets only the remaining 60%.
 	h.Spawn(ProcSpec{Kernel: true, SysFrac: 1,
 		Demand: math.Inf(1), WallLimit: 7200, BurstCPU: 0.2, BurstSleep: 0.3})
-	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 60})
-	if res.Fraction < 0.5 || res.Fraction > 0.7 {
-		t.Fatalf("user fraction vs 40%% kernel load = %v, want ~0.6", res.Fraction)
+	frac := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 60})
+	if frac < 0.5 || frac > 0.7 {
+		t.Fatalf("user fraction vs 40%% kernel load = %v, want ~0.6", frac)
 	}
 	c := h.Counters()
 	if c.Sys < 20 {

@@ -34,9 +34,9 @@ func TestSMPZeroDefaultsToOne(t *testing.T) {
 func TestSMPTwoSpinnersOnFourCPUs(t *testing.T) {
 	h := smpHost(4)
 	h.Spawn(spinner(0))
-	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 30})
-	if res.Fraction < 0.999 {
-		t.Fatalf("spinner on idle CPU got %v, want ~1", res.Fraction)
+	frac := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 30})
+	if frac < 0.999 {
+		t.Fatalf("spinner on idle CPU got %v, want ~1", frac)
 	}
 }
 
@@ -45,21 +45,21 @@ func TestSMPFourSpinnersOnTwoCPUs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.Spawn(spinner(0))
 	}
-	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 120})
-	if res.Fraction < 0.40 || res.Fraction > 0.60 {
-		t.Fatalf("4 spinners on 2 CPUs: fraction %v, want ~0.5", res.Fraction)
+	frac := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 120})
+	if frac < 0.40 || frac > 0.60 {
+		t.Fatalf("4 spinners on 2 CPUs: fraction %v, want ~0.5", frac)
 	}
 }
 
 func TestSMPProcessCannotUseTwoCPUs(t *testing.T) {
 	// A single process on a 4-way machine gets at most 1 CPU of time.
 	h := smpHost(4)
-	res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 10})
-	if res.Fraction > 1.001 {
-		t.Fatalf("single process exceeded one CPU: %v", res.Fraction)
+	frac := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 10})
+	if frac > 1.001 {
+		t.Fatalf("single process exceeded one CPU: %v", frac)
 	}
-	if res.Fraction < 0.995 {
-		t.Fatalf("single process on an idle 4-way machine: fraction %v, want 1", res.Fraction)
+	if frac < 0.995 {
+		t.Fatalf("single process on an idle 4-way machine: fraction %v, want 1", frac)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestSMPNicePreemptedOnlyWhenSaturated(t *testing.T) {
 	// simultaneously, so the nice job is NOT starved.
 	h := smpHost(2)
 	h.Spawn(spinner(0))
-	res := h.RunProcess(ProcSpec{Nice: 19, Demand: math.Inf(1), WallLimit: 60})
-	if res.Fraction < 0.95 {
-		t.Fatalf("nice job on spare SMP CPU got %v, want ~1", res.Fraction)
+	frac := h.RunProcess(ProcSpec{Nice: 19, Demand: math.Inf(1), WallLimit: 60})
+	if frac < 0.95 {
+		t.Fatalf("nice job on spare SMP CPU got %v, want ~1", frac)
 	}
 }

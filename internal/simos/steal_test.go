@@ -8,7 +8,7 @@ import (
 // TestStealNilIsBitIdentical pins the zero-cost default: a host with no
 // steal schedule must evolve exactly like one that predates the feature.
 func TestStealNilIsBitIdentical(t *testing.T) {
-	run := func(setNil bool) (Counters, float64, ProcResult) {
+	run := func(setNil bool) (Counters, float64, float64) {
 		h := newHost()
 		if setNil {
 			h.SetSteal(nil)
@@ -16,8 +16,8 @@ func TestStealNilIsBitIdentical(t *testing.T) {
 		h.Spawn(spinner(0))
 		h.SubmitAll([]float64{30}, []ProcSpec{{Demand: 5}})
 		h.RunUntil(60)
-		res := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 1.5})
-		return h.Counters(), h.LoadAvg(), res
+		frac := h.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 1.5})
+		return h.Counters(), h.LoadAvg(), frac
 	}
 	c1, l1, r1 := run(false)
 	c2, l2, r2 := run(true)
@@ -67,8 +67,8 @@ func TestStealSlowsProgressButHidesFromPassiveSensors(t *testing.T) {
 	}
 	r1 := clean.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 3})
 	r2 := stolen.RunProcess(ProcSpec{Demand: math.Inf(1), WallLimit: 3})
-	if r2.Fraction > 0.75*r1.Fraction {
-		t.Fatalf("probe blind to steal: clean %v vs stolen %v", r1.Fraction, r2.Fraction)
+	if r2 > 0.75*r1 {
+		t.Fatalf("probe blind to steal: clean %v vs stolen %v", r1, r2)
 	}
 }
 
@@ -85,11 +85,11 @@ func TestStealClamped(t *testing.T) {
 	h2.SetSteal(func(float64) float64 { return 2 })
 	pid := h2.Spawn(ProcSpec{Demand: 5, WallLimit: 10})
 	h2.RunUntil(20)
-	res2, _, ok := h2.Exit(pid)
+	frac2, _, ok := h2.Exit(pid)
 	if !ok {
 		t.Fatal("fully stolen process never reaped")
 	}
-	if res2.Fraction != 0 {
-		t.Fatalf("fully stolen process made progress: %+v", res2)
+	if frac2 != 0 {
+		t.Fatalf("fully stolen process made progress: fraction %v", frac2)
 	}
 }

@@ -1,5 +1,5 @@
-// Package fix is the caller gate's fixture: Gauge.Reset, Gauge.peak and
-// label are dead, and every other name is live through one shape a
+// Package fix is the caller gate's fixture: Gauge.Reset, Gauge.peak,
+// Gauge.hist and label are dead, and every other name is live through one shape a
 // type-aware match can miss.
 package fix
 
@@ -15,11 +15,12 @@ func (c *Counter) add(d int) { c.n += d }
 // adder is an unexported interface used in a type assertion.
 type adder interface{ add(int) }
 
-// Gauge's Reset shares Counter.Reset's spelling but has no caller, and its
-// peak is written and never read.
+// Gauge's Reset shares Counter.Reset's spelling but has no caller, its
+// peak is written and never read, and its hist is only appended to itself.
 type Gauge struct {
 	v    int
 	peak int
+	hist []int
 }
 
 // Reset is dead: its one caller is itself.
@@ -83,6 +84,7 @@ func Run() int {
 	}
 	g := Gauge{v: 1, peak: 1}
 	g.peak = 2
+	g.hist = append(g.hist, g.v)
 	var s Sizer = Client{}
 	var p perOp[int]
 	if p.get(0) == nil {
