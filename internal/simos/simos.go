@@ -303,7 +303,7 @@ func (h *Host) RunUntil(t float64) {
 // RunProcess spawns spec now, advances the simulation until it exits, and
 // returns the fraction of the CPU it obtained: CPU seconds over wall
 // seconds, 0 when no wall time passed. This is how the NWS probe and the
-// paper's test process are run: they block the experiment driver exactly as
+// paper's test process are run: they block the experiment loop exactly as
 // a real spinning process blocks a shell.
 func (h *Host) RunProcess(spec ProcSpec) float64 {
 	if math.IsInf(spec.Demand, 1) && spec.WallLimit <= 0 {
