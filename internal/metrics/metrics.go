@@ -40,13 +40,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n. Adding zero skips the atomic: the store path adds its deduped
-// and evicted counts per request, and both are usually zero.
-func (c *Counter) Add(n uint64) {
-	if n != 0 {
-		c.v.Add(n)
-	}
-}
+// Add adds n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }

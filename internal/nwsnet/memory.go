@@ -1,6 +1,8 @@
 package nwsnet
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -118,14 +120,8 @@ func (m *Memory) handle(req *Request) Response {
 }
 
 func (m *Memory) handleStore(req *Request) Response {
-	if req.Series == "" {
-		return errResp("store requires a series key")
-	}
-	if len(req.Points) == 0 {
-		return errResp("store requires points")
-	}
-	if i := firstNonFinite(req.Points); i >= 0 {
-		return errResp("store: point %d %v is not finite", i, req.Points[i])
+	if err := checkStore(req.Series, req.Points); err != nil {
+		return Response{Error: err.Error()}
 	}
 	sh := m.shard(req.Series)
 	sh.mu.Lock()
@@ -178,6 +174,22 @@ func (m *Memory) handleStore(req *Request) Response {
 	mMemoryPointsDeduped.Add(deduped)
 	mMemoryPointsEvicted.Add(evicted)
 	return Response{}
+}
+
+// checkStore is what the store path refuses: a request without a series
+// key or points, or one with a non-finite point. Recovery checks each logged
+// store with it while decoding, so a refused record names its frame.
+func checkStore(key string, pts [][2]float64) error {
+	if key == "" {
+		return errors.New("store requires a series key")
+	}
+	if len(pts) == 0 {
+		return errors.New("store requires points")
+	}
+	if i := firstNonFinite(pts); i >= 0 {
+		return fmt.Errorf("store: point %d %v is not finite", i, pts[i])
+	}
+	return nil
 }
 
 func (m *Memory) handleFetch(req *Request) Response {

@@ -147,6 +147,8 @@ func TestPersistRedoRefusesBadRecords(t *testing.T) {
 		{"undefined backfill id", appendPointsRecord(nil, recBackfill, 1, [][2]float64{{0.5, 1}}),
 			"record for undefined series id 1"},
 		{"define out of sequence", appendDefine(nil, 2, "x"), "series id 2 (\"x\") out of sequence"},
+		{"store without a key", append(appendDefine(nil, 1, ""), store(1, [2]float64{3, 3})...),
+			"store requires a series key"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -671,11 +671,8 @@ func (j *journal) redo(path string, newest bool, scratch *[][2]float64) error {
 			backfill := rec.kind == recBackfill
 			if !backfill {
 				// What handleStore would refuse; a backfill refuses nothing.
-				if j.keys[rec.id] == "" {
-					return errors.New("store requires a series key")
-				}
-				if i := firstNonFinite(rec.pts); i >= 0 {
-					return fmt.Errorf("store: point %d %v is not finite", i, rec.pts[i])
+				if err := checkStore(j.keys[rec.id], rec.pts); err != nil {
+					return err
 				}
 			}
 			if int(rec.id) >= len(runs) {
@@ -698,8 +695,8 @@ func (j *journal) redo(path string, newest bool, scratch *[][2]float64) error {
 		for _, run := range rs {
 			if run.backfill {
 				j.mem.backfill(j.keys[id], run.pts)
-			} else {
-				j.mem.handleStore(&Request{Series: j.keys[id], Points: run.pts})
+			} else if err := respErr(j.mem.handleStore(&Request{Series: j.keys[id], Points: run.pts})); err != nil {
+				return fmt.Errorf("nwsnet: log %s: series %q: %w", path, j.keys[id], err)
 			}
 		}
 	}
