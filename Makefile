@@ -26,14 +26,15 @@ vet:
 # Tier-1 flow: the full suite, plus the race detector on the concurrent
 # observability, daemon, and resilience packages. Then ten more race passes
 # over the server's connection lifecycle — serve loop, subscriptions, pushes
-# and overload sheds — and the background loops' start and stop, whose
-# teardown ordering one pass proves little about.
+# and overload sheds — the background loops' start and stop, whose
+# teardown ordering one pass proves little about, and the client breaker's
+# probe admission, where a concurrent call races the probe in flight.
 test: test-race
 	$(GO) test ./...
 
 test-race:
 	$(GO) test -race ./internal/metrics ./internal/nwsnet ./internal/resilience/...
-	$(GO) test -race -count=10 -run 'TestServer|TestSubscribe|TestPushBatch|TestChaosOverload|TestLoop|TestRepairerStartStop|TestClusterAgent' ./internal/nwsnet
+	$(GO) test -race -count=10 -run 'TestServer|TestSubscribe|TestPushBatch|TestChaosOverload|TestLoop|TestRepairerStartStop|TestClusterAgent|TestClientBreakerOpensDeniesAndRecovers' ./internal/nwsnet
 
 # Fault-injection suite under the race detector: the resilience package's
 # own tests plus the chaos integration scenarios (replica killed mid-run,

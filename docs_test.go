@@ -350,8 +350,9 @@ func TestExportsHaveCallers(t *testing.T) {
 
 // TestFindCallersFixture runs the gate's finder over testdata/callers, a
 // module whose internal/fix package holds one dead name of each kind a
-// by-spelling match misses and one live name of each shape a type-aware
-// match can miss. Exactly the four dead ones are reported.
+// by-spelling match misses, a library interface's methods on types never
+// converted to an interface value, and one live name of each shape a
+// type-aware match can miss. Exactly the six dead ones are reported.
 func TestFindCallersFixture(t *testing.T) {
 	src, err := parseTree("testdata/callers")
 	if err != nil {
@@ -368,7 +369,10 @@ func TestFindCallersFixture(t *testing.T) {
 		}
 	}
 	sort.Strings(dead)
-	want := []string{"internal/fix.Gauge.Reset", "internal/fix.Gauge.hist", "internal/fix.Gauge.peak", "internal/fix.label"}
+	want := []string{
+		"internal/fix.Gauge.MarshalJSON", "internal/fix.Gauge.Reset", "internal/fix.Gauge.hist",
+		"internal/fix.Gauge.peak", "internal/fix.label", "internal/fix.label.String",
+	}
 	if fmt.Sprint(dead) != fmt.Sprint(want) {
 		t.Errorf("dead = %v, want %v", dead, want)
 	}
@@ -396,8 +400,10 @@ type callee struct {
 //   - a method's receiver not a use of its type;
 //   - a method also used when its receiver type, or a type it is promoted
 //     into, implements an interface whose method of that name the module
-//     calls, or any exported interface of the standard library, whose own
-//     code calls through them where the gate does not look.
+//     calls, or — when the module converts a value of that type to an
+//     interface value (see markBoxed) — any exported interface of the
+//     standard library, whose own code calls through them where the gate
+//     does not look.
 func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 	std := importer.ForCompiler(src.fset, "source", nil)
 	pkgs := map[string]*types.Package{}
@@ -405,6 +411,7 @@ func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 	var objs []*callee
 	byObj := map[types.Object]*callee{}
 	nonUses := map[*ast.Ident]bool{} // field writes and receiver types
+	boxed := map[*types.Named]bool{} // types converted to an interface value
 
 	var check func(dir string) (*types.Package, error)
 	imp := importerFunc(func(importPath string) (*types.Package, error) {
@@ -422,6 +429,7 @@ func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 			Defs:      map[*ast.Ident]types.Object{},
 			Uses:      map[*ast.Ident]types.Object{},
 			Instances: map[*ast.Ident]types.Instance{},
+			Types:     map[ast.Expr]types.TypeAndValue{},
 		}
 		p, err := (&types.Config{Importer: imp}).Check(importPath, src.fset, src.dirs[dir], info)
 		if err != nil {
@@ -430,6 +438,7 @@ func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 		pkgs[importPath], infos = p, append(infos, info)
 		for _, f := range src.dirs[dir] {
 			markNonUses(f, info, nonUses)
+			markBoxed(f, info, boxed)
 			if !strings.HasPrefix(dir, prefix) {
 				continue
 			}
@@ -498,18 +507,11 @@ func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 			}
 		}
 	}
-	for _, p := range stdPackages(pkgs, module) {
-		for _, name := range p.Scope().Names() {
-			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() && types.IsInterface(tn.Type()) {
-				iface := tn.Type().Underlying().(*types.Interface)
-				for i := 0; i < iface.NumMethods(); i++ {
-					called[iface] = append(called[iface], iface.Method(i))
-				}
-			}
-		}
-	}
-	for iface, fns := range called {
+	implemented := func(iface *types.Interface, fns []*types.Func, boxedOnly bool) {
 		for _, n := range named {
+			if boxedOnly && !boxed[n.Origin()] {
+				continue
+			}
 			for _, typ := range []types.Type{n, types.NewPointer(n)} {
 				if !types.Implements(typ, iface) {
 					continue
@@ -520,6 +522,21 @@ func findCallers(src goSources, module, prefix string) ([]*callee, error) {
 						c.used = true
 					}
 				}
+			}
+		}
+	}
+	for iface, fns := range called {
+		implemented(iface, fns, false)
+	}
+	for _, p := range stdPackages(pkgs, module) {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() && types.IsInterface(tn.Type()) {
+				iface := tn.Type().Underlying().(*types.Interface)
+				fns := make([]*types.Func, iface.NumMethods())
+				for i := range fns {
+					fns[i] = iface.Method(i)
+				}
+				implemented(iface, fns, true)
 			}
 		}
 	}
@@ -604,6 +621,144 @@ func markNonUses(f *ast.File, info *types.Info, nonUses map[*ast.Ident]bool) {
 		}
 		return true
 	})
+}
+
+// markBoxed records in boxed the named types (a pointer's element type
+// included) of the values f converts to an interface type: explicitly, or
+// implicitly where f passes, assigns, declares, returns, sends, appends or
+// places a value in a composite literal whose destination is an interface.
+// Only through such a value can a library call one of the type's methods.
+func markBoxed(f *ast.File, info *types.Info, boxed map[*types.Named]bool) {
+	boxType := func(from, to types.Type) {
+		if from == nil || to == nil || !types.IsInterface(to) || types.IsInterface(from) {
+			return
+		}
+		if p, ok := from.(*types.Pointer); ok {
+			from = p.Elem()
+		}
+		if n, ok := from.(*types.Named); ok {
+			boxed[n.Origin()] = true
+		}
+	}
+	// boxAll converts values to their destinations in order; a lone call
+	// returning several results spreads over them.
+	boxAll := func(values []ast.Expr, dest func(i int) types.Type) {
+		if len(values) == 1 {
+			if tuple, ok := info.TypeOf(values[0]).(*types.Tuple); ok {
+				for i := 0; i < tuple.Len(); i++ {
+					boxType(tuple.At(i).Type(), dest(i))
+				}
+				return
+			}
+		}
+		for i, v := range values {
+			boxType(info.TypeOf(v), dest(i))
+		}
+	}
+	var walk func(root ast.Node, results *types.Tuple)
+	walk = func(root ast.Node, results *types.Tuple) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					walk(n.Body, info.Defs[n.Name].Type().(*types.Signature).Results())
+				}
+				return false
+			case *ast.FuncLit:
+				walk(n.Body, info.TypeOf(n).(*types.Signature).Results())
+				return false
+			case *ast.ReturnStmt:
+				boxAll(n.Results, func(i int) types.Type { return at(results, i) })
+			case *ast.AssignStmt:
+				boxAll(n.Rhs, func(i int) types.Type { return info.TypeOf(n.Lhs[i]) })
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					boxAll(n.Values, func(int) types.Type { return info.TypeOf(n.Type) })
+				}
+			case *ast.SendStmt:
+				if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+					boxType(info.TypeOf(n.Value), ch.Elem())
+				}
+			case *ast.CompositeLit:
+				boxLiteral(n, info, boxType)
+			case *ast.CallExpr:
+				fun := info.Types[n.Fun]
+				switch {
+				case fun.IsType():
+					boxAll(n.Args, func(int) types.Type { return fun.Type })
+				case fun.IsBuiltin():
+					if id, _ := ast.Unparen(n.Fun).(*ast.Ident); id == nil || id.Name != "append" || n.Ellipsis != token.NoPos {
+						break
+					}
+					if s, ok := info.TypeOf(n).Underlying().(*types.Slice); ok {
+						boxAll(n.Args[1:], func(int) types.Type { return s.Elem() })
+					}
+				default:
+					if sig, ok := fun.Type.Underlying().(*types.Signature); ok {
+						boxAll(n.Args, func(i int) types.Type { return param(sig, i, n.Ellipsis != token.NoPos) })
+					}
+				}
+			}
+			return true
+		})
+	}
+	walk(f, nil)
+}
+
+// boxLiteral converts each element of lit to its destination: a struct
+// field, a slice or array element, or a map key and value.
+func boxLiteral(lit *ast.CompositeLit, info *types.Info, boxType func(from, to types.Type)) {
+	typ := info.TypeOf(lit)
+	if p, ok := typ.Underlying().(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	for i, e := range lit.Elts {
+		kv, keyed := e.(*ast.KeyValueExpr)
+		value := e
+		if keyed {
+			value = kv.Value
+		}
+		switch u := typ.Underlying().(type) {
+		case *types.Struct:
+			if keyed {
+				boxType(info.TypeOf(value), info.TypeOf(kv.Key))
+			} else {
+				boxType(info.TypeOf(value), u.Field(i).Type())
+			}
+		case *types.Slice:
+			boxType(info.TypeOf(value), u.Elem())
+		case *types.Array:
+			boxType(info.TypeOf(value), u.Elem())
+		case *types.Map:
+			if keyed {
+				boxType(info.TypeOf(kv.Key), u.Key())
+			}
+			boxType(info.TypeOf(value), u.Elem())
+		}
+	}
+}
+
+// param returns the type the i-th argument of a call to sig is converted
+// to: a variadic call's trailing arguments go into the last parameter's
+// slice, unless spread is set and the slice is passed as it is.
+func param(sig *types.Signature, i int, spread bool) types.Type {
+	n := sig.Params().Len()
+	if sig.Variadic() && i >= n-1 {
+		last := sig.Params().At(n - 1).Type()
+		if spread {
+			return last
+		}
+		return last.(*types.Slice).Elem()
+	}
+	return at(sig.Params(), i)
+}
+
+// at returns the type of the i-th variable of t, or nil when there is none.
+func at(t *types.Tuple, i int) types.Type {
+	if t == nil || i >= t.Len() {
+		return nil
+	}
+	return t.At(i).Type()
 }
 
 // selfAppended returns the selector a call of the builtin append extends,

@@ -2,9 +2,9 @@ package nwsnet
 
 import (
 	"context"
+	"errors"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -177,8 +177,9 @@ func TestChaosFullOutageBacklogDrainsLossless(t *testing.T) {
 }
 
 // chaosRunOutcomes drives a fixed sequence of stores through a seeded fault
-// schedule and records each call's success. Retry jitter is seeded too, so
-// the whole failure/recovery path is a pure function of the seeds.
+// schedule and records each call's success. The retry backoff has no
+// randomness, so the whole failure/recovery path is a pure function of the
+// seed.
 func chaosRunOutcomes(t *testing.T, seed int64) []bool {
 	t.Helper()
 	sched := chaos.NewSeeded(seed, 0, map[chaos.Fault]float64{
@@ -189,12 +190,7 @@ func chaosRunOutcomes(t *testing.T, seed int64) []bool {
 	_, _, addr := chaosFront(t, sched)
 	c := NewClientOptions(ClientOptions{
 		Timeout: time.Second,
-		Retry: resilience.Policy{
-			MaxAttempts: 2,
-			BaseDelay:   time.Millisecond,
-			Jitter:      0.5,
-			Rand:        rand.New(rand.NewSource(seed)).Float64,
-		},
+		Retry:   resilience.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond},
 	})
 	defer c.Close()
 
@@ -441,15 +437,22 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 		}()
 	}
 
-	// A separate client with a breaker watches the flooded replica: the
-	// sheds and timeouts must trip it open.
-	const openFor = 150 * time.Millisecond
+	// A separate client with the daemons' breaker watches the flooded
+	// replica: the sheds and timeouts must trip it open, yet its sequential
+	// fetches are never denied — each one after the trip is the probe.
 	brkClient := NewClientOptions(ClientOptions{
 		Timeout: 300 * time.Millisecond,
 		Retry:   resilience.Policy{MaxAttempts: 1},
-		Breaker: &resilience.BreakerConfig{Window: 6, MinSamples: 3, OpenFor: openFor},
+		Breaker: true,
 	})
 	defer brkClient.Close()
+	brkFetch := func() error {
+		_, err := brkClient.FetchCtx(ctx, addr0, key, 0, 0, 0)
+		if errors.Is(err, resilience.ErrBreakerOpen) {
+			t.Errorf("sequential fetch denied by the breaker: %v", err)
+		}
+		return err
+	}
 
 	// Under the flood: keep the sensor storing (failures are buffered by
 	// store-and-forward and are acceptable here) until the breaker opens.
@@ -459,7 +462,7 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 			t.Fatal("breaker never opened under the flood")
 		}
 		step() // errors tolerated: the backlog buffers them
-		brkClient.FetchCtx(ctx, addr0, key, 0, 0, 0)
+		brkFetch()
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -504,20 +507,10 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 		}
 	}
 
-	// Breaker recovery: after OpenFor a probe is admitted (half-open) and a
-	// now-healthy replica closes the circuit.
-	time.Sleep(openFor + 20*time.Millisecond)
-	recovered := false
-	recoverDeadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(recoverDeadline) {
-		if _, err := brkClient.FetchCtx(ctx, addr0, key, 0, 0, 0); err == nil {
-			recovered = true
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if !recovered {
-		t.Fatal("breaker client never recovered after the flood cleared")
+	// Breaker recovery: the next fetch is admitted as the probe, and the
+	// drained replica answers it, which closes the circuit.
+	if err := brkFetch(); err != nil {
+		t.Fatalf("probe after the flood cleared: %v", err)
 	}
 	if got := brkClient.BreakerState(addr0); got != resilience.BreakerClosed {
 		t.Fatalf("breaker state after recovery = %v, want closed", got)

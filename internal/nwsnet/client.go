@@ -26,20 +26,20 @@ type ClientOptions struct {
 	// Timeout bounds each call attempt — dial plus exchange (0 selects 5 s).
 	// A context that ends sooner wins: every call takes the caller's context.
 	Timeout time.Duration
-	// Retry governs how transient failures are retried. The zero value
-	// selects the resilience defaults: 3 attempts, 50 ms base backoff
-	// doubling to a 2 s cap. Protocol-level errors — the server answered,
-	// rejecting the request — are terminal and never retried.
+	// Retry governs how transient failures are retried: its MaxAttempts and
+	// BaseDelay, whose zero values select 3 attempts and a 50 ms base
+	// backoff doubling to a 2 s cap. Protocol-level errors — the server
+	// answered, rejecting the request — are terminal and never retried.
 	Retry resilience.Policy
-	// Breaker, when non-nil, enables a per-endpoint circuit breaker with
-	// this configuration (nil disables breaking entirely). Transport
-	// failures and server "busy" sheds count against an endpoint; any other
-	// answered response counts as a success, because a server rejecting a
-	// request is still alive. An attempt the caller cancelled counts neither
-	// way (a context deadline counts as a timeout). A breaker denial surfaces
-	// as a terminal error wrapping resilience.ErrBreakerOpen without touching
-	// the endpoint.
-	Breaker *resilience.BreakerConfig
+	// Breaker enables a per-endpoint circuit breaker (resilience.Breaker),
+	// which lets one probe at a time through to an endpoint that keeps
+	// failing. Transport failures and server "busy" sheds count against an
+	// endpoint; any other answered response counts as a success, because a
+	// server rejecting a request is still alive. An attempt the caller
+	// cancelled counts neither way (a context deadline counts as a
+	// timeout). A breaker denial surfaces as a terminal error wrapping
+	// resilience.ErrBreakerOpen without touching the endpoint.
+	Breaker bool
 	// Tenant, when non-empty, names the tenant every connection announces
 	// with an OpHello when it is dialed, so servers enforcing per-tenant
 	// quotas (ServerLimits.TenantRate) attribute this client's traffic
@@ -61,10 +61,10 @@ type ClientOptions struct {
 // NewClient or NewClientOptions.
 type Client struct {
 	calls
-	timeout    time.Duration
-	retry      resilience.Policy
-	breakerCfg *resilience.BreakerConfig
-	tenant     string
+	timeout time.Duration
+	retry   resilience.Policy
+	breaker bool
+	tenant  string
 
 	mu       sync.Mutex
 	pools    map[string]*resilience.Pool
@@ -80,19 +80,16 @@ func NewClient(timeout time.Duration) *Client {
 // NewClientOptions returns a client configured by o.
 func NewClientOptions(o ClientOptions) *Client {
 	c := &Client{
-		timeout:    o.Timeout,
-		retry:      o.Retry,
-		breakerCfg: o.Breaker,
-		tenant:     o.Tenant,
-		pools:      make(map[string]*resilience.Pool),
-		breakers:   make(map[string]*resilience.Breaker),
+		timeout:  o.Timeout,
+		retry:    o.Retry,
+		breaker:  o.Breaker,
+		tenant:   o.Tenant,
+		pools:    make(map[string]*resilience.Pool),
+		breakers: make(map[string]*resilience.Breaker),
 	}
 	c.calls = calls{call: c.do}
 	return c
 }
-
-// poolIdleTimeout reaps pooled connections parked longer than this.
-const poolIdleTimeout = 90 * time.Second
 
 // pool returns (creating on first use) the connection pool for addr.
 func (c *Client) pool(addr string) *resilience.Pool {
@@ -100,15 +97,11 @@ func (c *Client) pool(addr string) *resilience.Pool {
 	defer c.mu.Unlock()
 	p := c.pools[addr]
 	if p == nil {
-		p = resilience.NewPool(resilience.PoolConfig{
-			Dial: func(ctx context.Context) (io.Closer, error) {
-				return dialMux(ctx, addr, c.tenant, c.timeout, true)
-			},
-			IdleTimeout: poolIdleTimeout,
-			OnChange: func(idle, active int) {
-				mPoolIdle.With(addr).Set(float64(idle))
-				mPoolActive.With(addr).Set(float64(active))
-			},
+		p = resilience.NewPool(func(ctx context.Context) (io.Closer, error) {
+			return dialMux(ctx, addr, c.tenant, c.timeout, true)
+		}, func(idle, active int) {
+			mPoolIdle.With(addr).Set(float64(idle))
+			mPoolActive.With(addr).Set(float64(active))
 		})
 		c.pools[addr] = p
 	}
@@ -119,19 +112,17 @@ func (c *Client) pool(addr string) *resilience.Pool {
 // or nil when breaking is disabled. Breakers survive Close: breaker state is
 // knowledge about the endpoint, not a held resource.
 func (c *Client) breakerFor(addr string) *resilience.Breaker {
-	if c.breakerCfg == nil {
+	if !c.breaker {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b := c.breakers[addr]
 	if b == nil {
-		cfg := *c.breakerCfg
-		cfg.OnTransition = func(_, to resilience.BreakerState) {
+		b = resilience.NewBreaker(func(to resilience.BreakerState) {
 			mBreakerState.With(addr).Set(float64(to))
 			mBreakerTransitions.With(addr, to.String()).Inc()
-		}
-		b = resilience.NewBreaker(cfg)
+		})
 		c.breakers[addr] = b
 	}
 	return b

@@ -99,10 +99,11 @@ func TestClientCancelIsNotChargedToBreaker(t *testing.T) {
 	c := NewClientOptions(ClientOptions{
 		Timeout: 10 * time.Second,
 		Retry:   resilience.Policy{MaxAttempts: 1},
-		Breaker: &resilience.BreakerConfig{Window: 2, MinSamples: 1, OpenFor: time.Hour},
+		Breaker: true,
 	})
 	defer c.Close()
-	for i := 0; i < 3; i++ {
+	// Five failures would trip the breaker; five cancellations must not.
+	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		time.AfterFunc(20*time.Millisecond, cancel)
 		if err := c.PingCtx(ctx, addr); err == nil {

@@ -94,11 +94,11 @@ func forecasterClient(timeout time.Duration) *Client {
 		// One in-call retry per replica; replica failover is the main
 		// recovery path for reads.
 		Retry: resilience.Policy{MaxAttempts: 2, BaseDelay: 25 * time.Millisecond},
-		// Probe-limiter mode (see NewSensorDaemon): never delays a
-		// sequential caller, but bounds concurrent hammering of a replica
-		// that keeps failing, and lets ReplicaGroup order open-breaker
-		// replicas last.
-		Breaker: &resilience.BreakerConfig{OpenFor: -1},
+		// The breaker (see NewSensorDaemon) never delays a sequential
+		// caller, but lets one probe at a time through to a replica that
+		// keeps failing, and lets ReplicaGroup order open-breaker replicas
+		// last.
+		Breaker: true,
 	})
 }
 

@@ -439,14 +439,14 @@ func testOrderingConsultsBreakerBeforeHealth(t *testing.T, group groupMaker) {
 	c := NewClientOptions(ClientOptions{
 		Timeout: 500 * time.Millisecond,
 		Retry:   resilience.Policy{MaxAttempts: 1},
-		Breaker: &resilience.BreakerConfig{Window: 2, MinSamples: 2, OpenFor: time.Hour},
+		Breaker: true,
 	})
 	t.Cleanup(func() { c.Close() })
 	g := group(c, []string{deadAddr, liveAddr}, "k")
 
-	// Trip A's breaker directly (two observed failures) while its health
+	// Trip A's breaker directly (five observed failures) while its health
 	// mark still says healthy from initialization.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 5; i++ {
 		c.breakerFor(deadAddr).Record(false)
 	}
 	if got := c.BreakerState(deadAddr); got != resilience.BreakerOpen {

@@ -71,12 +71,12 @@ func NewSensorDaemon(hostName string, h sensors.Host, memAddrs []string, quorum 
 	// (a connection dying mid-exchange, a server restart).
 	client := NewClientOptions(ClientOptions{
 		Retry: resilience.Policy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond},
-		// OpenFor < 0 keeps the breaker in probe-limiter mode: the daemon's
-		// single delivery loop is never delayed by an open circuit (its next
-		// tick is always admitted as the probe, so recovery happens on the
-		// first tick after the replica returns), while any concurrent
-		// callers sharing this client stop piling onto a sick replica.
-		Breaker: &resilience.BreakerConfig{OpenFor: -1},
+		// The breaker never delays the daemon's single delivery loop: an
+		// open circuit admits its next tick as the probe, so recovery
+		// happens on the first tick after the replica returns, while any
+		// concurrent callers sharing this client stop piling onto a sick
+		// replica.
+		Breaker: true,
 	})
 	return &SensorDaemon{
 		hostName:   hostName,

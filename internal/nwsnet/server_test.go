@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -288,59 +289,87 @@ func TestClientRetriesBusyWithBackoff(t *testing.T) {
 	}
 }
 
+// TestClientBreakerOpensDeniesAndRecovers checks the breaker the sensor
+// daemon and the forecaster run: a server shedding every request trips it,
+// yet a sequential caller is never denied, because each call after the trip
+// is admitted as the probe. While a probe is in flight, a concurrent call is
+// denied terminally without touching the server, and one successful probe
+// closes the circuit again.
 func TestClientBreakerOpensDeniesAndRecovers(t *testing.T) {
 	ctx := context.Background()
-	// A server shedding every request trips the client breaker; once open,
-	// calls are denied without touching the server. After OpenFor, a probe
-	// goes through, and a recovered server closes the circuit.
 	var busy atomic.Bool
 	busy.Store(true)
 	var calls int64
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
 	h := handlerFunc(func(req Request) Response {
 		atomic.AddInt64(&calls, 1)
 		if busy.Load() {
 			return busyResp("synthetic shed")
 		}
+		entered <- struct{}{}
+		<-release
 		return Response{}
 	})
 	addr := startServer(t, h)
-	const openFor = 50 * time.Millisecond
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // a failed check must not leave the server's handler blocked
 	c := NewClientOptions(ClientOptions{
-		Timeout: time.Second,
+		Timeout: 5 * time.Second,
 		Retry:   resilience.Policy{MaxAttempts: 1},
-		Breaker: &resilience.BreakerConfig{Window: 4, MinSamples: 2, OpenFor: openFor},
+		Breaker: true,
 	})
+	defer c.Close()
+	openT0 := mBreakerTransitions.With(addr, "open").Value()
+	closedT0 := mBreakerTransitions.With(addr, "closed").Value()
 
-	for i := 0; i < 2; i++ {
-		if err := c.PingCtx(ctx, addr); err == nil {
+	// Five sheds trip the breaker; the three calls after that still reach
+	// the server, each as the probe, and each failure reopens the circuit.
+	for i := 0; i < 8; i++ {
+		before := atomic.LoadInt64(&calls)
+		err := c.PingCtx(ctx, addr)
+		if err == nil {
 			t.Fatal("busy server answered a ping successfully")
+		}
+		if errors.Is(err, resilience.ErrBreakerOpen) || atomic.LoadInt64(&calls) != before+1 {
+			t.Fatalf("sequential call %d denied: %v", i, err)
 		}
 	}
 	if got := c.BreakerState(addr); got != resilience.BreakerOpen {
 		t.Fatalf("breaker state after sheds = %v, want open", got)
 	}
 
-	// Denied without a server round trip.
+	// The server recovers, slowly: the probe holds the handler while a
+	// concurrent call is denied without a server round trip.
+	busy.Store(false)
+	probe := make(chan error, 1)
+	go func() { probe <- c.PingCtx(ctx, addr) }()
+	select {
+	case <-entered:
+	case err := <-probe:
+		t.Fatalf("probe returned before reaching the handler: %v", err)
+	}
 	before := atomic.LoadInt64(&calls)
 	err := c.PingCtx(ctx, addr)
-	if err == nil {
-		t.Fatal("open breaker allowed a call")
-	}
-	if !resilience.IsTerminal(err) {
-		t.Fatalf("breaker denial should be terminal, got %v", err)
+	if !errors.Is(err, resilience.ErrBreakerOpen) || !resilience.IsTerminal(err) {
+		t.Fatalf("call beside the probe: %v, want a terminal breaker denial", err)
 	}
 	if got := atomic.LoadInt64(&calls); got != before {
 		t.Fatalf("denied call still reached the server (%d -> %d calls)", before, got)
 	}
-
-	// Server recovers; after OpenFor the probe closes the circuit.
-	busy.Store(false)
-	time.Sleep(openFor + 20*time.Millisecond)
-	if err := c.PingCtx(ctx, addr); err != nil {
+	unblock()
+	if err := <-probe; err != nil {
 		t.Fatalf("post-recovery probe failed: %v", err)
 	}
 	if got := c.BreakerState(addr); got != resilience.BreakerClosed {
 		t.Fatalf("breaker state after probe success = %v, want closed", got)
+	}
+	if got := mBreakerTransitions.With(addr, "open").Value() - openT0; got != 4 {
+		t.Errorf("nws_client_breaker_transitions_total{open} grew by %d, want 4 (the trip and three failed probes)", got)
+	}
+	if got := mBreakerTransitions.With(addr, "closed").Value() - closedT0; got != 1 {
+		t.Errorf("nws_client_breaker_transitions_total{closed} grew by %d, want 1", got)
 	}
 }
 

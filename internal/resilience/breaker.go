@@ -3,7 +3,6 @@ package resilience
 import (
 	"errors"
 	"sync"
-	"time"
 )
 
 // BreakerState is the position of a circuit breaker.
@@ -13,8 +12,8 @@ type BreakerState int
 // values (higher is worse), so reorder only with the dashboards.
 const (
 	BreakerClosed   BreakerState = 0 // normal operation; outcomes fill the window
-	BreakerHalfOpen BreakerState = 1 // a bounded number of probes may test the endpoint
-	BreakerOpen     BreakerState = 2 // calls are denied without touching the endpoint
+	BreakerHalfOpen BreakerState = 1 // one probe at a time may test the endpoint
+	BreakerOpen     BreakerState = 2 // tripped; the next call becomes the probe
 )
 
 // String returns the conventional lower-case state name.
@@ -35,127 +34,68 @@ func (s BreakerState) String() string {
 // an observation of the endpoint, so health tracking should ignore it.
 var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 
-// BreakerConfig configures a Breaker. The zero value selects the defaults
-// noted on each field.
-type BreakerConfig struct {
-	// Window is the rolling count of recent call outcomes the failure rate
-	// is computed over (0 selects 16).
-	Window int
-	// MinSamples is the minimum number of outcomes in the window before the
-	// failure rate can trip the breaker (0 selects 5) — a single failed call
-	// after an idle period should not open the circuit.
-	MinSamples int
-	// FailureRate opens the breaker when failures/window >= this fraction
-	// (0 selects 0.5).
-	FailureRate float64
-	// OpenFor is how long the breaker stays open before moving to half-open
-	// and admitting probes (0 selects 1 s). Negative means the breaker is
-	// immediately eligible for half-open: an open circuit never delays a
-	// sequential caller, it only bounds how many concurrent callers may
-	// probe a sick endpoint at once — the right mode for a low-cadence
-	// writer that must recover on its very next attempt.
-	OpenFor time.Duration
-	// Probes bounds the concurrent half-open probe calls (0 selects 1).
-	Probes int
-	// SuccessesToClose is how many probe successes close the breaker again
-	// (0 selects 1).
-	SuccessesToClose int
-	// Now is the clock; nil selects time.Now. Tests inject a fake to step
-	// through open→half-open transitions without sleeping.
-	Now func() time.Time
-	// OnTransition, when non-nil, observes every state change. It is called
-	// with the breaker's lock held, so it must be fast and must not call
-	// back into the breaker.
-	OnTransition func(from, to BreakerState)
-}
+const (
+	// breakerWindow is the rolling count of recent call outcomes the
+	// failure rate is computed over.
+	breakerWindow = 16
+	// breakerMinSamples is how many outcomes the window must hold before
+	// the failure rate can trip the breaker: a single failed call after an
+	// idle period should not open the circuit.
+	breakerMinSamples = 5
+)
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 5
-	}
-	if c.MinSamples > c.Window {
-		c.MinSamples = c.Window
-	}
-	if c.FailureRate <= 0 {
-		c.FailureRate = 0.5
-	}
-	if c.OpenFor == 0 {
-		c.OpenFor = time.Second
-	}
-	if c.Probes <= 0 {
-		c.Probes = 1
-	}
-	if c.SuccessesToClose <= 0 {
-		c.SuccessesToClose = 1
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
-
-// Breaker is a circuit breaker over one endpoint: closed while the endpoint
-// behaves, open (denying calls) after the recent failure rate trips it, and
-// half-open — admitting a bounded number of probes — once OpenFor has
-// elapsed. A probe success closes the circuit; a probe failure reopens it
-// and restarts the clock.
+// Breaker is a circuit breaker over one endpoint that limits a failing
+// endpoint to one probe at a time. It is closed while the endpoint behaves
+// and opens once at least half of the last 16 outcomes (and at least 5)
+// are failures. An open breaker never delays a sequential caller: the next
+// Allow moves it to half-open and admits that call as the probe, while
+// every concurrent call is denied until the probe's outcome is recorded.
+// One success closes the circuit; a failure opens it again.
 //
 // The breaker only decides and records; the caller maps its own outcomes
 // onto Record (for the nwsnet client: transport errors and server "busy"
 // sheds are failures, any other answered response is a success, because an
 // answering server is alive even when it rejects the request).
 type Breaker struct {
-	cfg BreakerConfig
+	onTransition func(to BreakerState) // see NewBreaker
 
 	mu       sync.Mutex
 	state    BreakerState
-	window   []bool // ring of outcomes; true = failure
+	window   [breakerWindow]bool // ring of outcomes; true = failure
 	head     int
 	count    int
 	failures int
-	openedAt time.Time
-	probing  int // probes admitted and not yet recorded (half-open)
-	closeRun int // consecutive probe successes
+	probing  bool // a half-open probe is admitted and not yet recorded
 }
 
-// NewBreaker returns a closed breaker configured by cfg.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg = cfg.withDefaults()
-	return &Breaker{cfg: cfg, window: make([]bool, cfg.Window)}
+// NewBreaker returns a closed breaker. onTransition, when non-nil, observes
+// every state change. It is called with the breaker's lock held, so it must
+// be fast and must not call back into the breaker.
+func NewBreaker(onTransition func(to BreakerState)) *Breaker {
+	return &Breaker{onTransition: onTransition}
 }
 
-// State reports the current position. An open breaker whose OpenFor has
-// elapsed still reports open until the next Allow moves it to half-open.
+// State reports the current position.
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
 }
 
-// transition moves to state to, notifying OnTransition. Callers hold b.mu.
+// transition moves to state to, notifying onTransition. Callers hold b.mu.
 func (b *Breaker) transition(to BreakerState) {
-	from := b.state
-	if from == to {
+	if b.state == to {
 		return
 	}
 	b.state = to
-	if b.cfg.OnTransition != nil {
-		b.cfg.OnTransition(from, to)
+	if b.onTransition != nil {
+		b.onTransition(to)
 	}
 }
 
-// resetWindow clears the outcome ring. Callers hold b.mu.
-func (b *Breaker) resetWindow() {
-	b.head, b.count, b.failures = 0, 0, 0
-}
-
 // Allow reports whether a call may proceed. Closed always allows. Open
-// denies until OpenFor has elapsed, then becomes half-open. Half-open
-// admits up to Probes concurrent calls; each admission is paired with the
-// next Record, which releases the probe slot.
+// becomes half-open. Half-open admits one call at a time; each admission is
+// paired with the next Record or Release, which frees the probe slot.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -163,17 +103,13 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.cfg.OpenFor > 0 && b.cfg.Now().Sub(b.openedAt) < b.cfg.OpenFor {
-			return false
-		}
 		b.transition(BreakerHalfOpen)
-		b.probing = 0
-		b.closeRun = 0
+		b.probing = false
 	}
-	if b.probing >= b.cfg.Probes {
+	if b.probing {
 		return false
 	}
-	b.probing++
+	b.probing = true
 	return true
 }
 
@@ -182,21 +118,18 @@ func (b *Breaker) Allow() bool {
 func (b *Breaker) Release() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.probing > 0 {
-		b.probing--
-	}
+	b.probing = false
 }
 
 // Record feeds one call outcome back. While closed it advances the rolling
 // window and opens the circuit when the failure rate trips; while half-open
-// (or for a straggler recorded after the circuit opened) a success counts
-// toward closing and a failure reopens the circuit and restarts OpenFor.
+// (or for a straggler recorded after the circuit opened) a success closes
+// the circuit and a failure opens it.
 func (b *Breaker) Record(success bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		if b.count == len(b.window) {
+	if b.state == BreakerClosed {
+		if b.count == breakerWindow {
 			if b.window[b.head] {
 				b.failures--
 			}
@@ -204,36 +137,24 @@ func (b *Breaker) Record(success bool) {
 			b.count++
 		}
 		b.window[b.head] = !success
-		b.head = (b.head + 1) % len(b.window)
+		b.head = (b.head + 1) % breakerWindow
 		if !success {
 			b.failures++
 		}
-		if b.count >= b.cfg.MinSamples &&
-			float64(b.failures) >= b.cfg.FailureRate*float64(b.count) {
+		if b.count >= breakerMinSamples && 2*b.failures >= b.count {
 			b.transition(BreakerOpen)
-			b.openedAt = b.cfg.Now()
-			b.resetWindow()
+			b.head, b.count, b.failures = 0, 0, 0
 		}
-	case BreakerHalfOpen, BreakerOpen:
-		// In half-open this is a probe result; while open it is a straggler
-		// from a call admitted before the circuit opened — either way a
-		// success is evidence the endpoint recovered and a failure restarts
-		// the open timer.
-		if b.probing > 0 {
-			b.probing--
-		}
-		if success {
-			b.closeRun++
-			if b.closeRun >= b.cfg.SuccessesToClose {
-				b.transition(BreakerClosed)
-				b.resetWindow()
-				b.probing = 0
-				b.closeRun = 0
-			}
-			return
-		}
-		b.closeRun = 0
-		b.transition(BreakerOpen)
-		b.openedAt = b.cfg.Now()
+		return
 	}
+	// In half-open this is a probe result; while open it is a straggler
+	// from a call admitted before the circuit opened — either way a success
+	// is evidence the endpoint recovered.
+	b.probing = false
+	if success {
+		b.transition(BreakerClosed)
+		b.head, b.count, b.failures = 0, 0, 0
+		return
+	}
+	b.transition(BreakerOpen)
 }

@@ -10,30 +10,21 @@ import (
 // ErrPoolClosed is returned by Get after Close.
 var ErrPoolClosed = errors.New("resilience: pool closed")
 
-// PoolConfig configures a Pool. Dial is required; everything else has a
-// usable zero value.
-type PoolConfig struct {
-	// Dial creates a new connection. It must honor ctx.
-	Dial func(ctx context.Context) (io.Closer, error)
-	// IdleTimeout reaps connections parked longer than this (0 = never).
-	IdleTimeout time.Duration
-	// Now is the clock used for idle accounting; nil selects time.Now.
-	Now func() time.Time
-	// OnChange, when non-nil, observes every idle/active count change —
-	// the hook the callers use to keep pool gauges current. It is called
-	// without internal locks held.
-	OnChange func(idle, active int)
-}
-
-// maxIdle bounds the connections a Pool parks for reuse.
-const maxIdle = 2
+const (
+	// maxIdle bounds the connections a Pool parks for reuse.
+	maxIdle = 2
+	// idleTimeout reaps connections parked longer than this.
+	idleTimeout = 90 * time.Second
+)
 
 // Pool keeps a bounded set of reusable connections to one endpoint: Get
 // hands out a parked connection or dials a fresh one, Put parks it
 // back (or closes it when unhealthy or surplus). Idle connections older
-// than IdleTimeout are reaped lazily on the next Get or Put.
+// than 90 s are reaped lazily on the next Get or Put.
 type Pool struct {
-	cfg PoolConfig
+	dial     func(ctx context.Context) (io.Closer, error)
+	onChange func(idle, active int)
+	now      func() time.Time // the clock for idle accounting
 
 	mu     chan struct{} // 1-buffered mutex; lets lock acquisition stay simple
 	idle   []idleConn    // LIFO: most recently used last
@@ -46,35 +37,32 @@ type idleConn struct {
 	parked time.Time
 }
 
-// NewPool returns a pool over cfg.Dial. It panics if Dial is nil.
-func NewPool(cfg PoolConfig) *Pool {
-	if cfg.Dial == nil {
-		panic("resilience: PoolConfig.Dial is required")
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	return &Pool{cfg: cfg, mu: make(chan struct{}, 1)}
+// NewPool returns a pool whose connections dial creates; dial must honor
+// ctx. onChange, when non-nil, observes every idle/active count change — the
+// hook the callers use to keep pool gauges current. It is called without
+// internal locks held.
+func NewPool(dial func(ctx context.Context) (io.Closer, error), onChange func(idle, active int)) *Pool {
+	return &Pool{dial: dial, onChange: onChange, now: time.Now, mu: make(chan struct{}, 1)}
 }
 
 func (p *Pool) lock()   { p.mu <- struct{}{} }
 func (p *Pool) unlock() { <-p.mu }
 
-// notify reports the current counts to OnChange (lock-free snapshot taken
+// notify reports the current counts to onChange (lock-free snapshot taken
 // by the caller while still holding the lock).
 func (p *Pool) notify(idle, active int) {
-	if p.cfg.OnChange != nil {
-		p.cfg.OnChange(idle, active)
+	if p.onChange != nil {
+		p.onChange(idle, active)
 	}
 }
 
 // reapLocked closes idle connections past their idle timeout, returning
 // them for closing outside the lock.
 func (p *Pool) reapLocked() []io.Closer {
-	if p.cfg.IdleTimeout <= 0 || len(p.idle) == 0 {
+	if len(p.idle) == 0 {
 		return nil
 	}
-	cutoff := p.cfg.Now().Add(-p.cfg.IdleTimeout)
+	cutoff := p.now().Add(-idleTimeout)
 	var dead []io.Closer
 	kept := p.idle[:0]
 	for _, ic := range p.idle {
@@ -113,7 +101,7 @@ func (p *Pool) Get(ctx context.Context) (io.Closer, error) {
 		return cand, nil
 	}
 
-	c, err := p.cfg.Dial(ctx)
+	c, err := p.dial(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +125,7 @@ func (p *Pool) Put(c io.Closer, healthy bool) {
 	p.active--
 	park := healthy && !p.closed && len(p.idle) < maxIdle
 	if park {
-		p.idle = append(p.idle, idleConn{c: c, parked: p.cfg.Now()})
+		p.idle = append(p.idle, idleConn{c: c, parked: p.now()})
 	}
 	dead := p.reapLocked()
 	idle, active := len(p.idle), p.active

@@ -38,7 +38,7 @@ func stats(p *Pool) (idle, active int) {
 
 func TestPoolReusesConnections(t *testing.T) {
 	var dials atomic.Int64
-	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials)})
+	p := NewPool(newFakeDialer(&dials), nil)
 	ctx := context.Background()
 
 	c1, err := p.Get(ctx)
@@ -68,7 +68,7 @@ func TestPoolReusesConnections(t *testing.T) {
 
 func TestPoolMaxIdle(t *testing.T) {
 	var dials atomic.Int64
-	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials)})
+	p := NewPool(newFakeDialer(&dials), nil)
 	ctx := context.Background()
 	c1, _ := p.Get(ctx)
 	c2, _ := p.Get(ctx)
@@ -87,21 +87,25 @@ func TestPoolMaxIdle(t *testing.T) {
 func TestPoolIdleReap(t *testing.T) {
 	var dials atomic.Int64
 	now := time.Unix(0, 0)
-	p := NewPool(PoolConfig{
-		Dial:        newFakeDialer(&dials),
-		IdleTimeout: time.Minute,
-		Now:         func() time.Time { return now },
-	})
+	p := NewPool(newFakeDialer(&dials), nil)
+	p.now = func() time.Time { return now }
 	ctx := context.Background()
 	c1, _ := p.Get(ctx)
 	p.Put(c1, true)
 
-	now = now.Add(2 * time.Minute)
-	c2, err := p.Get(ctx)
+	now = now.Add(idleTimeout / 2)
+	c2, _ := p.Get(ctx)
+	if c2 != c1 {
+		t.Fatal("connection parked for less than the idle timeout not reused")
+	}
+	p.Put(c2, true)
+
+	now = now.Add(idleTimeout + time.Second)
+	c3, err := p.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2 == c1 {
+	if c3 == c1 {
 		t.Fatal("expired idle connection handed out")
 	}
 	if !c1.(*fakeConn).closed.Load() {
@@ -115,12 +119,9 @@ func TestPoolIdleReap(t *testing.T) {
 func TestPoolCloseAndStats(t *testing.T) {
 	var dials atomic.Int64
 	var lastIdle, lastActive atomic.Int64
-	p := NewPool(PoolConfig{
-		Dial: newFakeDialer(&dials),
-		OnChange: func(idle, active int) {
-			lastIdle.Store(int64(idle))
-			lastActive.Store(int64(active))
-		},
+	p := NewPool(newFakeDialer(&dials), func(idle, active int) {
+		lastIdle.Store(int64(idle))
+		lastActive.Store(int64(active))
 	})
 	ctx := context.Background()
 	c1, _ := p.Get(ctx)
@@ -152,7 +153,7 @@ func TestPoolCloseAndStats(t *testing.T) {
 
 func TestPoolConcurrentGets(t *testing.T) {
 	var dials atomic.Int64
-	p := NewPool(PoolConfig{Dial: newFakeDialer(&dials)})
+	p := NewPool(newFakeDialer(&dials), nil)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

@@ -4,22 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 )
 
-// virtualSleep records requested delays without waiting.
-func virtualSleep(delays *[]time.Duration) func(context.Context, time.Duration) error {
-	return func(ctx context.Context, d time.Duration) error {
-		*delays = append(*delays, d)
-		return ctx.Err()
-	}
+// recordRetries returns an OnRetry hook appending each backoff to delays.
+func recordRetries(delays *[]time.Duration) func(int, time.Duration, error) {
+	return func(_ int, d time.Duration, _ error) { *delays = append(*delays, d) }
 }
 
 func TestDoRetriesUntilSuccess(t *testing.T) {
 	var delays []time.Duration
-	p := Policy{MaxAttempts: 5, Sleep: virtualSleep(&delays)}
+	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, OnRetry: recordRetries(&delays)}
 	calls := 0
 	err := p.Do(context.Background(), func(context.Context) error {
 		calls++
@@ -38,7 +34,7 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 
 func TestDoExhaustsAttempts(t *testing.T) {
 	var delays []time.Duration
-	p := Policy{MaxAttempts: 4, Sleep: virtualSleep(&delays)}
+	p := Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, OnRetry: recordRetries(&delays)}
 	calls := 0
 	sentinel := errors.New("still down")
 	err := p.Do(context.Background(), func(context.Context) error {
@@ -54,7 +50,7 @@ func TestDoExhaustsAttempts(t *testing.T) {
 }
 
 func TestDoStopsOnTerminal(t *testing.T) {
-	p := Policy{MaxAttempts: 5, Sleep: virtualSleep(new([]time.Duration))}
+	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}
 	calls := 0
 	inner := errors.New("bad request")
 	err := p.Do(context.Background(), func(context.Context) error {
@@ -75,6 +71,17 @@ func TestDoStopsOnTerminal(t *testing.T) {
 	}
 	if Permanent(nil) != nil {
 		t.Fatal("Permanent(nil) != nil")
+	}
+
+	// A cancellation is terminal however deeply it is wrapped, even from an
+	// op whose own context is still live.
+	calls = 0
+	err = p.Do(context.Background(), func(context.Context) error {
+		calls++
+		return fmt.Errorf("wrapped: %w", context.Canceled)
+	})
+	if calls != 1 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancellation: %d calls, err %v; want 1 call", calls, err)
 	}
 }
 
@@ -97,42 +104,34 @@ func TestDoHonorsContextCancel(t *testing.T) {
 	}
 }
 
+// TestBackoffScheduleDeterministic: the backoffs Do takes are exactly
+// delay(1), delay(2), …, the same on every run.
 func TestBackoffScheduleDeterministic(t *testing.T) {
-	// A seeded Rand makes the jittered schedule reproducible.
-	mk := func() Policy {
-		rng := rand.New(rand.NewSource(7))
-		return Policy{
-			BaseDelay:  100 * time.Millisecond,
-			MaxDelay:   time.Second,
-			Multiplier: 2,
-			Jitter:     0.2,
-			Rand:       rng.Float64,
-		}
-	}
-	a, b := mk(), mk()
-	for i := 1; i <= 6; i++ {
-		da, db := a.withDefaults().delay(i), b.withDefaults().delay(i)
-		if da != db {
-			t.Fatalf("attempt %d: %v != %v with same seed", i, da, db)
+	p := Policy{MaxAttempts: 4, BaseDelay: time.Millisecond}
+	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
+	for run := 0; run < 2; run++ {
+		var delays []time.Duration
+		p.OnRetry = recordRetries(&delays)
+		p.Do(context.Background(), func(context.Context) error { return errors.New("x") })
+		if fmt.Sprint(delays) != fmt.Sprint(want) {
+			t.Fatalf("run %d: backoffs %v, want %v", run, delays, want)
 		}
 	}
 }
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	p := Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: 750 * time.Millisecond, Multiplier: 2}
-	want := []time.Duration{100, 200, 400, 750, 750} // ms, capped
+	p := Policy{BaseDelay: 100 * time.Millisecond}
+	want := []time.Duration{100, 200, 400, 800, 1600, 2000, 2000} // ms, capped at 2 s
 	for i, w := range want {
-		if got := p.withDefaults().delay(i + 1); got != w*time.Millisecond {
+		if got := p.delay(i + 1); got != w*time.Millisecond {
 			t.Fatalf("delay(%d) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}
-	// Jitter stays within the ± band.
-	pj := Policy{BaseDelay: 100 * time.Millisecond, Jitter: 0.5, Rand: rand.New(rand.NewSource(1)).Float64}
-	for i := 0; i < 50; i++ {
-		d := pj.withDefaults().delay(1)
-		if d < 50*time.Millisecond || d > 150*time.Millisecond {
-			t.Fatalf("jittered delay %v outside [50ms, 150ms]", d)
-		}
+	if got := (Policy{BaseDelay: 3 * time.Second}).delay(1); got != maxDelay {
+		t.Fatalf("delay(1) with a 3 s base = %v, want the %v cap", got, maxDelay)
+	}
+	if got := (Policy{}).withDefaults().delay(2); got != 100*time.Millisecond {
+		t.Fatalf("default delay(2) = %v, want 100ms", got)
 	}
 }
 
@@ -140,7 +139,7 @@ func TestOnRetryObservesEachRetry(t *testing.T) {
 	var seen []string
 	p := Policy{
 		MaxAttempts: 3,
-		Sleep:       virtualSleep(new([]time.Duration)),
+		BaseDelay:   time.Millisecond,
 		OnRetry: func(attempt int, d time.Duration, err error) {
 			seen = append(seen, fmt.Sprintf("%d:%v", attempt, err))
 		},
@@ -148,17 +147,5 @@ func TestOnRetryObservesEachRetry(t *testing.T) {
 	_ = p.Do(context.Background(), func(context.Context) error { return errors.New("x") })
 	if len(seen) != 2 || seen[0] != "1:x" || seen[1] != "2:x" {
 		t.Fatalf("OnRetry saw %v", seen)
-	}
-}
-
-func TestDefaultClassifier(t *testing.T) {
-	if DefaultClassifier(errors.New("dial tcp: refused")) != Retryable {
-		t.Error("transport error not retryable")
-	}
-	if DefaultClassifier(Permanent(errors.New("bad"))) != Terminal {
-		t.Error("permanent error not terminal")
-	}
-	if DefaultClassifier(fmt.Errorf("wrapped: %w", context.Canceled)) != Terminal {
-		t.Error("cancellation not terminal")
 	}
 }

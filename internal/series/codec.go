@@ -3,7 +3,6 @@ package series
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -65,35 +64,4 @@ func ReadCSV(r io.Reader, name string) (*Series, error) {
 			return nil, err
 		}
 	}
-}
-
-// seriesJSON is the wire form of a Series.
-type seriesJSON struct {
-	Name   string       `json:"name"`
-	Unit   string       `json:"unit,omitempty"`
-	Points [][2]float64 `json:"points"`
-}
-
-// MarshalJSON encodes the series as {"name":..., "points":[[t,v],...]}.
-func (s *Series) MarshalJSON() ([]byte, error) {
-	js := seriesJSON{Name: s.Name, Unit: s.Unit, Points: make([][2]float64, len(s.Points))}
-	for i, p := range s.Points {
-		js.Points[i] = [2]float64{p.T, p.V}
-	}
-	return json.Marshal(js)
-}
-
-// UnmarshalJSON decodes the form produced by MarshalJSON.
-func (s *Series) UnmarshalJSON(data []byte) error {
-	var js seriesJSON
-	if err := json.Unmarshal(data, &js); err != nil {
-		return err
-	}
-	s.Name = js.Name
-	s.Unit = js.Unit
-	s.Points = make([]Point, len(js.Points))
-	for i, tv := range js.Points {
-		s.Points[i] = Point{T: tv[0], V: tv[1]}
-	}
-	return nil
 }

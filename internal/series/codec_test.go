@@ -2,7 +2,6 @@ package series
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -52,32 +51,6 @@ func TestReadCSVEmptyBody(t *testing.T) {
 	}
 	if s.Len() != 0 || s.Name != "empty" {
 		t.Fatalf("got %+v", s)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	s := FromValues("host1", 100, 10, []float64{0.9, 0.8})
-	s.Unit = "fraction"
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Series
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != "host1" || back.Unit != "fraction" || back.Len() != 2 {
-		t.Fatalf("round trip = %+v", back)
-	}
-	if back.Points[1] != s.Points[1] {
-		t.Fatalf("points differ: %v vs %v", back.Points[1], s.Points[1])
-	}
-}
-
-func TestJSONUnmarshalBad(t *testing.T) {
-	var s Series
-	if err := json.Unmarshal([]byte(`{"points": "nope"}`), &s); err == nil {
-		t.Fatal("bad JSON accepted")
 	}
 }
 

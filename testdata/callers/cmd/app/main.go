@@ -7,4 +7,4 @@ import (
 	"fixture/internal/fix"
 )
 
-func main() { fmt.Println(fix.Run(), fix.Summary()) }
+func main() { fmt.Println(fix.Run(), fix.Summary(), fix.Units()) }

@@ -1,7 +1,9 @@
 // Package fix is the caller gate's fixture: Gauge.Reset, Gauge.peak,
-// Gauge.hist and label are dead, and every other name is live through one shape a
-// type-aware match can miss.
+// Gauge.hist, Gauge.MarshalJSON, label and label.String are dead, and every
+// other name is live through one shape a type-aware match can miss.
 package fix
+
+import "fmt"
 
 // Counter is a live type.
 type Counter struct{ n int }
@@ -30,6 +32,10 @@ func (g *Gauge) Reset() {
 		g.Reset()
 	}
 }
+
+// MarshalJSON is dead: it satisfies json.Marshaler, but nothing converts a
+// Gauge to an interface value, so no library can call it.
+func (g Gauge) MarshalJSON() ([]byte, error) { return []byte("{}"), nil }
 
 // Sizer is an interface whose methods Run calls.
 type Sizer interface {
@@ -64,12 +70,21 @@ type Report struct {
 // String is called only by fmt, through fmt.Stringer.
 func (r Report) String() string { return "report" }
 
-// label is dead: only its own method's receiver names it, though fmt.Stringer
-// keeps that method.
+// label is dead: only its own method's receiver names it.
 type label struct{}
 
-// String would be called by fmt, had anything made a label.
+// String satisfies fmt.Stringer, but is dead: fmt would call it only had
+// something made a label and printed it.
 func (label) String() string { return "label" }
+
+// unit is live only as the fmt.Stringer Units returns.
+type unit struct{}
+
+// String is called only by fmt, through the fmt.Stringer Units returns.
+func (unit) String() string { return "unit" }
+
+// Units returns a unit as a fmt.Stringer.
+func Units() fmt.Stringer { return unit{} }
 
 // Summary returns the app's report.
 func Summary() Report { return Report{Hosts: 1} }
