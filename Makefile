@@ -6,9 +6,9 @@ GOFMT ?= gofmt
 #   make fuzz-smoke FUZZTIME=2m
 FUZZTIME ?= 5s
 
-.PHONY: all build test test-race chaos chaos-cluster chaos-repair chaos-persist vet docs-check fuzz-smoke grid grid-smoke benchmark-smoke bench bench-forecast bench-wire bench-paper experiments report clean
+.PHONY: all build test test-race paper-golden chaos chaos-cluster chaos-repair chaos-persist vet docs-check fuzz-smoke grid grid-smoke benchmark-smoke bench bench-forecast bench-wire bench-paper experiments report clean
 
-all: build vet docs-check test chaos-cluster chaos-repair chaos-persist fuzz-smoke grid-smoke benchmark-smoke
+all: build vet docs-check test paper-golden chaos-cluster chaos-repair chaos-persist fuzz-smoke grid-smoke benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ test: test-race
 test-race:
 	$(GO) test -race ./internal/metrics ./internal/nwsnet ./internal/resilience/...
 	$(GO) test -race -count=10 -run 'TestServer|TestSubscribe|TestPushBatch|TestChaosOverload|TestLoop|TestRepairerStartStop|TestClusterAgent|TestClientBreakerOpensDeniesAndRecovers' ./internal/nwsnet
+
+# Tables 1–6 and Figures 1–4 at the paper's scale (24 h monitored runs,
+# 1 week Hurst traces) against testdata/paper.golden, bit for bit. Tier 1
+# checks the same cells at quick scale; this one takes about 15 s.
+paper-golden:
+	$(GO) test -run 'TestPaperGolden$$' -count=1 ./internal/experiments -paper
 
 # Fault-injection suite under the race detector: the resilience package's
 # own tests plus the chaos integration scenarios (replica killed mid-run,

@@ -17,11 +17,12 @@ import (
 	"nwscpu/internal/series"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/quick.golden from the current code")
+var (
+	updateGolden = flag.Bool("update", false, "rewrite the selected scale's golden file from the current code")
+	paperScale   = flag.Bool("paper", false, "check testdata/paper.golden at the paper's 24 h / 1 week scale instead of testdata/quick.golden")
+)
 
-const goldenPath = "testdata/quick.golden"
-
-// goldenCells renders every cell of Tables 1–6 at QuickConfig as exact
+// goldenCells renders every cell of Tables 1–6 of s as exact
 // float64 bits, plus an FNV-64 of each series behind Figures 1–4, one cell
 // per line: "<table> <host> <method> <cell> <value>".
 func goldenCells(t *testing.T, s *Suite) []byte {
@@ -116,12 +117,18 @@ func goldenCells(t *testing.T, s *Suite) []byte {
 	return b.Bytes()
 }
 
-// TestPaperGolden pins Tables 1–6 and Figures 1–4 at QuickConfig bit for
-// bit. Rewrite the file with `go test ./internal/experiments -run
-// TestPaperGolden -update` only when a change is meant to move a table,
-// and say which cells moved and why.
+// TestPaperGolden pins Tables 1–6 and Figures 1–4 bit for bit: at
+// QuickConfig in testdata/quick.golden, and with -paper at the paper's
+// scale (24 h monitored runs, 1 week Hurst traces) in testdata/paper.golden,
+// which `make paper-golden` checks. Rewrite the selected file with `go test
+// ./internal/experiments -run TestPaperGolden -update [-paper]` only when a
+// change is meant to move a table, and say which cells moved and why.
 func TestPaperGolden(t *testing.T) {
-	got := goldenCells(t, quickSuite(t))
+	s, goldenPath := quickSuite(t), "testdata/quick.golden"
+	if *paperScale {
+		s, goldenPath = NewSuite(Config{Duration: 86400, WeekDuration: 7 * 86400}), "testdata/paper.golden"
+	}
+	got := goldenCells(t, s)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"nwscpu/internal/resilience"
 )
 
 // TestMuxPipelinesManyInFlight issues a window of requests without waiting
@@ -281,5 +284,37 @@ func TestMuxIdleConnectionSurvivesTimeout(t *testing.T) {
 	time.Sleep(700 * time.Millisecond) // two timeout laps, idle
 	if _, err := mux.Do(Request{Op: OpPing}); err != nil {
 		t.Fatalf("ping after idle period: %v", err)
+	}
+}
+
+// TestMuxSlowFirstResponseIsReceiveTimeout: the server buffers its accept
+// byte in front of the first response, so a fresh connection whose first
+// call is held past the client timeout has negotiated; only the response is
+// late. The call fails as a late response on a warm connection does: the
+// error names the receive, not the handshake, and stays a retryable timeout.
+func TestMuxSlowFirstResponseIsReceiveTimeout(t *testing.T) {
+	release := make(chan struct{})
+	h := handlerFunc(func(req Request) Response {
+		<-release
+		return Response{}
+	})
+	srv, addr := startServerLimits(t, h, ServerLimits{})
+	defer srv.Close()
+	defer close(release)
+
+	mux, err := DialMux(addr, 200*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+	_, err = mux.Do(Request{Op: OpStore, Series: "k", Points: [][2]float64{{1, 1}}})
+	if err == nil {
+		t.Fatal("call held past the timeout succeeded")
+	}
+	if msg := err.Error(); strings.Contains(msg, "negotiate") || !strings.Contains(msg, "receive from "+addr) {
+		t.Fatalf("late first response failed with %q, want a receive error from %s", msg, addr)
+	}
+	if !isTimeout(err) || resilience.IsTerminal(err) {
+		t.Fatalf("late first response: timeout %v, terminal %v; want a retryable timeout", isTimeout(err), resilience.IsTerminal(err))
 	}
 }
