@@ -459,15 +459,8 @@ func (m *MuxConn) Close() error {
 func (m *MuxConn) reader() {
 	defer close(m.readerDone)
 	br := bufio.NewReaderSize(m.conn, 256<<10)
-	m.conn.SetReadDeadline(time.Now().Add(m.timeout))
-	accept, err := br.ReadByte()
-	if err != nil {
-		m.fail(fmt.Errorf("nwsnet: negotiate with %s: %w", m.addr, err))
-		return
-	}
-	if accept != wireVersionBinary {
-		m.fail(resilience.Permanent(fmt.Errorf(
-			"nwsnet: %s accepted wire version %d, not binary (%d)", m.addr, accept, wireVersionBinary)))
+	if err := m.readAccept(br); err != nil {
+		m.fail(err)
 		return
 	}
 	var buf []byte
@@ -481,16 +474,8 @@ func (m *MuxConn) reader() {
 		}
 		payload, n, err := readFrame(br, &buf)
 		if err != nil {
-			// A timeout that consumed nothing is fatal only when some call
-			// has actually waited out the full timeout — the deadline was
-			// armed before those calls were issued, so a young pipeline gets
-			// the next lap. A timeout that cut a frame in half is always
-			// fatal, because binary framing cannot resynchronize.
-			if isTimeout(err) && n == 0 {
-				oldest := m.oldestPending()
-				if oldest.IsZero() || time.Since(oldest) < m.timeout {
-					continue
-				}
+			if m.keepWaiting(err, n) {
+				continue
 			}
 			m.fail(fmt.Errorf("nwsnet: receive from %s: %w", m.addr, err))
 			return
@@ -532,6 +517,43 @@ func (m *MuxConn) reader() {
 		m.observe(call)
 		call.deliver()
 	}
+}
+
+// readAccept reads the accept byte that the server sends in front of its
+// first response. A late accept byte is a late first response, so it waits
+// under the frame loop's rule and a timeout fails as a receive. A connection
+// that closes first, or accepts another wire version, refused the handshake.
+func (m *MuxConn) readAccept(br *bufio.Reader) error {
+	for {
+		m.conn.SetReadDeadline(time.Now().Add(m.timeout))
+		accept, err := br.ReadByte()
+		switch {
+		case err == nil && accept == wireVersionBinary:
+			return nil
+		case err == nil:
+			return resilience.Permanent(fmt.Errorf(
+				"nwsnet: %s accepted wire version %d, not binary (%d)", m.addr, accept, wireVersionBinary))
+		case m.keepWaiting(err, 0):
+		case isTimeout(err):
+			return fmt.Errorf("nwsnet: receive from %s: %w", m.addr, err)
+		default:
+			return fmt.Errorf("nwsnet: negotiate with %s: %w", m.addr, err)
+		}
+	}
+}
+
+// keepWaiting reports whether a read that failed after consuming n bytes
+// leaves the connection alive. A timeout that consumed nothing is fatal only
+// when some call has actually waited out the full timeout: the deadline was
+// armed before those calls were issued, so a young pipeline gets the next
+// lap. A timeout that cut a frame in half is always fatal, because binary
+// framing cannot resynchronize.
+func (m *MuxConn) keepWaiting(err error, n int) bool {
+	if !isTimeout(err) || n > 0 {
+		return false
+	}
+	oldest := m.oldestPending()
+	return oldest.IsZero() || time.Since(oldest) < m.timeout
 }
 
 // routeSub resolves a push frame's subscription; terminal removes it.

@@ -318,3 +318,32 @@ func TestMuxSlowFirstResponseIsReceiveTimeout(t *testing.T) {
 		t.Fatalf("late first response: timeout %v, terminal %v; want a retryable timeout", isTimeout(err), resilience.IsTerminal(err))
 	}
 }
+
+// TestMuxWrongAcceptByteIsPermanent: a peer that answers the preamble with
+// another wire version refused the handshake, and no retry can change that.
+func TestMuxWrongAcceptByteIsPermanent(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.Write([]byte{wireVersionBinary + 1})
+		io.Copy(io.Discard, conn)
+	}()
+
+	mux, err := DialMux(ln.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+	_, err = mux.Do(Request{Op: OpPing})
+	if err == nil || !strings.Contains(err.Error(), "accepted wire version") || !resilience.IsTerminal(err) {
+		t.Fatalf("wrong accept byte: %v (terminal %v), want a permanent version refusal", err, resilience.IsTerminal(err))
+	}
+}
