@@ -196,12 +196,12 @@ func NewWindowedEngine(selectBy SelectBy, selectWindow int, bank ...Forecaster) 
 	return e
 }
 
-// DefaultBank returns the standard NWS-style forecaster complement: last
-// value, running mean, sliding means and medians over several windows,
-// trimmed means, exponential smoothing over several gains, adaptive-gain
-// smoothing, adaptive windows, and a damped trend.
+// DefaultBank returns the standard NWS-style forecaster complement, 23
+// members: last value, running mean, sliding means and medians over several
+// windows, trimmed means, exponential smoothing over several gains,
+// adaptive-gain smoothing, and a damped trend.
 //
-// The 14 members that read past values share one history: a ring of the
+// The 12 members that read past values share one history: a ring of the
 // last 51 values and a sorted window per length in {5, 10, 20, 30, 50}. The
 // whole bank is one allocation. Feed its members the same values in the
 // same order, as Engine does; a member fed out of lockstep with the history
@@ -221,20 +221,13 @@ func DefaultBank() []Forecaster {
 	b.exps = [7]ExpSmooth{*NewExpSmooth("exp_05", 0.05), *NewExpSmooth("exp_10", 0.10), *NewExpSmooth("exp_20", 0.20),
 		*NewExpSmooth("exp_30", 0.30), *NewExpSmooth("exp_50", 0.50), *NewExpSmooth("exp_75", 0.75), *NewExpSmooth("exp_90", 0.90)}
 	b.trigg, b.trend = *NewTriggLeach(0.2), *NewTrend(0.5)
-	for i := range b.cands {
-		b.cands[i] = [4]candidate{{length: 5}, {length: 10}, {length: 20}, {length: 50}}
-	}
-	b.adapt = [2]AdaptiveWindow{
-		adaptiveWindow("adapt_mean", h, b.cands[0][:], false),
-		adaptiveWindow("adapt_median", h, b.cands[1][:], true),
-	}
 	return []Forecaster{
 		&b.last, &b.run,
 		&b.means[0], &b.means[1], &b.means[2], &b.means[3], &b.means[4],
 		&b.medians[0], &b.medians[1], &b.medians[2], &b.medians[3], &b.medians[4],
 		&b.trims[0], &b.trims[1],
 		&b.exps[0], &b.exps[1], &b.exps[2], &b.exps[3], &b.exps[4], &b.exps[5], &b.exps[6],
-		&b.trigg, &b.adapt[0], &b.adapt[1], &b.trend,
+		&b.trigg, &b.trend,
 	}
 }
 
@@ -252,8 +245,6 @@ type bank struct {
 	trims   [2]TrimmedMean
 	exps    [7]ExpSmooth
 	trigg   TriggLeach
-	adapt   [2]AdaptiveWindow
-	cands   [2][4]candidate
 	trend   Trend
 }
 

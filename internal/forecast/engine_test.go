@@ -279,8 +279,8 @@ func newHistory(size int, lengths ...int) *history {
 	return h
 }
 
-// newSlidingMean, newSlidingMedian, newTrimmedMean and newAdaptiveWindow
-// build a member alone, over a history of its own.
+// newSlidingMean, newSlidingMedian and newTrimmedMean build a member alone,
+// over a history of its own.
 
 func newSlidingMean(w int) *SlidingMean {
 	f := slidingMean(fmt.Sprintf("sw_mean_%d", w), newHistory(w+1), w)
@@ -294,21 +294,6 @@ func newSlidingMedian(w int) *SlidingMedian {
 
 func newTrimmedMean(w int, trim float64) *TrimmedMean {
 	f := trimmedMean(fmt.Sprintf("sw_trim_%d_%02.0f", w, trim*100), newHistory(w+1, w), w, trim)
-	return &f
-}
-
-func newAdaptiveWindow(name string, median bool, lengths ...int) *AdaptiveWindow {
-	cands := make([]candidate, len(lengths))
-	size := 1
-	for i, l := range lengths {
-		cands[i].length = l
-		size = max(size, l+1)
-	}
-	var sorted []int
-	if median {
-		sorted = lengths
-	}
-	f := adaptiveWindow(name, newHistory(size, sorted...), cands, median)
 	return &f
 }
 
@@ -338,8 +323,6 @@ func aloneBank() []Forecaster {
 		NewExpSmooth("exp_75", 0.75),
 		NewExpSmooth("exp_90", 0.90),
 		NewTriggLeach(0.2),
-		newAdaptiveWindow("adapt_mean", false, 5, 10, 20, 50),
-		newAdaptiveWindow("adapt_median", true, 5, 10, 20, 50),
 		NewTrend(0.5),
 	}
 }
@@ -354,8 +337,6 @@ func histories(bank []Forecaster) map[*history]bool {
 		case *SlidingMedian:
 			hs[f.hist] = true
 		case *TrimmedMean:
-			hs[f.hist] = true
-		case *AdaptiveWindow:
 			hs[f.hist] = true
 		}
 	}
@@ -395,24 +376,24 @@ func TestDefaultBankSharesWindows(t *testing.T) {
 			t.Fatalf("DefaultBank's history: ring of %d, sorted windows %v; want 51 and [5 10 20 30 50]", len(h.buf), lens)
 		}
 	}
-	// 5 sliding means, 5 sliding medians, 2 trimmed means, 2 adaptive windows.
-	if n := len(histories(alone)); n != 14 {
-		t.Fatalf("members built alone push %d histories, want 14, one each", n)
+	// 5 sliding means, 5 sliding medians, 2 trimmed means.
+	if n := len(histories(alone)); n != 12 {
+		t.Fatalf("members built alone push %d histories, want 12, one each", n)
 	}
 
 	t.Run("lockstep", func(t *testing.T) {
 		bank := DefaultBank()
-		med, adapt := bankMember(bank, "sw_median_5"), bankMember(bank, "adapt_median")
+		med, trim := bankMember(bank, "sw_median_5"), bankMember(bank, "sw_trim_50_20")
 		med.Update(0.1)
-		adapt.Update(0.1)
+		trim.Update(0.1)
 		med.Update(0.2)
-		med.Update(0.3) // adapt_median's second value is now behind the window
+		med.Update(0.3) // sw_trim_50_20's second value is now behind the window
 		defer func() {
 			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "fed out of lockstep") {
 				t.Fatalf("member fed behind its shared window: recover() = %v, want a lockstep panic", r)
 			}
 		}()
-		adapt.Update(0.2)
+		trim.Update(0.2)
 	})
 
 	for name, trace := range goldenTraces(t) {
@@ -442,12 +423,14 @@ func TestDefaultBankSharesWindows(t *testing.T) {
 }
 
 // A warmed default engine, the state a forecaster keeps per series, fits in
-// 5 KB and 8 heap objects, and building one takes at most 6 allocations.
-// Before each bank shared one history and became one allocation, it was
-// 8 664 B in 108 objects. A windowed engine over the same bank, as the
-// selection-window ablation builds, adds one error window per member that
-// holds its two rings by value: 54 objects, 104 when they were pointers.
-// These are counts, not timings, so they hold on any box.
+// 4.25 KB and 8 heap objects, and building one takes at most 6 allocations.
+// It measured 4 137 B in 3 objects; with the two adaptive windows the bank
+// had until they were deleted, 4 521 B. Before each bank shared one history
+// and became one allocation, it was 8 664 B in 108 objects. A windowed
+// engine over the same bank, as the selection-window ablation builds, adds
+// one error window per member that holds its two rings by value: 50
+// objects, 104 when they were pointers. These are counts, not timings, so
+// they hold on any box.
 func TestDefaultEngineFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -455,8 +438,8 @@ func TestDefaultEngineFootprint(t *testing.T) {
 		bytes, objects float64
 		allocsToBuild  float64
 	}{
-		{"default", NewDefaultEngine, 5120, 8, 6},
-		{"windowed", func() *Engine { return NewWindowedEngine(ByMAE, 25, DefaultBank()...) }, 18 * 1024, 56, 56},
+		{"default", NewDefaultEngine, 4352, 8, 6},
+		{"windowed", func() *Engine { return NewWindowedEngine(ByMAE, 25, DefaultBank()...) }, 17 * 1024, 52, 52},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const engines = 1000

@@ -256,5 +256,4 @@ var (
 	_ Forecaster = (*SlidingMean)(nil)
 	_ Forecaster = (*SlidingMedian)(nil)
 	_ Forecaster = (*TrimmedMean)(nil)
-	_ Forecaster = (*AdaptiveWindow)(nil)
 )

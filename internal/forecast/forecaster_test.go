@@ -182,53 +182,14 @@ func TestTrimmedMean(t *testing.T) {
 }
 
 func TestTrimmedMeanPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("trim 0.5 accepted")
-		}
-	}()
-	newTrimmedMean(5, 0.5)
-}
-
-func TestAdaptiveWindowPrefersShortOnShifts(t *testing.T) {
-	f := newAdaptiveWindow("adapt_mean", false, 2, 50)
-	// A series with frequent level shifts favors the short window.
-	rng := rand.New(rand.NewSource(17))
-	level := 0.0
-	for i := 0; i < 500; i++ {
-		if i%10 == 0 {
-			level = rng.Float64() * 100
-		}
-		f.Update(level + rng.NormFloat64()*0.01)
-	}
-	if got := f.cands[f.bestIdx()].length; got != 2 {
-		t.Fatalf("best length = %d, want 2 on shifting series", got)
-	}
-}
-
-func TestAdaptiveWindowPrefersLongOnNoise(t *testing.T) {
-	f := newAdaptiveWindow("adapt_median", true, 2, 50)
-	rng := rand.New(rand.NewSource(18))
-	for i := 0; i < 2000; i++ {
-		f.Update(5 + rng.NormFloat64())
-	}
-	if got := f.cands[f.bestIdx()].length; got != 50 {
-		t.Fatalf("best length = %d, want 50 on stationary noise", got)
-	}
-}
-
-func TestAdaptiveWindowPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { newAdaptiveWindow("adapt_mean", false) },
-		func() { newAdaptiveWindow("adapt_mean", false, 0) },
-	} {
+	for _, trim := range []float64{0.5, 0} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("trim %v accepted", trim)
 				}
 			}()
-			f()
+			newTrimmedMean(5, trim)
 		}()
 	}
 }

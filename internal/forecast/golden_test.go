@@ -70,66 +70,6 @@ func (f *seedTrimmedMean) Forecast() (float64, bool) {
 	return stats.TrimmedMean(f.win.scratch, f.trim), true
 }
 
-type seedAdaptiveWindow struct {
-	name      string
-	useMedian bool
-	lengths   []int
-	errs      []float64
-	win       seedRingWindow
-}
-
-func newSeedAdaptiveWindow(name string, useMedian bool, lengths []int) *seedAdaptiveWindow {
-	maxLen := 0
-	for _, l := range lengths {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
-	return &seedAdaptiveWindow{
-		name:      name,
-		useMedian: useMedian,
-		lengths:   append([]int(nil), lengths...),
-		errs:      make([]float64, len(lengths)),
-		win:       newSeedRingWindow(maxLen),
-	}
-}
-
-func (f *seedAdaptiveWindow) Name() string { return f.name }
-func (f *seedAdaptiveWindow) Update(v float64) {
-	if f.win.ring.Len() > 0 {
-		for i, l := range f.lengths {
-			p := f.predictWith(l)
-			d := p - v
-			if d < 0 {
-				d = -d
-			}
-			f.errs[i] += d
-		}
-	}
-	f.win.ring.Push(v)
-}
-
-func (f *seedAdaptiveWindow) Forecast() (float64, bool) {
-	if f.win.ring.Len() == 0 {
-		return 0, false
-	}
-	best := 0
-	for i := range f.lengths {
-		if f.errs[i] < f.errs[best] {
-			best = i
-		}
-	}
-	return f.predictWith(f.lengths[best]), true
-}
-
-func (f *seedAdaptiveWindow) predictWith(l int) float64 {
-	f.win.scratch = f.win.ring.Tail(l, f.win.scratch)
-	if f.useMedian {
-		return stats.Median(f.win.scratch)
-	}
-	return stats.Mean(f.win.scratch)
-}
-
 // --- seed engine (re-poll + re-sum selection, as before this change) ---
 
 type seedTracker struct {
@@ -259,8 +199,6 @@ func seedBank() []Forecaster {
 		NewExpSmooth("exp_75", 0.75),
 		NewExpSmooth("exp_90", 0.90),
 		NewTriggLeach(0.2),
-		newSeedAdaptiveWindow("adapt_mean", false, []int{5, 10, 20, 50}),
-		newSeedAdaptiveWindow("adapt_median", true, []int{5, 10, 20, 50}),
 		NewTrend(0.5),
 	}
 }
@@ -365,9 +303,6 @@ func TestGoldenWindowForecasterEquivalence(t *testing.T) {
 		{"median50", newSlidingMedian(50), &seedSlidingMedian{name: "sw_median_50", win: newSeedRingWindow(50)}},
 		{"trim_30_30", newTrimmedMean(30, 0.3), &seedTrimmedMean{name: "sw_trim_30_30", trim: 0.3, win: newSeedRingWindow(30)}},
 		{"trim_50_20", newTrimmedMean(50, 0.2), &seedTrimmedMean{name: "sw_trim_50_20", trim: 0.2, win: newSeedRingWindow(50)}},
-		{"trim_zero", newTrimmedMean(10, 0), &seedTrimmedMean{name: "sw_trim_10_00", trim: 0, win: newSeedRingWindow(10)}},
-		{"adapt_mean", newAdaptiveWindow("adapt_mean", false, 5, 10, 20, 50), newSeedAdaptiveWindow("adapt_mean", false, []int{5, 10, 20, 50})},
-		{"adapt_median", newAdaptiveWindow("adapt_median", true, 5, 10, 20, 50), newSeedAdaptiveWindow("adapt_median", true, []int{5, 10, 20, 50})},
 	}
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 5000; i++ {

@@ -2,7 +2,6 @@ package forecast
 
 import (
 	"fmt"
-	"math"
 
 	"nwscpu/internal/series"
 )
@@ -86,22 +85,6 @@ func (h *history) tail(k int) (a, b []float64) {
 		return h.buf[start : h.head+1], nil
 	}
 	return h.buf[h.head+1-k+len(h.buf):], h.buf[:h.head+1]
-}
-
-// mean returns the Kahan-compensated mean of the newest k values in arrival
-// order: stats.Mean over a copy of them, bit for bit.
-func (h *history) mean(k int) float64 {
-	a, b := h.tail(k)
-	var sum, c float64
-	for _, span := range [2][]float64{a, b} {
-		for _, x := range span {
-			y := x - c
-			t := sum + y
-			c = (t - sum) - y
-			sum = t
-		}
-	}
-	return sum / float64(k)
 }
 
 // SlidingMean predicts the mean of the last w measurements. The running sum
@@ -207,10 +190,10 @@ type TrimmedMean struct {
 }
 
 // trimmedMean returns an alpha-trimmed mean over h's sorted window of
-// length w. It panics if trim is outside [0, 0.5).
+// length w. It panics if trim is outside (0, 0.5).
 func trimmedMean(name string, h *history, w int, trim float64) TrimmedMean {
-	if trim < 0 || trim >= 0.5 {
-		panic("forecast: TrimmedMean trim must be in [0,0.5)")
+	if trim <= 0 || trim >= 0.5 {
+		panic("forecast: TrimmedMean trim must be in (0,0.5)")
 	}
 	return TrimmedMean{name: name, trim: trim, win: h.window(w), hist: h}
 }
@@ -229,93 +212,5 @@ func (f *TrimmedMean) Forecast() (float64, bool) {
 	if f.n == 0 {
 		return 0, false
 	}
-	if f.trim == 0 {
-		// stats.TrimmedMean averages the untrimmed sample in arrival order.
-		return f.hist.mean(len(*f.win)), true
-	}
 	return f.win.TrimmedMean(f.trim), true
-}
-
-// AdaptiveWindow predicts the mean (or median) of a window whose length
-// adapts to the series: after each measurement it scores every candidate
-// window length against the value just seen and uses the cumulatively best
-// length for the next forecast. This mirrors the NWS adaptive-window
-// predictors.
-//
-// The median variant reads one sorted window per candidate length, so each
-// candidate's prediction is an O(1) read instead of a copy-and-sort of the
-// tail; the mean variant sums the tail of the history in place. Each
-// candidate's prediction is computed once per measurement, right after the
-// push: Forecast reads the best one and the next Update scores them all.
-// Neither variant allocates after construction.
-type AdaptiveWindow struct {
-	name  string
-	n     int // updates seen
-	cands []candidate
-	hist  *history
-}
-
-// candidate is one window length an AdaptiveWindow chooses among.
-type candidate struct {
-	length int
-	err    float64             // cumulative absolute error
-	pred   float64             // prediction for the next value
-	win    *series.OrderWindow // median variant: the sorted window of length
-}
-
-// adaptiveWindow returns an adaptive window over h choosing among cands,
-// whose lengths the caller sets: the median variant when median is true,
-// else the mean. It panics if cands is empty or a length is not in
-// [1, the values h keeps).
-func adaptiveWindow(name string, h *history, cands []candidate, median bool) AdaptiveWindow {
-	if len(cands) == 0 {
-		panic("forecast: AdaptiveWindow needs at least one length")
-	}
-	for i := range cands {
-		h.check(cands[i].length)
-		if median {
-			cands[i].win = h.window(cands[i].length)
-		}
-	}
-	return AdaptiveWindow{name: name, cands: cands, hist: h}
-}
-
-// Name implements Forecaster.
-func (f *AdaptiveWindow) Name() string { return f.name }
-
-// Update implements Forecaster.
-func (f *AdaptiveWindow) Update(v float64) {
-	// Absorb the value into the history, then score each candidate
-	// length's forecast against it and predict the next value.
-	f.n++
-	f.hist.push(f.n, v)
-	for i := range f.cands {
-		c := &f.cands[i]
-		if f.n > 1 {
-			c.err += math.Abs(c.pred - v)
-		}
-		if c.win != nil {
-			c.pred = c.win.Median()
-		} else {
-			c.pred = f.hist.mean(min(f.n, c.length))
-		}
-	}
-}
-
-// Forecast implements Forecaster.
-func (f *AdaptiveWindow) Forecast() (float64, bool) {
-	if f.n == 0 {
-		return 0, false
-	}
-	return f.cands[f.bestIdx()].pred, true
-}
-
-func (f *AdaptiveWindow) bestIdx() int {
-	best := 0
-	for i := range f.cands {
-		if f.cands[i].err < f.cands[best].err {
-			best = i
-		}
-	}
-	return best
 }
