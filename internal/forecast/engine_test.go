@@ -423,14 +423,12 @@ func TestDefaultBankSharesWindows(t *testing.T) {
 }
 
 // A warmed default engine, the state a forecaster keeps per series, fits in
-// 4.25 KB and 8 heap objects, and building one takes at most 6 allocations.
-// It measured 4 137 B in 3 objects; with the two adaptive windows the bank
-// had until they were deleted, 4 521 B. Before each bank shared one history
-// and became one allocation, it was 8 664 B in 108 objects. A windowed
-// engine over the same bank, as the selection-window ablation builds, adds
-// one error window per member that holds its two rings by value: 50
-// objects, 104 when they were pointers. These are counts, not timings, so
-// they hold on any box.
+// 4.25 KB and 8 heap objects, and building one takes at most 6 allocations;
+// it measured 4 137 B in 3. Before each bank shared one history and became
+// one allocation, it was 8 664 B in 108 objects. A windowed engine over the
+// same bank, as the selection-window ablation builds, adds one error window
+// per member that holds its two rings by value: 50 objects, 104 when they
+// were pointers. These are counts, not timings, so they hold on any box.
 func TestDefaultEngineFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		name           string

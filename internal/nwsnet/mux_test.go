@@ -326,8 +326,13 @@ func TestMuxWrongAcceptByteIsPermanent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	done := make(chan struct{})
+	defer func() {
+		ln.Close()
+		<-done
+	}()
 	go func() {
+		defer close(done)
 		conn, err := ln.Accept()
 		if err != nil {
 			return
