@@ -112,6 +112,12 @@ func TestPersistRedoInterleavedSeries(t *testing.T) {
 // 1 of dir and returns the path and every frame's offset.
 func writeLog(t *testing.T, dir string, frames ...[]byte) (path string, offs []int) {
 	t.Helper()
+	return writeLogGen(t, dir, 1, frames...)
+}
+
+// writeLogGen is writeLog for log generation gen.
+func writeLogGen(t *testing.T, dir string, gen uint64, frames ...[]byte) (path string, offs []int) {
+	t.Helper()
 	var log []byte
 	for _, records := range frames {
 		offs = append(offs, len(log))
@@ -119,7 +125,7 @@ func writeLog(t *testing.T, dir string, frames ...[]byte) (path string, offs []i
 		sealFrame(frame)
 		log = append(log, frame...)
 	}
-	path = genPath(dir, 1, walExt)
+	path = genPath(dir, gen, walExt)
 	if err := os.WriteFile(path, log, 0o644); err != nil {
 		t.Fatal(err)
 	}
