@@ -413,37 +413,103 @@ func FuzzWALFrame(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotDecode does the same for a snapshot image.
+// snapshotEntry is one decoded snapshot entry.
+type snapshotEntry struct {
+	id  uint32
+	key string
+	pts [][2]float64
+}
+
+// refDecodeSnapshot is the entry grammar decoded one entry after another,
+// byte at a time: the reference recovery's skim and span decodes are held
+// to.
+func refDecodeSnapshot(body []byte) ([]snapshotEntry, error) {
+	var entries []snapshotEntry
+	uvarint := func() (uint64, error) {
+		v, n := binary.Uvarint(body)
+		if n <= 0 {
+			return 0, errBinMalformed
+		}
+		body = body[n:]
+		return v, nil
+	}
+	for len(body) > 0 {
+		id, err := uvarint()
+		if err != nil || id > 1<<32-1 {
+			return nil, errBinMalformed
+		}
+		l, err := uvarint()
+		if err != nil || l > uint64(len(body)) {
+			return nil, errBinMalformed
+		}
+		key := string(body[:l])
+		body = body[l:]
+		n, err := uvarint()
+		if err != nil || n > uint64(len(body))/2 {
+			return nil, errBinMalformed
+		}
+		pts, size, err := refDecodePoints(body, n)
+		if err != nil {
+			return nil, err
+		}
+		body = body[size:]
+		entries = append(entries, snapshotEntry{uint32(id), key, pts})
+	}
+	return entries, nil
+}
+
+// FuzzSnapshotDecode does the same for a snapshot image, decoded as recovery
+// decodes it: the skim, then each entry's points from the span the skim
+// found. The two accept exactly the bodies the one-entry-at-a-time
+// reference accepts, with the same entries: a body the skim accepts either
+// decodes every span exactly or fails.
 func FuzzSnapshotDecode(f *testing.F) {
 	_, snap := durableSeedFiles(f)
 	f.Add(snap)
 	f.Add(snap[len(snapMagic) : len(snap)-4])
 	f.Add(append([]byte(nil), snapMagic...))
 	f.Add(binary.LittleEndian.AppendUint32(append([]byte(nil), snapMagic...), crc32.Checksum(snapMagic, crc32c)))
-	type entry struct {
-		id  uint32
-		key string
-		pts [][2]float64
-	}
+	f.Add([]byte{0, 1, 'k', 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x00}) // an overflowing time
+	f.Add([]byte{0, 1, 'k', 1, 0x80, 0x00, 0x00})                                                 // a non-minimal one
+	f.Add([]byte{0, 1, 'k', 2, 0x01, 0x02, 0x03, 0x04, 0x05})                                     // one uvarint short
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, err := snapshotBody(data)
 		if err != nil {
 			body = data // the entry grammar behind the checksum
 		}
 		var scratch [][2]float64
-		decode := func(body []byte) (entries []entry, err error) {
-			err = decodeSnapshotEntries(body, &scratch, func(id uint32, key string, pts [][2]float64) error {
-				entries = append(entries, entry{id, key, append([][2]float64(nil), pts...)})
-				return nil
-			})
-			return entries, err
+		decode := func(body []byte) (entries []snapshotEntry, err error) {
+			skimmed, err := skimSnapshot(body)
+			if err != nil {
+				return nil, err
+			}
+			for _, e := range skimmed {
+				pts, err := e.points(&scratch)
+				if err != nil {
+					return nil, err
+				}
+				entries = append(entries, snapshotEntry{e.id, e.key, append([][2]float64(nil), pts...)})
+			}
+			return entries, nil
 		}
 		entries, err := decode(body)
 		if cap(scratch) > len(body) {
 			t.Fatalf("decoder holds room for %d points from a %d-byte body", cap(scratch), len(body))
 		}
+		want, werr := refDecodeSnapshot(body)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("decoding % x: %v, reference %v", body, err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if len(entries) != len(want) {
+			t.Fatalf("decoding % x: %d entries, reference %d", body, len(entries), len(want))
+		}
+		for i, e := range want {
+			if g := entries[i]; g.id != e.id || g.key != e.key || !samePoints(g.pts, e.pts) {
+				t.Fatalf("entry %d decodes to %+v, reference %+v", i, g, e)
+			}
 		}
 		image := append([]byte(nil), snapMagic...)
 		for _, e := range entries {

@@ -166,14 +166,12 @@ func TestPersistentMemoryCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scratch, got [][2]float64
-	err = decodeSnapshotEntries(body, &scratch, func(id uint32, key string, pts [][2]float64) error {
-		if id != 0 || key != "k" {
-			t.Errorf("snapshot entry %d %q, want 0 \"k\"", id, key)
-		}
-		got = append(got, pts...)
-		return nil
-	})
+	entries, err := skimSnapshot(body)
+	if err != nil || len(entries) != 1 || entries[0].id != 0 || entries[0].key != "k" {
+		t.Fatalf("snapshot entries %+v (%v), want one of id 0 \"k\"", entries, err)
+	}
+	var scratch [][2]float64
+	got, err := entries[0].points(&scratch)
 	if err != nil || len(got) != 3 || got[0][0] != 7 {
 		t.Fatalf("snapshot holds %v (%v), want the last 3 points", got, err)
 	}

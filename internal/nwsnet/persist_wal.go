@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the durable half of Memory: one write-ahead log plus snapshot
@@ -221,28 +224,81 @@ func snapshotBody(data []byte) ([]byte, error) {
 	return data[len(snapMagic):end], nil
 }
 
-// decodeSnapshotEntries calls fn for every entry of a verified snapshot
-// body; pts is only valid during the call.
-func decodeSnapshotEntries(body []byte, scratch *[][2]float64, fn func(id uint32, key string, pts [][2]float64) error) error {
+// snapEntry is a snapshot entry as skimSnapshot finds it: the id, the key,
+// the point count and the bytes of the point array after the count, not yet
+// decoded.
+type snapEntry struct {
+	id   uint32
+	key  string
+	n    uint64
+	span []byte
+}
+
+// skimSnapshot walks a verified snapshot body without decoding a point: it
+// reads each entry's id, key and count, and skips the 2n uvarints of its
+// point array by counting their last bytes (skipUvarints). What the skim
+// does not check — each uvarint's length and value — points checks.
+func skimSnapshot(body []byte) ([]snapEntry, error) {
+	var entries []snapEntry
 	r := binReader{b: body}
 	for r.rem() > 0 {
 		id, err := r.seriesID()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		key, err := r.str()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		pts, err := r.scratchPoints(scratch)
-		if err != nil {
-			return err
+		n, err := r.uvarint()
+		if err != nil || n > uint64(r.rem())/2 {
+			return nil, errBinMalformed
 		}
-		if err := fn(id, key, pts); err != nil {
-			return err
+		size, ok := skipUvarints(body[r.off:], 2*int(n))
+		if !ok {
+			return nil, errBinMalformed
+		}
+		entries = append(entries, snapEntry{id, key, n, body[r.off : r.off+size]})
+		r.off += size
+	}
+	return entries, nil
+}
+
+// skipUvarints returns the length of the first n uvarints of b, found by
+// counting the bytes with a clear continuation bit — each uvarint's last —
+// eight at a time (^w & uvarintCont, as getUvarint finds its stop), and
+// false when b holds fewer than n of them.
+func skipUvarints(b []byte, n int) (int, bool) {
+	off := 0
+	for ; n > 0 && len(b)-off >= 8; off += 8 {
+		stop := ^binary.LittleEndian.Uint64(b[off:]) & uvarintCont
+		if c := bits.OnesCount64(stop); c < n {
+			n -= c
+			continue
+		}
+		for ; n > 1; n-- {
+			stop &= stop - 1
+		}
+		return off + (bits.TrailingZeros64(stop)+1)/8, true
+	}
+	for ; n > 0 && off < len(b); off++ {
+		if b[off] < 0x80 {
+			n--
 		}
 	}
-	return nil
+	return off, n == 0
+}
+
+// points decodes e's point array into *scratch, reusing its storage, and
+// fails unless the points take exactly the bytes the skim gave them.
+func (e *snapEntry) points(scratch *[][2]float64) ([][2]float64, error) {
+	r := binReader{b: e.span}
+	pts, err := r.appendPoints((*scratch)[:0], e.n)
+	if err != nil || r.rem() != 0 {
+		return nil, errBinMalformed
+	}
+	*scratch = pts
+	return pts, nil
 }
 
 // --- the journal ---
@@ -517,22 +573,53 @@ func removeOlder(dir string, gen uint64) error {
 	return nil
 }
 
+// snapChunk is the number of snapshot entries one recovery task decodes and
+// stores: a few dozen, so the tasks even out over the cores while each is
+// long enough that taking it costs nothing.
+const snapChunk = 32
+
 // openJournal recovers dir into m — the newest valid snapshot, then every
 // generation from its number on, redone through the store and backfill paths
 // — and returns the journal positioned to append. m must not have a journal
 // yet, so the redo is not logged again.
+//
+// Recovery runs on up to GOMAXPROCS goroutines. The log generations are read
+// on their own goroutine while the snapshot is read, verified and skimmed;
+// then one task decodes the whole log into runs (redoLog) while the others
+// decode and store the snapshot's entries a chunk at a time; last, the log's
+// runs are applied in generation order. Nothing on disk changes until all of
+// it has decoded.
 func openJournal(m *Memory, dir string) (*journal, error) {
 	j := &journal{mem: m, dir: dir, ids: make(map[string]uint32)}
 	snaps, gens, err := listGenerations(dir)
 	if err != nil {
 		return nil, err
 	}
-	var scratch [][2]float64
+
+	// Every generation a snapshot could need — from the oldest snapshot's
+	// number on — is read while the snapshots are.
+	for len(snaps) > 0 && len(gens) > 0 && gens[0] < snaps[0] {
+		gens = gens[1:]
+	}
+	logs := make([]logGen, len(gens))
+	for i, g := range gens {
+		logs[i].path = genPath(dir, g, walExt)
+	}
+	read := make(chan struct{})
+	go func(logs []logGen) {
+		defer close(read)
+		for i := range logs {
+			logs[i].data, logs[i].err = os.ReadFile(logs[i].path)
+		}
+	}(logs)
+	defer func() { <-read }()
 
 	// Newest valid snapshot. One that fails its checksum is passed over for
 	// an older one, which only works while that one's generations are all
 	// still here — the contiguity check below decides.
 	var base uint64
+	var snapPath string
+	var entries []snapEntry
 	var snapErr error
 	for i := len(snaps) - 1; i >= 0 && base == 0; i-- {
 		path := genPath(dir, snaps[i], snapExt)
@@ -547,34 +634,82 @@ func openJournal(m *Memory, dir string) (*journal, error) {
 			}
 			continue
 		}
-		err = decodeSnapshotEntries(body, &scratch, func(id uint32, key string, pts [][2]float64) error {
-			if err := j.define(id, key); err != nil {
-				return err
-			}
-			if len(pts) == 0 {
-				return nil
-			}
-			return respErr(m.handleStore(&Request{Series: key, Points: pts}))
-		})
-		if err != nil {
+		if entries, err = skimSnapshot(body); err != nil {
 			return nil, fmt.Errorf("nwsnet: snapshot %s: %w", path, err)
 		}
-		base, j.snap = snaps[i], int64(len(data))
+		for _, e := range entries {
+			if err := j.define(e.id, e.key); err != nil {
+				return nil, fmt.Errorf("nwsnet: snapshot %s: %w", path, err)
+			}
+		}
+		base, snapPath, j.snap = snaps[i], path, int64(len(data))
 	}
 	if base == 0 && snapErr != nil {
 		return nil, snapErr
 	}
 
 	for len(gens) > 0 && gens[0] < base {
-		gens = gens[1:]
+		gens, logs = gens[1:], logs[1:]
 	}
+	var logErr error
 	for i, g := range gens {
 		if want := max(base, 1) + uint64(i); g != want {
-			return nil, fmt.Errorf("nwsnet: memory dir %s: log generation %d is missing (found %d after snapshot %d)", dir, want, g, base)
+			logErr = fmt.Errorf("nwsnet: memory dir %s: log generation %d is missing (found %d after snapshot %d)", dir, want, g, base)
+			logs = nil
+			break
 		}
 	}
-	for i, g := range gens {
-		if err := j.redo(genPath(dir, g, walExt), i == len(gens)-1, &scratch); err != nil {
+
+	// The tasks: 0 is the log, the rest the snapshot's entries in chunks.
+	// Only the log task defines ids from here on, so j.keys has one writer.
+	tasks := 1 + (len(entries)+snapChunk-1)/snapChunk
+	errs := make([]error, tasks)
+	var next atomic.Int64
+	work := func() {
+		var scratch [][2]float64
+		for t := int(next.Add(1) - 1); t < tasks; t = int(next.Add(1) - 1) {
+			if t == 0 {
+				<-read
+				errs[0] = j.redoLog(logs, &scratch)
+			} else {
+				errs[t] = m.storeEntries(entries[(t-1)*snapChunk:min(t*snapChunk, len(entries))], &scratch)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), tasks); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	// Series came into being on several goroutines, each setting the gauge.
+	mMemorySeries.Set(float64(m.nSeries.Load()))
+
+	// A snapshot error first, then the log's: the first by generation and
+	// offset, as the log task stops at it.
+	for _, err := range errs[1:] {
+		if err != nil {
+			return nil, fmt.Errorf("nwsnet: snapshot %s: %w", snapPath, err)
+		}
+	}
+	if logErr == nil {
+		logErr = errs[0]
+	}
+	if logErr != nil {
+		return nil, logErr
+	}
+	if n := len(logs); n > 0 && logs[n-1].cut >= 0 {
+		if err := os.Truncate(logs[n-1].path, int64(logs[n-1].cut)); err != nil {
+			return nil, fmt.Errorf("nwsnet: truncating torn log %s: %w", logs[n-1].path, err)
+		}
+		mMemoryLogTruncations.Inc()
+	}
+	for i := range logs {
+		if err := j.applyLog(&logs[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -597,6 +732,24 @@ func openJournal(m *Memory, dir string) (*journal, error) {
 	}
 	j.f, j.off = f, st.Size()
 	return j, nil
+}
+
+// storeEntries decodes snapshot entries and stores each one's points as
+// one store of the whole series.
+func (m *Memory) storeEntries(entries []snapEntry, scratch *[][2]float64) error {
+	for i := range entries {
+		pts, err := entries[i].points(scratch)
+		if err != nil {
+			return err
+		}
+		if len(pts) == 0 {
+			continue
+		}
+		if err := respErr(m.handleStore(&Request{Series: entries[i].key, Points: pts})); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // respErr turns a store the memory refused during recovery — nothing the
@@ -631,34 +784,54 @@ type redoRun struct {
 	backfill bool
 }
 
-// redo applies one log generation: every frame is decoded first, each
-// series' records grouped into runs in log order, and then each series'
-// runs are applied through the store and backfill paths. Series are
-// independent, so only each one's own order matters; the fuzzy snapshot's
-// idempotence argument holds series by series. Everything the apply could
-// refuse is checked while decoding, so the first bad record fails the open
-// with its file and frame offset, as it would applied in log order.
+// logGen is one log generation on its way through recovery.
+type logGen struct {
+	path string
+	data []byte // the file, until it is decoded
+	err  error  // from reading it
+	runs [][]redoRun
+	cut  int // where its torn tail starts, or -1
+}
+
+// redoLog decodes the log generations in order, stopping at the first that
+// fails (see decode). Each generation's file is dropped once decoded.
+func (j *journal) redoLog(logs []logGen, scratch *[][2]float64) error {
+	for i := range logs {
+		g := &logs[i]
+		if g.err != nil {
+			return fmt.Errorf("nwsnet: reading log: %w", g.err)
+		}
+		err := j.decode(g, i == len(logs)-1, scratch)
+		g.data = nil
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decode turns one log generation into runs: every frame is decoded, each
+// series' records grouped into runs in log order, to be applied by applyLog
+// through the store and backfill paths. Series are independent, so only each
+// one's own order matters; the fuzzy snapshot's idempotence argument holds
+// series by series. Everything the apply could refuse is checked here, so
+// the first bad record fails the open with its file and frame offset, as it
+// would applied in log order.
 //
 // A bad frame is an error naming the file and offset — except in the newest
 // generation when no whole frame follows it: that is a write cut short by a
-// crash (or a damaged last frame), and the file is cut back to the last good
-// frame before anything is applied.
-func (j *journal) redo(path string, newest bool, scratch *[][2]float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("nwsnet: reading log: %w", err)
-	}
-	var runs [][]redoRun // by series id, in log order
+// crash (or a damaged last frame), and g.cut records the last good frame's
+// end, where the file is cut once everything has decoded.
+func (j *journal) decode(g *logGen, newest bool, scratch *[][2]float64) error {
+	data := g.data
+	g.cut = -1
 	for off := 0; off < len(data); {
 		payload, size, err := splitFrame(data[off:])
 		if err != nil {
 			if !newest || frameFollows(data[off+1:]) {
-				return fmt.Errorf("nwsnet: log %s: offset %d: %w", path, off, err)
+				return fmt.Errorf("nwsnet: log %s: offset %d: %w", g.path, off, err)
 			}
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return fmt.Errorf("nwsnet: truncating torn log %s: %w", path, err)
-			}
-			mMemoryLogTruncations.Inc()
+			g.cut = off
 			break
 		}
 		err = decodeRecords(payload, scratch, func(rec walRecord) error {
@@ -675,30 +848,37 @@ func (j *journal) redo(path string, newest bool, scratch *[][2]float64) error {
 					return err
 				}
 			}
-			if int(rec.id) >= len(runs) {
-				runs = append(runs, make([][]redoRun, len(j.keys)-len(runs))...)
+			if int(rec.id) >= len(g.runs) {
+				g.runs = append(g.runs, make([][]redoRun, len(j.keys)-len(g.runs))...)
 			}
-			rs := runs[rec.id]
+			rs := g.runs[rec.id]
 			if n := len(rs); n > 0 && !backfill && !rs[n-1].backfill {
 				rs[n-1].pts = append(rs[n-1].pts, rec.pts...)
 			} else {
-				runs[rec.id] = append(rs, redoRun{append([][2]float64(nil), rec.pts...), backfill})
+				g.runs[rec.id] = append(rs, redoRun{append([][2]float64(nil), rec.pts...), backfill})
 			}
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("nwsnet: log %s: frame at offset %d: %w", path, off, err)
+			return fmt.Errorf("nwsnet: log %s: frame at offset %d: %w", g.path, off, err)
 		}
 		off += size
 	}
-	for id, rs := range runs {
+	return nil
+}
+
+// applyLog applies one decoded generation, series by series, each series'
+// runs in log order, and drops the runs.
+func (j *journal) applyLog(g *logGen) error {
+	for id, rs := range g.runs {
 		for _, run := range rs {
 			if run.backfill {
 				j.mem.backfill(j.keys[id], run.pts)
 			} else if err := respErr(j.mem.handleStore(&Request{Series: j.keys[id], Points: run.pts})); err != nil {
-				return fmt.Errorf("nwsnet: log %s: series %q: %w", path, j.keys[id], err)
+				return fmt.Errorf("nwsnet: log %s: series %q: %w", g.path, j.keys[id], err)
 			}
 		}
 	}
+	g.runs = nil
 	return nil
 }

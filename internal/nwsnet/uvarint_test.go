@@ -267,14 +267,12 @@ func TestPointsCodecMatchesReference(t *testing.T) {
 				if want := append([]byte{0xac, 0x02, 0x01, 'k'}, ref...); !bytes.Equal(b, want) {
 					t.Fatalf("snapshot entry of %v:\n got % x\nwant % x", pts, b, want)
 				}
-				err = decodeSnapshotEntries(b, &scratch, func(id uint32, key string, got [][2]float64) error {
-					if id != 300 || key != "k" || !samePoints(got, pts) {
-						t.Fatalf("snapshot entry of %v decodes to %d %q %v", pts, id, key, got)
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
+				entries, err := skimSnapshot(b)
+				if err != nil || len(entries) != 1 || entries[0].id != 300 || entries[0].key != "k" {
+					t.Fatalf("snapshot entry of %v skims to %+v, %v", pts, entries, err)
+				}
+				if got, err := entries[0].points(&scratch); err != nil || !samePoints(got, pts) {
+					t.Fatalf("snapshot entry of %v decodes to %v, %v", pts, got, err)
 				}
 			}
 		}
