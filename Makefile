@@ -76,9 +76,10 @@ chaos-repair:
 # the seeded campaign — the newest log generation cut at 240 byte offsets and
 # bit-flipped in its last frame, a crash in every window of a checkpoint,
 # corruption in the middle of a log — each reopened and compared against a
-# ledger of what had been acknowledged.
+# ledger of what had been acknowledged. It runs at GOMAXPROCS 1 and 4, so
+# recovery is checked both serial and spread over several goroutines.
 chaos-persist:
-	$(GO) test -race -run 'Persist' -count=1 ./internal/nwsnet
+	$(GO) test -race -run 'Persist' -count=1 -cpu 1,4 ./internal/nwsnet
 
 # Doc drift gate: docs/PROTOCOL.md (the normative wire spec) is compared
 # against the codec — the opcode tables both ways, and the worked hex
@@ -99,7 +100,8 @@ docs-check:
 # request decode/execute path and the client-side response decode and
 # shed/busy error classification of the v2 binary frame codec; then the
 # durable memory's on-disk decoders (log frames and records, snapshot
-# images); then the point codec's uvarint kernels against encoding/binary;
+# images); then the point codec's uvarint kernels against encoding/binary,
+# and the snapshot skim's uvarint skip against a byte-at-a-time one;
 # then the forecasters' order-statistics window against a
 # copy-and-sort reference; then the parsers of outside input — trace CSV
 # files, /proc/stat and /proc/loadavg. Go fuzzers must run one at a time, so each gets
@@ -112,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run - -fuzz 'FuzzWALFrame$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzUvarint$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
+	$(GO) test -run - -fuzz 'FuzzSkipUvarints$$' -fuzztime $(FUZZTIME) ./internal/nwsnet
 	$(GO) test -run - -fuzz 'FuzzOrderWindow$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/series
 	$(GO) test -run - -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/series
 	$(GO) test -run - -fuzz 'FuzzParseStat$$' -fuzztime $(FUZZTIME) ./internal/prochost

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -124,5 +125,104 @@ func TestPersistFailedOpenChangesNoLog(t *testing.T) {
 				t.Fatalf("the failed open counted %v truncations", got)
 			}
 		})
+	}
+}
+
+// TestPersistReopenSameAtEveryCPUCount reopens copies of one directory — a
+// snapshot of more series than one recovery task takes, two generations
+// after it, a series defined only in the log, backfills behind the frontier
+// and a torn tail — at GOMAXPROCS 1, 2, 4 and 8, writes to each the same
+// way and closes it. Every series' digest and length, the series list and
+// every file must come out byte-identical.
+func TestPersistReopenSameAtEveryCPUCount(t *testing.T) {
+	const capacity = 16
+	dir := t.TempDir()
+	pm := openPersistent(t, capacity, dir)
+	key := func(s int) string { return fmt.Sprintf("host%d/cpu/s%d", s/3, s) }
+	tick := 0
+	storeAll := func(from, to, points int) {
+		for n := 0; n < points; n++ {
+			tick++
+			var subs []Request
+			for s := from; s < to; s++ {
+				subs = append(subs, Request{Op: OpStore, Series: key(s), Points: [][2]float64{{float64(tick), float64(s*tick%7) / 7}}})
+			}
+			if resp := pm.Handle(Request{Op: OpBatch, Batch: subs}); resp.Error != "" {
+				t.Fatal(resp.Error)
+			}
+		}
+	}
+	backfill := func(s int) {
+		pm.Backfill(key(s), [][2]float64{{float64(tick) - 2.5, 0.25}, {float64(tick) - 0.5, 0.75}})
+	}
+	storeAll(0, 3*snapChunk+5, capacity+4)
+	if err := pm.journal.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	storeAll(0, 3*snapChunk+6, 3) // the last series is defined only in the log
+	backfill(1)
+	// A checkpoint that crashed after rotating: the snapshot is still the
+	// one before, with two generations after it.
+	pm.journal.mu.Lock()
+	if err := pm.journal.flushLocked(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.journal.rotateLocked(); err != nil {
+		t.Fatal(err)
+	}
+	pm.journal.mu.Unlock()
+	storeAll(snapChunk, 3*snapChunk+7, 2)
+	backfill(snapChunk + 1)
+	backfill(3*snapChunk + 5)
+	if err := pm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendTornFrame(t, newestLog(t, dir))
+	if snaps, wals := dirFiles(t, dir, snapExt), dirFiles(t, dir, walExt); len(snaps) != 1 || len(wals) != 2 {
+		t.Fatalf("want one snapshot and two generations, have %v and %v", snaps, wals)
+	}
+
+	type recovered struct {
+		digests []SeriesDigest
+		names   []string
+		lens    []int
+		files   map[string][]byte
+	}
+	reopen := func(cpus int) (got recovered) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
+		copied := copyDir(t, dir)
+		pm, err := NewPersistentMemory(capacity, copied)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", cpus, err)
+		}
+		got.digests = pm.Digests("")
+		got.names = pm.Handle(Request{Op: OpSeries}).Names
+		for _, name := range got.names {
+			got.lens = append(got.lens, pm.Len(name))
+		}
+		// Ids handed out after the open land in the files too.
+		mustStore(t, pm, "after/reopen", [2]float64{1, 1})
+		mustStore(t, pm, key(0), [2]float64{float64(tick + 1), 1})
+		if err := pm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got.files = dirImage(t, copied)
+		return got
+	}
+	want := reopen(1)
+	if len(want.names) != 3*snapChunk+7 {
+		t.Fatalf("GOMAXPROCS 1 recovers %d series, want %d", len(want.names), 3*snapChunk+7)
+	}
+	for _, cpus := range []int{2, 4, 8} {
+		got := reopen(cpus)
+		if !sameDigests(got.digests, want.digests) {
+			t.Errorf("GOMAXPROCS %d: digests differ from GOMAXPROCS 1's", cpus)
+		}
+		if fmt.Sprint(got.names, got.lens) != fmt.Sprint(want.names, want.lens) {
+			t.Errorf("GOMAXPROCS %d: series and lengths %v %v, want %v %v", cpus, got.names, got.lens, want.names, want.lens)
+		}
+		if err := sameImage(want.files, got.files); err != nil {
+			t.Errorf("GOMAXPROCS %d: files differ from GOMAXPROCS 1's: %v", cpus, err)
+		}
 	}
 }

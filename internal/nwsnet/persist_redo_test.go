@@ -192,16 +192,26 @@ func TestPersistRedoRefusesBadRecords(t *testing.T) {
 
 // BenchmarkReopen times recovery in the shape of the repository benchmark's
 // durable_restart directory: 512 series of capacity 1280, a snapshot of
-// every full ring, and after it a log of 343 host ticks — frames of three
-// one-point stores, one frame per host — about 175 000 records. Each
-// iteration opens the directory and answers the first fetch, as
-// durable_restart's latency does; closing it is not timed. It reports ns per
-// recovered point (snapshot and log together) beside ns per open.
+// every full ring, and after it a log of host ticks — frames of three
+// one-point stores, one frame per host. Each iteration opens the directory
+// and answers the first fetch, as durable_restart's latency does; closing it
+// is not timed. It reports ns per recovered point (snapshot and log
+// together) beside ns per open, and the log's size over the snapshot's.
+//
+// ticks=343 is durable_restart's shape, about 175 000 records; ticks=0 is
+// the snapshot alone, where reading, verifying and skimming it bound the
+// open; ticks=760 is a log nine tenths of the snapshot's size, close to the
+// most a checkpoint lets through, where decoding the log does.
 func BenchmarkReopen(b *testing.B) {
+	for _, ticks := range []int{343, 0, 760} {
+		b.Run(fmt.Sprint("ticks=", ticks), func(b *testing.B) { benchmarkReopen(b, ticks) })
+	}
+}
+
+func benchmarkReopen(b *testing.B, ticks int) {
 	const (
 		nSeries  = 512
 		capacity = 1280
-		ticks    = 343
 	)
 	dir := b.TempDir()
 	pm, err := NewPersistentMemory(capacity, dir)
@@ -223,6 +233,7 @@ func BenchmarkReopen(b *testing.B) {
 	if err := pm.journal.checkpointNow(); err != nil {
 		b.Fatal(err)
 	}
+	snaps := dirFiles(b, dir, snapExt)
 	for tick := capacity + 1; tick <= capacity+ticks; tick++ {
 		for host := 0; 3*host < nSeries; host++ {
 			var subs []Request
@@ -237,8 +248,16 @@ func BenchmarkReopen(b *testing.B) {
 	if err := pm.Close(); err != nil {
 		b.Fatal(err)
 	}
-	if snaps := dirFiles(b, dir, snapExt); len(snaps) != 1 {
-		b.Fatalf("want one snapshot, have %v", snaps)
+	if now := dirFiles(b, dir, snapExt); len(snaps) != 1 || fmt.Sprint(now) != fmt.Sprint(snaps) {
+		b.Fatalf("want the one snapshot %v, have %v: the log outgrew it", snaps, now)
+	}
+	var size [2]int64 // snapshot, log
+	for i, name := range append(snaps, dirFiles(b, dir, walExt)...) {
+		st, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		size[min(i, 1)] += st.Size()
 	}
 
 	b.ReportAllocs()
@@ -257,4 +276,5 @@ func BenchmarkReopen(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nSeries*(capacity+ticks)), "ns/point")
+	b.ReportMetric(float64(size[1])/float64(size[0]), "log/snap")
 }

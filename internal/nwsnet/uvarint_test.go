@@ -178,6 +178,83 @@ func FuzzUvarint(f *testing.F) {
 	})
 }
 
+// refSkipUvarints is skipUvarints one byte at a time: past each of n
+// uvarints' continuation bytes and its last byte.
+func refSkipUvarints(b []byte, n int) (int, bool) {
+	off := 0
+	for ; n > 0; n-- {
+		for off < len(b) && b[off] >= 0x80 {
+			off++
+		}
+		if off == len(b) {
+			return off, false
+		}
+		off++
+	}
+	return off, true
+}
+
+// TestSkipUvarints holds the snapshot skim's word-at-a-time skip to the
+// byte-at-a-time reference on runs of uvarints of every length, 10-byte ones
+// included, skipped n at a time for every n up to one past the run and at
+// every cut of it (truncated input). The runs start uvarints, 10-byte ones
+// among them, at every offset mod 8 of the word the skip loads, and end
+// runs on a word boundary.
+func TestSkipUvarints(t *testing.T) {
+	r := rand.New(rand.NewPCG(6, 35))
+	var starts, starts10 [8]bool
+	var boundary, short int
+	for _, lens := range [][]int{{1}, {10}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, {10, 9, 10, 1}, {3, 10, 9, 10}, {8, 8, 1}, {10, 1, 1}} {
+		var run []byte
+		for k := 0; k < 24; k++ {
+			l := lens[k%len(lens)]
+			starts[len(run)%8] = true
+			if l == 10 {
+				starts10[len(run)%8] = true
+			}
+			run = putUvarint(run, uvarintOfLen(r, l))
+		}
+		for cut := 0; cut <= len(run); cut++ {
+			for n := 0; n <= 25; n++ {
+				got, gok := skipUvarints(run[:cut], n)
+				want, wok := refSkipUvarints(run[:cut], n)
+				if got != want || gok != wok {
+					t.Fatalf("skipping %d uvarints of % x: (%d, %v), reference (%d, %v)", n, run[:cut], got, gok, want, wok)
+				}
+				if !wok {
+					short++
+				} else if n > 0 && want%8 == 0 {
+					boundary++
+				}
+			}
+		}
+	}
+	for i := range starts {
+		if !starts[i] || !starts10[i] {
+			t.Fatalf("no uvarint (%v) or no 10-byte one (%v) starts at offset %d mod 8", starts[i], starts10[i], i)
+		}
+	}
+	if boundary == 0 || short == 0 {
+		t.Fatalf("%d runs ended on a word boundary and %d were cut short; want some of each", boundary, short)
+	}
+}
+
+// FuzzSkipUvarints holds skipUvarints to the reference on any bytes and
+// count.
+func FuzzSkipUvarints(f *testing.F) {
+	f.Add([]byte{0x00}, uint8(1))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x05}, uint8(2))
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0x01}, uint8(2))
+	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09}, uint8(10))
+	f.Fuzz(func(t *testing.T, b []byte, n uint8) {
+		got, gok := skipUvarints(b, int(n))
+		want, wok := refSkipUvarints(b, int(n))
+		if got != want || gok != wok {
+			t.Fatalf("skipping %d uvarints of % x: (%d, %v), reference (%d, %v)", n, b, got, gok, want, wok)
+		}
+	})
+}
+
 // codecPoints returns an n-point array built from XOR deltas of the given
 // uvarint lengths, taken in turn from lens starting at k, so that the
 // arrays of consecutive sizes end on different lengths. Every eleventh
