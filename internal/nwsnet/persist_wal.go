@@ -270,6 +270,22 @@ func skimSnapshot(body []byte) ([]snapEntry, error) {
 // false when b holds fewer than n of them.
 func skipUvarints(b []byte, n int) (int, bool) {
 	off := 0
+	// 64 bytes hold at most 64 last bytes, so while more than that are
+	// wanted a whole block is skipped: its eight words' stop bits, each
+	// word's shifted into a bit position of its own, fold into one word
+	// and one count.
+	for ; n > 64 && len(b)-off >= 64; off += 64 {
+		w := b[off : off+64]
+		stop := ^binary.LittleEndian.Uint64(w)&uvarintCont |
+			(^binary.LittleEndian.Uint64(w[8:])&uvarintCont)>>1 |
+			(^binary.LittleEndian.Uint64(w[16:])&uvarintCont)>>2 |
+			(^binary.LittleEndian.Uint64(w[24:])&uvarintCont)>>3 |
+			(^binary.LittleEndian.Uint64(w[32:])&uvarintCont)>>4 |
+			(^binary.LittleEndian.Uint64(w[40:])&uvarintCont)>>5 |
+			(^binary.LittleEndian.Uint64(w[48:])&uvarintCont)>>6 |
+			(^binary.LittleEndian.Uint64(w[56:])&uvarintCont)>>7
+		n -= bits.OnesCount64(stop)
+	}
 	for ; n > 0 && len(b)-off >= 8; off += 8 {
 		stop := ^binary.LittleEndian.Uint64(b[off:]) & uvarintCont
 		if c := bits.OnesCount64(stop); c < n {

@@ -197,16 +197,16 @@ func refSkipUvarints(b []byte, n int) (int, bool) {
 // TestSkipUvarints holds the snapshot skim's word-at-a-time skip to the
 // byte-at-a-time reference on runs of uvarints of every length, 10-byte ones
 // included, skipped n at a time for every n up to one past the run and at
-// every cut of it (truncated input). The runs start uvarints, 10-byte ones
-// among them, at every offset mod 8 of the word the skip loads, and end
-// runs on a word boundary.
+// every cut of it (truncated input). The runs are long enough for the skip's
+// 64-byte blocks; they start uvarints, 10-byte ones among them, at every
+// offset mod 8 of the word the skip loads, and end runs on a word boundary.
 func TestSkipUvarints(t *testing.T) {
 	r := rand.New(rand.NewPCG(6, 35))
 	var starts, starts10 [8]bool
 	var boundary, short int
 	for _, lens := range [][]int{{1}, {10}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, {10, 9, 10, 1}, {3, 10, 9, 10}, {8, 8, 1}, {10, 1, 1}} {
 		var run []byte
-		for k := 0; k < 24; k++ {
+		for k := 0; k < 160; k++ {
 			l := lens[k%len(lens)]
 			starts[len(run)%8] = true
 			if l == 10 {
@@ -215,7 +215,7 @@ func TestSkipUvarints(t *testing.T) {
 			run = putUvarint(run, uvarintOfLen(r, l))
 		}
 		for cut := 0; cut <= len(run); cut++ {
-			for n := 0; n <= 25; n++ {
+			for n := 0; n <= 161; n++ {
 				got, gok := skipUvarints(run[:cut], n)
 				want, wok := refSkipUvarints(run[:cut], n)
 				if got != want || gok != wok {
@@ -246,6 +246,7 @@ func FuzzSkipUvarints(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x05}, uint8(2))
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0x01}, uint8(2))
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09}, uint8(10))
+	f.Add(bytes.Repeat([]byte{0x81, 0x01, 0xff, 0x7f, 0x00}, 40), uint8(100))
 	f.Fuzz(func(t *testing.T, b []byte, n uint8) {
 		got, gok := skipUvarints(b, int(n))
 		want, wok := refSkipUvarints(b, int(n))
