@@ -462,7 +462,7 @@ func refDecodeSnapshot(body []byte) ([]snapshotEntry, error) {
 // decodes it: the skim, then each entry's points from the span the skim
 // found. The two accept exactly the bodies the one-entry-at-a-time
 // reference accepts, with the same entries: a body the skim accepts either
-// decodes every span exactly or fails.
+// decodes every span exactly or fails, and a span with a byte too many fails.
 func FuzzSnapshotDecode(f *testing.F) {
 	_, snap := durableSeedFiles(f)
 	f.Add(snap)
@@ -489,6 +489,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 					return nil, err
 				}
 				entries = append(entries, snapshotEntry{e.id, e.key, append([][2]float64(nil), pts...)})
+				// The same points with one byte more in the span are refused.
+				if longer := e; len(longer.span) < cap(longer.span) {
+					longer.span = longer.span[:len(longer.span)+1]
+					if _, err := longer.points(&scratch); err == nil {
+						t.Fatalf("entry %d decodes from a span one byte too long", e.id)
+					}
+				}
 			}
 			return entries, nil
 		}

@@ -68,12 +68,28 @@ func appendTornFrame(t *testing.T, path string) {
 	}
 }
 
+// badSnapshot writes snapshot 1 of dir: 71 entries, more than two recovery
+// tasks take, that pass the checksum, the last with a malformed point array.
+func badSnapshot(t *testing.T, dir string) string {
+	t.Helper()
+	var body []byte
+	for id := uint32(0); id < 70; id++ {
+		body = appendSnapshotEntry(body, id, fmt.Sprint("s", id), [][2]float64{{1, 1}, {2, float64(id)}})
+	}
+	// One point whose time is a 10-byte uvarint with a tenth byte above 1:
+	// it overflows 64 bits.
+	body = appendSnapshotEntry(body, 70, "bad", nil)
+	body = append(body[:len(body)-1], 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x00)
+	return writeSnapshotFile(t, dir, 1, body)
+}
+
 // TestPersistFailedOpenChangesNoLog: an open that fails changes no file,
 // even when the newest generation ends in a torn tail that a successful open
 // would cut. The cut waits until the snapshot and every generation have
 // decoded: a snapshot whose checksum verifies but whose last entry's point
-// array is malformed fails the open naming the snapshot, and a bad record in
-// an older generation fails it naming that file and offset.
+// array is malformed fails the open naming the snapshot, even when the log
+// holds a bad record too, and a bad record in an older generation fails it
+// naming that file and offset.
 func TestPersistFailedOpenChangesNoLog(t *testing.T) {
 	store := func(id uint32, pts ...[2]float64) []byte { return appendPointsRecord(nil, recStore, id, pts) }
 	cases := []struct {
@@ -83,16 +99,14 @@ func TestPersistFailedOpenChangesNoLog(t *testing.T) {
 		seed func(t *testing.T, dir string) string
 	}{
 		{"malformed snapshot entry", func(t *testing.T, dir string) string {
-			var body []byte
-			for id := uint32(0); id < 70; id++ {
-				body = appendSnapshotEntry(body, id, fmt.Sprint("s", id), [][2]float64{{1, 1}, {2, float64(id)}})
-			}
-			// One point whose time is a 10-byte uvarint with a tenth byte
-			// above 1: it overflows 64 bits.
-			body = appendSnapshotEntry(body, 70, "bad", nil)
-			body = append(body[:len(body)-1], 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x00)
-			path := writeSnapshotFile(t, dir, 1, body)
+			path := badSnapshot(t, dir)
 			log, _ := writeLog(t, dir, store(0, [2]float64{3, 3}), append(appendDefine(nil, 71, "log"), store(71, [2]float64{1, 1})...))
+			appendTornFrame(t, log)
+			return "snapshot " + path + ": " + errBinMalformed.Error()
+		}},
+		{"malformed snapshot entry and a bad record", func(t *testing.T, dir string) string {
+			path := badSnapshot(t, dir)
+			log, _ := writeLog(t, dir, store(0, [2]float64{3, 3}), store(90, [2]float64{1, 1}))
 			appendTornFrame(t, log)
 			return "snapshot " + path + ": " + errBinMalformed.Error()
 		}},
