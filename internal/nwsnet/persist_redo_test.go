@@ -173,14 +173,7 @@ func TestPersistRedoRefusesBadRecords(t *testing.T) {
 	// without touching what came before it.
 	dir := t.TempDir()
 	path, offs := writeLog(t, dir, good, store(0, [2]float64{3, 3}))
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{40, 0, 0, 0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendTornFrame(t, path)
 	pm := openPersistent(t, 8, dir)
 	if d, ok := pm.Digest("k"); !ok || d.Count != 3 || d.Frontier != 3 {
 		t.Fatalf("digest after redo = %+v, %v; want 3 points through t=3", d, ok)
