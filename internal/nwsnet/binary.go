@@ -241,6 +241,15 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// appendStrings appends a string list: a count, then that many strings.
+func appendStrings(b []byte, ss []string) []byte {
+	b = putUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = appendString(b, s)
+	}
+	return b
+}
+
 // appendF64 appends one float64 as the uvarint of its byte-reversed IEEE 754
 // bits. Reversal moves the mantissa's trailing zero bytes (ubiquitous in
 // measurement values like 0.5 or integral timestamps) to the top of the
@@ -273,11 +282,7 @@ func appendRegistration(b []byte, reg *Registration) []byte {
 	b = appendString(b, reg.Name)
 	b = appendString(b, string(reg.Kind))
 	b = appendString(b, reg.Addr)
-	b = putUvarint(b, uint64(len(reg.Addrs)))
-	for _, a := range reg.Addrs {
-		b = appendString(b, a)
-	}
-	return b
+	return appendStrings(b, reg.Addrs)
 }
 
 // appendMember appends a cluster member. A nil member encodes as the
@@ -291,10 +296,7 @@ func appendMember(b []byte, m *cluster.Member) []byte {
 	b = appendString(b, v.ID)
 	b = appendString(b, v.Kind)
 	b = appendString(b, v.Addr)
-	b = putUvarint(b, uint64(len(v.Addrs)))
-	for _, a := range v.Addrs {
-		b = appendString(b, a)
-	}
+	b = appendStrings(b, v.Addrs)
 	return appendString(b, string(v.State))
 }
 
@@ -389,6 +391,26 @@ func (r *binReader) str() (string, error) {
 	return s, nil
 }
 
+// strs decodes a string list; an empty list decodes as nil.
+func (r *binReader) strs() ([]string, error) {
+	n, err := r.uvarint()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if n > uint64(r.rem()) {
+		return nil, errBinMalformed
+	}
+	ss := make([]string, 0, min(n, 1024))
+	for i := uint64(0); i < n; i++ {
+		s, err := r.str()
+		if err != nil {
+			return nil, err
+		}
+		ss = append(ss, s)
+	}
+	return ss, nil
+}
+
 func (r *binReader) f64() (float64, error) {
 	u, err := r.uvarint()
 	if err != nil {
@@ -468,24 +490,8 @@ func (r *binReader) registration() (Registration, error) {
 	if reg.Addr, err = r.str(); err != nil {
 		return reg, err
 	}
-	n, err := r.uvarint()
-	if err != nil {
-		return reg, err
-	}
-	if n > uint64(r.rem()) {
-		return reg, errBinMalformed
-	}
-	if n > 0 {
-		reg.Addrs = make([]string, 0, min(n, 1024))
-		for i := uint64(0); i < n; i++ {
-			a, err := r.str()
-			if err != nil {
-				return reg, err
-			}
-			reg.Addrs = append(reg.Addrs, a)
-		}
-	}
-	return reg, nil
+	reg.Addrs, err = r.strs()
+	return reg, err
 }
 
 // member decodes a cluster member, normalizing the all-empty member to nil
@@ -502,22 +508,8 @@ func (r *binReader) member() (*cluster.Member, error) {
 	if m.Addr, err = r.str(); err != nil {
 		return nil, err
 	}
-	n, err := r.uvarint()
-	if err != nil {
+	if m.Addrs, err = r.strs(); err != nil {
 		return nil, err
-	}
-	if n > uint64(r.rem()) {
-		return nil, errBinMalformed
-	}
-	if n > 0 {
-		m.Addrs = make([]string, 0, min(n, 1024))
-		for i := uint64(0); i < n; i++ {
-			a, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			m.Addrs = append(m.Addrs, a)
-		}
 	}
 	var state string
 	if state, err = r.str(); err != nil {
@@ -606,7 +598,7 @@ func encodeRequestBody(b []byte, req *Request, depth int) ([]byte, error) {
 		b = appendString(b, string(req.Reg.Kind))
 	case OpStore, OpBackfill:
 		b = appendString(b, req.Series)
-		b = appendPoints2(b, req.Points)
+		b = appendPoints(b, req.Points)
 	case OpFetch:
 		b = appendString(b, req.Series)
 		b = appendF64(b, req.From)
@@ -634,16 +626,6 @@ func encodeRequestBody(b []byte, req *Request, depth int) ([]byte, error) {
 		}
 	}
 	return b, nil
-}
-
-// appendPoints2 is appendPoints permitting the empty array requests carry
-// (a store with no points is rejected by the handler, not the codec, so the
-// wire and in-process paths answer it identically).
-func appendPoints2(b []byte, pts [][2]float64) []byte {
-	if len(pts) == 0 {
-		return putUvarint(b, 0)
-	}
-	return appendPoints(b, pts)
 }
 
 // decodeRequest decodes one v2 request payload into *req, requiring the
@@ -825,10 +807,7 @@ func encodeResponseBody(b []byte, resp *Response, depth int) ([]byte, error) {
 		b = appendPoints(b, resp.Points)
 	}
 	if flags&respFlagNames != 0 {
-		b = putUvarint(b, uint64(len(resp.Names)))
-		for _, n := range resp.Names {
-			b = appendString(b, n)
-		}
+		b = appendStrings(b, resp.Names)
 	}
 	if flags&respFlagEntries != 0 {
 		b = putUvarint(b, uint64(len(resp.Entries)))
@@ -924,20 +903,11 @@ func decodeResponseBody(r *binReader, resp *Response, depth int) error {
 		}
 	}
 	if flags&respFlagNames != 0 {
-		n, err := r.uvarint()
-		if err != nil {
+		if resp.Names, err = r.strs(); err != nil {
 			return err
 		}
-		if n == 0 || n > uint64(r.rem()) {
-			return errBinMalformed
-		}
-		resp.Names = make([]string, 0, min(n, 1024))
-		for i := uint64(0); i < n; i++ {
-			s, err := r.str()
-			if err != nil {
-				return err
-			}
-			resp.Names = append(resp.Names, s)
+		if resp.Names == nil {
+			return errBinMalformed // presence implies content
 		}
 	}
 	if flags&respFlagEntries != 0 {

@@ -144,7 +144,7 @@ var (
 		"Durable-memory checkpoints: a snapshot of every series written and the log generations before it dropped.")
 	mMemoryLogTruncations = metrics.NewCounter(
 		"nws_memory_log_truncations_total",
-		"Durable-memory logs cut back at startup to the last good frame (a write torn by a crash), plus legacy text logs imported up to a damaged tail.")
+		"Torn-tail cuts: a durable memory's newest log generation cut back at startup to its last good frame (normal after a crash mid-write).")
 
 	// Name server.
 	mNSRegistrations = metrics.NewCounter(

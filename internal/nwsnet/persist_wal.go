@@ -208,7 +208,7 @@ func decodeRecords(payload []byte, scratch *[][2]float64, fn func(walRecord) err
 func appendSnapshotEntry(b []byte, id uint32, key string, pts [][2]float64) []byte {
 	b = putUvarint(b, uint64(id))
 	b = appendString(b, key)
-	return appendPoints2(b, pts)
+	return appendPoints(b, pts)
 }
 
 // snapshotBody verifies a snapshot image's magic and checksum and returns
