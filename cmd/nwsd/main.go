@@ -539,12 +539,12 @@ func runSensor(o daemonOpts, logger *log.Logger) error {
 
 	var daemon *nwsnet.SensorDaemon
 	if o.clusterAddr != "" {
-		daemon = nwsnet.NewSensorDaemonCluster(hostName, host, o.clusterAddr, sensors.HybridConfig{})
+		daemon = nwsnet.NewSensorDaemonCluster(hostName, host, o.clusterAddr)
 		if memory == "" {
 			memory = "cluster " + o.clusterAddr
 		}
 	} else {
-		daemon = nwsnet.NewSensorDaemon(hostName, host, memoryAddrs(o), 0, sensors.HybridConfig{})
+		daemon = nwsnet.NewSensorDaemon(hostName, host, memoryAddrs(o))
 	}
 	daemon.SetLogger(logger)
 	defer daemon.Close()

@@ -84,7 +84,7 @@ func run() error {
 	for _, p := range hosts {
 		h := simos.New(simos.DefaultConfig())
 		workload.Submit(h, p.Generate(4000))
-		d := nwsnet.NewSensorDaemon(p.Name, sensors.SimHost{H: h}, []string{memAddr}, 0, sensors.HybridConfig{})
+		d := nwsnet.NewSensorDaemon(p.Name, sensors.SimHost{H: h}, []string{memAddr})
 		if err := d.Register(nsAddr, memAddr); err != nil {
 			return err
 		}

@@ -98,7 +98,7 @@ func replicatedRun() error {
 	// 10 virtual seconds by a sensor daemon that writes to the group.
 	h := simos.New(simos.DefaultConfig())
 	workload.Submit(h, workload.Thing1().Generate(4000))
-	d := nwsnet.NewSensorDaemon("thing1", sensors.SimHost{H: h}, addrs, 0, sensors.HybridConfig{})
+	d := nwsnet.NewSensorDaemon("thing1", sensors.SimHost{H: h}, addrs)
 	defer d.Close()
 
 	const steps = 60

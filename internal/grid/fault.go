@@ -250,7 +250,7 @@ func faultArm(cfg FaultConfig, events []FaultEvent, repair bool) (ArmResult, err
 		// skewed host never runs out of arrivals.
 		workload.Submit(h, profile.Generate(2*duration))
 		hosts[i] = h
-		daemons[i] = nwsnet.NewSensorDaemonBackend(names[i], sensors.SimHost{H: h}, ledger, sensors.DefaultHybridConfig())
+		daemons[i] = nwsnet.NewSensorDaemonBackend(names[i], sensors.SimHost{H: h}, ledger)
 		daemons[i].SetBacklogCap(cfg.BacklogCap)
 		series[i] = nwsnet.SeriesKey(names[i], "nws_hybrid")
 	}

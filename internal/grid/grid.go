@@ -399,7 +399,7 @@ func Run(cfg Config) (*Report, error) {
 		// arrivals, and fixtures must outlive the horizon.
 		workload.Submit(h, profile.Generate(cfg.Duration+cfg.Cadence))
 		s.host = h
-		s.daemon = nwsnet.NewSensorDaemonBackend(s.name, sensors.SimHost{H: h}, backend, sensors.DefaultHybridConfig())
+		s.daemon = nwsnet.NewSensorDaemonBackend(s.name, sensors.SimHost{H: h}, backend)
 		s.series = nwsnet.SeriesKey(s.name, "nws_hybrid")
 	})
 

@@ -52,7 +52,7 @@ func TestChaosPrimaryReplicaKilledMidRun(t *testing.T) {
 
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemon("chaoshost", sensors.SimHost{H: h}, group, 0, sensors.HybridConfig{})
+	d := NewSensorDaemon("chaoshost", sensors.SimHost{H: h}, group)
 	defer d.Close()
 
 	step := func() {
@@ -129,7 +129,7 @@ func TestChaosFullOutageBacklogDrainsLossless(t *testing.T) {
 
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemon("outagehost", sensors.SimHost{H: h}, []string{addr}, 0, sensors.HybridConfig{})
+	d := NewSensorDaemon("outagehost", sensors.SimHost{H: h}, []string{addr})
 	defer d.Close()
 
 	const before, during = 3, 4
@@ -332,7 +332,7 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 	// replicas, including the one being flooded.
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 7200})
-	d := NewSensorDaemon("floodhost", sensors.SimHost{H: h}, []string{addr0, addr1}, 2, sensors.HybridConfig{})
+	d := NewSensorDaemon("floodhost", sensors.SimHost{H: h}, []string{addr0, addr1})
 	defer d.Close()
 
 	steps := 0
@@ -456,15 +456,11 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 
 	// Under the flood: keep the sensor storing (failures are buffered by
 	// store-and-forward and are acceptable here) until the breaker opens.
-	deadline := time.Now().Add(15 * time.Second)
-	for brkClient.BreakerState(addr0) != resilience.BreakerOpen {
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never opened under the flood")
-		}
+	waitFor(t, 15*time.Second, "breaker opening under the flood", func() bool {
 		step() // errors tolerated: the backlog buffers them
 		brkFetch()
-		time.Sleep(5 * time.Millisecond)
-	}
+		return brkClient.BreakerState(addr0) == resilience.BreakerOpen
+	})
 
 	close(stopFlood)
 	flood.Wait()
@@ -485,18 +481,9 @@ func TestChaosOverloadFloodShedsKeepsSensorQuorum(t *testing.T) {
 
 	// Drain: with the flood gone, the backlog must flush and every
 	// measurement must land on both replicas — zero loss, exactly once.
-	drained := false
-	for i := 0; i < 100; i++ {
-		err := step()
-		if err == nil && d.Backlogged() == 0 {
-			drained = true
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if !drained {
-		t.Fatalf("backlog never drained after the flood: %d points still buffered", d.Backlogged())
-	}
+	waitFor(t, 10*time.Second, "backlog drain after the flood", func() bool {
+		return step() == nil && d.Backlogged() == 0
+	})
 	for _, method := range []string{"load_average", "vmstat", "nws_hybrid"} {
 		k := SeriesKey("floodhost", method)
 		if n := m0.Len(k); n != steps {

@@ -82,13 +82,9 @@ func TestClientConnectionLifecycle(t *testing.T) {
 			pl.Put(parked, true)
 			// Wait for the server's idle reap, then for the parked
 			// connection's reader to see the close.
-			deadline := time.Now().Add(5 * time.Second)
-			for mServerShed.With(shedIdle).Value() == shed0 || parked.alive() {
-				if time.Now().After(deadline) {
-					t.Fatal("the parked connection was never idle-reaped, or its reader never saw the close")
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
+			waitFor(t, 5*time.Second, "idle reap of the parked connection seen by its reader", func() bool {
+				return mServerShed.With(shedIdle).Value() != shed0 && !parked.alive()
+			})
 			// Checkout discards the dead connection and dials, so the store
 			// spends no retry on it.
 			store(t, f, 2)

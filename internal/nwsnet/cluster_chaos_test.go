@@ -23,8 +23,8 @@ type chaosNode struct {
 }
 
 // startChaosNode brings up a shard server and runs the full agent lifecycle
-// (two-phase join plus background lease renewal at interval).
-func startChaosNode(t *testing.T, nsAddr, id string, interval time.Duration) *chaosNode {
+// (two-phase join plus background lease renewal every interval of clk).
+func startChaosNode(t *testing.T, nsAddr, id string, interval time.Duration, clk clock) *chaosNode {
 	t.Helper()
 	n := &chaosNode{id: id, node: NewClusterNode(id, NewMemory(0))}
 	n.srv = NewServer(n.node, nil)
@@ -34,6 +34,7 @@ func startChaosNode(t *testing.T, nsAddr, id string, interval time.Duration) *ch
 	}
 	n.addr = addr
 	n.agent = NewClusterAgent(nil, nsAddr, cluster.Member{ID: id, Kind: string(KindMemory), Addr: addr}, n.node)
+	n.agent.renewals.clk = clk
 	if err := n.agent.Start(context.Background(), interval); err != nil {
 		n.srv.Close()
 		t.Fatal(err)
@@ -58,17 +59,26 @@ func (n *chaosNode) kill() {
 // series converges bit-identical to a single-node reference fed the same
 // points — and unavailability must stay bounded: every write eventually
 // lands, and no write fails with a terminal error that is neither a busy
-// shed nor an ownership redirect.
+// shed nor an ownership redirect. The registry and every agent share one
+// fake clock, advanced a heartbeat at a time.
 func TestChaosClusterShardFailover(t *testing.T) {
 	if testing.Short() {
-		t.Skip("chaos scenario needs real lease expiry time")
+		t.Skip("chaos scenario streams writes over real sockets")
 	}
 	const (
 		ttl       = 900 * time.Millisecond
 		heartbeat = 150 * time.Millisecond
 		nKeys     = 12
 	)
-	ns := NewNameServer(ttl, cluster.Config{Replication: 2, VNodes: 32})
+	ns, fc := fakeNameServer(ttl, cluster.Config{Replication: 2, VNodes: 32})
+	// beat advances the clock n heartbeats. Each beat's renewals are taken
+	// only once the previous beat's have returned, so after beat(n) every
+	// live agent has finished at least n-1 renewal passes.
+	beat := func(n int) {
+		for i := 0; i < n; i++ {
+			fc.advance(heartbeat)
+		}
+	}
 	nsSrv := NewServer(ns, nil)
 	nsAddr, err := nsSrv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -78,7 +88,7 @@ func TestChaosClusterShardFailover(t *testing.T) {
 
 	nodes := make([]*chaosNode, 3)
 	for i := range nodes {
-		nodes[i] = startChaosNode(t, nsAddr, fmt.Sprintf("node-%d", i), heartbeat)
+		nodes[i] = startChaosNode(t, nsAddr, fmt.Sprintf("node-%d", i), heartbeat, fc)
 	}
 
 	ctx := context.Background()
@@ -153,55 +163,58 @@ func TestChaosClusterShardFailover(t *testing.T) {
 
 	waitRounds := func(n int, why string) {
 		t.Helper()
-		deadline := time.Now().Add(20 * time.Second)
-		for time.Now().Before(deadline) {
+		waitFor(t, 20*time.Second, "writer progress: "+why, func() bool {
 			mu.Lock()
 			r, v := rounds, violation
 			mu.Unlock()
 			if v != nil {
 				t.Fatal(v)
 			}
-			if r >= n {
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		t.Fatalf("writer stalled waiting for %s", why)
+			return r >= n
+		})
 	}
-	waitView := func(wantActive int, why string) cluster.View {
+	probe := NewClient(0)
+	defer probe.Close()
+	activeView := func() (cluster.View, int) {
 		t.Helper()
-		probe := NewClient(0)
-		defer probe.Close()
-		deadline := time.Now().Add(3*ttl + 10*time.Second)
-		for time.Now().Before(deadline) {
-			if v, err := probe.FetchViewCtx(ctx, nsAddr, 0); err == nil && v != nil {
-				if len(v.Active(string(KindMemory))) == wantActive {
-					return *v
-				}
-			}
-			time.Sleep(25 * time.Millisecond)
+		v, err := probe.FetchViewCtx(ctx, nsAddr, 0)
+		if err != nil || v == nil {
+			t.Fatalf("registry view: %v", err)
 		}
-		t.Fatalf("view never reached %d active members (%s)", wantActive, why)
-		return cluster.View{}
+		return *v, len(v.Active(string(KindMemory)))
 	}
 
-	// Phase 1: healthy baseline.
+	// Phase 1: healthy baseline, once every agent has renewed into the
+	// view the last join made.
+	beat(2)
 	waitRounds(3, "healthy baseline")
 
-	// Phase 2: kill one shard owner mid-run. Its lease lapses a TTL later,
-	// the epoch bumps, and the survivors' renewal-driven re-sync takes over
-	// its ranges from the surviving replica of each series.
+	// Phase 2: kill one shard owner mid-run. Its lease lapses a TTL after
+	// its last renewal, the epoch bumps, and the survivors' renewal-driven
+	// re-sync takes over its ranges from the surviving replica of each
+	// series.
 	nodes[1].kill()
-	killedAt := time.Now()
-	v := waitView(2, "lease expiry after kill")
-	if got := time.Since(killedAt); got > ttl+10*time.Second {
-		t.Fatalf("lease expiry took %v", got)
+	var v cluster.View
+	for beats := 1; ; beats++ {
+		beat(1)
+		var active int
+		v, active = activeView()
+		if active == 2 {
+			if want := int(ttl / heartbeat); beats != want {
+				t.Fatalf("lease lapsed %d heartbeats after the kill, want %d (the TTL)", beats, want)
+			}
+			break
+		}
+		if active != 3 || beats > int(ttl/heartbeat) {
+			t.Fatalf("view has %d active members %d heartbeats after the kill", active, beats)
+		}
 	}
 	for _, m := range v.Active(string(KindMemory)) {
 		if m.ID == "node-1" {
 			t.Fatal("killed node still active in the view")
 		}
 	}
+	beat(2) // the survivors adopt the view and re-sync
 	mu.Lock()
 	afterKill := rounds
 	mu.Unlock()
@@ -209,8 +222,11 @@ func TestChaosClusterShardFailover(t *testing.T) {
 
 	// Phase 3: a fresh replacement joins and takes the reassigned ranges
 	// over via the two-phase handoff, while writes keep flowing.
-	replacement := startChaosNode(t, nsAddr, "node-3", heartbeat)
-	waitView(3, "replacement activation")
+	replacement := startChaosNode(t, nsAddr, "node-3", heartbeat, fc)
+	if _, active := activeView(); active != 3 {
+		t.Fatalf("view has %d active members after the replacement joined, want 3", active)
+	}
+	beat(2)
 	mu.Lock()
 	afterJoin := rounds
 	mu.Unlock()
@@ -226,24 +242,17 @@ func TestChaosClusterShardFailover(t *testing.T) {
 	}
 	t.Logf("chaos run: %d rounds × %d keys, %d retries during the outage window", finalRounds, nKeys, finalRetries)
 
-	// Give the survivors one heartbeat to finish any in-flight takeover
-	// sync, then verify convergence: every series read through the routing
-	// table must be bit-identical to the single-node reference.
-	time.Sleep(2 * heartbeat)
+	// Let every agent finish two renewal passes after the last write, so
+	// any in-flight takeover sync is done, then verify convergence: every
+	// series read through the routing table must be bit-identical to the
+	// single-node reference.
+	beat(3)
 	for _, key := range keys {
 		want := reference.Handle(Request{Op: OpFetch, Series: key})
 		if want.Error != "" {
 			t.Fatalf("reference fetch %s: %s", key, want.Error)
 		}
-		var got [][2]float64
-		var err error
-		for attempt := 0; attempt < 5; attempt++ {
-			got, err = cc.Fetch(ctx, key, 0, 0, 0)
-			if err == nil {
-				break
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
+		got, err := cc.Fetch(ctx, key, 0, 0, 0)
 		if err != nil {
 			t.Fatalf("cluster fetch %s: %v", key, err)
 		}
@@ -261,7 +270,10 @@ func TestChaosClusterShardFailover(t *testing.T) {
 	// The killed node's ranges must live on the replacement now: the new
 	// ring's owners for every key exclude node-1, and each owner serves the
 	// key's full history locally.
-	final := waitView(3, "final view")
+	final, active := activeView()
+	if active != 3 {
+		t.Fatalf("final view has %d active members, want 3", active)
+	}
 	ring := final.Ring(string(KindMemory))
 	byID := map[string]*chaosNode{"node-0": nodes[0], "node-2": nodes[2], "node-3": replacement}
 	replacementOwns := 0

@@ -363,29 +363,33 @@ func (w logLines) Write(p []byte) (int, error) {
 }
 
 // TestClusterAgentLogsFailedRenewal checks that a renewal the registry
-// cannot answer reaches the operator: the agent's renewal loop logs it
-// through the agent's logger and keeps running.
+// cannot answer reaches the operator: each tick of the agent's renewal loop
+// logs the failure through the agent's logger, and the loop keeps running.
 func TestClusterAgentLogsFailedRenewal(t *testing.T) {
 	lt := NewLocalTransport()
 	lt.Register("registry", NewNameServer(time.Hour, cluster.Config{Replication: 1}))
 	a := NewClusterAgent(lt, "registry", cluster.Member{ID: "f", Kind: string(KindForecaster), Addr: "fc-f"}, nil)
 	lines := make(logLines, 64)
 	a.SetLogger(log.New(lines, "", 0))
-	if err := a.Start(context.Background(), time.Millisecond); err != nil {
+	fc := newFakeClock()
+	a.renewals.clk = fc
+	if err := a.Start(context.Background(), time.Second); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(a.Stop)
 	lt.SetDown("registry", true)
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case line := <-lines:
-			if strings.Contains(line, "lease renewal failed") {
-				return
-			}
-		case <-deadline:
-			t.Fatal("no failed renewal logged within 5 s of the registry going down")
+	// The second tick is taken only once the first pass has returned, and
+	// Stop waits out the second.
+	fc.advance(2 * time.Second)
+	a.Stop()
+	failed := 0
+	for len(lines) > 0 {
+		if strings.Contains(<-lines, "lease renewal failed") {
+			failed++
 		}
+	}
+	if failed != 2 {
+		t.Fatalf("two ticks against a downed registry logged %d failed renewals, want 2", failed)
 	}
 }
 
@@ -432,10 +436,7 @@ func TestMemoryBackfill(t *testing.T) {
 // active lease bumps the epoch and leaves the view, a lapsed joining lease
 // disappears without moving keys.
 func TestNameServerLeaseExpiry(t *testing.T) {
-	ns := NewNameServer(time.Second, cluster.Config{Replication: 2})
-	now := time.Unix(1000, 0)
-	ns.now = func() time.Time { return now }
-	ns.lastSweep = now
+	ns, fc := fakeNameServer(time.Second, cluster.Config{Replication: 2})
 
 	join := func(id string, state cluster.State) Response {
 		return ns.Handle(Request{Op: OpJoin, Member: &cluster.Member{ID: id, Kind: string(KindMemory), Addr: id + ":1", State: state}})
@@ -448,7 +449,7 @@ func TestNameServerLeaseExpiry(t *testing.T) {
 	}
 
 	// b (joining) lapses: no epoch movement, member gone.
-	now = now.Add(1100 * time.Millisecond)
+	fc.advance(1100 * time.Millisecond)
 	ns.Handle(Request{Op: OpLease, Member: &cluster.Member{ID: "a"}, Epoch: 1}) // keeps a alive? no — a lapsed too
 	v := *ns.Handle(Request{Op: OpView}).View
 	if len(v.Members) != 0 {
@@ -468,7 +469,7 @@ func TestNameServerLeaseExpiry(t *testing.T) {
 		t.Fatal(r.Error)
 	}
 	for i := 0; i < 3; i++ {
-		now = now.Add(600 * time.Millisecond)
+		fc.advance(600 * time.Millisecond)
 		if r := ns.Handle(Request{Op: OpLease, Member: &cluster.Member{ID: "a"}, Epoch: epoch}); r.Error != "" {
 			t.Fatalf("renewal %d: %s", i, r.Error)
 		}
@@ -487,10 +488,7 @@ func TestNameServerLeaseExpiry(t *testing.T) {
 // lookups inside one TTL window runs at most one full sweep, and an expired
 // entry observed by a lookup is reaped individually without sweeping.
 func TestNameServerAmortizedReap(t *testing.T) {
-	ns := NewNameServer(time.Second, cluster.Config{})
-	now := time.Unix(2000, 0)
-	ns.now = func() time.Time { return now }
-	ns.lastSweep = now
+	ns, fc := fakeNameServer(time.Second, cluster.Config{})
 
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -506,7 +504,7 @@ func TestNameServerAmortizedReap(t *testing.T) {
 	}
 
 	// A burst of lookups within the TTL window: zero sweeps.
-	now = now.Add(500 * time.Millisecond)
+	fc.advance(500 * time.Millisecond)
 	for i := 0; i < n; i++ {
 		r := ns.Handle(Request{Op: OpLookup, Reg: Registration{Name: fmt.Sprintf("h%04d/cpu", i%n)}})
 		if r.Error != "" {
@@ -518,7 +516,7 @@ func TestNameServerAmortizedReap(t *testing.T) {
 	}
 
 	// Crossing the TTL boundary: the whole burst triggers exactly one sweep.
-	now = now.Add(600 * time.Millisecond)
+	fc.advance(600 * time.Millisecond)
 	for i := 0; i < n; i++ {
 		ns.Handle(Request{Op: OpLookup, Reg: Registration{Name: fmt.Sprintf("h%04d/cpu", i)}})
 	}
@@ -529,12 +527,12 @@ func TestNameServerAmortizedReap(t *testing.T) {
 	// An expired entry hit by a lookup is reaped individually, without a
 	// full sweep: register an entry young enough to survive the next sweep,
 	// then look it up once it has lapsed but before the sweep after that.
-	now = now.Add(500 * time.Millisecond)
+	fc.advance(500 * time.Millisecond)
 	ns.Handle(Request{Op: OpRegister, Reg: Registration{Name: "lapsing/cpu", Kind: KindSensor, Addr: "a:1"}})
-	now = now.Add(600 * time.Millisecond) // crosses the boundary: next request sweeps
+	fc.advance(600 * time.Millisecond) // crosses the boundary: next request sweeps
 	ns.Handle(Request{Op: OpRegister, Reg: Registration{Name: "fresh/cpu", Kind: KindSensor, Addr: "a:1"}})
 	sweeps := ns.sweeps // lapsing/cpu (0.6s old) survived that sweep
-	now = now.Add(600 * time.Millisecond)
+	fc.advance(600 * time.Millisecond)
 	if r := ns.Handle(Request{Op: OpLookup, Reg: Registration{Name: "lapsing/cpu"}}); r.Error == "" {
 		t.Fatal("expired entry still resolvable")
 	}

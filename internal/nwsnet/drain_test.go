@@ -3,6 +3,7 @@ package nwsnet
 import (
 	"context"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,19 +11,23 @@ import (
 	"nwscpu/internal/resilience"
 )
 
-// slowHandler answers every request after a fixed delay.
-type slowHandler struct{ delay time.Duration }
+// heldHandler answers every request once it is closed.
+type heldHandler chan struct{}
 
-func (h slowHandler) Handle(req Request) Response {
-	time.Sleep(h.delay)
+func (h heldHandler) Handle(Request) Response {
+	<-h
 	return Response{}
 }
 
 func TestServerCloseDrainsInFlightRequests(t *testing.T) {
 	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
 	srv := NewServer(handlerFunc(func(Request) Response {
 		started <- struct{}{}
-		time.Sleep(200 * time.Millisecond)
+		<-release
 		return Response{}
 	}), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -45,6 +50,17 @@ func TestServerCloseDrainsInFlightRequests(t *testing.T) {
 	<-started
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- srv.Close() }()
+	// Release the handler only once Close has cut every connection's
+	// read short: it sets closed and expires the deadlines under mu.
+	waitFor(t, 5*time.Second, "Close starting", srv.closed.Load)
+	srv.mu.Lock()
+	srv.mu.Unlock()
+	select {
+	case <-closeDone:
+		t.Fatal("Close returned with a request in flight")
+	default:
+	}
+	unblock()
 
 	// The in-flight request must complete with a real response, not an
 	// aborted connection.
@@ -66,12 +82,14 @@ func TestServerCloseDrainsInFlightRequests(t *testing.T) {
 }
 
 func TestClientContextCancelsCall(t *testing.T) {
-	srv := NewServer(slowHandler{delay: time.Second}, nil)
+	held := make(heldHandler)
+	srv := NewServer(held, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	defer close(held) // before Close, which drains the held request
 
 	c := NewClient(10 * time.Second) // the context, not the timeout, must cut this short
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
@@ -89,12 +107,14 @@ func TestClientContextCancelsCall(t *testing.T) {
 // says nothing about the endpoint, so the breaker stays closed however often
 // it happens.
 func TestClientCancelIsNotChargedToBreaker(t *testing.T) {
-	srv := NewServer(slowHandler{delay: 200 * time.Millisecond}, nil)
+	held := make(heldHandler)
+	srv := NewServer(held, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	defer close(held) // before Close, which drains the held requests
 
 	c := NewClientOptions(ClientOptions{
 		Timeout: 10 * time.Second,
@@ -119,9 +139,10 @@ func TestClientCancelIsNotChargedToBreaker(t *testing.T) {
 func TestClientDefaultTimeoutStillApplies(t *testing.T) {
 	// The first request is answered at once; every later one stalls.
 	var served atomic.Int64
+	release := make(chan struct{})
 	srv := NewServer(handlerFunc(func(Request) Response {
 		if served.Add(1) > 1 {
-			time.Sleep(time.Second)
+			<-release
 		}
 		return Response{}
 	}), nil)
@@ -130,6 +151,7 @@ func TestClientDefaultTimeoutStillApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	defer close(release) // before Close, which drains the stalled request
 
 	// No context given: the constructor timeout is the only bound, as
 	// before. With retries disabled the deadline error surfaces directly.

@@ -31,10 +31,7 @@ func NewLocalBackend(h Handler) *LocalBackend {
 // LocalBackend. The store-and-forward backlog, outage accounting and Step
 // semantics are identical to the socket-backed constructors; only the
 // delivery plane differs. The daemon owns no client, so Close is a no-op.
-func NewSensorDaemonBackend(hostName string, h sensors.Host, backend StoreBackend, hybrid sensors.HybridConfig) *SensorDaemon {
-	if hybrid.ProbeEvery == 0 {
-		hybrid = sensors.DefaultHybridConfig()
-	}
+func NewSensorDaemonBackend(hostName string, h sensors.Host, backend StoreBackend) *SensorDaemon {
 	return &SensorDaemon{
 		hostName:   hostName,
 		host:       h,
@@ -44,7 +41,7 @@ func NewSensorDaemonBackend(hostName string, h sensors.Host, backend StoreBacken
 		sensors: []sensors.Sensor{
 			sensors.NewLoadAvgSensor(h),
 			sensors.NewVmstatSensor(h, 0),
-			sensors.NewHybridSensor(h, hybrid),
+			sensors.NewHybridSensor(h, sensors.DefaultHybridConfig()),
 		},
 	}
 }

@@ -19,7 +19,7 @@ func TestLocalBackendRoundTrip(t *testing.T) {
 
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemonBackend("simhost", sensors.SimHost{H: h}, backend, sensors.HybridConfig{})
+	d := NewSensorDaemonBackend("simhost", sensors.SimHost{H: h}, backend)
 	defer d.Close()
 
 	const cadence = 10.0

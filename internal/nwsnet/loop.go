@@ -9,8 +9,10 @@ import (
 // cluster agent's lease renewals and the forecaster's refresher. A loop
 // runs at most once in its life: start on a loop that is running or was
 // halted does nothing, and halt is safe before start and when called twice.
-// The zero value is ready to start.
+// The zero value is ready to start, on the wall clock.
 type loop struct {
+	clk clock // nil selects wallClock
+
 	mu     sync.Mutex
 	halted bool
 	stop   chan struct{} // closed by the first halt after start
@@ -27,15 +29,19 @@ func (l *loop) start(interval time.Duration, fn func()) bool {
 	}
 	stop, done := make(chan struct{}), make(chan struct{})
 	l.stop, l.done = stop, done
+	clk := l.clk
+	if clk == nil {
+		clk = wallClock{}
+	}
+	tick, stopTick := clk.ticker(interval)
 	go func() {
 		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
+		defer stopTick()
 		for {
 			select {
 			case <-stop:
 				return
-			case <-t.C:
+			case <-tick:
 				fn()
 			}
 		}

@@ -8,25 +8,28 @@ import (
 )
 
 // TestLoopRunsAtMostOnce takes the periodic loop through each order of
-// start and halt: once halted a loop never runs again, a second start does
-// not launch a second goroutine, and halt is safe before start and twice.
-// Every row ends with two concurrent halts; no pass may run after the
-// row's first halt.
+// start and halt on a fake clock: once halted a loop never runs again, a
+// second start does not launch a second goroutine, and halt is safe before
+// start and twice. Every row ends with two concurrent halts; a started loop
+// runs exactly one pass per tick before its first halt and none after,
+// because the first halt stops its ticker.
 func TestLoopRunsAtMostOnce(t *testing.T) {
+	const interval = time.Second
 	rows := []struct {
 		name   string
 		ops    string // s = start, h = halt, in order
 		starts string // what each start reports: t or f
-		runs   bool   // whether any pass runs
+		passes int64  // passes run by the first halt
 	}{
-		{"halt before start", "hs", "f", false},
-		{"start twice", "ss", "tf", true},
-		{"halt twice", "shh", "t", true},
-		{"start after halt", "shs", "tf", true},
+		{"halt before start", "hs", "f", 0},
+		{"start twice", "ss", "tf", 3},
+		{"halt twice", "shh", "t", 3},
+		{"start after halt", "shs", "tf", 3},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			var l loop
+			fc := newFakeClock()
+			l := loop{clk: fc}
 			var passes atomic.Int64
 			starts, halted := "", int64(-1) // passes run by the first halt
 			halt := func() {
@@ -40,17 +43,12 @@ func TestLoopRunsAtMostOnce(t *testing.T) {
 					halt()
 					continue
 				}
-				if !l.start(time.Millisecond, func() { passes.Add(1) }) {
+				if !l.start(interval, func() { passes.Add(1) }) {
 					starts += "f"
 					continue
 				}
 				starts += "t"
-				for deadline := time.Now().Add(5 * time.Second); passes.Load() < 3; {
-					if time.Now().After(deadline) {
-						t.Fatalf("started loop ran %d passes in 5 s", passes.Load())
-					}
-					time.Sleep(time.Millisecond)
-				}
+				fc.advance(3 * interval) // three ticks, each taken before the next
 			}
 			if starts != row.starts {
 				t.Fatalf("starts reported %q, want %q", starts, row.starts)
@@ -66,10 +64,13 @@ func TestLoopRunsAtMostOnce(t *testing.T) {
 			}
 			wg.Wait()
 			halt()
-			if (halted > 0) != row.runs {
-				t.Fatalf("loop ran %d passes, want any: %v", halted, row.runs)
+			if halted != row.passes {
+				t.Fatalf("loop ran %d passes by its first halt, want %d", halted, row.passes)
 			}
-			time.Sleep(10 * time.Millisecond) // ten intervals
+			if n := fc.armed(); n != 0 {
+				t.Fatalf("%d tickers still armed after halt", n)
+			}
+			fc.advance(10 * interval)
 			if got := passes.Load(); got != halted {
 				t.Fatalf("loop ran %d more passes after its first halt", got-halted)
 			}

@@ -123,14 +123,9 @@ func TestMuxBusyClassification(t *testing.T) {
 	defer blocker.Close()
 	blockerDone := make(chan error, 1)
 	go func() { blockerDone <- blocker.StoreCtx(context.Background(), addr, "a", [][2]float64{{1, 1}}) }()
-	// Wait until the blocker's handler is actually holding the slot.
-	deadline := time.Now().Add(2 * time.Second)
-	for mServerInFlight.Value() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("blocker never reached the handler")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "blocker holding the handler slot", func() bool {
+		return mServerInFlight.Value() >= 1
+	})
 
 	c2 := mux.Go(Request{Op: OpStore, Series: "b"})
 	_, err2 := c2.Wait()

@@ -23,8 +23,8 @@ import (
 // request crosses the boundary), so per-request cost stays O(1) regardless
 // of directory size.
 type NameServer struct {
-	ttl time.Duration    // 0 = entries never expire
-	now func() time.Time // injected for tests
+	ttl time.Duration // 0 = entries never expire
+	clk clock
 
 	mu        sync.Mutex
 	entries   map[string]nsEntry
@@ -56,18 +56,18 @@ type memberEntry struct {
 func NewNameServer(ttl time.Duration, cfg cluster.Config) *NameServer {
 	ns := &NameServer{
 		ttl:     ttl,
-		now:     time.Now,
+		clk:     wallClock{},
 		entries: make(map[string]nsEntry),
 		ccfg:    cfg.Normalize(),
 		members: make(map[string]*memberEntry),
 	}
-	ns.lastSweep = ns.now()
+	ns.lastSweep = ns.clk.now()
 	return ns
 }
 
 // alive reports whether e is still fresh.
 func (ns *NameServer) alive(seen time.Time) bool {
-	return ns.ttl <= 0 || ns.now().Sub(seen) < ns.ttl
+	return ns.ttl <= 0 || ns.clk.now().Sub(seen) < ns.ttl
 }
 
 // reapLocked deletes every expired entry and lease, counting each reap
@@ -96,7 +96,7 @@ func (ns *NameServer) maybeSweepLocked() {
 	if ns.ttl <= 0 {
 		return
 	}
-	if now := ns.now(); now.Sub(ns.lastSweep) >= ns.ttl {
+	if now := ns.clk.now(); now.Sub(ns.lastSweep) >= ns.ttl {
 		ns.lastSweep = now
 		ns.sweeps++
 		ns.reapLocked()
@@ -164,7 +164,7 @@ func (ns *NameServer) Handle(req Request) Response {
 		}
 		ns.mu.Lock()
 		ns.maybeSweepLocked()
-		ns.entries[req.Reg.Name] = nsEntry{reg: req.Reg, seen: ns.now()}
+		ns.entries[req.Reg.Name] = nsEntry{reg: req.Reg, seen: ns.clk.now()}
 		mNSRegistrations.Inc()
 		mNSEntries.Set(float64(len(ns.entries)))
 		ns.mu.Unlock()
@@ -240,7 +240,7 @@ func (ns *NameServer) handleJoin(req Request) Response {
 	ns.mu.Lock()
 	ns.reapMembersLocked()
 	prev, existed := ns.members[m.ID]
-	entry := &memberEntry{m: *m, seen: ns.now()}
+	entry := &memberEntry{m: *m, seen: ns.clk.now()}
 	entry.m.State = state
 	ns.members[m.ID] = entry
 	// Ownership changes exactly when the active member set changes: a
@@ -285,7 +285,7 @@ func (ns *NameServer) handleLease(req Request) Response {
 		ns.mu.Unlock()
 		return errResp("lease: unknown member %q (lease expired or registry restarted; re-join)", req.Member.ID)
 	}
-	me.seen = ns.now()
+	me.seen = ns.clk.now()
 	var v *cluster.View
 	if req.Epoch != ns.epoch {
 		v = ns.viewLocked()

@@ -123,7 +123,7 @@ func (s *nanSensor) Measure() float64 {
 func TestSensorDaemonDropsNonFiniteReading(t *testing.T) {
 	mem := NewMemory(0)
 	h := simos.New(simos.DefaultConfig())
-	d := NewSensorDaemonBackend("h", sensors.SimHost{H: h}, NewLocalBackend(mem), sensors.HybridConfig{})
+	d := NewSensorDaemonBackend("h", sensors.SimHost{H: h}, NewLocalBackend(mem))
 	d.sensors = []sensors.Sensor{&nanSensor{}}
 	key := SeriesKey("h", "flaky")
 	for step := 1; step <= 4; step++ {

@@ -237,7 +237,7 @@ func TestSensorDaemonSimulated(t *testing.T) {
 
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemon("simhost", sensors.SimHost{H: h}, []string{memAddr}, 0, sensors.HybridConfig{})
+	d := NewSensorDaemon("simhost", sensors.SimHost{H: h}, []string{memAddr})
 	if err := d.Register(nsAddr, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestSensorDaemonStoreAndForward(t *testing.T) {
 	}
 
 	h := simos.New(simos.DefaultConfig())
-	d := NewSensorDaemon("safhost", sensors.SimHost{H: h}, []string{addr}, 0, sensors.HybridConfig{})
+	d := NewSensorDaemon("safhost", sensors.SimHost{H: h}, []string{addr})
 	defer d.Close()
 
 	// Deliver a couple of measurements, then take the memory down.
@@ -402,7 +402,7 @@ func TestSensorDaemonStoreAndForward(t *testing.T) {
 
 func TestSensorDaemonBacklogBounded(t *testing.T) {
 	h := simos.New(simos.DefaultConfig())
-	d := NewSensorDaemon("bh", sensors.SimHost{H: h}, []string{"127.0.0.1:1"}, 0, sensors.HybridConfig{})
+	d := NewSensorDaemon("bh", sensors.SimHost{H: h}, []string{"127.0.0.1:1"})
 	defer d.Close()
 	d.backlogCap = 5
 	for i := 0; i < 10; i++ {

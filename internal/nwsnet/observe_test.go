@@ -103,7 +103,7 @@ func TestSensorDaemonDropAccountingAndOutageLog(t *testing.T) {
 	}
 
 	h := simos.New(simos.DefaultConfig())
-	d := NewSensorDaemon("drophost", sensors.SimHost{H: h}, []string{addr}, 0, sensors.HybridConfig{})
+	d := NewSensorDaemon("drophost", sensors.SimHost{H: h}, []string{addr})
 	defer d.Close()
 	d.backlogCap = 4
 	var buf bytes.Buffer
@@ -185,10 +185,7 @@ func TestNameServerMetrics(t *testing.T) {
 	misses0 := mNSLookups.With("miss").Value()
 	expiries0 := mNSExpiries.Value()
 
-	base := time.Now()
-	cur := base
-	ns := NewNameServer(100*time.Millisecond, cluster.Config{})
-	ns.now = func() time.Time { return cur }
+	ns, fc := fakeNameServer(100*time.Millisecond, cluster.Config{})
 
 	reg := Registration{Name: "a/cpu", Kind: KindSensor, Addr: "x:1"}
 	if resp := ns.Handle(Request{Op: OpRegister, Reg: reg}); resp.Error != "" {
@@ -205,7 +202,7 @@ func TestNameServerMetrics(t *testing.T) {
 	}
 
 	// Let the TTL lapse: the next lookup reaps and misses.
-	cur = base.Add(200 * time.Millisecond)
+	fc.advance(200 * time.Millisecond)
 	if resp := ns.Handle(Request{Op: OpLookup, Reg: Registration{Name: "a/cpu"}}); resp.Error == "" {
 		t.Fatal("expired entry still resolves")
 	}

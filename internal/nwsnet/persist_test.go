@@ -264,9 +264,7 @@ func TestPersistentMemoryKeyEscaping(t *testing.T) {
 }
 
 func TestNameServerTTLExpiry(t *testing.T) {
-	ns := NewNameServer(time.Minute, cluster.Config{})
-	now := time.Unix(1000, 0)
-	ns.now = func() time.Time { return now }
+	ns, fc := fakeNameServer(time.Minute, cluster.Config{})
 
 	reg := Registration{Name: "s1", Kind: KindSensor, Addr: "a:1"}
 	if resp := ns.Handle(Request{Op: OpRegister, Reg: reg}); resp.Error != "" {
@@ -276,7 +274,7 @@ func TestNameServerTTLExpiry(t *testing.T) {
 		t.Fatalf("fresh entry not found: %s", resp.Error)
 	}
 
-	now = now.Add(2 * time.Minute)
+	fc.advance(2 * time.Minute)
 	if resp := ns.Handle(Request{Op: OpLookup, Reg: Registration{Name: "s1"}}); resp.Error == "" {
 		t.Fatal("stale entry still resolvable")
 	}
@@ -294,11 +292,9 @@ func TestNameServerTTLExpiry(t *testing.T) {
 }
 
 func TestNameServerZeroTTLNeverExpires(t *testing.T) {
-	ns := NewNameServer(0, cluster.Config{})
-	now := time.Unix(0, 0)
-	ns.now = func() time.Time { return now }
+	ns, fc := fakeNameServer(0, cluster.Config{})
 	ns.Handle(Request{Op: OpRegister, Reg: Registration{Name: "x", Kind: KindMemory, Addr: "a:1"}})
-	now = now.Add(1000 * time.Hour)
+	fc.advance(1000 * time.Hour)
 	if resp := ns.Handle(Request{Op: OpLookup, Reg: Registration{Name: "x"}}); resp.Error != "" {
 		t.Fatal("entry expired with zero TTL")
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -18,6 +19,16 @@ func newStalledSink(t *testing.T, limits ServerLimits) (*binSink, net.Conn) {
 	c1, c2 := net.Pipe()
 	t.Cleanup(func() { c1.Close(); c2.Close() })
 	return &binSink{conn: c1, limits: limits, w: bufio.NewWriterSize(c1, 16)}, c2
+}
+
+// awaitWrite returns once a write is under way on the sink whose peer is
+// peer: it takes the first byte of that write and leaves the rest
+// blocked, so the writer still holds the sink.
+func awaitWrite(t *testing.T, peer net.Conn) {
+	t.Helper()
+	if _, err := io.ReadFull(peer, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func pushResult() Response {
@@ -195,7 +206,7 @@ func TestRefreshTickOneWritePerConnection(t *testing.T) {
 // the service. A concurrent batch while the first is still draining must
 // be dropped whole, immediately.
 func TestPushBatchNeverWedgesOnStalledSink(t *testing.T) {
-	sink, _ := newStalledSink(t, ServerLimits{}) // WriteTimeout == 0: the buggy configuration
+	sink, peer := newStalledSink(t, ServerLimits{}) // WriteTimeout == 0: the buggy configuration
 
 	// The first batch occupies the sink: it blocks on the unread pipe until
 	// the push write budget expires and poisons the sink.
@@ -210,9 +221,9 @@ func TestPushBatchNeverWedgesOnStalledSink(t *testing.T) {
 		first <- result{n, err}
 	}()
 
-	// Give the first batch time to enter the blocking write, then push
-	// again: it must return promptly, delivering nothing and not failing.
-	time.Sleep(50 * time.Millisecond)
+	// Once the first batch is inside its blocking write, push again: it
+	// must return promptly, delivering nothing and not failing.
+	awaitWrite(t, peer)
 	start := time.Now()
 	if n, err := sink.PushBatch(pushBatchOf(t, 10, 5, pushResult())); n != 0 || err != nil {
 		t.Fatalf("concurrent batch = %d, %v; want 0 delivered, nil", n, err)
@@ -262,7 +273,7 @@ func TestRefreshSurvivesStalledSubscriber(t *testing.T) {
 	}
 	store(1)
 
-	stalled, _ := newStalledSink(t, ServerLimits{})
+	stalled, stalledPeer := newStalledSink(t, ServerLimits{})
 	healthy, healthyPeer := newStalledSink(t, ServerLimits{})
 	// Drain the healthy peer so its pushes always land.
 	received := make(chan int, 1024)
@@ -298,7 +309,7 @@ func TestRefreshSurvivesStalledSubscriber(t *testing.T) {
 		_, _ = stalled.PushBatch(occupying) // its timeout is the point, not its result
 		close(occupied)
 	}()
-	time.Sleep(50 * time.Millisecond)
+	awaitWrite(t, stalledPeer)
 
 	pushes0, drops0 := mFcPushes.Value(), mFcPushesDropped.Value()
 	store(2)

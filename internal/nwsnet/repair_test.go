@@ -331,7 +331,7 @@ func TestReplicaDivergenceBeyondBacklogWindow(t *testing.T) {
 	lt, mems, addrs := localReplicaSet(3)
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemon("rhost", sensors.SimHost{H: h}, addrs, 2, sensors.HybridConfig{})
+	d := NewSensorDaemon("rhost", sensors.SimHost{H: h}, addrs)
 	defer d.Close()
 	// Rewire the daemon onto the in-process replica set.
 	d.group = NewReplicaGroupTransport(lt, addrs, 2)
@@ -412,26 +412,27 @@ func TestRepairerStartStop(t *testing.T) {
 	lt, mems, addrs := localReplicaSet(2)
 	mems[0].Handle(Request{Op: OpStore, Series: "k", Points: [][2]float64{{1, 0.1}}})
 	rp := NewRepairer(lt, mems[1], addrs[:1])
-	rp.Start(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for mems[1].Len("k") == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	fc := newFakeClock()
+	rp.loop.clk = fc
+	rp.Start(time.Second)
+	if got := mems[1].Len("k"); got != 0 {
+		t.Fatalf("repair ran before its first tick: replica holds %d points", got)
 	}
-	rp.Stop()
+	fc.advance(time.Second)
+	rp.Stop() // waits for the round the tick started
 	rp.Stop() // idempotent
 	if mems[1].Len("k") != 1 {
 		t.Fatal("background repair loop never converged the replica")
 	}
 	// A stopped loop pulls nothing more, and Start after Stop is a no-op.
 	mems[0].Handle(Request{Op: OpStore, Series: "k", Points: [][2]float64{{2, 0.2}}})
-	time.Sleep(5 * time.Millisecond)
-	if got := mems[1].Len("k"); got != 1 {
-		t.Fatalf("repair loop still running after Stop: replica holds %d points", got)
+	rp.Start(time.Second)
+	if n := fc.armed(); n != 0 {
+		t.Fatalf("Start after Stop armed %d tickers", n)
 	}
-	rp.Start(time.Millisecond)
-	time.Sleep(5 * time.Millisecond)
+	fc.advance(10 * time.Second)
 	if got := mems[1].Len("k"); got != 1 {
-		t.Fatal("Start after Stop relaunched the loop")
+		t.Fatalf("repair loop ran after Stop: replica holds %d points", got)
 	}
 }
 

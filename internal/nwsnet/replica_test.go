@@ -309,7 +309,7 @@ func TestSensorBacklogDrainsAfterQuorumLoss(t *testing.T) {
 
 	h := simos.New(simos.DefaultConfig())
 	h.Spawn(simos.ProcSpec{Demand: math.Inf(1), WallLimit: 3600})
-	d := NewSensorDaemon("qhost", sensors.SimHost{H: h}, addrs, 0, sensors.HybridConfig{})
+	d := NewSensorDaemon("qhost", sensors.SimHost{H: h}, addrs)
 	defer d.Close()
 
 	step := func(wantErr bool) {

@@ -60,12 +60,9 @@ const backlogDefaultCap = 360
 
 // NewSensorDaemon builds a daemon for the named host, pushing to a
 // replicated memory group: every measurement fans out to all of memAddrs and
-// is delivered once quorum replicas acknowledge (quorum <= 0 selects a
-// majority). A single memory server is the group []string{addr}, quorum 0.
-func NewSensorDaemon(hostName string, h sensors.Host, memAddrs []string, quorum int, hybrid sensors.HybridConfig) *SensorDaemon {
-	if hybrid.ProbeEvery == 0 {
-		hybrid = sensors.DefaultHybridConfig()
-	}
+// is delivered once a majority of the replicas acknowledges. A single memory
+// server is the group []string{addr}.
+func NewSensorDaemon(hostName string, h sensors.Host, memAddrs []string) *SensorDaemon {
 	// Short per-attempt retries: the store-and-forward backlog is the
 	// durable recovery path, so the in-call policy only smooths blips
 	// (a connection dying mid-exchange, a server restart).
@@ -78,19 +75,9 @@ func NewSensorDaemon(hostName string, h sensors.Host, memAddrs []string, quorum 
 		// replica.
 		Breaker: true,
 	})
-	return &SensorDaemon{
-		hostName:   hostName,
-		host:       h,
-		client:     client,
-		group:      NewReplicaGroup(client, memAddrs, quorum),
-		backlog:    make(map[string][][2]float64),
-		backlogCap: backlogDefaultCap,
-		sensors: []sensors.Sensor{
-			sensors.NewLoadAvgSensor(h),
-			sensors.NewVmstatSensor(h, 0),
-			sensors.NewHybridSensor(h, hybrid),
-		},
-	}
+	d := NewSensorDaemonBackend(hostName, h, NewReplicaGroup(client, memAddrs, 0))
+	d.client = client
+	return d
 }
 
 // NewSensorDaemonCluster builds a daemon pushing into a partitioned
@@ -101,8 +88,8 @@ func NewSensorDaemon(hostName string, h sensors.Host, memAddrs []string, quorum 
 // costs one extra round trip, not an outage — and anything still
 // undeliverable rides the same store-and-forward backlog as the replicated
 // path.
-func NewSensorDaemonCluster(hostName string, h sensors.Host, nsAddr string, hybrid sensors.HybridConfig) *SensorDaemon {
-	d := NewSensorDaemon(hostName, h, nil, 0, hybrid)
+func NewSensorDaemonCluster(hostName string, h sensors.Host, nsAddr string) *SensorDaemon {
+	d := NewSensorDaemon(hostName, h, nil)
 	d.group = NewReplicaGroupCluster(d.client, nsAddr)
 	return d
 }

@@ -90,6 +90,7 @@ type Server struct {
 	logger   *log.Logger
 	limits   ServerLimits
 	inflight chan struct{} // in-flight request slots; nil when unlimited
+	clk      clock
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -118,6 +119,7 @@ func NewServerLimits(handler Handler, logger *log.Logger, limits ServerLimits) *
 		handler: handler,
 		logger:  logger,
 		limits:  limits,
+		clk:     wallClock{},
 		conns:   make(map[net.Conn]struct{}),
 	}
 	if limits.MaxInFlight > 0 {
@@ -606,12 +608,12 @@ func (s *Server) dispatch(req *Request) Response {
 	case s.inflight <- struct{}{}:
 	default:
 		mServerQueueDepth.Inc()
-		t := time.NewTimer(s.limits.QueueWait)
+		expired, stop := s.clk.timer(s.limits.QueueWait)
 		select {
 		case s.inflight <- struct{}{}:
-			t.Stop()
+			stop()
 			mServerQueueDepth.Dec()
-		case <-t.C:
+		case <-expired:
 			mServerQueueDepth.Dec()
 			mServerShed.With(shedQueue).Inc()
 			return busyResp("server overloaded: no in-flight slot within %v; retry", s.limits.QueueWait)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -24,7 +25,15 @@ func (f handlerFunc) Handle(req Request) Response { return f(req) }
 // startServerLimits runs a limited server over h and returns its address.
 func startServerLimits(t *testing.T, h Handler, limits ServerLimits) (*Server, string) {
 	t.Helper()
+	return startServerClock(t, h, limits, wallClock{})
+}
+
+// startServerClock is startServerLimits with the server's quota and queue
+// decisions on clk.
+func startServerClock(t *testing.T, h Handler, limits ServerLimits, clk clock) (*Server, string) {
+	t.Helper()
 	srv := NewServerLimits(h, nil, limits)
+	srv.clk = clk
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -33,20 +42,14 @@ func startServerLimits(t *testing.T, h Handler, limits ServerLimits) (*Server, s
 	return srv, addr
 }
 
-// waitForGoroutines polls until the goroutine count drops back to at most
-// want, failing the test after a generous deadline. Goroutine counts are
-// noisy (the runtime and other tests run their own), so callers pass a
-// baseline captured before the load plus slack.
+// waitForGoroutines waits until the goroutine count drops back to at most
+// want. Goroutine counts are noisy (the runtime and other tests run their
+// own), so callers pass a baseline captured before the load plus slack.
 func waitForGoroutines(t *testing.T, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= want {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines = %d, want <= %d (leaked serving goroutines?)", runtime.NumGoroutine(), want)
+	waitFor(t, 5*time.Second, fmt.Sprintf("drop to %d goroutines (leaked serving goroutines?)", want), func() bool {
+		return runtime.NumGoroutine() <= want
+	})
 }
 
 func TestServerShedsConnectionsOverCap(t *testing.T) {
@@ -62,11 +65,9 @@ func TestServerShedsConnectionsOverCap(t *testing.T) {
 		defer c.Close()
 		held = append(held, c)
 	}
-	// Give the accept loop a moment to register both.
-	deadline := time.Now().Add(2 * time.Second)
-	for mServerConnsActive.Value() < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "accept loop registering both connections", func() bool {
+		return mServerConnsActive.Value() >= 2
+	})
 
 	shed0 := mServerShed.With(shedConns).Value()
 	// A third connection must be answered with a retryable busy response,
@@ -87,16 +88,10 @@ func TestServerShedsConnectionsOverCap(t *testing.T) {
 	// Releasing a held connection frees capacity for new clients.
 	held[0].Close()
 	cl := NewClient(time.Second)
-	var ok bool
-	for i := 0; i < 100 && !ok; i++ {
-		ok = cl.PingCtx(context.Background(), addr) == nil
-		if !ok {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	if !ok {
-		t.Fatal("server did not recover capacity after a connection closed")
-	}
+	defer cl.Close()
+	waitFor(t, 5*time.Second, "capacity recovered after a connection closed", func() bool {
+		return cl.PingCtx(context.Background(), addr) == nil
+	})
 }
 
 func TestServerIdleDeadlineFreesGoroutine(t *testing.T) {
@@ -120,10 +115,9 @@ func TestServerIdleDeadlineFreesGoroutine(t *testing.T) {
 	// Wait on the event itself — every idle connection shed — not on the
 	// process-wide goroutine count, which can dip to the target while the
 	// last serving goroutine is still between its deadline and its counter.
-	deadline := time.Now().Add(5 * time.Second)
-	for mServerShed.With(shedIdle).Value()-shed0 < n && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "idle shed of every silent connection", func() bool {
+		return mServerShed.With(shedIdle).Value()-shed0 >= n
+	})
 	if got := mServerShed.With(shedIdle).Value() - shed0; got != n {
 		t.Errorf("shed(idle) delta = %d, want %d", got, n)
 	}
@@ -158,10 +152,9 @@ func TestServerWriteDeadlineFreesStalledReader(t *testing.T) {
 	}
 	// Never read. A response frame's write must block, and binSink's write
 	// deadline must shed it and cut the connection.
-	deadline := time.Now().Add(5 * time.Second)
-	for mServerShed.With(shedWrite).Value() == shed0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "write shed", func() bool {
+		return mServerShed.With(shedWrite).Value() != shed0
+	})
 	if got := mServerShed.With(shedWrite).Value() - shed0; got != 1 {
 		t.Fatalf("shed(write) delta = %d, want 1", got)
 	}
@@ -170,8 +163,9 @@ func TestServerWriteDeadlineFreesStalledReader(t *testing.T) {
 }
 
 func TestServerQueueShedsWithinBudget(t *testing.T) {
-	// One in-flight slot, held by a blocked request; the next request must be
-	// shed with a busy answer in roughly QueueWait, not the client timeout.
+	// One in-flight slot, held by a request blocked on a channel; the next
+	// request must be shed with a busy answer once QueueWait has passed on
+	// the server's clock, not a moment before and not at the client timeout.
 	release := make(chan struct{})
 	h := handlerFunc(func(req Request) Response {
 		if req.Op == OpStore {
@@ -180,7 +174,8 @@ func TestServerQueueShedsWithinBudget(t *testing.T) {
 		return Response{}
 	})
 	const queueWait = 50 * time.Millisecond
-	_, addr := startServerLimits(t, h, ServerLimits{MaxInFlight: 1, QueueWait: queueWait})
+	fc := newFakeClock()
+	_, addr := startServerClock(t, h, ServerLimits{MaxInFlight: 1, QueueWait: queueWait}, fc)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -188,21 +183,25 @@ func TestServerQueueShedsWithinBudget(t *testing.T) {
 		defer wg.Done()
 		NewClient(5*time.Second).StoreCtx(context.Background(), addr, "k", [][2]float64{{1, 1}})
 	}()
-	// Wait until the blocker holds the slot.
-	deadline := time.Now().Add(2 * time.Second)
-	for mServerInFlight.Value() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if mServerInFlight.Value() < 1 {
-		t.Fatal("blocking request never took the in-flight slot")
-	}
+	defer wg.Wait()
+	defer close(release)
+	waitFor(t, 5*time.Second, "blocking request taking the in-flight slot", func() bool {
+		return mServerInFlight.Value() >= 1
+	})
 
 	shed0 := mServerShed.With(shedQueue).Value()
-	// No retries: one attempt measures the shed latency directly.
+	// No retries: one attempt is one queue wait.
 	c := NewClientOptions(ClientOptions{Timeout: 5 * time.Second, Retry: resilience.Policy{MaxAttempts: 1}})
-	t0 := time.Now()
-	err := c.PingCtx(context.Background(), addr)
-	elapsed := time.Since(t0)
+	defer c.Close()
+	pinged := make(chan error, 1)
+	go func() { pinged <- c.PingCtx(context.Background(), addr) }()
+	waitFor(t, 5*time.Second, "queued request arming its QueueWait timer", func() bool { return fc.armed() == 1 })
+	fc.advance(queueWait - time.Nanosecond)
+	if got := mServerShed.With(shedQueue).Value() - shed0; got != 0 {
+		t.Fatalf("shed(queue) delta = %d before QueueWait had passed, want 0", got)
+	}
+	fc.advance(time.Nanosecond)
+	err := <-pinged
 	if err == nil {
 		t.Fatal("request got a slot despite a saturated server")
 	}
@@ -212,15 +211,9 @@ func TestServerQueueShedsWithinBudget(t *testing.T) {
 	if resilience.IsTerminal(err) {
 		t.Fatalf("busy shed classified terminal (not retryable): %v", err)
 	}
-	if elapsed > 10*queueWait {
-		t.Fatalf("shed took %v, want well under the client timeout (budget %v)", elapsed, queueWait)
-	}
 	if got := mServerShed.With(shedQueue).Value() - shed0; got != 1 {
 		t.Errorf("shed(queue) delta = %d, want 1", got)
 	}
-
-	close(release)
-	wg.Wait()
 }
 
 func TestServerInFlightBoundHolds(t *testing.T) {
@@ -511,10 +504,9 @@ func TestServerOneGoroutinePerConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for mWireConns.With(codecBinary).Value()-conns0 < n && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "every connection negotiated", func() bool {
+		return mWireConns.With(codecBinary).Value()-conns0 >= n
+	})
 	if got := mWireConns.With(codecBinary).Value() - conns0; got != n {
 		t.Fatalf("negotiated %d connections, want %d", got, n)
 	}

@@ -72,18 +72,19 @@ type sinkCutter interface{ cut() }
 type tokenBucket struct {
 	rate  float64
 	burst float64
+	clk   clock
 
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
 }
 
-func newTokenBucket(rate float64, burst int) *tokenBucket {
+func newTokenBucket(rate float64, burst int, clk clock) *tokenBucket {
 	b := float64(burst)
 	if b <= 0 {
 		b = max(1, rate)
 	}
-	return &tokenBucket{rate: rate, burst: b, tokens: b, last: time.Now()}
+	return &tokenBucket{rate: rate, burst: b, clk: clk, tokens: b, last: clk.now()}
 }
 
 // allow spends one token when available, reporting whether the request is
@@ -91,7 +92,7 @@ func newTokenBucket(rate float64, burst int) *tokenBucket {
 func (b *tokenBucket) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := time.Now()
+	now := b.clk.now()
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
 		b.tokens = min(b.burst, b.tokens+dt*b.rate)
 	}
@@ -118,14 +119,14 @@ func (s *Server) tenantBucket(tenant string) *tokenBucket {
 	}
 	if len(s.tenants) >= maxTenantBuckets {
 		if s.tenantOverflow == nil {
-			s.tenantOverflow = newTokenBucket(s.limits.TenantRate, s.limits.TenantBurst)
+			s.tenantOverflow = newTokenBucket(s.limits.TenantRate, s.limits.TenantBurst, s.clk)
 		}
 		return s.tenantOverflow
 	}
 	if s.tenants == nil {
 		s.tenants = make(map[string]*tokenBucket)
 	}
-	b := newTokenBucket(s.limits.TenantRate, s.limits.TenantBurst)
+	b := newTokenBucket(s.limits.TenantRate, s.limits.TenantBurst, s.clk)
 	s.tenants[tenant] = b
 	return b
 }

@@ -11,25 +11,31 @@ import (
 	"nwscpu/internal/nwsnet/cluster"
 )
 
+// planeTick is the refresher interval of the forecast planes tests start.
+const planeTick = time.Second
+
 // startForecastPlane runs a memory server plus a forecaster over it with
-// the refresher ticking, returning the memory handler (store points through
-// it directly), the forecaster, and the forecaster's address.
-func startForecastPlane(t *testing.T, tick time.Duration) (*Memory, *ForecasterService, string) {
+// the refresher ticking every planeTick of the returned fake clock. It
+// returns the memory handler (store points through it directly), the
+// forecaster, the clock, and the forecaster's address.
+func startForecastPlane(t *testing.T) (*Memory, *ForecasterService, *fakeClock, string) {
 	t.Helper()
 	mem := NewMemory(0)
 	_, memAddr := startServerLimits(t, mem, ServerLimits{})
 	f := NewForecasterService([]string{memAddr}, 2*time.Second)
-	f.StartRefresher(tick)
+	fc := newFakeClock()
+	f.refresher.clk = fc
+	f.StartRefresher(planeTick)
 	t.Cleanup(f.StopRefresher)
 	_, fcAddr := startServerLimits(t, f, ServerLimits{})
-	return mem, f, fcAddr
+	return mem, f, fc, fcAddr
 }
 
 // TestSubscribeAckAndPush walks the whole read-plane lifecycle on one
 // connection: subscribe acks with the current forecast, a remote store is
-// pushed within a refresh tick, and unsubscribe stops the pushes.
+// pushed by the next refresh tick, and unsubscribe stops the pushes.
 func TestSubscribeAckAndPush(t *testing.T) {
-	mem, _, fcAddr := startForecastPlane(t, 20*time.Millisecond)
+	mem, f, fc, fcAddr := startForecastPlane(t)
 	if resp := mem.Handle(Request{Op: OpStore, Series: "s", Points: [][2]float64{{1, 0.5}, {2, 0.5}, {3, 0.5}}}); resp.Error != "" {
 		t.Fatal(resp.Error)
 	}
@@ -60,23 +66,26 @@ func TestSubscribeAckAndPush(t *testing.T) {
 	}
 
 	mem.Handle(Request{Op: OpStore, Series: "s", Points: [][2]float64{{4, 0.5}, {5, 0.5}}})
+	quiesceSinks(f)
+	fc.advance(planeTick)
 	select {
 	case resp := <-pushes:
 		if resp.Forecast == nil || resp.Forecast.N != 5 {
 			t.Fatalf("push forecast %+v, want one over 5 points", resp.Forecast)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no push within 100 refresh ticks of the store")
+	case <-time.After(5 * time.Second):
+		t.Fatal("no push after the refresh tick that followed the store")
 	}
 
 	if _, err := mux.Go(Request{Op: OpUnsubscribe, Series: "s"}).Wait(); err != nil {
 		t.Fatalf("unsubscribe: %v", err)
 	}
+	fc.advance(planeTick) // taken once the pass that pushed has returned
+	pushes0 := mFcPushes.Value()
 	mem.Handle(Request{Op: OpStore, Series: "s", Points: [][2]float64{{6, 0.5}}})
-	select {
-	case resp := <-pushes:
-		t.Fatalf("push %+v after unsubscribe", resp.Forecast)
-	case <-time.After(150 * time.Millisecond):
+	fc.advance(2 * planeTick) // the second tick is taken once the first pass is done
+	if got := mFcPushes.Value() - pushes0; got != 0 {
+		t.Fatalf("a pass after unsubscribe pushed %d forecasts", got)
 	}
 }
 
@@ -255,7 +264,9 @@ func TestSubscribedConnectionSurvivesIdleTimeout(t *testing.T) {
 	mem := NewMemory(0)
 	_, memAddr := startServerLimits(t, mem, ServerLimits{})
 	f := NewForecasterService([]string{memAddr}, 2*time.Second)
-	f.StartRefresher(20 * time.Millisecond)
+	fc := newFakeClock()
+	f.refresher.clk = fc
+	f.StartRefresher(planeTick)
 	t.Cleanup(f.StopRefresher)
 	_, fcAddr := startServerLimits(t, f, ServerLimits{IdleTimeout: 120 * time.Millisecond})
 
@@ -275,13 +286,10 @@ func TestSubscribedConnectionSurvivesIdleTimeout(t *testing.T) {
 
 	time.Sleep(400 * time.Millisecond) // several idle-timeout laps, zero requests
 	mem.Handle(Request{Op: OpStore, Series: "s", Points: [][2]float64{{1, 1}}})
-	deadline := time.Now().Add(2 * time.Second)
-	for pushed.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("subscribed connection was idle-reaped: store never pushed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	fc.advance(planeTick)
+	waitFor(t, 5*time.Second, "push of the store (was the subscribed connection idle-reaped?)", func() bool {
+		return pushed.Load() > 0
+	})
 	// The connection is still serviceable for ordinary requests too.
 	if _, err := mux.Do(Request{Op: OpPing}); err != nil {
 		t.Fatalf("ping on long-idle subscribed connection: %v", err)
@@ -328,7 +336,7 @@ func TestMuxCallsFailAgainstClosedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, 5*time.Second, "mux reader seeing the server close", func() bool { return !mux.alive() })
 	// The burst hits a closed server: every call completes with an error.
 	calls := make([]*MuxCall, 8)
 	for i := range calls {
@@ -416,7 +424,7 @@ func TestWarmPartialFailure(t *testing.T) {
 // subscriber gets one terminal moved push carrying the authoritative view,
 // and the hub forgets the subscription. Series still owned keep flowing.
 func TestAdoptViewHandsOffSubscriptions(t *testing.T) {
-	_, f, fcAddr := startForecastPlane(t, 20*time.Millisecond)
+	_, f, _, fcAddr := startForecastPlane(t)
 	f.SetClusterSelf("fc-self")
 
 	mux, err := DialMux(fcAddr, 2*time.Second)
@@ -507,7 +515,7 @@ func awayView(epoch uint64) *cluster.View {
 // or the transport error of a connection cut on its behalf), and the frame
 // that was not written is counted as dropped.
 func TestAdoptViewTerminalPushOnBusySink(t *testing.T) {
-	_, f, fcAddr := startForecastPlane(t, time.Hour)
+	_, f, _, fcAddr := startForecastPlane(t)
 	f.SetClusterSelf("fc-self")
 	mux, err := DialMux(fcAddr, 2*time.Second)
 	if err != nil {

@@ -10,15 +10,20 @@ import (
 	"nwscpu/internal/resilience"
 )
 
-// The tenant-quota tests run on a server whose buckets never refill within a
-// test (one token per ~11 days), so admissions are counted, not timed: a
-// tenant gets exactly its burst and every request past it is a busy answer.
+// The tenant-quota tests run on a fake clock, so admissions are counted, not
+// timed: until the test advances the clock a tenant gets exactly its burst,
+// and every request past it is a busy answer.
 
-const quotaBurst = 8
+const (
+	quotaRate  = 10 // tokens a second
+	quotaBurst = 8
+)
 
-func quotaServer(t *testing.T) (*Server, string) {
+func quotaServer(t *testing.T) (*Server, *fakeClock, string) {
 	t.Helper()
-	return startServerLimits(t, NewMemory(0), ServerLimits{TenantRate: 1e-6, TenantBurst: quotaBurst})
+	fc := newFakeClock()
+	srv, addr := startServerClock(t, NewMemory(0), ServerLimits{TenantRate: quotaRate, TenantBurst: quotaBurst}, fc)
+	return srv, fc, addr
 }
 
 // tenantPaths are the two client paths that attribute traffic to a tenant.
@@ -91,7 +96,7 @@ func tenantSheds() [2]uint64 {
 func TestTenantQuotaHogShedNeighbourAdmitted(t *testing.T) {
 	for _, path := range tenantPaths {
 		t.Run(path.name, func(t *testing.T) {
-			_, addr := quotaServer(t)
+			_, _, addr := quotaServer(t)
 			const offered = 5 * quotaBurst
 			callers := make([]func(Request) error, 3)
 			for i, tenant := range []string{"hog", "hog", "good"} {
@@ -140,7 +145,7 @@ func TestTenantQuotaHogShedNeighbourAdmitted(t *testing.T) {
 func TestTenantQuotaAnonymousShareOneBucket(t *testing.T) {
 	for _, path := range tenantPaths {
 		t.Run(path.name, func(t *testing.T) {
-			_, addr := quotaServer(t)
+			_, _, addr := quotaServer(t)
 			a, closeA := path.dial(t, addr, "")
 			defer closeA()
 			b, closeB := path.dial(t, addr, "")
@@ -167,7 +172,7 @@ func TestTenantQuotaAnonymousShareOneBucket(t *testing.T) {
 func TestTenantQuotaOverflowBucket(t *testing.T) {
 	for _, path := range tenantPaths {
 		t.Run(path.name, func(t *testing.T) {
-			srv, addr := quotaServer(t)
+			srv, _, addr := quotaServer(t)
 			registered := func(i int) string { return fmt.Sprintf("tenant-%04d", i) }
 			for i := 0; i < maxTenantBuckets; i++ {
 				do, closeFn := path.dial(t, addr, registered(i))
@@ -197,6 +202,34 @@ func TestTenantQuotaOverflowBucket(t *testing.T) {
 			defer closeFirst()
 			if admitted, _ := mustTally(t, first, quotaBurst); admitted != quotaBurst-1 {
 				t.Errorf("registered tenant admitted %d beside an exhausted overflow bucket, want its remaining %d", admitted, quotaBurst-1)
+			}
+		})
+	}
+}
+
+// TestTenantQuotaRefill: a drained bucket refills at the tenant rate, one
+// token per tenth of a second, and never past its burst however long the
+// tenant stays quiet.
+func TestTenantQuotaRefill(t *testing.T) {
+	for _, path := range tenantPaths {
+		t.Run(path.name, func(t *testing.T) {
+			_, fc, addr := quotaServer(t)
+			do, closeFn := path.dial(t, addr, "refill")
+			defer closeFn()
+			if admitted, busy := mustTally(t, do, quotaBurst+1); admitted != quotaBurst || busy != 1 {
+				t.Fatalf("fresh bucket admitted %d and shed %d, want %d and 1", admitted, busy, quotaBurst)
+			}
+			fc.advance(time.Second / quotaRate * 3 / 2)
+			if admitted, busy := mustTally(t, do, 2); admitted != 1 || busy != 1 {
+				t.Errorf("a token and a half later: admitted %d and shed %d, want 1 and 1", admitted, busy)
+			}
+			fc.advance(time.Second / quotaRate / 2)
+			if admitted, busy := mustTally(t, do, 2); admitted != 1 || busy != 1 {
+				t.Errorf("the other half token later: admitted %d and shed %d, want 1 and 1", admitted, busy)
+			}
+			fc.advance(time.Minute)
+			if admitted, busy := mustTally(t, do, quotaBurst+1); admitted != quotaBurst || busy != 1 {
+				t.Errorf("a quiet minute later: admitted %d and shed %d, want the burst %d and 1", admitted, busy, quotaBurst)
 			}
 		})
 	}
