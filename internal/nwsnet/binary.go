@@ -598,7 +598,7 @@ func encodeRequestBody(b []byte, req *Request, depth int) ([]byte, error) {
 		b = appendString(b, string(req.Reg.Kind))
 	case OpStore, OpBackfill:
 		b = appendString(b, req.Series)
-		b = appendPoints(b, req.Points)
+		b = appendPoints(b, req.Points) // may be empty: the handler, not the codec, refuses it
 	case OpFetch:
 		b = appendString(b, req.Series)
 		b = appendF64(b, req.From)

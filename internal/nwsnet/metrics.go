@@ -144,7 +144,7 @@ var (
 		"Durable-memory checkpoints: a snapshot of every series written and the log generations before it dropped.")
 	mMemoryLogTruncations = metrics.NewCounter(
 		"nws_memory_log_truncations_total",
-		"Torn-tail cuts: a durable memory's newest log generation cut back at startup to its last good frame (normal after a crash mid-write).")
+		"Torn-tail cuts: a durable memory's newest log generation cut back at startup to its last good frame (normal after a crash mid-write; investigate if it advances without one).")
 
 	// Name server.
 	mNSRegistrations = metrics.NewCounter(
