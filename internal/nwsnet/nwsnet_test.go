@@ -2,6 +2,7 @@ package nwsnet
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -305,7 +306,9 @@ func TestServerCloseIdempotent(t *testing.T) {
 func TestRequestRoundTrip(t *testing.T) {
 	memAddr := startServer(t, NewMemory(0))
 	c := NewClient(time.Second)
+	calls := 0
 	prop := func(key string, ts []uint16, vs []uint16) bool {
+		calls++
 		if key == "" {
 			key = "k"
 		}
@@ -323,8 +326,9 @@ func TestRequestRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			pts[i] = [2]float64{float64(i), float64(vs[i]) / 65536}
 		}
-		// Fresh series per call to avoid ordering conflicts.
-		k := key + string(rune('a'+n%26))
+		// A fresh series per call: a second store of timestamps 0..n-1 under
+		// one key would be deduplicated, and the fetch would read the first.
+		k := fmt.Sprintf("%s/%d", key, calls)
 		if err := c.StoreCtx(context.Background(), memAddr, "p/"+k, pts); err != nil {
 			// Ordering conflicts with an earlier iteration using the same
 			// key are acceptable; transport errors are not.
