@@ -27,14 +27,16 @@ vet:
 # observability, daemon, and resilience packages. Then ten more race passes
 # over the server's connection lifecycle — serve loop, subscriptions, pushes
 # and overload sheds — the background loops' start and stop, whose
-# teardown ordering one pass proves little about, and the client breaker's
-# probe admission, where a concurrent call races the probe in flight.
+# teardown ordering one pass proves little about, the client breaker's
+# probe admission, where a concurrent call races the probe in flight, and
+# the decisions a fake clock drives: lease expiry, tenant refill and the
+# queue-wait shed.
 test: test-race
 	$(GO) test ./...
 
 test-race:
 	$(GO) test -race ./internal/metrics ./internal/nwsnet ./internal/resilience/...
-	$(GO) test -race -count=10 -run 'TestServer|TestSubscribe|TestPushBatch|TestChaosOverload|TestLoop|TestRepairerStartStop|TestClusterAgent|TestClientBreakerOpensDeniesAndRecovers' ./internal/nwsnet
+	$(GO) test -race -count=10 -run 'TestServer|TestSubscribe|TestPushBatch|TestChaosOverload|TestLoop|TestRepairerStartStop|TestClusterAgent|TestClientBreakerOpensDeniesAndRecovers|TestNameServerLeaseExpiry|TestNameServerAmortizedReap|TestTenantQuotaRefill' ./internal/nwsnet
 
 # Tables 1–6 and Figures 1–4 at the paper's scale (24 h monitored runs,
 # 1 week Hurst traces) against testdata/paper.golden, bit for bit. Tier 1
