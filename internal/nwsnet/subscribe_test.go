@@ -87,6 +87,10 @@ func TestSubscribeAckAndPush(t *testing.T) {
 	if got := mFcPushes.Value() - pushes0; got != 0 {
 		t.Fatalf("a pass after unsubscribe pushed %d forecasts", got)
 	}
+	f.StopRefresher()
+	if n := fc.armed(); n != 0 {
+		t.Fatalf("%d tickers still armed after StopRefresher", n)
+	}
 }
 
 // quiesceSinks waits until no subscribed connection is mid-write: a client
