@@ -17,12 +17,10 @@ import (
 // history through: satisfied by a ReplicaGroup on either placement (fixed
 // replicas or ring-routed cluster owners) and by the in-process
 // LocalBackend, so the incremental-engine logic is identical across
-// deployments.
+// deployments. Every read is one batch fetch (see pull).
 type FetchBackend interface {
-	Fetch(ctx context.Context, key string, from, to float64, max int) ([][2]float64, error)
 	FetchBatch(ctx context.Context, fetches []BatchFetch) ([]FetchResult, error)
 	Series(ctx context.Context) ([]string, error)
-	Health() []ReplicaHealth
 }
 
 // ForecasterService answers forecast queries: for each requested series it
@@ -38,7 +36,8 @@ type ForecasterService struct {
 	engines map[string]*engineState
 	// order holds the same states in creation order. Engines are never
 	// deleted, so the slice only grows: the refresh pass walks it, and its
-	// fetch envelopes and pushes come in the same order every tick.
+	// fetch envelopes and pushes come in the same order every tick. A series
+	// is tracked once a subscription names it or a pull found its points.
 	order []*engineState
 
 	// Subscription hub (docs/PROTOCOL.md §8): which push sinks watch which
@@ -48,6 +47,9 @@ type ForecasterService struct {
 	hubMu  sync.Mutex
 	subs   map[string]map[PushSink]uint64 // series → sink → subscription request ID
 	bySink map[PushSink]map[string]struct{}
+	// unsent holds, per sink, the frames of its last batch dropped on a busy
+	// connection, until the next refresh pass sends them again (resendLocked).
+	unsent map[PushSink][]PushItem
 
 	// refreshing is set while the background refresher runs (or a harness
 	// driving RefreshNow says so); the per-series forecast cache is
@@ -118,102 +120,131 @@ func NewForecasterServiceCluster(nsAddr string, timeout time.Duration) *Forecast
 // before its first query. keys == nil warms every series the memory
 // currently holds. It returns the number of points consumed; per-series
 // rejections are skipped, and the error is non-nil only when the memory
-// group was unreachable.
+// group was unreachable. A series whose priming failed keeps its frontier,
+// so the next Warm or Forecast re-primes it from where priming stopped.
 func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error) {
 	if keys == nil {
 		var err error
-		keys, err = f.group.Series(ctx)
-		if err != nil {
+		if keys, err = f.group.Series(ctx); err != nil {
 			return 0, err
 		}
 	}
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	fetches := make([]BatchFetch, len(keys))
 	states := make([]*engineState, len(keys))
 	f.mu.Lock()
 	for i, k := range keys {
 		states[i] = f.engine(k)
-		fetches[i] = BatchFetch{Series: k, From: nextAfter(states[i].lastT)}
 	}
 	f.mu.Unlock()
+	p, err := f.pull(ctx, states)
+	return p.points, err
+}
 
-	results, err := f.group.FetchBatch(ctx, fetches)
-	if err != nil {
-		return 0, err
+// pulled is what one pull applied, read under the lock it was applied
+// under.
+type pulled struct {
+	results   []FetchResult     // one per state; Err is that series' rejection
+	points    int               // points consumed
+	changed   []int             // indexes of the states whose forecast changed, in batch order
+	forecasts []*ForecastResult // their new forecasts, aligned with changed
+	applied   time.Duration     // time spent applying, f.mu held
+}
+
+// pull is the forecaster's one read of the memory, shared by Warm, a cache
+// miss and the refresh pass: one FetchBatch of every state's points past its
+// frontier, then applyBatch under f.mu. The error is non-nil when no memory
+// answered, and nothing is applied then: every state keeps its frontier, and
+// the next pull retries from it.
+func (f *ForecasterService) pull(ctx context.Context, states []*engineState) (p pulled, err error) {
+	if len(states) == 0 {
+		return p, nil
+	}
+	fetches := make([]BatchFetch, len(states))
+	f.mu.Lock() // a concurrent pull of the same series moves its frontier
+	for i, st := range states {
+		fetches[i] = BatchFetch{Series: st.key, From: nextAfter(st.lastT)}
+	}
+	f.mu.Unlock()
+	if p.results, err = f.group.FetchBatch(ctx, fetches); err != nil {
+		return pulled{}, err
 	}
 	// Batch results align with the fetches by position only (FetchResult
 	// carries no series echo). A backend returning a short or long slice —
 	// a cancelled batch cut mid-envelope, say — would silently feed series
-	// A's points into series B's engine from here on; refuse instead. The
-	// skipped series keep their frontier, so the next Warm or Forecast
-	// re-primes them from where priming actually stopped.
-	if len(results) != len(fetches) {
-		return 0, fmt.Errorf("nwsnet: warm batch returned %d results for %d fetches", len(results), len(fetches))
+	// A's points into series B's engine from here on; refuse instead.
+	if len(p.results) != len(fetches) {
+		return pulled{}, fmt.Errorf("nwsnet: forecaster pull returned %d results for %d fetches", len(p.results), len(fetches))
 	}
-	// A series whose priming failed keeps its frontier untouched, so it is
-	// not marked warm in any sense — no cached forecast exists for it until
-	// a later Warm or Forecast succeeds.
 	f.mu.Lock()
-	total, _ := f.applyBatch(states, results)
+	t0 := time.Now()
+	p.points, p.changed = f.applyBatch(states, p.results)
+	// A cached forecast is replaced, never modified, so the pointers stay
+	// valid to encode from after f.mu is released.
+	p.forecasts = make([]*ForecastResult, len(p.changed))
+	for j, i := range p.changed {
+		p.forecasts[j] = states[i].cached
+	}
+	p.applied = time.Since(t0)
 	f.mu.Unlock()
-	mFcPointsPulled.Add(uint64(total))
-	return total, nil
+	mFcPointsPulled.Add(uint64(p.points))
+	return p, nil
 }
 
-// applyBatch feeds results[i].Points into states[i] and re-forecasts (and
-// re-caches) every engine that consumed a point, the one apply step Warm and
-// refreshTick share. Callers hold f.mu throughout, so no poll or subscribe
-// sees a half-applied tick. It returns the points consumed and the indexes
-// of the changed forecasts in batch order.
+// applyBatch feeds every point of results[i] newer than states[i]'s
+// frontier into its engine, and re-forecasts (and re-caches) every engine
+// that consumed a point: the one apply step of every pull. A state whose
+// fetch failed keeps its frontier, and a cached forecast is dropped the
+// moment its engine changes. Callers hold f.mu throughout, so no poll or
+// subscribe sees a half-applied tick. It returns the points consumed and the
+// indexes of the changed forecasts in batch order.
 func (f *ForecasterService) applyBatch(states []*engineState, results []FetchResult) (total int, changed []int) {
 	for i, res := range results {
 		if res.Err != nil {
 			continue
 		}
-		n := f.applyLocked(states[i], res.Points)
-		total += n
+		st, n := states[i], 0
+		for _, tv := range res.Points {
+			if tv[0] <= st.lastT {
+				continue
+			}
+			st.eng.Update(tv[1])
+			st.lastT = tv[0]
+			n++
+		}
 		if n == 0 {
 			continue
 		}
-		if _, ok := f.forecastLocked(states[i]); ok {
+		total += n
+		if st.cached != nil {
+			st.cached = nil
+			f.cacheInvals.Add(1)
+			mFcCacheInvalidations.Inc()
+		}
+		if _, ok := f.forecastLocked(st); ok {
 			changed = append(changed, i)
 		}
 	}
 	return total, changed
 }
 
-// applyLocked feeds every point newer than the frontier into st, dropping
-// any cached forecast the moment the engine changes. Returns the number of
-// points consumed. Callers hold f.mu.
-func (f *ForecasterService) applyLocked(st *engineState, points [][2]float64) int {
-	n := 0
-	for _, tv := range points {
-		if tv[0] <= st.lastT {
-			continue
-		}
-		st.eng.Update(tv[1])
-		st.lastT = tv[0]
-		n++
-	}
-	if n > 0 && st.cached != nil {
-		st.cached = nil
-		f.cacheInvals.Add(1)
-		mFcCacheInvalidations.Inc()
-	}
-	return n
+// newEngineState returns the state of a series no engine has read yet.
+func newEngineState(key string) *engineState {
+	return &engineState{key: key, eng: forecast.NewDefaultEngine(), lastT: -1}
 }
 
-// engine returns (creating on first use) the state for key. Callers must
-// hold f.mu.
+// track adds st to the series every refresh pass reads. Callers hold f.mu.
+func (f *ForecasterService) track(st *engineState) {
+	f.engines[st.key] = st
+	f.order = append(f.order, st)
+	mFcEngines.Set(float64(len(f.engines)))
+}
+
+// engine returns the state for key, creating and tracking it on first use.
+// Callers hold f.mu.
 func (f *ForecasterService) engine(key string) *engineState {
 	st := f.engines[key]
 	if st == nil {
-		st = &engineState{key: key, eng: forecast.NewDefaultEngine(), lastT: -1}
-		f.engines[key] = st
-		f.order = append(f.order, st)
-		mFcEngines.Set(float64(len(f.engines)))
+		st = newEngineState(key)
+		f.track(st)
 	}
 	return st
 }
@@ -232,7 +263,7 @@ func (f *ForecasterService) Handle(req Request) Response {
 			return errResp("forecast requires a series key")
 		}
 		t0 := time.Now()
-		resp, selected := f.handleForecast(req.Series)
+		resp, selected := f.handleForecast(req.Series, false)
 		mFcLatency.ObserveSince(t0)
 		if resp.Error != "" {
 			mFcErrors.Inc()
@@ -246,23 +277,31 @@ func (f *ForecasterService) Handle(req Request) Response {
 }
 
 // handleForecast answers one forecast query, with the counter of the
-// method that made the forecast (nil with an error).
-func (f *ForecasterService) handleForecast(key string) (Response, *metrics.Counter) {
+// method that made the forecast (nil with an error). A series is tracked
+// from the query on when track is set (a subscription), else only once its
+// pull returned points: a poll for a series the memory does not hold leaves
+// nothing behind.
+func (f *ForecasterService) handleForecast(key string, track bool) (Response, *metrics.Counter) {
 	f.mu.Lock()
-	st := f.engine(key)
+	st := f.engines[key]
+	if track {
+		st = f.engine(key)
+	}
 	// The cached result is the answer at the current frontier; it is
 	// authoritative only while the refresher runs, because only the
 	// refresher observes stores made by other clients and invalidates. It
 	// is replaced, never modified, so it is served without a copy.
-	if st.cached != nil && f.refreshing.Load() {
+	if st != nil && st.cached != nil && f.refreshing.Load() {
 		res, selected := st.cached, st.selected
 		f.mu.Unlock()
 		f.cacheHits.Add(1)
 		mFcCacheHits.Inc()
 		return Response{Forecast: res}, selected
 	}
-	from := nextAfter(st.lastT) // read under f.mu: a concurrent miss on the same series moves it
 	f.mu.Unlock()
+	if st == nil {
+		st = newEngineState(key)
+	}
 	f.cacheMisses.Add(1)
 	mFcCacheMisses.Inc()
 
@@ -270,19 +309,30 @@ func (f *ForecasterService) handleForecast(key string) (Response, *metrics.Count
 	// fails over across replicas; the deadline bounds the whole read.
 	ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
 	defer cancel()
-	points, err := f.group.Fetch(ctx, key, from, 0, 0)
+	p, err := f.pull(ctx, []*engineState{st})
+	if err == nil {
+		err = p.results[0].Err
+	}
 	if err != nil {
 		return errResp("forecast: memory fetch: %v", err), nil
 	}
+	mFcEngineLatency.Observe(p.applied.Seconds())
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	tEng := time.Now()
-	mFcPointsPulled.Add(uint64(f.applyLocked(st, points)))
-	res, ok := f.forecastLocked(st)
-	mFcEngineLatency.ObserveSince(tEng)
-	if !ok {
-		return errResp("forecast: no measurements for %q", key), nil
+	if tracked := f.engines[key]; tracked != nil {
+		st = tracked // a concurrent query may have tracked the series first
+	} else if st.eng.N() > 0 {
+		f.track(st)
+	}
+	// A cached forecast is the one at st's frontier, whether or not it is
+	// authoritative against remote stores.
+	res := st.cached
+	if res == nil {
+		var ok bool
+		if res, ok = f.forecastLocked(st); !ok {
+			return errResp("forecast: no measurements for %q", key), nil
+		}
 	}
 	return Response{Forecast: res}, st.selected
 }
@@ -359,7 +409,7 @@ func (f *ForecasterService) Subscribe(req Request, id uint64, sink PushSink) Res
 		}
 	}
 	ack := Response{}
-	if resp, _ := f.handleForecast(req.Series); resp.Error == "" {
+	if resp, _ := f.handleForecast(req.Series, true); resp.Error == "" {
 		ack.Forecast = resp.Forecast
 	}
 	return ack
@@ -383,6 +433,7 @@ func (f *ForecasterService) DropSink(sink PushSink) {
 	for series := range f.bySink[sink] {
 		f.removeSubLocked(series, sink)
 	}
+	delete(f.unsent, sink)
 	f.hubMu.Unlock()
 }
 
@@ -467,54 +518,42 @@ func (f *ForecasterService) RefreshNow() { f.refreshTick() }
 // a simulated clock. StopRefresher clears the same flag.
 func (f *ForecasterService) SetCacheServing(on bool) { f.refreshing.Store(on) }
 
-// refreshTick is one maintenance pass. It holds no lock across the batch
-// fetch or any push (pushing under hubMu or f.mu would deadlock against a
-// subscribe in progress).
+// refreshTick is one maintenance pass: one pull of every tracked series,
+// then the pushes. It holds no lock across the pull's fetch or any push
+// (pushing under hubMu or f.mu would deadlock against a subscribe in
+// progress).
 func (f *ForecasterService) refreshTick() {
 	f.mu.Lock()
 	// order only grows, and never rewrites an element, so this prefix stays
 	// valid to read after f.mu is released.
 	states := f.order[:len(f.order):len(f.order)]
-	fetches := make([]BatchFetch, len(states))
-	for i, st := range states {
-		fetches[i] = BatchFetch{Series: st.key, From: nextAfter(st.lastT)}
-	}
 	f.mu.Unlock()
-	if len(fetches) == 0 {
-		return
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
-	results, err := f.group.FetchBatch(ctx, fetches)
+	p, err := f.pull(ctx, states)
 	cancel()
-	if err != nil || len(results) != len(fetches) {
+	if err != nil {
 		return // transient; the next tick retries from the same frontiers
 	}
-	f.mu.Lock()
-	total, changed := f.applyBatch(states, results)
-	// A cached forecast is replaced, never modified, so the pointers stay
-	// valid to encode from after f.mu is released.
-	forecasts := make([]*ForecastResult, len(changed))
-	for j, i := range changed {
-		forecasts[j] = states[i].cached
-	}
-	f.mu.Unlock()
-	mFcPointsPulled.Add(uint64(total))
 
 	// One hub snapshot per tick: each changed forecast is encoded once and
 	// the body shared by all its subscribers (only the frame's ID differs).
 	batches := make(map[PushSink][]PushItem)
 	f.hubMu.Lock()
-	for j, i := range changed {
+	for j, i := range p.changed {
 		if len(f.subs[states[i].key]) == 0 {
 			continue
 		}
 		// 64 bytes hold a forecast body in one allocation unless the method
 		// name is unusually long.
-		body, err := encodeResponseBody(make([]byte, 0, 64), &Response{OK: true, Forecast: forecasts[j]}, 0)
+		body, err := encodeResponseBody(make([]byte, 0, 64), &Response{OK: true, Forecast: p.forecasts[j]}, 0)
 		if err != nil {
 			continue
 		}
 		f.queueLocked(batches, states[i].key, body)
+	}
+	for sink, items := range f.unsent {
+		delete(f.unsent, sink)
+		f.resendLocked(batches, sink, items)
 	}
 	f.hubMu.Unlock()
 	f.deliver(batches, false)
@@ -528,26 +567,53 @@ func (f *ForecasterService) queueLocked(batches map[PushSink][]PushItem, series 
 	}
 }
 
+// resendLocked queues again the frames of sink's dropped batch, less those
+// whose subscription is gone and those this pass supersedes with a newer
+// forecast of the same series. A dropped frame carries the forecast its
+// series still has when no newer one came. Only a sink that dropped a batch
+// has its subscriptions walked. Callers hold hubMu.
+func (f *ForecasterService) resendLocked(batches map[PushSink][]PushItem, sink PushSink, items []PushItem) {
+	live := make(map[uint64]bool, len(f.bySink[sink]))
+	for series := range f.bySink[sink] {
+		live[f.subs[series][sink]] = true
+	}
+	for _, it := range batches[sink] {
+		delete(live, it.ID)
+	}
+	for _, it := range items {
+		if live[it.ID] {
+			batches[sink] = append(batches[sink], it)
+		}
+	}
+}
+
 // deliver hands each sink its batch, outside every lock, and settles the
 // counters: every frame attempted lands in exactly one of
-// nws_forecast_pushes_total and nws_forecast_pushes_dropped_total. A batch a
-// busy sink drops is superseded by the next tick's, unless it is terminal —
-// its subscriptions are already gone and nothing will follow — in which case
-// the subscriber is disconnected instead of left listening.
+// nws_forecast_pushes_total and nws_forecast_pushes_dropped_total. The
+// frames a busy sink drops are kept for the next refresh pass to send again,
+// unless the batch is terminal — its subscriptions are already gone and
+// nothing will follow — in which case the subscriber is disconnected instead
+// of left listening.
 func (f *ForecasterService) deliver(batches map[PushSink][]PushItem, terminal bool) {
 	for sink, items := range batches {
 		n, err := sink.PushBatch(items)
 		mFcPushes.Add(uint64(n))
 		mFcPushesDropped.Add(uint64(len(items) - n))
-		if err != nil {
+		switch {
+		case err != nil:
 			// The connection is on its way down and its serve loop will
 			// DropSink; dropping here too keeps the next tick from building
 			// a batch for a dead sink.
 			f.DropSink(sink)
-		} else if terminal && n < len(items) {
+		case n == len(items):
+		case terminal:
 			if c, ok := sink.(sinkCutter); ok {
 				c.cut()
 			}
+		default:
+			f.hubMu.Lock()
+			f.unsent[sink] = items[n:]
+			f.hubMu.Unlock()
 		}
 	}
 }

@@ -29,6 +29,46 @@ func tracked(f *ForecasterService) int {
 	return len(f.order)
 }
 
+// TestEveryReadIsOneFetchBatch: Warm, a cache miss and a refresh pass each
+// read the memory with exactly one FetchBatch, whatever the number of
+// series they read.
+func TestEveryReadIsOneFetchBatch(t *testing.T) {
+	mem := NewMemory(0)
+	fb := &countingFetch{FetchBackend: NewLocalBackend(mem)}
+	f := NewForecasterServiceBackend(fb, 0)
+	keys := []string{"a", "b", "c"}
+	for _, k := range keys {
+		mustStore(t, mem, k, [2]float64{1, 0.5}, [2]float64{2, 0.5})
+	}
+	mustStore(t, mem, "d", [2]float64{1, 0.5})
+
+	for _, read := range []struct {
+		name     string
+		do       func() error
+		wantSubs int64
+	}{
+		{"warm", func() error {
+			_, err := f.Warm(context.Background(), keys)
+			return err
+		}, 3},
+		{"miss", func() error {
+			if resp := f.Handle(Request{Op: OpForecast, Series: "d"}); resp.Error != "" {
+				return fmt.Errorf("%s", resp.Error)
+			}
+			return nil
+		}, 1},
+		{"refresh", func() error { f.RefreshNow(); return nil }, 4},
+	} {
+		batches0, subs0 := fb.batches.Load(), fb.subs.Load()
+		if err := read.do(); err != nil {
+			t.Fatalf("%s: %v", read.name, err)
+		}
+		if batches, subs := fb.batches.Load()-batches0, fb.subs.Load()-subs0; batches != 1 || subs != read.wantSubs {
+			t.Fatalf("%s issued %d FetchBatch calls carrying %d fetches, want 1 carrying %d", read.name, batches, subs, read.wantSubs)
+		}
+	}
+}
+
 // TestUnknownSeriesPollLeavesNoEngine: a poll for a series the memory does
 // not hold answers the memory's rejection and leaves nothing behind, so no
 // client can grow the forecaster's state, or every later refresh pass, by

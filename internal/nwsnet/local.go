@@ -60,5 +60,6 @@ func NewForecasterServiceBackend(backend FetchBackend, timeout time.Duration) *F
 		engines: make(map[string]*engineState),
 		subs:    make(map[string]map[PushSink]uint64),
 		bySink:  make(map[PushSink]map[string]struct{}),
+		unsent:  make(map[PushSink][]PushItem),
 	}
 }

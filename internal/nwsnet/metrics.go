@@ -201,7 +201,7 @@ var (
 		"Forecast results pushed to subscribers (moved terminations included).")
 	mFcPushesDropped = metrics.NewCounter(
 		"nws_forecast_pushes_dropped_total",
-		"Push frames dropped instead of delivered: the subscriber's connection was stalled (write in progress or write budget expired). The subscription itself stays live; the next refresh tick supersedes the dropped forecast.")
+		"Push frames dropped instead of delivered: the subscriber's connection was stalled (write in progress or write budget expired). The subscription itself stays live; the next refresh pass sends the dropped forecast again, unless a newer one supersedes it.")
 	mTenantThrottled = metrics.NewCounter(
 		"nws_tenant_throttled_total",
 		"Requests shed with a busy response because the connection's tenant was over its token-bucket quota.")

@@ -400,8 +400,8 @@ const pushWriteBudget = time.Second
 // Slow-subscriber protection, at batch granularity: if the sink's write lock
 // is held — the previous write is still draining into a peer that stopped
 // reading — the whole batch is dropped instead of queueing behind it; the
-// subscriptions stay live and the next tick supersedes the dropped
-// forecasts. Otherwise the batch runs under a write deadline (WriteTimeout,
+// subscriptions stay live and the forecaster's next refresh pass sends the
+// dropped forecasts again. Otherwise the batch runs under a write deadline (WriteTimeout,
 // else pushWriteBudget), so a dead socket poisons the sink rather than
 // wedging the refresher; the deadline is cleared afterwards so it cannot
 // time out a later response.

@@ -61,8 +61,8 @@ type SubscriptionHandler interface {
 type subCounter interface{ addSubs(delta int64) }
 
 // sinkCutter is implemented by sinks that can disconnect their subscriber
-// without waiting for the write lock. A batch that ends subscriptions cannot
-// be superseded by a later one, so when such a batch is dropped the
+// without waiting for the write lock. A batch that ends subscriptions has no
+// later refresh pass to send it again, so when such a batch is dropped the
 // connection is cut instead: the subscriber's terminal call becomes a
 // transport error and it re-subscribes through the current view.
 type sinkCutter interface{ cut() }
