@@ -178,20 +178,26 @@ func FuzzUvarint(f *testing.F) {
 	})
 }
 
-// refSkipUvarints is skipUvarints one byte at a time: past each of n
-// uvarints' continuation bytes and its last byte.
-func refSkipUvarints(b []byte, n int) (int, bool) {
-	off := 0
-	for ; n > 0; n-- {
-		for off < len(b) && b[off] >= 0x80 {
-			off++
-		}
-		if off == len(b) {
-			return off, false
-		}
+// refSkipUvarint is one step of skipUvarints one byte at a time: past the
+// continuation bytes and the last byte of the uvarint at off.
+func refSkipUvarint(b []byte, off int) (int, bool) {
+	for off < len(b) && b[off] >= 0x80 {
 		off++
 	}
-	return off, true
+	if off == len(b) {
+		return off, false
+	}
+	return off + 1, true
+}
+
+// refSkipUvarints is skipUvarints one byte at a time: n steps of
+// refSkipUvarint.
+func refSkipUvarints(b []byte, n int) (int, bool) {
+	off, ok := 0, true
+	for ; n > 0 && ok; n-- {
+		off, ok = refSkipUvarint(b, off)
+	}
+	return off, ok
 }
 
 // TestSkipUvarints holds the snapshot skim's word-at-a-time skip to the
@@ -215,9 +221,13 @@ func TestSkipUvarints(t *testing.T) {
 			run = putUvarint(run, uvarintOfLen(r, l))
 		}
 		for cut := 0; cut <= len(run); cut++ {
+			// The reference for n is the one for n-1 and one step more.
+			want, wok := 0, true
 			for n := 0; n <= 161; n++ {
+				if n > 0 && wok {
+					want, wok = refSkipUvarint(run[:cut], want)
+				}
 				got, gok := skipUvarints(run[:cut], n)
-				want, wok := refSkipUvarints(run[:cut], n)
 				if got != want || gok != wok {
 					t.Fatalf("skipping %d uvarints of % x: (%d, %v), reference (%d, %v)", n, run[:cut], got, gok, want, wok)
 				}
