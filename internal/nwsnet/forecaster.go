@@ -3,6 +3,7 @@ package nwsnet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,10 +35,10 @@ type ForecasterService struct {
 
 	mu      sync.Mutex
 	engines map[string]*engineState
-	// order holds the same states in creation order. Engines are never
-	// deleted, so the slice only grows: the refresh pass walks it, and its
-	// fetch envelopes and pushes come in the same order every tick. A series
-	// is tracked once a subscription names it or a pull found its points.
+	// order holds the same states in the order they were tracked (engine).
+	// Engines are never deleted, so the slice only grows: the refresh pass
+	// walks it, and its fetch envelopes and pushes come in the same order
+	// every tick.
 	order []*engineState
 
 	// Subscription hub (docs/PROTOCOL.md §8): which push sinks watch which
@@ -48,13 +49,11 @@ type ForecasterService struct {
 	subs   map[string]map[PushSink]uint64 // series → sink → subscription request ID
 	bySink map[PushSink]map[string]struct{}
 	// unsent holds, per sink, the frames of its last batch dropped on a busy
-	// connection, until the next refresh pass sends them again (resendLocked).
+	// connection, until the next refresh pass sends them again.
 	unsent map[PushSink][]PushItem
 
-	// refreshing is set while the background refresher runs (or a harness
-	// driving RefreshNow says so); the per-series forecast cache is
-	// authoritative only then (without the refresher nothing would ever
-	// invalidate a stale entry on behalf of remote stores).
+	// refreshing is set while the refresher runs, or while a harness says it
+	// drives RefreshNow (SetCacheServing): only then is the cache served.
 	refreshing atomic.Bool
 	refresher  loop
 
@@ -70,9 +69,10 @@ type engineState struct {
 	key   string
 	eng   *forecast.Engine
 	lastT float64
-	// cached is the memoized forecast at the current frontier, nil after
-	// any update touched the engine. Served to queries only while the
-	// refresher runs (it bounds staleness to one tick).
+	// cached is the forecast at the current frontier, nil before the first
+	// point; replaced, never modified. It is served to polls as a cache hit
+	// only while the refresher runs: only the refresher observes stores made
+	// by other clients, and it bounds staleness to one tick.
 	cached *ForecastResult
 	// selected counts the forecasts served by method, the bank member the
 	// engine last forwarded. It is resolved when that member changes, so a
@@ -114,14 +114,11 @@ func NewForecasterServiceCluster(nsAddr string, timeout time.Duration) *Forecast
 	return NewForecasterServiceBackend(NewReplicaGroupCluster(forecasterClient(timeout), nsAddr), timeout)
 }
 
-// Warm primes per-series engines by batch-fetching every series' unseen
-// history in one round trip per replica attempt instead of one fetch per
-// series — the history catch-up a restarted forecaster owes for each series
-// before its first query. keys == nil warms every series the memory
-// currently holds. It returns the number of points consumed; per-series
-// rejections are skipped, and the error is non-nil only when the memory
-// group was unreachable. A series whose priming failed keeps its frontier,
-// so the next Warm or Forecast re-primes it from where priming stopped.
+// Warm tracks the series named by keys (nil: every series the memory holds)
+// and primes their engines in one pull, the history catch-up a restarted
+// forecaster owes before its first query. It returns the points consumed; a
+// series whose fetch was refused keeps its frontier, and the error is
+// non-nil only when the memory group was unreachable.
 func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error) {
 	if keys == nil {
 		var err error
@@ -132,21 +129,19 @@ func (f *ForecasterService) Warm(ctx context.Context, keys []string) (int, error
 	states := make([]*engineState, len(keys))
 	f.mu.Lock()
 	for i, k := range keys {
-		states[i] = f.engine(k)
+		states[i] = f.engine(k, true)
 	}
 	f.mu.Unlock()
 	p, err := f.pull(ctx, states)
 	return p.points, err
 }
 
-// pulled is what one pull applied, read under the lock it was applied
-// under.
+// pulled is what one pull applied, one entry per state in each slice.
 type pulled struct {
-	results   []FetchResult     // one per state; Err is that series' rejection
-	points    int               // points consumed
-	changed   []int             // indexes of the states whose forecast changed, in batch order
-	forecasts []*ForecastResult // their new forecasts, aligned with changed
-	applied   time.Duration     // time spent applying, f.mu held
+	results []FetchResult     // Err is that series' rejection
+	changed []*ForecastResult // the new forecast of each state whose engine changed, else nil
+	points  int               // points consumed
+	applied time.Duration     // time spent applying, f.mu held
 }
 
 // pull is the forecaster's one read of the memory, shared by Warm, a cache
@@ -177,26 +172,19 @@ func (f *ForecasterService) pull(ctx context.Context, states []*engineState) (p 
 	f.mu.Lock()
 	t0 := time.Now()
 	p.points, p.changed = f.applyBatch(states, p.results)
-	// A cached forecast is replaced, never modified, so the pointers stay
-	// valid to encode from after f.mu is released.
-	p.forecasts = make([]*ForecastResult, len(p.changed))
-	for j, i := range p.changed {
-		p.forecasts[j] = states[i].cached
-	}
 	p.applied = time.Since(t0)
 	f.mu.Unlock()
 	mFcPointsPulled.Add(uint64(p.points))
 	return p, nil
 }
 
-// applyBatch feeds every point of results[i] newer than states[i]'s
-// frontier into its engine, and re-forecasts (and re-caches) every engine
-// that consumed a point: the one apply step of every pull. A state whose
-// fetch failed keeps its frontier, and a cached forecast is dropped the
-// moment its engine changes. Callers hold f.mu throughout, so no poll or
-// subscribe sees a half-applied tick. It returns the points consumed and the
-// indexes of the changed forecasts in batch order.
-func (f *ForecasterService) applyBatch(states []*engineState, results []FetchResult) (total int, changed []int) {
+// applyBatch, the apply step of every pull, feeds each state the points of
+// its result past its frontier, re-forecasts every engine that consumed one,
+// and tracks a series found by its first points. Callers hold f.mu
+// throughout, so no poll or subscribe sees a half-applied tick. It returns
+// the points consumed and each state's new forecast, nil if unchanged.
+func (f *ForecasterService) applyBatch(states []*engineState, results []FetchResult) (total int, changed []*ForecastResult) {
+	changed = make([]*ForecastResult, len(results))
 	for i, res := range results {
 		if res.Err != nil {
 			continue
@@ -215,20 +203,28 @@ func (f *ForecasterService) applyBatch(states []*engineState, results []FetchRes
 		}
 		total += n
 		if st.cached != nil {
-			st.cached = nil
 			f.cacheInvals.Add(1)
 			mFcCacheInvalidations.Inc()
+		} else if f.engines[st.key] == nil { // the engine's first points
+			f.track(st)
 		}
-		if _, ok := f.forecastLocked(st); ok {
-			changed = append(changed, i)
-		}
+		changed[i] = f.forecastLocked(st)
 	}
 	return total, changed
 }
 
-// newEngineState returns the state of a series no engine has read yet.
-func newEngineState(key string) *engineState {
-	return &engineState{key: key, eng: forecast.NewDefaultEngine(), lastT: -1}
+// engine returns the state for key, creating it on first use. A created
+// state is tracked at once if track is set (Warm, a subscription), else by
+// applyBatch once a pull finds its points. Callers hold f.mu.
+func (f *ForecasterService) engine(key string, track bool) *engineState {
+	st := f.engines[key]
+	if st == nil {
+		st = &engineState{key: key, eng: forecast.NewDefaultEngine(), lastT: -1}
+		if track {
+			f.track(st)
+		}
+	}
+	return st
 }
 
 // track adds st to the series every refresh pass reads. Callers hold f.mu.
@@ -236,17 +232,6 @@ func (f *ForecasterService) track(st *engineState) {
 	f.engines[st.key] = st
 	f.order = append(f.order, st)
 	mFcEngines.Set(float64(len(f.engines)))
-}
-
-// engine returns the state for key, creating and tracking it on first use.
-// Callers hold f.mu.
-func (f *ForecasterService) engine(key string) *engineState {
-	st := f.engines[key]
-	if st == nil {
-		st = newEngineState(key)
-		f.track(st)
-	}
-	return st
 }
 
 // Handle implements Handler. A forecast answer may carry the cached result
@@ -277,21 +262,14 @@ func (f *ForecasterService) Handle(req Request) Response {
 }
 
 // handleForecast answers one forecast query, with the counter of the
-// method that made the forecast (nil with an error). A series is tracked
-// from the query on when track is set (a subscription), else only once its
-// pull returned points: a poll for a series the memory does not hold leaves
-// nothing behind.
+// method that made the forecast (nil with an error). A subscription (track)
+// tracks its series at once; a poll only once its pull found points, so a
+// poll for a series the memory does not hold leaves nothing behind.
 func (f *ForecasterService) handleForecast(key string, track bool) (Response, *metrics.Counter) {
 	f.mu.Lock()
-	st := f.engines[key]
-	if track {
-		st = f.engine(key)
-	}
-	// The cached result is the answer at the current frontier; it is
-	// authoritative only while the refresher runs, because only the
-	// refresher observes stores made by other clients and invalidates. It
-	// is replaced, never modified, so it is served without a copy.
-	if st != nil && st.cached != nil && f.refreshing.Load() {
+	st := f.engine(key, track)
+	// A hit serves the cached result itself, without a copy.
+	if st.cached != nil && f.refreshing.Load() {
 		res, selected := st.cached, st.selected
 		f.mu.Unlock()
 		f.cacheHits.Add(1)
@@ -299,9 +277,6 @@ func (f *ForecasterService) handleForecast(key string, track bool) (Response, *m
 		return Response{Forecast: res}, selected
 	}
 	f.mu.Unlock()
-	if st == nil {
-		st = newEngineState(key)
-	}
 	f.cacheMisses.Add(1)
 	mFcCacheMisses.Inc()
 
@@ -317,44 +292,26 @@ func (f *ForecasterService) handleForecast(key string, track bool) (Response, *m
 		return errResp("forecast: memory fetch: %v", err), nil
 	}
 	mFcEngineLatency.Observe(p.applied.Seconds())
-
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if tracked := f.engines[key]; tracked != nil {
-		st = tracked // a concurrent query may have tracked the series first
-	} else if st.eng.N() > 0 {
-		f.track(st)
+	if st.cached == nil { // the engine has consumed no point yet
+		return errResp("forecast: no measurements for %q", key), nil
 	}
-	// A cached forecast is the one at st's frontier, whether or not it is
-	// authoritative against remote stores.
-	res := st.cached
-	if res == nil {
-		var ok bool
-		if res, ok = f.forecastLocked(st); !ok {
-			return errResp("forecast: no measurements for %q", key), nil
-		}
-	}
-	return Response{Forecast: res}, st.selected
+	return Response{Forecast: st.cached}, st.selected
 }
 
 // forecastLocked computes the forecast at st's current frontier and caches
-// it. Callers hold f.mu.
-func (f *ForecasterService) forecastLocked(st *engineState) (*ForecastResult, bool) {
+// it; nil before the engine's first point. Callers hold f.mu.
+func (f *ForecasterService) forecastLocked(st *engineState) *ForecastResult {
 	pred, ok := st.eng.Forecast()
 	if !ok {
-		return nil, false
+		return nil
 	}
-	res := &ForecastResult{
-		Value:  pred.Value,
-		Method: pred.Method,
-		MAE:    pred.MAE,
-		N:      st.eng.N(),
-	}
-	st.cached = res
+	st.cached = &ForecastResult{Value: pred.Value, Method: pred.Method, MAE: pred.MAE, N: st.eng.N()}
 	if pred.Method != st.method {
 		st.method, st.selected = pred.Method, mFcMethodSelected.With(pred.Method)
 	}
-	return res, true
+	return st.cached
 }
 
 // CacheStats reports the forecast cache's hit/miss/invalidation counts —
@@ -408,11 +365,8 @@ func (f *ForecasterService) Subscribe(req Request, id uint64, sink PushSink) Res
 			c.addSubs(1)
 		}
 	}
-	ack := Response{}
-	if resp, _ := f.handleForecast(req.Series, true); resp.Error == "" {
-		ack.Forecast = resp.Forecast
-	}
-	return ack
+	resp, _ := f.handleForecast(req.Series, true)
+	return Response{Forecast: resp.Forecast} // no error: a series with no points yet is still subscribed
 }
 
 // Unsubscribe implements SubscriptionHandler. Unsubscribing a series that
@@ -437,12 +391,12 @@ func (f *ForecasterService) DropSink(sink PushSink) {
 	f.hubMu.Unlock()
 }
 
-// removeSubLocked removes one (series, sink) subscription, reporting
-// whether it existed. Callers hold hubMu.
-func (f *ForecasterService) removeSubLocked(series string, sink PushSink) bool {
+// removeSubLocked removes one (series, sink) subscription, if it exists.
+// Callers hold hubMu.
+func (f *ForecasterService) removeSubLocked(series string, sink PushSink) {
 	sinks := f.subs[series]
 	if _, ok := sinks[sink]; !ok {
-		return false
+		return
 	}
 	delete(sinks, sink)
 	if len(sinks) == 0 {
@@ -458,7 +412,6 @@ func (f *ForecasterService) removeSubLocked(series string, sink PushSink) bool {
 	if c, ok := sink.(subCounter); ok {
 		c.addSubs(-1)
 	}
-	return true
 }
 
 // Subscriptions reports how many (series, connection) subscriptions are
@@ -475,14 +428,12 @@ func (f *ForecasterService) Subscriptions() int {
 
 // --- background refresher ---
 
-// StartRefresher launches the read plane's maintenance loop: every interval
-// it batch-fetches the unseen points of every tracked series in one round
-// trip, feeds the engines, recomputes and re-caches changed forecasts, and
-// pushes them to each changed series' subscribers. While it runs, forecast
-// queries are served from the cache, so a poll costs no memory round trip
-// and staleness is bounded by one tick. interval <= 0 selects 1 s.
-// Idempotent while running; StopRefresher ends it, and a stopped refresher
-// does not start again.
+// StartRefresher launches the read plane's maintenance loop, one refresh
+// pass (refreshTick) every interval. While it runs, forecast queries are
+// served from the cache, so a poll costs no memory round trip and staleness
+// is bounded by one tick. interval <= 0 selects 1 s. Idempotent while
+// running; StopRefresher ends it, and a stopped refresher does not start
+// again.
 func (f *ForecasterService) StartRefresher(interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
@@ -500,28 +451,24 @@ func (f *ForecasterService) StopRefresher() {
 	f.refreshing.Store(false)
 }
 
-// RefreshNow runs one maintenance pass synchronously: batch-fetch every
-// tracked series' unseen points, feed the engines, re-cache changed
-// forecasts and push them to subscribers. It is the simulated-clock
-// counterpart of the wall-clock refresher: a deterministic harness
-// (cmd/nwsgrid) calls it once per virtual cadence tick instead of racing a
-// ticker goroutine against the simulation. Combine with SetCacheServing so
-// queries between passes are answered from the cache, exactly as they
-// would be under StartRefresher.
+// RefreshNow runs one refresh pass synchronously, the simulated-clock
+// counterpart of the refresher: a deterministic harness (cmd/nwsgrid) calls
+// it once per virtual cadence tick instead of racing a ticker goroutine
+// against the simulation. Combine with SetCacheServing so queries between
+// passes are answered from the cache, exactly as under StartRefresher.
 func (f *ForecasterService) RefreshNow() { f.refreshTick() }
 
-// SetCacheServing marks the per-series forecast cache authoritative (or
-// not) without launching the background refresher. The cache is only safe
-// to serve while *something* invalidates stale entries on behalf of remote
-// stores; StartRefresher is that something in wall-clock deployments, and
-// a harness driving RefreshNow every virtual tick is the equivalent under
-// a simulated clock. StopRefresher clears the same flag.
+// SetCacheServing marks the forecast cache authoritative (or not) without
+// the refresher: the cache is only safe to serve while something
+// invalidates stale entries on behalf of remote stores, which under a
+// simulated clock is a harness calling RefreshNow every virtual tick.
+// StopRefresher clears the same flag.
 func (f *ForecasterService) SetCacheServing(on bool) { f.refreshing.Store(on) }
 
-// refreshTick is one maintenance pass: one pull of every tracked series,
-// then the pushes. It holds no lock across the pull's fetch or any push
-// (pushing under hubMu or f.mu would deadlock against a subscribe in
-// progress).
+// refreshTick is one refresh pass: one pull of every tracked series, then a
+// push of every changed forecast to its series' subscribers. It holds no
+// lock across the pull's fetch or any push (pushing under hubMu or f.mu
+// would deadlock against a subscribe in progress).
 func (f *ForecasterService) refreshTick() {
 	f.mu.Lock()
 	// order only grows, and never rewrites an element, so this prefix stays
@@ -539,21 +486,33 @@ func (f *ForecasterService) refreshTick() {
 	// the body shared by all its subscribers (only the frame's ID differs).
 	batches := make(map[PushSink][]PushItem)
 	f.hubMu.Lock()
-	for j, i := range p.changed {
-		if len(f.subs[states[i].key]) == 0 {
+	for i, res := range p.changed {
+		if res == nil || len(f.subs[states[i].key]) == 0 {
 			continue
 		}
 		// 64 bytes hold a forecast body in one allocation unless the method
 		// name is unusually long.
-		body, err := encodeResponseBody(make([]byte, 0, 64), &Response{OK: true, Forecast: p.forecasts[j]}, 0)
-		if err != nil {
-			continue
+		if body, err := encodeResponseBody(make([]byte, 0, 64), &Response{OK: true, Forecast: res}, 0); err == nil {
+			f.queueLocked(batches, states[i].key, body)
 		}
-		f.queueLocked(batches, states[i].key, body)
 	}
+	// A batch dropped last pass goes again, less the frames whose subscription
+	// is gone or which this pass supersedes. Only a sink that dropped a batch
+	// has its subscriptions walked.
 	for sink, items := range f.unsent {
 		delete(f.unsent, sink)
-		f.resendLocked(batches, sink, items)
+		live := make(map[uint64]bool, len(f.bySink[sink]))
+		for series := range f.bySink[sink] {
+			live[f.subs[series][sink]] = true
+		}
+		for _, it := range batches[sink] {
+			delete(live, it.ID)
+		}
+		for _, it := range items {
+			if live[it.ID] {
+				batches[sink] = append(batches[sink], it)
+			}
+		}
 	}
 	f.hubMu.Unlock()
 	f.deliver(batches, false)
@@ -564,26 +523,6 @@ func (f *ForecasterService) refreshTick() {
 func (f *ForecasterService) queueLocked(batches map[PushSink][]PushItem, series string, body []byte) {
 	for sink, id := range f.subs[series] {
 		batches[sink] = append(batches[sink], PushItem{ID: id, Body: body})
-	}
-}
-
-// resendLocked queues again the frames of sink's dropped batch, less those
-// whose subscription is gone and those this pass supersedes with a newer
-// forecast of the same series. A dropped frame carries the forecast its
-// series still has when no newer one came. Only a sink that dropped a batch
-// has its subscriptions walked. Callers hold hubMu.
-func (f *ForecasterService) resendLocked(batches map[PushSink][]PushItem, sink PushSink, items []PushItem) {
-	live := make(map[uint64]bool, len(f.bySink[sink]))
-	for series := range f.bySink[sink] {
-		live[f.subs[series][sink]] = true
-	}
-	for _, it := range batches[sink] {
-		delete(live, it.ID)
-	}
-	for _, it := range items {
-		if live[it.ID] {
-			batches[sink] = append(batches[sink], it)
-		}
 	}
 }
 
@@ -610,9 +549,9 @@ func (f *ForecasterService) deliver(batches map[PushSink][]PushItem, terminal bo
 			if c, ok := sink.(sinkCutter); ok {
 				c.cut()
 			}
-		default:
+		default: // dropped whole (PushSink)
 			f.hubMu.Lock()
-			f.unsent[sink] = items[n:]
+			f.unsent[sink] = items
 			f.hubMu.Unlock()
 		}
 	}
@@ -647,19 +586,11 @@ func (f *ForecasterService) AdoptView(v *cluster.View) {
 		if len(owners) == 0 {
 			continue // empty forecaster ring: nowhere to redirect
 		}
-		owned := false
-		for _, id := range owners {
-			if id == *self {
-				owned = true
-				break
-			}
-		}
-		if owned {
+		if slices.Contains(owners, *self) {
 			continue
 		}
 		moved := movedResp(v, "forecast %q: not an owner under epoch %d", series, v.Epoch)
-		body, err := encodeResponseBody(nil, &moved, 0)
-		if err == nil {
+		if body, err := encodeResponseBody(nil, &moved, 0); err == nil {
 			f.queueLocked(batches, series, body)
 		}
 		for sink := range sinks {

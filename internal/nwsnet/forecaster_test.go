@@ -109,6 +109,46 @@ func TestUnknownSeriesPollLeavesNoEngine(t *testing.T) {
 	}
 }
 
+// barrierFetch holds each FetchBatch until every one of the calls it was
+// armed for has arrived.
+type barrierFetch struct {
+	FetchBackend
+	arrived sync.WaitGroup
+}
+
+func (b *barrierFetch) FetchBatch(ctx context.Context, fetches []BatchFetch) ([]FetchResult, error) {
+	b.arrived.Done()
+	b.arrived.Wait()
+	return b.FetchBackend.FetchBatch(ctx, fetches)
+}
+
+// TestConcurrentFirstPollsTrackOneEngine: polls racing for a series no
+// engine has read yet each pull into a state of their own; the series ends
+// tracked exactly once, and every poll answers a forecast over all its
+// points.
+func TestConcurrentFirstPollsTrackOneEngine(t *testing.T) {
+	const polls = 8
+	mem := NewMemory(0)
+	fb := &barrierFetch{FetchBackend: NewLocalBackend(mem)}
+	fb.arrived.Add(polls) // every poll is inside its pull before any applies
+	f := NewForecasterServiceBackend(fb, 0)
+	mustStore(t, mem, "s", [2]float64{1, 0.5}, [2]float64{2, 0.25}, [2]float64{3, 0.5})
+	var wg sync.WaitGroup
+	for g := 0; g < polls; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp := f.Handle(Request{Op: OpForecast, Series: "s"}); resp.Forecast == nil || resp.Forecast.N != 3 {
+				t.Errorf("racing first poll = %+v, want a forecast over 3 points", resp)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := tracked(f); n != 1 {
+		t.Fatalf("racing first polls tracked %d engines, want 1", n)
+	}
+}
+
 // busySink is a push sink whose connection is busy for the batches it is
 // told to drop, and delivers every other batch whole.
 type busySink struct {
